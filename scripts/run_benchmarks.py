@@ -6,10 +6,11 @@ for simple zeros of the averaged pair, sweeps every zero down an epsilon
 ladder, and prints the fitted residual exponent next to the in-family
 discriminator.  The closing table is the empirical answer to "which
 convention produces the persistent orbit" for each benchmark: a zero counts
-as validated when the sweep is valid, the main exponent is at least 1.8, and
-the in-family residuals are consistent with second-order scaling.
+as validated by the rule of ``SweepReport.validated`` (valid sweep, main
+exponent at least 1.8, in-family residuals consistent with second-order
+scaling).
 
-Usage: python3 scripts/run_benchmarks.py [--grid N] [--workers N] [--out FILE]
+Usage: python3 scripts/run_benchmarks.py [--grid N] [--out FILE]
 """
 
 from __future__ import annotations
@@ -41,22 +42,10 @@ LADDER = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 R1, R2 = 0.05, 2.0
 
 
-def validated(report) -> bool:
-    exponent = report.fitted_exponent
-    return bool(
-        report.valid
-        and exponent == exponent
-        and exponent >= 1.8
-        and report.family_consistent
-    )
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--grid", type=int, default=12,
                         help="polar lattice size per annulus axis (default 12)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="threads for the search and the sweeps")
     parser.add_argument("--out", default=None,
                         help="write the full summary as deterministic JSON")
     args = parser.parse_args()
@@ -74,16 +63,14 @@ def main() -> int:
         per_convention = {}
         for convention in ("A", "B"):
             system = BifurcationSystem(1, spec, reduced, s, convention)
-            certs = annulus_search(system, R1, R2, args.grid,
-                                   rng=rng, workers=args.workers)
+            certs = annulus_search(system, R1, R2, args.grid, rng=rng)
             print(f"\n== {name}, convention {convention}: "
                   f"{len(certs)} zero(s) in [{R1}, {R2}] ==")
             entries = []
             for cert in certs:
                 orbit = predicted_initial_state(cert, 1, transform, s, reduced)
-                report = epsilon_sweep(orbit, spec, reduced, s, LADDER,
-                                       refine=False, workers=args.workers)
-                ok = validated(report)
+                report = epsilon_sweep(orbit, spec, reduced, s, LADDER, refine=False)
+                ok = report.validated
                 radius = math.hypot(*cert.point)
                 print(f"  zero ({cert.point[0]:+.6f}, {cert.point[1]:+.6f})"
                       f"  |z| = {radius:.6f}")

@@ -4,14 +4,17 @@ For each orbit family the first-order averaged response of a perturbation
 along the unperturbed orbit of amplitude (u₀, v₀) is a pair of integrals
 over the resonance window [0, p·T_family]:
 
-    family 1:  ∫ trig(ω₁τ)·[ 2b(F̄₁+K₁) + (a−b+√Δ)(F̄₃+K₃)
-                 + (2b(F̄₂+K₂) + (a−b+√Δ)(F̄₄+K₄))·sgn(u(τ)) ] dτ,
-    family 2:  ∫ trig(ω₂τ)·[ −2b(F̄₁+K₁) + (−a+b+√Δ)(F̄₃+K₃)
-                 + (2b(F̄₂+K₂) + (−a+b+√Δ)(F̄₄+K₄))·sgn(u(τ)) ] dτ,
+    ∫ trig(ωτ)·2√Δ·⟨r, (0, f_y, 0, f_w)⟩ dτ,
 
-with trig = sin for the first component and cos for the second, F̄_i the
-linear forms evaluated on the orbit mapped back to the physical frame, and
-u(τ) the sgn argument fixed by the phase convention:
+with trig = sin for the first component and cos for the second, r the
+family's velocity row of the normal-form transform (row Y for family 1,
+row W for family 2), and (f_y, f_w) the order-ε forcing of
+:func:`~pendavg.perturbation.eval_order1_with_signs` evaluated on the
+orbit mapped back to the physical frame.  Written out, 2√Δ·r is
+(0, 2b, 0, a−b+√Δ) for family 1 and (0, −2b, 0, −a+b+√Δ) for family 2.
+The sgn terms see sgn(x) = sgn(z) = sgn(u(τ)) on family 1 and
+sgn(x) = −sgn(z) = −sgn(u(τ)) on family 2, with u(τ) the sgn argument
+fixed by the phase convention:
 
     convention "A": u(τ) = u₀·cos(ωτ) + v₀·sin(ωτ)   (the orbit coordinate),
     convention "B": u(τ) = v₀·cos(ωτ) + u₀·sin(ωτ)   (the swapped variant).
@@ -28,15 +31,23 @@ search enumerates them.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, QuadratureError
-from .model import ReducedParams, SpectralData, fundamental_matrix, monodromy_lower_block
-from .perturbation import PerturbationSpec
+from .model import (
+    JordanTransform,
+    ReducedParams,
+    SpectralData,
+    fundamental_matrix,
+    jordan_transform,
+    monodromy_lower_block,
+    unperturbed_orbit,
+)
+from .perturbation import PerturbationSpec, eval_order1_with_signs
 
 __all__ = [
     "BifurcationSystem",
@@ -93,6 +104,10 @@ class BifurcationSystem:
     @property
     def omega(self) -> float:
         return self.spectral.omega(self.family)
+
+    @cached_property
+    def transform(self) -> JordanTransform:
+        return jordan_transform(self.reduced, self.spectral)
 
 
 @dataclass(frozen=True)
@@ -198,26 +213,6 @@ def find_sign_changes(amp, family: int, convention: str, s: SpectralData, p: int
     return partition
 
 
-def _orbit_physical(reduced: ReducedParams, spectral: SpectralData, family: int, amp, tau):
-    """Physical-frame coordinates of the unperturbed orbit, vectorized in tau."""
-    a, b = reduced.a, reduced.b
-    rd = math.sqrt(spectral.delta)
-    omega = spectral.omega(family)
-    tau = np.asarray(tau, dtype=float)
-    c, sn = np.cos(omega * tau), np.sin(omega * tau)
-    u = amp[0] * c + amp[1] * sn
-    v = amp[1] * c - amp[0] * sn
-    if family == 1:
-        ca = (-a + b + rd) / (2.0 * b * spectral.omega1)
-        cb = (-a + b + rd) / (2.0 * b)
-        x, y, z, w = ca * u, cb * v, u / spectral.omega1, v
-    else:
-        ca = (a - b + rd) / (2.0 * b * spectral.omega2)
-        cb = (a - b + rd) / (2.0 * b)
-        x, y, z, w = -ca * u, -cb * v, u / spectral.omega2, v
-    return np.stack([x, y, z, w])
-
-
 def averaged_integrand(sys: BifurcationSystem, amp, tau):
     """Integrand pair of the averaged response at times ``tau``.
 
@@ -225,28 +220,15 @@ def averaged_integrand(sys: BifurcationSystem, amp, tau):
     """
     scalar_input = np.ndim(tau) == 0
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    a, b = sys.reduced.a, sys.reduced.b
-    rd = math.sqrt(sys.spectral.delta)
-    state = _orbit_physical(sys.reduced, sys.spectral, sys.family, amp, tau)
-    k1, k2, k3, k4 = sys.spec.K
-    f1, f2, f3, f4 = sys.spec.F
-    smooth_y = k1(tau) + f1.evaluate(tau, state)
-    smooth_w = k3(tau) + f3.evaluate(tau, state)
-    kick_y = k2(tau) + f2.evaluate(tau, state)
-    kick_w = k4(tau) + f4.evaluate(tau, state)
+    k = 0 if sys.family == 1 else 2
+    inverse, forward = sys.transform.inverse, sys.transform.forward
+    state = inverse @ unperturbed_orbit(sys.family, amp, tau, sys.spectral)
     sgn = np.sign(_sgn_argument(amp, sys.sgn_convention, sys.omega)(tau))
-    if sys.family == 1:
-        bracket = (
-            2.0 * b * smooth_y
-            + (a - b + rd) * smooth_w
-            + (2.0 * b * kick_y + (a - b + rd) * kick_w) * sgn
-        )
-    else:
-        bracket = (
-            -2.0 * b * smooth_y
-            + (-a + b + rd) * smooth_w
-            + (2.0 * b * kick_y + (-a + b + rd) * kick_w) * sgn
-        )
+    f_y, f_w = eval_order1_with_signs(
+        sys.spec, tau, state, np.sign(inverse[0, k]) * sgn, np.sign(inverse[2, k]) * sgn
+    )
+    scale = 2.0 * math.sqrt(sys.spectral.delta)
+    bracket = scale * forward[k + 1, 1] * f_y + scale * forward[k + 1, 3] * f_w
     omega = sys.omega
     out = np.stack([np.sin(omega * tau) * bracket, np.cos(omega * tau) * bracket])
     return out[:, 0] if scalar_input else out
@@ -426,14 +408,12 @@ def newton_zero(sys: BifurcationSystem, start, *, scale: Optional[float] = None,
 
 
 def annulus_search(sys: BifurcationSystem, r1: float, r2: float, grid: int,
-                   *, rng: Optional[np.random.Generator] = None,
-                   workers: int = 1) -> list:
+                   *, rng: Optional[np.random.Generator] = None) -> list:
     """Newton search from a grid×grid polar lattice over the annulus.
 
     Returns the distinct converged certificates, deduplicated within
     ``DEDUPE_TOL`` and sorted by point.  ``rng`` optionally jitters the
-    lattice; ``workers`` > 1 evaluates starts in a thread pool with a
-    deterministic merge.
+    lattice.
     """
     if not (0.0 < r1 < r2):
         raise DomainError(f"need 0 < r1 < r2, got r1={r1!r}, r2={r2!r}")
@@ -457,17 +437,9 @@ def annulus_search(sys: BifurcationSystem, r1: float, r2: float, grid: int,
     if scale <= 0.0:
         return []
 
-    def run(s0):
-        return newton_zero(sys, s0, scale=scale, r1=r1)
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, starts))
-    else:
-        results = [run(s0) for s0 in starts]
-
     certificates = []
-    for res in results:
+    for s0 in starts:
+        res = newton_zero(sys, s0, scale=scale, r1=r1)
         if not res.converged or res.certificate is None:
             continue
         pt = np.array(res.certificate.point)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -146,7 +145,6 @@ class ExperimentConfig:
     sim_max_events: int
     sim_require_crossing: bool
     output_dir: Path
-    workers: int = 1
     extra: Dict[str, str] = field(default_factory=dict)
 
 
@@ -222,8 +220,6 @@ def load_config(
     if delta is not None:
         sim_delta = delta
 
-    workers = max(1, int(os.environ.get("PENDAVG_THREADS", "1")))
-
     final_family = family if family is not None else cfg_family
     final_convention = (convention or cfg_convention).strip().upper()
     if final_family not in (1, 2):
@@ -253,7 +249,6 @@ def load_config(
         sim_max_events=int(get("integrate", "max_events", "100000")),
         sim_require_crossing=(get("integrate", "require_crossing", "false").lower() in ("1", "true", "yes")),
         output_dir=out_dir,
-        workers=workers,
     )
 
 
@@ -319,14 +314,7 @@ def _run_zero_search(config: ExperimentConfig, convention: Optional[str] = None)
         sgn_convention=convention or config.convention,
     )
     rng = np.random.default_rng(config.seed)
-    certs = annulus_search(
-        system,
-        config.r1,
-        config.r2,
-        config.grid,
-        rng=rng,
-        workers=config.workers,
-    )
+    certs = annulus_search(system, config.r1, config.r2, config.grid, rng=rng)
     return system, certs
 
 
@@ -357,14 +345,7 @@ def _sweep_for_cert(
     orbit = predicted_initial_state(
         cert, config.family, transform, s, reduced, p=config.p
     )
-    return epsilon_sweep(
-        orbit,
-        system.spec,
-        reduced,
-        s,
-        config.eps_list,
-        workers=config.workers,
-    )
+    return epsilon_sweep(orbit, system.spec, reduced, s, config.eps_list)
 
 
 def _verify_convention(config: ExperimentConfig, convention: str, tag: str) -> dict:
@@ -377,13 +358,7 @@ def _verify_convention(config: ExperimentConfig, convention: str, tag: str) -> d
     any_stall = False
     for i, cert in enumerate(simple_certs):
         report = _sweep_for_cert(config, system, cert)
-        exponent = report.fitted_exponent
-        validated = bool(
-            report.valid
-            and exponent == exponent
-            and exponent >= 1.8
-            and report.family_consistent
-        )
+        validated = report.validated
         any_validated = any_validated or validated
         for j, sample in enumerate(report.samples):
             if sample.trajectory is not None:

@@ -25,7 +25,7 @@ from .errors import (
     TangencyError,
 )
 from .model import ReducedParams, SpectralData
-from .perturbation import PerturbationSpec, eval_order1_regularized, eval_order1_with_signs
+from .perturbation import PerturbationSpec, eval_order1_with_signs, smooth_sign
 
 # Tolerances of the event machinery.
 EVENT_TIME_TOL = 1e-12
@@ -769,19 +769,10 @@ def integrate_regularized(
     """
     if delta <= 0.0:
         raise DomainError(f"regularization width must be positive, got {delta}")
-    a = reduced.a
-    b = reduced.b
-    remainder = spec.R
+    field = d1_field(spec, reduced, eps)
 
     def rhs(t, state):
-        x, y, z, w = state
-        f_y, f_w = eval_order1_regularized(spec, t, state, delta)
-        dy = -a * x + z + eps * f_y
-        dw = b * x - b * z + eps * f_w
-        if remainder is not None:
-            dy += eps * eps * remainder[0](t, state, eps)
-            dw += eps * eps * remainder[1](t, state, eps)
-        return np.array([y, dy, w, dw], dtype=float)
+        return field(t, state, (smooth_sign(state[0], delta), smooth_sign(state[2], delta)))
 
     max_step = min(spectral.period1, spectral.period2) / 16.0
     sol = solve_ivp(

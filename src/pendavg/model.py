@@ -239,12 +239,13 @@ def nonlinear_accelerations(p: PhysicalParams, phi1, dphi1, phi2, dphi2):
         (m₁+m₂)l₁φ̈₁ + m₂l₂φ̈₂cos(φ₁−φ₂) + (m₁+m₂)g sin φ₁
                      + m₂l₂φ̇₂² sin(φ₁−φ₂) = 0,
         m₂l₁φ̈₁cos(φ₁−φ₂) + m₂l₂φ̈₂ + m₂g sin φ₂
-                     + m₂l₁φ̇₁² sin(φ₁−φ₂) = 0.
+                     − m₂l₁φ̇₁² sin(φ₁−φ₂) = 0.
 
-    The sign of the φ̇₁² term in the second equation is kept as displayed
-    here; it only affects cubic-order terms, not the linearization at the
-    origin.  The mass matrix has determinant m₂l₁l₂(m₁ + m₂sin²(φ₁−φ₂)) > 0,
-    so the system is always solvable.
+    These are the Euler–Lagrange equations of the point-mass double
+    pendulum divided by l₁ and l₂, so the motion conserves the energy
+    ½(m₁+m₂)l₁²φ̇₁² + ½m₂l₂²φ̇₂² + m₂l₁l₂φ̇₁φ̇₂cos(φ₁−φ₂)
+    − (m₁+m₂)gl₁cos φ₁ − m₂gl₂cos φ₂.  The mass matrix has determinant
+    m₂l₁l₂(m₁ + m₂sin²(φ₁−φ₂)) > 0, so the system is always solvable.
     """
     c = math.cos(phi1 - phi2)
     sn = math.sin(phi1 - phi2)
@@ -253,7 +254,7 @@ def nonlinear_accelerations(p: PhysicalParams, phi1, dphi1, phi2, dphi2):
     m21 = p.m2 * p.l1 * c
     m22 = p.m2 * p.l2
     r1 = -(p.m1 + p.m2) * p.g * math.sin(phi1) - p.m2 * p.l2 * dphi2 * dphi2 * sn
-    r2 = -p.m2 * p.g * math.sin(phi2) - p.m2 * p.l1 * dphi1 * dphi1 * sn
+    r2 = -p.m2 * p.g * math.sin(phi2) + p.m2 * p.l1 * dphi1 * dphi1 * sn
     det = m11 * m22 - m12 * m21
     dd1 = (r1 * m22 - m12 * r2) / det
     dd2 = (m11 * r2 - r1 * m21) / det

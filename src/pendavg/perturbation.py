@@ -4,12 +4,15 @@ A perturbation consists of four periodic forcing scalars K₁..K₄ and four
 linear forms F₁..F₄ whose coefficients d_i^j are periodic scalars.  They
 enter the reduced system as the order-ε terms
 
-    y′ += ε·(K₁(τ) + F₁(τ, s) + (K₂(τ) + F₂(τ, s))·sgn(x)),
-    w′ += ε·(K₃(τ) + F₃(τ, s) + (K₄(τ) + F₄(τ, s))·sgn(z)),
+    y′ += ε·(K₁(τ) + F₁(τ, s) + (K₂(τ) + F₂(τ, s))·σ_x),
+    w′ += ε·(K₃(τ) + F₃(τ, s) + (K₄(τ) + F₄(τ, s))·σ_z),
 
-with s = (x, y, z, w) and exact sgn (sgn(0) = 0).  A regularized variant
-replaces sgn by the C¹ odd ramp s_δ.  Optional second-order remainders may
-be attached but play no role in the averaged functions.
+with s = (x, y, z, w).  :func:`eval_order1_with_signs` is the one place
+that combines K and F; its callers choose the sign values σ_x, σ_z: the
+region signs of the event-driven integrator (exact sgn, sgn(0) = 0), the
+C¹ odd ramp s_δ of the regularized integrator, or the signs along an
+unperturbed orbit for the averaged pair.  Optional second-order
+remainders may be attached but play no role in the averaged functions.
 
 Periodic scalars accept scalar or array arguments.  Closed-form (constant
 and single-harmonic) and tabulated (uniform grid, linear interpolation,
@@ -37,8 +40,7 @@ __all__ = [
     "LinearForm",
     "PerturbationSpec",
     "common_period",
-    "eval_order1",
-    "eval_order1_regularized",
+    "eval_order1_with_signs",
     "smooth_sign",
     "builtin",
     "perturbation_from_file",
@@ -240,7 +242,14 @@ def common_period(ratios: Sequence, base_period: float):
     return p, p * base_period
 
 
-def _sgn_terms(spec: PerturbationSpec, tau, state, sgn_x, sgn_z):
+def eval_order1_with_signs(spec: PerturbationSpec, tau, state, sgn_x, sgn_z):
+    """Order-ε forcing (f_y, f_w) of the y′ and w′ equations.
+
+    ``sgn_x`` and ``sgn_z`` stand in for sgn(x) and sgn(z); the caller
+    resolves them.  Scalar or array ``tau`` with state of shape (4,) or
+    (4, n).
+    """
+    state = np.asarray(state, dtype=float)
     k1, k2, k3, k4 = spec.K
     f1, f2, f3, f4 = spec.F
     f_y = k1(tau) + f1.evaluate(tau, state) + (k2(tau) + f2.evaluate(tau, state)) * sgn_x
@@ -248,34 +257,13 @@ def _sgn_terms(spec: PerturbationSpec, tau, state, sgn_x, sgn_z):
     return f_y, f_w
 
 
-def eval_order1(spec: PerturbationSpec, tau, state):
-    """Order-ε forcing of the y′ and w′ equations with exact sgn."""
-    state = np.asarray(state, dtype=float)
-    return _sgn_terms(spec, tau, state, np.sign(state[0]), np.sign(state[2]))
-
-
-def eval_order1_with_signs(spec: PerturbationSpec, tau, state, sgn_x, sgn_z):
-    """Order-ε forcing with both sgn values resolved by the caller.
-
-    Event-driven integration fixes the region signs between switching
-    events instead of re-deriving them from the state.
-    """
-    return _sgn_terms(spec, tau, np.asarray(state, dtype=float), sgn_x, sgn_z)
-
-
 def smooth_sign(x, delta: float):
     """C¹ odd ramp s_δ: sign(x) for |x| ≥ δ, else x(3δ² − x²)/(2δ³)."""
+    if not delta > 0:
+        raise DomainError(f"regularization width delta must be positive, got {delta!r}")
     x = np.asarray(x, dtype=float)
     inner = x * (3.0 * delta * delta - x * x) / (2.0 * delta ** 3)
     return np.where(np.abs(x) >= delta, np.sign(x), inner)
-
-
-def eval_order1_regularized(spec: PerturbationSpec, tau, state, delta: float):
-    """Same as :func:`eval_order1` with sgn replaced by the ramp s_δ."""
-    if not delta > 0:
-        raise DomainError(f"regularization width delta must be positive, got {delta!r}")
-    state = np.asarray(state, dtype=float)
-    return _sgn_terms(spec, tau, state, smooth_sign(state[0], delta), smooth_sign(state[2], delta))
 
 
 BUILTIN_NAMES = ("damped_forced", "damped_forced_escapement", "corollary_escapement")
@@ -293,6 +281,12 @@ def builtin(name: str, params: dict, spectral: SpectralData, family: int = 1, p:
     """
     window = p * spectral.period(family)
     omega = spectral.omega(family)
+
+    def param(key):
+        if key not in params:
+            raise DomainError(f"builtin perturbation {name!r} needs parameter {key!r}")
+        return float(params[key])
+
     zero_k = PeriodicScalar.constant(0.0, window)
     zero_f = LinearForm.zero(window)
 
@@ -304,19 +298,19 @@ def builtin(name: str, params: dict, spectral: SpectralData, family: int = 1, p:
         return f1, f3
 
     if name == "damped_forced" or name == "damped_forced_escapement":
-        gamma = float(params["gamma"])
+        gamma = param("gamma")
         k1 = PeriodicScalar.harmonic("cos", gamma, omega)
         f1, f3 = damping(-1.0)
         if name == "damped_forced":
             k2 = k4 = zero_k
         else:
-            kappa = float(params["kappa"])
+            kappa = param("kappa")
             k2 = PeriodicScalar.constant(kappa, window)
             k4 = PeriodicScalar.constant(kappa, window)
         spec = PerturbationSpec(K=(k1, k2, zero_k, k4), F=(f1, zero_f, f3, zero_f), family=family, p=p)
     elif name == "corollary_escapement":
-        sigma_d = float(params["sigma_d"])
-        sigma_e = float(params["sigma_e"])
+        sigma_d = param("sigma_d")
+        sigma_e = param("sigma_e")
         if sigma_d not in (-1.0, 1.0) or sigma_e not in (-1.0, 1.0):
             raise DomainError("corollary_escapement needs sigma_d, sigma_e in {-1, +1}")
         f1, f3 = damping(sigma_d)

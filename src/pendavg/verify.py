@@ -15,7 +15,6 @@ in the original frame.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -44,7 +43,7 @@ from .model import (
     reduce_params,
     spectral_data,
 )
-from .perturbation import PerturbationSpec
+from .perturbation import PerturbationSpec, eval_order1_with_signs
 
 SWEEP_MIN_SAMPLES = 4
 SWEEP_MIN_RATIO = 8.0
@@ -52,7 +51,7 @@ REFINE_MAX_ITER = 30
 REFINE_TOL = 1e-11
 REFINE_REBUILD_EVERY = 8
 DEGENERATE_SV_RTOL = 1e-6
-EXPONENT_WINDOW = (1.8, 2.2)
+VALIDATED_EXPONENT_MIN = 1.8
 FAMILY_NOISE_FLOOR = 1e-10
 FAMILY_EXPONENT_MIN = 1.5
 VERIFY_RTOL = 1e-12
@@ -152,6 +151,22 @@ class SweepReport:
             return True
         exponent = self.family_exponent
         return math.isfinite(exponent) and exponent >= FAMILY_EXPONENT_MIN
+
+    @property
+    def validated(self) -> bool:
+        """True when the sweep confirms the prediction.
+
+        The sweep must be valid, the original-frame residual must fit an
+        exponent of at least ``VALIDATED_EXPONENT_MIN`` and the in-family
+        residual must be consistent with a genuine zero.
+        """
+        exponent = self.fitted_exponent
+        return bool(
+            self.valid
+            and math.isfinite(exponent)
+            and exponent >= VALIDATED_EXPONENT_MIN
+            and self.family_consistent
+        )
 
     def events_summary(self) -> dict:
         total = sum(s.crossing.n_events for s in self.samples if s.crossing is not None)
@@ -440,14 +455,11 @@ def epsilon_sweep(
     refine: bool = True,
     rtol: float = VERIFY_RTOL,
     atol: float = VERIFY_ATOL,
-    workers: int = 1,
 ) -> SweepReport:
     """Residual scaling across a decreasing ε ladder.
 
     Requires at least four strictly decreasing positive values spanning
-    a factor of at least 8.  Entries are independent; with ``workers``
-    greater than one they run on a thread pool and are merged back in
-    the declared order.
+    a factor of at least 8.
     """
     eps_values = [float(e) for e in eps_list]
     if len(eps_values) < SWEEP_MIN_SAMPLES:
@@ -478,13 +490,8 @@ def epsilon_sweep(
             return float("nan")
         return float(np.linalg.norm(result.state - orbit.initial_state))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(run_sample, eps_values))
-            limit_gap = list(pool.map(run_refine, eps_values)) if refine else []
-    else:
-        samples = [run_sample(e) for e in eps_values]
-        limit_gap = [run_refine(e) for e in eps_values] if refine else []
+    samples = [run_sample(e) for e in eps_values]
+    limit_gap = [run_refine(e) for e in eps_values] if refine else []
 
     exponent = fit_exponent(eps_values, [s.residual for s in samples])
     valid = all(s.events_ok and s.flag is None for s in samples)
@@ -508,36 +515,33 @@ def full_nonlinear_check(
 ) -> PoincareResult:
     """Return-map gap of the full nonlinear pendulum in the original frame.
 
-    The pendulum accelerations carry the perturbation mapped out of the
-    reduced frame: the state-linear forms enter at order ε (their
-    arguments are the original angles with velocities rescaled by α) and
-    the periodic scalar terms at order ε², both divided by α² for the
-    time change t = α·τ.  The residual is the original-frame gap norm,
-    directly comparable with `poincare_residual`; the pulled-back
-    reduced-frame gap and its family projection are kept alongside.
+    The pendulum accelerations carry the reduced-frame forcing pulled back
+    through φ = ε·θ and t = α·τ: (ε²/α²) times the forcing at τ = t/α and
+    at the reduced-frame state of the pendulum, which puts the
+    state-linear forms at order ε and the periodic scalars at order ε².
+    At ε = 0 the pendulum is unforced.  The residual is the
+    original-frame gap norm, directly comparable with
+    `poincare_residual`; the pulled-back reduced-frame gap and its family
+    projection are kept alongside.
     """
     _check_spec_matches(orbit, spec)
     reduced = reduce_params(phys)
     spectral = spectral_data(reduced)
     transform = jordan_transform(reduced, spectral)
     alpha = reduced.alpha
-    alpha_sq = alpha * alpha
+    scale = eps * eps / (alpha * alpha)
     s0 = to_physical_frame(orbit.initial_state, eps, alpha)
-    forms = spec.F
-    scalars = spec.K
 
     def field(t: float, u: np.ndarray, signs: Tuple[float, float]) -> np.ndarray:
         phi1, dphi1, phi2, dphi2 = u
         dd1, dd2 = nonlinear_accelerations(phys, phi1, dphi1, phi2, dphi2)
-        tau = t / alpha
-        lin_state = np.array([phi1, alpha * dphi1, phi2, alpha * dphi2])
-        per1 = (eps / alpha_sq) * (
-            forms[0].evaluate(tau, lin_state) + forms[1].evaluate(tau, lin_state) * signs[0]
-        ) + (eps * eps / alpha_sq) * (scalars[0](tau) + scalars[1](tau) * signs[0])
-        per2 = (eps / alpha_sq) * (
-            forms[2].evaluate(tau, lin_state) + forms[3].evaluate(tau, lin_state) * signs[1]
-        ) + (eps * eps / alpha_sq) * (scalars[2](tau) + scalars[3](tau) * signs[1])
-        return np.array([dphi1, dd1 + per1, dphi2, dd2 + per2])
+        if eps != 0.0:
+            f_y, f_w = eval_order1_with_signs(
+                spec, t / alpha, to_reduced_frame(u, eps, alpha), signs[0], signs[1]
+            )
+            dd1 += scale * f_y
+            dd2 += scale * f_w
+        return np.array([dphi1, dd1, dphi2, dd2])
 
     max_step = alpha * min(spectral.period1, spectral.period2) / 16.0
     try:

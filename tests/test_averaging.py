@@ -15,12 +15,15 @@ from pendavg import (
     annulus_search,
     bifurcation_values,
     builtin,
+    eval_order1_with_signs,
     find_sign_changes,
     jacobian,
+    jordan_transform,
     malkin_average,
     newton_zero,
     reduce_params,
     spectral_data,
+    unperturbed_orbit,
 )
 
 from .oracles import escapement_closed_pair, trapezoid_bifurcation
@@ -179,6 +182,37 @@ def test_quadrature_against_trapezoid_oracle(bench):
         assert np.linalg.norm(val - ref) <= 1e-7 * max(1.0, np.linalg.norm(ref))
 
 
+def test_bifurcation_values_match_malkin_average_both_families(bench):
+    # The averaged pair is the family-plane Malkin average of the forcing
+    # lifted to the normal-form frame, with exact signs of the physical
+    # state: G = 2·sqrt(Delta)·p·T·diag(-1, 1)·malkin_average(g1).
+    reduced, s = bench
+    transform = jordan_transform(reduced, s)
+    rng = np.random.default_rng(11)
+    for family in (1, 2):
+        for p in (1, 2):
+            spec = random_spec(rng, s, family, p)
+            sys = BifurcationSystem(family, spec, reduced, s, "A")
+            amp = rng.uniform(0.3, 1.2, size=2) * rng.choice([-1.0, 1.0], size=2)
+
+            def g1(tau, nf):
+                state = transform.inverse @ nf
+                f_y, f_w = eval_order1_with_signs(
+                    spec, tau, state, np.sign(state[0]), np.sign(state[2])
+                )
+                return transform.forward @ np.array([0.0, f_y, 0.0, f_w])
+
+            window = p * s.period(family)
+            partition = find_sign_changes(amp, family, "A", s, p)
+            avg = malkin_average(
+                g1, s, lambda tau: unperturbed_orbit(family, amp, tau, s), window,
+                family=family, breakpoints=partition.breakpoints,
+            )
+            ref = 2.0 * math.sqrt(s.delta) * window * np.array([-avg[0], avg[1]])
+            val = bifurcation_values(sys, amp)
+            assert np.allclose(val, ref, rtol=1e-8, atol=1e-8), (family, p, val, ref)
+
+
 def test_sgn_convention_changes_values(bench):
     reduced, s = bench
     amp = np.array([0.6, 0.4])
@@ -280,13 +314,12 @@ def test_annulus_search_deterministic_and_parallel(bench):
     reduced, s = bench
     sys = system_for("damped_forced", {"gamma": GAMMA}, reduced, s)
 
-    def run(workers):
+    def run():
         rng = np.random.default_rng(3)
-        return annulus_search(sys, 0.05, 2.0, 8, rng=rng, workers=workers)
+        return annulus_search(sys, 0.05, 2.0, 8, rng=rng)
 
-    first, second, parallel = run(1), run(1), run(2)
+    first, second = run(), run()
     assert [c.point for c in first] == [c.point for c in second]
-    assert [c.point for c in first] == [c.point for c in parallel]
 
 
 def test_annulus_search_validates_arguments(bench):

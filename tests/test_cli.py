@@ -85,6 +85,10 @@ def test_load_config_rejects_bad_input(tmp_path):
     )
     with pytest.raises(DomainError):
         cli.load_config(ini, family=3)
+    typo = write_ini(
+        tmp_path / "typo.ini", {"perturbation": {"builtin": "damped_forced", "gama": 0.5}}
+    )
+    assert cli.main(["zeros", "--config", str(typo), "--out", str(tmp_path / "o")]) == 1
 
 
 # -- deterministic JSON --------------------------------------------------------
@@ -294,16 +298,7 @@ def test_simulate_stall_exits_6_with_partial_output(tmp_path):
     assert (tmp_path / "out" / "trajectory.csv").exists()
 
 
-# -- environment and entry points ---------------------------------------------
-
-
-def test_thread_env_reproduces_serial_bytes(bench_ini, tmp_path, monkeypatch):
-    ini, out = bench_ini
-    assert cli.main(["zeros", "--config", str(ini)]) == 0
-    serial = (out / "zeros.json").read_bytes()
-    monkeypatch.setenv("PENDAVG_THREADS", "2")
-    assert cli.main(["zeros", "--config", str(ini), "--out", str(tmp_path / "t2")]) == 0
-    assert (tmp_path / "t2" / "zeros.json").read_bytes() == serial
+# -- entry points -------------------------------------------------------------
 
 
 def test_module_entry_point(bench_ini):

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 from pendavg import (
     DomainError,
@@ -205,3 +206,39 @@ def test_nonlinear_accelerations_linearize_to_reduced_system():
 def test_nonlinear_accelerations_finite():
     dd1, dd2 = nonlinear_accelerations(BENCH, 0.9, 1.5, -1.2, 0.7)
     assert math.isfinite(dd1) and math.isfinite(dd2)
+
+
+def pendulum_energy(p, phi1, dphi1, phi2, dphi2):
+    kinetic = (
+        0.5 * (p.m1 + p.m2) * p.l1 ** 2 * dphi1 ** 2
+        + 0.5 * p.m2 * p.l2 ** 2 * dphi2 ** 2
+        + p.m2 * p.l1 * p.l2 * dphi1 * dphi2 * np.cos(phi1 - phi2)
+    )
+    potential = -(p.m1 + p.m2) * p.g * p.l1 * np.cos(phi1) - p.m2 * p.g * p.l2 * np.cos(phi2)
+    return kinetic + potential
+
+
+@given(
+    m1=st.floats(0.5, 2.0),
+    m2=st.floats(0.5, 2.0),
+    l1=st.floats(0.5, 2.0),
+    l2=st.floats(0.5, 2.0),
+    g=st.floats(1.0, 20.0),
+    state=st.tuples(
+        st.floats(-1.5, 1.5), st.floats(-2.0, 2.0), st.floats(-1.5, 1.5), st.floats(-2.0, 2.0)
+    ),
+)
+@example(m1=1.0, m2=1.0, l1=1.0, l2=1.0, g=9.8, state=(1.0, 0.0, -0.5, 0.5))
+@settings(max_examples=15, deadline=None)
+def test_nonlinear_accelerations_conserve_energy(m1, m2, l1, l2, g, state):
+    p = PhysicalParams(m1=m1, m2=m2, l1=l1, l2=l2, g=g)
+
+    def rhs(t, u):
+        dd1, dd2 = nonlinear_accelerations(p, *u)
+        return [u[1], dd1, u[3], dd2]
+
+    sol = solve_ivp(rhs, (0.0, 20.0), state, method="DOP853", rtol=1e-11, atol=1e-12)
+    assert sol.status == 0
+    energy = pendulum_energy(p, *sol.y)
+    scale = (p.m1 + p.m2) * p.g * p.l1 + p.m2 * p.g * p.l2
+    assert np.max(np.abs(energy - energy[0])) <= 1e-8 * scale

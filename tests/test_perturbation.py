@@ -12,14 +12,12 @@ from pendavg import (
     PhysicalParams,
     builtin,
     common_period,
-    eval_order1,
-    eval_order1_regularized,
+    eval_order1_with_signs,
     perturbation_from_file,
     reduce_params,
     smooth_sign,
     spectral_data,
 )
-from pendavg.perturbation import eval_order1_with_signs
 
 BENCH = PhysicalParams(1.0, 1.0, 1.0, 1.0, 9.8)
 
@@ -144,7 +142,7 @@ def test_eval_order1_matches_manual_formula(tau, x, y, z, w):
     s = bench_spectral()
     spec = builtin("damped_forced_escapement", {"gamma": 0.5, "kappa": 0.05}, s)
     state = np.array([x, y, z, w])
-    f_y, f_w = eval_order1(spec, tau, state)
+    f_y, f_w = eval_order1_with_signs(spec, tau, state, np.sign(x), np.sign(z))
     expect_y = 0.5 * math.cos(s.omega1 * tau) - y + 0.05 * np.sign(x)
     expect_w = -w + 0.05 * np.sign(z)
     assert f_y == pytest.approx(expect_y, rel=1e-12, abs=1e-12)
@@ -154,10 +152,13 @@ def test_eval_order1_matches_manual_formula(tau, x, y, z, w):
 def test_eval_order1_with_signs_agrees_on_interior_states():
     s = bench_spectral()
     spec = builtin("damped_forced_escapement", {"gamma": 0.5, "kappa": 0.05}, s)
-    state = np.array([0.4, -0.1, -0.7, 0.2])
-    assert eval_order1_with_signs(spec, 1.0, state, 1.0, -1.0) == eval_order1(
-        spec, 1.0, state
-    )
+    states = np.array([[0.4, -0.1, -0.7, 0.2], [-0.3, 0.5, 0.6, -0.1]]).T
+    taus = np.array([1.0, 2.5])
+    sgn_x, sgn_z = np.sign(states[0]), np.sign(states[2])
+    f_y, f_w = eval_order1_with_signs(spec, taus, states, sgn_x, sgn_z)
+    for i in range(2):
+        expect = eval_order1_with_signs(spec, taus[i], states[:, i], sgn_x[i], sgn_z[i])
+        assert (f_y[i], f_w[i]) == pytest.approx(expect, rel=1e-14, abs=1e-15)
 
 
 @given(x=st.floats(-2, 2), delta=st.floats(1e-4, 0.5))
@@ -184,9 +185,12 @@ def test_eval_order1_regularized_matches_exact_outside_delta():
     s = bench_spectral()
     spec = builtin("damped_forced_escapement", {"gamma": 0.5, "kappa": 0.05}, s)
     state = np.array([0.4, -0.1, -0.7, 0.2])
-    assert eval_order1_regularized(spec, 1.0, state, 0.1) == eval_order1(spec, 1.0, state)
+    ramp = smooth_sign(state[0], 0.1), smooth_sign(state[2], 0.1)
+    assert eval_order1_with_signs(spec, 1.0, state, *ramp) == eval_order1_with_signs(
+        spec, 1.0, state, 1.0, -1.0
+    )
     with pytest.raises(DomainError):
-        eval_order1_regularized(spec, 1.0, state, 0.0)
+        smooth_sign(state[0], 0.0)
 
 
 def test_builtin_specs():
@@ -202,6 +206,8 @@ def test_builtin_specs():
         builtin("corollary_escapement", {"sigma_d": 0.5, "sigma_e": 1.0}, s)
     with pytest.raises(DomainError):
         builtin("unknown_model", {}, s)
+    with pytest.raises(DomainError, match="'gamma'"):
+        builtin("damped_forced", {"gama": 0.5}, s)
 
 
 def test_perturbation_from_file(tmp_path):
@@ -224,7 +230,7 @@ def test_perturbation_from_file(tmp_path):
     )
     spec = perturbation_from_file(str(ini), s)
     state = np.array([0.3, -0.2, 0.1, 0.4])
-    f_y, f_w = eval_order1(spec, 1.2, state)
+    f_y, f_w = eval_order1_with_signs(spec, 1.2, state, np.sign(state[0]), np.sign(state[2]))
     assert f_y == pytest.approx(0.5 * math.cos(s.omega1 * 1.2) + 0.2 + 0.05, abs=1e-9)
     assert f_w == pytest.approx(-0.4, abs=1e-12)
 

@@ -217,15 +217,6 @@ def test_epsilon_sweep_validates_prediction(bench, damped):
     assert payload["events_summary"]["all_crossings"] is True
 
 
-def test_sweep_workers_agree(bench, damped):
-    reduced, s, _ = bench
-    spec, _, orbit = damped
-    serial = epsilon_sweep(orbit, spec, reduced, s, LADDER, refine=False)
-    threaded = epsilon_sweep(orbit, spec, reduced, s, LADDER, refine=False, workers=2)
-    assert serial.residuals == threaded.residuals
-    assert serial.fitted_exponent == threaded.fitted_exponent
-
-
 def test_family_residual_separates_sgn_conventions(bench):
     reduced, s, transform = bench
     spec = builtin(
