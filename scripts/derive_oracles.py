@@ -212,8 +212,6 @@ def main() -> int:
             BifurcationSystem,
             PhysicalParams,
             builtin,
-            jordan_transform,
-            malkin_average,
             monodromy_lower_block,
             newton_zero,
             reduce_params,
@@ -240,7 +238,6 @@ def main() -> int:
         system_esc = BifurcationSystem(1, pert_esc, red, spec_data, "A")
         res_esc = newton_zero(system_esc, np.array(anchor))
         print(f"package escapement zero = {res_esc.certificate.point!r}")
-        del jordan_transform, malkin_average
     return 0
 
 

@@ -24,6 +24,8 @@ B is kept selectable so the end-to-end residual test can arbitrate.
 
 Quadrature is per-panel Gauss–Legendre with panels split at the sgn
 breakpoints, refined by doubling until two successive levels agree.
+Writing the sgn argument as c₀·cos(ωτ) + c₁·sin(ωτ), the breakpoints are
+τ_k = (atan2(c₁, c₀) + π/2 + kπ)/ω, clipped to the window.
 A damped Newton iteration certifies simple zeros; an annulus lattice
 search enumerates them.
 """
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -42,9 +44,7 @@ from .model import (
     JordanTransform,
     ReducedParams,
     SpectralData,
-    fundamental_matrix,
     jordan_transform,
-    monodromy_lower_block,
     unperturbed_orbit,
 )
 from .perturbation import PerturbationSpec, eval_order1_with_signs
@@ -57,7 +57,6 @@ __all__ = [
     "find_sign_changes",
     "averaged_integrand",
     "bifurcation_values",
-    "malkin_average",
     "jacobian",
     "newton_zero",
     "annulus_search",
@@ -66,8 +65,6 @@ __all__ = [
 GAUSS_ORDER = 16
 MAX_REFINE_LEVELS = 12
 QUADRATURE_RTOL = 1e-10
-SCAN_POINTS_PER_PERIOD = 512
-BREAKPOINT_TIME_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 NEWTON_RTOL = 1e-9
 SIMPLICITY_RTOL = 1e-8
@@ -146,12 +143,14 @@ class NewtonResult:
     iterations: int
 
 
-def _sgn_argument(amp, convention: str, omega: float):
+def _sgn_coefficients(amp, convention: str):
+    """(c₀, c₁) of the sgn argument c₀·cos(ωτ) + c₁·sin(ωτ)."""
     u0, v0 = float(amp[0]), float(amp[1])
-    if convention == "A":
-        c0, c1 = u0, v0
-    else:
-        c0, c1 = v0, u0
+    return (u0, v0) if convention == "A" else (v0, u0)
+
+
+def _sgn_argument(amp, convention: str, omega: float):
+    c0, c1 = _sgn_coefficients(amp, convention)
 
     def u(tau):
         tau = np.asarray(tau, dtype=float)
@@ -163,52 +162,27 @@ def _sgn_argument(amp, convention: str, omega: float):
 def find_sign_changes(amp, family: int, convention: str, s: SpectralData, p: int) -> QuadraturePartition:
     """Zeros of the convention's sgn argument in [0, p·T_family].
 
-    Found by fine-grid bracketing (at least ``SCAN_POINTS_PER_PERIOD``
-    samples per period) followed by bisection to ``BREAKPOINT_TIME_TOL``.
+    The argument c₀·cos(ωτ) + c₁·sin(ωτ) vanishes exactly at
+    τ_k = (atan2(c₁, c₀) + π/2 + kπ)/ω: 2p zeros in [0, p·T), plus the
+    window end when a zero sits on τ = 0.
     """
-    norm = math.hypot(float(amp[0]), float(amp[1]))
-    if norm == 0.0:
+    if math.hypot(float(amp[0]), float(amp[1])) == 0.0:
         raise DomainError("degenerate amplitude (0, 0) has no sign structure")
     if convention not in ("A", "B"):
         raise DomainError(f"convention must be 'A' or 'B', got {convention!r}")
     omega = s.omega(family)
     window = p * s.period(family)
-    u = _sgn_argument(amp, convention, omega)
-
-    n = SCAN_POINTS_PER_PERIOD * p + 1
-    grid = np.linspace(0.0, window, n)
-    vals = u(grid)
-    zeros = []
-    for i in range(n - 1):
-        a_val, b_val = vals[i], vals[i + 1]
-        if a_val == 0.0:
-            zeros.append(grid[i])
-        elif a_val * b_val < 0.0:
-            lo, hi = grid[i], grid[i + 1]
-            flo = a_val
-            while hi - lo > BREAKPOINT_TIME_TOL:
-                mid = 0.5 * (lo + hi)
-                fmid = u(mid)
-                if fmid == 0.0:
-                    lo = hi = mid
-                elif flo * fmid < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fmid
-            zeros.append(0.5 * (lo + hi))
-    if vals[-1] == 0.0:
-        zeros.append(grid[-1])
-
-    deduped = []
-    for z in sorted(zeros):
-        if not deduped or z - deduped[-1] > 10.0 * BREAKPOINT_TIME_TOL:
-            deduped.append(min(max(z, 0.0), window))
-    partition = QuadraturePartition(breakpoints=tuple(deduped), window=window)
+    c0, c1 = _sgn_coefficients(amp, convention)
+    phase = (math.atan2(c1, c0) + 0.5 * math.pi) % math.pi
+    breakpoints = [min((phase + k * math.pi) / omega, window) for k in range(2 * p)]
+    if phase == 0.0:
+        breakpoints.append(window)
+    partition = QuadraturePartition(breakpoints=tuple(breakpoints), window=window)
 
     # Constant sign strictly between consecutive breakpoints.
     edges = partition.panel_edges()
     mids = 0.5 * (edges[:-1] + edges[1:])
-    if np.any(u(mids) == 0.0):
+    if np.any(_sgn_argument(amp, convention, omega)(mids) == 0.0):
         raise NumericalError("sign-change partition has a zero at a panel midpoint")
     return partition
 
@@ -274,36 +248,6 @@ def bifurcation_values(sys: BifurcationSystem, amp) -> np.ndarray:
     partition = find_sign_changes(amp, sys.family, sys.sgn_convention, sys.spectral, sys.spec.p)
     f = lambda taus: averaged_integrand(sys, amp, taus)
     return _adaptive_gauss(f, partition.panel_edges())
-
-
-def malkin_average(g1: Callable, s: SpectralData, orbit: Callable, window: float,
-                   family: int = 1, breakpoints: Sequence[float] = ()) -> np.ndarray:
-    """Generic first-order average along a normal-form periodic orbit.
-
-    Computes the projection onto the orbit's own rotation plane of
-    (1/T)·∫₀^T M⁻¹(t)·g1(t, orbit(t)) dt, with M the block-rotation
-    fundamental matrix.  ``orbit`` maps a time to a normal-form state.
-    The transverse monodromy block must be nondegenerate; known integrand
-    discontinuities can be passed as ``breakpoints``.
-    """
-    period = s.period(family)
-    p_float = window / period
-    p = int(round(p_float))
-    if abs(p_float - p) > 1e-9 or p < 1:
-        raise DomainError(f"window {window!r} is not an integer multiple of the family period")
-    monodromy_lower_block(s, p, family)  # raises on resonance
-    lo, hi = (0, 2) if family == 1 else (2, 4)
-
-    def f(taus):
-        cols = np.empty((2, len(taus)))
-        for i, t in enumerate(taus):
-            v = fundamental_matrix(s, -t) @ np.asarray(g1(t, orbit(t)), dtype=float)
-            cols[:, i] = v[lo:hi]
-        return cols
-
-    edges = np.unique(np.concatenate(([0.0], np.asarray(breakpoints, dtype=float), [window])))
-    edges = edges[(edges >= 0.0) & (edges <= window)]
-    return _adaptive_gauss(f, edges) / window
 
 
 def jacobian(sys: BifurcationSystem, amp) -> np.ndarray:

@@ -17,9 +17,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from .model import (
     spectral_data,
 )
 from .perturbation import (
-    BUILTIN_NAMES,
+    BUILTIN_PARAMS,
     PerturbationSpec,
     builtin,
     perturbation_from_file,
@@ -145,15 +145,30 @@ class ExperimentConfig:
     sim_max_events: int
     sim_require_crossing: bool
     output_dir: Path
-    extra: Dict[str, str] = field(default_factory=dict)
+
+
+# Every section and key an experiment file may set; [perturbation] also
+# takes the parameters of its builtin.
+CONFIG_KEYS = {
+    "physical": ("m1", "m2", "l1", "l2", "g"),
+    "model": ("family", "p", "convention", "seed"),
+    "perturbation": ("builtin", "file"),
+    "search": ("r1", "r2", "grid"),
+    "sweep": ("eps",),
+    "integrate": ("eps", "s0", "t_span", "delta", "max_events", "require_crossing"),
+    "output": ("dir",),
+}
 
 
 def _parse_floats(text: str) -> List[float]:
-    parts = [p for chunk in text.split(",") for p in chunk.split()]
-    try:
-        return [float(p) for p in parts]
-    except ValueError as exc:
-        raise DomainError(f"cannot parse float list from {text!r}") from exc
+    return [float(p) for chunk in text.split(",") for p in chunk.split()]
+
+
+def _parse_bool(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError(text)
+    return states[text.lower()]
 
 
 def load_config(
@@ -164,61 +179,77 @@ def load_config(
     out: Optional[str] = None,
     delta: Optional[float] = None,
 ) -> ExperimentConfig:
-    """Read an experiment INI file; keyword arguments override sections."""
+    """Read an experiment INI file; keyword arguments override sections.
+
+    Unknown sections and keys, and values that do not parse, raise
+    DomainError naming the section and key.
+    """
     path = Path(path)
     if not path.exists():
         raise DomainError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
-    parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read(path, encoding="utf-8")
+    except configparser.Error as exc:
+        raise DomainError(f"cannot parse config file {path}: {exc}") from exc
 
     def get(section: str, key: str, fallback: Optional[str] = None) -> Optional[str]:
-        if parser.has_option(section, key):
-            return parser.get(section, key)
-        return fallback
+        return parser.get(section, key, fallback=fallback)
 
-    phys = PhysicalParams(
-        m1=float(get("physical", "m1", "1.0")),
-        m2=float(get("physical", "m2", "1.0")),
-        l1=float(get("physical", "l1", "1.0")),
-        l2=float(get("physical", "l2", "1.0")),
-        g=float(get("physical", "g", "9.8")),
-    )
-    cfg_family = int(get("model", "family", "1"))
-    cfg_p = int(get("model", "p", "1"))
-    cfg_convention = get("model", "convention", "A").strip().upper()
-    seed = int(get("model", "seed", "0"))
+    def value(section: str, key: str, default, convert: Callable = float):
+        text = get(section, key)
+        if text is None:
+            return default
+        try:
+            return convert(text)
+        except ValueError:
+            raise DomainError(f"[{section}] {key}: cannot parse {text!r}") from None
 
     builtin_name = get("perturbation", "builtin")
     pert_file = get("perturbation", "file")
-    builtin_params: Dict[str, float] = {}
-    if builtin_name is not None and parser.has_section("perturbation"):
-        for key, value in parser.items("perturbation"):
-            if key in ("builtin", "file", "family", "p"):
-                continue
-            builtin_params[key] = float(value)
     if builtin_name is None and pert_file is None:
         raise DomainError("[perturbation] must set either 'builtin' or 'file'")
-    if builtin_name is not None and builtin_name not in BUILTIN_NAMES:
+    if builtin_name is not None and pert_file is not None:
+        raise DomainError("[perturbation] sets both 'builtin' and 'file'; keep one")
+    if builtin_name is not None and builtin_name not in BUILTIN_PARAMS:
         raise DomainError(
-            f"unknown builtin perturbation {builtin_name!r}; known: {', '.join(BUILTIN_NAMES)}"
+            f"unknown builtin perturbation {builtin_name!r}; known: {', '.join(BUILTIN_PARAMS)}"
         )
+    if parser.defaults():
+        raise DomainError(f"unknown config section [{parser.default_section}]")
+    for section in parser.sections():
+        if section not in CONFIG_KEYS:
+            raise DomainError(f"unknown config section [{section}]")
+        known = CONFIG_KEYS[section]
+        if section == "perturbation":
+            known += BUILTIN_PARAMS.get(builtin_name, ())
+        unknown = sorted(set(parser[section]) - set(known))
+        if unknown:
+            raise DomainError(f"unknown key(s) in [{section}]: {', '.join(unknown)}")
 
-    eps_text = get("sweep", "eps")
-    eps_list = _parse_floats(eps_text) if eps_text else list(DEFAULT_EPS_LIST)
+    phys = PhysicalParams(
+        m1=value("physical", "m1", 1.0),
+        m2=value("physical", "m2", 1.0),
+        l1=value("physical", "l1", 1.0),
+        l2=value("physical", "l2", 1.0),
+        g=value("physical", "g", 9.8),
+    )
+    cfg_family = value("model", "family", 1, int)
+    cfg_p = value("model", "p", 1, int)
+    cfg_convention = get("model", "convention", "A").strip().upper()
+    seed = value("model", "seed", 0, int)
+    builtin_params = {
+        key: value("perturbation", key, None)
+        for key in parser["perturbation"]
+        if key not in CONFIG_KEYS["perturbation"]
+    }
 
-    s0_text = get("integrate", "s0")
-    t_span_text = get("integrate", "t_span")
-    sim_s0 = np.array(_parse_floats(s0_text)) if s0_text else None
-    sim_t_span: Optional[Tuple[float, float]] = None
-    if t_span_text:
-        parts = _parse_floats(t_span_text)
-        if len(parts) != 2:
-            raise DomainError("t_span must have two entries")
-        sim_t_span = (parts[0], parts[1])
-    delta_text = get("integrate", "delta")
-    sim_delta = float(delta_text) if delta_text else None
-    if delta is not None:
-        sim_delta = delta
+    eps_list = value("sweep", "eps", [], _parse_floats) or list(DEFAULT_EPS_LIST)
+    s0 = value("integrate", "s0", [], _parse_floats)
+    t_span = value("integrate", "t_span", [], _parse_floats)
+    if t_span and len(t_span) != 2:
+        raise DomainError("t_span must have two entries")
+    sim_delta = delta if delta is not None else value("integrate", "delta", None)
 
     final_family = family if family is not None else cfg_family
     final_convention = (convention or cfg_convention).strip().upper()
@@ -238,25 +269,31 @@ def load_config(
         builtin_name=builtin_name,
         builtin_params=builtin_params,
         perturbation_file=(path.parent / pert_file) if pert_file else None,
-        r1=float(get("search", "r1", "0.05")),
-        r2=float(get("search", "r2", "2.0")),
-        grid=int(get("search", "grid", "24")),
+        r1=value("search", "r1", 0.05),
+        r2=value("search", "r2", 2.0),
+        grid=value("search", "grid", 24, int),
         eps_list=eps_list,
-        sim_eps=float(get("integrate", "eps", "1e-3")),
-        sim_s0=sim_s0,
-        sim_t_span=sim_t_span,
+        sim_eps=value("integrate", "eps", 1e-3),
+        sim_s0=np.array(s0) if s0 else None,
+        sim_t_span=tuple(t_span) if t_span else None,
         sim_delta=sim_delta,
-        sim_max_events=int(get("integrate", "max_events", "100000")),
-        sim_require_crossing=(get("integrate", "require_crossing", "false").lower() in ("1", "true", "yes")),
+        sim_max_events=value("integrate", "max_events", 100000, int),
+        sim_require_crossing=value("integrate", "require_crossing", False, _parse_bool),
         output_dir=out_dir,
     )
 
 
 def build_perturbation(config: ExperimentConfig, spectral, family: Optional[int] = None) -> PerturbationSpec:
     fam = family if family is not None else config.family
-    if config.perturbation_file is not None:
-        return perturbation_from_file(config.perturbation_file, spectral)
-    return builtin(config.builtin_name, config.builtin_params, spectral, family=fam, p=config.p)
+    if config.perturbation_file is None:
+        return builtin(config.builtin_name, config.builtin_params, spectral, family=fam, p=config.p)
+    spec = perturbation_from_file(config.perturbation_file, spectral)
+    if (spec.family, spec.p) != (fam, config.p):
+        raise DomainError(
+            f"perturbation file {config.perturbation_file} is for family {spec.family}, "
+            f"p = {spec.p}; the run uses family {fam}, p = {config.p}"
+        )
+    return spec
 
 
 # -- subcommands ----------------------------------------------------------

@@ -14,10 +14,15 @@ C¹ odd ramp s_δ of the regularized integrator, or the signs along an
 unperturbed orbit for the averaged pair.  Optional second-order
 remainders may be attached but play no role in the averaged functions.
 
-Periodic scalars accept scalar or array arguments.  Closed-form (constant
-and single-harmonic) and tabulated (uniform grid, linear interpolation,
-at least 256 samples per period) definitions are supported, plus a small
-file format for user-supplied perturbations.
+Periodic scalars are tagged data: ``const`` (a value), ``cos``/``sin``
+(amplitude and ω) or ``table`` (uniform grid, linear interpolation, at
+least 256 samples per period), evaluated on scalar or array arguments.
+A small file format holds user-supplied perturbations.
+
+Each spec compiles its forcing once, on first use
+(:attr:`PerturbationSpec.forcing`): exact-zero constants are dropped and
+the other constants become floats, so an evaluation touches only the
+terms that can be nonzero.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,34 +51,48 @@ __all__ = [
     "builtin",
     "perturbation_from_file",
     "BUILTIN_NAMES",
+    "BUILTIN_PARAMS",
 ]
 
 MIN_TABLE_SAMPLES_PER_PERIOD = 256
+SCALAR_KINDS = ("const", "cos", "sin", "table")
 PERIOD_DIVISIBILITY_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
 class PeriodicScalar:
-    """A periodic function of time with a declared period."""
+    """A periodic function of time with a declared period, as tagged data.
 
+    ``kind`` is ``"const"`` (``value``), ``"cos"`` or ``"sin"``
+    (``value``·trig(``omega``·τ)) or ``"table"`` (linear interpolation of
+    ``knots`` = (τ, value) closed over one period).  Build one with
+    :meth:`constant`, :meth:`harmonic` or :meth:`from_table`.
+    """
+
+    kind: str
     period: float
-    eval: Callable
+    value: float = 0.0
+    omega: float = 0.0
+    knots: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def __post_init__(self):
+        if self.kind not in SCALAR_KINDS:
+            raise DomainError(f"scalar kind must be one of {SCALAR_KINDS}, got {self.kind!r}")
         if not (math.isfinite(self.period) and self.period > 0):
             raise DomainError(f"period must be a positive real, got {self.period!r}")
 
     def __call__(self, tau):
-        return self.eval(tau)
+        tau = np.asarray(tau, dtype=float)
+        if self.kind == "const":
+            return tau * 0.0 + self.value
+        if self.kind == "table":
+            return np.interp(np.mod(tau, self.period), *self.knots)
+        trig = np.cos if self.kind == "cos" else np.sin
+        return self.value * trig(self.omega * tau)
 
     @staticmethod
     def constant(value: float, period: float) -> "PeriodicScalar":
-        value = float(value)
-
-        def f(tau):
-            return np.asarray(tau, dtype=float) * 0.0 + value
-
-        return PeriodicScalar(period=float(period), eval=f)
+        return PeriodicScalar("const", float(period), value=float(value))
 
     @staticmethod
     def harmonic(kind: str, amplitude: float, omega: float) -> "PeriodicScalar":
@@ -81,13 +101,7 @@ class PeriodicScalar:
             raise DomainError(f"harmonic kind must be 'cos' or 'sin', got {kind!r}")
         if omega <= 0:
             raise DomainError(f"harmonic frequency must be positive, got {omega!r}")
-        amplitude = float(amplitude)
-        fn = np.cos if kind == "cos" else np.sin
-
-        def f(tau):
-            return amplitude * fn(omega * np.asarray(tau, dtype=float))
-
-        return PeriodicScalar(period=2.0 * math.pi / omega, eval=f)
+        return PeriodicScalar(kind, 2.0 * math.pi / omega, value=float(amplitude), omega=float(omega))
 
     @staticmethod
     def from_table(taus: Sequence[float], values: Sequence[float]) -> "PeriodicScalar":
@@ -113,14 +127,8 @@ class PeriodicScalar:
         if dt <= 0 or not np.allclose(steps, dt, rtol=1e-8, atol=1e-12):
             raise DomainError("table grid must be uniform and increasing")
         period = float(taus[-1] + dt)
-        knots = np.append(taus, period)
-        vals = np.append(values, values[0])
-
-        def f(tau):
-            phase = np.mod(np.asarray(tau, dtype=float), period)
-            return np.interp(phase, knots, vals)
-
-        return PeriodicScalar(period=period, eval=f)
+        knots = (np.append(taus, period), np.append(values, values[0]))
+        return PeriodicScalar("table", period, knots=knots)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,6 +206,24 @@ class PerturbationSpec:
         if len(self.K) != 4 or len(self.F) != 4:
             raise DomainError("need exactly four forcing scalars and four linear forms")
 
+    @cached_property
+    def forcing(self) -> Callable:
+        """The forcing of :func:`eval_order1_with_signs`, compiled on first use.
+
+        Exact-zero constant terms are dropped and the other constants
+        become floats; the sums keep the association
+        K + (d₁x + d₂y + d₃z + d₄w), then (…)·σ, so the values equal the
+        term-by-term sum except possibly for the sign of a zero.
+        """
+        f_y = _compile_component(self.K[0], self.F[0], self.K[1], self.F[1])
+        f_w = _compile_component(self.K[2], self.F[2], self.K[3], self.F[3])
+
+        def forcing(tau, state, sgn_x, sgn_z):
+            state = np.asarray(state, dtype=float)
+            return f_y(tau, state, sgn_x), f_w(tau, state, sgn_z)
+
+        return forcing
+
     def component_periods(self) -> Tuple[float, ...]:
         periods = [k.period for k in self.K]
         for form in self.F:
@@ -242,19 +268,65 @@ def common_period(ratios: Sequence, base_period: float):
     return p, p * base_period
 
 
+def _fold(scalar: PeriodicScalar):
+    """None for an exact-zero constant, a float for any other constant."""
+    if scalar.kind != "const":
+        return scalar
+    return float(scalar.value) if scalar.value != 0.0 else None
+
+
+def _fold_group(k: PeriodicScalar, form: LinearForm):
+    """K and the (coefficient, state index) terms of F left after folding."""
+    terms = tuple((d, j) for j, d in enumerate(map(_fold, form.coefficients())) if d is not None)
+    return _fold(k), terms
+
+
+def _is_constant(group) -> bool:
+    k, terms = group
+    return not terms and not isinstance(k, PeriodicScalar)
+
+
+def _group_value(k, terms, tau, state):
+    """K + (d₁x + d₂y + d₃z + d₄w) over the folded terms; None if none is left."""
+    total = None
+    for d, j in terms:
+        term = (d if d.__class__ is float else d(tau)) * state[j]
+        total = term if total is None else total + term
+    if k is None:
+        return total
+    if k.__class__ is not float:
+        k = k(tau)
+    return k if total is None else k + total
+
+
+def _compile_component(k, form, k_signed, form_signed):
+    """(tau, state, σ) → K + F + (K' + F')·σ with the zero terms folded."""
+    base = _fold_group(k, form)
+    signed = _fold_group(k_signed, form_signed)
+    if _is_constant(base) and _is_constant(signed):
+        # Nothing depends on tau or the state: evaluate K as a constant
+        # scalar so the result still takes the shape of tau.
+        base = (PeriodicScalar.constant(base[0] or 0.0, k.period), ())
+
+    def component(tau, state, sgn):
+        value = _group_value(*base, tau, state)
+        signed_value = _group_value(*signed, tau, state)
+        if signed_value is None:
+            return value
+        signed_value = signed_value * sgn
+        return signed_value if value is None else value + signed_value
+
+    return component
+
+
 def eval_order1_with_signs(spec: PerturbationSpec, tau, state, sgn_x, sgn_z):
     """Order-ε forcing (f_y, f_w) of the y′ and w′ equations.
 
     ``sgn_x`` and ``sgn_z`` stand in for sgn(x) and sgn(z); the caller
     resolves them.  Scalar or array ``tau`` with state of shape (4,) or
-    (4, n).
+    (4, n).  Evaluates the spec's compiled :attr:`PerturbationSpec.forcing`.
     """
-    state = np.asarray(state, dtype=float)
-    k1, k2, k3, k4 = spec.K
-    f1, f2, f3, f4 = spec.F
-    f_y = k1(tau) + f1.evaluate(tau, state) + (k2(tau) + f2.evaluate(tau, state)) * sgn_x
-    f_w = k3(tau) + f3.evaluate(tau, state) + (k4(tau) + f4.evaluate(tau, state)) * sgn_z
-    return f_y, f_w
+    return spec.forcing(tau, state, sgn_x, sgn_z)
 
 
 def smooth_sign(x, delta: float):
@@ -266,7 +338,12 @@ def smooth_sign(x, delta: float):
     return np.where(np.abs(x) >= delta, np.sign(x), inner)
 
 
-BUILTIN_NAMES = ("damped_forced", "damped_forced_escapement", "corollary_escapement")
+BUILTIN_PARAMS = {
+    "damped_forced": ("gamma",),
+    "damped_forced_escapement": ("gamma", "kappa"),
+    "corollary_escapement": ("sigma_d", "sigma_e"),
+}
+BUILTIN_NAMES = tuple(BUILTIN_PARAMS)
 
 
 def builtin(name: str, params: dict, spectral: SpectralData, family: int = 1, p: int = 1) -> PerturbationSpec:

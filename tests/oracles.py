@@ -3,8 +3,10 @@
 Everything here reaches results through routes the package does not use:
 eigensolvers instead of closed-form frequencies, matrix exponentials
 instead of rotation-block propagators, dense breakpoint-split trapezoid
-sums instead of adaptive panels, and hand-written averaged closed forms
-refined by a local Newton loop.  Tests compare package output against
+sums instead of adaptive panels, hand-written averaged closed forms
+refined by a local Newton loop, the unfolded term-by-term forcing sum, a
+scan-and-bisect search for the sgn breakpoints, and the generic
+fundamental-matrix average.  Tests compare package output against
 these values; the frozen literals in the suite come from
 ``scripts/derive_oracles.py``.
 """
@@ -15,6 +17,8 @@ import math
 
 import numpy as np
 from scipy.linalg import expm
+
+from pendavg import DomainError, fundamental_matrix, monodromy_lower_block
 
 
 def linear_matrix(a: float, b: float) -> np.ndarray:
@@ -175,3 +179,77 @@ def resonant_b(a: float, ratio: float) -> float:
         return math.sqrt((a + b + sd) / (a + b - sd)) - ratio
 
     return brentq(f, 0.5, 0.7, xtol=1e-15)
+
+
+def unfolded_forcing(spec, tau, state, sgn_x, sgn_z):
+    """(f_y, f_w) as the term-by-term sum of every K scalar and F coefficient."""
+    state = np.asarray(state, dtype=float)
+    k1, k2, k3, k4 = spec.K
+    f1, f2, f3, f4 = spec.F
+    f_y = k1(tau) + f1.evaluate(tau, state) + (k2(tau) + f2.evaluate(tau, state)) * sgn_x
+    f_w = k3(tau) + f3.evaluate(tau, state) + (k4(tau) + f4.evaluate(tau, state)) * sgn_z
+    return f_y, f_w
+
+
+def scan_sign_changes(amp, family, convention, s, p):
+    """Zeros of the sgn argument in [0, p·T]: a scan of 512 points per
+    period, then bisection of each bracketed sign change to 1e-12."""
+    c0, c1 = (amp[0], amp[1]) if convention == "A" else (amp[1], amp[0])
+    omega = s.omega(family)
+    window = p * s.period(family)
+
+    def u(tau):
+        return c0 * np.cos(omega * tau) + c1 * np.sin(omega * tau)
+
+    grid = np.linspace(0.0, window, 512 * p + 1)
+    vals = u(grid)
+    zeros = []
+    for i in range(len(grid) - 1):
+        if vals[i] == 0.0:
+            zeros.append(grid[i])
+        elif vals[i] * vals[i + 1] < 0.0:
+            lo, hi, flo = grid[i], grid[i + 1], vals[i]
+            while hi - lo > 1e-12:
+                mid = 0.5 * (lo + hi)
+                fmid = u(mid)
+                if fmid == 0.0:
+                    lo = hi = mid
+                elif flo * fmid < 0.0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fmid
+            zeros.append(0.5 * (lo + hi))
+    if vals[-1] == 0.0:
+        zeros.append(grid[-1])
+    return sorted(zeros)
+
+
+def malkin_average(g1, s, orbit, window, family=1, breakpoints=()):
+    """Generic first-order average along a normal-form periodic orbit.
+
+    The projection onto the orbit's own rotation plane of
+    (1/T)·∫₀^T M⁻¹(t)·g1(t, orbit(t)) dt, with M the block-rotation
+    fundamental matrix.  ``orbit`` maps a time to a normal-form state.
+    The transverse monodromy block must be nondegenerate; known integrand
+    discontinuities can be passed as ``breakpoints``.
+    """
+    from pendavg.averaging import _adaptive_gauss
+
+    period = s.period(family)
+    p_float = window / period
+    p = int(round(p_float))
+    if abs(p_float - p) > 1e-9 or p < 1:
+        raise DomainError(f"window {window!r} is not an integer multiple of the family period")
+    monodromy_lower_block(s, p, family)  # raises on resonance
+    lo, hi = (0, 2) if family == 1 else (2, 4)
+
+    def f(taus):
+        cols = np.empty((2, len(taus)))
+        for i, t in enumerate(taus):
+            v = fundamental_matrix(s, -t) @ np.asarray(g1(t, orbit(t)), dtype=float)
+            cols[:, i] = v[lo:hi]
+        return cols
+
+    edges = np.unique(np.concatenate(([0.0], np.asarray(breakpoints, dtype=float), [window])))
+    edges = edges[(edges >= 0.0) & (edges <= window)]
+    return _adaptive_gauss(f, edges) / window

@@ -19,14 +19,18 @@ from pendavg import (
     find_sign_changes,
     jacobian,
     jordan_transform,
-    malkin_average,
     newton_zero,
     reduce_params,
     spectral_data,
     unperturbed_orbit,
 )
 
-from .oracles import escapement_closed_pair, trapezoid_bifurcation
+from .oracles import (
+    escapement_closed_pair,
+    malkin_average,
+    scan_sign_changes,
+    trapezoid_bifurcation,
+)
 
 BENCH = PhysicalParams(1.0, 1.0, 1.0, 1.0, 9.8)
 GAMMA = 0.5
@@ -87,6 +91,26 @@ def test_find_sign_changes_locates_analytic_roots(u0, v0, conv, p):
     got = [t for t in part.breakpoints if 1e-9 < t < window - 1e-9]
     assert len(got) == len(expected)
     assert np.allclose(sorted(got), expected, atol=1e-9)
+
+
+def test_find_sign_changes_matches_scan(bench):
+    _, s = bench
+    rng = np.random.default_rng(11)
+    cases = [(rng.uniform(-2, 2, size=2), family, conv, p)
+             for family in (1, 2) for conv in ("A", "B") for p in (1, 2, 3) for _ in range(20)]
+    # c0 = 0: a breakpoint sits on tau = 0 and again on the window end
+    cases += [((0.0, 0.8), 1, "A", 1), ((-0.3, 0.0), 2, "B", 2), ((0.0, -1.5), 1, "A", 3)]
+    for amp, family, conv, p in cases:
+        window = p * s.period(family)
+        got = find_sign_changes(amp, family, conv, s, p).breakpoints
+        scan = scan_sign_changes(amp, family, conv, s, p)
+        inner = [t for t in got if 1e-9 < t < window - 1e-9]
+        assert np.allclose(inner, [t for t in scan if 1e-9 < t < window - 1e-9], rtol=0, atol=1e-11)
+        c0 = amp[0] if conv == "A" else amp[1]
+        if c0 == 0.0:
+            assert got[0] == 0.0 and got[-1] == window and len(got) == 2 * p + 1
+        else:
+            assert len(got) == 2 * p
 
 
 def test_bifurcation_values_smooth_closed_form(bench):

@@ -89,6 +89,31 @@ def test_load_config_rejects_bad_input(tmp_path):
         tmp_path / "typo.ini", {"perturbation": {"builtin": "damped_forced", "gama": 0.5}}
     )
     assert cli.main(["zeros", "--config", str(typo), "--out", str(tmp_path / "o")]) == 1
+    pert = tmp_path / "pert.ini"
+    pert.write_text("[perturbation]\nfamily = 1\np = 1\nk1 = cos:0.5,1\nf1.d2 = const:-1\n")
+    bad_inputs = {
+        "nan_gamma": {"perturbation": {"builtin": "damped_forced", "gamma": "abc"}},
+        "bad_grid": {"perturbation": {"builtin": "damped_forced", "gamma": 0.5},
+                     "search": {"grid": "8.5"}},
+        "unknown_key": {"perturbation": {"builtin": "damped_forced", "gamma": 0.5},
+                        "search": {"gird": 8}},
+        "unknown_param": {"perturbation": {"builtin": "damped_forced", "gamma": 0.5,
+                                           "kappa": 0.1}},
+        "unknown_section": {"perturbation": {"builtin": "damped_forced", "gamma": 0.5},
+                            "serach": {"grid": 8}},
+        "both_sources": {"perturbation": {"builtin": "damped_forced", "gamma": 0.5,
+                                          "file": pert.name}},
+        "file_p": {"model": {"p": 2}, "perturbation": {"file": pert.name}},
+        "file_family": {"model": {"family": 2}, "perturbation": {"file": pert.name}},
+    }
+    for name, sections in bad_inputs.items():
+        ini = write_ini(tmp_path / f"{name}.ini", sections)
+        assert cli.main(["zeros", "--config", str(ini), "--out", str(tmp_path / "o")]) == 1, name
+    with pytest.raises(DomainError, match=r"\[perturbation\] gamma"):
+        cli.load_config(tmp_path / "nan_gamma.ini")
+    family_flag = write_ini(tmp_path / "flag.ini", {"perturbation": {"file": pert.name}})
+    assert cli.main(["zeros", "--config", str(family_flag), "--family", "2",
+                     "--out", str(tmp_path / "o")]) == 1
 
 
 # -- deterministic JSON --------------------------------------------------------

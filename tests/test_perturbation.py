@@ -19,6 +19,8 @@ from pendavg import (
     spectral_data,
 )
 
+from .oracles import unfolded_forcing
+
 BENCH = PhysicalParams(1.0, 1.0, 1.0, 1.0, 9.8)
 
 
@@ -159,6 +161,55 @@ def test_eval_order1_with_signs_agrees_on_interior_states():
     for i in range(2):
         expect = eval_order1_with_signs(spec, taus[i], states[:, i], sgn_x[i], sgn_z[i])
         assert (f_y[i], f_w[i]) == pytest.approx(expect, rel=1e-14, abs=1e-15)
+
+
+def _random_scalar(rng, window):
+    kind = rng.choice(["zero", "const", "cos", "sin", "table"])
+    if kind == "zero":
+        return PeriodicScalar.constant(0.0, window)
+    if kind == "const":
+        return PeriodicScalar.constant(rng.uniform(-2, 2), window)
+    if kind == "table":
+        taus = np.arange(256) * (window / 256)
+        return PeriodicScalar.from_table(taus, rng.uniform(-1, 1, taus.size))
+    omega = int(rng.integers(1, 4)) * 2.0 * math.pi / window
+    return PeriodicScalar.harmonic(kind, rng.uniform(-2, 2), omega)
+
+
+def test_compiled_forcing_matches_unfolded_sum():
+    rng = np.random.default_rng(5)
+    window = 2.7
+    for _ in range(200):
+        spec = PerturbationSpec(
+            K=tuple(_random_scalar(rng, window) for _ in range(4)),
+            F=tuple(LinearForm(*(_random_scalar(rng, window) for _ in range(4))) for _ in range(4)),
+        )
+        tau = rng.uniform(-3, 10)
+        state = rng.normal(size=4)
+        signs = rng.choice([-1.0, 0.0, 1.0], size=2)
+        got = eval_order1_with_signs(spec, tau, state, *signs)
+        expect = unfolded_forcing(spec, tau, state, *signs)
+        for g, e in zip(got, expect):
+            assert np.shape(g) == () and g == e
+        taus = rng.uniform(-3, 10, size=7)
+        states = rng.normal(size=(4, 7))
+        sgn_x, sgn_z = rng.choice([-1.0, 0.0, 1.0], size=(2, 7))
+        got = eval_order1_with_signs(spec, taus, states, sgn_x, sgn_z)
+        expect = unfolded_forcing(spec, taus, states, sgn_x, sgn_z)
+        for g, e in zip(got, expect):
+            assert np.shape(g) == (7,) and np.array_equal(g, e)
+
+
+def test_all_zero_spec_forcing_is_shaped_like_tau():
+    z = PeriodicScalar.constant(0.0, 1.0)
+    spec = PerturbationSpec(K=(z, z, z, z), F=(LinearForm.zero(1.0),) * 4)
+    assert eval_order1_with_signs(spec, 0.5, np.ones(4), 1.0, -1.0) == (0.0, 0.0)
+    f_y, f_w = eval_order1_with_signs(spec, np.arange(3.0), np.ones((4, 3)), 1.0, -1.0)
+    assert np.array_equal(f_y, np.zeros(3)) and np.array_equal(f_w, np.zeros(3))
+    constant = PeriodicScalar.constant(0.25, 1.0)
+    spec = PerturbationSpec(K=(constant, z, z, constant), F=(LinearForm.zero(1.0),) * 4)
+    f_y, f_w = eval_order1_with_signs(spec, np.arange(3.0), np.ones((4, 3)), 1.0, -1.0)
+    assert np.array_equal(f_y, np.full(3, 0.25)) and np.array_equal(f_w, np.full(3, -0.25))
 
 
 @given(x=st.floats(-2, 2), delta=st.floats(1e-4, 0.5))
