@@ -25,6 +25,7 @@ from pendavg import (
     PhysicalParams,
     annulus_search,
     builtin,
+    convention_verdict,
     epsilon_sweep,
     jordan_transform,
     predicted_initial_state,
@@ -89,10 +90,7 @@ def main() -> int:
                 "convention": convention,
                 "zeros": entries,
             })
-        winners = [c for c in ("A", "B") if per_convention[c]]
-        verdict = {0: "neither", 1: winners[0] if winners else "neither",
-                   2: "both"}[len(winners)]
-        verdict_rows.append((name, verdict))
+        verdict_rows.append((name, convention_verdict(per_convention)))
 
     print("\n== verdicts ==")
     for name, verdict in verdict_rows:

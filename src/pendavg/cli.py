@@ -9,7 +9,7 @@ seed are byte-identical.
 
 Exit codes: 0 success, 2 resonance degeneracy, 3 no (validated) zero,
 4 quadrature failure, 5 crossing-hypothesis violation, 6 integration
-stall; other domain errors exit 1.
+stall; usage errors and other domain errors exit 1.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .perturbation import (
 )
 from .verify import (
     SweepReport,
+    convention_verdict,
     epsilon_sweep,
     predicted_initial_state,
 )
@@ -438,12 +439,9 @@ def cmd_verify(config: ExperimentConfig, compare_conventions: bool = False) -> i
         other = "B" if config.convention == "A" else "A"
         other_summary = _verify_convention(config, other, tag=f"conv{other}_")
         by_convention = {config.convention: summary, other: other_summary}
-        verdicts = [c for c in ("A", "B") if by_convention.get(c, {}).get("any_validated")]
-        arbiter = {
-            0: "neither",
-            1: verdicts[0] if verdicts else "neither",
-            2: "both",
-        }[len(verdicts)]
+        arbiter = convention_verdict(
+            {c: s["any_validated"] for c, s in by_convention.items()}
+        )
         arbiter_validated = arbiter != "neither"
         report = {
             "A": by_convention.get("A"),
@@ -541,8 +539,16 @@ def cmd_simulate(config: ExperimentConfig) -> int:
 # -- entry point ----------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors raise DomainError (exit 1); argparse's own 2 means resonance here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise DomainError(f"{self.prog}: {message}")
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="pendavg",
         description="Averaged bifurcation functions and Filippov verification "
         "for the perturbed planar double pendulum.",
@@ -553,9 +559,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment INI file")
         p.add_argument("--family", type=int, choices=(1, 2), default=None)
         p.add_argument("--convention", choices=("A", "B"), default=None)
-        p.add_argument("--delta", type=float, default=None,
-                       help="regularization width (simulate)")
         p.add_argument("--out", default=None, help="output directory")
+        if name == "simulate":
+            p.add_argument("--delta", type=float, default=None,
+                           help="regularization width")
         if name == "verify":
             p.add_argument(
                 "--compare-conventions",
@@ -566,15 +573,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_arg_parser().parse_args(argv)
         config = load_config(
             args.config,
             family=args.family,
             convention=args.convention,
             out=args.out,
-            delta=args.delta,
+            delta=getattr(args, "delta", None),
         )
         config.output_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "params":

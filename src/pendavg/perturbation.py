@@ -82,9 +82,8 @@ class PeriodicScalar:
             raise DomainError(f"period must be a positive real, got {self.period!r}")
 
     def __call__(self, tau):
-        tau = np.asarray(tau, dtype=float)
         if self.kind == "const":
-            return tau * 0.0 + self.value
+            return np.asarray(tau, dtype=float) * 0.0 + self.value
         if self.kind == "table":
             return np.interp(np.mod(tau, self.period), *self.knots)
         trig = np.cos if self.kind == "cos" else np.sin

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,7 +49,6 @@ SWEEP_MIN_SAMPLES = 4
 SWEEP_MIN_RATIO = 8.0
 REFINE_MAX_ITER = 30
 REFINE_TOL = 1e-11
-REFINE_REBUILD_EVERY = 8
 DEGENERATE_SV_RTOL = 1e-6
 VALIDATED_EXPONENT_MIN = 1.8
 FAMILY_NOISE_FLOOR = 1e-10
@@ -196,6 +195,18 @@ class SweepReport:
         }
 
 
+def convention_verdict(validated: Mapping[str, bool]) -> str:
+    """Which sgn conventions validated a zero: "A", "B", "both" or "neither".
+
+    ``validated`` maps each convention to whether any of its zeros passed
+    `SweepReport.validated`.
+    """
+    winners = [c for c in ("A", "B") if validated.get(c)]
+    if len(winners) == 2:
+        return "both"
+    return winners[0] if winners else "neither"
+
+
 def to_physical_frame(state_reduced, eps: float, alpha: float) -> np.ndarray:
     """Reduced-frame state (per-τ velocities) to the pendulum frame."""
     x, y, z, w = np.asarray(state_reduced, dtype=float)
@@ -322,8 +333,6 @@ def poincare_residual(
     spectral: SpectralData,
     eps: float,
     *,
-    rtol: float = VERIFY_RTOL,
-    atol: float = VERIFY_ATOL,
     max_events: int = 100_000,
 ) -> PoincareResult:
     """Return-map gap of the reduced system over the resonant window.
@@ -342,8 +351,8 @@ def poincare_residual(
             eps,
             orbit.initial_state,
             (0.0, orbit.period_tau),
-            rtol=rtol,
-            atol=atol,
+            rtol=VERIFY_RTOL,
+            atol=VERIFY_ATOL,
             max_events=max_events,
         )
     except PendavgError as exc:
@@ -359,18 +368,15 @@ def refine_periodic(
     reduced: ReducedParams,
     spectral: SpectralData,
     eps: float,
-    *,
-    tol: float = REFINE_TOL,
-    max_iter: int = REFINE_MAX_ITER,
-    rtol: float = VERIFY_RTOL,
-    atol: float = VERIFY_ATOL,
 ) -> RefinementResult:
-    """Newton shooting from the prediction to a return-map fixed point.
+    """Chord-Newton shooting from the prediction to a return-map fixed point.
 
-    The monodromy matrix is estimated by finite differences and reused
-    across iterations (rebuilt periodically), so each step costs one
-    integration.  A singular shooting matrix, as at ε = 0 where the
-    orbit family makes the return map non-isolated, raises a
+    The monodromy matrix is estimated once, by finite differences at the
+    prediction, so each step costs one integration.  Near an isolated
+    orbit every step shrinks the gap; the first step that does not ends
+    the refinement unconverged, and ``REFINE_MAX_ITER`` only bounds the
+    loop.  A singular shooting matrix, as at ε = 0 where the orbit
+    family makes the return map non-isolated, raises a
     degenerate-refinement error.
     """
     _check_spec_matches(orbit, spec)
@@ -383,53 +389,42 @@ def refine_periodic(
             eps,
             s,
             (0.0, orbit.period_tau),
-            rtol=rtol,
-            atol=atol,
+            rtol=VERIFY_RTOL,
+            atol=VERIFY_ATOL,
         )
         return traj.final_state
 
-    def shooting_matrix(s: np.ndarray, image: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        h = max(1e-7 * float(np.linalg.norm(s)), 1e-8)
-        monodromy = np.empty((4, 4))
-        for i in range(4):
-            bumped = np.array(s, dtype=float)
-            bumped[i] += h
-            monodromy[:, i] = (return_map(bumped) - image) / h
-        jac = monodromy - np.eye(4)
-        smallest = np.linalg.svd(jac, compute_uv=False)[-1]
-        if smallest < DEGENERATE_SV_RTOL * max(1.0, float(np.linalg.norm(jac))):
-            raise RefinementDegenerateError(
-                "the shooting matrix (monodromy - identity) is numerically singular; "
-                "the return-map fixed point is not isolated at this eps"
-            )
-        return monodromy, jac
-
     s = np.array(orbit.initial_state, dtype=float)
     image = return_map(s)
+    h = max(1e-7 * float(np.linalg.norm(s)), 1e-8)
+    monodromy = np.empty((4, 4))
+    for i in range(4):
+        bumped = s.copy()
+        bumped[i] += h
+        monodromy[:, i] = (return_map(bumped) - image) / h
+    jac = monodromy - np.eye(4)
+    smallest = np.linalg.svd(jac, compute_uv=False)[-1]
+    if smallest < DEGENERATE_SV_RTOL * max(1.0, float(np.linalg.norm(jac))):
+        raise RefinementDegenerateError(
+            "the shooting matrix (monodromy - identity) is numerically singular; "
+            "the return-map fixed point is not isolated at this eps"
+        )
+
     gap = image - s
-    monodromy, jac = shooting_matrix(s, image)
+    residual = float(np.linalg.norm(gap))
     iterations = 0
-    while iterations < max_iter:
-        if float(np.linalg.norm(gap)) <= tol:
-            return RefinementResult(
-                state=s,
-                residual=float(np.linalg.norm(gap)),
-                iterations=iterations,
-                converged=True,
-                monodromy=monodromy,
-            )
+    while residual > REFINE_TOL and iterations < REFINE_MAX_ITER:
         iterations += 1
-        step = np.linalg.solve(jac, -gap)
-        s = s + step
-        image = return_map(s)
-        gap = image - s
-        if iterations % REFINE_REBUILD_EVERY == 0:
-            monodromy, jac = shooting_matrix(s, image)
+        s = s + np.linalg.solve(jac, -gap)
+        gap = return_map(s) - s
+        previous, residual = residual, float(np.linalg.norm(gap))
+        if not residual < previous:
+            break
     return RefinementResult(
         state=s,
-        residual=float(np.linalg.norm(gap)),
+        residual=residual,
         iterations=iterations,
-        converged=float(np.linalg.norm(gap)) <= tol,
+        converged=residual <= REFINE_TOL,
         monodromy=monodromy,
     )
 
@@ -453,8 +448,6 @@ def epsilon_sweep(
     eps_list: Sequence[float],
     *,
     refine: bool = True,
-    rtol: float = VERIFY_RTOL,
-    atol: float = VERIFY_ATOL,
 ) -> SweepReport:
     """Residual scaling across a decreasing ε ladder.
 
@@ -474,23 +467,16 @@ def epsilon_sweep(
             f"got {eps_values[0] / eps_values[-1]:.3g}"
         )
 
-    def run_sample(eps: float) -> PoincareResult:
-        return poincare_residual(
-            orbit, spec, reduced, spectral, eps, rtol=rtol, atol=atol
-        )
-
     def run_refine(eps: float) -> float:
         try:
-            result = refine_periodic(
-                orbit, spec, reduced, spectral, eps, rtol=rtol, atol=atol
-            )
+            result = refine_periodic(orbit, spec, reduced, spectral, eps)
         except PendavgError:
             return float("nan")
         if not result.converged:
             return float("nan")
         return float(np.linalg.norm(result.state - orbit.initial_state))
 
-    samples = [run_sample(e) for e in eps_values]
+    samples = [poincare_residual(orbit, spec, reduced, spectral, e) for e in eps_values]
     limit_gap = [run_refine(e) for e in eps_values] if refine else []
 
     exponent = fit_exponent(eps_values, [s.residual for s in samples])
@@ -508,10 +494,6 @@ def full_nonlinear_check(
     phys: PhysicalParams,
     spec: PerturbationSpec,
     eps: float,
-    *,
-    rtol: float = VERIFY_RTOL,
-    atol: float = VERIFY_ATOL,
-    max_events: int = 100_000,
 ) -> PoincareResult:
     """Return-map gap of the full nonlinear pendulum in the original frame.
 
@@ -549,9 +531,8 @@ def full_nonlinear_check(
             field,
             s0,
             (0.0, orbit.period_t),
-            rtol=rtol,
-            atol=atol,
-            max_events=max_events,
+            rtol=VERIFY_RTOL,
+            atol=VERIFY_ATOL,
             max_step=max_step,
             epsilon=eps,
         )

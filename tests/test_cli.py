@@ -7,8 +7,10 @@ numbers come from the closed forms in ``oracles``.
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,10 +330,28 @@ def test_simulate_stall_exits_6_with_partial_output(tmp_path):
 
 def test_module_entry_point(bench_ini):
     ini, out = bench_ini
+    # the child imports the package under test, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "pendavg", "params", "--config", str(ini)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["a"] == 2.0
+
+
+def test_usage_errors_exit_1(bench_ini, capsys):
+    ini, out = bench_ini
+    # --delta belongs to simulate only; argparse's own exit 2 would read as resonance
+    assert cli.main(["zeros", "--config", str(ini), "--delta", "1e-3"]) == 1
+    assert cli.main(["zeros"]) == 1
+    assert cli.main(["verify", "--config", str(ini), "--convention", "C"]) == 1
+    assert cli.main([]) == 1
+    assert not out.exists()
+    assert "usage:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["zeros", "--help"])
+    assert exc.value.code == 0

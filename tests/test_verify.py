@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pendavg.verify as verify_module
 from pendavg import (
     BifurcationSystem,
     DomainError,
@@ -35,8 +36,9 @@ from pendavg import (
     to_physical_frame,
     to_reduced_frame,
 )
+from pendavg.filippov import integrate
 
-from .oracles import linear_periodic_state
+from .oracles import corollary_radius, linear_periodic_state
 
 BENCH = PhysicalParams(1.0, 1.0, 1.0, 1.0, 9.8)
 GAMMA = 0.5
@@ -175,6 +177,32 @@ def test_refine_matches_exponential_oracle(bench, damped):
     assert np.allclose(result.state, ref, rtol=1e-8, atol=1e-8)
     # the refined monodromy stays close to the unperturbed one
     assert result.monodromy.shape == (4, 4)
+
+
+def test_refine_stops_at_first_non_contracting_step(bench, monkeypatch):
+    """A wrong-convention prediction is no fixed point: the first chord step
+    grows the gap, so refinement stops after the prediction, the four
+    monodromy columns and that one step."""
+    reduced, s, transform = bench
+    spec = builtin(
+        "corollary_escapement", {"sigma_d": 1.0, "sigma_e": 1.0}, s, family=1, p=1
+    )
+    sys_b = BifurcationSystem(1, spec, reduced, s, "B")
+    rstar = corollary_radius(reduced.a, reduced.b)
+    cert = newton_zero(sys_b, np.array([1.1 * rstar, 0.1])).certificate
+    assert cert.simple
+    orbit = predicted_initial_state(cert, 1, transform, s, reduced)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(verify_module, "integrate", counted)
+    result = refine_periodic(orbit, spec, reduced, s, 1e-2)
+    assert not result.converged
+    assert result.iterations == 1
+    assert calls == [1e-2] * 6
 
 
 def test_refine_degenerate_at_eps_zero(bench, damped):
