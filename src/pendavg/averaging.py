@@ -149,16 +149,6 @@ def _sgn_coefficients(amp, convention: str):
     return (u0, v0) if convention == "A" else (v0, u0)
 
 
-def _sgn_argument(amp, convention: str, omega: float):
-    c0, c1 = _sgn_coefficients(amp, convention)
-
-    def u(tau):
-        tau = np.asarray(tau, dtype=float)
-        return c0 * np.cos(omega * tau) + c1 * np.sin(omega * tau)
-
-    return u
-
-
 def find_sign_changes(amp, family: int, convention: str, s: SpectralData, p: int) -> QuadraturePartition:
     """Zeros of the convention's sgn argument in [0, p·T_family].
 
@@ -182,7 +172,7 @@ def find_sign_changes(amp, family: int, convention: str, s: SpectralData, p: int
     # Constant sign strictly between consecutive breakpoints.
     edges = partition.panel_edges()
     mids = 0.5 * (edges[:-1] + edges[1:])
-    if np.any(_sgn_argument(amp, convention, omega)(mids) == 0.0):
+    if np.any(c0 * np.cos(omega * mids) + c1 * np.sin(omega * mids) == 0.0):
         raise NumericalError("sign-change partition has a zero at a panel midpoint")
     return partition
 
@@ -197,14 +187,15 @@ def averaged_integrand(sys: BifurcationSystem, amp, tau):
     k = 0 if sys.family == 1 else 2
     inverse, forward = sys.transform.inverse, sys.transform.forward
     state = inverse @ unperturbed_orbit(sys.family, amp, tau, sys.spectral)
-    sgn = np.sign(_sgn_argument(amp, sys.sgn_convention, sys.omega)(tau))
+    cos_t, sin_t = np.cos(sys.omega * tau), np.sin(sys.omega * tau)
+    c0, c1 = _sgn_coefficients(amp, sys.sgn_convention)
+    sgn = np.sign(c0 * cos_t + c1 * sin_t)
     f_y, f_w = eval_order1_with_signs(
         sys.spec, tau, state, np.sign(inverse[0, k]) * sgn, np.sign(inverse[2, k]) * sgn
     )
     scale = 2.0 * math.sqrt(sys.spectral.delta)
     bracket = scale * forward[k + 1, 1] * f_y + scale * forward[k + 1, 3] * f_w
-    omega = sys.omega
-    out = np.stack([np.sin(omega * tau) * bracket, np.cos(omega * tau) * bracket])
+    out = np.stack([sin_t * bracket, cos_t * bracket])
     return out[:, 0] if scalar_input else out
 
 

@@ -505,7 +505,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     export_trajectory_csv(traj, out / "trajectory.csv")
     export_events_csv(traj, out / "events.csv")
     summary = {
-        "epsilon": traj.epsilon,
+        "epsilon": config.sim_eps,
         "t_span": list(traj.t_span),
         "initial_state": list(traj.initial_state),
         "final_state": list(traj.final_state),

@@ -1,12 +1,21 @@
 """Event-driven integration of piecewise-smooth planar-pendulum fields.
 
 The discontinuity set is the union of the two coordinate hyperplanes
-``x = 0`` and ``z = 0``.  Between events the flow is smooth and is
-integrated with an adaptive Runge-Kutta scheme; at events the surface
-contact is classified through one-sided Lie derivatives and the region
-signs are switched (crossing), the flow is replaced by the tangent
-convex combination of the one-sided fields (sliding), or the contact is
-resolved through the curvature of the surface level (tangency).
+``x = 0`` (surface 1, state index 0) and ``z = 0`` (surface 2, state
+index 2); surface k + 1 is the level of state index 2k.  The trajectory
+is a chain of segments, each integrated with an adaptive Runge-Kutta
+scheme by the same step: leave the surfaces the last event put the
+state on, integrate to the next terminal event, append the segment.  A
+segment either follows the field with frozen region signs until a level
+crosses zero, or slides on one surface along the tangent convex
+combination of the one-sided fields (Filippov 1988) until a one-sided
+level derivative vanishes or the other level crosses zero.
+
+Every surface contact goes through one resolver, which classifies it
+through the one-sided Lie derivatives and switches the region sign
+(crossing), starts a sliding segment (sliding or escaping), or resolves
+it through the curvature of the level (tangency).  Sliding on both
+surfaces at once (codimension two) is refused.
 """
 
 from __future__ import annotations
@@ -43,22 +52,6 @@ DEFAULT_ATOL = 1e-12
 _RESTART_STEPS = (1e-12, 1e-10, 1e-8, 1e-6)
 
 _KINDS = ("crossing", "sliding", "escaping", "tangent")
-
-
-@dataclass(frozen=True)
-class SwitchingSurface:
-    """A coordinate hyperplane ``state[index] = 0``."""
-
-    id: int
-    index: int
-
-    def level(self, state) -> float:
-        return float(np.asarray(state, dtype=float)[self.index])
-
-
-SURFACE_X = SwitchingSurface(id=1, index=0)
-SURFACE_Z = SwitchingSurface(id=2, index=2)
-SURFACES: Tuple[SwitchingSurface, SwitchingSurface] = (SURFACE_X, SURFACE_Z)
 
 
 @dataclass(frozen=True)
@@ -120,7 +113,6 @@ class Trajectory:
 
     segments: List[Segment]
     events: List[EventRecord]
-    epsilon: float
     t_span: Tuple[float, float]
     initial_state: np.ndarray
 
@@ -175,29 +167,18 @@ def d1_field(spec: PerturbationSpec, reduced: ReducedParams, eps: float) -> Fiel
 
     x' = y,   y' = -a x + z + ε f_y(τ, state; sgn)
     z' = w,   w' = b x - b z + ε f_w(τ, state; sgn)
-
-    plus the optional ε² remainder pair carried by the perturbation.
     """
     a = reduced.a
     b = reduced.b
-    remainder = spec.R
 
     def field(t: float, state: np.ndarray, signs: Tuple[float, float]) -> np.ndarray:
         x, y, z, w = state
         f_y, f_w = eval_order1_with_signs(spec, t, state, signs[0], signs[1])
         dy = -a * x + z + eps * f_y
         dw = b * x - b * z + eps * f_w
-        if remainder is not None:
-            dy += eps * eps * remainder[0](t, state, eps)
-            dw += eps * eps * remainder[1](t, state, eps)
         return np.array([y, dy, w, dw], dtype=float)
 
     return field
-
-
-def lie_derivative(field_value: np.ndarray, surface: SwitchingSurface) -> float:
-    """Rate of change of the surface level along a field value."""
-    return float(np.asarray(field_value, dtype=float)[surface.index])
 
 
 def classify_values(lie_minus: float, lie_plus: float) -> SurfaceClassification:
@@ -240,53 +221,17 @@ def classify_surface_contact(
     signs: Sequence[float],
     k: int,
 ) -> SurfaceClassification:
+    """Contact kind of the flow with surface k + 1 at a state on it.
+
+    ``signs`` supplies the region sign of the other surface; the one of
+    surface k + 1 is replaced by ±1 for the two one-sided fields.
+    """
     minus_val, plus_val = _one_sided_values(field, t, state, signs, k)
-    srf = SURFACES[k]
-    return classify_values(lie_derivative(minus_val, srf), lie_derivative(plus_val, srf))
+    return classify_values(float(minus_val[2 * k]), float(plus_val[2 * k]))
 
 
 def _point_signs(state: np.ndarray) -> Tuple[float, float]:
     return (float(np.sign(state[0])), float(np.sign(state[2])))
-
-
-def _surface_index_for_state(state: np.ndarray, surface: Optional[int]) -> int:
-    if surface is not None:
-        for k, srf in enumerate(SURFACES):
-            if srf.id == surface:
-                if abs(srf.level(state)) > 1e-8:
-                    raise DomainError(
-                        f"state is not on surface {surface}: level {srf.level(state):.3e}"
-                    )
-                return k
-        raise DomainError(f"unknown surface id {surface}")
-    levels = [abs(srf.level(state)) for srf in SURFACES]
-    k = int(np.argmin(levels))
-    if levels[k] > 1e-8:
-        raise DomainError(
-            "state is not on either switching surface "
-            f"(|x| = {levels[0]:.3e}, |z| = {levels[1]:.3e})"
-        )
-    return k
-
-
-def classify(
-    spec: PerturbationSpec,
-    reduced: ReducedParams,
-    eps: float,
-    tau: float,
-    state,
-    surface: Optional[int] = None,
-) -> SurfaceClassification:
-    """Classify the contact of the reduced flow with a switching surface.
-
-    The state must lie on a surface (smallest level wins when ``surface``
-    is not forced).  The sgn argument of the other surface is taken from
-    the sign of the corresponding state coordinate.
-    """
-    state = np.asarray(state, dtype=float)
-    k = _surface_index_for_state(state, surface)
-    field = d1_field(spec, reduced, eps)
-    return classify_surface_contact(field, tau, state, _point_signs(state), k)
 
 
 def sliding_combination(
@@ -296,11 +241,10 @@ def sliding_combination(
     signs: Sequence[float],
     k: int,
 ) -> np.ndarray:
-    """Convex combination of the one-sided fields tangent to surface k."""
+    """Convex combination of the one-sided fields tangent to surface k + 1."""
     minus_val, plus_val = _one_sided_values(field, t, state, signs, k)
-    srf = SURFACES[k]
-    lie_minus = lie_derivative(minus_val, srf)
-    lie_plus = lie_derivative(plus_val, srf)
+    lie_minus = float(minus_val[2 * k])
+    lie_plus = float(plus_val[2 * k])
     denom = lie_plus - lie_minus
     if abs(denom) <= SLIDING_DENOM_TOL:
         raise DegenerateSlidingError(
@@ -310,28 +254,15 @@ def sliding_combination(
     return (lie_plus * minus_val - lie_minus * plus_val) / denom
 
 
-def sliding_field(
-    spec: PerturbationSpec,
-    reduced: ReducedParams,
-    eps: float,
-    tau: float,
-    state,
-    surface: Optional[int] = None,
-) -> np.ndarray:
-    """Sliding vector field of the reduced flow on a switching surface."""
-    state = np.asarray(state, dtype=float)
-    k = _surface_index_for_state(state, surface)
-    field = d1_field(spec, reduced, eps)
-    return sliding_combination(field, tau, state, _point_signs(state), k)
-
-
-def _make_level_event(index: int):
-    def event(t, u, idx=index):
-        return u[idx]
-
+def _terminal(event):
     event.terminal = True
     event.direction = 0
     return event
+
+
+def _level_event(k: int):
+    """Terminal event on the level of surface k + 1."""
+    return _terminal(lambda t, u, idx=2 * k: u[idx])
 
 
 def _rk4_step(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
@@ -359,7 +290,6 @@ class _Integrator:
         atol: float,
         max_events: int,
         max_step: Optional[float],
-        epsilon: float,
     ):
         self.field = field
         self.t0, self.t1 = float(t_span[0]), float(t_span[1])
@@ -368,19 +298,18 @@ class _Integrator:
         self.atol = atol
         self.max_events = max_events
         self.max_step = np.inf if max_step is None else float(max_step)
-        self.epsilon = epsilon
 
         self.state = np.array(s0, dtype=float)
         if self.state.shape != (4,):
             raise DomainError("state must have four components (x, y, z, w)")
-        for srf in SURFACES:
-            if abs(self.state[srf.index]) <= EVENT_STATE_TOL:
-                self.state[srf.index] = 0.0
+        for idx in (0, 2):
+            if abs(self.state[idx]) <= EVENT_STATE_TOL:
+                self.state[idx] = 0.0
         self.s_initial = np.array(self.state, dtype=float)
         self.t = self.t0
         self.segments: List[Segment] = []
         self.events: List[EventRecord] = []
-        self.signs = [float(np.sign(self.state[0])), float(np.sign(self.state[2]))]
+        self.signs = list(_point_signs(self.state))
         self.sliding_on: Optional[int] = None
         self.finished = False
         self._tiny_run = 0
@@ -388,7 +317,8 @@ class _Integrator:
 
     # -- bookkeeping -----------------------------------------------------
 
-    def _record(self, t: float, state: np.ndarray, k: int, cls: SurfaceClassification, corner: bool):
+    def _record(self, k: int, cls: SurfaceClassification, corner: bool):
+        t = self.t
         if len(self.events) >= self.max_events:
             raise _Stalled(f"event budget of {self.max_events} exhausted")
         if self._last_event_time is not None and abs(t - self._last_event_time) <= STALL_DT:
@@ -403,8 +333,8 @@ class _Integrator:
         self.events.append(
             EventRecord(
                 time=float(t),
-                state=np.array(state, dtype=float),
-                surface=SURFACES[k].id,
+                state=np.array(self.state, dtype=float),
+                surface=k + 1,
                 classification=cls,
                 corner=corner,
             )
@@ -417,7 +347,6 @@ class _Integrator:
         return Trajectory(
             segments=self.segments,
             events=self.events,
-            epsilon=self.epsilon,
             t_span=(self.t0, self.t1),
             initial_state=np.array(self.s_initial, dtype=float),
         )
@@ -425,7 +354,13 @@ class _Integrator:
     # -- event resolution --------------------------------------------------
 
     def _resolve_contacts(self, ks: Sequence[int]):
-        """Classify each touched surface and update the region signs."""
+        """Classify each touched surface and act on its contact kind.
+
+        A crossing switches the region sign, a tangency is resolved by
+        the curvature of the level, and a sliding (or escaping) contact
+        starts a sliding segment on that surface, unless the trajectory
+        would then slide on both surfaces at once.
+        """
         corner = len(ks) > 1
         point_signs = _point_signs(self.state)
         sliding_hits = []
@@ -433,14 +368,14 @@ class _Integrator:
             if self.finished:
                 break
             cls = classify_surface_contact(self.field, self.t, self.state, point_signs, k)
-            self._record(self.t, self.state, k, cls, corner)
+            self._record(k, cls, corner)
             if cls.kind == "crossing":
                 self.signs[k] = self.direction * float(np.sign(cls.lie_plus))
             elif cls.kind in ("sliding", "escaping"):
                 sliding_hits.append(k)
             else:
                 self._resolve_tangency(k)
-        if len(sliding_hits) > 1:
+        if len(sliding_hits) > 1 or (sliding_hits and self.sliding_on is not None):
             raise TangencyError(
                 "simultaneous sliding on both surfaces (codimension two) is unsupported"
             )
@@ -458,23 +393,33 @@ class _Integrator:
         with a nonzero field cannot be continued; a vanishing field is
         an equilibrium and the trajectory stays put.
         """
-        srf = SURFACES[k]
         signs0 = list(self.signs)
         signs0[k] = 0.0
         f0 = self.field(self.t, self.state, tuple(signs0))
         h = 1e-6 * self.direction * max(1.0, abs(self.t))
         f1 = self.field(self.t + h, self.state + h * f0, tuple(signs0))
-        dlie = (lie_derivative(f1, srf) - lie_derivative(f0, srf)) / h
+        dlie = (float(f1[2 * k]) - float(f0[2 * k])) / h
         if abs(dlie) <= LIE_TOL:
             if float(np.linalg.norm(f0)) <= EQUILIBRIUM_FIELD_TOL:
                 self.signs[k] = 0.0
                 self._settle_constant()
                 return
             raise TangencyError(
-                f"persistent tangency with surface {srf.id} at t = {self.t:.6g}: "
+                f"persistent tangency with surface {k + 1} at t = {self.t:.6g}: "
                 "the contact neither crosses nor resolves"
             )
         self.signs[k] = float(np.sign(dlie))
+
+    def _release(self, k: int, minus_side: bool):
+        """End sliding on surface k + 1 where a one-sided derivative vanished.
+
+        The side whose level derivative reached zero releases the
+        trajectory into its region.
+        """
+        cls = classify_surface_contact(self.field, self.t, self.state, _point_signs(self.state), k)
+        self._record(k, cls, corner=False)
+        self.sliding_on = None
+        self.signs[k] = -1.0 if minus_side else 1.0
 
     def _settle_constant(self):
         """Rest at an equilibrium on the discontinuity set until t1."""
@@ -492,51 +437,63 @@ class _Integrator:
         self.t = self.t1
         self.finished = True
 
-    def _depart_surface(self) -> Tuple[float, np.ndarray]:
+    def _depart_surface(self, rhs) -> Tuple[float, np.ndarray]:
         """Micro-step off the surfaces so restarted levels have strict signs.
 
+        Every surface the state sits on with a nonzero region sign is
+        left along ``rhs``, the right-hand side of the coming segment.
         A first-order step suffices after a transversal crossing; after
         a tangency or a sliding exit the level leaves quadratically, so
         the step size escalates until every departed level shows the
         sign selected by the event resolution.
         """
-        targets = [
-            k
-            for k in range(2)
-            if self.state[SURFACES[k].index] == 0.0 and self.signs[k] != 0.0
-        ]
+        targets = [k for k in range(2) if self.state[2 * k] == 0.0 and self.signs[k] != 0.0]
         if not targets:
             return self.t, np.array(self.state, dtype=float)
-        rhs_signs = tuple(self.signs)
-
-        def rhs(tt, u):
-            return self.field(tt, u, rhs_signs)
-
         remaining = self._remaining()
         for h_mag in _RESTART_STEPS:
             if h_mag > 0.5 * remaining:
                 break
             h = h_mag * self.direction
             trial = _rk4_step(rhs, self.t, np.array(self.state, dtype=float), h)
-            if all(np.sign(trial[SURFACES[k].index]) == self.signs[k] for k in targets):
+            if all(np.sign(trial[2 * k]) == self.signs[k] for k in targets):
                 return self.t + h, trial
         if remaining <= 2.0 * _RESTART_STEPS[-1]:
             self._settle_constant()
             return self.t1, np.array(self.state, dtype=float)
         raise _Stalled("unable to leave the switching surface after an event")
 
-    # -- smooth advance ------------------------------------------------------
+    # -- segment step --------------------------------------------------------
 
-    def _advance_smooth(self):
-        t_run, s_run = self._depart_surface()
+    def _advance(self):
+        """Integrate one segment up to its first terminal event.
+
+        Off the surfaces the field runs with frozen region signs and
+        stops where either level crosses zero.  Sliding on surface k + 1
+        runs the tangent combination and stops where a one-sided level
+        derivative vanishes (release) or the other level crosses zero.
+        """
+        signs = tuple(self.signs)
+        k = self.sliding_on
+        if k is None:
+            def rhs(tt, u):
+                return self.field(tt, u, signs)
+
+            events = [_level_event(0), _level_event(1)]
+        else:
+            def rhs(tt, u):
+                return sliding_combination(self.field, tt, u, signs, k)
+
+            def lie_event(side):
+                return _terminal(
+                    lambda tt, u: float(_one_sided_values(self.field, tt, u, signs, k)[side][2 * k])
+                )
+
+            events = [lie_event(0), lie_event(1), _level_event(1 - k)]
+
+        t_run, s_run = self._depart_surface(rhs)
         if self.finished:
             return
-        rhs_signs = tuple(self.signs)
-
-        def rhs(tt, u):
-            return self.field(tt, u, rhs_signs)
-
-        events = [_make_level_event(srf.index) for srf in SURFACES]
         sol = solve_ivp(
             rhs,
             (t_run, self.t1),
@@ -549,137 +506,54 @@ class _Integrator:
             max_step=self.max_step,
         )
         if sol.status == -1:
-            raise _Stalled(f"step-size failure of the smooth solver: {sol.message}")
+            raise _Stalled(f"step-size failure of the segment solver: {sol.message}")
         te = float(sol.t[-1])
         state_e = np.asarray(sol.sol(te), dtype=float)
+        if k is not None:
+            state_e[2 * k] = 0.0
         self.segments.append(
             Segment(
                 t_start=self.t,
                 t_end=te,
                 sol=sol.sol,
                 ts=np.asarray(sol.t, dtype=float),
-                signs=rhs_signs,
-                sliding_surface=None,
+                signs=signs,
+                sliding_surface=None if k is None else k + 1,
             )
         )
+        self.t = te
+        self.state = state_e
         if sol.status == 0:
-            self.t = te
-            self.state = state_e
             self.finished = True
             return
 
-        touched = [
-            k
-            for k in range(2)
-            if len(sol.t_events[k]) and abs(float(sol.t_events[k][-1]) - te) <= CORNER_TIME_TOL
+        fired = [
+            bool(len(times)) and abs(float(times[-1]) - te) <= CORNER_TIME_TOL
+            for times in sol.t_events
         ]
-        for k in range(2):
-            if k not in touched and abs(state_e[SURFACES[k].index]) <= EVENT_STATE_TOL:
-                touched.append(k)
-        for k in touched:
-            state_e[SURFACES[k].index] = 0.0
-        self.t = te
-        self.state = state_e
-        self._resolve_contacts(sorted(touched))
-
-    # -- sliding advance -------------------------------------------------------
-
-    def _advance_sliding(self):
-        k = self.sliding_on
-        assert k is not None
-        srf = SURFACES[k]
-        other = 1 - k
-        base_signs = tuple(self.signs)
-
-        def rhs(tt, u):
-            return sliding_combination(self.field, tt, u, base_signs, k)
-
-        def lie_minus_event(tt, u):
-            minus_val, _ = _one_sided_values(self.field, tt, u, base_signs, k)
-            return lie_derivative(minus_val, srf)
-
-        def lie_plus_event(tt, u):
-            _, plus_val = _one_sided_values(self.field, tt, u, base_signs, k)
-            return lie_derivative(plus_val, srf)
-
-        lie_minus_event.terminal = True
-        lie_minus_event.direction = 0
-        lie_plus_event.terminal = True
-        lie_plus_event.direction = 0
-        events = [lie_minus_event, lie_plus_event, _make_level_event(SURFACES[other].index)]
-
-        sol = solve_ivp(
-            rhs,
-            (self.t, self.t1),
-            np.array(self.state, dtype=float),
-            method="RK45",
-            dense_output=True,
-            events=events,
-            rtol=self.rtol,
-            atol=self.atol,
-            max_step=self.max_step,
-        )
-        if sol.status == -1:
-            raise _Stalled(f"step-size failure of the sliding solver: {sol.message}")
-        te = float(sol.t[-1])
-        state_e = np.asarray(sol.sol(te), dtype=float)
-        state_e[srf.index] = 0.0
-        self.segments.append(
-            Segment(
-                t_start=self.t,
-                t_end=te,
-                sol=sol.sol,
-                ts=np.asarray(sol.t, dtype=float),
-                signs=base_signs,
-                sliding_surface=srf.id,
-            )
-        )
-        self.t = te
-        self.state = state_e
-        if sol.status == 0:
-            self.finished = True
-            return
-
-        hit_minus = bool(len(sol.t_events[0])) and abs(float(sol.t_events[0][-1]) - te) <= CORNER_TIME_TOL
-        hit_plus = bool(len(sol.t_events[1])) and abs(float(sol.t_events[1][-1]) - te) <= CORNER_TIME_TOL
-        hit_other = bool(len(sol.t_events[2])) and abs(float(sol.t_events[2][-1]) - te) <= CORNER_TIME_TOL
-        if hit_minus and hit_plus:
-            raise _Stalled("both one-sided level derivatives vanished while sliding")
-        if hit_minus or hit_plus:
-            cls = classify_surface_contact(self.field, te, state_e, _point_signs(state_e), k)
-            self._record(te, state_e, k, cls, corner=False)
-            self.sliding_on = None
-            # The side whose level derivative reached zero releases the
-            # trajectory into its region.
-            self.signs[k] = -1.0 if hit_minus else 1.0
-        if hit_other:
-            state_e[SURFACES[other].index] = 0.0
-            self.state = state_e
-            cls = classify_surface_contact(self.field, te, state_e, _point_signs(state_e), other)
-            self._record(te, state_e, other, cls, corner=False)
-            if cls.kind == "crossing":
-                self.signs[other] = self.direction * float(np.sign(cls.lie_plus))
-            elif cls.kind in ("sliding", "escaping"):
-                raise TangencyError(
-                    "simultaneous sliding on both surfaces (codimension two) is unsupported"
-                )
-            else:
-                self._resolve_tangency(other)
+        if k is None:
+            touched = [j for j in range(2) if fired[j] or abs(state_e[2 * j]) <= EVENT_STATE_TOL]
+        else:
+            if fired[0] and fired[1]:
+                raise _Stalled("both one-sided level derivatives vanished while sliding")
+            if fired[0] or fired[1]:
+                self._release(k, minus_side=fired[0])
+            touched = [1 - k] if fired[2] else []
+        for j in touched:
+            state_e[2 * j] = 0.0
+        self._resolve_contacts(touched)
 
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> Trajectory:
         if self._remaining() <= EVENT_TIME_TOL:
             return self._trajectory()
-        initial_contacts = [k for k in range(2) if self.state[SURFACES[k].index] == 0.0]
+        initial_contacts = [k for k in range(2) if self.state[2 * k] == 0.0]
         try:
             if initial_contacts:
                 self._resolve_contacts(initial_contacts)
             while not self.finished and self._remaining() > EVENT_TIME_TOL:
-                if self.sliding_on is not None:
-                    self._advance_sliding()
-                else:
-                    self._advance_smooth()
+                self._advance()
         except _Stalled as exc:
             raise IntegrationStallError(
                 f"integration stalled at t = {self.t:.6g}: {exc}",
@@ -697,7 +571,6 @@ def integrate_field(
     atol: float = DEFAULT_ATOL,
     max_events: int = DEFAULT_MAX_EVENTS,
     max_step: Optional[float] = None,
-    epsilon: float = 0.0,
 ) -> Trajectory:
     """Integrate a field with explicit region signs through the surfaces.
 
@@ -709,14 +582,7 @@ def integrate_field(
     classified and resolved before the first segment.
     """
     integ = _Integrator(
-        field,
-        s0,
-        t_span,
-        rtol=rtol,
-        atol=atol,
-        max_events=max_events,
-        max_step=max_step,
-        epsilon=epsilon,
+        field, s0, t_span, rtol=rtol, atol=atol, max_events=max_events, max_step=max_step
     )
     return integ.run()
 
@@ -732,21 +598,19 @@ def integrate(
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     max_events: int = DEFAULT_MAX_EVENTS,
-    max_step: Optional[float] = None,
 ) -> Trajectory:
-    """Event-driven trajectory of the perturbed reduced system."""
-    if max_step is None:
-        max_step = min(spectral.period1, spectral.period2) / 16.0
-    field = d1_field(spec, reduced, eps)
+    """Event-driven trajectory of the perturbed reduced system.
+
+    Steps are capped at a sixteenth of the shorter normal-mode period.
+    """
     return integrate_field(
-        field,
+        d1_field(spec, reduced, eps),
         s0,
         t_span,
         rtol=rtol,
         atol=atol,
         max_events=max_events,
-        max_step=max_step,
-        epsilon=eps,
+        max_step=min(spectral.period1, spectral.period2) / 16.0,
     )
 
 
@@ -798,7 +662,6 @@ def integrate_regularized(
     return Trajectory(
         segments=[segment],
         events=[],
-        epsilon=eps,
         t_span=(float(t_span[0]), float(t_span[1])),
         initial_state=np.array(s0, dtype=float),
     )

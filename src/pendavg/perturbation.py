@@ -11,8 +11,7 @@ with s = (x, y, z, w).  :func:`eval_order1_with_signs` is the one place
 that combines K and F; its callers choose the sign values σ_x, σ_z: the
 region signs of the event-driven integrator (exact sgn, sgn(0) = 0), the
 C¹ odd ramp s_δ of the regularized integrator, or the signs along an
-unperturbed orbit for the averaged pair.  Optional second-order
-remainders may be attached but play no role in the averaged functions.
+unperturbed orbit for the averaged pair.
 
 Periodic scalars are tagged data: ``const`` (a value), ``cos``/``sin``
 (amplitude and ω) or ``table`` (uniform grid, linear interpolation, at
@@ -31,7 +30,7 @@ import configparser
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
@@ -187,15 +186,12 @@ class PerturbationSpec:
 
     ``family`` selects which orbit family the forcing is resonant with and
     ``p`` how many times that orbit is traversed per forcing period.
-    ``R`` optionally holds the two second-order remainder maps
-    (tau, state, eps) → real for the y′ and w′ equations.
     """
 
     K: Tuple[PeriodicScalar, PeriodicScalar, PeriodicScalar, PeriodicScalar]
     F: Tuple[LinearForm, LinearForm, LinearForm, LinearForm]
     family: int = 1
     p: int = 1
-    R: Optional[Tuple[Callable, Callable]] = field(default=None)
 
     def __post_init__(self):
         if self.family not in (1, 2):

@@ -279,15 +279,16 @@ def _package_result(
     family: int,
     transform: JordanTransform,
     traj: Trajectory,
+    gap: np.ndarray,
+    residual: float,
 ) -> PoincareResult:
-    gap = traj.final_state - traj.initial_state
+    """Result for a completed run with its reduced-frame gap and residual."""
     jordan_gap = transform.forward @ gap
-    full = float(np.linalg.norm(gap))
     report = crossing_hypothesis_check(traj)
     return PoincareResult(
         epsilon=eps,
-        residual=abs(eps) * full,
-        residual_full=full,
+        residual=residual,
+        residual_full=float(np.linalg.norm(gap)),
         residual_family=float(np.linalg.norm(jordan_gap[_family_slice(family)])),
         gap=gap,
         jordan_gap=jordan_gap,
@@ -332,8 +333,6 @@ def poincare_residual(
     reduced: ReducedParams,
     spectral: SpectralData,
     eps: float,
-    *,
-    max_events: int = 100_000,
 ) -> PoincareResult:
     """Return-map gap of the reduced system over the resonant window.
 
@@ -353,13 +352,15 @@ def poincare_residual(
             (0.0, orbit.period_tau),
             rtol=VERIFY_RTOL,
             atol=VERIFY_ATOL,
-            max_events=max_events,
         )
     except PendavgError as exc:
         return _flagged_result(
             eps, str(exc), getattr(exc, "trajectory", None), code=exc.exit_code
         )
-    return _package_result(eps, orbit.family, transform, traj)
+    gap = traj.final_state - traj.initial_state
+    return _package_result(
+        eps, orbit.family, transform, traj, gap, abs(eps) * float(np.linalg.norm(gap))
+    )
 
 
 def refine_periodic(
@@ -534,7 +535,6 @@ def full_nonlinear_check(
             rtol=VERIFY_RTOL,
             atol=VERIFY_ATOL,
             max_step=max_step,
-            epsilon=eps,
         )
     except PendavgError as exc:
         return _flagged_result(
@@ -547,16 +547,6 @@ def full_nonlinear_check(
     else:
         # The frame map is linear, so it applies to the gap directly.
         gap_reduced = to_reduced_frame(gap_phi, eps, alpha)
-    jordan_gap = transform.forward @ gap_reduced
-    report = crossing_hypothesis_check(traj)
-    return PoincareResult(
-        epsilon=eps,
-        residual=float(np.linalg.norm(gap_phi)),
-        residual_full=float(np.linalg.norm(gap_reduced)),
-        residual_family=float(np.linalg.norm(jordan_gap[_family_slice(orbit.family)])),
-        gap=gap_reduced,
-        jordan_gap=jordan_gap,
-        events_ok=report.ok,
-        crossing=report,
-        trajectory=traj,
+    return _package_result(
+        eps, orbit.family, transform, traj, gap_reduced, float(np.linalg.norm(gap_phi))
     )

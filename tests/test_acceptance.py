@@ -19,7 +19,6 @@ from pendavg import (
     annulus_search,
     bifurcation_values,
     builtin,
-    classify,
     cli,
     crossing_hypothesis_check,
     epsilon_sweep,
@@ -36,7 +35,7 @@ from pendavg import (
     refine_periodic,
     spectral_data,
 )
-from pendavg.filippov import sliding_combination
+from pendavg.filippov import classify_surface_contact, d1_field, sliding_combination
 
 from .oracles import (
     corollary_radius,
@@ -292,13 +291,16 @@ def test_accept_7_filippov_semantics(bench):
     # one-sided level derivatives equal the velocity coordinates exactly
     rng = np.random.default_rng(707)
     lie_exact = True
+    d1 = d1_field(spec, reduced, 0.3)
     for _ in range(20):
         y, z, w = rng.uniform(-2, 2, size=3)
         tau = float(rng.uniform(0, 20))
-        cls = classify(spec, reduced, 0.3, tau, (0.0, y, z if abs(z) > 0.1 else 1.0, w), surface=1)
+        st = np.array([0.0, y, z if abs(z) > 0.1 else 1.0, w])
+        cls = classify_surface_contact(d1, tau, st, (0.0, float(np.sign(st[2]))), 0)
         lie_exact &= cls.lie_minus == y and cls.lie_plus == y
         x, y2, w2 = rng.uniform(-2, 2, size=3)
-        cls = classify(spec, reduced, 0.3, tau, (x if abs(x) > 0.1 else 1.0, y2, 0.0, w2), surface=2)
+        st = np.array([x if abs(x) > 0.1 else 1.0, y2, 0.0, w2])
+        cls = classify_surface_contact(d1, tau, st, (float(np.sign(st[0])), 0.0), 1)
         lie_exact &= cls.lie_minus == w2 and cls.lie_plus == w2
 
     # constructed sliding segment: the sliding field stays tangent

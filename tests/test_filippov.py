@@ -20,7 +20,6 @@ from pendavg import (
     PhysicalParams,
     TangencyError,
     builtin,
-    classify,
     crossing_hypothesis_check,
     export_events_csv,
     export_trajectory_csv,
@@ -31,14 +30,12 @@ from pendavg import (
     orbit_from_amplitude,
     reduce_params,
     require_transversal_crossings,
-    sliding_field,
     spectral_data,
 )
 from pendavg.filippov import (
-    SURFACES,
+    classify_surface_contact,
     classify_values,
     d1_field,
-    lie_derivative,
     sliding_combination,
 )
 
@@ -78,33 +75,15 @@ def test_pendulum_levels_are_one_sided_independent(bench):
     # surfaces can never produce a sliding segment on their own.
     reduced, s = bench
     spec = builtin("damped_forced_escapement", {"gamma": GAMMA, "kappa": 0.3}, s, family=1, p=1)
-    cls = classify(spec, reduced, 0.7, 1.3, (0.0, 0.45, 1.0, -0.2), surface=1)
+    field = d1_field(spec, reduced, 0.7)
+    cls = classify_surface_contact(field, 1.3, np.array([0.0, 0.45, 1.0, -0.2]), (0.0, 1.0), 0)
     assert cls.kind == "crossing"
     assert cls.lie_minus == 0.45
     assert cls.lie_plus == 0.45
-    cls = classify(spec, reduced, 0.7, 1.3, (0.5, 0.45, 0.0, -0.2), surface=2)
+    cls = classify_surface_contact(field, 1.3, np.array([0.5, 0.45, 0.0, -0.2]), (1.0, 0.0), 1)
     assert cls.kind == "crossing"
     assert cls.lie_minus == -0.2
     assert cls.lie_plus == -0.2
-
-
-def test_classify_picks_nearest_surface(bench):
-    reduced, s = bench
-    spec = damped_spec(s)
-    auto = classify(spec, reduced, 0.1, 0.0, (0.0, 0.4, 1.0, 0.2))
-    forced = classify(spec, reduced, 0.1, 0.0, (0.0, 0.4, 1.0, 0.2), surface=1)
-    assert auto == forced
-
-
-def test_classify_rejects_off_surface_state(bench):
-    reduced, s = bench
-    spec = damped_spec(s)
-    with pytest.raises(DomainError):
-        classify(spec, reduced, 0.1, 0.0, (0.3, 0.4, 1.0, 0.2))
-    with pytest.raises(DomainError):
-        classify(spec, reduced, 0.1, 0.0, (0.3, 0.4, 0.0, 0.2), surface=1)
-    with pytest.raises(DomainError):
-        classify(spec, reduced, 0.1, 0.0, (0.0, 0.4, 1.0, 0.2), surface=3)
 
 
 # -- the order-1 field -----------------------------------------------------
@@ -131,20 +110,6 @@ def test_d1_field_matches_manual_formula(bench):
             ]
         )
         assert np.allclose(val, ref, rtol=1e-14, atol=1e-14)
-
-
-def test_d1_field_second_order_remainder(bench):
-    import dataclasses
-
-    reduced, s = bench
-    spec = damped_spec(s)
-    with_r = dataclasses.replace(
-        spec, R=(lambda t, st, e: 2.0, lambda t, st, e: -1.0)
-    )
-    eps = 0.3
-    base = d1_field(spec, reduced, eps)(1.1, np.array([0.2, -0.4, 0.9, 0.1]), (1.0, 1.0))
-    full = d1_field(with_r, reduced, eps)(1.1, np.array([0.2, -0.4, 0.9, 0.1]), (1.0, 1.0))
-    assert np.allclose(full - base, eps * eps * np.array([0.0, 2.0, 0.0, -1.0]), atol=1e-15)
 
 
 # -- sliding algebra --------------------------------------------------------
@@ -178,13 +143,6 @@ def test_sliding_combination_degenerate():
 
     with pytest.raises(DegenerateSlidingError):
         sliding_combination(field, 0.0, np.array([0.0, 0.0, 1.0, 0.0]), (0.0, 1.0), 0)
-
-
-def test_sliding_field_requires_on_surface_state(bench):
-    reduced, s = bench
-    spec = damped_spec(s)
-    with pytest.raises(DomainError):
-        sliding_field(spec, reduced, 0.1, 0.0, (0.4, 0.1, 1.0, 0.0))
 
 
 # -- exactly solvable flow --------------------------------------------------
@@ -279,6 +237,40 @@ def test_synthetic_sliding_releases_when_one_side_relaxes():
     assert traj.segments[-1].signs == (-1.0, 1.0)
     assert traj.final_time == 5.0
     assert traj.final_state[0] < 0.0
+
+
+def test_sliding_segment_crosses_the_other_surface():
+    # slide on x = 0 while z' = -1 carries the state through z = 0 at t = 1;
+    # the sliding segment must leave z = 0 before it restarts
+    def field(t, state, signs):
+        return np.array([-signs[0] + 0.25 * math.cos(t), 0.0, -1.0, 0.0])
+
+    hit = brentq(lambda t: 0.5 - t + 0.25 * math.sin(t), 0.3, 1.2, xtol=1e-13)
+    traj = integrate_field(field, (0.5, 0.0, 1.0, 0.0), (0.0, 3.0))
+    assert [(ev.surface, ev.kind) for ev in traj.events] == [(1, "sliding"), (2, "crossing")]
+    assert traj.events[0].time == pytest.approx(hit, abs=1e-8)
+    assert traj.events[1].time == pytest.approx(1.0, abs=1e-10)
+    assert traj.final_time == 3.0
+    assert np.allclose(traj.final_state, [0.0, 0.0, -2.0, 0.0], atol=1e-9)
+    assert traj.final_state[0] == 0.0
+    last = traj.segments[-1]
+    assert last.sliding_surface == 1
+    assert last.signs == (0.0, -1.0)
+
+
+@pytest.mark.parametrize(
+    "field, s0",
+    [
+        # sliding on x = 0 reaches z = 0, where z' = -sgn(z) would slide too
+        (lambda t, st, g: np.array([-g[0] + 0.25 * math.cos(t), 0.0, -g[1], 0.0]), (0.5, 0.0, 1.0, 0.0)),
+        # x and z reach zero together at t = 0.5 and both contacts slide
+        (lambda t, st, g: np.array([-g[0], 0.0, -g[1], 0.0]), (0.5, 0.0, 0.5, 0.0)),
+    ],
+    ids=["sliding-meets-sliding", "sliding-corner"],
+)
+def test_codimension_two_sliding_raises(field, s0):
+    with pytest.raises(TangencyError, match="codimension two"):
+        integrate_field(field, s0, (0.0, 3.0))
 
 
 # -- tangency resolution -----------------------------------------------------

@@ -141,10 +141,16 @@ def test_poincare_residual_internal_relations(bench, damped):
     assert res.residual_family < 1e-10
 
 
-def test_poincare_residual_flags_integration_failure(bench, damped):
+def test_poincare_residual_flags_integration_failure(bench, damped, monkeypatch):
     reduced, s, _ = bench
     spec, _, orbit = damped
-    res = poincare_residual(orbit, spec, reduced, s, 1e-3, max_events=1)
+
+    def stalling(*args, **kwargs):
+        # a one-event budget stalls the integration and attaches its partial trajectory
+        return integrate(*args, **dict(kwargs, max_events=1))
+
+    monkeypatch.setattr(verify_module, "integrate", stalling)
+    res = poincare_residual(orbit, spec, reduced, s, 1e-3)
     assert res.flag is not None
     assert res.flag_code == 6
     assert math.isnan(res.residual)
