@@ -211,9 +211,9 @@ def main() -> int:
         from pendavg import (
             BifurcationSystem,
             PhysicalParams,
+            annulus_search,
             builtin,
             monodromy_lower_block,
-            newton_zero,
             reduce_params,
             spectral_data,
         )
@@ -226,8 +226,8 @@ def main() -> int:
         print(f"package monodromy det (p=1) = {det!r}")
         pert = builtin("damped_forced", {"gamma": gamma}, spec_data, family=1, p=1)
         system = BifurcationSystem(1, pert, red, spec_data, "A")
-        res = newton_zero(system, np.array([0.1, 0.3]))
-        print(f"package damped_forced zero = {res.certificate.point!r}")
+        (zero,) = annulus_search(system, 0.05, 2.0, 12)
+        print(f"package damped_forced zero = {zero.point!r}, det = {zero.det!r}")
         pert_esc = builtin(
             "damped_forced_escapement",
             {"gamma": gamma, "kappa": kappa},
@@ -236,8 +236,8 @@ def main() -> int:
             p=1,
         )
         system_esc = BifurcationSystem(1, pert_esc, red, spec_data, "A")
-        res_esc = newton_zero(system_esc, np.array(anchor))
-        print(f"package escapement zero = {res_esc.certificate.point!r}")
+        (zero_esc,) = annulus_search(system_esc, 0.05, 2.0, 12)
+        print(f"package escapement zero = {zero_esc.point!r}")
     return 0
 
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 import argparse
 import math
 
-import numpy as np
-
 from pendavg import (
     BifurcationSystem,
     PhysicalParams,
@@ -46,7 +44,7 @@ R1, R2 = 0.05, 2.0
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--grid", type=int, default=12,
-                        help="polar lattice size per annulus axis (default 12)")
+                        help="angular resolution of the zero search (default 12)")
     parser.add_argument("--out", default=None,
                         help="write the full summary as deterministic JSON")
     args = parser.parse_args()
@@ -55,7 +53,6 @@ def main() -> int:
     reduced = reduce_params(phys)
     s = spectral_data(reduced)
     transform = jordan_transform(reduced, s)
-    rng = np.random.default_rng(0)
 
     summary = []
     verdict_rows = []
@@ -64,7 +61,7 @@ def main() -> int:
         per_convention = {}
         for convention in ("A", "B"):
             system = BifurcationSystem(1, spec, reduced, s, convention)
-            certs = annulus_search(system, R1, R2, args.grid, rng=rng)
+            certs = annulus_search(system, R1, R2, args.grid)
             print(f"\n== {name}, convention {convention}: "
                   f"{len(certs)} zero(s) in [{R1}, {R2}] ==")
             entries = []

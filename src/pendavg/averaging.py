@@ -26,8 +26,13 @@ Quadrature is per-panel Gauss–Legendre with panels split at the sgn
 breakpoints, refined by doubling until two successive levels agree.
 Writing the sgn argument as c₀·cos(ωτ) + c₁·sin(ωτ), the breakpoints are
 τ_k = (atan2(c₁, c₀) + π/2 + kπ)/ω, clipped to the window.
-A damped Newton iteration certifies simple zeros; an annulus lattice
-search enumerates them.
+The orbit is linear in the amplitude and the sgn pattern depends only on
+its direction, so G is affine along every ray: G(r·e_θ) = r·L(θ) + C(θ)
+with L = G(2e_θ) − G(e_θ) and C = 2G(e_θ) − G(2e_θ).  The zeros of G are
+therefore the roots of the scalar h(θ) = det[L(θ), C(θ)], each at radius
+r* = −⟨L, C⟩/‖L‖².  The annulus search scans h on an angle grid, refines
+each sign change by Brent's method, and certifies a zero by
+det J = h′(θ*)/r*; the sign of h′ is the zero's Brouwer index.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import DomainError, NumericalError, QuadratureError
 from .model import (
@@ -53,22 +59,18 @@ __all__ = [
     "BifurcationSystem",
     "QuadraturePartition",
     "ZeroCertificate",
-    "NewtonResult",
     "find_sign_changes",
     "averaged_integrand",
     "bifurcation_values",
-    "jacobian",
-    "newton_zero",
     "annulus_search",
 ]
 
 GAUSS_ORDER = 16
 MAX_REFINE_LEVELS = 12
 QUADRATURE_RTOL = 1e-10
-NEWTON_MAX_ITER = 50
-NEWTON_RTOL = 1e-9
 SIMPLICITY_RTOL = 1e-8
-DEDUPE_TOL = 1e-6
+ANGLES_PER_GRID = 4
+ANGLE_STEP = 1e-6
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
@@ -122,25 +124,13 @@ class QuadraturePartition:
 
 @dataclass(frozen=True, eq=False)
 class ZeroCertificate:
-    """A located zero with Jacobian evidence."""
+    """A located zero with its Jacobian determinant and Brouwer index."""
 
     point: Tuple[float, float]
     value_norm: float
-    jacobian: np.ndarray
     det: float
+    index: int
     simple: bool
-
-
-@dataclass(frozen=True, eq=False)
-class NewtonResult:
-    """Outcome report of a damped Newton run."""
-
-    converged: bool
-    status: str  # "converged" | "no-convergence" | "trivial-basin"
-    certificate: Optional[ZeroCertificate]
-    point: Tuple[float, float]
-    value_norm: float
-    iterations: int
 
 
 def _sgn_coefficients(amp, convention: str):
@@ -241,147 +231,87 @@ def bifurcation_values(sys: BifurcationSystem, amp) -> np.ndarray:
     return _adaptive_gauss(f, partition.panel_edges())
 
 
-def jacobian(sys: BifurcationSystem, amp) -> np.ndarray:
-    """Central finite-difference Jacobian of the averaged pair at ``amp``."""
-    amp = np.asarray(amp, dtype=float)
-    h = max(1e-6, 1e-6 * float(np.linalg.norm(amp)))
-    jac = np.empty((2, 2))
-    for j in range(2):
-        step = np.zeros(2)
-        step[j] = h
-        jac[:, j] = (bifurcation_values(sys, amp + step) - bifurcation_values(sys, amp - step)) / (2.0 * h)
-    return jac
+def _ray_pair(sys: BifurcationSystem, theta: float):
+    """(L, C) with G(r·e_θ) = r·L + C for every r > 0."""
+    unit = np.array([math.cos(theta), math.sin(theta)])
+    g1 = bifurcation_values(sys, unit)
+    g2 = bifurcation_values(sys, 2.0 * unit)
+    return g2 - g1, 2.0 * g1 - g2
 
 
-def _certificate(sys: BifurcationSystem, amp: np.ndarray, value_norm: float, scale: float) -> ZeroCertificate:
-    jac = jacobian(sys, amp)
-    det = float(np.linalg.det(jac))
-    norm2 = float(amp @ amp)
+def _ray_det(sys: BifurcationSystem, theta: float) -> float:
+    """h(θ) = det[L(θ), C(θ)]: zero exactly where a ray carries a zero of G."""
+    lin, const = _ray_pair(sys, theta)
+    return float(lin[0] * const[1] - lin[1] * const[0])
+
+
+def _certificate(sys: BifurcationSystem, theta: float, r1: float, r2: float,
+                 scale: float) -> Optional[ZeroCertificate]:
+    """Certificate of the zero on the ray θ, a root of h, if it lies in (r1, r2)."""
+    lin, const = _ray_pair(sys, theta)
+    norm2 = float(lin @ lin)
+    if norm2 == 0.0:
+        return None
+    radius = -float(lin @ const) / norm2
+    if not r1 < radius < r2:
+        return None
+    point = radius * np.array([math.cos(theta), math.sin(theta)])
+    value_norm = float(np.linalg.norm(bifurcation_values(sys, point)))
+    slope = (_ray_det(sys, theta + ANGLE_STEP) - _ray_det(sys, theta - ANGLE_STEP)) / (2.0 * ANGLE_STEP)
+    # At a zero h'(θ) = det[L, r·L' + C'] = r·det J.
+    det = slope / radius
     simple = (
-        norm2 > 0.0
-        and value_norm <= NEWTON_RTOL * scale
-        and abs(det) > SIMPLICITY_RTOL * scale * scale / norm2
+        value_norm <= SIMPLICITY_RTOL * scale
+        and abs(det) > SIMPLICITY_RTOL * scale * scale / (radius * radius)
     )
     return ZeroCertificate(
-        point=(float(amp[0]), float(amp[1])),
+        point=(float(point[0]), float(point[1])),
         value_norm=value_norm,
-        jacobian=jac,
         det=det,
+        index=int(np.sign(slope)),
         simple=simple,
     )
 
 
-def _default_scale(sys: BifurcationSystem, start: np.ndarray) -> float:
-    radius = float(np.linalg.norm(start))
-    angles = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
-    best = float(np.linalg.norm(bifurcation_values(sys, start)))
-    for ang in angles:
-        pt = radius * np.array([math.cos(ang), math.sin(ang)])
-        best = max(best, float(np.linalg.norm(bifurcation_values(sys, pt))))
-    return best if best > 0.0 else 1.0
+def annulus_search(sys: BifurcationSystem, r1: float, r2: float, grid: int) -> list:
+    """Zeros of the averaged pair in the annulus r1 < |amp| < r2, sorted by point.
 
-
-def newton_zero(sys: BifurcationSystem, start, *, scale: Optional[float] = None,
-                r1: float = 0.0) -> NewtonResult:
-    """Damped Newton iteration on the averaged pair from ``start``.
-
-    Converges to ``NEWTON_RTOL``·scale in the value norm, where ``scale``
-    defaults to the largest value norm seen on a circle through ``start``.
-    Iterates that fall below radius ``r1`` are reported as trivial-basin.
-    """
-    amp = np.asarray(start, dtype=float).copy()
-    if float(np.linalg.norm(amp)) == 0.0:
-        raise DomainError("Newton start must be away from the origin")
-    if scale is None:
-        scale = _default_scale(sys, amp)
-    tol = NEWTON_RTOL * scale
-    value = bifurcation_values(sys, amp)
-    vnorm = float(np.linalg.norm(value))
-    stagnant = 0
-    for iteration in range(1, NEWTON_MAX_ITER + 1):
-        # the exclusion radius wins: zeros inside it are trivial by decree
-        if float(np.linalg.norm(amp)) < r1:
-            return NewtonResult(False, "trivial-basin", None,
-                                (float(amp[0]), float(amp[1])), vnorm, iteration - 1)
-        if vnorm <= tol:
-            cert = _certificate(sys, amp, vnorm, scale)
-            return NewtonResult(True, "converged", cert, cert.point, vnorm, iteration - 1)
-        jac = jacobian(sys, amp)
-        try:
-            step = np.linalg.solve(jac, -value)
-        except np.linalg.LinAlgError:
-            return NewtonResult(False, "no-convergence", None,
-                                (float(amp[0]), float(amp[1])), vnorm, iteration - 1)
-        lam = 1.0
-        improved = False
-        for _ in range(20):
-            trial = amp + lam * step
-            if float(np.linalg.norm(trial)) < 1e-12:
-                trial = trial + 1e-12 * np.array([1.0, 0.0])
-            trial_value = bifurcation_values(sys, trial)
-            trial_norm = float(np.linalg.norm(trial_value))
-            if trial_norm < vnorm * (1.0 - 1e-4 * lam) or trial_norm <= tol:
-                amp, value, vnorm = trial, trial_value, trial_norm
-                improved = True
-                break
-            lam *= 0.5
-        if not improved:
-            stagnant += 1
-            if stagnant >= 3:
-                return NewtonResult(False, "no-convergence", None,
-                                    (float(amp[0]), float(amp[1])), vnorm, iteration)
-        else:
-            stagnant = 0
-    if float(np.linalg.norm(amp)) < r1:
-        return NewtonResult(False, "trivial-basin", None,
-                            (float(amp[0]), float(amp[1])), vnorm, NEWTON_MAX_ITER)
-    if vnorm <= tol:
-        cert = _certificate(sys, amp, vnorm, scale)
-        return NewtonResult(True, "converged", cert, cert.point, vnorm, NEWTON_MAX_ITER)
-    return NewtonResult(False, "no-convergence", None,
-                        (float(amp[0]), float(amp[1])), vnorm, NEWTON_MAX_ITER)
-
-
-def annulus_search(sys: BifurcationSystem, r1: float, r2: float, grid: int,
-                   *, rng: Optional[np.random.Generator] = None) -> list:
-    """Newton search from a grid×grid polar lattice over the annulus.
-
-    Returns the distinct converged certificates, deduplicated within
-    ``DEDUPE_TOL`` and sorted by point.  ``rng`` optionally jitters the
-    lattice.
+    G is affine along every ray, so a ray θ carries a zero exactly where
+    h(θ) = det[L(θ), C(θ)] vanishes, at radius r* = −⟨L, C⟩/‖L‖².  h is
+    sampled on ``ANGLES_PER_GRID``·``grid`` equally spaced angles and each
+    sign change is refined by Brent's method.  A zero is simple when ‖G‖
+    there is at most ``SIMPLICITY_RTOL`` times the largest ‖G‖ on the outer
+    circle and |det J| is above ``SIMPLICITY_RTOL`` times that scale
+    squared over r*².
     """
     if not (0.0 < r1 < r2):
         raise DomainError(f"need 0 < r1 < r2, got r1={r1!r}, r2={r2!r}")
     if grid < 8:
         raise DomainError(f"grid must be at least 8, got {grid!r}")
-    radii = r1 + (r2 - r1) * (np.arange(grid) + 0.5) / grid
-    angles = 2.0 * math.pi * np.arange(grid) / grid
-    jitter_r = np.zeros((grid, grid))
-    jitter_a = np.zeros((grid, grid))
-    if rng is not None:
-        jitter_r = rng.uniform(-0.25, 0.25, size=(grid, grid)) * (r2 - r1) / grid
-        jitter_a = rng.uniform(-0.25, 0.25, size=(grid, grid)) * (2.0 * math.pi / grid)
-    starts = []
-    for i in range(grid):
-        for j in range(grid):
-            r = min(max(radii[i] + jitter_r[i, j], r1 * (1.0 + 1e-9)), r2 * (1.0 - 1e-9))
-            ang = angles[j] + jitter_a[i, j]
-            starts.append(np.array([r * math.cos(ang), r * math.sin(ang)]))
-
-    scale = max(float(np.linalg.norm(bifurcation_values(sys, s0))) for s0 in starts)
+    n = ANGLES_PER_GRID * grid
+    thetas = 2.0 * math.pi * np.arange(n + 1) / n
+    pairs = [_ray_pair(sys, float(theta)) for theta in thetas[:-1]]
+    scale = max(float(np.linalg.norm(r2 * lin + const)) for lin, const in pairs)
     if scale <= 0.0:
         return []
+    h = [float(lin[0] * const[1] - lin[1] * const[0]) for lin, const in pairs]
+    h.append(h[0])
+    # Brent evaluates the bracket ends again; hand it the scanned values.
+    scanned = dict(zip(thetas.tolist(), h))
+
+    def ray_det(theta: float) -> float:
+        return scanned[theta] if theta in scanned else _ray_det(sys, theta)
 
     certificates = []
-    for s0 in starts:
-        res = newton_zero(sys, s0, scale=scale, r1=r1)
-        if not res.converged or res.certificate is None:
+    for i in range(n):
+        if h[i] == 0.0:
+            theta = float(thetas[i])
+        elif h[i] * h[i + 1] < 0.0:
+            theta = brentq(ray_det, thetas[i], thetas[i + 1])
+        else:
             continue
-        pt = np.array(res.certificate.point)
-        if float(np.linalg.norm(pt)) <= r1:
-            continue
-        if any(np.linalg.norm(pt - np.array(c.point)) < DEDUPE_TOL for c in certificates):
-            continue
-        certificates.append(res.certificate)
+        cert = _certificate(sys, theta, r1, r2, scale)
+        if cert is not None:
+            certificates.append(cert)
     certificates.sort(key=lambda c: (c.point[0], c.point[1]))
     return certificates

@@ -4,8 +4,8 @@ Subcommands: ``params`` (spectral constants and the resonance check),
 ``zeros`` (annulus search for simple zeros of the averaged pair),
 ``verify`` (per-zero ε-sweep with scaling fit), ``simulate`` (a single
 event-driven or regularized trajectory).  All floating-point output is
-printed with 17 significant digits so reruns with the same config and
-seed are byte-identical.
+printed with 17 significant digits so reruns with the same config are
+byte-identical.
 
 Exit codes: 0 success, 2 resonance degeneracy, 3 no (validated) zero,
 4 quadrature failure, 5 crossing-hypothesis violation, 6 integration
@@ -131,7 +131,6 @@ class ExperimentConfig:
     family: int
     p: int
     convention: str
-    seed: int
     builtin_name: Optional[str]
     builtin_params: Dict[str, float]
     perturbation_file: Optional[Path]
@@ -238,7 +237,7 @@ def load_config(
     cfg_family = value("model", "family", 1, int)
     cfg_p = value("model", "p", 1, int)
     cfg_convention = get("model", "convention", "A").strip().upper()
-    seed = value("model", "seed", 0, int)
+    value("model", "seed", 0, int)  # accepted for older files; it has no effect
     builtin_params = {
         key: value("perturbation", key, None)
         for key in parser["perturbation"]
@@ -266,7 +265,6 @@ def load_config(
         family=final_family,
         p=cfg_p,
         convention=final_convention,
-        seed=seed,
         builtin_name=builtin_name,
         builtin_params=builtin_params,
         perturbation_file=(path.parent / pert_file) if pert_file else None,
@@ -333,6 +331,7 @@ def _certificates_payload(certs: Sequence[ZeroCertificate]) -> list:
             "point": list(c.point),
             "value_norm": c.value_norm,
             "det": c.det,
+            "index": c.index,
             "simple": c.simple,
         }
         for c in certs
@@ -351,8 +350,7 @@ def _run_zero_search(config: ExperimentConfig, convention: Optional[str] = None)
         spectral=s,
         sgn_convention=convention or config.convention,
     )
-    rng = np.random.default_rng(config.seed)
-    certs = annulus_search(system, config.r1, config.r2, config.grid, rng=rng)
+    certs = annulus_search(system, config.r1, config.r2, config.grid)
     return system, certs
 
 

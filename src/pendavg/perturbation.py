@@ -44,7 +44,6 @@ __all__ = [
     "PeriodicScalar",
     "LinearForm",
     "PerturbationSpec",
-    "common_period",
     "eval_order1_with_signs",
     "smooth_sign",
     "builtin",
@@ -235,32 +234,6 @@ class PerturbationSpec:
                     f"component period {period!r} does not divide the averaging "
                     f"window p·T = {window!r} (ratio {ratio!r})"
                 )
-
-
-def common_period(ratios: Sequence, base_period: float):
-    """Common traversal count and window from resonance ratios p_i:q_i.
-
-    Each ratio may be a Fraction, an (p, q) pair, or a string "p:q"; it is
-    normalized to lowest terms.  Returns (p, p·base_period) with p the lcm
-    of the numerators.
-    """
-    if not ratios:
-        raise DomainError("common_period needs at least one resonance ratio")
-    numerators = []
-    for r in ratios:
-        if isinstance(r, str):
-            num, _, den = r.partition(":")
-            frac = Fraction(int(num), int(den or "1"))
-        elif isinstance(r, Fraction):
-            frac = r
-        else:
-            num, den = r
-            frac = Fraction(int(num), int(den))
-        if frac <= 0:
-            raise DomainError(f"resonance ratio must be positive, got {r!r}")
-        numerators.append(frac.numerator)
-    p = math.lcm(*numerators)
-    return p, p * base_period
 
 
 def _fold(scalar: PeriodicScalar):

@@ -358,9 +358,8 @@ def poincare_residual(
             eps, str(exc), getattr(exc, "trajectory", None), code=exc.exit_code
         )
     gap = traj.final_state - traj.initial_state
-    return _package_result(
-        eps, orbit.family, transform, traj, gap, abs(eps) * float(np.linalg.norm(gap))
-    )
+    residual = float(np.linalg.norm(to_physical_frame(gap, eps, reduced.alpha)))
+    return _package_result(eps, orbit.family, transform, traj, gap, residual)
 
 
 def refine_periodic(

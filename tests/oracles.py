@@ -5,10 +5,11 @@ eigensolvers instead of closed-form frequencies, matrix exponentials
 instead of rotation-block propagators, dense breakpoint-split trapezoid
 sums instead of adaptive panels, hand-written averaged closed forms
 refined by a local Newton loop, the unfolded term-by-term forcing sum, a
-scan-and-bisect search for the sgn breakpoints, and the generic
-fundamental-matrix average.  Tests compare package output against
-these values; the frozen literals in the suite come from
-``scripts/derive_oracles.py``.
+scan-and-bisect search for the sgn breakpoints, the generic
+fundamental-matrix average, and a Cartesian finite-difference Jacobian of
+the averaged pair instead of the angular derivative along a ray.  Tests
+compare package output against these values; the frozen literals in the
+suite come from ``scripts/derive_oracles.py``.
 """
 
 from __future__ import annotations
@@ -222,6 +223,22 @@ def scan_sign_changes(amp, family, convention, s, p):
     if vals[-1] == 0.0:
         zeros.append(grid[-1])
     return sorted(zeros)
+
+
+def jacobian(system, amp) -> np.ndarray:
+    """Central finite-difference Jacobian of the averaged pair at ``amp``,
+    step max(1e-6, 1e-6·|amp|) along each Cartesian axis."""
+    from pendavg import bifurcation_values
+
+    amp = np.asarray(amp, dtype=float)
+    h = max(1e-6, 1e-6 * float(np.linalg.norm(amp)))
+    jac = np.empty((2, 2))
+    for j in range(2):
+        step = np.zeros(2)
+        step[j] = h
+        jac[:, j] = (bifurcation_values(system, amp + step)
+                     - bifurcation_values(system, amp - step)) / (2.0 * h)
+    return jac
 
 
 def malkin_average(g1, s, orbit, window, family=1, breakpoints=()):

@@ -370,11 +370,11 @@ def test_accept_9_full_nonlinear_consistency(bench):
     half = full_nonlinear_check(orbit, BENCH, spec, eps / 2.0)
     factor = full.residual / truncated.residual
     halving = full.residual / half.residual
-    ok = 0.5 <= factor <= 2.0 and 3.5 <= halving <= 4.5
+    ok = abs(factor - 1.0) <= 1e-3 and 3.5 <= halving <= 4.5
     report(
         9,
         ok,
-        f"full/truncated residual ratio {factor:.3f} at eps 1e-3, "
+        f"full/truncated residual ratio {factor:.6f} at eps 1e-3, "
         f"halving ratio {halving:.3f}",
     )
     assert ok

@@ -17,9 +17,7 @@ from pendavg import (
     builtin,
     eval_order1_with_signs,
     find_sign_changes,
-    jacobian,
     jordan_transform,
-    newton_zero,
     reduce_params,
     spectral_data,
     unperturbed_orbit,
@@ -27,6 +25,7 @@ from pendavg import (
 
 from .oracles import (
     escapement_closed_pair,
+    jacobian,
     malkin_average,
     scan_sign_changes,
     trapezoid_bifurcation,
@@ -35,6 +34,11 @@ from .oracles import (
 BENCH = PhysicalParams(1.0, 1.0, 1.0, 1.0, 9.8)
 GAMMA = 0.5
 KAPPA = 0.05
+BUILTINS = (
+    ("damped_forced", {"gamma": GAMMA}),
+    ("damped_forced_escapement", {"gamma": GAMMA, "kappa": KAPPA}),
+    ("corollary_escapement", {"sigma_d": 1.0, "sigma_e": 1.0}),
+)
 
 
 @pytest.fixture(scope="module")
@@ -278,32 +282,50 @@ def test_jacobian_matches_closed_form(bench):
     assert np.allclose(jac, sd * t1 * np.diag([1.0, -1.0]), rtol=1e-6, atol=1e-6)
 
 
-def test_newton_zero_damped_forced(bench):
+def test_averaged_pair_is_affine_along_rays(bench):
+    # The orbit is linear in the amplitude and the sgn pattern depends only
+    # on its direction: G(r·e) = r·L + C with L, C taken at radii 1 and 2.
+    reduced, s = bench
+    rng = np.random.default_rng(17)
+    systems = []
+    for _ in range(40):
+        family = int(rng.integers(1, 3))
+        p = int(rng.integers(1, 3))
+        conv = "A" if rng.uniform() < 0.5 else "B"
+        systems.append(BifurcationSystem(family, random_spec(rng, s, family, p), reduced, s, conv))
+    for name, params in BUILTINS:
+        for family in (1, 2):
+            for conv in ("A", "B"):
+                spec = builtin(name, params, s, family=family, p=1)
+                systems.append(BifurcationSystem(family, spec, reduced, s, conv))
+    for sys in systems:
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        unit = np.array([math.cos(theta), math.sin(theta)])
+        g1, g2 = bifurcation_values(sys, unit), bifurcation_values(sys, 2.0 * unit)
+        lin, const = g2 - g1, 2.0 * g1 - g2
+        for r in rng.uniform(0.05, 3.0, size=2):
+            val = bifurcation_values(sys, r * unit)
+            size = max(np.linalg.norm(val), r * np.linalg.norm(lin), np.linalg.norm(const))
+            assert np.linalg.norm(val - (r * lin + const)) <= 1e-12 * size, (sys.spec, theta, r)
+
+
+def test_annulus_search_det_matches_oracle_jacobian(bench):
     reduced, s = bench
     sys = system_for("damped_forced", {"gamma": GAMMA}, reduced, s)
-    res = newton_zero(sys, np.array([0.4, 0.1]))
-    assert res.converged and res.status == "converged"
-    cert = res.certificate
+    (cert,) = annulus_search(sys, 0.05, 2.0, 12)
     assert cert.simple
-    ybar = reduced.b * GAMMA / math.sqrt(s.delta)
-    assert np.allclose(cert.point, [0.0, ybar], atol=1e-8)
+    oracle = float(np.linalg.det(jacobian(sys, np.array(cert.point))))
+    assert cert.det == pytest.approx(oracle, rel=1e-5)
     assert cert.det == pytest.approx(-s.delta * s.period(1) ** 2, rel=1e-5)
+    assert cert.index == np.sign(cert.det)
 
 
-def test_newton_zero_trivial_basin(bench):
+def test_annulus_search_unforced_is_empty(bench):
     reduced, s = bench
-    # without forcing the only zero is the origin, excluded by the annulus
+    # without forcing C ≡ 0, so h ≡ 0 and every root of h puts r* at the
+    # excluded origin
     sys = system_for("damped_forced", {"gamma": 0.0}, reduced, s)
-    res = newton_zero(sys, np.array([0.3, 0.2]), r1=0.05)
-    assert not res.converged
-    assert res.status == "trivial-basin"
-
-
-def test_newton_zero_validates_start(bench):
-    reduced, s = bench
-    sys = system_for("damped_forced", {"gamma": GAMMA}, reduced, s)
-    with pytest.raises(DomainError):
-        newton_zero(sys, np.array([0.0, 0.0]))
+    assert annulus_search(sys, 0.05, 2.0, 12) == []
 
 
 def test_annulus_search_damped_forced(bench):
@@ -334,16 +356,11 @@ def test_annulus_search_corollary_zero_sets(bench):
     assert annulus_search(sys_a, 0.2, 3.0, 12) == []
 
 
-def test_annulus_search_deterministic_and_parallel(bench):
+def test_annulus_search_deterministic(bench):
     reduced, s = bench
     sys = system_for("damped_forced", {"gamma": GAMMA}, reduced, s)
-
-    def run():
-        rng = np.random.default_rng(3)
-        return annulus_search(sys, 0.05, 2.0, 8, rng=rng)
-
-    first, second = run(), run()
-    assert [c.point for c in first] == [c.point for c in second]
+    first, second = annulus_search(sys, 0.05, 2.0, 8), annulus_search(sys, 0.05, 2.0, 8)
+    assert [(c.point, c.det, c.index) for c in first] == [(c.point, c.det, c.index) for c in second]
 
 
 def test_annulus_search_validates_arguments(bench):

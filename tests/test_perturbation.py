@@ -11,7 +11,6 @@ from pendavg import (
     PerturbationSpec,
     PhysicalParams,
     builtin,
-    common_period,
     eval_order1_with_signs,
     perturbation_from_file,
     reduce_params,
@@ -118,18 +117,6 @@ def test_validate_against_window():
     )
     with pytest.raises(DomainError):
         bad.validate_against(s)
-
-
-def test_common_period():
-    assert common_period(["1:1", "2:3"], 5.0) == (2, 10.0)
-    assert common_period([(3, 2), "1:4"], 1.0) == (3, 3.0)
-    from fractions import Fraction
-
-    assert common_period([Fraction(6, 4)], 2.0) == (3, 6.0)
-    with pytest.raises(DomainError):
-        common_period([], 1.0)
-    with pytest.raises(DomainError):
-        common_period(["-1:2"], 1.0)
 
 
 @given(

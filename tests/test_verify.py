@@ -26,7 +26,6 @@ from pendavg import (
     fit_exponent,
     full_nonlinear_check,
     jordan_transform,
-    newton_zero,
     orbit_from_amplitude,
     poincare_residual,
     predicted_initial_state,
@@ -58,7 +57,7 @@ def damped(bench):
     reduced, s, transform = bench
     spec = builtin("damped_forced", {"gamma": GAMMA}, s, family=1, p=1)
     sys = BifurcationSystem(1, spec, reduced, s, "A")
-    cert = newton_zero(sys, np.array([0.1, 0.4])).certificate
+    (cert,) = annulus_search(sys, 0.05, 2.0, 8)
     orbit = predicted_initial_state(cert, 1, transform, s, reduced)
     return spec, cert, orbit
 
@@ -130,7 +129,11 @@ def test_poincare_residual_internal_relations(bench, damped):
     eps = 1e-3
     res = poincare_residual(orbit, spec, reduced, s, eps)
     assert res.flag is None and res.flag_code == 0
-    assert res.residual == abs(eps) * res.residual_full
+    # pendulum-frame gap: angles scale by eps, velocities by eps/alpha
+    alpha = reduced.alpha
+    physical_gap = eps * res.gap / np.array([1.0, alpha, 1.0, alpha])
+    assert res.residual == pytest.approx(float(np.linalg.norm(physical_gap)), rel=1e-15)
+    assert res.residual_full == float(np.linalg.norm(res.gap))
     assert np.allclose(res.jordan_gap, transform.forward @ res.gap, rtol=1e-12, atol=1e-15)
     assert res.residual_family == pytest.approx(
         float(np.linalg.norm(res.jordan_gap[:2])), rel=1e-15
@@ -195,8 +198,9 @@ def test_refine_stops_at_first_non_contracting_step(bench, monkeypatch):
     )
     sys_b = BifurcationSystem(1, spec, reduced, s, "B")
     rstar = corollary_radius(reduced.a, reduced.b)
-    cert = newton_zero(sys_b, np.array([1.1 * rstar, 0.1])).certificate
+    cert = annulus_search(sys_b, 0.2, 3.0, 8)[-1]
     assert cert.simple
+    assert np.allclose(cert.point, [rstar, 0.0], atol=1e-8)
     orbit = predicted_initial_state(cert, 1, transform, s, reduced)
     calls = []
 
