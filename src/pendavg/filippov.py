@@ -3,13 +3,17 @@
 The discontinuity set is the union of the two coordinate hyperplanes
 ``x = 0`` (surface 1, state index 0) and ``z = 0`` (surface 2, state
 index 2); surface k + 1 is the level of state index 2k.  The trajectory
-is a chain of segments, each integrated with an adaptive Runge-Kutta
-scheme by the same step: leave the surfaces the last event put the
-state on, integrate to the next terminal event, append the segment.  A
-segment either follows the field with frozen region signs until a level
-crosses zero, or slides on one surface along the tangent convex
-combination of the one-sided fields (Filippov 1988) until a one-sided
-level derivative vanishes or the other level crosses zero.
+is a chain of segments, each integrated by the same step: leave the
+surfaces the last event put the state on, integrate to the next
+terminal event, append the segment.  A segment either follows the field
+with frozen region signs until a level crosses zero, or slides on one
+surface along the tangent convex combination of the one-sided fields
+(Filippov 1988) until a one-sided level derivative vanishes or the
+other level crosses zero.
+
+Segments are integrated with DOP853, the adaptive 8(5,3) Dormand–Prince
+pair (Hairer, Nørsett & Wanner, *Solving Ordinary Differential
+Equations I*, §II.10), and events are located on its dense output.
 
 Every surface contact goes through one resolver, which classifies it
 through the one-sided Lie derivatives and switches the region sign
@@ -48,6 +52,8 @@ STALL_RUN = 50
 DEFAULT_MAX_EVENTS = 100_000
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
+# The Runge-Kutta pair of every segment and of the regularized run.
+SOLVER_METHOD = "DOP853"
 # Escalating micro-step sizes used to leave a surface after an event.
 _RESTART_STEPS = (1e-12, 1e-10, 1e-8, 1e-6)
 
@@ -498,7 +504,7 @@ class _Integrator:
             rhs,
             (t_run, self.t1),
             s_run,
-            method="RK45",
+            method=SOLVER_METHOD,
             dense_output=True,
             events=events,
             rtol=self.rtol,
@@ -643,7 +649,7 @@ def integrate_regularized(
         rhs,
         (float(t_span[0]), float(t_span[1])),
         np.array(s0, dtype=float),
-        method="RK45",
+        method=SOLVER_METHOD,
         dense_output=True,
         rtol=rtol,
         atol=atol,

@@ -55,6 +55,12 @@ FAMILY_NOISE_FLOOR = 1e-10
 FAMILY_EXPONENT_MIN = 1.5
 VERIFY_RTOL = 1e-12
 VERIFY_ATOL = 1e-14
+# Why a rung's refinement gave no limit gap; null on a converged rung.
+NOT_CONTRACTING = "not contracting"
+BUDGET_EXHAUSTED = "iteration budget exhausted"
+DEGENERATE_SHOOTING = "degenerate shooting matrix"
+INTEGRATION_FAILED = "integration failed"
+PREDICTION_FLAGGED = "prediction run flagged"
 
 
 @dataclass(frozen=True)
@@ -103,22 +109,32 @@ class PoincareResult:
 
 @dataclass(frozen=True)
 class RefinementResult:
-    """Newton-shooting fixed point of the return map."""
+    """Newton-shooting fixed point of the return map.
+
+    ``reason`` is None when converged, otherwise `NOT_CONTRACTING` or
+    `BUDGET_EXHAUSTED`.
+    """
 
     state: np.ndarray
     residual: float
     iterations: int
     converged: bool
     monodromy: np.ndarray
+    reason: Optional[str]
 
 
 @dataclass
 class SweepReport:
-    """Residual scaling of one prediction across an ε ladder."""
+    """Residual scaling of one prediction across an ε ladder.
+
+    ``limit_gap_reason`` says, per rung, why ``limit_gap`` is NaN (None
+    where refinement converged).
+    """
 
     samples: List[PoincareResult]
     fitted_exponent: float
     limit_gap: List[float]
+    limit_gap_reason: List[Optional[str]]
     valid: bool
 
     @property
@@ -191,6 +207,7 @@ class SweepReport:
             "family_exponent": self.family_exponent,
             "family_consistent": self.family_consistent,
             "limit_gap": self.limit_gap,
+            "limit_gap_reason": self.limit_gap_reason,
             "events_summary": self.events_summary(),
         }
 
@@ -367,19 +384,25 @@ def refine_periodic(
     spec: PerturbationSpec,
     reduced: ReducedParams,
     spectral: SpectralData,
-    eps: float,
+    prediction: PoincareResult,
 ) -> RefinementResult:
     """Chord-Newton shooting from the prediction to a return-map fixed point.
 
-    The monodromy matrix is estimated once, by finite differences at the
-    prediction, so each step costs one integration.  Near an isolated
-    orbit every step shrinks the gap; the first step that does not ends
-    the refinement unconverged, and ``REFINE_MAX_ITER`` only bounds the
+    ``prediction`` is the `poincare_residual` run of ``orbit`` at the
+    refinement's ε; its final state is the prediction's image under the
+    return map, so the prediction is not integrated again.  The monodromy
+    matrix is estimated once, by finite differences at the prediction,
+    so each step costs one integration.  Near an isolated orbit every
+    step shrinks the gap; the first step that does not ends the
+    refinement unconverged, and ``REFINE_MAX_ITER`` only bounds the
     loop.  A singular shooting matrix, as at ε = 0 where the orbit
     family makes the return map non-isolated, raises a
     degenerate-refinement error.
     """
     _check_spec_matches(orbit, spec)
+    if prediction.flag is not None:
+        raise DomainError(f"the prediction run is flagged: {prediction.flag}")
+    eps = prediction.epsilon
 
     def return_map(s: np.ndarray) -> np.ndarray:
         traj = integrate(
@@ -395,7 +418,7 @@ def refine_periodic(
         return traj.final_state
 
     s = np.array(orbit.initial_state, dtype=float)
-    image = return_map(s)
+    image = prediction.trajectory.final_state
     h = max(1e-7 * float(np.linalg.norm(s)), 1e-8)
     monodromy = np.empty((4, 4))
     for i in range(4):
@@ -419,13 +442,17 @@ def refine_periodic(
         gap = return_map(s) - s
         previous, residual = residual, float(np.linalg.norm(gap))
         if not residual < previous:
+            reason = NOT_CONTRACTING
             break
+    else:
+        reason = None if residual <= REFINE_TOL else BUDGET_EXHAUSTED
     return RefinementResult(
         state=s,
         residual=residual,
         iterations=iterations,
-        converged=residual <= REFINE_TOL,
+        converged=reason is None,
         monodromy=monodromy,
+        reason=reason,
     )
 
 
@@ -467,24 +494,30 @@ def epsilon_sweep(
             f"got {eps_values[0] / eps_values[-1]:.3g}"
         )
 
-    def run_refine(eps: float) -> float:
+    def run_refine(sample: PoincareResult) -> Tuple[float, Optional[str]]:
+        """Limit gap of one rung and, when there is none, the reason."""
+        if sample.flag is not None:
+            return float("nan"), PREDICTION_FLAGGED
         try:
-            result = refine_periodic(orbit, spec, reduced, spectral, eps)
+            result = refine_periodic(orbit, spec, reduced, spectral, sample)
+        except RefinementDegenerateError:
+            return float("nan"), DEGENERATE_SHOOTING
         except PendavgError:
-            return float("nan")
+            return float("nan"), INTEGRATION_FAILED
         if not result.converged:
-            return float("nan")
-        return float(np.linalg.norm(result.state - orbit.initial_state))
+            return float("nan"), result.reason
+        return float(np.linalg.norm(result.state - orbit.initial_state)), None
 
     samples = [poincare_residual(orbit, spec, reduced, spectral, e) for e in eps_values]
-    limit_gap = [run_refine(e) for e in eps_values] if refine else []
+    refined = [run_refine(sample) for sample in samples] if refine else []
 
     exponent = fit_exponent(eps_values, [s.residual for s in samples])
     valid = all(s.events_ok and s.flag is None for s in samples)
     return SweepReport(
         samples=samples,
         fitted_exponent=exponent,
-        limit_gap=limit_gap,
+        limit_gap=[gap for gap, _ in refined],
+        limit_gap_reason=[reason for _, reason in refined],
         valid=valid,
     )
 

@@ -178,7 +178,7 @@ def test_accept_4_smooth_benchmark_end_to_end(bench):
     sweep = epsilon_sweep(
         orbit, spec, reduced, s, (1e-2, 5e-3, 2.5e-3, 1.25e-3), refine=False
     )
-    refined = refine_periodic(orbit, spec, reduced, s, 1e-2)
+    refined = refine_periodic(orbit, spec, reduced, s, sweep.samples[0])
     oracle = linear_periodic_state(reduced.a, reduced.b, 1e-2, GAMMA)
     refine_dev = float(np.linalg.norm(refined.state - oracle))
     ok = (

@@ -62,6 +62,18 @@ def damped(bench):
     return spec, cert, orbit
 
 
+@pytest.fixture(scope="module")
+def escapement(bench):
+    reduced, s, transform = bench
+    spec = builtin(
+        "damped_forced_escapement", {"gamma": GAMMA, "kappa": KAPPA}, s, family=1, p=1
+    )
+    sys = BifurcationSystem(1, spec, reduced, s, "A")
+    (cert,) = annulus_search(sys, 0.05, 2.0, 8)
+    orbit = predicted_initial_state(cert, 1, transform, s, reduced)
+    return spec, cert, orbit
+
+
 # -- frames -------------------------------------------------------------------
 
 
@@ -163,13 +175,14 @@ def test_poincare_residual_flags_integration_failure(bench, damped, monkeypatch)
 
 def test_spec_orbit_family_mismatch(bench, damped):
     reduced, s, transform = bench
-    spec, _, _ = damped
+    spec, _, orbit = damped
     other = orbit_from_amplitude((0.1, 0.2), 2, transform, s, reduced)
     with pytest.raises(DomainError):
         poincare_residual(other, spec, reduced, s, 1e-3)
     bumped = orbit_from_amplitude((0.1, 0.2), 1, transform, s, reduced, p=2)
+    prediction = poincare_residual(orbit, spec, reduced, s, 1e-3)
     with pytest.raises(DomainError):
-        refine_periodic(bumped, spec, reduced, s, 1e-3)
+        refine_periodic(bumped, spec, reduced, s, prediction)
 
 
 # -- refinement ---------------------------------------------------------------
@@ -179,8 +192,9 @@ def test_refine_matches_exponential_oracle(bench, damped):
     reduced, s, _ = bench
     spec, _, orbit = damped
     eps = 1e-2
-    result = refine_periodic(orbit, spec, reduced, s, eps)
-    assert result.converged
+    prediction = poincare_residual(orbit, spec, reduced, s, eps)
+    result = refine_periodic(orbit, spec, reduced, s, prediction)
+    assert result.converged and result.reason is None
     assert result.residual <= 1e-11
     ref = linear_periodic_state(reduced.a, reduced.b, eps, GAMMA)
     assert np.allclose(result.state, ref, rtol=1e-8, atol=1e-8)
@@ -190,8 +204,8 @@ def test_refine_matches_exponential_oracle(bench, damped):
 
 def test_refine_stops_at_first_non_contracting_step(bench, monkeypatch):
     """A wrong-convention prediction is no fixed point: the first chord step
-    grows the gap, so refinement stops after the prediction, the four
-    monodromy columns and that one step."""
+    grows the gap, so refinement stops after the four monodromy columns
+    and that one step; the prediction's image comes from its Poincaré run."""
     reduced, s, transform = bench
     spec = builtin(
         "corollary_escapement", {"sigma_d": 1.0, "sigma_e": 1.0}, s, family=1, p=1
@@ -202,6 +216,7 @@ def test_refine_stops_at_first_non_contracting_step(bench, monkeypatch):
     assert cert.simple
     assert np.allclose(cert.point, [rstar, 0.0], atol=1e-8)
     orbit = predicted_initial_state(cert, 1, transform, s, reduced)
+    prediction = poincare_residual(orbit, spec, reduced, s, 1e-2)
     calls = []
 
     def counted(*args, **kwargs):
@@ -209,17 +224,34 @@ def test_refine_stops_at_first_non_contracting_step(bench, monkeypatch):
         return integrate(*args, **kwargs)
 
     monkeypatch.setattr(verify_module, "integrate", counted)
-    result = refine_periodic(orbit, spec, reduced, s, 1e-2)
+    result = refine_periodic(orbit, spec, reduced, s, prediction)
     assert not result.converged
+    assert result.reason == "not contracting"
     assert result.iterations == 1
-    assert calls == [1e-2] * 6
+    assert calls == [1e-2] * 5
 
 
 def test_refine_degenerate_at_eps_zero(bench, damped):
     reduced, s, _ = bench
     spec, _, orbit = damped
+    prediction = poincare_residual(orbit, spec, reduced, s, 0.0)
     with pytest.raises(RefinementDegenerateError):
-        refine_periodic(orbit, spec, reduced, s, 0.0)
+        refine_periodic(orbit, spec, reduced, s, prediction)
+
+
+@pytest.mark.parametrize("case", ["damped", "escapement"])
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+def test_refine_monodromy_meets_liouville(bench, case, eps, request):
+    """det M = exp(ε·∫tr D dτ) = exp(−2ε·pT) for both builtins; the
+    escapement's crossings have unit saltation determinant because
+    x' = y does not depend on the sign."""
+    reduced, s, _ = bench
+    spec, _, orbit = request.getfixturevalue(case)
+    prediction = poincare_residual(orbit, spec, reduced, s, eps)
+    monodromy = refine_periodic(orbit, spec, reduced, s, prediction).monodromy
+    sign, logdet = np.linalg.slogdet(monodromy)
+    assert sign == 1.0
+    assert abs(logdet + 2.0 * eps * orbit.period_tau) <= 1e-6
 
 
 # -- sweeps -------------------------------------------------------------------
@@ -250,9 +282,56 @@ def test_epsilon_sweep_validates_prediction(bench, damped):
     assert len(report.limit_gap) == len(LADDER)
     assert all(math.isfinite(g) and g < 0.1 for g in report.limit_gap)
     payload = report.to_json_dict()
+    assert payload["limit_gap_reason"] == [None] * len(LADDER)
     assert payload["valid"] is True
     assert payload["epsilons"] == list(LADDER)
     assert payload["events_summary"]["all_crossings"] is True
+
+
+def test_epsilon_sweep_reuses_the_prediction_run(bench, escapement, monkeypatch):
+    """Each rung integrates the prediction once (its Poincaré run), then
+    refinement adds the four monodromy columns and one run per chord step."""
+    reduced, s, _ = bench
+    spec, _, orbit = escapement
+    calls = []
+    iterations = []
+
+    def counted(*args, **kwargs):
+        calls.append((args[3], tuple(args[4])))
+        return integrate(*args, **kwargs)
+
+    def refine(*args, **kwargs):
+        result = refine_periodic(*args, **kwargs)
+        iterations.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(verify_module, "integrate", counted)
+    monkeypatch.setattr(verify_module, "refine_periodic", refine)
+    report = epsilon_sweep(orbit, spec, reduced, s, LADDER)
+    assert report.limit_gap_reason == [None] * len(LADDER)
+    assert len(iterations) == len(LADDER)
+    prediction = tuple(orbit.initial_state)
+    for eps, steps in zip(LADDER, iterations):
+        rung = [s0 for e, s0 in calls if e == eps]
+        assert len(rung) == 1 + 4 + steps
+        assert rung.count(prediction) == 1
+    assert len(calls) == sum(5 + steps for steps in iterations)
+
+
+def test_epsilon_sweep_skips_refinement_of_flagged_rungs(bench, damped, monkeypatch):
+    reduced, s, _ = bench
+    spec, _, orbit = damped
+
+    def stalling(*args, **kwargs):
+        return integrate(*args, **dict(kwargs, max_events=1))
+
+    monkeypatch.setattr(verify_module, "integrate", stalling)
+    report = epsilon_sweep(orbit, spec, reduced, s, LADDER)
+    assert all(sample.flag is not None for sample in report.samples)
+    assert all(math.isnan(g) for g in report.limit_gap)
+    assert report.limit_gap_reason == ["prediction run flagged"] * len(LADDER)
+    with pytest.raises(DomainError):
+        refine_periodic(orbit, spec, reduced, s, report.samples[0])
 
 
 def test_family_residual_separates_sgn_conventions(bench):
