@@ -43,7 +43,6 @@ from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, NumericalError, QuadratureError
 from .model import (
@@ -71,6 +70,9 @@ QUADRATURE_RTOL = 1e-10
 SIMPLICITY_RTOL = 1e-8
 ANGLES_PER_GRID = 4
 ANGLE_STEP = 1e-6
+BRENT_XTOL = 2e-12
+BRENT_RTOL = 4.0 * np.finfo(float).eps
+BRENT_MAXITER = 100
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
@@ -245,6 +247,57 @@ def _ray_det(sys: BifurcationSystem, theta: float) -> float:
     return float(lin[0] * const[1] - lin[1] * const[0])
 
 
+def _brent(f: Callable[[float], float], a: float, b: float, fa: float, fb: float) -> float:
+    """Root of f in [a, b] by Brent's method, given fa = f(a) and fb = f(b).
+
+    A line-for-line port of SciPy's ``brentq.c`` with its defaults
+    (``BRENT_XTOL``, ``BRENT_RTOL``, ``BRENT_MAXITER``), so it returns the
+    same root bit for bit without importing SciPy.  Only the two bracket
+    values are taken from the caller; every other value is f's.
+    """
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    xblk = fblk = spre = scur = 0.0
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise DomainError(f"Brent needs a sign change on [{a!r}, {b!r}]")
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+    raise NumericalError(
+        f"Brent's method did not converge in {BRENT_MAXITER} iterations on [{a!r}, {b!r}]"
+    )
+
+
 def _certificate(sys: BifurcationSystem, theta: float, r1: float, r2: float,
                  scale: float) -> Optional[ZeroCertificate]:
     """Certificate of the zero on the ray θ, a root of h, if it lies in (r1, r2)."""
@@ -289,25 +342,19 @@ def annulus_search(sys: BifurcationSystem, r1: float, r2: float, grid: int) -> l
     if grid < 8:
         raise DomainError(f"grid must be at least 8, got {grid!r}")
     n = ANGLES_PER_GRID * grid
-    thetas = 2.0 * math.pi * np.arange(n + 1) / n
-    pairs = [_ray_pair(sys, float(theta)) for theta in thetas[:-1]]
+    thetas = (2.0 * math.pi * np.arange(n + 1) / n).tolist()
+    pairs = [_ray_pair(sys, theta) for theta in thetas[:-1]]
     scale = max(float(np.linalg.norm(r2 * lin + const)) for lin, const in pairs)
     if scale <= 0.0:
         return []
     h = [float(lin[0] * const[1] - lin[1] * const[0]) for lin, const in pairs]
     h.append(h[0])
-    # Brent evaluates the bracket ends again; hand it the scanned values.
-    scanned = dict(zip(thetas.tolist(), h))
-
-    def ray_det(theta: float) -> float:
-        return scanned[theta] if theta in scanned else _ray_det(sys, theta)
-
     certificates = []
     for i in range(n):
         if h[i] == 0.0:
-            theta = float(thetas[i])
+            theta = thetas[i]
         elif h[i] * h[i + 1] < 0.0:
-            theta = brentq(ray_det, thetas[i], thetas[i + 1])
+            theta = _brent(lambda t: _ray_det(sys, t), thetas[i], thetas[i + 1], h[i], h[i + 1])
         else:
             continue
         cert = _certificate(sys, theta, r1, r2, scale)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -160,8 +161,16 @@ CONFIG_KEYS = {
 }
 
 
+def finite_float(text) -> float:
+    """float(text), refusing NaN and ±inf: no model or run parameter takes them."""
+    number = float(text)
+    if not math.isfinite(number):
+        raise ValueError(f"{text!r} is not a finite number")
+    return number
+
+
 def _parse_floats(text: str) -> List[float]:
-    return [float(p) for chunk in text.split(",") for p in chunk.split()]
+    return [finite_float(p) for chunk in text.split(",") for p in chunk.split()]
 
 
 def _parse_bool(text: str) -> bool:
@@ -196,7 +205,7 @@ def load_config(
     def get(section: str, key: str, fallback: Optional[str] = None) -> Optional[str]:
         return parser.get(section, key, fallback=fallback)
 
-    def value(section: str, key: str, default, convert: Callable = float):
+    def value(section: str, key: str, default, convert: Callable = finite_float):
         text = get(section, key)
         if text is None:
             return default
@@ -559,7 +568,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--convention", choices=("A", "B"), default=None)
         p.add_argument("--out", default=None, help="output directory")
         if name == "simulate":
-            p.add_argument("--delta", type=float, default=None,
+            p.add_argument("--delta", type=finite_float, default=None,
                            help="regularization width")
         if name == "verify":
             p.add_argument(

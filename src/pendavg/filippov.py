@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     CrossingViolationError,
@@ -500,6 +499,8 @@ class _Integrator:
         t_run, s_run = self._depart_surface(rhs)
         if self.finished:
             return
+        from scipy.integrate import solve_ivp  # here, so that importing pendavg loads no SciPy
+
         sol = solve_ivp(
             rhs,
             (t_run, self.t1),
@@ -645,6 +646,8 @@ def integrate_regularized(
         return field(t, state, (smooth_sign(state[0], delta), smooth_sign(state[2], delta)))
 
     max_step = min(spectral.period1, spectral.period2) / 16.0
+    from scipy.integrate import solve_ivp  # here, so that importing pendavg loads no SciPy
+
     sol = solve_ivp(
         rhs,
         (float(t_span[0]), float(t_span[1])),

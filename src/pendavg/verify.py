@@ -478,14 +478,14 @@ def epsilon_sweep(
 ) -> SweepReport:
     """Residual scaling across a decreasing ε ladder.
 
-    Requires at least four strictly decreasing positive values spanning
-    a factor of at least 8.
+    Requires at least four strictly decreasing, finite, positive values
+    spanning a factor of at least 8.
     """
     eps_values = [float(e) for e in eps_list]
     if len(eps_values) < SWEEP_MIN_SAMPLES:
         raise DomainError(f"need at least {SWEEP_MIN_SAMPLES} eps samples, got {len(eps_values)}")
-    if any(e <= 0.0 for e in eps_values):
-        raise DomainError("eps samples must be positive")
+    if not all(math.isfinite(e) and e > 0.0 for e in eps_values):
+        raise DomainError(f"eps samples must be finite and positive, got {eps_values}")
     if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
         raise DomainError("eps samples must be strictly decreasing")
     if eps_values[0] / eps_values[-1] < SWEEP_MIN_RATIO * (1.0 - 1e-12):

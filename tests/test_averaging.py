@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pendavg.averaging as averaging_module
 from pendavg import (
     BifurcationSystem,
     DomainError,
     PeriodicScalar,
     LinearForm,
+    NumericalError,
     PerturbationSpec,
     PhysicalParams,
     ResonanceError,
@@ -370,6 +372,45 @@ def test_annulus_search_validates_arguments(bench):
         annulus_search(sys, 0.5, 0.2, 12)
     with pytest.raises(DomainError):
         annulus_search(sys, 0.05, 2.0, 4)
+
+
+def random_bracketed_functions(rng, count):
+    """Cubic-plus-sine functions with a bracket [a, b] on which they change sign."""
+    found = []
+    while len(found) < count:
+        coeffs = rng.normal(size=4)
+        amp, freq = rng.normal(), rng.uniform(0.5, 20.0)
+
+        def f(x, coeffs=coeffs, amp=amp, freq=freq):
+            return float(np.polyval(coeffs, x) + amp * math.sin(freq * x))
+
+        a, b = np.sort(rng.uniform(-3.0, 3.0, size=2))
+        if f(a) * f(b) < 0.0:
+            found.append((f, float(a), float(b)))
+    return found
+
+
+def test_brent_matches_scipy_brentq_bit_for_bit():
+    from scipy.optimize import brentq
+
+    rng = np.random.default_rng(20261018)
+    for f, a, b in random_bracketed_functions(rng, 300):
+        expected = brentq(f, a, b)
+        assert averaging_module._brent(f, a, b, f(a), f(b)) == expected, (a, b)
+
+
+def test_brent_returns_an_exact_zero_at_a_bracket_end():
+    def never(x):
+        raise AssertionError("f must not be evaluated")
+
+    assert averaging_module._brent(never, 0.25, 1.0, 0.0, 3.0) == 0.25
+    assert averaging_module._brent(never, 0.25, 1.0, -3.0, 0.0) == 1.0
+
+
+def test_brent_exhausted_budget_raises_numerical_error(monkeypatch):
+    monkeypatch.setattr(averaging_module, "BRENT_MAXITER", 3)
+    with pytest.raises(NumericalError, match="did not converge"):
+        averaging_module._brent(lambda x: x ** 3 - 2.0, 0.0, 2.0, -2.0, 6.0)
 
 
 def test_malkin_average_against_dense_trapezoid(bench):

@@ -8,6 +8,7 @@ numbers come from the closed forms in ``oracles``.
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -107,12 +108,21 @@ def test_load_config_rejects_bad_input(tmp_path):
                                           "file": pert.name}},
         "file_p": {"model": {"p": 2}, "perturbation": {"file": pert.name}},
         "file_family": {"model": {"family": 2}, "perturbation": {"file": pert.name}},
+        "nan_gamma_value": {"perturbation": {"builtin": "damped_forced", "gamma": "nan"}},
+        "inf_kappa": {"perturbation": {"builtin": "damped_forced_escapement", "gamma": 0.5,
+                                       "kappa": "inf"}},
+        "nan_eps": {"perturbation": {"builtin": "damped_forced", "gamma": 0.5},
+                    "sweep": {"eps": "1e-2 nan 2.5e-3 1.25e-3"}},
     }
     for name, sections in bad_inputs.items():
         ini = write_ini(tmp_path / f"{name}.ini", sections)
         assert cli.main(["zeros", "--config", str(ini), "--out", str(tmp_path / "o")]) == 1, name
-    with pytest.raises(DomainError, match=r"\[perturbation\] gamma"):
-        cli.load_config(tmp_path / "nan_gamma.ini")
+    for name, where in (("nan_gamma", r"\[perturbation\] gamma"),
+                        ("nan_gamma_value", r"\[perturbation\] gamma"),
+                        ("inf_kappa", r"\[perturbation\] kappa"),
+                        ("nan_eps", r"\[sweep\] eps")):
+        with pytest.raises(DomainError, match=where):
+            cli.load_config(tmp_path / f"{name}.ini")
     family_flag = write_ini(tmp_path / "flag.ini", {"perturbation": {"file": pert.name}})
     assert cli.main(["zeros", "--config", str(family_flag), "--family", "2",
                      "--out", str(tmp_path / "o")]) == 1
@@ -328,17 +338,24 @@ def test_simulate_stall_exits_6_with_partial_output(tmp_path):
 # -- entry points -------------------------------------------------------------
 
 
-def test_module_entry_point(bench_ini):
-    ini, out = bench_ini
-    # the child imports the package under test, installed or not
+REPO = Path(__file__).resolve().parents[1]
+
+
+def run_child(*args):
+    """Run a fresh interpreter that imports the package under test, installed or not."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pendavg", "params", "--config", str(ini)],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point(bench_ini):
+    ini, out = bench_ini
+    proc = run_child("-m", "pendavg", "params", "--config", str(ini))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["a"] == 2.0
 
@@ -352,6 +369,48 @@ def test_usage_errors_exit_1(bench_ini, capsys):
     assert cli.main([]) == 1
     assert not out.exists()
     assert "usage:" in capsys.readouterr().err
+    assert cli.main(["simulate", "--config", str(ini), "--delta", "nan"]) == 1
+    assert "--delta" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         cli.main(["zeros", "--help"])
     assert exc.value.code == 0
+
+
+# -- start-up and tooling ------------------------------------------------------
+
+# Runs ``python -m pendavg`` in process (runpy is what ``-m`` uses) and then
+# lists the SciPy modules it left loaded.
+ZEROS_THEN_LIST_SCIPY = """
+import runpy, sys
+sys.argv = ["pendavg", "zeros", "--config", sys.argv[1], "--out", sys.argv[2]]
+try:
+    runpy.run_module("pendavg", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code in (None, 0), exc.code
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_prediction_path_loads_no_scipy(tmp_path):
+    # SciPy costs more start-up than `zeros` spends computing; only the
+    # checking half (`verify`, `simulate`) integrates and imports it.
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    ini = tmp_path / "readme.ini"
+    ini.write_text(block, encoding="utf-8")
+    proc = run_child("-c", ZEROS_THEN_LIST_SCIPY, str(ini), str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert json.loads((tmp_path / "out" / "zeros.json").read_text())["zeros"]
+    proc = run_child(
+        "-c", "import sys, pendavg; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_derive_oracles_check_runs():
+    # the only source of the frozen literals must keep running against the package
+    proc = run_child(str(REPO / "scripts" / "derive_oracles.py"), "--check")
+    assert proc.returncode == 0, proc.stderr
+    assert "package escapement zero" in proc.stdout

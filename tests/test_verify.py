@@ -270,6 +270,28 @@ def test_epsilon_sweep_ladder_validation(bench, damped):
         epsilon_sweep(orbit, spec, reduced, s, [1e-2, 8e-3, 5e-3, 2e-3])
 
 
+@pytest.mark.parametrize(
+    "ladder",
+    [
+        (1e-2, math.nan, 2.5e-3, 1.25e-3),
+        (math.nan, 5e-3, 2.5e-3, 1.25e-3),
+        (math.inf, 5e-3, 2.5e-3, 1.25e-3),
+        (1e-2, 5e-3, 2.5e-3, math.nan),
+    ],
+)
+def test_epsilon_sweep_rejects_non_finite_eps(bench, damped, ladder, monkeypatch):
+    # NaN slips past both `e <= 0` and `b >= a`, and a NaN rung integrates for minutes.
+    reduced, s, _ = bench
+    spec, _, orbit = damped
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a rejected ladder must not integrate")
+
+    monkeypatch.setattr(verify_module, "integrate", forbidden)
+    with pytest.raises(DomainError, match="finite and positive"):
+        epsilon_sweep(orbit, spec, reduced, s, ladder)
+
+
 def test_epsilon_sweep_validates_prediction(bench, damped):
     reduced, s, _ = bench
     spec, _, orbit = damped
