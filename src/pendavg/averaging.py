@@ -247,13 +247,15 @@ def _ray_det(sys: BifurcationSystem, theta: float) -> float:
     return float(lin[0] * const[1] - lin[1] * const[0])
 
 
-def _brent(f: Callable[[float], float], a: float, b: float, fa: float, fb: float) -> float:
+def _brent(f: Callable[[float], float], a: float, b: float, fa: float, fb: float,
+           xtol: float = BRENT_XTOL, rtol: float = BRENT_RTOL) -> float:
     """Root of f in [a, b] by Brent's method, given fa = f(a) and fb = f(b).
 
-    A line-for-line port of SciPy's ``brentq.c`` with its defaults
-    (``BRENT_XTOL``, ``BRENT_RTOL``, ``BRENT_MAXITER``), so it returns the
-    same root bit for bit without importing SciPy.  Only the two bracket
-    values are taken from the caller; every other value is f's.
+    A line-for-line port of SciPy's ``brentq.c``; with its defaults
+    (``BRENT_XTOL``, ``BRENT_RTOL``, ``BRENT_MAXITER``) it returns the same
+    root as ``scipy.optimize.brentq`` bit for bit without importing SciPy.
+    Only the two bracket values are taken from the caller; every other
+    value is f's.
     """
     xpre, xcur, fpre, fcur = a, b, fa, fb
     xblk = fblk = spre = scur = 0.0
@@ -270,7 +272,7 @@ def _brent(f: Callable[[float], float], a: float, b: float, fa: float, fb: float
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2.0
+        delta = (xtol + rtol * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,6 +54,7 @@ from .perturbation import (
     BUILTIN_PARAMS,
     PerturbationSpec,
     builtin,
+    finite_float,
     perturbation_from_file,
 )
 from .verify import (
@@ -159,14 +159,6 @@ CONFIG_KEYS = {
     "integrate": ("eps", "s0", "t_span", "delta", "max_events", "require_crossing"),
     "output": ("dir",),
 }
-
-
-def finite_float(text) -> float:
-    """float(text), refusing NaN and ±inf: no model or run parameter takes them."""
-    number = float(text)
-    if not math.isfinite(number):
-        raise ValueError(f"{text!r} is not a finite number")
-    return number
 
 
 def _parse_floats(text: str) -> List[float]:

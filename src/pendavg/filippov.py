@@ -13,7 +13,9 @@ other level crosses zero.
 
 Segments are integrated with DOP853, the adaptive 8(5,3) Dormand–Prince
 pair (Hairer, Nørsett & Wanner, *Solving Ordinary Differential
-Equations I*, §II.10), and events are located on its dense output.
+Equations I*, §II.10), and events are located on its dense output.  The
+solver is the in-package port :mod:`pendavg.dop853` of SciPy's
+``solve_ivp(method="DOP853")``, so integrating loads no SciPy.
 
 Every surface contact goes through one resolver, which classifies it
 through the one-sided Lie derivatives and switches the region sign
@@ -29,6 +31,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .dop853 import solve
 from .errors import (
     CrossingViolationError,
     DegenerateSlidingError,
@@ -43,7 +46,6 @@ from .perturbation import PerturbationSpec, eval_order1_with_signs, smooth_sign
 EVENT_TIME_TOL = 1e-12
 EVENT_STATE_TOL = 1e-11
 LIE_TOL = 1e-10
-CORNER_TIME_TOL = 1e-12
 SLIDING_DENOM_TOL = 1e-12
 EQUILIBRIUM_FIELD_TOL = 1e-12
 STALL_DT = 1e-12
@@ -51,8 +53,6 @@ STALL_RUN = 50
 DEFAULT_MAX_EVENTS = 100_000
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
-# The Runge-Kutta pair of every segment and of the regularized run.
-SOLVER_METHOD = "DOP853"
 # Escalating micro-step sizes used to leave a surface after an event.
 _RESTART_STEPS = (1e-12, 1e-10, 1e-8, 1e-6)
 
@@ -259,15 +259,9 @@ def sliding_combination(
     return (lie_plus * minus_val - lie_minus * plus_val) / denom
 
 
-def _terminal(event):
-    event.terminal = True
-    event.direction = 0
-    return event
-
-
 def _level_event(k: int):
-    """Terminal event on the level of surface k + 1."""
-    return _terminal(lambda t, u, idx=2 * k: u[idx])
+    """Event on the level of surface k + 1."""
+    return lambda t, u, idx=2 * k: u[idx]
 
 
 def _rk4_step(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
@@ -490,62 +484,52 @@ class _Integrator:
                 return sliding_combination(self.field, tt, u, signs, k)
 
             def lie_event(side):
-                return _terminal(
-                    lambda tt, u: float(_one_sided_values(self.field, tt, u, signs, k)[side][2 * k])
-                )
+                return lambda tt, u: float(_one_sided_values(self.field, tt, u, signs, k)[side][2 * k])
 
             events = [lie_event(0), lie_event(1), _level_event(1 - k)]
 
         t_run, s_run = self._depart_surface(rhs)
         if self.finished:
             return
-        from scipy.integrate import solve_ivp  # here, so that importing pendavg loads no SciPy
-
-        sol = solve_ivp(
+        run = solve(
             rhs,
             (t_run, self.t1),
             s_run,
-            method=SOLVER_METHOD,
-            dense_output=True,
-            events=events,
             rtol=self.rtol,
             atol=self.atol,
             max_step=self.max_step,
+            events=events,
         )
-        if sol.status == -1:
-            raise _Stalled(f"step-size failure of the segment solver: {sol.message}")
-        te = float(sol.t[-1])
-        state_e = np.asarray(sol.sol(te), dtype=float)
+        if run.status == -1:
+            raise _Stalled(f"step-size failure of the segment solver: {run.message}")
+        te = float(run.ts[-1])
+        state_e = np.asarray(run.sol(te), dtype=float)
         if k is not None:
             state_e[2 * k] = 0.0
         self.segments.append(
             Segment(
                 t_start=self.t,
                 t_end=te,
-                sol=sol.sol,
-                ts=np.asarray(sol.t, dtype=float),
+                sol=run.sol,
+                ts=run.ts,
                 signs=signs,
                 sliding_surface=None if k is None else k + 1,
             )
         )
         self.t = te
         self.state = state_e
-        if sol.status == 0:
+        if run.status == 0:
             self.finished = True
             return
 
-        fired = [
-            bool(len(times)) and abs(float(times[-1]) - te) <= CORNER_TIME_TOL
-            for times in sol.t_events
-        ]
+        # Only the earliest event of a step is reported; the other level
+        # counts as touched when the state sits on it.
         if k is None:
-            touched = [j for j in range(2) if fired[j] or abs(state_e[2 * j]) <= EVENT_STATE_TOL]
+            touched = [j for j in range(2) if run.event == j or abs(state_e[2 * j]) <= EVENT_STATE_TOL]
         else:
-            if fired[0] and fired[1]:
-                raise _Stalled("both one-sided level derivatives vanished while sliding")
-            if fired[0] or fired[1]:
-                self._release(k, minus_side=fired[0])
-            touched = [1 - k] if fired[2] else []
+            if run.event in (0, 1):
+                self._release(k, minus_side=run.event == 0)
+            touched = [1 - k] if run.event == 2 else []
         for j in touched:
             state_e[2 * j] = 0.0
         self._resolve_contacts(touched)
@@ -646,25 +630,21 @@ def integrate_regularized(
         return field(t, state, (smooth_sign(state[0], delta), smooth_sign(state[2], delta)))
 
     max_step = min(spectral.period1, spectral.period2) / 16.0
-    from scipy.integrate import solve_ivp  # here, so that importing pendavg loads no SciPy
-
-    sol = solve_ivp(
+    run = solve(
         rhs,
         (float(t_span[0]), float(t_span[1])),
         np.array(s0, dtype=float),
-        method=SOLVER_METHOD,
-        dense_output=True,
         rtol=rtol,
         atol=atol,
         max_step=max_step,
     )
-    if sol.status != 0:
-        raise IntegrationStallError(f"regularized integration failed: {sol.message}")
+    if run.status != 0:
+        raise IntegrationStallError(f"regularized integration failed: {run.message}")
     segment = Segment(
         t_start=float(t_span[0]),
         t_end=float(t_span[1]),
-        sol=sol.sol,
-        ts=np.asarray(sol.t, dtype=float),
+        sol=run.sol,
+        ts=run.ts,
         signs=(np.nan, np.nan),
         sliding_surface=None,
     )

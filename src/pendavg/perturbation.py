@@ -368,32 +368,52 @@ def builtin(name: str, params: dict, spectral: SpectralData, family: int = 1, p:
     return spec
 
 
-def _parse_scalar_entry(entry: str, spectral: SpectralData, family: int, window: float, base_dir: str) -> PeriodicScalar:
+def finite_float(text) -> float:
+    """float(text), refusing NaN and ±inf: no model or run parameter takes them."""
+    number = float(text)
+    if not math.isfinite(number):
+        raise ValueError(f"{text!r} is not a finite number")
+    return number
+
+
+def _file_number(key: str, text: str, convert: Callable = finite_float):
+    """One number of a perturbation file; a bad one is a DomainError naming its key."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise DomainError(f"perturbation file key {key}: cannot parse {text!r}") from None
+
+
+def _parse_scalar_entry(key: str, entry: str, spectral: SpectralData, family: int, window: float,
+                        base_dir: str) -> PeriodicScalar:
+    where = f"perturbation file key {key}"
     kind, _, rest = entry.strip().partition(":")
     kind = kind.strip().lower()
     if kind == "const":
-        return PeriodicScalar.constant(float(rest), window)
+        return PeriodicScalar.constant(_file_number(key, rest), window)
     if kind in ("cos", "sin"):
         parts = [s.strip() for s in rest.split(",")]
         if len(parts) != 2:
-            raise DomainError(f"{kind} entry needs '<amp>,<harmonic>', got {entry!r}")
-        amp, harmonic = float(parts[0]), float(parts[1])
+            raise DomainError(f"{where}: {kind} entry needs '<amp>,<harmonic>', got {entry!r}")
+        amp, harmonic = (_file_number(key, part) for part in parts)
         if harmonic <= 0:
-            raise DomainError(f"harmonic must be positive, got {entry!r}")
+            raise DomainError(f"{where}: harmonic must be positive, got {entry!r}")
         return PeriodicScalar.harmonic(kind, amp, harmonic * spectral.omega(family))
     if kind == "table":
         path = rest.strip()
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
-        taus, values = [], []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                taus.append(float(row[0]))
-                values.append(float(row[1]))
+        try:
+            with open(path, newline="") as fh:
+                rows = [row for row in csv.reader(fh) if row and not row[0].lstrip().startswith("#")]
+        except OSError as exc:
+            raise DomainError(f"{where}: cannot read table {path!r}: {exc.strerror}") from None
+        if any(len(row) < 2 for row in rows):
+            raise DomainError(f"{where}: every row of table {path!r} needs two columns (tau, value)")
+        taus = [_file_number(key, row[0]) for row in rows]
+        values = [_file_number(key, row[1]) for row in rows]
         return PeriodicScalar.from_table(taus, values)
-    raise DomainError(f"unknown scalar entry kind {kind!r} in {entry!r}")
+    raise DomainError(f"{where}: unknown scalar entry kind {kind!r} in {entry!r}")
 
 
 def perturbation_from_file(path: str, spectral: SpectralData) -> PerturbationSpec:
@@ -405,17 +425,21 @@ def perturbation_from_file(path: str, spectral: SpectralData) -> PerturbationSpe
     coefficients.  Each value is one of ``const:<v>``,
     ``cos:<amp>,<harmonic>``, ``sin:<amp>,<harmonic>`` (harmonic counted
     relative to ω_family) or ``table:<csv-path>`` (two columns: tau,
-    value).  Missing keys default to zero.
+    value).  Missing keys default to zero.  Every number must be finite;
+    a value or table that does not parse raises DomainError naming its key.
     """
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise DomainError(f"cannot parse perturbation file {path!r}: {exc}") from None
     if not read:
         raise DomainError(f"cannot read perturbation file {path!r}")
     if not parser.has_section("perturbation"):
         raise DomainError(f"perturbation file {path!r} lacks a [perturbation] section")
     section = parser["perturbation"]
-    family = int(section.get("family", "1"))
-    p = int(section.get("p", "1"))
+    family = _file_number("family", section.get("family", "1"), int)
+    p = _file_number("p", section.get("p", "1"), int)
     if family not in (1, 2):
         raise DomainError(f"family must be 1 or 2, got {family!r}")
     window = p * spectral.period(family)
@@ -423,7 +447,7 @@ def perturbation_from_file(path: str, spectral: SpectralData) -> PerturbationSpe
 
     def scalar(key):
         if key in section:
-            return _parse_scalar_entry(section[key], spectral, family, window, base_dir)
+            return _parse_scalar_entry(key, section[key], spectral, family, window, base_dir)
         return PeriodicScalar.constant(0.0, window)
 
     known = {"family", "p"}

@@ -47,6 +47,10 @@ def bench_sections(out_dir, eps="1e-2 5e-3 2e-3 1e-3"):
     }
 
 
+# The [integrate] section of the event-driven `simulate` runs.
+SIMULATE_INTEGRATE = {"eps": 1e-3, "s0": "0.3 -0.2 0.5 0.1", "t_span": "0.0 5.0"}
+
+
 @pytest.fixture()
 def bench_ini(tmp_path):
     out = tmp_path / "out"
@@ -126,6 +130,25 @@ def test_load_config_rejects_bad_input(tmp_path):
     family_flag = write_ini(tmp_path / "flag.ini", {"perturbation": {"file": pert.name}})
     assert cli.main(["zeros", "--config", str(family_flag), "--family", "2",
                      "--out", str(tmp_path / "o")]) == 1
+
+
+def test_bad_perturbation_file_exits_1_naming_the_key(tmp_path, capsys):
+    (tmp_path / "one_column.csv").write_text("# tau, value\n0.0, 1.0\n0.5\n", encoding="utf-8")
+    cases = {
+        "k2": "k2 = cos:nan,1",
+        "family": "family = one",
+        "k3": "k3 = const:abc",
+        "k1": "k1 = table:one_column.csv",
+        "f1.d2": "f1.d2 = table:missing.csv",
+        "k4": "k4 = const:5%",
+    }
+    for key, line in cases.items():
+        pert = tmp_path / "pert.ini"
+        pert.write_text(f"[perturbation]\n{line}\n", encoding="utf-8")
+        ini = write_ini(tmp_path / "exp.ini", {"perturbation": {"file": pert.name}})
+        assert cli.main(["zeros", "--config", str(ini), "--out", str(tmp_path / "o")]) == 1, line
+        errors = [row for row in capsys.readouterr().err.splitlines() if row.startswith("error:")]
+        assert len(errors) == 1 and f"key {key}:" in errors[0], (line, errors)
 
 
 # -- deterministic JSON --------------------------------------------------------
@@ -276,11 +299,7 @@ def test_verify_compare_conventions_arbiter_neither(tmp_path, capsys):
 
 def test_simulate_writes_consistent_artifacts(tmp_path):
     sections = bench_sections(tmp_path / "out")
-    sections["integrate"] = {
-        "eps": 1e-3,
-        "s0": "0.3 -0.2 0.5 0.1",
-        "t_span": "0.0 5.0",
-    }
+    sections["integrate"] = SIMULATE_INTEGRATE
     ini = write_ini(tmp_path / "sim.ini", sections)
     assert cli.main(["simulate", "--config", str(ini)]) == 0
     summary = json.loads((tmp_path / "out" / "simulate_summary.json").read_text())
@@ -378,11 +397,11 @@ def test_usage_errors_exit_1(bench_ini, capsys):
 
 # -- start-up and tooling ------------------------------------------------------
 
-# Runs ``python -m pendavg`` in process (runpy is what ``-m`` uses) and then
-# lists the SciPy modules it left loaded.
-ZEROS_THEN_LIST_SCIPY = """
+# Runs ``python -m pendavg <arguments>`` in process (runpy is what ``-m``
+# uses) and then lists the SciPy modules it left loaded.
+RUN_THEN_LIST_SCIPY = """
 import runpy, sys
-sys.argv = ["pendavg", "zeros", "--config", sys.argv[1], "--out", sys.argv[2]]
+sys.argv = ["pendavg", *sys.argv[1:]]
 try:
     runpy.run_module("pendavg", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
@@ -391,22 +410,44 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_prediction_path_loads_no_scipy(tmp_path):
-    # SciPy costs more start-up than `zeros` spends computing; only the
-    # checking half (`verify`, `simulate`) integrates and imports it.
+def readme_ini(tmp_path):
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
     ini = tmp_path / "readme.ini"
     ini.write_text(block, encoding="utf-8")
-    proc = run_child("-c", ZEROS_THEN_LIST_SCIPY, str(ini), str(tmp_path / "out"))
+    return ini
+
+
+def assert_runs_without_scipy(*args):
+    proc = run_child("-c", RUN_THEN_LIST_SCIPY, *args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_prediction_path_loads_no_scipy(tmp_path):
+    # SciPy would cost more start-up than `zeros` spends computing.
+    assert_runs_without_scipy("zeros", "--config", str(readme_ini(tmp_path)),
+                              "--out", str(tmp_path / "out"))
     assert json.loads((tmp_path / "out" / "zeros.json").read_text())["zeros"]
     proc = run_child(
         "-c", "import sys, pendavg; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_checking_path_loads_no_scipy(tmp_path):
+    # Segments are integrated by the in-package DOP853, not scipy.integrate.
+    assert_runs_without_scipy("verify", "--config", str(readme_ini(tmp_path)),
+                              "--out", str(tmp_path / "verify"))
+    assert json.loads((tmp_path / "verify" / "verify.json").read_text())["any_validated"]
+    sections = bench_sections(tmp_path / "sim")
+    sections["integrate"] = SIMULATE_INTEGRATE
+    ini = write_ini(tmp_path / "sim.ini", sections)
+    assert_runs_without_scipy("simulate", "--config", str(ini))
+    assert_runs_without_scipy("simulate", "--config", str(ini), "--delta", "1e-3",
+                              "--out", str(tmp_path / "reg"))
+    assert json.loads((tmp_path / "reg" / "simulate_summary.json").read_text())["regularized"]
 
 
 def test_derive_oracles_check_runs():

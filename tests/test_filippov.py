@@ -32,6 +32,7 @@ from pendavg import (
     require_transversal_crossings,
     spectral_data,
 )
+from pendavg import dop853
 from pendavg.filippov import (
     classify_surface_contact,
     classify_values,
@@ -357,6 +358,93 @@ def test_regularized_matches_linear_flow(bench):
     assert np.allclose(got, ref, atol=1e-7)
     with pytest.raises(DomainError):
         integrate_regularized(spec, reduced, s, 0.0, 0.0, s0, (0.0, 1.0))
+
+
+# -- the DOP853 port -----------------------------------------------------------
+
+
+def random_signed_field(rng):
+    """Affine-plus-harmonic field with sign-dependent offsets, at a random speed."""
+    speed = 10.0 ** rng.uniform(-3.0, 0.0)
+    matrix = speed * rng.normal(size=(4, 4))
+    offset, amplitude, push_x, push_z = speed * rng.normal(size=(4, 4))
+    omega = rng.uniform(0.5, 5.0)
+
+    def field(t, u, signs):
+        return matrix @ u + offset + amplitude * math.cos(omega * t) + signs[0] * push_x + signs[1] * push_z
+
+    return field
+
+
+def terminal(event):
+    event.terminal = True  # SciPy's flag; the port treats every event as terminal
+    return event
+
+
+def test_dop853_matches_solve_ivp_bit_for_bit(bench):
+    from scipy.integrate import solve_ivp
+
+    reduced, s = bench
+    rng = np.random.default_rng(20261018)
+    builtin_fields = [
+        d1_field(builtin(name, params, s, family=1, p=1), reduced, 10.0 ** rng.uniform(-3.0, -1.0))
+        for name, params in (("damped_forced", {"gamma": 0.5}),
+                             ("damped_forced_escapement", {"gamma": 0.5, "kappa": 0.05}),
+                             ("corollary_escapement", {"sigma_d": 1.0, "sigma_e": -1.0}))
+    ]
+    for case in range(90):
+        # Every third case runs a pendulum field, whose surfaces admit no sliding.
+        synthetic = case % 3 != 0
+        field = random_signed_field(rng) if synthetic else builtin_fields[case // 3 % 3]
+        signs = tuple(float(v) for v in rng.choice([-1.0, 1.0], size=2))
+        y0 = rng.normal(size=4)
+        t0 = rng.uniform(-2.0, 2.0)
+        direction = rng.choice([-1.0, 1.0])
+        t1 = t0 + direction * 10.0 ** rng.uniform(-4.0, 0.8)
+        max_step = np.inf if rng.random() < 0.5 else rng.uniform(0.05, 1.0)
+        # no events, the two level events, or the events of a sliding segment
+        modes = ("none", "levels", "sliding") if synthetic else ("none", "levels")
+        mode = modes[case // 3 % len(modes)]
+        if mode == "sliding":
+            k = int(rng.integers(2))
+
+            def rhs(t, u, field=field, signs=signs, k=k):
+                return sliding_combination(field, t, u, signs, k)
+
+            events = [terminal(lambda t, u, side=side, field=field, signs=signs, k=k:
+                               float(field(t, u, signs[:k] + (2.0 * side - 1.0,) + signs[k + 1:])[2 * k]))
+                      for side in (0, 1)]
+            events.append(terminal(lambda t, u, idx=2 - 2 * k: u[idx]))
+        else:
+            def rhs(t, u, field=field, signs=signs):
+                return field(t, u, signs)
+
+            events = [terminal(lambda t, u: u[0]), terminal(lambda t, u: u[2])]
+            if mode == "none":
+                events = []
+            elif rng.random() < 0.5:
+                # Start just before both surfaces, in random order, so that one
+                # step crosses both (on the pendulum fields x' = y and z' = w).
+                y0[[0, 2]] = -direction * y0[[1, 3]] * rng.uniform(1e-4, 1e-2, size=2)
+
+        ref = solve_ivp(rhs, (t0, t1), y0, method="DOP853", dense_output=True,
+                        events=events or None, rtol=1e-10, atol=1e-12, max_step=max_step)
+        run = dop853.solve(rhs, (t0, t1), y0, rtol=1e-10, atol=1e-12, max_step=max_step,
+                           events=events)
+        assert run.status == ref.status, case
+        assert run.ts.tobytes() == ref.t.tobytes(), case
+        inside = rng.uniform(min(t0, ref.t[-1]), max(t0, ref.t[-1]), size=8)
+        for t in (*ref.t, *inside):
+            assert run.sol(t).tobytes() == ref.sol(t).tobytes(), (case, t)
+        fired = [i for i, times in enumerate(ref.t_events or []) if len(times)]
+        assert run.event == (fired[0] if fired else None), case
+        if fired:
+            assert ref.t_events[fired[0]].tolist() == [run.ts[-1]], case
+    # an empty span is one constant piece
+    ref = solve_ivp(rhs, (t0, t0), y0, method="DOP853", dense_output=True, rtol=1e-10, atol=1e-12)
+    run = dop853.solve(rhs, (t0, t0), y0, rtol=1e-10, atol=1e-12)
+    assert run.status == ref.status == 0 and run.ts.tobytes() == ref.t.tobytes()
+    assert run.sol(t0).tobytes() == ref.sol(t0).tobytes()
 
 
 # -- export and determinism ---------------------------------------------------
