@@ -15,7 +15,11 @@ dense output and event times agree with ``solve_ivp`` bit for bit.
 
 Supported are a real state vector, scalar ``rtol`` (at least 100·eps)
 and ``atol``, a step cap and terminal events of direction 0: the
-integration stops at the earliest root of any event inside a step.
+integration stops at the earliest root of any event inside a step.  One
+addition to SciPy: the error test and the initial step may be restricted
+to the leading components of the state, as CVODES lets sensitivities be
+left out of the local error test (Serban & Hindmarsh, ACM TOMS 31, 2005),
+so variational equations carried along do not change the step sequence.
 """
 
 from __future__ import annotations
@@ -239,14 +243,15 @@ def _rms(x: np.ndarray):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(fun, t0, y0, t_bound, max_step, f0, direction, rtol, atol):
-    """SciPy's ``select_initial_step`` for an error estimator of order 7."""
+def _initial_step(fun, t0, y0, t_bound, max_step, f0, direction, rtol, atol, n):
+    """SciPy's ``select_initial_step`` for an error estimator of order 7,
+    on the first ``n`` components."""
     interval_length = abs(t_bound - t0)
     if interval_length == 0.0:
         return 0.0
-    scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
+    scale = atol + np.abs(y0[:n]) * rtol
+    d0 = _rms(y0[:n] / scale)
+    d1 = _rms(f0[:n] / scale)
     if d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6
     else:
@@ -254,7 +259,7 @@ def _initial_step(fun, t0, y0, t_bound, max_step, f0, direction, rtol, atol):
     h0 = min(h0, interval_length)
     y1 = y0 + h0 * direction * f0
     f1 = fun(t0 + h0 * direction, y1)
-    d2 = _rms((f1 - f0) / scale) / h0
+    d2 = _rms((f1[:n] - f0[:n]) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -279,9 +284,9 @@ class _StepInterpolant:
 
     __slots__ = ("t_old", "h", "y_old", "F")
 
-    def __init__(self, t_old, t, y_old, F):
+    def __init__(self, t_old, h, y_old, F):
         self.t_old = t_old
-        self.h = t - t_old
+        self.h = h
         self.y_old = y_old
         self.F = F
 
@@ -297,6 +302,24 @@ class _StepInterpolant:
         y += self.y_old
         return y
 
+    def leading(self, n: int) -> "_StepInterpolant":
+        return _StepInterpolant(self.t_old, self.h, self.y_old[:n].copy(), self.F[:, :n].copy())
+
+
+class _ConstantPiece:
+    """The one piece of an empty span."""
+
+    __slots__ = ("y",)
+
+    def __init__(self, y):
+        self.y = y
+
+    def __call__(self, t) -> np.ndarray:
+        return self.y
+
+    def leading(self, n: int) -> "_ConstantPiece":
+        return _ConstantPiece(self.y[:n].copy())
+
 
 class DenseSolution:
     """Piecewise interpolant over the accepted steps ``ts``.
@@ -306,6 +329,7 @@ class DenseSolution:
     """
 
     def __init__(self, ts: np.ndarray, interpolants: list):
+        self.ts = ts
         self.ascending = bool(ts[-1] >= ts[0])
         self.ts_sorted = ts.tolist() if self.ascending else ts[::-1].tolist()
         self.interpolants = interpolants
@@ -317,6 +341,14 @@ class DenseSolution:
         else:
             segment = n - 1 - min(max(bisect_right(self.ts_sorted, t) - 1, 0), n - 1)
         return self.interpolants[segment](t)
+
+    def leading(self, n: int) -> "DenseSolution":
+        """The interpolant of the first ``n`` components, stored apart.
+
+        Each component is interpolated on its own, so the values equal
+        the first ``n`` of the full interpolant's bit for bit.
+        """
+        return DenseSolution(self.ts, [piece.leading(n) for piece in self.interpolants])
 
 
 @dataclass(frozen=True)
@@ -345,13 +377,17 @@ def solve(
     atol: float,
     max_step: float = np.inf,
     events: Sequence[Callable[[float, np.ndarray], float]] = (),
+    n_tested: Optional[int] = None,
 ) -> Solution:
     """Integrate ``y' = fun(t, y)`` over ``t_span`` with DOP853.
 
     ``fun`` must return a float array shaped like ``y0``.  Each event
     ``g(t, y)`` is terminal: the run stops at the earliest root, located
     by Brent's method on the step's dense output, of any event that
-    changes sign (or touches zero) over a step.
+    changes sign (or touches zero) over a step.  The initial step and
+    the local error test see only the first ``n_tested`` components (all
+    of them by default, as in SciPy); the others ride along on the steps
+    the leading ones choose.
     """
     t0, t_bound = map(float, t_span)
     y = np.asarray(y0).astype(float, copy=False)
@@ -359,13 +395,14 @@ def solve(
         # A NaN step size would never be accepted nor fall below min_step.
         raise DomainError("all components of the initial state must be finite")
     n = y.size
+    n_tested = n if n_tested is None else n_tested
     direction = np.sign(t_bound - t0) if t_bound != t0 else 1
     f = fun(t0, y)
     if t0 == t_bound:
         # An empty span is one constant piece.
         ts = np.array([t0, t0])
-        return Solution(status=0, ts=ts, sol=DenseSolution(ts, [lambda t: y]))
-    h_abs = _initial_step(fun, t0, y, t_bound, max_step, f, direction, rtol, atol)
+        return Solution(status=0, ts=ts, sol=DenseSolution(ts, [_ConstantPiece(y)]))
+    h_abs = _initial_step(fun, t0, y, t_bound, max_step, f, direction, rtol, atol, n_tested)
     K_extended = np.empty((N_STAGES_EXTENDED, n))
     K = K_extended[: N_STAGES + 1]
     # KT[s] is SciPy's K[:s].T, a view of the first s stages.
@@ -405,8 +442,8 @@ def solve(
             f_new = fun(t + h, y_new)
             K[-1] = f_new
 
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _error_norm(K, h, scale)
+            scale = atol + np.maximum(np.abs(y[:n_tested]), np.abs(y_new[:n_tested])) * rtol
+            error_norm = _error_norm(K[:, :n_tested], h, scale)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -432,7 +469,7 @@ def solve(
         F[1] = h * f_old - delta_y
         F[2] = 2 * delta_y - h * (f_new + f_old)
         F[3:] = h * np.dot(D, K_extended)
-        step = _StepInterpolant(t, t_new, y, F)
+        step = _StepInterpolant(t, t_new - t, y, F)
         interpolants.append(step)
 
         t_old = t

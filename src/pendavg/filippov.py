@@ -22,6 +22,20 @@ through the one-sided Lie derivatives and switches the region sign
 (crossing), starts a sliding segment (sliding or escaping), or resolves
 it through the curvature of the level (tangency).  Sliding on both
 surfaces at once (codimension two) is refused.
+
+On request the run also carries the monodromy Φ = ∂s(t)/∂s(t₀), the
+derivative of the flow map that shooting needs.  Φ′ = J(τ, σ)·Φ is
+integrated with the state in the same DOP853 call; the local error test
+sees only the state, so the steps stay those of the plain run.  At each
+transversal crossing of surface k + 1, Φ is multiplied by the saltation
+matrix S = I + (f⁺ − f⁻)·e_{2k}ᵀ / f⁻[2k], with f⁻ and f⁺ the fields
+before and after the crossing (di Bernardo, Budd, Champneys & Kowalczyk,
+*Piecewise-smooth Dynamical Systems*, 2008, ch. 2).  Crossing both
+surfaces at once applies both matrices, provided the two crossing orders
+agree.  A sliding, escaping or tangent contact, or a corner where the
+orders disagree, leaves the flow map without a derivative to carry: Φ
+is dropped there, the run goes on, and the trajectory says why it
+carries no monodromy.
 """
 
 from __future__ import annotations
@@ -48,6 +62,8 @@ EVENT_STATE_TOL = 1e-11
 LIE_TOL = 1e-10
 SLIDING_DENOM_TOL = 1e-12
 EQUILIBRIUM_FIELD_TOL = 1e-12
+# Largest relative difference of the two crossing orders at a corner.
+CORNER_SALTATION_RTOL = 1e-10
 STALL_DT = 1e-12
 STALL_RUN = 50
 DEFAULT_MAX_EVENTS = 100_000
@@ -114,12 +130,19 @@ class Segment:
 
 @dataclass
 class Trajectory:
-    """Piecewise-smooth trajectory with its classified event log."""
+    """Piecewise-smooth trajectory with its classified event log.
+
+    ``monodromy`` is ∂(final state)/∂(initial state) when the run was
+    asked for it and met only transversal crossings; otherwise it is None
+    and, where a contact ended the request, ``monodromy_reason`` names it.
+    """
 
     segments: List[Segment]
     events: List[EventRecord]
     t_span: Tuple[float, float]
     initial_state: np.ndarray
+    monodromy: Optional[np.ndarray] = None
+    monodromy_reason: Optional[str] = None
 
     @property
     def final_time(self) -> float:
@@ -165,6 +188,7 @@ class CrossingReport:
 
 
 FieldWithSigns = Callable[[float, np.ndarray, Tuple[float, float]], np.ndarray]
+Jacobian = Callable[[float, Tuple[float, float]], np.ndarray]
 
 
 def d1_field(spec: PerturbationSpec, reduced: ReducedParams, eps: float) -> FieldWithSigns:
@@ -184,6 +208,29 @@ def d1_field(spec: PerturbationSpec, reduced: ReducedParams, eps: float) -> Fiel
         return np.array([y, dy, w, dw], dtype=float)
 
     return field
+
+
+def d1_jacobian(spec: PerturbationSpec, reduced: ReducedParams, eps: float) -> Jacobian:
+    """State Jacobian J(τ, σ) of :func:`d1_field` for frozen region signs.
+
+    J = A + ε·(rows of ``spec.forcing_jacobian``) on the y′ and w′ rows,
+    with A the matrix of the unperturbed linear system.
+    """
+    a = reduced.a
+    b = reduced.b
+    linear = np.array(
+        [[0.0, 1.0, 0.0, 0.0], [-a, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [b, 0.0, -b, 0.0]]
+    )
+    rows = spec.forcing_jacobian
+
+    def jacobian(t: float, signs: Tuple[float, float]) -> np.ndarray:
+        row_y, row_w = rows(t, signs[0], signs[1])
+        jac = linear.copy()
+        jac[1] += eps * row_y
+        jac[3] += eps * row_w
+        return jac
+
+    return jacobian
 
 
 def classify_values(lie_minus: float, lie_plus: float) -> SurfaceClassification:
@@ -289,8 +336,10 @@ class _Integrator:
         atol: float,
         max_events: int,
         max_step: Optional[float],
+        jacobian: Optional[Jacobian] = None,
     ):
         self.field = field
+        self.jacobian = jacobian
         self.t0, self.t1 = float(t_span[0]), float(t_span[1])
         self.direction = 1.0 if self.t1 >= self.t0 else -1.0
         self.rtol = rtol
@@ -310,6 +359,9 @@ class _Integrator:
         self.events: List[EventRecord] = []
         self.signs = list(_point_signs(self.state))
         self.sliding_on: Optional[int] = None
+        # The monodromy so far; None when not requested or dropped.
+        self.phi = None if jacobian is None else np.eye(4)
+        self.monodromy_reason: Optional[str] = None
         self.finished = False
         self._tiny_run = 0
         self._last_event_time: Optional[float] = None
@@ -348,7 +400,15 @@ class _Integrator:
             events=self.events,
             t_span=(self.t0, self.t1),
             initial_state=np.array(self.s_initial, dtype=float),
+            monodromy=None if self.phi is None else np.array(self.phi),
+            monodromy_reason=self.monodromy_reason,
         )
+
+    def _drop_monodromy(self, reason: str):
+        """End the monodromy request at a contact it cannot pass."""
+        if self.phi is not None:
+            self.phi = None
+            self.monodromy_reason = f"{reason} at t = {self.t:.6g}"
 
     # -- event resolution --------------------------------------------------
 
@@ -358,7 +418,9 @@ class _Integrator:
         A crossing switches the region sign, a tangency is resolved by
         the curvature of the level, and a sliding (or escaping) contact
         starts a sliding segment on that surface, unless the trajectory
-        would then slide on both surfaces at once.
+        would then slide on both surfaces at once.  Crossings carry the
+        monodromy through their saltation matrix; any other contact drops
+        it.
         """
         corner = len(ks) > 1
         point_signs = _point_signs(self.state)
@@ -370,10 +432,14 @@ class _Integrator:
             self._record(k, cls, corner)
             if cls.kind == "crossing":
                 self.signs[k] = self.direction * float(np.sign(cls.lie_plus))
-            elif cls.kind in ("sliding", "escaping"):
+                continue
+            self._drop_monodromy(f"{cls.kind} contact with surface {k + 1}")
+            if cls.kind in ("sliding", "escaping"):
                 sliding_hits.append(k)
             else:
                 self._resolve_tangency(k)
+        if self.phi is not None:
+            self._cross_monodromy(ks)
         if len(sliding_hits) > 1 or (sliding_hits and self.sliding_on is not None):
             raise TangencyError(
                 "simultaneous sliding on both surfaces (codimension two) is unsupported"
@@ -382,6 +448,43 @@ class _Integrator:
             k = sliding_hits[0]
             self.signs[k] = 0.0
             self.sliding_on = k
+
+    def _saltation(self, ks: Sequence[int]) -> np.ndarray:
+        """Saltation matrix of crossing the surfaces ``ks`` in that order.
+
+        Crossing surface k + 1 from field f⁻ to field f⁺ maps Φ to
+        S·Φ with S = I + (f⁺ − f⁻)·e_{2k}ᵀ / f⁻[2k].  The crossings start
+        from the region signs before the contact and end on the new ones.
+        """
+        signs = list(self.signs)
+        for k in ks:
+            signs[k] = -signs[k]
+        f_in = self.field(self.t, self.state, tuple(signs))
+        saltation = np.eye(4)
+        for k in ks:
+            signs[k] = self.signs[k]
+            f_out = self.field(self.t, self.state, tuple(signs))
+            step = np.eye(4)
+            step[:, 2 * k] += (f_out - f_in) / f_in[2 * k]
+            saltation = step @ saltation
+            f_in = f_out
+        return saltation
+
+    def _cross_monodromy(self, ks: Sequence[int]):
+        """Carry the monodromy through transversal crossings of ``ks``.
+
+        At a corner the flow map is differentiable only if crossing the
+        two surfaces in either order gives the same saltation matrix (as
+        on the pendulum fields, where neither level derivative depends
+        on a sign); otherwise the monodromy is dropped.
+        """
+        saltation = self._saltation(ks)
+        if len(ks) > 1:
+            other = self._saltation(ks[::-1])
+            if np.linalg.norm(saltation - other) > CORNER_SALTATION_RTOL * np.linalg.norm(saltation):
+                self._drop_monodromy("corner contact with both surfaces")
+                return
+        self.phi = saltation @ self.phi
 
     def _resolve_tangency(self, k: int):
         """Decide the outgoing side at a tangential contact.
@@ -436,30 +539,32 @@ class _Integrator:
         self.t = self.t1
         self.finished = True
 
-    def _depart_surface(self, rhs) -> Tuple[float, np.ndarray]:
+    def _depart_surface(self, rhs, u: np.ndarray) -> Tuple[float, np.ndarray]:
         """Micro-step off the surfaces so restarted levels have strict signs.
 
         Every surface the state sits on with a nonzero region sign is
-        left along ``rhs``, the right-hand side of the coming segment.
-        A first-order step suffices after a transversal crossing; after
-        a tangency or a sliding exit the level leaves quadratically, so
-        the step size escalates until every departed level shows the
-        sign selected by the event resolution.
+        left along ``rhs``, the right-hand side of the coming segment, from
+        ``u``: the state, followed by the flattened monodromy when one is
+        carried (steps of up to 1e-6 are not negligible for it).  A
+        first-order step suffices after a transversal crossing; after a
+        tangency or a sliding exit the level leaves quadratically, so the
+        step size escalates until every departed level shows the sign
+        selected by the event resolution.
         """
         targets = [k for k in range(2) if self.state[2 * k] == 0.0 and self.signs[k] != 0.0]
         if not targets:
-            return self.t, np.array(self.state, dtype=float)
+            return self.t, u
         remaining = self._remaining()
         for h_mag in _RESTART_STEPS:
             if h_mag > 0.5 * remaining:
                 break
             h = h_mag * self.direction
-            trial = _rk4_step(rhs, self.t, np.array(self.state, dtype=float), h)
+            trial = _rk4_step(rhs, self.t, u, h)
             if all(np.sign(trial[2 * k]) == self.signs[k] for k in targets):
                 return self.t + h, trial
         if remaining <= 2.0 * _RESTART_STEPS[-1]:
             self._settle_constant()
-            return self.t1, np.array(self.state, dtype=float)
+            return self.t1, u
         raise _Stalled("unable to leave the switching surface after an event")
 
     # -- segment step --------------------------------------------------------
@@ -471,10 +576,27 @@ class _Integrator:
         stops where either level crosses zero.  Sliding on surface k + 1
         runs the tangent combination and stops where a one-sided level
         derivative vanishes (release) or the other level crosses zero.
+        A carried monodromy rides along as components 4 to 19, left out
+        of the error test.
         """
         signs = tuple(self.signs)
         k = self.sliding_on
-        if k is None:
+        phi = self.phi
+        if phi is None:
+            u = np.array(self.state, dtype=float)
+        else:
+            u = np.concatenate((self.state, phi.ravel()))
+        if k is None and phi is not None:
+            jacobian = self.jacobian
+
+            def rhs(tt, u):
+                du = np.empty(20)
+                du[:4] = self.field(tt, u[:4], signs)
+                du[4:] = (jacobian(tt, signs) @ u[4:].reshape(4, 4)).ravel()
+                return du
+
+            events = [_level_event(0), _level_event(1)]
+        elif k is None:
             def rhs(tt, u):
                 return self.field(tt, u, signs)
 
@@ -488,29 +610,35 @@ class _Integrator:
 
             events = [lie_event(0), lie_event(1), _level_event(1 - k)]
 
-        t_run, s_run = self._depart_surface(rhs)
+        t_run, u_run = self._depart_surface(rhs, u)
         if self.finished:
             return
         run = solve(
             rhs,
             (t_run, self.t1),
-            s_run,
+            u_run,
             rtol=self.rtol,
             atol=self.atol,
             max_step=self.max_step,
             events=events,
+            n_tested=4,
         )
         if run.status == -1:
             raise _Stalled(f"step-size failure of the segment solver: {run.message}")
         te = float(run.ts[-1])
         state_e = np.asarray(run.sol(te), dtype=float)
+        sol = run.sol
+        if phi is not None:
+            self.phi = state_e[4:].reshape(4, 4)
+            state_e = state_e[:4].copy()
+            sol = sol.leading(4)
         if k is not None:
             state_e[2 * k] = 0.0
         self.segments.append(
             Segment(
                 t_start=self.t,
                 t_end=te,
-                sol=run.sol,
+                sol=sol,
                 ts=run.ts,
                 signs=signs,
                 sliding_surface=None if k is None else k + 1,
@@ -562,6 +690,7 @@ def integrate_field(
     atol: float = DEFAULT_ATOL,
     max_events: int = DEFAULT_MAX_EVENTS,
     max_step: Optional[float] = None,
+    jacobian: Optional[Jacobian] = None,
 ) -> Trajectory:
     """Integrate a field with explicit region signs through the surfaces.
 
@@ -570,10 +699,14 @@ def integrate_field(
     and located to a time tolerance below 1e-12, classified through the
     one-sided level derivatives, and resolved by region switching,
     sliding, or tangency curvature.  Initial states on a surface are
-    classified and resolved before the first segment.
+    classified and resolved before the first segment.  Given the
+    field's state Jacobian ``jacobian(t, signs)``, the run also carries
+    the monodromy (see the module docstring) into
+    ``Trajectory.monodromy``.
     """
     integ = _Integrator(
-        field, s0, t_span, rtol=rtol, atol=atol, max_events=max_events, max_step=max_step
+        field, s0, t_span, rtol=rtol, atol=atol, max_events=max_events, max_step=max_step,
+        jacobian=jacobian,
     )
     return integ.run()
 
@@ -589,10 +722,12 @@ def integrate(
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     max_events: int = DEFAULT_MAX_EVENTS,
+    monodromy: bool = False,
 ) -> Trajectory:
     """Event-driven trajectory of the perturbed reduced system.
 
     Steps are capped at a sixteenth of the shorter normal-mode period.
+    With ``monodromy`` the run carries the monodromy of the flow map.
     """
     return integrate_field(
         d1_field(spec, reduced, eps),
@@ -602,6 +737,7 @@ def integrate(
         atol=atol,
         max_events=max_events,
         max_step=min(spectral.period1, spectral.period2) / 16.0,
+        jacobian=d1_jacobian(spec, reduced, eps) if monodromy else None,
     )
 
 

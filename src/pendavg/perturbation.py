@@ -21,7 +21,9 @@ A small file format holds user-supplied perturbations.
 Each spec compiles its forcing once, on first use
 (:attr:`PerturbationSpec.forcing`): exact-zero constants are dropped and
 the other constants become floats, so an evaluation touches only the
-terms that can be nonzero.
+terms that can be nonzero.  The forcing's state Jacobian, the rows of
+F coefficients that the variational equations need, is compiled the same
+way (:attr:`PerturbationSpec.forcing_jacobian`).
 """
 
 from __future__ import annotations
@@ -218,6 +220,24 @@ class PerturbationSpec:
 
         return forcing
 
+    @cached_property
+    def forcing_jacobian(self) -> Callable:
+        """State Jacobian of the forcing, compiled on first use.
+
+        ``(tau, sgn_x, sgn_z) → (∂f_y/∂s, ∂f_w/∂s)``: the coefficients of
+        F₁ + σ_x·F₂ and of F₃ + σ_z·F₄ at τ, as length-4 arrays.  For
+        frozen signs the forcing is affine in the state, so these rows are
+        exact.  Zeros are folded as in :attr:`forcing`, and constant
+        coefficients are evaluated once.
+        """
+        row_y = _compile_row(self.F[0], self.F[1])
+        row_w = _compile_row(self.F[2], self.F[3])
+
+        def forcing_jacobian(tau, sgn_x, sgn_z):
+            return row_y(tau, sgn_x), row_w(tau, sgn_z)
+
+        return forcing_jacobian
+
     def component_periods(self) -> Tuple[float, ...]:
         periods = [k.period for k in self.K]
         for form in self.F:
@@ -285,6 +305,25 @@ def _compile_component(k, form, k_signed, form_signed):
         return signed_value if value is None else value + signed_value
 
     return component
+
+
+def _row_values(folded, tau) -> np.ndarray:
+    """The folded coefficients of a linear form at τ, zeros included."""
+    return np.array([0.0 if d is None else d if d.__class__ is float else float(d(tau))
+                     for d in folded])
+
+
+def _compile_row(form, form_signed):
+    """(tau, σ) → the coefficients of F + F'·σ with the zero terms folded."""
+    base = [_fold(d) for d in form.coefficients()]
+    signed = [_fold(d) for d in form_signed.coefficients()]
+    if any(isinstance(d, PeriodicScalar) for d in base + signed):
+        return lambda tau, sgn: _row_values(base, tau) + sgn * _row_values(signed, tau)
+    base_row = _row_values(base, 0.0)
+    if all(d is None for d in signed):
+        return lambda tau, sgn: base_row
+    signed_row = _row_values(signed, 0.0)
+    return lambda tau, sgn: base_row + sgn * signed_row
 
 
 def eval_order1_with_signs(spec: PerturbationSpec, tau, state, sgn_x, sgn_z):

@@ -61,6 +61,7 @@ BUDGET_EXHAUSTED = "iteration budget exhausted"
 DEGENERATE_SHOOTING = "degenerate shooting matrix"
 INTEGRATION_FAILED = "integration failed"
 PREDICTION_FLAGGED = "prediction run flagged"
+NO_MONODROMY = "no monodromy: non-crossing contact"
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,13 @@ class PoincareResult:
     ``residual_family`` is its component in the orbit-family plane, the
     part the averaged pair controls directly, which separates a correct
     prediction (second order) from a wrong one (first order).
+
+    ``monodromy`` is the reduced-frame derivative of the return map at
+    the initial state, integrated along with the run
+    (`poincare_residual` asks for it).  It is None on a flagged run, on
+    the full nonlinear check, and when a contact without a saltation rule
+    ended the request (see :mod:`pendavg.filippov`); ``monodromy_reason``
+    then names that contact and its time.
     """
 
     epsilon: float
@@ -105,21 +113,28 @@ class PoincareResult:
     trajectory: Optional[Trajectory]
     flag: Optional[str] = None
     flag_code: int = 0
+    monodromy: Optional[np.ndarray] = None
+    monodromy_reason: Optional[str] = None
 
 
 @dataclass(frozen=True)
 class RefinementResult:
     """Newton-shooting fixed point of the return map.
 
-    ``reason`` is None when converged, otherwise `NOT_CONTRACTING` or
-    `BUDGET_EXHAUSTED`.
+    ``reason`` is None when converged, otherwise `NOT_CONTRACTING`,
+    `BUDGET_EXHAUSTED` or `NO_MONODROMY` (the prediction run carries no
+    monodromy, so no step was taken and ``monodromy`` is None).  The other
+    reasons of `SweepReport.limit_gap_reason` come from errors that
+    `refine_periodic` raises: `DEGENERATE_SHOOTING` from a singular
+    shooting matrix and `INTEGRATION_FAILED` from a failed chord-step
+    run; `PREDICTION_FLAGGED` rungs are not refined.
     """
 
     state: np.ndarray
     residual: float
     iterations: int
     converged: bool
-    monodromy: np.ndarray
+    monodromy: Optional[np.ndarray]
     reason: Optional[str]
 
 
@@ -312,6 +327,8 @@ def _package_result(
         events_ok=report.ok,
         crossing=report,
         trajectory=traj,
+        monodromy=traj.monodromy,
+        monodromy_reason=traj.monodromy_reason,
     )
 
 
@@ -353,6 +370,8 @@ def poincare_residual(
 ) -> PoincareResult:
     """Return-map gap of the reduced system over the resonant window.
 
+    The run also integrates the variational equations, so the result
+    carries the return map's monodromy for `refine_periodic`.
     Integration failures (stall, unresolved tangency, degenerate
     sliding) do not raise; they return a flagged result so that sweep
     aggregation can retain the failure.
@@ -369,6 +388,7 @@ def poincare_residual(
             (0.0, orbit.period_tau),
             rtol=VERIFY_RTOL,
             atol=VERIFY_ATOL,
+            monodromy=True,
         )
     except PendavgError as exc:
         return _flagged_result(
@@ -389,20 +409,35 @@ def refine_periodic(
     """Chord-Newton shooting from the prediction to a return-map fixed point.
 
     ``prediction`` is the `poincare_residual` run of ``orbit`` at the
-    refinement's ε; its final state is the prediction's image under the
-    return map, so the prediction is not integrated again.  The monodromy
-    matrix is estimated once, by finite differences at the prediction,
-    so each step costs one integration.  Near an isolated orbit every
-    step shrinks the gap; the first step that does not ends the
-    refinement unconverged, and ``REFINE_MAX_ITER`` only bounds the
-    loop.  A singular shooting matrix, as at ε = 0 where the orbit
-    family makes the return map non-isolated, raises a
-    degenerate-refinement error.
+    refinement's ε.  Its final state is the prediction's image under the
+    return map and its monodromy, integrated along with it through
+    variational equations and saltation matrices, gives the chord
+    matrix, so the prediction is not integrated again and each step
+    costs one integration.  Near an isolated orbit every step shrinks
+    the gap; the first step that does not ends the refinement
+    unconverged, and ``REFINE_MAX_ITER`` only bounds the loop.  A
+    prediction run without a monodromy (a non-crossing contact ended
+    it) ends the refinement before any step with `NO_MONODROMY`.  A
+    singular shooting matrix, as at ε = 0 where the orbit family makes
+    the return map non-isolated, raises a degenerate-refinement error.
     """
     _check_spec_matches(orbit, spec)
     if prediction.flag is not None:
         raise DomainError(f"the prediction run is flagged: {prediction.flag}")
     eps = prediction.epsilon
+    s = np.array(orbit.initial_state, dtype=float)
+    gap = prediction.trajectory.final_state - s
+    residual = float(np.linalg.norm(gap))
+    monodromy = prediction.monodromy
+    if monodromy is None:
+        return RefinementResult(
+            state=s,
+            residual=residual,
+            iterations=0,
+            converged=False,
+            monodromy=None,
+            reason=NO_MONODROMY,
+        )
 
     def return_map(s: np.ndarray) -> np.ndarray:
         traj = integrate(
@@ -417,14 +452,6 @@ def refine_periodic(
         )
         return traj.final_state
 
-    s = np.array(orbit.initial_state, dtype=float)
-    image = prediction.trajectory.final_state
-    h = max(1e-7 * float(np.linalg.norm(s)), 1e-8)
-    monodromy = np.empty((4, 4))
-    for i in range(4):
-        bumped = s.copy()
-        bumped[i] += h
-        monodromy[:, i] = (return_map(bumped) - image) / h
     jac = monodromy - np.eye(4)
     smallest = np.linalg.svd(jac, compute_uv=False)[-1]
     if smallest < DEGENERATE_SV_RTOL * max(1.0, float(np.linalg.norm(jac))):
@@ -433,8 +460,6 @@ def refine_periodic(
             "the return-map fixed point is not isolated at this eps"
         )
 
-    gap = image - s
-    residual = float(np.linalg.norm(gap))
     iterations = 0
     while residual > REFINE_TOL and iterations < REFINE_MAX_ITER:
         iterations += 1

@@ -6,8 +6,10 @@ instead of rotation-block propagators, dense breakpoint-split trapezoid
 sums instead of adaptive panels, hand-written averaged closed forms
 refined by a local Newton loop, the unfolded term-by-term forcing sum, a
 scan-and-bisect search for the sgn breakpoints, the generic
-fundamental-matrix average, and a Cartesian finite-difference Jacobian of
-the averaged pair instead of the angular derivative along a ray.  Tests
+fundamental-matrix average, a Cartesian finite-difference Jacobian of
+the averaged pair instead of the angular derivative along a ray, and a
+finite-difference monodromy of the return map instead of variational
+equations with saltation matrices.  Tests
 compare package output against these values; the frozen literals in the
 suite come from ``scripts/derive_oracles.py``.
 """
@@ -270,3 +272,33 @@ def malkin_average(g1, s, orbit, window, family=1, breakpoints=()):
     edges = np.unique(np.concatenate(([0.0], np.asarray(breakpoints, dtype=float), [window])))
     edges = edges[(edges >= 0.0) & (edges <= window)]
     return _adaptive_gauss(f, edges) / window
+
+
+def finite_difference_monodromy(spec, reduced, spectral, eps, orbit, scale=1.0, central=False):
+    """Monodromy of the return map at ``orbit.initial_state`` by differences.
+
+    Each column bumps one state component by h = scale·max(1e-7·‖s‖, 1e-8)
+    and integrates the bumped state (both ±h with ``central``) over the
+    window at the verification tolerances.  The error is the solver's
+    noise over h plus the truncation error, about 1e-8 on the builtins.
+    """
+    from pendavg.filippov import integrate
+    from pendavg.verify import VERIFY_ATOL, VERIFY_RTOL
+
+    s = np.array(orbit.initial_state, dtype=float)
+
+    def return_map(state):
+        return integrate(spec, reduced, spectral, eps, state, (0.0, orbit.period_tau),
+                         rtol=VERIFY_RTOL, atol=VERIFY_ATOL).final_state
+
+    h = scale * max(1e-7 * float(np.linalg.norm(s)), 1e-8)
+    image = None if central else return_map(s)
+    monodromy = np.empty((4, 4))
+    for i in range(4):
+        step = np.zeros(4)
+        step[i] = h
+        if central:
+            monodromy[:, i] = (return_map(s + step) - return_map(s - step)) / (2.0 * h)
+        else:
+            monodromy[:, i] = (return_map(s + step) - image) / h
+    return monodromy

@@ -37,6 +37,7 @@ from pendavg.filippov import (
     classify_surface_contact,
     classify_values,
     d1_field,
+    d1_jacobian,
     sliding_combination,
 )
 
@@ -274,6 +275,73 @@ def test_codimension_two_sliding_raises(field, s0):
         integrate_field(field, s0, (0.0, 3.0))
 
 
+# -- monodromy ---------------------------------------------------------------
+
+
+def _zero_jacobian(t, signs):
+    return np.zeros((4, 4))
+
+
+def _corner_field(t, state, signs):
+    # each level derivative depends on the other surface's sign, so the two
+    # crossing orders at the corner give different saltation matrices
+    return np.array([1.0 + 0.5 * signs[1], 0.0, 1.0 + 0.5 * signs[0], 0.0])
+
+
+def test_saltation_matches_the_exact_flow_map():
+    # x' = 2 + sgn(x): x0 < 0 crosses at t = -x0 and x(T) = 3(T + x0), so
+    # the flow map's derivative is 3 in x and 1 elsewhere
+    def field(t, state, signs):
+        return np.array([2.0 + signs[0], 0.0, 0.0, 0.0])
+
+    traj = integrate_field(field, (-1.0, 0.0, 1.0, 0.0), (0.0, 1.5), jacobian=_zero_jacobian)
+    assert [ev.kind for ev in traj.events] == ["crossing"]
+    assert traj.monodromy_reason is None
+    assert np.allclose(traj.monodromy, np.diag([3.0, 1.0, 1.0, 1.0]), rtol=0.0, atol=1e-12)
+
+
+def test_monodromy_follows_the_time_direction(bench):
+    # integrating back over the window inverts the forward monodromy
+    reduced, s = bench
+    spec = builtin("damped_forced_escapement", {"gamma": GAMMA, "kappa": 0.1}, s, family=1, p=1)
+    s0 = (0.3, -0.2, 0.5, 0.1)
+    forward = integrate(spec, reduced, s, 1e-2, s0, (0.0, 5.0), monodromy=True)
+    assert len(forward.events) >= 2 and all(ev.kind == "crossing" for ev in forward.events)
+    backward = integrate(spec, reduced, s, 1e-2, forward.final_state, (5.0, 0.0), monodromy=True)
+    assert np.allclose(backward.monodromy @ forward.monodromy, np.eye(4), rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "field, s0, t1, reason",
+    [
+        (_drive_field(lambda t: 0.25 * math.cos(t)), (0.5, 0.0, 1.0, 0.0), 6.0,
+         "sliding contact with surface 1 at t = "),
+        (_drive_field(lambda t: 1.5 * math.sin(t)), (0.5, 0.0, 1.0, 0.0), 5.0,
+         "sliding contact with surface 1 at t = "),
+        (_corner_field, (-0.25, 0.0, -0.25, 0.0), 1.0, "corner contact with both surfaces at t = 0.5"),
+    ],
+    ids=["sliding", "sliding-release", "corner"],
+)
+def test_monodromy_request_ends_at_a_non_crossing_contact(field, s0, t1, reason):
+    plain = integrate_field(field, s0, (0.0, t1))
+    traj = integrate_field(field, s0, (0.0, t1), jacobian=_zero_jacobian)
+    assert traj.monodromy is None
+    assert traj.monodromy_reason.startswith(reason)
+    assert [(ev.surface, ev.kind) for ev in traj.events] == [
+        (ev.surface, ev.kind) for ev in plain.events
+    ]
+    assert np.allclose(traj.final_state, plain.final_state, rtol=1e-12, atol=1e-14)
+    assert plain.monodromy is None and plain.monodromy_reason is None
+
+
+def test_monodromy_request_ends_at_a_tangency(bench):
+    reduced, s = bench
+    traj = integrate(damped_spec(s), reduced, s, 0.0, (0.0, 0.0, 1.0, 0.3), (0.0, 2.0), monodromy=True)
+    assert traj.events[0].kind == "tangent"
+    assert traj.monodromy is None
+    assert traj.monodromy_reason == "tangent contact with surface 1 at t = 0"
+
+
 # -- tangency resolution -----------------------------------------------------
 
 
@@ -445,6 +513,39 @@ def test_dop853_matches_solve_ivp_bit_for_bit(bench):
     run = dop853.solve(rhs, (t0, t0), y0, rtol=1e-10, atol=1e-12)
     assert run.status == ref.status == 0 and run.ts.tobytes() == ref.t.tobytes()
     assert run.sol(t0).tobytes() == ref.sol(t0).tobytes()
+
+
+def test_dop853_error_test_on_leading_components(bench):
+    """Variational equations carried along a builtin field and left out of
+    the error test keep the plain run's steps and its state."""
+    reduced, s = bench
+    spec = builtin("damped_forced_escapement", {"gamma": GAMMA, "kappa": 0.05}, s, family=1, p=1)
+    eps = 1e-2
+    field = d1_field(spec, reduced, eps)
+    jacobian = d1_jacobian(spec, reduced, eps)
+    signs = (1.0, -1.0)
+
+    def plain(t, u):
+        return field(t, u, signs)
+
+    def augmented(t, u):
+        return np.concatenate((field(t, u[:4], signs), (jacobian(t, signs) @ u[4:].reshape(4, 4)).ravel()))
+
+    y0 = np.array([0.3, -0.2, -0.5, 0.1])
+    u0 = np.concatenate((y0, np.eye(4).ravel()))
+    options = dict(rtol=1e-12, atol=1e-14, max_step=min(s.period1, s.period2) / 16.0)
+    ref = dop853.solve(plain, (0.0, 6.0), y0, **options)
+    run = dop853.solve(augmented, (0.0, 6.0), u0, n_tested=4, **options)
+    # the step times agree to rounding amplified by the error estimate's
+    # cancellation, the count exactly
+    assert len(run.ts) == len(ref.ts)
+    state = run.sol.leading(4)
+    for t in ref.ts:
+        expected = ref.sol(t)
+        assert np.linalg.norm(state(t) - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert state(t).tobytes() == run.sol(t)[:4].tobytes()
+    # testing every component would make the run take more steps
+    assert len(dop853.solve(augmented, (0.0, 6.0), u0, **options).ts) > len(ref.ts)
 
 
 # -- export and determinism ---------------------------------------------------

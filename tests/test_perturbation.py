@@ -187,6 +187,32 @@ def test_compiled_forcing_matches_unfolded_sum():
             assert np.shape(g) == (7,) and np.array_equal(g, e)
 
 
+def test_forcing_jacobian_matches_unfolded_differences():
+    # the forcing is affine in the state, so row j is f(e_j) - f(0); every
+    # other spec has constant coefficients only, whose rows are precomputed
+    rng = np.random.default_rng(11)
+    window = 2.7
+
+    def constant(rng, window):
+        return PeriodicScalar.constant(rng.choice([0.0, rng.uniform(-2, 2)]), window)
+
+    for i in range(200):
+        scalar = _random_scalar if i % 2 else constant
+        spec = PerturbationSpec(
+            K=tuple(_random_scalar(rng, window) for _ in range(4)),
+            F=tuple(LinearForm(*(scalar(rng, window) for _ in range(4))) for _ in range(4)),
+        )
+        tau = rng.uniform(-3, 10)
+        signs = rng.choice([-1.0, 0.0, 1.0], size=2)
+        rows = spec.forcing_jacobian(tau, *signs)
+        at_zero = unfolded_forcing(spec, tau, np.zeros(4), *signs)
+        for j in range(4):
+            at_axis = unfolded_forcing(spec, tau, np.eye(4)[j], *signs)
+            for row, f1, f0 in zip(rows, at_axis, at_zero):
+                assert row.shape == (4,)
+                assert row[j] == pytest.approx(f1 - f0, rel=1e-12, abs=1e-12)
+
+
 def test_all_zero_spec_forcing_is_shaped_like_tau():
     z = PeriodicScalar.constant(0.0, 1.0)
     spec = PerturbationSpec(K=(z, z, z, z), F=(LinearForm.zero(1.0),) * 4)

@@ -35,9 +35,10 @@ from pendavg import (
     to_physical_frame,
     to_reduced_frame,
 )
-from pendavg.filippov import integrate
+from pendavg.filippov import integrate, integrate_field
 
-from .oracles import corollary_radius, linear_periodic_state
+from .oracles import corollary_radius, finite_difference_monodromy, linear_periodic_state
+from .test_filippov import _drive_field
 
 BENCH = PhysicalParams(1.0, 1.0, 1.0, 1.0, 9.8)
 GAMMA = 0.5
@@ -70,6 +71,20 @@ def escapement(bench):
     )
     sys = BifurcationSystem(1, spec, reduced, s, "A")
     (cert,) = annulus_search(sys, 0.05, 2.0, 8)
+    orbit = predicted_initial_state(cert, 1, transform, s, reduced)
+    return spec, cert, orbit
+
+
+@pytest.fixture(scope="module")
+def corollary(bench):
+    """The corollary's wrong-convention (B) zero (r*, 0): no fixed point of
+    the return map sits there, so its refinements fail."""
+    reduced, s, transform = bench
+    spec = builtin(
+        "corollary_escapement", {"sigma_d": 1.0, "sigma_e": 1.0}, s, family=1, p=1
+    )
+    sys_b = BifurcationSystem(1, spec, reduced, s, "B")
+    cert = annulus_search(sys_b, 0.2, 3.0, 8)[-1]
     orbit = predicted_initial_state(cert, 1, transform, s, reduced)
     return spec, cert, orbit
 
@@ -204,8 +219,8 @@ def test_refine_matches_exponential_oracle(bench, damped):
 
 def test_refine_stops_at_first_non_contracting_step(bench, monkeypatch):
     """A wrong-convention prediction is no fixed point: the first chord step
-    grows the gap, so refinement stops after the four monodromy columns
-    and that one step; the prediction's image comes from its Poincaré run."""
+    grows the gap, so refinement stops after that one step; the
+    prediction's image and monodromy come from its Poincaré run."""
     reduced, s, transform = bench
     spec = builtin(
         "corollary_escapement", {"sigma_d": 1.0, "sigma_e": 1.0}, s, family=1, p=1
@@ -228,7 +243,7 @@ def test_refine_stops_at_first_non_contracting_step(bench, monkeypatch):
     assert not result.converged
     assert result.reason == "not contracting"
     assert result.iterations == 1
-    assert calls == [1e-2] * 5
+    assert calls == [1e-2]
 
 
 def test_refine_degenerate_at_eps_zero(bench, damped):
@@ -252,6 +267,56 @@ def test_refine_monodromy_meets_liouville(bench, case, eps, request):
     sign, logdet = np.linalg.slogdet(monodromy)
     assert sign == 1.0
     assert abs(logdet + 2.0 * eps * orbit.period_tau) <= 1e-6
+
+
+@pytest.mark.parametrize("case", ["escapement", "corollary", "damped"])
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+def test_variational_monodromy_matches_finite_differences(bench, case, eps, request):
+    """The Poincaré run's monodromy agrees with the finite-difference oracle
+    within that oracle's own error, estimated by its spread against the
+    step 2h and against central differences."""
+    reduced, s, _ = bench
+    spec, _, orbit = request.getfixturevalue(case)
+    monodromy = poincare_residual(orbit, spec, reduced, s, eps).monodromy
+    forward = finite_difference_monodromy(spec, reduced, s, eps, orbit)
+    doubled = finite_difference_monodromy(spec, reduced, s, eps, orbit, scale=2.0)
+    central = finite_difference_monodromy(spec, reduced, s, eps, orbit, central=True)
+    spread = max(np.abs(forward - doubled).max(), np.abs(forward - central).max())
+    assert np.abs(monodromy - forward).max() <= 2.0 * spread
+
+
+@pytest.mark.parametrize("case", ["escapement", "corollary", "damped"])
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+def test_variational_monodromy_meets_liouville(bench, case, eps, request):
+    """log det M = ε·pT·tr D with tr D the y coefficient of F₁ plus the w
+    coefficient of F₃ (−2 with damping, 2σ_d on the corollary); every
+    saltation determinant is 1 since x' = y and z' = w ignore the signs.
+    The finite-difference oracle misses it by up to 2.8e-8 on the
+    escapement and damped runs."""
+    reduced, s, _ = bench
+    spec, _, orbit = request.getfixturevalue(case)
+    monodromy = poincare_residual(orbit, spec, reduced, s, eps).monodromy
+    trace = spec.F[0].d2.value + spec.F[2].d4.value
+    sign, logdet = np.linalg.slogdet(monodromy)
+    assert sign == 1.0
+    assert abs(logdet - eps * orbit.period_tau * trace) <= 1e-8
+
+
+def test_tangent_prediction_run_carries_no_monodromy(bench, damped):
+    """A start on x = 0 with y = 0 is a tangent contact: the run goes on, but
+    without a monodromy, and refinement stops before any step."""
+    reduced, s, _ = bench
+    spec, _, orbit = damped
+    tangent = dataclasses.replace(orbit, initial_state=np.array([0.0, 0.0, 1.0, 0.3]))
+    prediction = poincare_residual(tangent, spec, reduced, s, 1e-3)
+    assert prediction.flag is None and not prediction.events_ok
+    assert prediction.monodromy is None
+    assert prediction.monodromy_reason == "tangent contact with surface 1 at t = 0"
+    result = refine_periodic(tangent, spec, reduced, s, prediction)
+    assert not result.converged and result.iterations == 0
+    assert result.reason == verify_module.NO_MONODROMY
+    assert result.monodromy is None
+    assert result.residual == prediction.residual_full
 
 
 # -- sweeps -------------------------------------------------------------------
@@ -311,8 +376,8 @@ def test_epsilon_sweep_validates_prediction(bench, damped):
 
 
 def test_epsilon_sweep_reuses_the_prediction_run(bench, escapement, monkeypatch):
-    """Each rung integrates the prediction once (its Poincaré run), then
-    refinement adds the four monodromy columns and one run per chord step."""
+    """Each rung integrates the prediction once (its Poincaré run, which
+    carries the monodromy), then refinement adds one run per chord step."""
     reduced, s, _ = bench
     spec, _, orbit = escapement
     calls = []
@@ -335,9 +400,9 @@ def test_epsilon_sweep_reuses_the_prediction_run(bench, escapement, monkeypatch)
     prediction = tuple(orbit.initial_state)
     for eps, steps in zip(LADDER, iterations):
         rung = [s0 for e, s0 in calls if e == eps]
-        assert len(rung) == 1 + 4 + steps
+        assert len(rung) == 1 + steps
         assert rung.count(prediction) == 1
-    assert len(calls) == sum(5 + steps for steps in iterations)
+    assert len(calls) == sum(1 + steps for steps in iterations)
 
 
 def test_epsilon_sweep_skips_refinement_of_flagged_rungs(bench, damped, monkeypatch):
@@ -354,6 +419,28 @@ def test_epsilon_sweep_skips_refinement_of_flagged_rungs(bench, damped, monkeypa
     assert report.limit_gap_reason == ["prediction run flagged"] * len(LADDER)
     with pytest.raises(DomainError):
         refine_periodic(orbit, spec, reduced, s, report.samples[0])
+
+
+def test_sweep_rung_without_monodromy_gives_its_reason(bench, damped, monkeypatch):
+    """A Poincaré run that slides carries no monodromy, so its rung is not
+    refined and its limit gap is null for a documented reason."""
+    reduced, s, _ = bench
+    spec, _, orbit = damped
+    sliding = _drive_field(lambda t: 0.25 * math.cos(t))
+
+    def sliding_run(spec, reduced, spectral, eps, s0, t_span, monodromy=False, **kwargs):
+        # the sliding fixture of test_filippov in place of the pendulum field
+        jacobian = (lambda t, signs: np.zeros((4, 4))) if monodromy else None
+        return integrate_field(sliding, (0.5, 0.0, 1.0, 0.0), t_span, jacobian=jacobian, **kwargs)
+
+    monkeypatch.setattr(verify_module, "integrate", sliding_run)
+    report = epsilon_sweep(orbit, spec, reduced, s, LADDER)
+    for sample in report.samples:
+        assert sample.flag is None and not sample.events_ok
+        assert sample.monodromy is None
+        assert sample.monodromy_reason.startswith("sliding contact with surface 1 at t = ")
+    assert all(math.isnan(g) for g in report.limit_gap)
+    assert report.limit_gap_reason == ["no monodromy: non-crossing contact"] * len(LADDER)
 
 
 def test_family_residual_separates_sgn_conventions(bench):
