@@ -85,69 +85,3 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BUILTIN_NAMES",
-    "BifurcationSystem",
-    "CrossingReport",
-    "CrossingViolationError",
-    "DegenerateSlidingError",
-    "DomainError",
-    "EventRecord",
-    "IntegrationStallError",
-    "JordanTransform",
-    "LinearForm",
-    "NoZeroError",
-    "NumericalError",
-    "PendavgError",
-    "PeriodicScalar",
-    "PerturbationSpec",
-    "PhysicalParams",
-    "PoincareResult",
-    "PredictedOrbit",
-    "QuadratureError",
-    "ReducedParams",
-    "RefinementDegenerateError",
-    "RefinementResult",
-    "ResonanceError",
-    "Segment",
-    "SpectralData",
-    "SurfaceClassification",
-    "SweepReport",
-    "TangencyError",
-    "Trajectory",
-    "ZeroCertificate",
-    "annulus_search",
-    "averaged_integrand",
-    "bifurcation_values",
-    "builtin",
-    "convention_verdict",
-    "crossing_hypothesis_check",
-    "epsilon_sweep",
-    "eval_order1_with_signs",
-    "export_events_csv",
-    "export_trajectory_csv",
-    "find_sign_changes",
-    "fit_exponent",
-    "full_nonlinear_check",
-    "fundamental_matrix",
-    "integrate",
-    "integrate_field",
-    "integrate_regularized",
-    "jordan_transform",
-    "linearization_matrix",
-    "monodromy_lower_block",
-    "nonlinear_accelerations",
-    "orbit_from_amplitude",
-    "perturbation_from_file",
-    "poincare_residual",
-    "predicted_initial_state",
-    "reduce_params",
-    "refine_periodic",
-    "require_transversal_crossings",
-    "smooth_sign",
-    "spectral_data",
-    "to_physical_frame",
-    "to_reduced_frame",
-    "unperturbed_orbit",
-]

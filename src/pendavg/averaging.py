@@ -27,12 +27,14 @@ breakpoints, refined by doubling until two successive levels agree.
 Writing the sgn argument as c₀·cos(ωτ) + c₁·sin(ωτ), the breakpoints are
 τ_k = (atan2(c₁, c₀) + π/2 + kπ)/ω, clipped to the window.
 The orbit is linear in the amplitude and the sgn pattern depends only on
-its direction, so G is affine along every ray: G(r·e_θ) = r·L(θ) + C(θ)
-with L = G(2e_θ) − G(e_θ) and C = 2G(e_θ) − G(2e_θ).  The zeros of G are
-therefore the roots of the scalar h(θ) = det[L(θ), C(θ)], each at radius
-r* = −⟨L, C⟩/‖L‖².  The annulus search scans h on an angle grid, refines
-each sign change by Brent's method, and certifies a zero by
-det J = h′(θ*)/r*; the sign of h′ is the zero's Brouwer index.
+its direction, so G is affine along every ray: G(r·e_θ) = r·L(θ) + C(θ).
+For frozen signs the forcing is affine, f = R·s + k, so L(θ) is the
+averaged response of R·s along the unit orbit e_θ and C(θ) that of k,
+both from one quadrature.  The zeros of G are therefore the roots of the
+scalar h(θ) = det[L(θ), C(θ)], each at radius r* = −⟨L, C⟩/‖L‖².  The
+annulus search scans h on an angle grid, refines each sign change by
+Brent's method, and certifies a zero by det J = h′(θ*)/r*; the sign of
+h′ is the zero's Brouwer index.
 """
 
 from __future__ import annotations
@@ -169,6 +171,20 @@ def find_sign_changes(amp, family: int, convention: str, s: SpectralData, p: int
     return partition
 
 
+def _along_orbit(sys: BifurcationSystem, amp, tau: np.ndarray):
+    """State, (sin ωτ, cos ωτ), signs (σ_x, σ_z) along the orbit of ``amp``,
+    and the weights of (f_y, f_w) in 2√Δ·⟨r, (0, f_y, 0, f_w)⟩."""
+    k = 0 if sys.family == 1 else 2
+    inverse, forward = sys.transform.inverse, sys.transform.forward
+    state = inverse @ unperturbed_orbit(sys.family, amp, tau, sys.spectral)
+    trig = np.stack([np.sin(sys.omega * tau), np.cos(sys.omega * tau)])
+    c0, c1 = _sgn_coefficients(amp, sys.sgn_convention)
+    sgn = np.sign(c0 * trig[1] + c1 * trig[0])
+    scale = 2.0 * math.sqrt(sys.spectral.delta)
+    signs = (np.sign(inverse[0, k]) * sgn, np.sign(inverse[2, k]) * sgn)
+    return state, trig, signs, (scale * forward[k + 1, 1], scale * forward[k + 1, 3])
+
+
 def averaged_integrand(sys: BifurcationSystem, amp, tau):
     """Integrand pair of the averaged response at times ``tau``.
 
@@ -176,19 +192,18 @@ def averaged_integrand(sys: BifurcationSystem, amp, tau):
     """
     scalar_input = np.ndim(tau) == 0
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    k = 0 if sys.family == 1 else 2
-    inverse, forward = sys.transform.inverse, sys.transform.forward
-    state = inverse @ unperturbed_orbit(sys.family, amp, tau, sys.spectral)
-    cos_t, sin_t = np.cos(sys.omega * tau), np.sin(sys.omega * tau)
-    c0, c1 = _sgn_coefficients(amp, sys.sgn_convention)
-    sgn = np.sign(c0 * cos_t + c1 * sin_t)
-    f_y, f_w = eval_order1_with_signs(
-        sys.spec, tau, state, np.sign(inverse[0, k]) * sgn, np.sign(inverse[2, k]) * sgn
-    )
-    scale = 2.0 * math.sqrt(sys.spectral.delta)
-    bracket = scale * forward[k + 1, 1] * f_y + scale * forward[k + 1, 3] * f_w
-    out = np.stack([sin_t * bracket, cos_t * bracket])
+    state, trig, signs, (w_y, w_w) = _along_orbit(sys, amp, tau)
+    f_y, f_w = eval_order1_with_signs(sys.spec, tau, state, *signs)
+    out = trig * (w_y * f_y + w_w * f_w)
     return out[:, 0] if scalar_input else out
+
+
+def _ray_integrand(sys: BifurcationSystem, unit: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Integrands of (L, C) along the unit orbit: the averaged response of
+    the forcing's state-linear part R·s and of its constant part k."""
+    state, trig, signs, (w_y, w_w) = _along_orbit(sys, unit, tau)
+    parts = (part.forcing(tau, state, *signs) for part in sys.spec.parts)
+    return np.concatenate([trig * (w_y * f_y + w_w * f_w) for f_y, f_w in parts])
 
 
 def _adaptive_gauss(f: Callable, edges: np.ndarray, rtol: float = QUADRATURE_RTOL,
@@ -234,11 +249,11 @@ def bifurcation_values(sys: BifurcationSystem, amp) -> np.ndarray:
 
 
 def _ray_pair(sys: BifurcationSystem, theta: float):
-    """(L, C) with G(r·e_θ) = r·L + C for every r > 0."""
+    """(L, C) with G(r·e_θ) = r·L + C for every r > 0, by one quadrature."""
     unit = np.array([math.cos(theta), math.sin(theta)])
-    g1 = bifurcation_values(sys, unit)
-    g2 = bifurcation_values(sys, 2.0 * unit)
-    return g2 - g1, 2.0 * g1 - g2
+    partition = find_sign_changes(unit, sys.family, sys.sgn_convention, sys.spectral, sys.spec.p)
+    pair = _adaptive_gauss(lambda taus: _ray_integrand(sys, unit, taus), partition.panel_edges())
+    return pair[:2], pair[2:]
 
 
 def _ray_det(sys: BifurcationSystem, theta: float) -> float:

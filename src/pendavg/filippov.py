@@ -24,9 +24,12 @@ it through the curvature of the level (tangency).  Sliding on both
 surfaces at once (codimension two) is refused.
 
 On request the run also carries the monodromy Φ = ∂s(t)/∂s(t₀), the
-derivative of the flow map that shooting needs.  Φ′ = J(τ, σ)·Φ is
-integrated with the state in the same DOP853 call; the local error test
-sees only the state, so the steps stay those of the plain run.  At each
+derivative of the flow map that shooting needs.  With the region signs
+frozen the field is affine, f = M_σ(τ)·s + c_σ(τ), and each segment builds
+M_σ and c_σ once (one precomputed matrix when the forcing's coefficients
+are constant); Φ′ = M_σ·Φ then rides along with the state as one matrix
+product per stage, in the same DOP853 call.  The local error test sees
+only the state, so the steps stay those of the plain run.  At each
 transversal crossing of surface k + 1, Φ is multiplied by the saltation
 matrix S = I + (f⁺ − f⁻)·e_{2k}ᵀ / f⁻[2k], with f⁻ and f⁺ the fields
 before and after the crossing (di Bernardo, Budd, Champneys & Kowalczyk,
@@ -53,8 +56,8 @@ from .errors import (
     IntegrationStallError,
     TangencyError,
 )
-from .model import ReducedParams, SpectralData
-from .perturbation import PerturbationSpec, eval_order1_with_signs, smooth_sign
+from .model import ReducedParams, SpectralData, linearization_matrix
+from .perturbation import PerturbationSpec, PeriodicArray, eval_order1_with_signs, smooth_sign
 
 # Tolerances of the event machinery.
 EVENT_TIME_TOL = 1e-12
@@ -166,14 +169,6 @@ class Trajectory:
                 return seg.state_at(min(max(t, lo), hi))
         raise DomainError(f"time {t} is not covered by the integrated span")
 
-    def sample(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
-        """States at ``n`` uniformly spaced times over the covered span."""
-        if n < 2:
-            raise DomainError("need at least two sample points")
-        ts = np.linspace(self.t_span[0], self.final_time, n)
-        states = np.stack([self.state_at(t) for t in ts], axis=1)
-        return ts, states
-
 
 @dataclass(frozen=True)
 class CrossingReport:
@@ -196,9 +191,16 @@ def d1_field(spec: PerturbationSpec, reduced: ReducedParams, eps: float) -> Fiel
 
     x' = y,   y' = -a x + z + ε f_y(τ, state; sgn)
     z' = w,   w' = b x - b z + ε f_w(τ, state; sgn)
+
+    Calling it evaluates the forcing for any signs (contacts, sliding, the
+    regularized run).  ``field.frozen(signs)`` is its affine form for
+    frozen signs, f = M_σ(τ)·s + c_σ(τ), as the periodic arrays
+    M_σ = A + ε·R_σ and c_σ = ε·k_σ (R_σ, k_σ from ``spec.frozen``);
+    ``field.jacobian(t, signs)`` is M_σ(τ).
     """
     a = reduced.a
     b = reduced.b
+    linear = linearization_matrix(reduced)
 
     def field(t: float, state: np.ndarray, signs: Tuple[float, float]) -> np.ndarray:
         x, y, z, w = state
@@ -207,30 +209,44 @@ def d1_field(spec: PerturbationSpec, reduced: ReducedParams, eps: float) -> Fiel
         dw = b * x - b * z + eps * f_w
         return np.array([y, dy, w, dw], dtype=float)
 
+    def frozen(signs: Tuple[float, float]) -> Tuple[PeriodicArray, PeriodicArray]:
+        rows, consts = spec.frozen(signs[0], signs[1])
+        return rows.embedded(linear, (1, 3), eps), consts.embedded(np.zeros(4), (1, 3), eps)
+
+    field.frozen = frozen
+    field.jacobian = lambda t, signs: frozen(signs)[0](t)
     return field
 
 
-def d1_jacobian(spec: PerturbationSpec, reduced: ReducedParams, eps: float) -> Jacobian:
-    """State Jacobian J(τ, σ) of :func:`d1_field` for frozen region signs.
+def segment_rhs(field: FieldWithSigns, signs: Tuple[float, float],
+                jacobian: Optional[Jacobian] = None) -> Callable[[float, np.ndarray], np.ndarray]:
+    """Right-hand side of a segment with frozen region signs ``signs``.
 
-    J = A + ε·(rows of ``spec.forcing_jacobian``) on the y′ and w′ rows,
-    with A the matrix of the unperturbed linear system.
+    With ``jacobian`` it runs over u = [s | Φ], Φ stored column by column,
+    so u.reshape(5, 4) holds s and the columns of Φ as rows.  A field from
+    :func:`d1_field` runs on its affine form, built once here: M_σ·s + c_σ,
+    or the one product u.reshape(5, 4)·M_σᵀ plus c_σ on the state row.
+    Any other field is called as given, with Φ′ = J·Φ from ``jacobian``.
     """
-    a = reduced.a
-    b = reduced.b
-    linear = np.array(
-        [[0.0, 1.0, 0.0, 0.0], [-a, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [b, 0.0, -b, 0.0]]
-    )
-    rows = spec.forcing_jacobian
+    frozen = getattr(field, "frozen", None)
+    if frozen is not None:
+        matrix, offset = frozen(signs)
+        if jacobian is None:
+            return lambda t, u: np.dot(matrix(t), u) + offset(t)
 
-    def jacobian(t: float, signs: Tuple[float, float]) -> np.ndarray:
-        row_y, row_w = rows(t, signs[0], signs[1])
-        jac = linear.copy()
-        jac[1] += eps * row_y
-        jac[3] += eps * row_w
-        return jac
+        def rhs(t, u):
+            du = np.dot(u.reshape(5, 4), matrix(t).T)
+            du[0] += offset(t)
+            return du.ravel()
+    elif jacobian is None:
+        return lambda t, u: field(t, u, signs)
+    else:
+        def rhs(t, u):
+            du = np.dot(u.reshape(5, 4), jacobian(t, signs).T)
+            du[0] = field(t, u[:4], signs)
+            return du.ravel()
 
-    return jacobian
+    return rhs
 
 
 def classify_values(lie_minus: float, lie_plus: float) -> SurfaceClassification:
@@ -585,21 +601,9 @@ class _Integrator:
         if phi is None:
             u = np.array(self.state, dtype=float)
         else:
-            u = np.concatenate((self.state, phi.ravel()))
-        if k is None and phi is not None:
-            jacobian = self.jacobian
-
-            def rhs(tt, u):
-                du = np.empty(20)
-                du[:4] = self.field(tt, u[:4], signs)
-                du[4:] = (jacobian(tt, signs) @ u[4:].reshape(4, 4)).ravel()
-                return du
-
-            events = [_level_event(0), _level_event(1)]
-        elif k is None:
-            def rhs(tt, u):
-                return self.field(tt, u, signs)
-
+            u = np.concatenate((self.state, phi.T.ravel()))
+        if k is None:
+            rhs = segment_rhs(self.field, signs, None if phi is None else self.jacobian)
             events = [_level_event(0), _level_event(1)]
         else:
             def rhs(tt, u):
@@ -629,7 +633,7 @@ class _Integrator:
         state_e = np.asarray(run.sol(te), dtype=float)
         sol = run.sol
         if phi is not None:
-            self.phi = state_e[4:].reshape(4, 4)
+            self.phi = state_e[4:].reshape(4, 4).T
             state_e = state_e[:4].copy()
             sol = sol.leading(4)
         if k is not None:
@@ -702,7 +706,7 @@ def integrate_field(
     classified and resolved before the first segment.  Given the
     field's state Jacobian ``jacobian(t, signs)``, the run also carries
     the monodromy (see the module docstring) into
-    ``Trajectory.monodromy``.
+    ``Trajectory.monodromy``.  Segments run on :func:`segment_rhs`.
     """
     integ = _Integrator(
         field, s0, t_span, rtol=rtol, atol=atol, max_events=max_events, max_step=max_step,
@@ -729,15 +733,16 @@ def integrate(
     Steps are capped at a sixteenth of the shorter normal-mode period.
     With ``monodromy`` the run carries the monodromy of the flow map.
     """
+    field = d1_field(spec, reduced, eps)
     return integrate_field(
-        d1_field(spec, reduced, eps),
+        field,
         s0,
         t_span,
         rtol=rtol,
         atol=atol,
         max_events=max_events,
         max_step=min(spectral.period1, spectral.period2) / 16.0,
-        jacobian=d1_jacobian(spec, reduced, eps) if monodromy else None,
+        jacobian=field.jacobian if monodromy else None,
     )
 
 

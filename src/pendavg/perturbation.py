@@ -7,23 +7,24 @@ enter the reduced system as the order-ε terms
     y′ += ε·(K₁(τ) + F₁(τ, s) + (K₂(τ) + F₂(τ, s))·σ_x),
     w′ += ε·(K₃(τ) + F₃(τ, s) + (K₄(τ) + F₄(τ, s))·σ_z),
 
-with s = (x, y, z, w).  :func:`eval_order1_with_signs` is the one place
-that combines K and F; its callers choose the sign values σ_x, σ_z: the
-region signs of the event-driven integrator (exact sgn, sgn(0) = 0), the
-C¹ odd ramp s_δ of the regularized integrator, or the signs along an
-unperturbed orbit for the averaged pair.
+with s = (x, y, z, w).  The sign values σ_x, σ_z are chosen by the
+caller: the region signs of the event-driven integrator (exact sgn,
+sgn(0) = 0), the C¹ odd ramp s_δ of the regularized integrator, or the
+signs along an unperturbed orbit for the averaged pair.
 
 Periodic scalars are tagged data: ``const`` (a value), ``cos``/``sin``
 (amplitude and ω) or ``table`` (uniform grid, linear interpolation, at
 least 256 samples per period), evaluated on scalar or array arguments.
 A small file format holds user-supplied perturbations.
 
-Each spec compiles its forcing once, on first use
-(:attr:`PerturbationSpec.forcing`): exact-zero constants are dropped and
-the other constants become floats, so an evaluation touches only the
-terms that can be nonzero.  The forcing's state Jacobian, the rows of
-F coefficients that the variational equations need, is compiled the same
-way (:attr:`PerturbationSpec.forcing_jacobian`).
+Each spec folds K and F once, on first use (exact-zero constants
+dropped, other constants made floats), and every evaluation comes from
+that folding: :func:`eval_order1_with_signs` for any signs and, for
+frozen signs, the affine form (f_y, f_w) = R(τ)·s + k(τ) of
+:meth:`PerturbationSpec.frozen`, one precomputed array on constant
+coefficients.  The integrator builds each segment's field from it; the
+averaged pair integrates R·s and k apart, as the forcings of
+:attr:`PerturbationSpec.parts`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import configparser
 import csv
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
@@ -44,6 +45,7 @@ from .model import SpectralData
 
 __all__ = [
     "PeriodicScalar",
+    "PeriodicArray",
     "LinearForm",
     "PerturbationSpec",
     "eval_order1_with_signs",
@@ -182,6 +184,31 @@ class LinearForm:
 
 
 @dataclass(frozen=True, eq=False)
+class PeriodicArray:
+    """An array of folded sums of periodic scalars: ``constant`` plus, for
+    each of ``terms`` (index, factor, scalar), factor·scalar(τ) at index."""
+
+    constant: np.ndarray
+    terms: Tuple[Tuple[tuple, float, PeriodicScalar], ...] = ()
+
+    def __call__(self, tau: float) -> np.ndarray:
+        """The array at a scalar τ (the shared ``constant`` when no term varies)."""
+        if not self.terms:
+            return self.constant
+        out = self.constant.copy()
+        for index, factor, scalar in self.terms:
+            out[index] += factor * scalar(tau)
+        return out
+
+    def embedded(self, base: np.ndarray, rows: Sequence[int], scale: float) -> "PeriodicArray":
+        """``base`` plus ``scale`` times this array, its row i added to ``rows[i]``."""
+        constant = np.array(base, dtype=float)
+        constant[list(rows)] += scale * self.constant
+        return PeriodicArray(constant, tuple(((rows[index[0]],) + index[1:], scale * factor, scalar)
+                                             for index, factor, scalar in self.terms))
+
+
+@dataclass(frozen=True, eq=False)
 class PerturbationSpec:
     """The eight perturbation ingredients plus resonance bookkeeping.
 
@@ -203,16 +230,22 @@ class PerturbationSpec:
             raise DomainError("need exactly four forcing scalars and four linear forms")
 
     @cached_property
+    def _groups(self):
+        """The one folding: per component (f_y, f_w), the folded groups of
+        (K, F) and of the signed (K′, F′)."""
+        K, F = self.K, self.F
+        return tuple((_fold_group(K[i], F[i]), _fold_group(K[i + 1], F[i + 1])) for i in (0, 2))
+
+    @cached_property
     def forcing(self) -> Callable:
         """The forcing of :func:`eval_order1_with_signs`, compiled on first use.
 
-        Exact-zero constant terms are dropped and the other constants
-        become floats; the sums keep the association
-        K + (d₁x + d₂y + d₃z + d₄w), then (…)·σ, so the values equal the
-        term-by-term sum except possibly for the sign of a zero.
+        The sums keep the association K + (d₁x + d₂y + d₃z + d₄w), then
+        (…)·σ, so the values equal the term-by-term sum except possibly for
+        the sign of a zero.
         """
-        f_y = _compile_component(self.K[0], self.F[0], self.K[1], self.F[1])
-        f_w = _compile_component(self.K[2], self.F[2], self.K[3], self.F[3])
+        period = self.K[0].period
+        f_y, f_w = (_compile_component(base, signed, period) for base, signed in self._groups)
 
         def forcing(tau, state, sgn_x, sgn_z):
             state = np.asarray(state, dtype=float)
@@ -220,23 +253,33 @@ class PerturbationSpec:
 
         return forcing
 
-    @cached_property
-    def forcing_jacobian(self) -> Callable:
-        """State Jacobian of the forcing, compiled on first use.
+    def frozen(self, sgn_x: float, sgn_z: float) -> Tuple[PeriodicArray, PeriodicArray]:
+        """The forcing for frozen signs, affine: (f_y, f_w) = R(τ)·s + k(τ).
 
-        ``(tau, sgn_x, sgn_z) → (∂f_y/∂s, ∂f_w/∂s)``: the coefficients of
-        F₁ + σ_x·F₂ and of F₃ + σ_z·F₄ at τ, as length-4 arrays.  For
-        frozen signs the forcing is affine in the state, so these rows are
-        exact.  Zeros are folded as in :attr:`forcing`, and constant
-        coefficients are evaluated once.
+        Row i of R (2 × 4) holds the coefficients of F + σ·F′ of component
+        i and k_i = K + σ·K′, from the folding; constant terms are summed.
         """
-        row_y = _compile_row(self.F[0], self.F[1])
-        row_w = _compile_row(self.F[2], self.F[3])
+        parts = (np.zeros((2, 4)), []), (np.zeros(2), [])
+        for row, (groups, sgn) in enumerate(zip(self._groups, (sgn_x, sgn_z))):
+            for (k, form_terms), factor in zip(groups, (1.0, float(sgn))):
+                if factor == 0.0:
+                    continue
+                entries = [(d, parts[0], (row, j)) for d, j in form_terms]
+                if k is not None:
+                    entries.append((k, parts[1], (row,)))
+                for d, (constant, terms), index in entries:
+                    if d.__class__ is float:
+                        constant[index] += factor * d
+                    else:
+                        terms.append((index, factor, d))
+        return tuple(PeriodicArray(constant, tuple(terms)) for constant, terms in parts)
 
-        def forcing_jacobian(tau, sgn_x, sgn_z):
-            return row_y(tau, sgn_x), row_w(tau, sgn_z)
-
-        return forcing_jacobian
+    @cached_property
+    def parts(self) -> Tuple["PerturbationSpec", "PerturbationSpec"]:
+        """The spec without K and the spec without F: for frozen signs their
+        forcings are the state-linear part R·s and the constant part k."""
+        zero = PeriodicScalar.constant(0.0, self.K[0].period)
+        return replace(self, K=(zero,) * 4), replace(self, F=(LinearForm(zero, zero, zero, zero),) * 4)
 
     def component_periods(self) -> Tuple[float, ...]:
         periods = [k.period for k in self.K]
@@ -287,14 +330,12 @@ def _group_value(k, terms, tau, state):
     return k if total is None else k + total
 
 
-def _compile_component(k, form, k_signed, form_signed):
-    """(tau, state, σ) → K + F + (K' + F')·σ with the zero terms folded."""
-    base = _fold_group(k, form)
-    signed = _fold_group(k_signed, form_signed)
+def _compile_component(base, signed, period: float):
+    """(tau, state, σ) → K + F + (K' + F')·σ over the folded groups."""
     if _is_constant(base) and _is_constant(signed):
         # Nothing depends on tau or the state: evaluate K as a constant
         # scalar so the result still takes the shape of tau.
-        base = (PeriodicScalar.constant(base[0] or 0.0, k.period), ())
+        base = (PeriodicScalar.constant(base[0] or 0.0, period), ())
 
     def component(tau, state, sgn):
         value = _group_value(*base, tau, state)
@@ -305,25 +346,6 @@ def _compile_component(k, form, k_signed, form_signed):
         return signed_value if value is None else value + signed_value
 
     return component
-
-
-def _row_values(folded, tau) -> np.ndarray:
-    """The folded coefficients of a linear form at τ, zeros included."""
-    return np.array([0.0 if d is None else d if d.__class__ is float else float(d(tau))
-                     for d in folded])
-
-
-def _compile_row(form, form_signed):
-    """(tau, σ) → the coefficients of F + F'·σ with the zero terms folded."""
-    base = [_fold(d) for d in form.coefficients()]
-    signed = [_fold(d) for d in form_signed.coefficients()]
-    if any(isinstance(d, PeriodicScalar) for d in base + signed):
-        return lambda tau, sgn: _row_values(base, tau) + sgn * _row_values(signed, tau)
-    base_row = _row_values(base, 0.0)
-    if all(d is None for d in signed):
-        return lambda tau, sgn: base_row
-    signed_row = _row_values(signed, 0.0)
-    return lambda tau, sgn: base_row + sgn * signed_row
 
 
 def eval_order1_with_signs(spec: PerturbationSpec, tau, state, sgn_x, sgn_z):

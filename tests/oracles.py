@@ -4,12 +4,14 @@ Everything here reaches results through routes the package does not use:
 eigensolvers instead of closed-form frequencies, matrix exponentials
 instead of rotation-block propagators, dense breakpoint-split trapezoid
 sums instead of adaptive panels, hand-written averaged closed forms
-refined by a local Newton loop, the unfolded term-by-term forcing sum, a
-scan-and-bisect search for the sgn breakpoints, the generic
-fundamental-matrix average, a Cartesian finite-difference Jacobian of
-the averaged pair instead of the angular derivative along a ray, and a
-finite-difference monodromy of the return map instead of variational
-equations with saltation matrices.  Tests
+refined by a local Newton loop, the unfolded term-by-term forcing sum and
+the reduced field summed whole from it on every call, two full
+evaluations of the averaged pair per ray instead of one pass over the
+parts of the forcing, a scan-and-bisect search for the sgn breakpoints,
+the generic fundamental-matrix average, a Cartesian finite-difference
+Jacobian of the averaged pair instead of the angular derivative along a
+ray, and a finite-difference monodromy of the return map instead of
+variational equations with saltation matrices.  Tests
 compare package output against these values; the frozen literals in the
 suite come from ``scripts/derive_oracles.py``.
 """
@@ -192,6 +194,49 @@ def unfolded_forcing(spec, tau, state, sgn_x, sgn_z):
     f_y = k1(tau) + f1.evaluate(tau, state) + (k2(tau) + f2.evaluate(tau, state)) * sgn_x
     f_w = k3(tau) + f3.evaluate(tau, state) + (k4(tau) + f4.evaluate(tau, state)) * sgn_z
     return f_y, f_w
+
+
+def per_call_field(spec, reduced, eps):
+    """The reduced system's field evaluated whole on every call, with the
+    unfolded forcing: x′ = y, y′ = −a·x + z + ε·f_y, z′ = w,
+    w′ = b·x − b·z + ε·f_w, for explicit region signs."""
+    a, b = reduced.a, reduced.b
+
+    def field(t, state, signs):
+        x, y, z, w = state
+        f_y, f_w = unfolded_forcing(spec, t, state, signs[0], signs[1])
+        return np.array([y, -a * x + z + eps * f_y, w, b * x - b * z + eps * f_w], dtype=float)
+
+    return field
+
+
+def field_term_scale(spec, reduced, eps, tau, state, signs):
+    """Per component of :func:`per_call_field`, the sum of the absolute
+    values of its terms: the size that float64 rounding of any way of
+    summing them is relative to."""
+    a, b = reduced.a, reduced.b
+    x, y, z, w = np.abs(np.asarray(state, dtype=float))
+    k1, k2, k3, k4 = (abs(float(k(tau))) for k in spec.K)
+    f1, f2, f3, f4 = (sum(abs(float(d(tau))) * v for d, v in zip(form.coefficients(), (x, y, z, w)))
+                      for form in spec.F)
+    sx, sz = abs(signs[0]), abs(signs[1])
+    return np.array([
+        y,
+        abs(a) * x + z + eps * (k1 + f1 + sx * (k2 + f2)),
+        w,
+        abs(b) * x + abs(b) * z + eps * (k3 + f3 + sz * (k4 + f4)),
+    ])
+
+
+def two_quadrature_ray_pair(system, theta):
+    """(L, C) on the ray θ from two full evaluations of the averaged pair,
+    L = G(2e_θ) − G(e_θ) and C = 2G(e_θ) − G(2e_θ)."""
+    from pendavg import bifurcation_values
+
+    unit = np.array([math.cos(theta), math.sin(theta)])
+    g1 = bifurcation_values(system, unit)
+    g2 = bifurcation_values(system, 2.0 * unit)
+    return g2 - g1, 2.0 * g1 - g2
 
 
 def scan_sign_changes(amp, family, convention, s, p):

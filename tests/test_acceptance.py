@@ -1,6 +1,6 @@
 """Package acceptance gate.
 
-Nine end-to-end checks at fixed tolerances, one test each.  Every test
+Ten end-to-end checks at fixed tolerances, one test each.  Every test
 prints a single ``[ACCEPT-n] PASS/FAIL`` line (shown with ``-s`` or on
 failure) before asserting, so a full run yields a readable scoreboard.
 Reference values come through independent routes in ``tests.oracles``;
@@ -20,6 +20,7 @@ from pendavg import (
     bifurcation_values,
     builtin,
     cli,
+    convention_verdict,
     crossing_hypothesis_check,
     epsilon_sweep,
     full_nonlinear_check,
@@ -377,4 +378,43 @@ def test_accept_9_full_nonlinear_consistency(bench):
         f"full/truncated residual ratio {factor:.6f} at eps 1e-3, "
         f"halving ratio {halving:.3f}",
     )
+    assert ok
+
+
+def test_accept_10_headline_verdicts(bench):
+    # Which sgn convention's zeros survive verification, per builtin at
+    # grid 12: the reproduction's headline table.  The README escapement
+    # config must also validate on family 2 and at p = 2.
+    reduced, s, transform = bench
+    ladder = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
+    escapement = {"gamma": GAMMA, "kappa": KAPPA}
+
+    def validated(name, params, convention, family=1, p=1, grid=12):
+        spec = builtin(name, params, s, family=family, p=p)
+        system = BifurcationSystem(family, spec, reduced, s, convention)
+        for cert in annulus_search(system, 0.05, 2.0, grid):
+            if cert.simple:
+                orbit = predicted_initial_state(cert, family, transform, s, reduced, p=p)
+                if epsilon_sweep(orbit, spec, reduced, s, ladder, refine=False).validated:
+                    return True
+        return False
+
+    builtins = (
+        ("damped_forced", {"gamma": GAMMA}),
+        ("damped_forced_escapement", escapement),
+        ("corollary_escapement", {"sigma_d": 1.0, "sigma_e": 1.0}),
+    )
+    verdicts = {
+        name: convention_verdict({c: validated(name, params, c) for c in ("A", "B")})
+        for name, params in builtins
+    }
+    expected = {"damped_forced": "both", "damped_forced_escapement": "A",
+                "corollary_escapement": "neither"}
+    others = {
+        f"family {family}, p {p}": validated("damped_forced_escapement", escapement, "A",
+                                             family=family, p=p, grid=24)
+        for family, p in ((2, 1), (1, 2))
+    }
+    ok = verdicts == expected and all(others.values())
+    report(10, ok, f"verdicts {verdicts}; README escapement validated on {others}")
     assert ok

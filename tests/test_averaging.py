@@ -31,6 +31,7 @@ from .oracles import (
     malkin_average,
     scan_sign_changes,
     trapezoid_bifurcation,
+    two_quadrature_ray_pair,
 )
 
 BENCH = PhysicalParams(1.0, 1.0, 1.0, 1.0, 9.8)
@@ -284,11 +285,9 @@ def test_jacobian_matches_closed_form(bench):
     assert np.allclose(jac, sd * t1 * np.diag([1.0, -1.0]), rtol=1e-6, atol=1e-6)
 
 
-def test_averaged_pair_is_affine_along_rays(bench):
-    # The orbit is linear in the amplitude and the sgn pattern depends only
-    # on its direction: G(r·e) = r·L + C with L, C taken at radii 1 and 2.
-    reduced, s = bench
-    rng = np.random.default_rng(17)
+def ray_systems(rng, reduced, s):
+    """40 random specs (random family, p and convention) and the 12
+    builtin × family × convention systems."""
     systems = []
     for _ in range(40):
         family = int(rng.integers(1, 3))
@@ -300,7 +299,15 @@ def test_averaged_pair_is_affine_along_rays(bench):
             for conv in ("A", "B"):
                 spec = builtin(name, params, s, family=family, p=1)
                 systems.append(BifurcationSystem(family, spec, reduced, s, conv))
-    for sys in systems:
+    return systems
+
+
+def test_averaged_pair_is_affine_along_rays(bench):
+    # The orbit is linear in the amplitude and the sgn pattern depends only
+    # on its direction: G(r·e) = r·L + C with L, C taken at radii 1 and 2.
+    reduced, s = bench
+    rng = np.random.default_rng(17)
+    for sys in ray_systems(rng, reduced, s):
         theta = rng.uniform(0.0, 2.0 * math.pi)
         unit = np.array([math.cos(theta), math.sin(theta)])
         g1, g2 = bifurcation_values(sys, unit), bifurcation_values(sys, 2.0 * unit)
@@ -309,6 +316,23 @@ def test_averaged_pair_is_affine_along_rays(bench):
             val = bifurcation_values(sys, r * unit)
             size = max(np.linalg.norm(val), r * np.linalg.norm(lin), np.linalg.norm(const))
             assert np.linalg.norm(val - (r * lin + const)) <= 1e-12 * size, (sys.spec, theta, r)
+
+
+def test_one_pass_ray_pair_matches_two_quadratures(bench):
+    # L and C from one quadrature over the parts of the forcing against
+    # L = G(2e) − G(e) and C = 2G(e) − G(2e) from two full quadratures,
+    # relative to the larger of 1 and ‖(L, C)‖ as the quadrature's own
+    # stopping rule is: one random spec has no resonant term, G ≡ 0, and
+    # both sides are rounding noise of 1e-15
+    reduced, s = bench
+    rng = np.random.default_rng(17)
+    for sys in ray_systems(rng, reduced, s):
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        lin, const = averaging_module._ray_pair(sys, theta)
+        ref_lin, ref_const = two_quadrature_ray_pair(sys, theta)
+        gap = np.linalg.norm(np.concatenate((lin - ref_lin, const - ref_const)))
+        size = max(1.0, np.linalg.norm(np.concatenate((ref_lin, ref_const))))
+        assert gap <= 1e-12 * size, (sys.spec, theta)
 
 
 def test_annulus_search_det_matches_oracle_jacobian(bench):

@@ -17,6 +17,9 @@ from pendavg import (
     DegenerateSlidingError,
     DomainError,
     IntegrationStallError,
+    LinearForm,
+    PeriodicScalar,
+    PerturbationSpec,
     PhysicalParams,
     TangencyError,
     builtin,
@@ -37,11 +40,12 @@ from pendavg.filippov import (
     classify_surface_contact,
     classify_values,
     d1_field,
-    d1_jacobian,
+    segment_rhs,
     sliding_combination,
 )
 
-from .oracles import flow_states
+from .oracles import field_term_scale, flow_states, per_call_field
+from .test_perturbation import _random_scalar
 
 BENCH = PhysicalParams(1.0, 1.0, 1.0, 1.0, 9.8)
 GAMMA = 0.5
@@ -112,6 +116,50 @@ def test_d1_field_matches_manual_formula(bench):
             ]
         )
         assert np.allclose(val, ref, rtol=1e-14, atol=1e-14)
+
+
+def test_frozen_sign_segment_field_matches_per_call_field(bench):
+    # A segment's M_σ·s + c_σ(τ), and its product over [s | Φ], against the
+    # field summed whole on every call.  Both sum the same terms, up to 16
+    # per component, so they differ by float64 rounding: at most 32 units
+    # in the last place of the terms' absolute sum.
+    reduced, s = bench
+    rng = np.random.default_rng(23)
+    window = 2.7
+    ulp = np.finfo(float).eps
+
+    def constant(rng, window):
+        return PeriodicScalar.constant(rng.uniform(-2, 2), window)
+
+    for i in range(100):
+        coefficient = _random_scalar if i % 2 else constant
+        spec = PerturbationSpec(
+            K=tuple(_random_scalar(rng, window) for _ in range(4)),
+            F=tuple(LinearForm(*(coefficient(rng, window) for _ in range(4))) for _ in range(4)),
+        )
+        eps = 10.0 ** rng.uniform(-3.0, 0.0)
+        signs = tuple(rng.choice([-1.0, 0.0, 1.0], size=2))
+        field = d1_field(spec, reduced, eps)
+        reference = per_call_field(spec, reduced, eps)
+        plain = segment_rhs(field, signs)
+        variational = segment_rhs(field, signs, field.jacobian)
+        for tau in rng.uniform(-3.0, 10.0, size=3):
+            state = rng.normal(size=4)
+            phi = rng.normal(size=(4, 4))
+            expect = reference(tau, state, signs)
+            bound = 32 * ulp * field_term_scale(spec, reduced, eps, tau, state, signs)
+            assert np.all(np.abs(plain(tau, state) - expect) <= bound), (i, tau)
+            du = variational(tau, np.concatenate((state, phi.T.ravel())))
+            assert np.all(np.abs(du[:4] - expect) <= bound), (i, tau)
+            # column j of M_σ is f(e_j) − f(0), each side rounded as above
+            at_zero = reference(tau, np.zeros(4), signs)
+            matrix = np.stack([reference(tau, e, signs) - at_zero for e in np.eye(4)], axis=1)
+            zero_scale = field_term_scale(spec, reduced, eps, tau, np.zeros(4), signs)
+            column_scale = np.stack(
+                [field_term_scale(spec, reduced, eps, tau, e, signs) + zero_scale for e in np.eye(4)], axis=1
+            )
+            phi_dot = du[4:].reshape(4, 4).T
+            assert np.all(np.abs(phi_dot - matrix @ phi) <= 64 * ulp * (column_scale @ np.abs(phi))), (i, tau)
 
 
 # -- sliding algebra --------------------------------------------------------
@@ -192,10 +240,6 @@ def test_trajectory_sample_and_span_checks(bench):
     reduced, s = bench
     spec = damped_spec(s)
     traj = integrate(spec, reduced, s, 0.0, (0.3, -0.2, 0.5, 0.1), (0.0, 2.0))
-    ts, states = traj.sample(11)
-    assert ts.shape == (11,) and states.shape == (4, 11)
-    with pytest.raises(DomainError):
-        traj.sample(1)
     with pytest.raises(DomainError):
         traj.state_at(3.0)
 
@@ -522,14 +566,9 @@ def test_dop853_error_test_on_leading_components(bench):
     spec = builtin("damped_forced_escapement", {"gamma": GAMMA, "kappa": 0.05}, s, family=1, p=1)
     eps = 1e-2
     field = d1_field(spec, reduced, eps)
-    jacobian = d1_jacobian(spec, reduced, eps)
     signs = (1.0, -1.0)
-
-    def plain(t, u):
-        return field(t, u, signs)
-
-    def augmented(t, u):
-        return np.concatenate((field(t, u[:4], signs), (jacobian(t, signs) @ u[4:].reshape(4, 4)).ravel()))
+    plain = segment_rhs(field, signs)
+    augmented = segment_rhs(field, signs, field.jacobian)
 
     y0 = np.array([0.3, -0.2, -0.5, 0.1])
     u0 = np.concatenate((y0, np.eye(4).ravel()))

@@ -188,8 +188,9 @@ def test_compiled_forcing_matches_unfolded_sum():
 
 
 def test_forcing_jacobian_matches_unfolded_differences():
-    # the forcing is affine in the state, so row j is f(e_j) - f(0); every
-    # other spec has constant coefficients only, whose rows are precomputed
+    # for frozen signs the forcing is affine in the state, so column j of R
+    # is f(e_j) - f(0); every other spec has constant coefficients only,
+    # whose R is one precomputed array
     rng = np.random.default_rng(11)
     window = 2.7
 
@@ -204,7 +205,7 @@ def test_forcing_jacobian_matches_unfolded_differences():
         )
         tau = rng.uniform(-3, 10)
         signs = rng.choice([-1.0, 0.0, 1.0], size=2)
-        rows = spec.forcing_jacobian(tau, *signs)
+        rows = tuple(spec.frozen(*signs)[0](tau))
         at_zero = unfolded_forcing(spec, tau, np.zeros(4), *signs)
         for j in range(4):
             at_axis = unfolded_forcing(spec, tau, np.eye(4)[j], *signs)

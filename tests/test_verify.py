@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pendavg.filippov as filippov_module
 import pendavg.verify as verify_module
 from pendavg import (
     BifurcationSystem,
@@ -169,6 +170,25 @@ def test_poincare_residual_internal_relations(bench, damped):
     assert res.trajectory is not None
     # exactly solvable case: the in-family residual sits at solver noise
     assert res.residual_family < 1e-10
+
+
+def test_poincare_run_evaluates_the_general_forcing_at_contacts_only(bench, escapement, monkeypatch):
+    # segments run on their frozen-sign compile [M_σ | c_σ]; only contact
+    # classification and saltation evaluate the forcing for general signs
+    reduced, s, _ = bench
+    spec, _, orbit = escapement
+    general = filippov_module.eval_order1_with_signs
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return general(*args)
+
+    monkeypatch.setattr(filippov_module, "eval_order1_with_signs", counted)
+    res = poincare_residual(orbit, spec, reduced, s, 1e-2)
+    assert res.flag is None and res.monodromy is not None
+    steps = sum(len(seg.ts) - 1 for seg in res.trajectory.segments)
+    assert 0 < len(calls) < steps
 
 
 def test_poincare_residual_flags_integration_failure(bench, damped, monkeypatch):
