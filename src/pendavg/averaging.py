@@ -30,11 +30,12 @@ The orbit is linear in the amplitude and the sgn pattern depends only on
 its direction, so G is affine along every ray: G(r·e_θ) = r·L(θ) + C(θ).
 For frozen signs the forcing is affine, f = R·s + k, so L(θ) is the
 averaged response of R·s along the unit orbit e_θ and C(θ) that of k,
-both from one quadrature.  The zeros of G are therefore the roots of the
-scalar h(θ) = det[L(θ), C(θ)], each at radius r* = −⟨L, C⟩/‖L‖².  The
-annulus search scans h on an angle grid, refines each sign change by
-Brent's method, and certifies a zero by det J = h′(θ*)/r*; the sign of
-h′ is the zero's Brouwer index.
+both from one quadrature over the two parts of
+:func:`~pendavg.perturbation.eval_order1_parts`.  The zeros of G are
+therefore the roots of the scalar h(θ) = det[L(θ), C(θ)], each at
+radius r* = −⟨L, C⟩/‖L‖².  The annulus search scans h on an angle grid,
+refines each sign change by Brent's method, and certifies a zero by
+det J = h′(θ*)/r*; the sign of h′ is the zero's Brouwer index.
 """
 
 from __future__ import annotations
@@ -54,17 +55,7 @@ from .model import (
     jordan_transform,
     unperturbed_orbit,
 )
-from .perturbation import PerturbationSpec, eval_order1_with_signs
-
-__all__ = [
-    "BifurcationSystem",
-    "QuadraturePartition",
-    "ZeroCertificate",
-    "find_sign_changes",
-    "averaged_integrand",
-    "bifurcation_values",
-    "annulus_search",
-]
+from .perturbation import PerturbationSpec, eval_order1_parts, eval_order1_with_signs
 
 GAUSS_ORDER = 16
 MAX_REFINE_LEVELS = 12
@@ -185,24 +176,18 @@ def _along_orbit(sys: BifurcationSystem, amp, tau: np.ndarray):
     return state, trig, signs, (scale * forward[k + 1, 1], scale * forward[k + 1, 3])
 
 
-def averaged_integrand(sys: BifurcationSystem, amp, tau):
-    """Integrand pair of the averaged response at times ``tau``.
-
-    Returns shape (2,) for scalar tau or (2, n) for array tau.
-    """
-    scalar_input = np.ndim(tau) == 0
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
+def averaged_integrand(sys: BifurcationSystem, amp, tau: np.ndarray) -> np.ndarray:
+    """Integrand pair of the averaged response at the n times ``tau``, shape (2, n)."""
     state, trig, signs, (w_y, w_w) = _along_orbit(sys, amp, tau)
     f_y, f_w = eval_order1_with_signs(sys.spec, tau, state, *signs)
-    out = trig * (w_y * f_y + w_w * f_w)
-    return out[:, 0] if scalar_input else out
+    return trig * (w_y * f_y + w_w * f_w)
 
 
 def _ray_integrand(sys: BifurcationSystem, unit: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Integrands of (L, C) along the unit orbit: the averaged response of
     the forcing's state-linear part R·s and of its constant part k."""
     state, trig, signs, (w_y, w_w) = _along_orbit(sys, unit, tau)
-    parts = (part.forcing(tau, state, *signs) for part in sys.spec.parts)
+    parts = eval_order1_parts(sys.spec, tau, state, *signs)
     return np.concatenate([trig * (w_y * f_y + w_w * f_w) for f_y, f_w in parts])
 
 

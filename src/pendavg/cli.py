@@ -283,15 +283,14 @@ def load_config(
     )
 
 
-def build_perturbation(config: ExperimentConfig, spectral, family: Optional[int] = None) -> PerturbationSpec:
-    fam = family if family is not None else config.family
+def build_perturbation(config: ExperimentConfig, spectral) -> PerturbationSpec:
     if config.perturbation_file is None:
-        return builtin(config.builtin_name, config.builtin_params, spectral, family=fam, p=config.p)
+        return builtin(config.builtin_name, config.builtin_params, spectral, family=config.family, p=config.p)
     spec = perturbation_from_file(config.perturbation_file, spectral)
-    if (spec.family, spec.p) != (fam, config.p):
+    if (spec.family, spec.p) != (config.family, config.p):
         raise DomainError(
             f"perturbation file {config.perturbation_file} is for family {spec.family}, "
-            f"p = {spec.p}; the run uses family {fam}, p = {config.p}"
+            f"p = {spec.p}; the run uses family {config.family}, p = {config.p}"
         )
     return spec
 

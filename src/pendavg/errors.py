@@ -37,10 +37,6 @@ class ResonanceError(PendavgError):
 
     exit_code = 2
 
-    def __init__(self, message, determinant=None):
-        super().__init__(message)
-        self.determinant = determinant
-
 
 class NoZeroError(PendavgError):
     """No (validated) simple zero of the bifurcation pair was found."""

@@ -183,7 +183,6 @@ class CrossingReport:
 
 
 FieldWithSigns = Callable[[float, np.ndarray, Tuple[float, float]], np.ndarray]
-Jacobian = Callable[[float, Tuple[float, float]], np.ndarray]
 
 
 def d1_field(spec: PerturbationSpec, reduced: ReducedParams, eps: float) -> FieldWithSigns:
@@ -195,8 +194,8 @@ def d1_field(spec: PerturbationSpec, reduced: ReducedParams, eps: float) -> Fiel
     Calling it evaluates the forcing for any signs (contacts, sliding, the
     regularized run).  ``field.frozen(signs)`` is its affine form for
     frozen signs, f = M_σ(τ)·s + c_σ(τ), as the periodic arrays
-    M_σ = A + ε·R_σ and c_σ = ε·k_σ (R_σ, k_σ from ``spec.frozen``);
-    ``field.jacobian(t, signs)`` is M_σ(τ).
+    M_σ = A + ε·R_σ and c_σ = ε·k_σ (R_σ, k_σ from ``spec.frozen``), on
+    which segments and the monodromy run.
     """
     a = reduced.a
     b = reduced.b
@@ -214,37 +213,34 @@ def d1_field(spec: PerturbationSpec, reduced: ReducedParams, eps: float) -> Fiel
         return rows.embedded(linear, (1, 3), eps), consts.embedded(np.zeros(4), (1, 3), eps)
 
     field.frozen = frozen
-    field.jacobian = lambda t, signs: frozen(signs)[0](t)
     return field
 
 
 def segment_rhs(field: FieldWithSigns, signs: Tuple[float, float],
-                jacobian: Optional[Jacobian] = None) -> Callable[[float, np.ndarray], np.ndarray]:
+                monodromy: bool = False) -> Callable[[float, np.ndarray], np.ndarray]:
     """Right-hand side of a segment with frozen region signs ``signs``.
 
-    With ``jacobian`` it runs over u = [s | Φ], Φ stored column by column,
-    so u.reshape(5, 4) holds s and the columns of Φ as rows.  A field from
-    :func:`d1_field` runs on its affine form, built once here: M_σ·s + c_σ,
-    or the one product u.reshape(5, 4)·M_σᵀ plus c_σ on the state row.
-    Any other field is called as given, with Φ′ = J·Φ from ``jacobian``.
+    A field with an affine form ``field.frozen`` (as from :func:`d1_field`)
+    runs on it, built once here: M_σ·s + c_σ or, with ``monodromy``, over
+    u = [s | Φ] with Φ stored column by column, so u.reshape(5, 4) holds s
+    and the columns of Φ as rows and u′ is the one product
+    u.reshape(5, 4)·M_σᵀ plus c_σ on the state row.  Any other field is
+    called as given and carries no monodromy: asking for one raises
+    DomainError.
     """
     frozen = getattr(field, "frozen", None)
-    if frozen is not None:
-        matrix, offset = frozen(signs)
-        if jacobian is None:
-            return lambda t, u: np.dot(matrix(t), u) + offset(t)
-
-        def rhs(t, u):
-            du = np.dot(u.reshape(5, 4), matrix(t).T)
-            du[0] += offset(t)
-            return du.ravel()
-    elif jacobian is None:
+    if frozen is None:
+        if monodromy:
+            raise DomainError("a monodromy needs the field's affine form field.frozen(signs)")
         return lambda t, u: field(t, u, signs)
-    else:
-        def rhs(t, u):
-            du = np.dot(u.reshape(5, 4), jacobian(t, signs).T)
-            du[0] = field(t, u[:4], signs)
-            return du.ravel()
+    matrix, offset = frozen(signs)
+    if not monodromy:
+        return lambda t, u: np.dot(matrix(t), u) + offset(t)
+
+    def rhs(t, u):
+        du = np.dot(u.reshape(5, 4), matrix(t).T)
+        du[0] += offset(t)
+        return du.ravel()
 
     return rhs
 
@@ -352,10 +348,9 @@ class _Integrator:
         atol: float,
         max_events: int,
         max_step: Optional[float],
-        jacobian: Optional[Jacobian] = None,
+        monodromy: bool = False,
     ):
         self.field = field
-        self.jacobian = jacobian
         self.t0, self.t1 = float(t_span[0]), float(t_span[1])
         self.direction = 1.0 if self.t1 >= self.t0 else -1.0
         self.rtol = rtol
@@ -376,7 +371,7 @@ class _Integrator:
         self.signs = list(_point_signs(self.state))
         self.sliding_on: Optional[int] = None
         # The monodromy so far; None when not requested or dropped.
-        self.phi = None if jacobian is None else np.eye(4)
+        self.phi = np.eye(4) if monodromy else None
         self.monodromy_reason: Optional[str] = None
         self.finished = False
         self._tiny_run = 0
@@ -603,7 +598,7 @@ class _Integrator:
         else:
             u = np.concatenate((self.state, phi.T.ravel()))
         if k is None:
-            rhs = segment_rhs(self.field, signs, None if phi is None else self.jacobian)
+            rhs = segment_rhs(self.field, signs, phi is not None)
             events = [_level_event(0), _level_event(1)]
         else:
             def rhs(tt, u):
@@ -694,7 +689,7 @@ def integrate_field(
     atol: float = DEFAULT_ATOL,
     max_events: int = DEFAULT_MAX_EVENTS,
     max_step: Optional[float] = None,
-    jacobian: Optional[Jacobian] = None,
+    monodromy: bool = False,
 ) -> Trajectory:
     """Integrate a field with explicit region signs through the surfaces.
 
@@ -703,14 +698,15 @@ def integrate_field(
     and located to a time tolerance below 1e-12, classified through the
     one-sided level derivatives, and resolved by region switching,
     sliding, or tangency curvature.  Initial states on a surface are
-    classified and resolved before the first segment.  Given the
-    field's state Jacobian ``jacobian(t, signs)``, the run also carries
-    the monodromy (see the module docstring) into
-    ``Trajectory.monodromy``.  Segments run on :func:`segment_rhs`.
+    classified and resolved before the first segment.  Segments run on
+    :func:`segment_rhs`.  With ``monodromy`` the run also carries the
+    monodromy (see the module docstring) into ``Trajectory.monodromy``;
+    that needs the field's affine form ``field.frozen`` (see
+    :func:`segment_rhs`).
     """
     integ = _Integrator(
         field, s0, t_span, rtol=rtol, atol=atol, max_events=max_events, max_step=max_step,
-        jacobian=jacobian,
+        monodromy=monodromy,
     )
     return integ.run()
 
@@ -733,16 +729,15 @@ def integrate(
     Steps are capped at a sixteenth of the shorter normal-mode period.
     With ``monodromy`` the run carries the monodromy of the flow map.
     """
-    field = d1_field(spec, reduced, eps)
     return integrate_field(
-        field,
+        d1_field(spec, reduced, eps),
         s0,
         t_span,
         rtol=rtol,
         atol=atol,
         max_events=max_events,
         max_step=min(spectral.period1, spectral.period2) / 16.0,
-        jacobian=field.jacobian if monodromy else None,
+        monodromy=monodromy,
     )
 
 

@@ -28,21 +28,6 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, ResonanceError
 
-__all__ = [
-    "PhysicalParams",
-    "ReducedParams",
-    "SpectralData",
-    "JordanTransform",
-    "reduce_params",
-    "spectral_data",
-    "linearization_matrix",
-    "jordan_transform",
-    "fundamental_matrix",
-    "monodromy_lower_block",
-    "unperturbed_orbit",
-    "nonlinear_accelerations",
-]
-
 RESONANCE_TOL = 1e-8
 
 
@@ -204,8 +189,7 @@ def monodromy_lower_block(s: SpectralData, p: int, family: int = 1):
         ratio = s.omega2 / s.omega1 if family == 1 else s.omega1 / s.omega2
         raise ResonanceError(
             "degenerate transverse monodromy block: "
-            f"4·sin²(p·π·{ratio:.6g}) = {det:.3e} below tolerance {RESONANCE_TOL:g}",
-            determinant=det,
+            f"4·sin²(p·π·{ratio:.6g}) = {det:.3e} below tolerance {RESONANCE_TOL:g}"
         )
     return block, det
 

@@ -18,13 +18,13 @@ least 256 samples per period), evaluated on scalar or array arguments.
 A small file format holds user-supplied perturbations.
 
 Each spec folds K and F once, on first use (exact-zero constants
-dropped, other constants made floats), and every evaluation comes from
-that folding: :func:`eval_order1_with_signs` for any signs and, for
+dropped, other constants made floats), and every evaluation reads that
+folding: :func:`eval_order1_with_signs` for any signs,
+:func:`eval_order1_parts` for its state-linear part R·s and its constant
+part k apart (the averaged pair integrates the two separately) and, for
 frozen signs, the affine form (f_y, f_w) = R(τ)·s + k(τ) of
 :meth:`PerturbationSpec.frozen`, one precomputed array on constant
-coefficients.  The integrator builds each segment's field from it; the
-averaged pair integrates R·s and k apart, as the forcings of
-:attr:`PerturbationSpec.parts`.
+coefficients, from which the integrator builds each segment's field.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ import configparser
 import csv
 import math
 import os
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -42,19 +41,6 @@ import numpy as np
 
 from .errors import DomainError
 from .model import SpectralData
-
-__all__ = [
-    "PeriodicScalar",
-    "PeriodicArray",
-    "LinearForm",
-    "PerturbationSpec",
-    "eval_order1_with_signs",
-    "smooth_sign",
-    "builtin",
-    "perturbation_from_file",
-    "BUILTIN_NAMES",
-    "BUILTIN_PARAMS",
-]
 
 MIN_TABLE_SAMPLES_PER_PERIOD = 256
 SCALAR_KINDS = ("const", "cos", "sin", "table")
@@ -141,31 +127,8 @@ class LinearForm:
     d3: PeriodicScalar
     d4: PeriodicScalar
 
-    def __post_init__(self):
-        self.common_coefficient_period()
-
     def coefficients(self) -> Tuple[PeriodicScalar, ...]:
         return (self.d1, self.d2, self.d3, self.d4)
-
-    def common_coefficient_period(self) -> float:
-        """Least common multiple of the coefficient periods.
-
-        Periods must be pairwise commensurate with ratios expressible over
-        denominators up to 4096; anything else raises DomainError.
-        """
-        base = min(c.period for c in self.coefficients())
-        num_lcm, den_gcd = 1, 0
-        for c in self.coefficients():
-            ratio = c.period / base
-            frac = Fraction(ratio).limit_denominator(4096)
-            if frac <= 0 or abs(ratio - float(frac)) > PERIOD_DIVISIBILITY_TOL * max(1.0, ratio):
-                raise DomainError(
-                    "linear-form coefficients do not share a common period: "
-                    f"{c.period!r} is incommensurate with {base!r}"
-                )
-            num_lcm = num_lcm * frac.numerator // math.gcd(num_lcm, frac.numerator)
-            den_gcd = math.gcd(den_gcd, frac.denominator)
-        return base * num_lcm / den_gcd
 
     def evaluate(self, tau, state):
         """Evaluate at scalar/array tau with state of shape (4,) or (4, n)."""
@@ -237,21 +200,12 @@ class PerturbationSpec:
         return tuple((_fold_group(K[i], F[i]), _fold_group(K[i + 1], F[i + 1])) for i in (0, 2))
 
     @cached_property
-    def forcing(self) -> Callable:
-        """The forcing of :func:`eval_order1_with_signs`, compiled on first use.
-
-        The sums keep the association K + (d₁x + d₂y + d₃z + d₄w), then
-        (…)·σ, so the values equal the term-by-term sum except possibly for
-        the sign of a zero.
-        """
+    def _readouts(self):
+        """Per component, the folding read whole, as its state-linear part
+        and as its constant part (see :func:`_shaped`)."""
         period = self.K[0].period
-        f_y, f_w = (_compile_component(base, signed, period) for base, signed in self._groups)
-
-        def forcing(tau, state, sgn_x, sgn_z):
-            state = np.asarray(state, dtype=float)
-            return f_y(tau, state, sgn_x), f_w(tau, state, sgn_z)
-
-        return forcing
+        return tuple((_shaped(k, terms, k_s, terms_s, period), _shaped(None, terms, None, terms_s, period),
+                      _shaped(k, (), k_s, (), period)) for (k, terms), (k_s, terms_s) in self._groups)
 
     def frozen(self, sgn_x: float, sgn_z: float) -> Tuple[PeriodicArray, PeriodicArray]:
         """The forcing for frozen signs, affine: (f_y, f_w) = R(τ)·s + k(τ).
@@ -274,23 +228,11 @@ class PerturbationSpec:
                         terms.append((index, factor, d))
         return tuple(PeriodicArray(constant, tuple(terms)) for constant, terms in parts)
 
-    @cached_property
-    def parts(self) -> Tuple["PerturbationSpec", "PerturbationSpec"]:
-        """The spec without K and the spec without F: for frozen signs their
-        forcings are the state-linear part R·s and the constant part k."""
-        zero = PeriodicScalar.constant(0.0, self.K[0].period)
-        return replace(self, K=(zero,) * 4), replace(self, F=(LinearForm(zero, zero, zero, zero),) * 4)
-
-    def component_periods(self) -> Tuple[float, ...]:
-        periods = [k.period for k in self.K]
-        for form in self.F:
-            periods.extend(c.period for c in form.coefficients())
-        return tuple(periods)
-
     def validate_against(self, spectral: SpectralData) -> None:
         """Check every component period divides p·T_family."""
         window = self.p * spectral.period(self.family)
-        for period in self.component_periods():
+        coefficients = (c for form in self.F for c in form.coefficients())
+        for period in (scalar.period for scalar in (*self.K, *coefficients)):
             ratio = window / period
             if abs(ratio - round(ratio)) > PERIOD_DIVISIBILITY_TOL * max(1.0, abs(ratio)):
                 raise DomainError(
@@ -312,9 +254,12 @@ def _fold_group(k: PeriodicScalar, form: LinearForm):
     return _fold(k), terms
 
 
-def _is_constant(group) -> bool:
-    k, terms = group
-    return not terms and not isinstance(k, PeriodicScalar)
+def _shaped(k, terms, k_s, terms_s, period: float):
+    """The read-out as given or, when no part of it depends on τ or the
+    state, with K a constant scalar, so that its value takes τ's shape."""
+    if terms or terms_s or k.__class__ is PeriodicScalar or k_s.__class__ is PeriodicScalar:
+        return k, terms, k_s, terms_s
+    return PeriodicScalar.constant(k or 0.0, period), terms, k_s, terms_s
 
 
 def _group_value(k, terms, tau, state):
@@ -330,22 +275,15 @@ def _group_value(k, terms, tau, state):
     return k if total is None else k + total
 
 
-def _compile_component(base, signed, period: float):
-    """(tau, state, σ) → K + F + (K' + F')·σ over the folded groups."""
-    if _is_constant(base) and _is_constant(signed):
-        # Nothing depends on tau or the state: evaluate K as a constant
-        # scalar so the result still takes the shape of tau.
-        base = (PeriodicScalar.constant(base[0] or 0.0, period), ())
-
-    def component(tau, state, sgn):
-        value = _group_value(*base, tau, state)
-        signed_value = _group_value(*signed, tau, state)
-        if signed_value is None:
-            return value
-        signed_value = signed_value * sgn
-        return signed_value if value is None else value + signed_value
-
-    return component
+def _read(readout, tau, state, sgn):
+    """K + F + (K′ + F′)·σ over one read-out of the folding."""
+    k, terms, k_s, terms_s = readout
+    value = _group_value(k, terms, tau, state)
+    signed = _group_value(k_s, terms_s, tau, state)
+    if signed is None:
+        return value
+    signed = signed * sgn
+    return signed if value is None else value + signed
 
 
 def eval_order1_with_signs(spec: PerturbationSpec, tau, state, sgn_x, sgn_z):
@@ -353,9 +291,22 @@ def eval_order1_with_signs(spec: PerturbationSpec, tau, state, sgn_x, sgn_z):
 
     ``sgn_x`` and ``sgn_z`` stand in for sgn(x) and sgn(z); the caller
     resolves them.  Scalar or array ``tau`` with state of shape (4,) or
-    (4, n).  Evaluates the spec's compiled :attr:`PerturbationSpec.forcing`.
+    (4, n).  The sums keep the association K + (d₁x + d₂y + d₃z + d₄w),
+    then (…)·σ, so the values equal the term-by-term sum except possibly
+    for the sign of a zero.
     """
-    return spec.forcing(tau, state, sgn_x, sgn_z)
+    state = np.asarray(state, dtype=float)
+    (y, _, _), (w, _, _) = spec._readouts
+    return _read(y, tau, state, sgn_x), _read(w, tau, state, sgn_z)
+
+
+def eval_order1_parts(spec: PerturbationSpec, tau, state, sgn_x, sgn_z):
+    """The state-linear part R·s and the constant part k of the forcing,
+    each as (f_y, f_w): the forcings of the spec without K and without F."""
+    state = np.asarray(state, dtype=float)
+    (_, linear_y, constant_y), (_, linear_w, constant_w) = spec._readouts
+    return ((_read(linear_y, tau, state, sgn_x), _read(linear_w, tau, state, sgn_z)),
+            (_read(constant_y, tau, state, sgn_x), _read(constant_w, tau, state, sgn_z)))
 
 
 def smooth_sign(x, delta: float):

@@ -23,7 +23,8 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from pendavg import DomainError, fundamental_matrix, monodromy_lower_block
+from pendavg.errors import DomainError
+from pendavg.model import fundamental_matrix, monodromy_lower_block
 
 
 def linear_matrix(a: float, b: float) -> np.ndarray:
@@ -231,7 +232,7 @@ def field_term_scale(spec, reduced, eps, tau, state, signs):
 def two_quadrature_ray_pair(system, theta):
     """(L, C) on the ray θ from two full evaluations of the averaged pair,
     L = G(2e_θ) − G(e_θ) and C = 2G(e_θ) − G(2e_θ)."""
-    from pendavg import bifurcation_values
+    from pendavg.averaging import bifurcation_values
 
     unit = np.array([math.cos(theta), math.sin(theta)])
     g1 = bifurcation_values(system, unit)
@@ -275,7 +276,7 @@ def scan_sign_changes(amp, family, convention, s, p):
 def jacobian(system, amp) -> np.ndarray:
     """Central finite-difference Jacobian of the averaged pair at ``amp``,
     step max(1e-6, 1e-6·|amp|) along each Cartesian axis."""
-    from pendavg import bifurcation_values
+    from pendavg.averaging import bifurcation_values
 
     amp = np.asarray(amp, dtype=float)
     h = max(1e-6, 1e-6 * float(np.linalg.norm(amp)))

@@ -13,30 +13,34 @@ import math
 import numpy as np
 import pytest
 
-from pendavg import (
-    BifurcationSystem,
-    PhysicalParams,
-    annulus_search,
-    bifurcation_values,
-    builtin,
-    cli,
-    convention_verdict,
+from pendavg import cli
+from pendavg.averaging import BifurcationSystem, annulus_search, bifurcation_values
+from pendavg.filippov import (
+    classify_surface_contact,
     crossing_hypothesis_check,
-    epsilon_sweep,
-    full_nonlinear_check,
+    d1_field,
     integrate,
     integrate_field,
     integrate_regularized,
+    sliding_combination,
+)
+from pendavg.model import (
+    PhysicalParams,
     jordan_transform,
     monodromy_lower_block,
+    reduce_params,
+    spectral_data,
+)
+from pendavg.perturbation import builtin
+from pendavg.verify import (
+    convention_verdict,
+    epsilon_sweep,
+    full_nonlinear_check,
     orbit_from_amplitude,
     poincare_residual,
     predicted_initial_state,
-    reduce_params,
     refine_periodic,
-    spectral_data,
 )
-from pendavg.filippov import classify_surface_contact, d1_field, sliding_combination
 
 from .oracles import (
     corollary_radius,

@@ -5,24 +5,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pendavg.averaging as averaging_module
-from pendavg import (
+from pendavg.averaging import (
     BifurcationSystem,
-    DomainError,
-    PeriodicScalar,
-    LinearForm,
-    NumericalError,
-    PerturbationSpec,
-    PhysicalParams,
-    ResonanceError,
     annulus_search,
     bifurcation_values,
-    builtin,
-    eval_order1_with_signs,
     find_sign_changes,
+)
+from pendavg.errors import DomainError, NumericalError, ResonanceError
+from pendavg.model import (
+    PhysicalParams,
     jordan_transform,
     reduce_params,
     spectral_data,
     unperturbed_orbit,
+)
+from pendavg.perturbation import (
+    LinearForm,
+    PeriodicScalar,
+    PerturbationSpec,
+    builtin,
+    eval_order1_with_signs,
 )
 
 from .oracles import (
@@ -449,7 +451,7 @@ def test_malkin_average_against_dense_trapezoid(bench):
 
     window = s.period(1)
     got = malkin_average(g1, s, orbit, window)
-    from pendavg import fundamental_matrix
+    from pendavg.model import fundamental_matrix
 
     taus = np.linspace(0.0, window, 200_001)
     vals = np.empty((2, taus.size))

@@ -77,7 +77,7 @@ def test_load_config_defaults_and_overrides(tmp_path):
 
 
 def test_load_config_rejects_bad_input(tmp_path):
-    from pendavg import DomainError
+    from pendavg.errors import DomainError
 
     with pytest.raises(DomainError):
         cli.load_config(tmp_path / "missing.ini")
@@ -448,6 +448,35 @@ def test_checking_path_loads_no_scipy(tmp_path):
     assert_runs_without_scipy("simulate", "--config", str(ini), "--delta", "1e-3",
                               "--out", str(tmp_path / "reg"))
     assert json.loads((tmp_path / "reg" / "simulate_summary.json").read_text())["regularized"]
+
+
+def test_model_seed_is_accepted_and_changes_nothing(tmp_path, capsys):
+    # benchmark configs set [model] seed, so the key stays accepted; the
+    # search is deterministic and the seed reaches no artifact
+    text = readme_ini(tmp_path).read_text(encoding="utf-8")
+    assert "seed = 0\n" in text
+    artifacts = []
+    for seed in ("0", "5"):
+        ini = tmp_path / f"seed{seed}.ini"
+        ini.write_text(text.replace("seed = 0\n", f"seed = {seed}\n"), encoding="utf-8")
+        out = tmp_path / f"out{seed}"
+        assert cli.main(["zeros", "--config", str(ini), "--out", str(out)]) == 0
+        artifacts.append((out / "zeros.json").read_bytes())
+    assert artifacts[0] == artifacts[1]
+    ini.write_text(text.replace("seed = 0\n", "seed = x\n"), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["zeros", "--config", str(ini), "--out", str(tmp_path / "bad")]) == 1
+    assert "[model] seed" in capsys.readouterr().err
+
+
+def test_readme_library_example_runs():
+    # the example imports every name the package root keeps
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    proc = run_child("-c", block)
+    assert proc.returncode == 0, proc.stderr
+    exponent, consistent = proc.stdout.split()
+    assert math.isfinite(float(exponent)) and consistent == "True"
 
 
 def test_derive_oracles_check_runs():

@@ -12,37 +12,31 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from pendavg import (
+from pendavg import dop853
+from pendavg.errors import (
     CrossingViolationError,
     DegenerateSlidingError,
     DomainError,
     IntegrationStallError,
-    LinearForm,
-    PeriodicScalar,
-    PerturbationSpec,
-    PhysicalParams,
     TangencyError,
-    builtin,
+)
+from pendavg.filippov import (
+    classify_surface_contact,
+    classify_values,
     crossing_hypothesis_check,
+    d1_field,
     export_events_csv,
     export_trajectory_csv,
     integrate,
     integrate_field,
     integrate_regularized,
-    jordan_transform,
-    orbit_from_amplitude,
-    reduce_params,
     require_transversal_crossings,
-    spectral_data,
-)
-from pendavg import dop853
-from pendavg.filippov import (
-    classify_surface_contact,
-    classify_values,
-    d1_field,
     segment_rhs,
     sliding_combination,
 )
+from pendavg.model import PhysicalParams, jordan_transform, reduce_params, spectral_data
+from pendavg.perturbation import LinearForm, PeriodicScalar, PerturbationSpec, builtin
+from pendavg.verify import orbit_from_amplitude
 
 from .oracles import field_term_scale, flow_states, per_call_field
 from .test_perturbation import _random_scalar
@@ -142,7 +136,7 @@ def test_frozen_sign_segment_field_matches_per_call_field(bench):
         field = d1_field(spec, reduced, eps)
         reference = per_call_field(spec, reduced, eps)
         plain = segment_rhs(field, signs)
-        variational = segment_rhs(field, signs, field.jacobian)
+        variational = segment_rhs(field, signs, monodromy=True)
         for tau in rng.uniform(-3.0, 10.0, size=3):
             state = rng.normal(size=4)
             phi = rng.normal(size=(4, 4))
@@ -322,8 +316,14 @@ def test_codimension_two_sliding_raises(field, s0):
 # -- monodromy ---------------------------------------------------------------
 
 
-def _zero_jacobian(t, signs):
-    return np.zeros((4, 4))
+def _with_affine_form(field):
+    """A field that ignores the state, with its affine form M_σ = 0 and
+    c_σ = the field, so that a run can carry its monodromy."""
+    def affine(t, state, signs):
+        return field(t, state, signs)
+
+    affine.frozen = lambda signs: (lambda t: np.zeros((4, 4)), lambda t: field(t, np.zeros(4), signs))
+    return affine
 
 
 def _corner_field(t, state, signs):
@@ -338,10 +338,22 @@ def test_saltation_matches_the_exact_flow_map():
     def field(t, state, signs):
         return np.array([2.0 + signs[0], 0.0, 0.0, 0.0])
 
-    traj = integrate_field(field, (-1.0, 0.0, 1.0, 0.0), (0.0, 1.5), jacobian=_zero_jacobian)
+    traj = integrate_field(_with_affine_form(field), (-1.0, 0.0, 1.0, 0.0), (0.0, 1.5), monodromy=True)
     assert [ev.kind for ev in traj.events] == ["crossing"]
     assert traj.monodromy_reason is None
     assert np.allclose(traj.monodromy, np.diag([3.0, 1.0, 1.0, 1.0]), rtol=0.0, atol=1e-12)
+
+
+def test_monodromy_needs_the_affine_form():
+    # a field without ``frozen`` has no M_σ to carry Φ′ = M_σ·Φ with
+    def field(t, state, signs):
+        return np.array([2.0 + signs[0], 0.0, 0.0, 0.0])
+
+    with pytest.raises(DomainError, match="affine form"):
+        integrate_field(field, (-1.0, 0.0, 1.0, 0.0), (0.0, 1.5), monodromy=True)
+    with pytest.raises(DomainError, match="affine form"):
+        segment_rhs(field, (1.0, 1.0), monodromy=True)
+    assert integrate_field(field, (-1.0, 0.0, 1.0, 0.0), (0.0, 1.5)).monodromy is None
 
 
 def test_monodromy_follows_the_time_direction(bench):
@@ -368,7 +380,7 @@ def test_monodromy_follows_the_time_direction(bench):
 )
 def test_monodromy_request_ends_at_a_non_crossing_contact(field, s0, t1, reason):
     plain = integrate_field(field, s0, (0.0, t1))
-    traj = integrate_field(field, s0, (0.0, t1), jacobian=_zero_jacobian)
+    traj = integrate_field(_with_affine_form(field), s0, (0.0, t1), monodromy=True)
     assert traj.monodromy is None
     assert traj.monodromy_reason.startswith(reason)
     assert [(ev.surface, ev.kind) for ev in traj.events] == [
@@ -568,7 +580,7 @@ def test_dop853_error_test_on_leading_components(bench):
     field = d1_field(spec, reduced, eps)
     signs = (1.0, -1.0)
     plain = segment_rhs(field, signs)
-    augmented = segment_rhs(field, signs, field.jacobian)
+    augmented = segment_rhs(field, signs, monodromy=True)
 
     y0 = np.array([0.3, -0.2, -0.5, 0.1])
     u0 = np.concatenate((y0, np.eye(4).ravel()))

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from pendavg import (
-    DomainError,
+from pendavg.errors import DomainError, ResonanceError
+from pendavg.model import (
     PhysicalParams,
-    ResonanceError,
     fundamental_matrix,
     jordan_transform,
     linearization_matrix,

@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pendavg import (
-    DomainError,
+from pendavg.errors import DomainError
+from pendavg.model import PhysicalParams, reduce_params, spectral_data
+from pendavg.perturbation import (
     LinearForm,
     PeriodicScalar,
     PerturbationSpec,
-    PhysicalParams,
     builtin,
+    eval_order1_parts,
     eval_order1_with_signs,
     perturbation_from_file,
-    reduce_params,
     smooth_sign,
-    spectral_data,
 )
 
 from .oracles import unfolded_forcing
@@ -72,24 +71,36 @@ def test_linear_form_evaluate(x, y, z, w):
     assert val == pytest.approx(x - 2 * y + 0.5 * z + 3 * w, rel=1e-12, abs=1e-12)
 
 
-def test_linear_form_accepts_commensurate_periods():
-    form = LinearForm(
-        PeriodicScalar.constant(1.0, 2.0),
-        PeriodicScalar.constant(1.0, 3.0),
-        PeriodicScalar.constant(1.0, 2.0),
-        PeriodicScalar.constant(1.0, 1.5),
+def _spec_with_form(form, window):
+    return PerturbationSpec(
+        K=(PeriodicScalar.constant(0.0, window),) * 4,
+        F=(form,) + (LinearForm.zero(window),) * 3,
     )
-    assert form.common_coefficient_period() == pytest.approx(6.0, rel=1e-12)
+
+
+def test_linear_form_accepts_commensurate_periods():
+    s = bench_spectral()
+    window = s.period(1)
+    form = LinearForm(
+        PeriodicScalar.constant(1.0, window / 3),
+        PeriodicScalar.constant(1.0, window / 2),
+        PeriodicScalar.constant(1.0, window / 3),
+        PeriodicScalar.constant(1.0, window / 4),
+    )
+    _spec_with_form(form, window).validate_against(s)
 
 
 def test_linear_form_rejects_incommensurate_periods():
+    s = bench_spectral()
+    window = s.period(1)
+    form = LinearForm(
+        PeriodicScalar.constant(1.0, window),
+        PeriodicScalar.constant(1.0, window / math.pi),
+        PeriodicScalar.constant(1.0, window),
+        PeriodicScalar.constant(1.0, window),
+    )
     with pytest.raises(DomainError):
-        LinearForm(
-            PeriodicScalar.constant(1.0, 2.0),
-            PeriodicScalar.constant(1.0, 2.0 / math.pi),
-            PeriodicScalar.constant(1.0, 2.0),
-            PeriodicScalar.constant(1.0, 2.0),
-        )
+        _spec_with_form(form, window).validate_against(s)
 
 
 def test_spec_validation():
@@ -185,6 +196,30 @@ def test_compiled_forcing_matches_unfolded_sum():
         expect = unfolded_forcing(spec, taus, states, sgn_x, sgn_z)
         for g, e in zip(got, expect):
             assert np.shape(g) == (7,) and np.array_equal(g, e)
+
+
+def test_forcing_parts_match_the_zeroed_specs():
+    # the state-linear part R·s is the forcing of the spec without K and the
+    # constant part k that of the spec without F, value for value and shape
+    # for shape
+    rng = np.random.default_rng(7)
+    window = 2.7
+    zero = PeriodicScalar.constant(0.0, window)
+    for _ in range(200):
+        spec = PerturbationSpec(
+            K=tuple(_random_scalar(rng, window) for _ in range(4)),
+            F=tuple(LinearForm(*(_random_scalar(rng, window) for _ in range(4))) for _ in range(4)),
+        )
+        without_k = PerturbationSpec(K=(zero,) * 4, F=spec.F)
+        without_f = PerturbationSpec(K=spec.K, F=(LinearForm.zero(window),) * 4)
+        scalar = rng.uniform(-3, 10), rng.normal(size=4), rng.choice([-1.0, 0.0, 1.0], size=2)
+        array = rng.uniform(-3, 10, size=7), rng.normal(size=(4, 7)), rng.choice([-1.0, 0.0, 1.0], size=(2, 7))
+        for tau, state, signs in (scalar, array):
+            linear, constant = eval_order1_parts(spec, tau, state, *signs)
+            for got, part in ((linear, without_k), (constant, without_f)):
+                expect = eval_order1_with_signs(part, tau, state, *signs)
+                for g, e in zip(got, expect):
+                    assert np.shape(g) == np.shape(tau) and np.array_equal(g, e)
 
 
 def test_forcing_jacobian_matches_unfolded_differences():

@@ -16,30 +16,25 @@ from hypothesis import given, settings, strategies as st
 
 import pendavg.filippov as filippov_module
 import pendavg.verify as verify_module
-from pendavg import (
-    BifurcationSystem,
-    DomainError,
-    PhysicalParams,
-    RefinementDegenerateError,
-    annulus_search,
-    builtin,
+from pendavg.averaging import BifurcationSystem, annulus_search
+from pendavg.errors import DomainError, RefinementDegenerateError
+from pendavg.filippov import integrate, integrate_field
+from pendavg.model import PhysicalParams, jordan_transform, reduce_params, spectral_data
+from pendavg.perturbation import builtin
+from pendavg.verify import (
     epsilon_sweep,
     fit_exponent,
     full_nonlinear_check,
-    jordan_transform,
     orbit_from_amplitude,
     poincare_residual,
     predicted_initial_state,
-    reduce_params,
     refine_periodic,
-    spectral_data,
     to_physical_frame,
     to_reduced_frame,
 )
-from pendavg.filippov import integrate, integrate_field
 
 from .oracles import corollary_radius, finite_difference_monodromy, linear_periodic_state
-from .test_filippov import _drive_field
+from .test_filippov import _drive_field, _with_affine_form
 
 BENCH = PhysicalParams(1.0, 1.0, 1.0, 1.0, 9.8)
 GAMMA = 0.5
@@ -446,12 +441,11 @@ def test_sweep_rung_without_monodromy_gives_its_reason(bench, damped, monkeypatc
     refined and its limit gap is null for a documented reason."""
     reduced, s, _ = bench
     spec, _, orbit = damped
-    sliding = _drive_field(lambda t: 0.25 * math.cos(t))
+    sliding = _with_affine_form(_drive_field(lambda t: 0.25 * math.cos(t)))
 
     def sliding_run(spec, reduced, spectral, eps, s0, t_span, monodromy=False, **kwargs):
         # the sliding fixture of test_filippov in place of the pendulum field
-        jacobian = (lambda t, signs: np.zeros((4, 4))) if monodromy else None
-        return integrate_field(sliding, (0.5, 0.0, 1.0, 0.0), t_span, jacobian=jacobian, **kwargs)
+        return integrate_field(sliding, (0.5, 0.0, 1.0, 0.0), t_span, monodromy=monodromy, **kwargs)
 
     monkeypatch.setattr(verify_module, "integrate", sliding_run)
     report = epsilon_sweep(orbit, spec, reduced, s, LADDER)
