@@ -111,10 +111,15 @@ class QuadraturePartition:
     breakpoints: Tuple[float, ...]
     window: float
 
+    @cached_property
     def panel_edges(self) -> np.ndarray:
-        edges = np.concatenate(([0.0], np.asarray(self.breakpoints, dtype=float), [self.window]))
-        edges = np.unique(edges)
-        return edges[(edges >= 0.0) & (edges <= self.window)]
+        """0, the distinct breakpoints and the window end, ascending.
+
+        Every breakpoint already lies in [0, window].  (np.unique gives the
+        same edges, but its first call imports numpy.ma, which costs more
+        than a whole zero search.)
+        """
+        return np.array(sorted({0.0, *self.breakpoints, self.window}))
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +160,7 @@ def find_sign_changes(amp, family: int, convention: str, s: SpectralData, p: int
     partition = QuadraturePartition(breakpoints=tuple(breakpoints), window=window)
 
     # Constant sign strictly between consecutive breakpoints.
-    edges = partition.panel_edges()
+    edges = partition.panel_edges
     mids = 0.5 * (edges[:-1] + edges[1:])
     if np.any(c0 * np.cos(omega * mids) + c1 * np.sin(omega * mids) == 0.0):
         raise NumericalError("sign-change partition has a zero at a panel midpoint")
@@ -200,20 +205,20 @@ def _adaptive_gauss(f: Callable, edges: np.ndarray, rtol: float = QUADRATURE_RTO
     larger of 1 and the estimate's norm.
     """
     edges = np.asarray(edges, dtype=float)
+    # Zero-width panels go first: one zero step would send every panel
+    # through linspace's branch for zero steps.
+    keep = ~(edges[1:] - edges[:-1] <= 0.0)
+    lo, hi = edges[:-1][keep], edges[1:][keep]
     prev = None
     for level in range(max_levels + 1):
-        sub = 2 ** level
-        taus_parts, w_parts = [], []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            if hi - lo <= 0.0:
-                continue
-            bounds = np.linspace(lo, hi, sub + 1)
-            mid = 0.5 * (bounds[:-1] + bounds[1:])
-            half = 0.5 * (bounds[1:] - bounds[:-1])
-            taus_parts.append((mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]).ravel())
-            w_parts.append((half[:, None] * _GAUSS_WEIGHTS[None, :]).ravel())
-        taus = np.concatenate(taus_parts)
-        weights = np.concatenate(w_parts)
+        # Row i splits panel i into 2**level subpanels, element by element
+        # as linspace(lo[i], hi[i], 2**level + 1) would; nodes and weights
+        # stay panel-major.
+        bounds = np.linspace(lo, hi, 2 ** level + 1).T
+        mid = 0.5 * (bounds[:, :-1] + bounds[:, 1:])
+        half = 0.5 * (bounds[:, 1:] - bounds[:, :-1])
+        taus = (mid[:, :, None] + half[:, :, None] * _GAUSS_NODES).ravel()
+        weights = (half[:, :, None] * _GAUSS_WEIGHTS).ravel()
         total = np.asarray(f(taus)) @ weights
         if prev is not None:
             scale = max(1.0, float(np.linalg.norm(total)))
@@ -230,14 +235,14 @@ def bifurcation_values(sys: BifurcationSystem, amp) -> np.ndarray:
     """The averaged pair at amplitude ``amp`` over the resonance window."""
     partition = find_sign_changes(amp, sys.family, sys.sgn_convention, sys.spectral, sys.spec.p)
     f = lambda taus: averaged_integrand(sys, amp, taus)
-    return _adaptive_gauss(f, partition.panel_edges())
+    return _adaptive_gauss(f, partition.panel_edges)
 
 
 def _ray_pair(sys: BifurcationSystem, theta: float):
     """(L, C) with G(r·e_θ) = r·L + C for every r > 0, by one quadrature."""
     unit = np.array([math.cos(theta), math.sin(theta)])
     partition = find_sign_changes(unit, sys.family, sys.sgn_convention, sys.spectral, sys.spec.p)
-    pair = _adaptive_gauss(lambda taus: _ray_integrand(sys, unit, taus), partition.panel_edges())
+    pair = _adaptive_gauss(lambda taus: _ray_integrand(sys, unit, taus), partition.panel_edges)
     return pair[:2], pair[2:]
 
 

@@ -56,6 +56,7 @@ from .perturbation import (
     builtin,
     finite_float,
     perturbation_from_file,
+    read_text,
 )
 from .verify import (
     SweepReport,
@@ -113,12 +114,28 @@ def dumps_deterministic(obj, indent: int = 0) -> str:
     raise DomainError(f"cannot serialize value of type {type(obj).__name__}")
 
 
+def _output_error(path: Path, exc: OSError) -> DomainError:
+    return DomainError(f"[output] dir: cannot write {path}: {exc.strerror}")
+
+
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+            if not text.endswith("\n"):
+                fh.write("\n")
+    except OSError as exc:
+        raise _output_error(path, exc) from None
+
+
+def _export_csvs(traj: Trajectory, trajectory_path: Path, events_path: Path) -> None:
+    """The trajectory and event CSVs of one run."""
+    for export, path in ((export_trajectory_csv, trajectory_path), (export_events_csv, events_path)):
+        try:
+            export(traj, path)
+        except OSError as exc:
+            raise _output_error(path, exc) from None
 
 
 # -- configuration -------------------------------------------------------
@@ -188,9 +205,10 @@ def load_config(
     path = Path(path)
     if not path.exists():
         raise DomainError(f"config file not found: {path}")
+    text = read_text(path, "config file")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path, encoding="utf-8")
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise DomainError(f"cannot parse config file {path}: {exc}") from exc
 
@@ -399,8 +417,8 @@ def _verify_convention(config: ExperimentConfig, convention: str, tag: str) -> d
         for j, sample in enumerate(report.samples):
             if sample.trajectory is not None:
                 base = config.output_dir / f"{tag}zero{i}_eps{j}"
-                export_trajectory_csv(sample.trajectory, base.with_suffix(".trajectory.csv"))
-                export_events_csv(sample.trajectory, base.with_suffix(".events.csv"))
+                _export_csvs(sample.trajectory, base.with_suffix(".trajectory.csv"),
+                             base.with_suffix(".events.csv"))
             if sample.crossing is not None and not sample.crossing.ok:
                 any_crossing_violation = True
             if sample.flag_code == 6:
@@ -497,11 +515,9 @@ def cmd_simulate(config: ExperimentConfig) -> int:
             )
     except IntegrationStallError as exc:
         if exc.trajectory is not None:
-            export_trajectory_csv(exc.trajectory, out / "trajectory.csv")
-            export_events_csv(exc.trajectory, out / "events.csv")
+            _export_csvs(exc.trajectory, out / "trajectory.csv", out / "events.csv")
         raise
-    export_trajectory_csv(traj, out / "trajectory.csv")
-    export_events_csv(traj, out / "events.csv")
+    _export_csvs(traj, out / "trajectory.csv", out / "events.csv")
     summary = {
         "epsilon": config.sim_eps,
         "t_span": list(traj.t_span),
@@ -580,7 +596,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             out=args.out,
             delta=getattr(args, "delta", None),
         )
-        config.output_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            config.output_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise DomainError(f"[output] dir: cannot create {config.output_dir}: {exc.strerror}") from None
         if args.command == "params":
             return cmd_params(config)
         if args.command == "zeros":

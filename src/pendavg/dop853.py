@@ -20,6 +20,16 @@ addition to SciPy: the error test and the initial step may be restricted
 to the leading components of the state, as CVODES lets sensitivities be
 left out of the local error test (Serban & Hindmarsh, ACM TOMS 31, 2005),
 so variational equations carried along do not change the step sequence.
+
+The dense output of a step is built lazily.  Each accepted step keeps its
+13 stages; its three extra stages and interpolation coefficients are
+computed, by SciPy's code, the first time it is read at some
+x = (t − t_old)/h other than 1.  Most steps are never read inside: only
+event roots are.  A read at the step's end builds nothing: every term of
+the interpolant but the first carries a factor 1 − x, so for finite
+coefficients the value at x = 1 is exactly (y_new − y_old) + y_old.  An
+event may also be an index k, meaning the level u[k]; its root is found
+on component k alone, in Python floats, by the same operations.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -240,7 +250,8 @@ _EXTRA_STAGES = [(s, A[s, :s], float(C[s])) for s in range(N_STAGES + 1, N_STAGE
 
 
 def _rms(x: np.ndarray):
-    return np.linalg.norm(x) / x.size ** 0.5
+    # math.sqrt(x·x) is what np.linalg.norm computes for a real vector.
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def _initial_step(fun, t0, y0, t_bound, max_step, f0, direction, rtol, atol, n):
@@ -269,41 +280,79 @@ def _initial_step(fun, t0, y0, t_bound, max_step, f0, direction, rtol, atol, n):
 
 def _error_norm(K: np.ndarray, h, scale: np.ndarray):
     """DOP853's error norm: the 5th-order estimate damped by the 3rd-order one."""
-    err5 = np.dot(K.T, E5) / scale
-    err3 = np.dot(K.T, E3) / scale
-    err5_norm_2 = np.linalg.norm(err5) ** 2
-    err3_norm_2 = np.linalg.norm(err3) ** 2
+    err5 = K.T.dot(E5) / scale
+    err3 = K.T.dot(E3) / scale
+    err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
+    err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+    return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
 
 
 class _StepInterpolant:
-    """7th-order dense output over one step [t_old, t]."""
+    """7th-order dense output over one step [t_old, t_old + h].
 
-    __slots__ = ("t_old", "h", "y_old", "F")
+    It keeps ``fun``, the end states and the 13 stages ``K``; ``F`` is
+    built (DOP853._dense_output_impl) on the first read before x = 1, and
+    the stages are then let go.  See the module docstring.
+    """
 
-    def __init__(self, t_old, h, y_old, F):
+    __slots__ = ("fun", "t_old", "h", "y_old", "y_new", "K", "_F")
+
+    def __init__(self, fun, t_old, h, y_old, y_new, K):
+        self.fun = fun
         self.t_old = t_old
         self.h = h
         self.y_old = y_old
-        self.F = F
+        self.y_new = y_new
+        self.K = K
+        self._F = None
+
+    @property
+    def F(self) -> np.ndarray:
+        if self._F is None:
+            fun, t, h, y = self.fun, self.t_old, self.h, self.y_old
+            K_extended = np.empty((N_STAGES_EXTENDED, y.size))
+            K_extended[: N_STAGES + 1] = self.K
+            for s, a, c in _EXTRA_STAGES:
+                dy = K_extended[:s].T.dot(a)
+                dy *= h
+                dy += y
+                K_extended[s] = fun(t + c * h, dy)
+            F = np.empty((INTERPOLATOR_POWER, y.size))
+            f_old = K_extended[0]
+            f_new = K_extended[N_STAGES]
+            delta_y = self.y_new - y
+            F[0] = delta_y
+            F[1] = h * f_old - delta_y
+            F[2] = 2 * delta_y - h * (f_new + f_old)
+            F[3:] = h * D.dot(K_extended)
+            self._F = F
+            self.K = None
+        return self._F
 
     def __call__(self, t) -> np.ndarray:
         x = (t - self.t_old) / self.h
-        y = np.zeros_like(self.y_old)
-        for i, f in enumerate(reversed(self.F)):
-            y += f
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
-        y += self.y_old
-        return y
+        if x == 1:
+            return (self.y_new - self.y_old) + self.y_old
+        return _horner(self.F, x, np.zeros_like(self.y_old)) + self.y_old
 
-    def leading(self, n: int) -> "_StepInterpolant":
-        return _StepInterpolant(self.t_old, self.h, self.y_old[:n].copy(), self.F[:, :n].copy())
+    def component(self, t, k: int) -> float:
+        """``self(t)[k]``, by the same operations on Python floats."""
+        x = (t - self.t_old) / self.h
+        y_old = float(self.y_old[k])
+        if x == 1:
+            return float(self.y_new[k] - self.y_old[k]) + y_old
+        return _horner(self.F[:, k].tolist(), x, 0.0) + y_old
+
+
+def _horner(F, x, y):
+    """The dense output's polynomial less y_old, accumulated onto the zero ``y``."""
+    for i, f in enumerate(reversed(F)):
+        y += f
+        y *= x if i % 2 == 0 else 1 - x
+    return y
 
 
 class _ConstantPiece:
@@ -317,9 +366,6 @@ class _ConstantPiece:
     def __call__(self, t) -> np.ndarray:
         return self.y
 
-    def leading(self, n: int) -> "_ConstantPiece":
-        return _ConstantPiece(self.y[:n].copy())
-
 
 class DenseSolution:
     """Piecewise interpolant over the accepted steps ``ts``.
@@ -328,11 +374,12 @@ class DenseSolution:
     used, as in SciPy's ``OdeSolution``.
     """
 
-    def __init__(self, ts: np.ndarray, interpolants: list):
+    def __init__(self, ts: np.ndarray, interpolants: list, n: Optional[int] = None):
         self.ts = ts
         self.ascending = bool(ts[-1] >= ts[0])
         self.ts_sorted = ts.tolist() if self.ascending else ts[::-1].tolist()
         self.interpolants = interpolants
+        self.n = n
 
     def __call__(self, t) -> np.ndarray:
         n = len(self.interpolants)
@@ -340,15 +387,16 @@ class DenseSolution:
             segment = min(max(bisect_left(self.ts_sorted, t) - 1, 0), n - 1)
         else:
             segment = n - 1 - min(max(bisect_right(self.ts_sorted, t) - 1, 0), n - 1)
-        return self.interpolants[segment](t)
+        y = self.interpolants[segment](t)
+        return y if self.n is None else y[: self.n]
 
     def leading(self, n: int) -> "DenseSolution":
-        """The interpolant of the first ``n`` components, stored apart.
+        """The interpolant of the first ``n`` components.
 
         Each component is interpolated on its own, so the values equal
         the first ``n`` of the full interpolant's bit for bit.
         """
-        return DenseSolution(self.ts, [piece.leading(n) for piece in self.interpolants])
+        return DenseSolution(self.ts, self.interpolants, n)
 
 
 @dataclass(frozen=True)
@@ -376,18 +424,18 @@ def solve(
     rtol: float,
     atol: float,
     max_step: float = np.inf,
-    events: Sequence[Callable[[float, np.ndarray], float]] = (),
+    events: Sequence[Union[int, Callable[[float, np.ndarray], float]]] = (),
     n_tested: Optional[int] = None,
 ) -> Solution:
     """Integrate ``y' = fun(t, y)`` over ``t_span`` with DOP853.
 
     ``fun`` must return a float array shaped like ``y0``.  Each event
-    ``g(t, y)`` is terminal: the run stops at the earliest root, located
-    by Brent's method on the step's dense output, of any event that
-    changes sign (or touches zero) over a step.  The initial step and
-    the local error test see only the first ``n_tested`` components (all
-    of them by default, as in SciPy); the others ride along on the steps
-    the leading ones choose.
+    ``g(t, y)``, or index k for the level ``y[k]``, is terminal: the run
+    stops at the earliest root, located by Brent's method on the step's
+    dense output, of any event that changes sign (or touches zero) over
+    a step.  The initial step and the local error test see only the
+    first ``n_tested`` components (all of them by default, as in SciPy);
+    the others ride along on the steps the leading ones choose.
     """
     t0, t_bound = map(float, t_span)
     y = np.asarray(y0).astype(float, copy=False)
@@ -403,15 +451,15 @@ def solve(
         ts = np.array([t0, t0])
         return Solution(status=0, ts=ts, sol=DenseSolution(ts, [_ConstantPiece(y)]))
     h_abs = _initial_step(fun, t0, y, t_bound, max_step, f, direction, rtol, atol, n_tested)
-    K_extended = np.empty((N_STAGES_EXTENDED, n))
-    K = K_extended[: N_STAGES + 1]
-    # KT[s] is SciPy's K[:s].T, a view of the first s stages.
-    KT = [K_extended[:s].T for s in range(N_STAGES_EXTENDED)]
+    K = np.empty((N_STAGES + 1, n))
+    # KT[s] is SciPy's K[:s].T, a view of the first s stages.  Products
+    # are taken by ndarray.dot: np.dot's own routine, without its dispatch.
+    KT = [K[:s].T for s in range(N_STAGES + 1)]
 
     t = t0
     ts = [t0]
     interpolants = []
-    g = [event(t0, y0) for event in events]
+    g = _event_values(events, t0, y)
     status = None
     fired = None
     while status is None:
@@ -434,11 +482,11 @@ def solve(
 
             K[0] = f
             for s, a, c in _STAGES:
-                dy = np.dot(KT[s], a)
+                dy = KT[s].dot(a)
                 dy *= h
                 dy += y
                 K[s] = fun(t + c * h, dy)
-            y_new = y + h * np.dot(K[:-1].T, B)
+            y_new = y + h * K[:-1].T.dot(B)
             f_new = fun(t + h, y_new)
             K[-1] = f_new
 
@@ -456,20 +504,7 @@ def solve(
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             step_rejected = True
 
-        # Dense output over the step (DOP853._dense_output_impl).
-        for s, a, c in _EXTRA_STAGES:
-            dy = np.dot(KT[s], a)
-            dy *= h
-            dy += y
-            K_extended[s] = fun(t + c * h, dy)
-        F = np.empty((INTERPOLATOR_POWER, n))
-        f_old = K_extended[0]
-        delta_y = y_new - y
-        F[0] = delta_y
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (f_new + f_old)
-        F[3:] = h * np.dot(D, K_extended)
-        step = _StepInterpolant(t, t_new - t, y, F)
+        step = _StepInterpolant(fun, t, t_new - t, y, y_new, K.copy())
         interpolants.append(step)
 
         t_old = t
@@ -478,7 +513,7 @@ def solve(
             status = 0
 
         if events:
-            g_new = [event(t, y) for event in events]
+            g_new = _event_values(events, t, y)
             active = [
                 i for i, (before, after) in enumerate(zip(g, g_new))
                 if (before <= 0 and after >= 0) or (before >= 0 and after <= 0)
@@ -500,9 +535,17 @@ def solve(
     return Solution(status=status, ts=ts, sol=DenseSolution(ts, interpolants), event=fired)
 
 
+def _event_values(events, t, y) -> list:
+    return [event(t, y) if callable(event) else y[event] for event in events]
+
+
 def _event_root(event, step: _StepInterpolant, t_old, t):
     """Root of ``event`` on the dense output of one step (solve_event_equation)."""
-    def g(s):
-        return event(s, step(s))
+    if callable(event):
+        def g(s):
+            return event(s, step(s))
+    else:
+        def g(s):
+            return step.component(s, event)
 
     return _brent(g, t_old, t, g(t_old), g(t), xtol=EVENT_TOL, rtol=EVENT_TOL)

@@ -15,7 +15,12 @@ Segments are integrated with DOP853, the adaptive 8(5,3) Dormand–Prince
 pair (Hairer, Nørsett & Wanner, *Solving Ordinary Differential
 Equations I*, §II.10), and events are located on its dense output.  The
 solver is the in-package port :mod:`pendavg.dop853` of SciPy's
-``solve_ivp(method="DOP853")``, so integrating loads no SciPy.
+``solve_ivp(method="DOP853")``, so integrating loads no SciPy.  The level
+events x = 0 and z = 0 are passed as the state indices 0 and 2, so their
+roots are found on that one component of the dense output; the release
+events of a sliding segment are callables of the one-sided fields.  A
+step builds its dense output only when it is read before its end: to
+locate an event root, or later through ``Segment.state_at``.
 
 Every surface contact goes through one resolver, which classifies it
 through the one-sided Lie derivatives and switches the region sign
@@ -235,10 +240,10 @@ def segment_rhs(field: FieldWithSigns, signs: Tuple[float, float],
         return lambda t, u: field(t, u, signs)
     matrix, offset = frozen(signs)
     if not monodromy:
-        return lambda t, u: np.dot(matrix(t), u) + offset(t)
+        return lambda t, u: matrix(t).dot(u) + offset(t)
 
     def rhs(t, u):
-        du = np.dot(u.reshape(5, 4), matrix(t).T)
+        du = u.reshape(5, 4).dot(matrix(t).T)
         du[0] += offset(t)
         return du.ravel()
 
@@ -316,11 +321,6 @@ def sliding_combination(
             f"is undefined (lie- = {lie_minus:.3e}, lie+ = {lie_plus:.3e})"
         )
     return (lie_plus * minus_val - lie_minus * plus_val) / denom
-
-
-def _level_event(k: int):
-    """Event on the level of surface k + 1."""
-    return lambda t, u, idx=2 * k: u[idx]
 
 
 def _rk4_step(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
@@ -599,7 +599,7 @@ class _Integrator:
             u = np.concatenate((self.state, phi.T.ravel()))
         if k is None:
             rhs = segment_rhs(self.field, signs, phi is not None)
-            events = [_level_event(0), _level_event(1)]
+            events = [0, 2]
         else:
             def rhs(tt, u):
                 return sliding_combination(self.field, tt, u, signs, k)
@@ -607,7 +607,7 @@ class _Integrator:
             def lie_event(side):
                 return lambda tt, u: float(_one_sided_values(self.field, tt, u, signs, k)[side][2 * k])
 
-            events = [lie_event(0), lie_event(1), _level_event(1 - k)]
+            events = [lie_event(0), lie_event(1), 2 - 2 * k]
 
         t_run, u_run = self._depart_surface(rhs, u)
         if self.finished:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -388,6 +389,19 @@ def finite_float(text) -> float:
     return number
 
 
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of the file ``path``; DomainError naming ``what`` and
+    the file when it cannot be opened or decoded."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        reason = exc.strerror
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 text (byte {exc.object[exc.start]:#04x} at offset {exc.start})"
+    raise DomainError(f"cannot read {what} {os.fspath(path)!r}: {reason}")
+
+
 def _file_number(key: str, text: str, convert: Callable = finite_float):
     """One number of a perturbation file; a bad one is a DomainError naming its key."""
     try:
@@ -416,10 +430,10 @@ def _parse_scalar_entry(key: str, entry: str, spectral: SpectralData, family: in
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         try:
-            with open(path, newline="") as fh:
-                rows = [row for row in csv.reader(fh) if row and not row[0].lstrip().startswith("#")]
-        except OSError as exc:
-            raise DomainError(f"{where}: cannot read table {path!r}: {exc.strerror}") from None
+            text = read_text(path, "table")
+        except DomainError as exc:
+            raise DomainError(f"{where}: {exc}") from None
+        rows = [row for row in csv.reader(io.StringIO(text)) if row and not row[0].lstrip().startswith("#")]
         if any(len(row) < 2 for row in rows):
             raise DomainError(f"{where}: every row of table {path!r} needs two columns (tau, value)")
         taus = [_file_number(key, row[0]) for row in rows]
@@ -440,13 +454,12 @@ def perturbation_from_file(path: str, spectral: SpectralData) -> PerturbationSpe
     value).  Missing keys default to zero.  Every number must be finite;
     a value or table that does not parse raises DomainError naming its key.
     """
+    text = read_text(path, "perturbation file")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
+        parser.read_string(text, source=os.fspath(path))
     except configparser.Error as exc:
         raise DomainError(f"cannot parse perturbation file {path!r}: {exc}") from None
-    if not read:
-        raise DomainError(f"cannot read perturbation file {path!r}")
     if not parser.has_section("perturbation"):
         raise DomainError(f"perturbation file {path!r} lacks a [perturbation] section")
     section = parser["perturbation"]

@@ -111,7 +111,10 @@ def test_find_sign_changes_matches_scan(bench):
     cases += [((0.0, 0.8), 1, "A", 1), ((-0.3, 0.0), 2, "B", 2), ((0.0, -1.5), 1, "A", 3)]
     for amp, family, conv, p in cases:
         window = p * s.period(family)
-        got = find_sign_changes(amp, family, conv, s, p).breakpoints
+        partition = find_sign_changes(amp, family, conv, s, p)
+        got = partition.breakpoints
+        edges = np.unique(np.concatenate(([0.0], got, [window])))
+        assert partition.panel_edges.tobytes() == edges.tobytes()
         scan = scan_sign_changes(amp, family, conv, s, p)
         inner = [t for t in got if 1e-9 < t < window - 1e-9]
         assert np.allclose(inner, [t for t in scan if 1e-9 < t < window - 1e-9], rtol=0, atol=1e-11)
@@ -213,6 +216,55 @@ def test_quadrature_against_trapezoid_oracle(bench):
         val = bifurcation_values(sys, amp)
         ref = trapezoid_bifurcation(sys, amp, n_points=300_000)
         assert np.linalg.norm(val - ref) <= 1e-7 * max(1.0, np.linalg.norm(ref))
+
+
+def _per_panel_gauss(f, edges, rtol=averaging_module.QUADRATURE_RTOL,
+                    max_levels=averaging_module.MAX_REFINE_LEVELS):
+    """Reference for ``_adaptive_gauss``: the same quadrature, one linspace per panel."""
+    nodes, weights_1 = np.polynomial.legendre.leggauss(averaging_module.GAUSS_ORDER)
+    prev = None
+    for level in range(max_levels + 1):
+        sub = 2 ** level
+        taus_parts, w_parts = [], []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            if hi - lo <= 0.0:
+                continue
+            bounds = np.linspace(lo, hi, sub + 1)
+            mid = 0.5 * (bounds[:-1] + bounds[1:])
+            half = 0.5 * (bounds[1:] - bounds[:-1])
+            taus_parts.append((mid[:, None] + half[:, None] * nodes[None, :]).ravel())
+            w_parts.append((half[:, None] * weights_1[None, :]).ravel())
+        total = np.asarray(f(np.concatenate(taus_parts))) @ np.concatenate(w_parts)
+        if prev is not None:
+            scale = max(1.0, float(np.linalg.norm(total)))
+            if float(np.linalg.norm(total - prev)) <= rtol * scale:
+                return total
+        prev = total
+    raise AssertionError("reference quadrature did not converge")
+
+
+def test_panel_quadrature_matches_per_panel_loop_bit_for_bit(bench):
+    def f(tau):
+        return np.stack([np.cos(tau) ** 3, np.exp(-tau) * np.sin(7.0 * tau), tau * tau - 1.0])
+
+    rng = np.random.default_rng(5)
+    edge_sets = [np.array([0.0, 4.0]), np.array([0.0, 1.5, 1.5, 4.0])]
+    for _ in range(40):
+        edges = np.sort(rng.uniform(0.0, 6.0, size=int(rng.integers(2, 9))))
+        if rng.random() < 0.3:
+            edges = np.insert(edges, 1, edges[1])  # a zero-width panel
+        edge_sets.append(edges)
+    for edges in edge_sets:
+        got = averaging_module._adaptive_gauss(f, edges)
+        assert got.tobytes() == _per_panel_gauss(f, edges).tobytes(), edges
+    # the ray integrand on its sign-change panels
+    reduced, s = bench
+    sys = system_for("damped_forced_escapement", {"gamma": GAMMA, "kappa": KAPPA}, reduced, s)
+    for theta in (0.3, 2.0, 4.5):
+        unit = np.array([math.cos(theta), math.sin(theta)])
+        edges = find_sign_changes(unit, 1, "A", s, 1).panel_edges
+        ray = lambda tau: averaging_module._ray_integrand(sys, unit, tau)
+        assert averaging_module._adaptive_gauss(ray, edges).tobytes() == _per_panel_gauss(ray, edges).tobytes()
 
 
 def test_bifurcation_values_match_malkin_average_both_families(bench):

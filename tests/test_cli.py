@@ -151,6 +151,41 @@ def test_bad_perturbation_file_exits_1_naming_the_key(tmp_path, capsys):
         assert len(errors) == 1 and f"key {key}:" in errors[0], (line, errors)
 
 
+def test_unreadable_input_files_exit_1(tmp_path):
+    good = "[perturbation]\nbuiltin = damped_forced\ngamma = 0.5\n"
+    not_utf8 = tmp_path / "not_utf8.ini"
+    not_utf8.write_bytes(good.encode() + b"[physical]\nm1 = 1\xff\n")
+    (tmp_path / "pert.ini").write_bytes(b"[perturbation]\nfamily = 1\nk1 = const:1\xff\n")
+    pert_not_utf8 = write_ini(tmp_path / "exp.ini", {"perturbation": {"file": "pert.ini"}})
+    directory = tmp_path / "dir.ini"
+    directory.mkdir()
+    for config, named in ((not_utf8, "config file"), (pert_not_utf8, "perturbation file"),
+                          (directory, "config file")):
+        proc = run_child("-m", "pendavg", "zeros", "--config", str(config), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr, proc.stderr
+        assert f"cannot read {named}" in proc.stderr, proc.stderr
+
+
+def test_unwritable_output_dir_exits_1(tmp_path, bench_ini, capsys):
+    ini, _ = bench_ini
+    taken = tmp_path / "taken"
+    taken.write_text("a regular file\n", encoding="utf-8")
+    assert cli.main(["params", "--config", str(ini), "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [output] dir") and str(taken) in err
+    assert taken.read_text(encoding="utf-8") == "a regular file\n"
+    # an artifact path that is a directory: a JSON file, then the CSVs
+    out = tmp_path / "out"
+    (out / "params.json").mkdir(parents=True)
+    assert cli.main(["params", "--config", str(ini), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: [output] dir: cannot write {out / 'params.json'}")
+    ini = write_ini(tmp_path / "sim.ini", {**bench_sections(out), "integrate": SIMULATE_INTEGRATE})
+    (out / "events.csv").mkdir()
+    assert cli.main(["simulate", "--config", str(ini)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: [output] dir: cannot write {out / 'events.csv'}")
+
+
 # -- deterministic JSON --------------------------------------------------------
 
 

@@ -538,14 +538,16 @@ def test_dop853_matches_solve_ivp_bit_for_bit(bench):
             events = [terminal(lambda t, u, side=side, field=field, signs=signs, k=k:
                                float(field(t, u, signs[:k] + (2.0 * side - 1.0,) + signs[k + 1:])[2 * k]))
                       for side in (0, 1)]
+            indexed = events + [2 - 2 * k]
             events.append(terminal(lambda t, u, idx=2 - 2 * k: u[idx]))
         else:
             def rhs(t, u, field=field, signs=signs):
                 return field(t, u, signs)
 
             events = [terminal(lambda t, u: u[0]), terminal(lambda t, u: u[2])]
+            indexed = [0, 2]
             if mode == "none":
-                events = []
+                events = indexed = []
             elif rng.random() < 0.5:
                 # Start just before both surfaces, in random order, so that one
                 # step crosses both (on the pendulum fields x' = y and z' = w).
@@ -564,11 +566,51 @@ def test_dop853_matches_solve_ivp_bit_for_bit(bench):
         assert run.event == (fired[0] if fired else None), case
         if fired:
             assert ref.t_events[fired[0]].tolist() == [run.ts[-1]], case
+        # the levels given by index (SciPy takes only callables) change nothing
+        if indexed:
+            by_index = dop853.solve(rhs, (t0, t1), y0, rtol=1e-10, atol=1e-12, max_step=max_step,
+                                    events=indexed)
+            assert by_index.ts.tobytes() == run.ts.tobytes(), case
+            assert by_index.event == run.event, case
+            for t in (*ref.t, *inside):
+                assert by_index.sol(t).tobytes() == run.sol(t).tobytes(), (case, t)
     # an empty span is one constant piece
     ref = solve_ivp(rhs, (t0, t0), y0, method="DOP853", dense_output=True, rtol=1e-10, atol=1e-12)
     run = dop853.solve(rhs, (t0, t0), y0, rtol=1e-10, atol=1e-12)
     assert run.status == ref.status == 0 and run.ts.tobytes() == ref.t.tobytes()
     assert run.sol(t0).tobytes() == ref.sol(t0).tobytes()
+
+
+def test_dop853_builds_dense_output_only_for_steps_read_inside():
+    """Without events a step's dense output (three more right-hand-side
+    calls) is built only when it is read before the step's end."""
+    from scipy.integrate import solve_ivp
+
+    calls = []
+    matrix = np.array([[0.0, 1.0], [-4.0, -0.1]])
+
+    def rhs(t, y):
+        calls.append(t)
+        return matrix @ y + np.array([0.0, math.cos(3.0 * t)])
+
+    options = dict(rtol=1e-10, atol=1e-12, max_step=0.7)
+    dense = solve_ivp(rhs, (0.0, 6.0), [1.0, 0.0], method="DOP853", dense_output=True, **options)
+    ref = solve_ivp(rhs, (0.0, 6.0), [1.0, 0.0], method="DOP853", **options)
+    calls.clear()
+    run = dop853.solve(rhs, (0.0, 6.0), np.array([1.0, 0.0]), **options)
+    assert run.ts.tobytes() == ref.t.tobytes()
+    # SciPy without dense output: the first field value, the initial step's
+    # probe and 12 calls per attempted step
+    assert len(calls) == ref.nfev and (ref.nfev - 2) % 12 == 0
+    for t in run.ts[1:]:
+        assert run.sol(t).tobytes() == dense.sol(t).tobytes()
+    assert len(calls) == ref.nfev
+    inside = 0.5 * (run.ts[3] + run.ts[4])
+    assert run.sol(inside).tobytes() == dense.sol(inside).tobytes()
+    assert len(calls) == ref.nfev + 3
+    later = 0.5 * (inside + run.ts[4])
+    assert run.sol(later).tobytes() == dense.sol(later).tobytes()
+    assert len(calls) == ref.nfev + 3
 
 
 def test_dop853_error_test_on_leading_components(bench):
