@@ -255,6 +255,8 @@ def load_config(
     )
     cfg_family = value("model", "family", 1, int)
     cfg_p = value("model", "p", 1, int)
+    if cfg_p < 1:
+        raise DomainError(f"[model] p: the resonance order must be at least 1, got {cfg_p}")
     cfg_convention = get("model", "convention", "A").strip().upper()
     value("model", "seed", 0, int)  # accepted for older files; it has no effect
     builtin_params = {
@@ -269,6 +271,9 @@ def load_config(
     if t_span and len(t_span) != 2:
         raise DomainError("t_span must have two entries")
     sim_delta = delta if delta is not None else value("integrate", "delta", None)
+    max_events = value("integrate", "max_events", 100000, int)
+    if max_events < 0:
+        raise DomainError(f"[integrate] max_events: the event budget must not be negative, got {max_events}")
 
     final_family = family if family is not None else cfg_family
     final_convention = (convention or cfg_convention).strip().upper()
@@ -295,7 +300,7 @@ def load_config(
         sim_s0=np.array(s0) if s0 else None,
         sim_t_span=tuple(t_span) if t_span else None,
         sim_delta=sim_delta,
-        sim_max_events=value("integrate", "max_events", 100000, int),
+        sim_max_events=max_events,
         sim_require_crossing=value("integrate", "require_crossing", False, _parse_bool),
         output_dir=out_dir,
     )

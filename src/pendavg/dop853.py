@@ -1,4 +1,4 @@
-"""DOP853 with dense output and terminal events, for the Filippov segments.
+"""DOP853 with terminal events, for the Filippov segments.
 
 DOP853 is the explicit Runge–Kutta pair of order 8 with an embedded
 5th/3rd-order error estimate and a 7th-order dense output (Hairer,
@@ -8,10 +8,10 @@ This module ports, line for line, the part of SciPy 1.17.1's
 :mod:`pendavg.filippov` uses (SciPy is BSD-3-Clause licensed): the
 tableau of ``dop853_coefficients.py``, ``select_initial_step``, the step
 size loop of ``RungeKutta._step_impl`` with DOP853's error norm and dense
-output, ``OdeSolution``'s choice of interpolant, and terminal event
-location by Brent's method.  Every floating-point operation is SciPy's,
-in SciPy's order and on arrays of the same layout, so step times, states,
-dense output and event times agree with ``solve_ivp`` bit for bit.
+output, and terminal event location by Brent's method.  Every
+floating-point operation is SciPy's, in SciPy's order and on arrays of
+the same layout, so step times, states and event times agree with
+``solve_ivp`` bit for bit.
 
 Supported are a real state vector, scalar ``rtol`` (at least 100·eps)
 and ``atol``, a step cap and terminal events of direction 0: the
@@ -21,21 +21,18 @@ to the leading components of the state, as CVODES lets sensitivities be
 left out of the local error test (Serban & Hindmarsh, ACM TOMS 31, 2005),
 so variational equations carried along do not change the step sequence.
 
-The dense output of a step is built lazily.  Each accepted step keeps its
-13 stages; its three extra stages and interpolation coefficients are
-computed, by SciPy's code, the first time it is read at some
-x = (t − t_old)/h other than 1.  Most steps are never read inside: only
-event roots are.  A read at the step's end builds nothing: every term of
-the interpolant but the first carries a factor 1 − x, so for finite
-coefficients the value at x = 1 is exactly (y_new − y_old) + y_old.  An
-event may also be an index k, meaning the level u[k]; its root is found
-on component k alone, in Python floats, by the same operations.
+A run returns the states at its accepted steps, the solver's own y_new
+as in ``solve_ivp(...).y``, and keeps no dense output.  A step's
+interpolant (three extra stages and the interpolation coefficients, by
+SciPy's code) is built only when an event changes sign over the step: it
+locates the root and gives the state there, the run's last.  An event may
+also be an index k, meaning the level u[k]; its root is found on
+component k alone, in Python floats, by the same operations.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -293,58 +290,41 @@ def _error_norm(K: np.ndarray, h, scale: np.ndarray):
 class _StepInterpolant:
     """7th-order dense output over one step [t_old, t_old + h].
 
-    It keeps ``fun``, the end states and the 13 stages ``K``; ``F`` is
-    built (DOP853._dense_output_impl) on the first read before x = 1, and
-    the stages are then let go.  See the module docstring.
+    Built (DOP853._dense_output_impl) from the step's 13 stages ``K`` and
+    three extra stages only for a step in which an event changes sign.
     """
 
-    __slots__ = ("fun", "t_old", "h", "y_old", "y_new", "K", "_F")
+    __slots__ = ("t_old", "h", "y_old", "F")
 
     def __init__(self, fun, t_old, h, y_old, y_new, K):
-        self.fun = fun
         self.t_old = t_old
         self.h = h
         self.y_old = y_old
-        self.y_new = y_new
-        self.K = K
-        self._F = None
-
-    @property
-    def F(self) -> np.ndarray:
-        if self._F is None:
-            fun, t, h, y = self.fun, self.t_old, self.h, self.y_old
-            K_extended = np.empty((N_STAGES_EXTENDED, y.size))
-            K_extended[: N_STAGES + 1] = self.K
-            for s, a, c in _EXTRA_STAGES:
-                dy = K_extended[:s].T.dot(a)
-                dy *= h
-                dy += y
-                K_extended[s] = fun(t + c * h, dy)
-            F = np.empty((INTERPOLATOR_POWER, y.size))
-            f_old = K_extended[0]
-            f_new = K_extended[N_STAGES]
-            delta_y = self.y_new - y
-            F[0] = delta_y
-            F[1] = h * f_old - delta_y
-            F[2] = 2 * delta_y - h * (f_new + f_old)
-            F[3:] = h * D.dot(K_extended)
-            self._F = F
-            self.K = None
-        return self._F
+        K_extended = np.empty((N_STAGES_EXTENDED, y_old.size))
+        K_extended[: N_STAGES + 1] = K
+        for s, a, c in _EXTRA_STAGES:
+            dy = K_extended[:s].T.dot(a)
+            dy *= h
+            dy += y_old
+            K_extended[s] = fun(t_old + c * h, dy)
+        F = np.empty((INTERPOLATOR_POWER, y_old.size))
+        f_old = K_extended[0]
+        f_new = K_extended[N_STAGES]
+        delta_y = y_new - y_old
+        F[0] = delta_y
+        F[1] = h * f_old - delta_y
+        F[2] = 2 * delta_y - h * (f_new + f_old)
+        F[3:] = h * D.dot(K_extended)
+        self.F = F
 
     def __call__(self, t) -> np.ndarray:
         x = (t - self.t_old) / self.h
-        if x == 1:
-            return (self.y_new - self.y_old) + self.y_old
         return _horner(self.F, x, np.zeros_like(self.y_old)) + self.y_old
 
     def component(self, t, k: int) -> float:
         """``self(t)[k]``, by the same operations on Python floats."""
         x = (t - self.t_old) / self.h
-        y_old = float(self.y_old[k])
-        if x == 1:
-            return float(self.y_new[k] - self.y_old[k]) + y_old
-        return _horner(self.F[:, k].tolist(), x, 0.0) + y_old
+        return _horner(self.F[:, k].tolist(), x, 0.0) + float(self.y_old[k])
 
 
 def _horner(F, x, y):
@@ -355,63 +335,20 @@ def _horner(F, x, y):
     return y
 
 
-class _ConstantPiece:
-    """The one piece of an empty span."""
-
-    __slots__ = ("y",)
-
-    def __init__(self, y):
-        self.y = y
-
-    def __call__(self, t) -> np.ndarray:
-        return self.y
-
-
-class DenseSolution:
-    """Piecewise interpolant over the accepted steps ``ts``.
-
-    At a step time shared by two steps the step with the lower index is
-    used, as in SciPy's ``OdeSolution``.
-    """
-
-    def __init__(self, ts: np.ndarray, interpolants: list, n: Optional[int] = None):
-        self.ts = ts
-        self.ascending = bool(ts[-1] >= ts[0])
-        self.ts_sorted = ts.tolist() if self.ascending else ts[::-1].tolist()
-        self.interpolants = interpolants
-        self.n = n
-
-    def __call__(self, t) -> np.ndarray:
-        n = len(self.interpolants)
-        if self.ascending:
-            segment = min(max(bisect_left(self.ts_sorted, t) - 1, 0), n - 1)
-        else:
-            segment = n - 1 - min(max(bisect_right(self.ts_sorted, t) - 1, 0), n - 1)
-        y = self.interpolants[segment](t)
-        return y if self.n is None else y[: self.n]
-
-    def leading(self, n: int) -> "DenseSolution":
-        """The interpolant of the first ``n`` components.
-
-        Each component is interpolated on its own, so the values equal
-        the first ``n`` of the full interpolant's bit for bit.
-        """
-        return DenseSolution(self.ts, self.interpolants, n)
-
-
 @dataclass(frozen=True)
 class Solution:
     """Outcome of :func:`solve`.
 
     ``status`` is 0 when the end of the span was reached, 1 when an event
     stopped the run (``event`` is its index and ``ts[-1]`` its time) and
-    −1 on a step-size failure (``message`` says so; ``ts`` and ``sol``
-    are then ``None``).
+    −1 on a step-size failure (``message`` says so; ``ts`` and ``ys``
+    are then ``None``).  ``ys[i]`` is the state at ``ts[i]``, as in
+    SciPy's ``solve_ivp(...).y.T``.
     """
 
     status: int
     ts: Optional[np.ndarray] = None
-    sol: Optional[DenseSolution] = None
+    ys: Optional[np.ndarray] = None
     event: Optional[int] = None
     message: Optional[str] = None
 
@@ -447,9 +384,7 @@ def solve(
     direction = np.sign(t_bound - t0) if t_bound != t0 else 1
     f = fun(t0, y)
     if t0 == t_bound:
-        # An empty span is one constant piece.
-        ts = np.array([t0, t0])
-        return Solution(status=0, ts=ts, sol=DenseSolution(ts, [_ConstantPiece(y)]))
+        return Solution(status=0, ts=np.array([t0, t0]), ys=np.array([y, y]))
     h_abs = _initial_step(fun, t0, y, t_bound, max_step, f, direction, rtol, atol, n_tested)
     K = np.empty((N_STAGES + 1, n))
     # KT[s] is SciPy's K[:s].T, a view of the first s stages.  Products
@@ -458,7 +393,7 @@ def solve(
 
     t = t0
     ts = [t0]
-    interpolants = []
+    ys = [y]
     g = _event_values(events, t0, y)
     status = None
     fired = None
@@ -504,10 +439,7 @@ def solve(
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             step_rejected = True
 
-        step = _StepInterpolant(fun, t, t_new - t, y, y_new, K.copy())
-        interpolants.append(step)
-
-        t_old = t
+        t_old, y_old = t, y
         t, y, f = t_new, y_new, f_new
         if direction * (t - t_bound) >= 0:
             status = 0
@@ -519,20 +451,22 @@ def solve(
                 if (before <= 0 and after >= 0) or (before >= 0 and after <= 0)
             ]
             if active:
+                step = _StepInterpolant(fun, t_old, t - t_old, y_old, y, K)
                 roots = np.asarray([_event_root(events[i], step, t_old, t) for i in active])
                 first = np.argsort(roots if t > t_old else -roots)[0]
                 fired = active[first]
                 t = roots[first]
+                y = step(t)
                 status = 1
             g = g_new
 
-        if len(ts) > 1 and ts[-1] == t:
-            interpolants.pop()
-        else:
+        # SciPy keeps no second row at a time it already has (an event
+        # root at the step's start).
+        if len(ts) == 1 or ts[-1] != t:
             ts.append(t)
+            ys.append(y)
 
-    ts = np.array(ts)
-    return Solution(status=status, ts=ts, sol=DenseSolution(ts, interpolants), event=fired)
+    return Solution(status=status, ts=np.array(ts), ys=np.array(ys), event=fired)
 
 
 def _event_values(events, t, y) -> list:

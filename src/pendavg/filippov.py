@@ -18,9 +18,7 @@ solver is the in-package port :mod:`pendavg.dop853` of SciPy's
 ``solve_ivp(method="DOP853")``, so integrating loads no SciPy.  The level
 events x = 0 and z = 0 are passed as the state indices 0 and 2, so their
 roots are found on that one component of the dense output; the release
-events of a sliding segment are callables of the one-sided fields.  A
-step builds its dense output only when it is read before its end: to
-locate an event root, or later through ``Segment.state_at``.
+events of a sliding segment are callables of the one-sided fields.
 
 Every surface contact goes through one resolver, which classifies it
 through the one-sided Lie derivatives and switches the region sign
@@ -115,25 +113,19 @@ class EventRecord:
 class Segment:
     """A smooth (or sliding) piece of a trajectory.
 
-    ``sol`` interpolates the states on ``[t_start, t_end]`` (in either
-    time direction); ``None`` marks a constant segment resting at an
-    equilibrium on the discontinuity set.  ``signs`` are the region
-    signs used for the sgn arguments; a 0 entry marks motion inside the
-    corresponding surface.
+    ``states[i]`` is the state (x, y, z, w) at ``ts[i]``: the solver's
+    state at each accepted step and, last, at the terminal event.  A
+    segment resting at an equilibrium on the discontinuity set is two
+    equal rows.  ``signs`` are the region signs used for the sgn
+    arguments; a 0 entry marks motion inside the corresponding surface.
     """
 
     t_start: float
     t_end: float
-    sol: Optional[Callable[[float], np.ndarray]]
     ts: np.ndarray
+    states: np.ndarray
     signs: Tuple[float, float]
     sliding_surface: Optional[int] = None
-    constant_state: Optional[np.ndarray] = None
-
-    def state_at(self, t: float) -> np.ndarray:
-        if self.sol is None:
-            return np.array(self.constant_state, dtype=float)
-        return np.asarray(self.sol(t), dtype=float)
 
 
 @dataclass
@@ -162,17 +154,7 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         if not self.segments:
             return np.array(self.initial_state, dtype=float)
-        seg = self.segments[-1]
-        return seg.state_at(seg.t_end)
-
-    def state_at(self, t: float) -> np.ndarray:
-        if not self.segments:
-            return np.array(self.initial_state, dtype=float)
-        for seg in self.segments:
-            lo, hi = sorted((seg.t_start, seg.t_end))
-            if lo - EVENT_TIME_TOL <= t <= hi + EVENT_TIME_TOL:
-                return seg.state_at(min(max(t, lo), hi))
-        raise DomainError(f"time {t} is not covered by the integrated span")
+        return np.array(self.segments[-1].states[-1])
 
 
 @dataclass(frozen=True)
@@ -540,11 +522,9 @@ class _Integrator:
             Segment(
                 t_start=self.t,
                 t_end=self.t1,
-                sol=None,
                 ts=np.array([self.t, self.t1]),
+                states=np.array([self.state, self.state]),
                 signs=tuple(self.signs),
-                sliding_surface=None,
-                constant_state=np.array(self.state, dtype=float),
             )
         )
         self.t = self.t1
@@ -625,20 +605,19 @@ class _Integrator:
         if run.status == -1:
             raise _Stalled(f"step-size failure of the segment solver: {run.message}")
         te = float(run.ts[-1])
-        state_e = np.asarray(run.sol(te), dtype=float)
-        sol = run.sol
+        states = run.ys
         if phi is not None:
-            self.phi = state_e[4:].reshape(4, 4).T
-            state_e = state_e[:4].copy()
-            sol = sol.leading(4)
+            self.phi = states[-1, 4:].reshape(4, 4).T
+            states = states[:, :4].copy()
+        state_e = states[-1].copy()
         if k is not None:
             state_e[2 * k] = 0.0
         self.segments.append(
             Segment(
                 t_start=self.t,
                 t_end=te,
-                sol=sol,
                 ts=run.ts,
+                states=states,
                 signs=signs,
                 sliding_surface=None if k is None else k + 1,
             )
@@ -779,10 +758,9 @@ def integrate_regularized(
     segment = Segment(
         t_start=float(t_span[0]),
         t_end=float(t_span[1]),
-        sol=run.sol,
         ts=run.ts,
+        states=run.ys,
         signs=(np.nan, np.nan),
-        sliding_surface=None,
     )
     return Trajectory(
         segments=[segment],
@@ -833,12 +811,11 @@ def require_transversal_crossings(traj: Trajectory) -> CrossingReport:
 
 
 def export_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write accepted integration steps as t,x,y,z,w,segment_id rows."""
+    """Write each segment's step times and states as t,x,y,z,w,segment_id rows."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,x,y,z,w,segment_id\n")
         for seg_id, seg in enumerate(traj.segments):
-            for t in seg.ts:
-                s = seg.state_at(float(t))
+            for t, s in zip(seg.ts, seg.states):
                 fields = [format(float(v), ".17g") for v in (t, *s)]
                 fh.write(",".join(fields) + f",{seg_id}\n")
 

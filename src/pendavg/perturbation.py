@@ -467,6 +467,8 @@ def perturbation_from_file(path: str, spectral: SpectralData) -> PerturbationSpe
     p = _file_number("p", section.get("p", "1"), int)
     if family not in (1, 2):
         raise DomainError(f"family must be 1 or 2, got {family!r}")
+    if p < 1:
+        raise DomainError(f"perturbation file key p: the resonance order must be at least 1, got {p}")
     window = p * spectral.period(family)
     base_dir = os.path.dirname(os.path.abspath(path))
 

@@ -117,6 +117,10 @@ def test_load_config_rejects_bad_input(tmp_path):
                                        "kappa": "inf"}},
         "nan_eps": {"perturbation": {"builtin": "damped_forced", "gamma": 0.5},
                     "sweep": {"eps": "1e-2 nan 2.5e-3 1.25e-3"}},
+        "negative_p": {"model": {"p": -2}, "perturbation": {"builtin": "damped_forced", "gamma": 0.5}},
+        "zero_p": {"model": {"p": 0}, "perturbation": {"builtin": "damped_forced", "gamma": 0.5}},
+        "negative_max_events": {"perturbation": {"builtin": "damped_forced", "gamma": 0.5},
+                                "integrate": {"max_events": -3}},
     }
     for name, sections in bad_inputs.items():
         ini = write_ini(tmp_path / f"{name}.ini", sections)
@@ -124,9 +128,17 @@ def test_load_config_rejects_bad_input(tmp_path):
     for name, where in (("nan_gamma", r"\[perturbation\] gamma"),
                         ("nan_gamma_value", r"\[perturbation\] gamma"),
                         ("inf_kappa", r"\[perturbation\] kappa"),
-                        ("nan_eps", r"\[sweep\] eps")):
+                        ("nan_eps", r"\[sweep\] eps"),
+                        ("negative_p", r"\[model\] p"),
+                        ("zero_p", r"\[model\] p"),
+                        ("negative_max_events", r"\[integrate\] max_events")):
         with pytest.raises(DomainError, match=where):
             cli.load_config(tmp_path / f"{name}.ini")
+    # an event budget of 0 is valid
+    zero_budget = write_ini(tmp_path / "zero_budget.ini",
+                            {"perturbation": {"builtin": "damped_forced", "gamma": 0.5},
+                             "integrate": {"max_events": 0}})
+    assert cli.load_config(zero_budget).sim_max_events == 0
     family_flag = write_ini(tmp_path / "flag.ini", {"perturbation": {"file": pert.name}})
     assert cli.main(["zeros", "--config", str(family_flag), "--family", "2",
                      "--out", str(tmp_path / "o")]) == 1
@@ -141,6 +153,7 @@ def test_bad_perturbation_file_exits_1_naming_the_key(tmp_path, capsys):
         "k1": "k1 = table:one_column.csv",
         "f1.d2": "f1.d2 = table:missing.csv",
         "k4": "k4 = const:5%",
+        "p": "p = 0",
     }
     for key, line in cases.items():
         pert = tmp_path / "pert.ini"

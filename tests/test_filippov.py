@@ -217,9 +217,9 @@ def test_eps_zero_matches_expm_flow(bench):
     s0 = np.array([0.3, -0.2, 0.5, 0.1])
     traj = integrate(spec, reduced, s, 0.0, s0, (0.0, 7.0))
     assert traj.final_time == 7.0
-    taus = np.linspace(0.3, 6.9, 8)
+    taus = np.concatenate([seg.ts for seg in traj.segments])
     ref = flow_states(reduced.a, reduced.b, s0, taus)
-    got = np.stack([traj.state_at(float(t)) for t in taus], axis=1)
+    got = np.concatenate([seg.states for seg in traj.segments]).T
     assert np.allclose(got, ref, atol=1e-7)
 
 
@@ -234,8 +234,9 @@ def test_trajectory_sample_and_span_checks(bench):
     reduced, s = bench
     spec = damped_spec(s)
     traj = integrate(spec, reduced, s, 0.0, (0.3, -0.2, 0.5, 0.1), (0.0, 2.0))
-    with pytest.raises(DomainError):
-        traj.state_at(3.0)
+    # one state row per step time, and the steps cover the span
+    assert all(seg.states.shape == (len(seg.ts), 4) for seg in traj.segments)
+    assert traj.segments[0].ts[0] == 0.0 and traj.segments[-1].ts[-1] == 2.0
 
 
 # -- sliding segments --------------------------------------------------------
@@ -255,8 +256,7 @@ def test_synthetic_sliding_persists_to_final_time():
     assert last.signs == (0.0, 1.0)
     # the convex combination cancels the normal component identically
     assert traj.final_state[0] == 0.0
-    mid = traj.state_at(0.5 * (hit + 6.0))
-    assert mid[0] == 0.0
+    assert np.all(last.states[:, 0] == 0.0)
 
 
 def test_synthetic_sliding_releases_when_one_side_relaxes():
@@ -409,8 +409,7 @@ def test_tangency_resolves_to_departing_side(bench):
     traj = integrate(spec, reduced, s, 0.0, (0.0, 0.0, 1.0, 0.3), (0.0, 2.0))
     assert traj.events[0].kind == "tangent"
     assert traj.events[0].classification.lie_minus == 0.0
-    smooth = [seg for seg in traj.segments if seg.sol is not None]
-    assert smooth[0].signs == (1.0, 1.0)
+    assert traj.segments[0].signs == (1.0, 1.0)
     assert traj.final_time == 2.0
 
 
@@ -419,9 +418,7 @@ def test_tangency_equilibrium_settles(bench):
     spec = damped_spec(s)
     traj = integrate(spec, reduced, s, 0.0, (0.0, 0.0, 0.0, 0.0), (0.0, 3.0))
     assert traj.events[0].kind == "tangent"
-    assert traj.segments[-1].sol is None
-    assert np.array_equal(traj.segments[-1].constant_state, np.zeros(4))
-    assert np.array_equal(traj.state_at(1.5), np.zeros(4))
+    assert np.array_equal(traj.segments[-1].states, np.zeros((2, 4)))
     assert traj.final_time == 3.0
 
 
@@ -476,10 +473,9 @@ def test_regularized_matches_linear_flow(bench):
     traj = integrate_regularized(spec, reduced, s, 0.0, 1e-3, s0, (0.0, 7.0))
     assert traj.events == []
     assert len(traj.segments) == 1
-    taus = np.linspace(0.3, 6.9, 8)
-    ref = flow_states(reduced.a, reduced.b, s0, taus)
-    got = np.stack([traj.state_at(float(t)) for t in taus], axis=1)
-    assert np.allclose(got, ref, atol=1e-7)
+    seg = traj.segments[0]
+    ref = flow_states(reduced.a, reduced.b, s0, seg.ts)
+    assert np.allclose(seg.states.T, ref, atol=1e-7)
     with pytest.raises(DomainError):
         integrate_regularized(spec, reduced, s, 0.0, 0.0, s0, (0.0, 1.0))
 
@@ -559,9 +555,8 @@ def test_dop853_matches_solve_ivp_bit_for_bit(bench):
                            events=events)
         assert run.status == ref.status, case
         assert run.ts.tobytes() == ref.t.tobytes(), case
-        inside = rng.uniform(min(t0, ref.t[-1]), max(t0, ref.t[-1]), size=8)
-        for t in (*ref.t, *inside):
-            assert run.sol(t).tobytes() == ref.sol(t).tobytes(), (case, t)
+        assert run.ys.tobytes() == ref.y.T.tobytes(), case
+        rng.uniform(size=8)  # unused; the cases after this one depend on the draw
         fired = [i for i, times in enumerate(ref.t_events or []) if len(times)]
         assert run.event == (fired[0] if fired else None), case
         if fired:
@@ -572,18 +567,17 @@ def test_dop853_matches_solve_ivp_bit_for_bit(bench):
                                     events=indexed)
             assert by_index.ts.tobytes() == run.ts.tobytes(), case
             assert by_index.event == run.event, case
-            for t in (*ref.t, *inside):
-                assert by_index.sol(t).tobytes() == run.sol(t).tobytes(), (case, t)
-    # an empty span is one constant piece
+            assert by_index.ys.tobytes() == run.ys.tobytes(), case
+    # an empty span is two equal rows
     ref = solve_ivp(rhs, (t0, t0), y0, method="DOP853", dense_output=True, rtol=1e-10, atol=1e-12)
     run = dop853.solve(rhs, (t0, t0), y0, rtol=1e-10, atol=1e-12)
     assert run.status == ref.status == 0 and run.ts.tobytes() == ref.t.tobytes()
-    assert run.sol(t0).tobytes() == ref.sol(t0).tobytes()
+    assert run.ys.tobytes() == ref.y.T.tobytes()
 
 
-def test_dop853_builds_dense_output_only_for_steps_read_inside():
-    """Without events a step's dense output (three more right-hand-side
-    calls) is built only when it is read before the step's end."""
+def test_dop853_builds_dense_output_only_for_event_steps():
+    """A step's dense output (three more right-hand-side calls) is built
+    only for the step in which an event fires."""
     from scipy.integrate import solve_ivp
 
     calls = []
@@ -594,23 +588,29 @@ def test_dop853_builds_dense_output_only_for_steps_read_inside():
         return matrix @ y + np.array([0.0, math.cos(3.0 * t)])
 
     options = dict(rtol=1e-10, atol=1e-12, max_step=0.7)
-    dense = solve_ivp(rhs, (0.0, 6.0), [1.0, 0.0], method="DOP853", dense_output=True, **options)
     ref = solve_ivp(rhs, (0.0, 6.0), [1.0, 0.0], method="DOP853", **options)
     calls.clear()
     run = dop853.solve(rhs, (0.0, 6.0), np.array([1.0, 0.0]), **options)
     assert run.ts.tobytes() == ref.t.tobytes()
+    assert run.ys.tobytes() == ref.y.T.tobytes()
     # SciPy without dense output: the first field value, the initial step's
     # probe and 12 calls per attempted step
     assert len(calls) == ref.nfev and (ref.nfev - 2) % 12 == 0
-    for t in run.ts[1:]:
-        assert run.sol(t).tobytes() == dense.sol(t).tobytes()
-    assert len(calls) == ref.nfev
-    inside = 0.5 * (run.ts[3] + run.ts[4])
-    assert run.sol(inside).tobytes() == dense.sol(inside).tobytes()
-    assert len(calls) == ref.nfev + 3
-    later = 0.5 * (inside + run.ts[4])
-    assert run.sol(later).tobytes() == dense.sol(later).tobytes()
-    assert len(calls) == ref.nfev + 3
+
+    plain = list(calls)
+    level = solve_ivp(rhs, (0.0, 6.0), [1.0, 0.0], method="DOP853",
+                      events=terminal(lambda t, y: y[0]), **options)
+    calls.clear()
+    run = dop853.solve(rhs, (0.0, 6.0), np.array([1.0, 0.0]), events=[0], **options)
+    assert run.status == 1 and run.ts.tobytes() == level.t.tobytes()
+    assert run.ys.tobytes() == level.y.T.tobytes()
+    assert len(calls) == level.nfev
+    # the plain run's calls up to the end of the event's step, then the
+    # three extra stages of that step alone
+    steps, extra = calls[:-3], calls[-3:]
+    assert steps == plain[:len(steps)]
+    t_old, t_new = run.ts[-2], steps[-1]
+    assert extra == [t_old + c * (t_new - t_old) for c in dop853.C[dop853.N_STAGES + 1:]]
 
 
 def test_dop853_error_test_on_leading_components(bench):
@@ -632,11 +632,11 @@ def test_dop853_error_test_on_leading_components(bench):
     # the step times agree to rounding amplified by the error estimate's
     # cancellation, the count exactly
     assert len(run.ts) == len(ref.ts)
-    state = run.sol.leading(4)
-    for t in ref.ts:
-        expected = ref.sol(t)
-        assert np.linalg.norm(state(t) - expected) <= 1e-12 * np.linalg.norm(expected)
-        assert state(t).tobytes() == run.sol(t)[:4].tobytes()
+    # the plain run's states, carried to first order over those differences
+    shift = (run.ts - ref.ts)[:, None]
+    carried = ref.ys + shift * np.array([plain(t, y) for t, y in zip(ref.ts, ref.ys)])
+    for state, expected in zip(run.ys[:, :4], carried):
+        assert np.linalg.norm(state - expected) <= 1e-12 * np.linalg.norm(expected)
     # testing every component would make the run take more steps
     assert len(dop853.solve(augmented, (0.0, 6.0), u0, **options).ts) > len(ref.ts)
 
@@ -657,10 +657,10 @@ def test_csv_export_round_trip(tmp_path, bench):
     with open(tpath, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "x", "y", "z", "w", "segment_id"]
-    assert len(rows) - 1 == sum(len(seg.ts) for seg in traj.segments)
-    first = [float(v) for v in rows[1][:5]]
-    assert first[0] == traj.segments[0].ts[0]
-    assert np.array_equal(first[1:], traj.segments[0].state_at(first[0]))
+    data = np.array([[float(v) for v in row[:5]] for row in rows[1:]])
+    assert data[:, 0].tobytes() == np.concatenate([seg.ts for seg in traj.segments]).tobytes()
+    assert data[:, 1:].tobytes() == np.concatenate([seg.states for seg in traj.segments]).tobytes()
+    assert [int(row[5]) for row in rows[1:]] == [i for i, seg in enumerate(traj.segments) for _ in seg.ts]
     with open(epath, newline="") as fh:
         erows = list(csv.reader(fh))
     assert erows[0] == ["t", "surface", "kind", "lie_minus", "lie_plus"]
