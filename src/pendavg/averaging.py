@@ -23,7 +23,8 @@ Convention A matches the sign the simulated discontinuity actually sees;
 B is kept selectable so the end-to-end residual test can arbitrate.
 
 Quadrature is per-panel Gauss–Legendre with panels split at the sgn
-breakpoints, refined by doubling until two successive levels agree.
+breakpoints and at the knots of table scalars (linear interpolation has a
+kink at each), refined by doubling until two successive levels agree.
 Writing the sgn argument as c₀·cos(ωτ) + c₁·sin(ωτ), the breakpoints are
 τ_k = (atan2(c₁, c₀) + π/2 + kπ)/ω, clipped to the window.
 The orbit is linear in the amplitude and the sgn pattern depends only on
@@ -92,16 +93,22 @@ class BifurcationSystem:
         self.spec.validate_against(self.spectral)
 
     @property
-    def window(self) -> float:
-        return self.spec.p * self.spectral.period(self.family)
-
-    @property
     def omega(self) -> float:
         return self.spectral.omega(self.family)
 
     @cached_property
     def transform(self) -> JordanTransform:
         return jordan_transform(self.reduced, self.spectral)
+
+    @cached_property
+    def table_knots(self) -> Tuple[float, ...]:
+        """The knots of the spec's tables inside the resonance window: linear
+        interpolation has a kink at each."""
+        window = self.spec.p * self.spectral.period(self.family)
+        scalars = (*self.spec.K, *(d for form in self.spec.F for d in form.coefficients()))
+        knots = {t + k * d.period for d in scalars if d.kind == "table"
+                 for k in range(round(window / d.period)) for t in d.knots[0][:-1].tolist()}
+        return tuple(sorted(t for t in knots if 0.0 < t < window))
 
 
 @dataclass(frozen=True)
@@ -196,13 +203,12 @@ def _ray_integrand(sys: BifurcationSystem, unit: np.ndarray, tau: np.ndarray) ->
     return np.concatenate([trig * (w_y * f_y + w_w * f_w) for f_y, f_w in parts])
 
 
-def _adaptive_gauss(f: Callable, edges: np.ndarray, rtol: float = QUADRATURE_RTOL,
-                    max_levels: int = MAX_REFINE_LEVELS):
+def _adaptive_gauss(f: Callable, edges: np.ndarray):
     """Composite Gauss–Legendre over fixed panels with doubling refinement.
 
     ``f`` maps a 1-d array of times to values of shape (..., n).  Stops when
-    two successive refinement levels agree to ``rtol`` relative to the
-    larger of 1 and the estimate's norm.
+    two successive refinement levels agree to ``QUADRATURE_RTOL`` relative
+    to the larger of 1 and the estimate's norm.
     """
     edges = np.asarray(edges, dtype=float)
     # Zero-width panels go first: one zero step would send every panel
@@ -210,7 +216,7 @@ def _adaptive_gauss(f: Callable, edges: np.ndarray, rtol: float = QUADRATURE_RTO
     keep = ~(edges[1:] - edges[:-1] <= 0.0)
     lo, hi = edges[:-1][keep], edges[1:][keep]
     prev = None
-    for level in range(max_levels + 1):
+    for level in range(MAX_REFINE_LEVELS + 1):
         # Row i splits panel i into 2**level subpanels, element by element
         # as linspace(lo[i], hi[i], 2**level + 1) would; nodes and weights
         # stay panel-major.
@@ -222,27 +228,33 @@ def _adaptive_gauss(f: Callable, edges: np.ndarray, rtol: float = QUADRATURE_RTO
         total = np.asarray(f(taus)) @ weights
         if prev is not None:
             scale = max(1.0, float(np.linalg.norm(total)))
-            if float(np.linalg.norm(total - prev)) <= rtol * scale:
+            if float(np.linalg.norm(total - prev)) <= QUADRATURE_RTOL * scale:
                 return total
         prev = total
     raise QuadratureError(
-        f"panel refinement did not converge to relative {rtol:g} within "
-        f"{max_levels} doubling levels"
+        f"panel refinement did not converge to relative {QUADRATURE_RTOL:g} within "
+        f"{MAX_REFINE_LEVELS} doubling levels"
     )
+
+
+def _panel_edges(sys: BifurcationSystem, amp) -> np.ndarray:
+    """Quadrature panel edges for ``amp``: the sgn breakpoints of its orbit
+    and the table knots."""
+    edges = find_sign_changes(amp, sys.family, sys.sgn_convention, sys.spectral, sys.spec.p).panel_edges
+    if not sys.table_knots:
+        return edges
+    return np.array(sorted({*edges.tolist(), *sys.table_knots}))
 
 
 def bifurcation_values(sys: BifurcationSystem, amp) -> np.ndarray:
     """The averaged pair at amplitude ``amp`` over the resonance window."""
-    partition = find_sign_changes(amp, sys.family, sys.sgn_convention, sys.spectral, sys.spec.p)
-    f = lambda taus: averaged_integrand(sys, amp, taus)
-    return _adaptive_gauss(f, partition.panel_edges)
+    return _adaptive_gauss(lambda taus: averaged_integrand(sys, amp, taus), _panel_edges(sys, amp))
 
 
 def _ray_pair(sys: BifurcationSystem, theta: float):
     """(L, C) with G(r·e_θ) = r·L + C for every r > 0, by one quadrature."""
     unit = np.array([math.cos(theta), math.sin(theta)])
-    partition = find_sign_changes(unit, sys.family, sys.sgn_convention, sys.spectral, sys.spec.p)
-    pair = _adaptive_gauss(lambda taus: _ray_integrand(sys, unit, taus), partition.panel_edges)
+    pair = _adaptive_gauss(lambda taus: _ray_integrand(sys, unit, taus), _panel_edges(sys, unit))
     return pair[:2], pair[2:]
 
 

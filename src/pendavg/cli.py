@@ -56,7 +56,7 @@ from .perturbation import (
     builtin,
     finite_float,
     perturbation_from_file,
-    read_text,
+    read_ini,
 )
 from .verify import (
     SweepReport,
@@ -203,14 +203,7 @@ def load_config(
     DomainError naming the section and key.
     """
     path = Path(path)
-    if not path.exists():
-        raise DomainError(f"config file not found: {path}")
-    text = read_text(path, "config file")
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_string(text, source=str(path))
-    except configparser.Error as exc:
-        raise DomainError(f"cannot parse config file {path}: {exc}") from exc
+    parser = read_ini(path, "config file")
 
     def get(section: str, key: str, fallback: Optional[str] = None) -> Optional[str]:
         return parser.get(section, key, fallback=fallback)

@@ -103,11 +103,18 @@ def reduce_params(p: PhysicalParams) -> ReducedParams:
 
 
 def spectral_data(r: ReducedParams) -> SpectralData:
-    """Frequencies ω₁ < ω₂ of the linearization and their periods."""
-    delta = (r.a - r.b) ** 2 + 4.0 * r.b
-    root = math.sqrt(delta)
-    omega1 = math.sqrt((r.a + r.b - root) / 2.0)
-    omega2 = math.sqrt((r.a + r.b + root) / 2.0)
+    """Frequencies ω₁ < ω₂ of the linearization and their periods; DomainError
+    unless Δ, ω₁ and ω₂ come out finite and positive in floating point."""
+    try:
+        delta = (r.a - r.b) ** 2 + 4.0 * r.b
+        root = math.sqrt(delta)
+        omega1 = math.sqrt((r.a + r.b - root) / 2.0)
+        omega2 = math.sqrt((r.a + r.b + root) / 2.0)
+    except (OverflowError, ValueError):  # (a − b)² overflows, or ω₁² cancels below zero
+        delta = omega1 = omega2 = math.nan
+    if not all(0.0 < v < math.inf for v in (delta, omega1, omega2)):
+        raise DomainError(f"physical parameters out of range: the reduced a = {r.a!r}, b = {r.b!r} "
+                          "give no finite positive Δ, ω₁ and ω₂ in floating point")
     return SpectralData(
         delta=delta,
         omega1=omega1,

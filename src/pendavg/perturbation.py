@@ -15,7 +15,10 @@ signs along an unperturbed orbit for the averaged pair.
 Periodic scalars are tagged data: ``const`` (a value), ``cos``/``sin``
 (amplitude and ω) or ``table`` (uniform grid, linear interpolation, at
 least 256 samples per period), evaluated on scalar or array arguments.
-A small file format holds user-supplied perturbations.
+A small file format states a perturbation as one entry per scalar
+(``k1 = cos:<amp>,<harmonic>``, ``f1.d2 = const:<v>``, …); the builtins
+are such entries with their parameters in braces, and every spec, builtin
+or file, is built from its entries by one function.
 
 Each spec folds K and F once, on first use (exact-zero constants
 dropped, other constants made floats), and every evaluation reads that
@@ -34,6 +37,7 @@ import csv
 import io
 import math
 import os
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
@@ -319,68 +323,6 @@ def smooth_sign(x, delta: float):
     return np.where(np.abs(x) >= delta, np.sign(x), inner)
 
 
-BUILTIN_PARAMS = {
-    "damped_forced": ("gamma",),
-    "damped_forced_escapement": ("gamma", "kappa"),
-    "corollary_escapement": ("sigma_d", "sigma_e"),
-}
-BUILTIN_NAMES = tuple(BUILTIN_PARAMS)
-
-
-def builtin(name: str, params: dict, spectral: SpectralData, family: int = 1, p: int = 1) -> PerturbationSpec:
-    """Canonical test perturbations.
-
-    * ``damped_forced``: K₁(τ) = γ·cos(ω_f τ), damping F₁ = −θ₁′ and
-      F₃ = −θ₂′; parameter γ.
-    * ``damped_forced_escapement``: the above plus constant escapement
-      kicks K₂ = K₄ = κ; parameters γ, κ.
-    * ``corollary_escapement``: F₁ = σ_d·θ₁′, F₃ = σ_d·θ₂′ and constants
-      K₂ = K₄ = σ_e with σ_d, σ_e ∈ {−1, +1}.
-    """
-    window = p * spectral.period(family)
-    omega = spectral.omega(family)
-
-    def param(key):
-        if key not in params:
-            raise DomainError(f"builtin perturbation {name!r} needs parameter {key!r}")
-        return float(params[key])
-
-    zero_k = PeriodicScalar.constant(0.0, window)
-    zero_f = LinearForm.zero(window)
-
-    def damping(sigma):
-        z = PeriodicScalar.constant(0.0, window)
-        s = PeriodicScalar.constant(float(sigma), window)
-        f1 = LinearForm(z, s, z, z)
-        f3 = LinearForm(z, z, z, s)
-        return f1, f3
-
-    if name == "damped_forced" or name == "damped_forced_escapement":
-        gamma = param("gamma")
-        k1 = PeriodicScalar.harmonic("cos", gamma, omega)
-        f1, f3 = damping(-1.0)
-        if name == "damped_forced":
-            k2 = k4 = zero_k
-        else:
-            kappa = param("kappa")
-            k2 = PeriodicScalar.constant(kappa, window)
-            k4 = PeriodicScalar.constant(kappa, window)
-        spec = PerturbationSpec(K=(k1, k2, zero_k, k4), F=(f1, zero_f, f3, zero_f), family=family, p=p)
-    elif name == "corollary_escapement":
-        sigma_d = param("sigma_d")
-        sigma_e = param("sigma_e")
-        if sigma_d not in (-1.0, 1.0) or sigma_e not in (-1.0, 1.0):
-            raise DomainError("corollary_escapement needs sigma_d, sigma_e in {-1, +1}")
-        f1, f3 = damping(sigma_d)
-        k2 = PeriodicScalar.constant(sigma_e, window)
-        k4 = PeriodicScalar.constant(sigma_e, window)
-        spec = PerturbationSpec(K=(zero_k, k2, zero_k, k4), F=(f1, zero_f, f3, zero_f), family=family, p=p)
-    else:
-        raise DomainError(f"unknown builtin perturbation {name!r}; known: {', '.join(BUILTIN_NAMES)}")
-    spec.validate_against(spectral)
-    return spec
-
-
 def finite_float(text) -> float:
     """float(text), refusing NaN and ±inf: no model or run parameter takes them."""
     number = float(text)
@@ -400,6 +342,17 @@ def read_text(path, what: str) -> str:
     except UnicodeDecodeError as exc:
         reason = f"not UTF-8 text (byte {exc.object[exc.start]:#04x} at offset {exc.start})"
     raise DomainError(f"cannot read {what} {os.fspath(path)!r}: {reason}")
+
+
+def read_ini(path, what: str) -> configparser.ConfigParser:
+    """The INI file ``path``, parsed without interpolation; DomainError
+    naming ``what`` and the file when it cannot be read or parsed."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(read_text(path, what), source=os.fspath(path))
+    except configparser.Error as exc:
+        raise DomainError(f"cannot parse {what} {os.fspath(path)!r}: {exc}") from None
+    return parser
 
 
 def _file_number(key: str, text: str, convert: Callable = finite_float):
@@ -442,6 +395,25 @@ def _parse_scalar_entry(key: str, entry: str, spectral: SpectralData, family: in
     raise DomainError(f"{where}: unknown scalar entry kind {kind!r} in {entry!r}")
 
 
+# Every key a perturbation may set, in the order its entries are parsed.
+ENTRY_KEYS = (*(f"k{i}" for i in range(1, 5)), *(f"f{i}.d{j}" for i in range(1, 5) for j in range(1, 5)))
+
+
+def _spec_from_entries(entries, spectral: SpectralData, family: int, p: int, base_dir: str) -> PerturbationSpec:
+    """The spec of ``entries`` (key: scalar entry), missing keys zero,
+    checked against the averaging window."""
+    window = p * spectral.period(family)
+    scalars = [_parse_scalar_entry(key, entries[key], spectral, family, window, base_dir) if key in entries
+               else PeriodicScalar.constant(0.0, window) for key in ENTRY_KEYS]
+    unknown = set(entries) - set(ENTRY_KEYS)
+    if unknown:
+        raise DomainError(f"unknown perturbation keys: {sorted(unknown)}")
+    forms = tuple(LinearForm(*scalars[i:i + 4]) for i in (4, 8, 12, 16))
+    spec = PerturbationSpec(K=tuple(scalars[:4]), F=forms, family=family, p=p)
+    spec.validate_against(spectral)
+    return spec
+
+
 def perturbation_from_file(path: str, spectral: SpectralData) -> PerturbationSpec:
     """Load a perturbation definition file.
 
@@ -454,44 +426,52 @@ def perturbation_from_file(path: str, spectral: SpectralData) -> PerturbationSpe
     value).  Missing keys default to zero.  Every number must be finite;
     a value or table that does not parse raises DomainError naming its key.
     """
-    text = read_text(path, "perturbation file")
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_string(text, source=os.fspath(path))
-    except configparser.Error as exc:
-        raise DomainError(f"cannot parse perturbation file {path!r}: {exc}") from None
+    parser = read_ini(path, "perturbation file")
     if not parser.has_section("perturbation"):
-        raise DomainError(f"perturbation file {path!r} lacks a [perturbation] section")
-    section = parser["perturbation"]
-    family = _file_number("family", section.get("family", "1"), int)
-    p = _file_number("p", section.get("p", "1"), int)
+        raise DomainError(f"perturbation file {os.fspath(path)!r} lacks a [perturbation] section")
+    entries = dict(parser["perturbation"])
+    family = _file_number("family", entries.pop("family", "1"), int)
+    p = _file_number("p", entries.pop("p", "1"), int)
     if family not in (1, 2):
         raise DomainError(f"family must be 1 or 2, got {family!r}")
     if p < 1:
         raise DomainError(f"perturbation file key p: the resonance order must be at least 1, got {p}")
-    window = p * spectral.period(family)
-    base_dir = os.path.dirname(os.path.abspath(path))
+    return _spec_from_entries(entries, spectral, family, p, os.path.dirname(os.path.abspath(path)))
 
-    def scalar(key):
-        if key in section:
-            return _parse_scalar_entry(key, section[key], spectral, family, window, base_dir)
-        return PeriodicScalar.constant(0.0, window)
 
-    known = {"family", "p"}
-    ks = []
-    for i in range(1, 5):
-        ks.append(scalar(f"k{i}"))
-        known.add(f"k{i}")
-    fs = []
-    for i in range(1, 5):
-        coeffs = []
-        for j in range(1, 5):
-            coeffs.append(scalar(f"f{i}.d{j}"))
-            known.add(f"f{i}.d{j}")
-        fs.append(LinearForm(*coeffs))
-    unknown = set(section.keys()) - known
-    if unknown:
-        raise DomainError(f"unknown perturbation keys: {sorted(unknown)}")
-    spec = PerturbationSpec(K=tuple(ks), F=tuple(fs), family=family, p=p)
-    spec.validate_against(spectral)
-    return spec
+# The paper's three examples as perturbation-file entries; a builtin's
+# parameters are the names in braces.
+BUILTINS = {
+    "damped_forced": {"k1": "cos:{gamma},1", "f1.d2": "const:-1", "f3.d4": "const:-1"},
+    "damped_forced_escapement": {"k1": "cos:{gamma},1", "k2": "const:{kappa}", "k4": "const:{kappa}",
+                                 "f1.d2": "const:-1", "f3.d4": "const:-1"},
+    "corollary_escapement": {"k2": "const:{sigma_e}", "k4": "const:{sigma_e}",
+                             "f1.d2": "const:{sigma_d}", "f3.d4": "const:{sigma_d}"},
+}
+BUILTIN_PARAMS = {name: tuple(sorted(set(re.findall(r"\{(\w+)\}", " ".join(entries.values())))))
+                  for name, entries in BUILTINS.items()}
+
+
+def builtin(name: str, params: dict, spectral: SpectralData, family: int = 1, p: int = 1) -> PerturbationSpec:
+    """Canonical test perturbations.
+
+    * ``damped_forced``: K₁(τ) = γ·cos(ω_f τ), damping F₁ = −θ₁′ and
+      F₃ = −θ₂′; parameter γ.
+    * ``damped_forced_escapement``: the above plus constant escapement
+      kicks K₂ = K₄ = κ; parameters γ, κ.
+    * ``corollary_escapement``: F₁ = σ_d·θ₁′, F₃ = σ_d·θ₂′ and constants
+      K₂ = K₄ = σ_e with σ_d, σ_e ∈ {−1, +1}.
+    """
+    if name not in BUILTINS:
+        raise DomainError(f"unknown builtin perturbation {name!r}; known: {', '.join(BUILTINS)}")
+    values = {}
+    for key in BUILTIN_PARAMS[name]:
+        if key not in params:
+            raise DomainError(f"builtin perturbation {name!r} needs parameter {key!r}")
+        values[key] = float(params[key])
+    if name == "corollary_escapement" and not {values["sigma_d"], values["sigma_e"]} <= {-1.0, 1.0}:
+        raise DomainError("corollary_escapement needs sigma_d, sigma_e in {-1, +1}")
+    # repr round-trips, so the parsed numbers are the parameters bit for bit.
+    texts = {key: repr(value) for key, value in values.items()}
+    entries = {key: entry.format_map(texts) for key, entry in BUILTINS[name].items()}
+    return _spec_from_entries(entries, spectral, family, p, base_dir="")

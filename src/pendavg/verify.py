@@ -78,7 +78,6 @@ class PredictedOrbit:
     initial_state: np.ndarray
     period_tau: float
     period_t: float
-    zero: Optional[ZeroCertificate] = None
 
 
 @dataclass(frozen=True)
@@ -260,7 +259,6 @@ def orbit_from_amplitude(
     spectral: SpectralData,
     reduced: ReducedParams,
     p: int = 1,
-    zero: Optional[ZeroCertificate] = None,
 ) -> PredictedOrbit:
     """Predicted orbit for an explicit family-plane amplitude."""
     if family not in (1, 2):
@@ -282,7 +280,6 @@ def orbit_from_amplitude(
         initial_state=initial,
         period_tau=period_tau,
         period_t=reduced.alpha * period_tau,
-        zero=zero,
     )
 
 
@@ -297,9 +294,7 @@ def predicted_initial_state(
     """Map a certified simple zero to its predicted initial condition."""
     if not cert.simple:
         raise DomainError("the certificate does not certify a simple zero")
-    return orbit_from_amplitude(
-        cert.point, family, transform, spectral, reduced, p=p, zero=cert
-    )
+    return orbit_from_amplitude(cert.point, family, transform, spectral, reduced, p=p)
 
 
 def _family_slice(family: int) -> slice:
@@ -498,8 +493,6 @@ def epsilon_sweep(
     reduced: ReducedParams,
     spectral: SpectralData,
     eps_list: Sequence[float],
-    *,
-    refine: bool = True,
 ) -> SweepReport:
     """Residual scaling across a decreasing ε ladder.
 
@@ -534,7 +527,7 @@ def epsilon_sweep(
         return float(np.linalg.norm(result.state - orbit.initial_state)), None
 
     samples = [poincare_residual(orbit, spec, reduced, spectral, e) for e in eps_values]
-    refined = [run_refine(sample) for sample in samples] if refine else []
+    refined = [run_refine(sample) for sample in samples]
 
     exponent = fit_exponent(eps_values, [s.residual for s in samples])
     valid = all(s.events_ok and s.flag is None for s in samples)

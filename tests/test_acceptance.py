@@ -180,9 +180,7 @@ def test_accept_4_smooth_benchmark_end_to_end(bench):
         float(np.linalg.norm(np.array(zeros[0].point) - expect)) if zeros else np.inf
     )
     orbit = predicted_initial_state(zeros[0], 1, transform, s, reduced)
-    sweep = epsilon_sweep(
-        orbit, spec, reduced, s, (1e-2, 5e-3, 2.5e-3, 1.25e-3), refine=False
-    )
+    sweep = epsilon_sweep(orbit, spec, reduced, s, (1e-2, 5e-3, 2.5e-3, 1.25e-3))
     refined = refine_periodic(orbit, spec, reduced, s, sweep.samples[0])
     oracle = linear_periodic_state(reduced.a, reduced.b, 1e-2, GAMMA)
     refine_dev = float(np.linalg.norm(refined.state - oracle))
@@ -221,9 +219,7 @@ def test_accept_5_nonsmooth_benchmark_end_to_end(bench):
         zeros, key=lambda z: float(np.linalg.norm(np.array(z.point) - anchor))
     )
     orbit = predicted_initial_state(nearest, 1, transform, s, reduced)
-    sweep = epsilon_sweep(
-        orbit, spec, reduced, s, (1e-2, 5e-3, 2.5e-3, 1.25e-3), refine=False
-    )
+    sweep = epsilon_sweep(orbit, spec, reduced, s, (1e-2, 5e-3, 2.5e-3, 1.25e-3))
     events = sweep.events_summary()
     ok = (
         dist <= 10.0 * KAPPA**2
@@ -398,7 +394,7 @@ def test_accept_10_headline_verdicts(bench):
         for cert in annulus_search(system, 0.05, 2.0, grid):
             if cert.simple:
                 orbit = predicted_initial_state(cert, family, transform, s, reduced, p=p)
-                if epsilon_sweep(orbit, spec, reduced, s, ladder, refine=False).validated:
+                if epsilon_sweep(orbit, spec, reduced, s, ladder).validated:
                     return True
         return False
 

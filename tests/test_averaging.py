@@ -218,6 +218,24 @@ def test_quadrature_against_trapezoid_oracle(bench):
         assert np.linalg.norm(val - ref) <= 1e-7 * max(1.0, np.linalg.norm(ref))
 
 
+def test_table_forcing_against_trapezoid_oracle(bench):
+    # linear interpolation kinks at every knot, so the panels split there
+    # too; K₁ is the escapement's forcing tabulated at the fewest samples
+    reduced, s = bench
+    esc = builtin("damped_forced_escapement", {"gamma": GAMMA, "kappa": KAPPA}, s)
+    taus = np.arange(256) * (s.period1 / 256)
+    table = PeriodicScalar.from_table(taus, GAMMA * np.cos(s.omega1 * taus))
+    spec = PerturbationSpec(K=(table, *esc.K[1:]), F=esc.F)
+    for conv, amp in (("A", (-0.075, 0.34)), ("B", (0.9, -0.4))):
+        sys = BifurcationSystem(1, spec, reduced, s, conv)
+        val = bifurcation_values(sys, np.array(amp))
+        ref = trapezoid_bifurcation(sys, amp, n_points=300_000)
+        assert np.linalg.norm(val - ref) <= 1e-7 * max(1.0, np.linalg.norm(ref)), conv
+    (table_zero,) = [c for c in annulus_search(BifurcationSystem(1, spec, reduced, s), 0.05, 2.0, 8) if c.simple]
+    (zero,) = [c for c in annulus_search(BifurcationSystem(1, esc, reduced, s), 0.05, 2.0, 8) if c.simple]
+    assert np.linalg.norm(np.subtract(table_zero.point, zero.point)) < 1e-4
+
+
 def _per_panel_gauss(f, edges, rtol=averaging_module.QUADRATURE_RTOL,
                     max_levels=averaging_module.MAX_REFINE_LEVELS):
     """Reference for ``_adaptive_gauss``: the same quadrature, one linspace per panel."""

@@ -5,6 +5,7 @@ checks artifacts, exit codes, and byte-level determinism.  Expected
 numbers come from the closed forms in ``oracles``.
 """
 
+import configparser
 import json
 import math
 import os
@@ -18,6 +19,7 @@ import pytest
 
 from pendavg import cli
 from pendavg.model import PhysicalParams, jordan_transform, reduce_params, spectral_data
+from pendavg.perturbation import BUILTINS
 from pendavg.verify import orbit_from_amplitude
 
 from .oracles import corollary_radius, resonant_b
@@ -121,6 +123,9 @@ def test_load_config_rejects_bad_input(tmp_path):
         "zero_p": {"model": {"p": 0}, "perturbation": {"builtin": "damped_forced", "gamma": 0.5}},
         "negative_max_events": {"perturbation": {"builtin": "damped_forced", "gamma": 0.5},
                                 "integrate": {"max_events": -3}},
+        # ω₁² cancels below zero, ω₁ rounds to zero, (a − b)² overflows
+        **{f"l1_{l1}": {"physical": {"l1": l1}, "perturbation": {"builtin": "damped_forced", "gamma": 0.5}}
+           for l1 in ("1e16", "1e20", "1e300")},
     }
     for name, sections in bad_inputs.items():
         ini = write_ini(tmp_path / f"{name}.ini", sections)
@@ -525,6 +530,14 @@ def test_readme_library_example_runs():
     assert proc.returncode == 0, proc.stderr
     exponent, consistent = proc.stdout.split()
     assert math.isfinite(float(exponent)) and consistent == "True"
+
+
+def test_readme_lists_the_builtins_as_their_entries():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```text\n(.*?)```", readme, flags=re.S)
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(block)
+    assert {name: dict(parser[name]) for name in parser.sections()} == BUILTINS
 
 
 def test_derive_oracles_check_runs():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pendavg.errors import DomainError
 from pendavg.model import PhysicalParams, reduce_params, spectral_data
 from pendavg.perturbation import (
+    BUILTINS,
     LinearForm,
     PeriodicScalar,
     PerturbationSpec,
@@ -310,6 +311,42 @@ def test_builtin_specs():
         builtin("damped_forced", {"gama": 0.5}, s)
 
 
+def test_builtins_are_their_file_entries(tmp_path):
+    # a perturbation file of a builtin's entries gives the builtin's spec,
+    # bit for bit, and the entries carry the parameters exactly
+    s = bench_spectral()
+    params = {
+        "damped_forced": {"gamma": 0.1 + 0.2},
+        "damped_forced_escapement": {"gamma": 0.5, "kappa": 1.0 / 3.0},
+        "corollary_escapement": {"sigma_d": -1.0, "sigma_e": 1.0},
+    }
+    rng = np.random.default_rng(13)
+    ini = tmp_path / "builtin.ini"
+    for name, entries in BUILTINS.items():
+        texts = {key: repr(value) for key, value in params[name].items()}
+        lines = [f"{key} = {entry.format_map(texts)}" for key, entry in entries.items()]
+        for family in (1, 2):
+            for p in (1, 2):
+                ini.write_text("\n".join(["[perturbation]", f"family = {family}", f"p = {p}", *lines]) + "\n")
+                got = perturbation_from_file(ini, s)
+                expect = builtin(name, params[name], s, family=family, p=p)
+                assert (got.family, got.p) == (expect.family, expect.p) == (family, p)
+                taus = rng.uniform(-3.0, 30.0, size=9)
+                states = rng.normal(size=(4, 9))
+                signs = rng.choice([-1.0, 0.0, 1.0], size=(2, 9))
+                for evaluate in (eval_order1_with_signs, eval_order1_parts):
+                    assert (np.asarray(evaluate(got, taus, states, *signs)).tobytes()
+                            == np.asarray(evaluate(expect, taus, states, *signs)).tobytes())
+                for sgn_x in (-1.0, 1.0):
+                    for sgn_z in (-1.0, 1.0):
+                        for g, e in zip(got.frozen(sgn_x, sgn_z), expect.frozen(sgn_x, sgn_z)):
+                            assert all(g(t).tobytes() == e(t).tobytes() for t in taus)
+    esc = builtin("damped_forced_escapement", params["damped_forced_escapement"], s, family=2)
+    assert esc.K[0].value == 0.5 and esc.K[0].omega == s.omega2
+    assert esc.K[1].value == esc.K[3].value == 1.0 / 3.0
+    assert builtin("damped_forced", params["damped_forced"], s).K[0].value == 0.1 + 0.2
+
+
 def test_perturbation_from_file(tmp_path):
     s = bench_spectral()
     n = 512
@@ -340,3 +377,7 @@ def test_perturbation_from_file(tmp_path):
     bad.write_text("[perturbation]\nk9 = const:1\n")
     with pytest.raises(DomainError):
         perturbation_from_file(str(bad), s)
+    other = tmp_path / "other.ini"
+    other.write_text("[other]\nk1 = const:1\n")
+    with pytest.raises(DomainError, match=r"perturbation file '.*other\.ini' lacks"):
+        perturbation_from_file(other, s)

@@ -137,7 +137,7 @@ def test_orbit_from_amplitude_validation(bench):
 def test_predicted_initial_state_requires_simple_zero(bench, damped):
     reduced, s, transform = bench
     _, cert, orbit = damped
-    assert orbit.zero is cert
+    assert tuple(orbit.amplitude) == cert.point
     blunt = dataclasses.replace(cert, simple=False)
     with pytest.raises(DomainError):
         predicted_initial_state(blunt, 1, transform, s, reduced)
@@ -469,9 +469,7 @@ def test_family_residual_separates_sgn_conventions(bench):
         zeros = annulus_search(sys, 0.02, 1.5, 12)
         assert zeros, convention
         orbit = predicted_initial_state(zeros[0], 1, transform, s, reduced)
-        reports[convention] = epsilon_sweep(
-            orbit, spec, reduced, s, ladder, refine=False
-        )
+        reports[convention] = epsilon_sweep(orbit, spec, reduced, s, ladder)
     # both predictions pass the coarse orbit-scale test ...
     assert 1.8 <= reports["A"].fitted_exponent <= 2.2
     assert 1.8 <= reports["B"].fitted_exponent <= 2.2
