@@ -104,11 +104,7 @@ class BifurcationSystem:
     def table_knots(self) -> Tuple[float, ...]:
         """The knots of the spec's tables inside the resonance window: linear
         interpolation has a kink at each."""
-        window = self.spec.p * self.spectral.period(self.family)
-        scalars = (*self.spec.K, *(d for form in self.spec.F for d in form.coefficients()))
-        knots = {t + k * d.period for d in scalars if d.kind == "table"
-                 for k in range(round(window / d.period)) for t in d.knots[0][:-1].tolist()}
-        return tuple(sorted(t for t in knots if 0.0 < t < window))
+        return self.spec.table_knots(0.0, self.spec.p * self.spectral.period(self.family))
 
 
 @dataclass(frozen=True)

@@ -419,7 +419,7 @@ def _verify_convention(config: ExperimentConfig, convention: str, tag: str) -> d
                              base.with_suffix(".events.csv"))
             if sample.crossing is not None and not sample.crossing.ok:
                 any_crossing_violation = True
-            if sample.flag_code == 6:
+            if sample.flag_code == IntegrationStallError.exit_code:
                 any_stall = True
         entry = {
             "zero": {

@@ -7,7 +7,8 @@ failures onto its documented contract:
     2  resonance (degenerate monodromy block)
     3  no validated zero
     4  quadrature refinement failure
-    5  crossing-hypothesis violation (sliding/escaping/tangent encountered)
+    5  crossing violation (a sliding or escaping contact, a persistent
+       tangency, or a tangency where only crossings are allowed)
     6  integration stall (event accumulation / step underflow)
 """
 
@@ -74,12 +75,6 @@ class IntegrationStallError(PendavgError):
     def __init__(self, message, trajectory=None):
         super().__init__(message)
         self.trajectory = trajectory
-
-
-class DegenerateSlidingError(PendavgError):
-    """Sliding combination undefined: one-sided normal speeds coincide."""
-
-    exit_code = 1
 
 
 class RefinementDegenerateError(PendavgError):

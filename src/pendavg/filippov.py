@@ -5,11 +5,10 @@ The discontinuity set is the union of the two coordinate hyperplanes
 index 2); surface k + 1 is the level of state index 2k.  The trajectory
 is a chain of segments, each integrated by the same step: leave the
 surfaces the last event put the state on, integrate to the next
-terminal event, append the segment.  A segment either follows the field
-with frozen region signs until a level crosses zero, or slides on one
-surface along the tangent convex combination of the one-sided fields
-(Filippov 1988) until a one-sided level derivative vanishes or the
-other level crosses zero.
+terminal event, append the segment.  A segment follows the field with
+frozen region signs until a level crosses zero, or until the next knot
+of a table in the forcing, where linear interpolation has a kink; a
+knot ends the segment and nothing else.
 
 Segments are integrated with DOP853, the adaptive 8(5,3) Dormand–Prince
 pair (Hairer, Nørsett & Wanner, *Solving Ordinary Differential
@@ -17,14 +16,16 @@ Equations I*, §II.10), and events are located on its dense output.  The
 solver is the in-package port :mod:`pendavg.dop853` of SciPy's
 ``solve_ivp(method="DOP853")``, so integrating loads no SciPy.  The level
 events x = 0 and z = 0 are passed as the state indices 0 and 2, so their
-roots are found on that one component of the dense output; the release
-events of a sliding segment are callables of the one-sided fields.
+roots are found on that one component of the dense output.
 
 Every surface contact goes through one resolver, which classifies it
 through the one-sided Lie derivatives and switches the region sign
-(crossing), starts a sliding segment (sliding or escaping), or resolves
-it through the curvature of the level (tangency).  Sliding on both
-surfaces at once (codimension two) is refused.
+(crossing) or resolves it through the curvature of the level (tangency).
+The pendulum's sgn terms enter only the accelerations, so its level
+derivatives x′ = y and z′ = w are the same on both sides of their
+surface and every contact is a crossing or a tangency, the crossing
+region of Filippov's classification.  A sliding or escaping contact,
+which only a field outside that class can make, is refused.
 
 On request the run also carries the monodromy Φ = ∂s(t)/∂s(t₀), the
 derivative of the flow map that shooting needs.  With the region signs
@@ -38,10 +39,9 @@ matrix S = I + (f⁺ − f⁻)·e_{2k}ᵀ / f⁻[2k], with f⁻ and f⁺ the fie
 before and after the crossing (di Bernardo, Budd, Champneys & Kowalczyk,
 *Piecewise-smooth Dynamical Systems*, 2008, ch. 2).  Crossing both
 surfaces at once applies both matrices, provided the two crossing orders
-agree.  A sliding, escaping or tangent contact, or a corner where the
-orders disagree, leaves the flow map without a derivative to carry: Φ
-is dropped there, the run goes on, and the trajectory says why it
-carries no monodromy.
+agree.  A tangent contact, or a corner where the orders disagree,
+leaves the flow map without a derivative to carry: Φ is dropped there,
+the run goes on, and the trajectory says why it carries no monodromy.
 """
 
 from __future__ import annotations
@@ -52,13 +52,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dop853 import solve
-from .errors import (
-    CrossingViolationError,
-    DegenerateSlidingError,
-    DomainError,
-    IntegrationStallError,
-    TangencyError,
-)
+from .errors import CrossingViolationError, DomainError, IntegrationStallError, TangencyError
 from .model import ReducedParams, SpectralData, linearization_matrix
 from .perturbation import PerturbationSpec, PeriodicArray, eval_order1_with_signs, smooth_sign
 
@@ -66,7 +60,6 @@ from .perturbation import PerturbationSpec, PeriodicArray, eval_order1_with_sign
 EVENT_TIME_TOL = 1e-12
 EVENT_STATE_TOL = 1e-11
 LIE_TOL = 1e-10
-SLIDING_DENOM_TOL = 1e-12
 EQUILIBRIUM_FIELD_TOL = 1e-12
 # Largest relative difference of the two crossing orders at a corner.
 CORNER_SALTATION_RTOL = 1e-10
@@ -111,13 +104,13 @@ class EventRecord:
 
 @dataclass(frozen=True)
 class Segment:
-    """A smooth (or sliding) piece of a trajectory.
+    """A smooth piece of a trajectory.
 
     ``states[i]`` is the state (x, y, z, w) at ``ts[i]``: the solver's
-    state at each accepted step and, last, at the terminal event.  A
-    segment resting at an equilibrium on the discontinuity set is two
-    equal rows.  ``signs`` are the region signs used for the sgn
-    arguments; a 0 entry marks motion inside the corresponding surface.
+    state at each accepted step and, last, at the terminal event or
+    table knot.  A segment resting at an equilibrium on the discontinuity
+    set is two equal rows.  ``signs`` are the region signs used for the
+    sgn arguments; a 0 entry marks that equilibrium's surface.
     """
 
     t_start: float
@@ -125,7 +118,6 @@ class Segment:
     ts: np.ndarray
     states: np.ndarray
     signs: Tuple[float, float]
-    sliding_surface: Optional[int] = None
 
 
 @dataclass
@@ -164,8 +156,6 @@ class CrossingReport:
     ok: bool
     margin: float
     n_events: int
-    n_crossing: int
-    n_other: int
     offenders: Tuple[int, ...]
 
 
@@ -178,11 +168,13 @@ def d1_field(spec: PerturbationSpec, reduced: ReducedParams, eps: float) -> Fiel
     x' = y,   y' = -a x + z + ε f_y(τ, state; sgn)
     z' = w,   w' = b x - b z + ε f_w(τ, state; sgn)
 
-    Calling it evaluates the forcing for any signs (contacts, sliding, the
+    Calling it evaluates the forcing for any signs (contacts, the
     regularized run).  ``field.frozen(signs)`` is its affine form for
     frozen signs, f = M_σ(τ)·s + c_σ(τ), as the periodic arrays
     M_σ = A + ε·R_σ and c_σ = ε·k_σ (R_σ, k_σ from ``spec.frozen``), on
-    which segments and the monodromy run.
+    which segments and the monodromy run.  ``field.knots(t0, t1)`` gives
+    the knots of the forcing's tables between t0 and t1, at which
+    segments end.
     """
     a = reduced.a
     b = reduced.b
@@ -200,6 +192,7 @@ def d1_field(spec: PerturbationSpec, reduced: ReducedParams, eps: float) -> Fiel
         return rows.embedded(linear, (1, 3), eps), consts.embedded(np.zeros(4), (1, 3), eps)
 
     field.frozen = frozen
+    field.knots = spec.table_knots
     return field
 
 
@@ -251,20 +244,6 @@ def classify_values(lie_minus: float, lie_plus: float) -> SurfaceClassification:
     return SurfaceClassification(kind=kind, lie_minus=lie_minus, lie_plus=lie_plus)
 
 
-def _one_sided_values(
-    field: FieldWithSigns,
-    t: float,
-    state: np.ndarray,
-    signs: Sequence[float],
-    k: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    minus = list(signs)
-    plus = list(signs)
-    minus[k] = -1.0
-    plus[k] = 1.0
-    return field(t, state, tuple(minus)), field(t, state, tuple(plus))
-
-
 def classify_surface_contact(
     field: FieldWithSigns,
     t: float,
@@ -277,32 +256,16 @@ def classify_surface_contact(
     ``signs`` supplies the region sign of the other surface; the one of
     surface k + 1 is replaced by ±1 for the two one-sided fields.
     """
-    minus_val, plus_val = _one_sided_values(field, t, state, signs, k)
-    return classify_values(float(minus_val[2 * k]), float(plus_val[2 * k]))
+    minus = list(signs)
+    plus = list(signs)
+    minus[k] = -1.0
+    plus[k] = 1.0
+    return classify_values(float(field(t, state, tuple(minus))[2 * k]),
+                           float(field(t, state, tuple(plus))[2 * k]))
 
 
 def _point_signs(state: np.ndarray) -> Tuple[float, float]:
     return (float(np.sign(state[0])), float(np.sign(state[2])))
-
-
-def sliding_combination(
-    field: FieldWithSigns,
-    t: float,
-    state: np.ndarray,
-    signs: Sequence[float],
-    k: int,
-) -> np.ndarray:
-    """Convex combination of the one-sided fields tangent to surface k + 1."""
-    minus_val, plus_val = _one_sided_values(field, t, state, signs, k)
-    lie_minus = float(minus_val[2 * k])
-    lie_plus = float(plus_val[2 * k])
-    denom = lie_plus - lie_minus
-    if abs(denom) <= SLIDING_DENOM_TOL:
-        raise DegenerateSlidingError(
-            "one-sided level derivatives coincide; the sliding combination "
-            f"is undefined (lie- = {lie_minus:.3e}, lie+ = {lie_plus:.3e})"
-        )
-    return (lie_plus * minus_val - lie_minus * plus_val) / denom
 
 
 def _rk4_step(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
@@ -351,7 +314,9 @@ class _Integrator:
         self.segments: List[Segment] = []
         self.events: List[EventRecord] = []
         self.signs = list(_point_signs(self.state))
-        self.sliding_on: Optional[int] = None
+        # Table knots inside the span still ahead of the run, the next last.
+        knots = getattr(field, "knots", None)
+        self.knots = sorted(knots(self.t0, self.t1) if knots else (), reverse=self.direction > 0)
         # The monodromy so far; None when not requested or dropped.
         self.phi = np.eye(4) if monodromy else None
         self.monodromy_reason: Optional[str] = None
@@ -408,16 +373,14 @@ class _Integrator:
     def _resolve_contacts(self, ks: Sequence[int]):
         """Classify each touched surface and act on its contact kind.
 
-        A crossing switches the region sign, a tangency is resolved by
-        the curvature of the level, and a sliding (or escaping) contact
-        starts a sliding segment on that surface, unless the trajectory
-        would then slide on both surfaces at once.  Crossings carry the
-        monodromy through their saltation matrix; any other contact drops
-        it.
+        A crossing switches the region sign and a tangency is resolved by
+        the curvature of the level.  A sliding or escaping contact is
+        refused: CrossingViolationError carries its recorded event.
+        Crossings carry the monodromy through their saltation matrix; a
+        tangency drops it.
         """
         corner = len(ks) > 1
         point_signs = _point_signs(self.state)
-        sliding_hits = []
         for k in ks:
             if self.finished:
                 break
@@ -425,22 +388,17 @@ class _Integrator:
             self._record(k, cls, corner)
             if cls.kind == "crossing":
                 self.signs[k] = self.direction * float(np.sign(cls.lie_plus))
-                continue
-            self._drop_monodromy(f"{cls.kind} contact with surface {k + 1}")
-            if cls.kind in ("sliding", "escaping"):
-                sliding_hits.append(k)
-            else:
+            elif cls.kind == "tangent":
+                self._drop_monodromy(f"tangent contact with surface {k + 1}")
                 self._resolve_tangency(k)
+            else:
+                raise CrossingViolationError(
+                    f"{cls.kind} contact with surface {k + 1} at t = {self.t:.6g}: the "
+                    "level derivative changes sign across the surface",
+                    events=self.events[-1:],
+                )
         if self.phi is not None:
             self._cross_monodromy(ks)
-        if len(sliding_hits) > 1 or (sliding_hits and self.sliding_on is not None):
-            raise TangencyError(
-                "simultaneous sliding on both surfaces (codimension two) is unsupported"
-            )
-        if sliding_hits and not self.finished:
-            k = sliding_hits[0]
-            self.signs[k] = 0.0
-            self.sliding_on = k
 
     def _saltation(self, ks: Sequence[int]) -> np.ndarray:
         """Saltation matrix of crossing the surfaces ``ks`` in that order.
@@ -505,17 +463,6 @@ class _Integrator:
             )
         self.signs[k] = float(np.sign(dlie))
 
-    def _release(self, k: int, minus_side: bool):
-        """End sliding on surface k + 1 where a one-sided derivative vanished.
-
-        The side whose level derivative reached zero releases the
-        trajectory into its region.
-        """
-        cls = classify_surface_contact(self.field, self.t, self.state, _point_signs(self.state), k)
-        self._record(k, cls, corner=False)
-        self.sliding_on = None
-        self.signs[k] = -1.0 if minus_side else 1.0
-
     def _settle_constant(self):
         """Rest at an equilibrium on the discontinuity set until t1."""
         self.segments.append(
@@ -538,7 +485,7 @@ class _Integrator:
         ``u``: the state, followed by the flattened monodromy when one is
         carried (steps of up to 1e-6 are not negligible for it).  A
         first-order step suffices after a transversal crossing; after a
-        tangency or a sliding exit the level leaves quadratically, so the
+        tangency the level leaves quadratically, so the
         step size escalates until every departed level shows the sign
         selected by the event resolution.
         """
@@ -563,43 +510,33 @@ class _Integrator:
     def _advance(self):
         """Integrate one segment up to its first terminal event.
 
-        Off the surfaces the field runs with frozen region signs and
-        stops where either level crosses zero.  Sliding on surface k + 1
-        runs the tangent combination and stops where a one-sided level
-        derivative vanishes (release) or the other level crosses zero.
-        A carried monodromy rides along as components 4 to 19, left out
-        of the error test.
+        The field runs with frozen region signs and stops where either
+        level crosses zero, or at the next table knot, where the segment
+        ends with no event.  A carried monodromy rides along as
+        components 4 to 19, left out of the error test.
         """
         signs = tuple(self.signs)
-        k = self.sliding_on
         phi = self.phi
         if phi is None:
             u = np.array(self.state, dtype=float)
         else:
             u = np.concatenate((self.state, phi.T.ravel()))
-        if k is None:
-            rhs = segment_rhs(self.field, signs, phi is not None)
-            events = [0, 2]
-        else:
-            def rhs(tt, u):
-                return sliding_combination(self.field, tt, u, signs, k)
-
-            def lie_event(side):
-                return lambda tt, u: float(_one_sided_values(self.field, tt, u, signs, k)[side][2 * k])
-
-            events = [lie_event(0), lie_event(1), 2 - 2 * k]
-
+        rhs = segment_rhs(self.field, signs, phi is not None)
         t_run, u_run = self._depart_surface(rhs, u)
         if self.finished:
             return
+        knots = self.knots
+        while knots and (knots[-1] - t_run) * self.direction <= 0.0:
+            knots.pop()
+        t_end = knots[-1] if knots else self.t1
         run = solve(
             rhs,
-            (t_run, self.t1),
+            (t_run, t_end),
             u_run,
             rtol=self.rtol,
             atol=self.atol,
             max_step=self.max_step,
-            events=events,
+            events=[0, 2],
             n_tested=4,
         )
         if run.status == -1:
@@ -610,8 +547,6 @@ class _Integrator:
             self.phi = states[-1, 4:].reshape(4, 4).T
             states = states[:, :4].copy()
         state_e = states[-1].copy()
-        if k is not None:
-            state_e[2 * k] = 0.0
         self.segments.append(
             Segment(
                 t_start=self.t,
@@ -619,23 +554,17 @@ class _Integrator:
                 ts=run.ts,
                 states=states,
                 signs=signs,
-                sliding_surface=None if k is None else k + 1,
             )
         )
         self.t = te
         self.state = state_e
         if run.status == 0:
-            self.finished = True
+            self.finished = t_end == self.t1
             return
 
         # Only the earliest event of a step is reported; the other level
         # counts as touched when the state sits on it.
-        if k is None:
-            touched = [j for j in range(2) if run.event == j or abs(state_e[2 * j]) <= EVENT_STATE_TOL]
-        else:
-            if run.event in (0, 1):
-                self._release(k, minus_side=run.event == 0)
-            touched = [1 - k] if run.event == 2 else []
+        touched = [j for j in range(2) if run.event == j or abs(state_e[2 * j]) <= EVENT_STATE_TOL]
         for j in touched:
             state_e[2 * j] = 0.0
         self._resolve_contacts(touched)
@@ -672,16 +601,20 @@ def integrate_field(
 ) -> Trajectory:
     """Integrate a field with explicit region signs through the surfaces.
 
-    ``field(t, state, (sgn_x, sgn_z))`` must be smooth for frozen signs.
-    Events on ``x = 0`` and ``z = 0`` are bracketed on the dense output
-    and located to a time tolerance below 1e-12, classified through the
-    one-sided level derivatives, and resolved by region switching,
-    sliding, or tangency curvature.  Initial states on a surface are
-    classified and resolved before the first segment.  Segments run on
-    :func:`segment_rhs`.  With ``monodromy`` the run also carries the
-    monodromy (see the module docstring) into ``Trajectory.monodromy``;
-    that needs the field's affine form ``field.frozen`` (see
-    :func:`segment_rhs`).
+    ``field(t, state, (sgn_x, sgn_z))`` must be smooth for frozen signs,
+    and each level derivative (component 0 on x = 0, component 2 on
+    z = 0) must not change sign across its own surface; every field the
+    package builds meets this.  Events on ``x = 0`` and ``z = 0`` are
+    bracketed on the dense output and located to a time tolerance below
+    1e-12, classified through the one-sided level derivatives, and
+    resolved by region switching or tangency curvature; a sliding or
+    escaping contact raises CrossingViolationError.  Initial states on a
+    surface are classified and resolved before the first segment.
+    Segments run on :func:`segment_rhs` and end at the knots
+    ``field.knots(t0, t1)`` when the field has them.  With ``monodromy``
+    the run also carries the monodromy (see the module docstring) into
+    ``Trajectory.monodromy``; that needs the field's affine form
+    ``field.frozen`` (see :func:`segment_rhs`).
     """
     integ = _Integrator(
         field, s0, t_span, rtol=rtol, atol=atol, max_events=max_events, max_step=max_step,
@@ -778,21 +711,16 @@ def crossing_hypothesis_check(traj: Trajectory) -> CrossingReport:
     """
     margin = np.inf
     offenders = []
-    n_crossing = 0
     for i, ev in enumerate(traj.events):
         velocity_index = 1 if ev.surface == 1 else 3
         margin = min(margin, abs(float(ev.state[velocity_index])))
-        if ev.kind == "crossing":
-            n_crossing += 1
-        else:
+        if ev.kind != "crossing":
             offenders.append(i)
     n_events = len(traj.events)
     return CrossingReport(
         ok=not offenders,
         margin=float(margin) if n_events else np.inf,
         n_events=n_events,
-        n_crossing=n_crossing,
-        n_other=n_events - n_crossing,
         offenders=tuple(offenders),
     )
 

@@ -233,6 +233,18 @@ class PerturbationSpec:
                         terms.append((index, factor, d))
         return tuple(PeriodicArray(constant, tuple(terms)) for constant, terms in parts)
 
+    def table_knots(self, t0: float, t1: float) -> Tuple[float, ...]:
+        """The knots of the spec's tables between t0 and t1, ascending:
+        linear interpolation has a kink at each.  A knot within the
+        period-divisibility tolerance of an end counts as that end."""
+        lo, hi = min(t0, t1), max(t0, t1)
+        margin = PERIOD_DIVISIBILITY_TOL * (hi - lo)
+        scalars = (*self.K, *(d for form in self.F for d in form.coefficients()))
+        knots = {t + k * d.period for d in scalars if d.kind == "table"
+                 for k in range(math.floor(lo / d.period), math.ceil(hi / d.period))
+                 for t in d.knots[0][:-1].tolist()}
+        return tuple(sorted(t for t in knots if lo + margin < t < hi - margin))
+
     def validate_against(self, spectral: SpectralData) -> None:
         """Check every component period divides p·T_family."""
         window = self.p * spectral.period(self.family)

@@ -367,9 +367,9 @@ def poincare_residual(
 
     The run also integrates the variational equations, so the result
     carries the return map's monodromy for `refine_periodic`.
-    Integration failures (stall, unresolved tangency, degenerate
-    sliding) do not raise; they return a flagged result so that sweep
-    aggregation can retain the failure.
+    Integration failures (stall, persistent tangency, a sliding or
+    escaping contact) do not raise; they return a flagged result so that
+    sweep aggregation can retain the failure.
     """
     _check_spec_matches(orbit, spec)
     transform = jordan_transform(reduced, spectral)

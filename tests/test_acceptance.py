@@ -15,6 +15,7 @@ import pytest
 
 from pendavg import cli
 from pendavg.averaging import BifurcationSystem, annulus_search, bifurcation_values
+from pendavg.errors import CrossingViolationError
 from pendavg.filippov import (
     classify_surface_contact,
     crossing_hypothesis_check,
@@ -22,7 +23,6 @@ from pendavg.filippov import (
     integrate,
     integrate_field,
     integrate_regularized,
-    sliding_combination,
 )
 from pendavg.model import (
     PhysicalParams,
@@ -304,27 +304,25 @@ def test_accept_7_filippov_semantics(bench):
         cls = classify_surface_contact(d1, tau, st, (float(np.sign(st[0])), 0.0), 1)
         lie_exact &= cls.lie_minus == w2 and cls.lie_plus == w2
 
-    # constructed sliding segment: the sliding field stays tangent
+    # a constructed field that slides on x = 0 is refused at that contact
     def field(t, state, signs):
         return np.array([-signs[0] + 0.25 * math.cos(t), 0.0, 0.0, 0.0])
 
-    traj = integrate_field(field, (0.5, 0.0, 1.0, 0.0), (0.0, 6.0))
-    seg = traj.segments[-1]
-    assert seg.sliding_surface == 1
-    worst_drift = 0.0
-    for t, state in zip(seg.ts, seg.states):
-        rhs = sliding_combination(field, float(t), state, seg.signs, 0)
-        worst_drift = max(worst_drift, abs(rhs[0]), abs(state[0]))
+    try:
+        integrate_field(field, (0.5, 0.0, 1.0, 0.0), (0.0, 6.0))
+        refused = []
+    except CrossingViolationError as exc:
+        refused = [ev.kind for ev in exc.events]
 
     # family orbits away from the tangency set keep a positive margin
     orbit = orbit_from_amplitude(np.array([0.8, 0.3]), 1, transform, s, reduced)
     run = integrate(spec, reduced, s, 1e-3, orbit.initial_state, (0.0, orbit.period_tau))
     crossing = crossing_hypothesis_check(run)
-    ok = lie_exact and worst_drift <= 1e-9 and crossing.ok and crossing.margin > 0.0
+    ok = lie_exact and refused == ["sliding"] and crossing.ok and crossing.margin > 0.0
     report(
         7,
         ok,
-        f"level derivatives exact: {lie_exact}, sliding drift {worst_drift:.3e}, "
+        f"level derivatives exact: {lie_exact}, sliding field refused: {refused == ['sliding']}, "
         f"crossing margin {crossing.margin:.3f} over {crossing.n_events} events",
     )
     assert ok

@@ -1,9 +1,10 @@
 """Event-driven integration tests.
 
 The exactly solvable eps = 0 flow provides closure and state oracles;
-synthetic four-component fields with hand-chosen drives exercise the
-sliding and tangency branches that the pendulum surfaces cannot reach
-(their level derivatives are one-sided-independent velocities).
+synthetic four-component fields with hand-chosen drives exercise what
+the pendulum surfaces cannot reach (their level derivatives are
+one-sided-independent velocities): the refusal of sliding and escaping
+contacts, persistent tangency and corners whose crossing orders disagree.
 """
 
 import math
@@ -13,13 +14,7 @@ import pytest
 from scipy.optimize import brentq
 
 from pendavg import dop853
-from pendavg.errors import (
-    CrossingViolationError,
-    DegenerateSlidingError,
-    DomainError,
-    IntegrationStallError,
-    TangencyError,
-)
+from pendavg.errors import CrossingViolationError, DomainError, IntegrationStallError, TangencyError
 from pendavg.filippov import (
     classify_surface_contact,
     classify_values,
@@ -32,13 +27,13 @@ from pendavg.filippov import (
     integrate_regularized,
     require_transversal_crossings,
     segment_rhs,
-    sliding_combination,
 )
 from pendavg.model import PhysicalParams, jordan_transform, reduce_params, spectral_data
 from pendavg.perturbation import LinearForm, PeriodicScalar, PerturbationSpec, builtin
 from pendavg.verify import orbit_from_amplitude
 
-from .oracles import field_term_scale, flow_states, per_call_field
+from .oracles import field_term_scale, flow_states, per_call_field, sliding_combination
+from .test_averaging import random_spec
 from .test_perturbation import _random_scalar
 
 BENCH = PhysicalParams(1.0, 1.0, 1.0, 1.0, 9.8)
@@ -72,7 +67,7 @@ def test_classify_values_sign_table():
 def test_pendulum_levels_are_one_sided_independent(bench):
     # x' = y and z' = w carry no sgn term, so both one-sided level
     # derivatives equal the velocity coordinate exactly and the builtin
-    # surfaces can never produce a sliding segment on their own.
+    # surfaces can never make a sliding or escaping contact.
     reduced, s = bench
     spec = builtin("damped_forced_escapement", {"gamma": GAMMA, "kappa": 0.3}, s, family=1, p=1)
     field = d1_field(spec, reduced, 0.7)
@@ -84,6 +79,23 @@ def test_pendulum_levels_are_one_sided_independent(bench):
     assert cls.kind == "crossing"
     assert cls.lie_minus == -0.2
     assert cls.lie_plus == -0.2
+    # the same on random perturbations with τ-dependent coefficients, both
+    # families, p = 1 and 2 and several ε, at random states on each surface
+    rng = np.random.default_rng(19)
+    for family in (1, 2):
+        for p in (1, 2):
+            for eps in (1e-3, 0.1, 2.0):
+                field = d1_field(random_spec(rng, s, family, p), reduced, eps)
+                for _ in range(10):
+                    tau = rng.uniform(-5.0, 5.0) * p * s.period(family)
+                    for k in (0, 1):
+                        state = rng.uniform(-2.0, 2.0, size=4)
+                        state[2 * k] = 0.0
+                        signs = [float(rng.choice([-1.0, 1.0])) for _ in range(2)]
+                        signs[k] = 0.0
+                        cls = classify_surface_contact(field, tau, state, tuple(signs), k)
+                        assert cls.lie_minus == cls.lie_plus == state[2 * k + 1], (family, p, eps, k)
+                        assert cls.kind in ("crossing", "tangent")
 
 
 # -- the order-1 field -----------------------------------------------------
@@ -156,7 +168,7 @@ def test_frozen_sign_segment_field_matches_per_call_field(bench):
             assert np.all(np.abs(phi_dot - matrix @ phi) <= 64 * ulp * (column_scale @ np.abs(phi))), (i, tau)
 
 
-# -- sliding algebra --------------------------------------------------------
+# -- synthetic drives ---------------------------------------------------------
 
 
 def _drive_field(drive):
@@ -165,28 +177,6 @@ def _drive_field(drive):
         return np.array([-signs[0] + drive(t), 0.0, 0.0, 0.0])
 
     return field
-
-
-def test_sliding_combination_matches_formula():
-    field = _drive_field(lambda t: 0.25 * math.cos(t))
-    st = np.array([0.0, 0.3, 1.0, -0.2])
-    t = 0.9
-    got = sliding_combination(field, t, st, (0.0, 1.0), 0)
-    minus = field(t, st, (-1.0, 1.0))
-    plus = field(t, st, (1.0, 1.0))
-    lm, lp = minus[0], plus[0]
-    ref = (lp * minus - lm * plus) / (lp - lm)
-    assert np.allclose(got, ref, rtol=1e-15, atol=1e-15)
-    assert got[0] == 0.0
-
-
-def test_sliding_combination_degenerate():
-    # equal one-sided fields leave the convex weight undefined
-    def field(t, state, signs):
-        return np.array([1.0, 0.0, 0.0, 0.0])
-
-    with pytest.raises(DegenerateSlidingError):
-        sliding_combination(field, 0.0, np.array([0.0, 0.0, 1.0, 0.0]), (0.0, 1.0), 0)
 
 
 # -- exactly solvable flow --------------------------------------------------
@@ -206,7 +196,7 @@ def test_family_orbit_closes_at_eps_zero(bench):
     assert all(ev.kind == "crossing" and ev.corner for ev in traj.events)
     assert all(ev.classification.lie_minus == ev.classification.lie_plus for ev in traj.events)
     report = crossing_hypothesis_check(traj)
-    assert report.ok and report.n_crossing == 4
+    assert report.ok and report.n_events == 4
     assert report.margin > 0.5
     require_transversal_crossings(traj)
 
@@ -239,78 +229,33 @@ def test_trajectory_sample_and_span_checks(bench):
     assert traj.segments[0].ts[0] == 0.0 and traj.segments[-1].ts[-1] == 2.0
 
 
-# -- sliding segments --------------------------------------------------------
-
-
-def test_synthetic_sliding_persists_to_final_time():
-    # |0.25 cos| < 1 keeps both one-sided derivatives pushing onto x = 0
-    field = _drive_field(lambda t: 0.25 * math.cos(t))
-    hit = brentq(lambda t: 0.5 - t + 0.25 * math.sin(t), 0.3, 1.2, xtol=1e-13)
-    traj = integrate_field(field, (0.5, 0.0, 1.0, 0.0), (0.0, 6.0))
-    assert len(traj.events) == 1
-    assert traj.events[0].kind == "sliding"
-    assert traj.events[0].time == pytest.approx(hit, abs=1e-8)
-    last = traj.segments[-1]
-    assert last.sliding_surface == 1
-    assert last.t_end == 6.0
-    assert last.signs == (0.0, 1.0)
-    # the convex combination cancels the normal component identically
-    assert traj.final_state[0] == 0.0
-    assert np.all(last.states[:, 0] == 0.0)
-
-
-def test_synthetic_sliding_releases_when_one_side_relaxes():
-    # the drive exceeds the sgn pull at sin t = -2/3 and the minus side
-    # releases the trajectory into x < 0
-    field = _drive_field(lambda t: 1.5 * math.sin(t))
-    hit = brentq(lambda t: 2.0 - t - 1.5 * math.cos(t), 3.0, 3.6, xtol=1e-13)
-    release = math.pi + math.asin(2.0 / 3.0)
-    traj = integrate_field(field, (0.5, 0.0, 1.0, 0.0), (0.0, 5.0))
-    kinds = [ev.kind for ev in traj.events]
-    assert kinds[0] == "sliding"
-    assert traj.events[0].time == pytest.approx(hit, abs=1e-8)
-    sliding_segs = [seg for seg in traj.segments if seg.sliding_surface == 1]
-    assert len(sliding_segs) == 1
-    seg = sliding_segs[0]
-    assert seg.t_start == pytest.approx(hit, abs=1e-8)
-    assert seg.t_end == pytest.approx(release, abs=1e-8)
-    assert traj.segments[-1].signs == (-1.0, 1.0)
-    assert traj.final_time == 5.0
-    assert traj.final_state[0] < 0.0
-
-
-def test_sliding_segment_crosses_the_other_surface():
-    # slide on x = 0 while z' = -1 carries the state through z = 0 at t = 1;
-    # the sliding segment must leave z = 0 before it restarts
-    def field(t, state, signs):
-        return np.array([-signs[0] + 0.25 * math.cos(t), 0.0, -1.0, 0.0])
-
-    hit = brentq(lambda t: 0.5 - t + 0.25 * math.sin(t), 0.3, 1.2, xtol=1e-13)
-    traj = integrate_field(field, (0.5, 0.0, 1.0, 0.0), (0.0, 3.0))
-    assert [(ev.surface, ev.kind) for ev in traj.events] == [(1, "sliding"), (2, "crossing")]
-    assert traj.events[0].time == pytest.approx(hit, abs=1e-8)
-    assert traj.events[1].time == pytest.approx(1.0, abs=1e-10)
-    assert traj.final_time == 3.0
-    assert np.allclose(traj.final_state, [0.0, 0.0, -2.0, 0.0], atol=1e-9)
-    assert traj.final_state[0] == 0.0
-    last = traj.segments[-1]
-    assert last.sliding_surface == 1
-    assert last.signs == (0.0, -1.0)
+# -- refused contacts --------------------------------------------------------
 
 
 @pytest.mark.parametrize(
-    "field, s0",
+    "field, s0, kind, time",
     [
-        # sliding on x = 0 reaches z = 0, where z' = -sgn(z) would slide too
-        (lambda t, st, g: np.array([-g[0] + 0.25 * math.cos(t), 0.0, -g[1], 0.0]), (0.5, 0.0, 1.0, 0.0)),
+        # |0.25 cos| < 1 keeps both one-sided derivatives pushing onto x = 0
+        (_drive_field(lambda t: 0.25 * math.cos(t)), (0.5, 0.0, 1.0, 0.0), "sliding",
+         brentq(lambda t: 0.5 - t + 0.25 * math.sin(t), 0.3, 1.2, xtol=1e-13)),
+        (_drive_field(lambda t: 1.5 * math.sin(t)), (0.5, 0.0, 1.0, 0.0), "sliding",
+         brentq(lambda t: 2.0 - t - 1.5 * math.cos(t), 3.0, 3.6, xtol=1e-13)),
         # x and z reach zero together at t = 0.5 and both contacts slide
-        (lambda t, st, g: np.array([-g[0], 0.0, -g[1], 0.0]), (0.5, 0.0, 0.5, 0.0)),
+        (lambda t, st, g: np.array([-g[0], 0.0, -g[1], 0.0]), (0.5, 0.0, 0.5, 0.0), "sliding", 0.5),
+        # x' = sgn(x) leaves x = 0 on both sides
+        (lambda t, st, g: np.array([g[0], 0.0, 0.0, 0.0]), (0.0, 0.0, 1.0, 0.0), "escaping", 0.0),
     ],
-    ids=["sliding-meets-sliding", "sliding-corner"],
+    ids=["drive-cos", "drive-sin", "corner", "escaping"],
 )
-def test_codimension_two_sliding_raises(field, s0):
-    with pytest.raises(TangencyError, match="codimension two"):
-        integrate_field(field, s0, (0.0, 3.0))
+def test_sliding_contact_is_refused(field, s0, kind, time):
+    # a level derivative that changes sign across its surface is outside
+    # the integrator's contract: the first such contact is refused
+    with pytest.raises(CrossingViolationError) as err:
+        integrate_field(field, s0, (0.0, 6.0))
+    assert err.value.exit_code == 5
+    (event,) = err.value.events
+    assert (event.surface, event.kind) == (1, kind)
+    assert event.time == pytest.approx(time, abs=1e-8)
 
 
 # -- monodromy ---------------------------------------------------------------
@@ -369,14 +314,8 @@ def test_monodromy_follows_the_time_direction(bench):
 
 @pytest.mark.parametrize(
     "field, s0, t1, reason",
-    [
-        (_drive_field(lambda t: 0.25 * math.cos(t)), (0.5, 0.0, 1.0, 0.0), 6.0,
-         "sliding contact with surface 1 at t = "),
-        (_drive_field(lambda t: 1.5 * math.sin(t)), (0.5, 0.0, 1.0, 0.0), 5.0,
-         "sliding contact with surface 1 at t = "),
-        (_corner_field, (-0.25, 0.0, -0.25, 0.0), 1.0, "corner contact with both surfaces at t = 0.5"),
-    ],
-    ids=["sliding", "sliding-release", "corner"],
+    [(_corner_field, (-0.25, 0.0, -0.25, 0.0), 1.0, "corner contact with both surfaces at t = 0.5")],
+    ids=["corner"],
 )
 def test_monodromy_request_ends_at_a_non_crossing_contact(field, s0, t1, reason):
     plain = integrate_field(field, s0, (0.0, t1))
@@ -522,7 +461,8 @@ def test_dop853_matches_solve_ivp_bit_for_bit(bench):
         direction = rng.choice([-1.0, 1.0])
         t1 = t0 + direction * 10.0 ** rng.uniform(-4.0, 0.8)
         max_step = np.inf if rng.random() < 0.5 else rng.uniform(0.05, 1.0)
-        # no events, the two level events, or the events of a sliding segment
+        # no events, the two level events, or a reference sliding field
+        # with callable events where a one-sided level derivative vanishes
         modes = ("none", "levels", "sliding") if synthetic else ("none", "levels")
         mode = modes[case // 3 % len(modes)]
         if mode == "sliding":

@@ -18,9 +18,9 @@ import pendavg.filippov as filippov_module
 import pendavg.verify as verify_module
 from pendavg.averaging import BifurcationSystem, annulus_search
 from pendavg.errors import DomainError, RefinementDegenerateError
-from pendavg.filippov import integrate, integrate_field
+from pendavg.filippov import integrate
 from pendavg.model import PhysicalParams, jordan_transform, reduce_params, spectral_data
-from pendavg.perturbation import builtin
+from pendavg.perturbation import PeriodicScalar, builtin
 from pendavg.verify import (
     epsilon_sweep,
     fit_exponent,
@@ -34,7 +34,6 @@ from pendavg.verify import (
 )
 
 from .oracles import corollary_radius, finite_difference_monodromy, linear_periodic_state
-from .test_filippov import _drive_field, _with_affine_form
 
 BENCH = PhysicalParams(1.0, 1.0, 1.0, 1.0, 9.8)
 GAMMA = 0.5
@@ -261,6 +260,28 @@ def test_refine_stops_at_first_non_contracting_step(bench, monkeypatch):
     assert calls == [1e-2]
 
 
+def test_refine_converges_on_a_table_perturbation(bench, escapement):
+    """The escapement with K₁ a 256-sample table of 0.5·cos(ω₁τ): segments
+    end at the table knots, so no solver step spans an interpolation kink,
+    and shooting converges to the builtin's limit gap."""
+    reduced, s, transform = bench
+    builtin_spec, _, builtin_orbit = escapement
+    taus = np.arange(256) * (s.period1 / 256)
+    table = PeriodicScalar.from_table(taus, GAMMA * np.cos(s.omega1 * taus))
+    spec = dataclasses.replace(builtin_spec, K=(table, *builtin_spec.K[1:]))
+    (cert,) = annulus_search(BifurcationSystem(1, spec, reduced, s, "A"), 0.05, 2.0, 8)
+    orbit = predicted_initial_state(cert, 1, transform, s, reduced)
+    prediction = poincare_residual(orbit, spec, reduced, s, 1e-2)
+    result = refine_periodic(orbit, spec, reduced, s, prediction)
+    assert result.reason is None and result.converged
+    assert len(prediction.trajectory.segments) > 255
+    limit_gap = np.linalg.norm(result.state - orbit.initial_state)
+    reference = refine_periodic(
+        builtin_orbit, builtin_spec, reduced, s, poincare_residual(builtin_orbit, builtin_spec, reduced, s, 1e-2)
+    )
+    assert limit_gap == pytest.approx(np.linalg.norm(reference.state - builtin_orbit.initial_state), rel=1e-3)
+
+
 def test_refine_degenerate_at_eps_zero(bench, damped):
     reduced, s, _ = bench
     spec, _, orbit = damped
@@ -437,22 +458,21 @@ def test_epsilon_sweep_skips_refinement_of_flagged_rungs(bench, damped, monkeypa
 
 
 def test_sweep_rung_without_monodromy_gives_its_reason(bench, damped, monkeypatch):
-    """A Poincaré run that slides carries no monodromy, so its rung is not
-    refined and its limit gap is null for a documented reason."""
+    """A Poincaré run that meets a tangency carries no monodromy, so its
+    rung is not refined and its limit gap is null for a documented reason."""
     reduced, s, _ = bench
     spec, _, orbit = damped
-    sliding = _with_affine_form(_drive_field(lambda t: 0.25 * math.cos(t)))
 
-    def sliding_run(spec, reduced, spectral, eps, s0, t_span, monodromy=False, **kwargs):
-        # the sliding fixture of test_filippov in place of the pendulum field
-        return integrate_field(sliding, (0.5, 0.0, 1.0, 0.0), t_span, monodromy=monodromy, **kwargs)
+    def tangent_run(spec, reduced, spectral, eps, s0, t_span, **kwargs):
+        # start on x = 0 with y = 0, a tangent contact, instead of the prediction
+        return integrate(spec, reduced, spectral, eps, (0.0, 0.0, 1.0, 0.3), t_span, **kwargs)
 
-    monkeypatch.setattr(verify_module, "integrate", sliding_run)
+    monkeypatch.setattr(verify_module, "integrate", tangent_run)
     report = epsilon_sweep(orbit, spec, reduced, s, LADDER)
     for sample in report.samples:
         assert sample.flag is None and not sample.events_ok
         assert sample.monodromy is None
-        assert sample.monodromy_reason.startswith("sliding contact with surface 1 at t = ")
+        assert sample.monodromy_reason == "tangent contact with surface 1 at t = 0"
     assert all(math.isnan(g) for g in report.limit_gap)
     assert report.limit_gap_reason == ["no monodromy: non-crossing contact"] * len(LADDER)
 
