@@ -36,6 +36,7 @@ from .errors import (
     PendavgError,
 )
 from .filippov import (
+    DEFAULT_MAX_EVENTS,
     Trajectory,
     export_events_csv,
     export_trajectory_csv,
@@ -264,7 +265,7 @@ def load_config(
     if t_span and len(t_span) != 2:
         raise DomainError("t_span must have two entries")
     sim_delta = delta if delta is not None else value("integrate", "delta", None)
-    max_events = value("integrate", "max_events", 100000, int)
+    max_events = value("integrate", "max_events", DEFAULT_MAX_EVENTS, int)
     if max_events < 0:
         raise DomainError(f"[integrate] max_events: the event budget must not be negative, got {max_events}")
 

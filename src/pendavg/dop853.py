@@ -25,16 +25,16 @@ A run returns the states at its accepted steps, the solver's own y_new
 as in ``solve_ivp(...).y``, and keeps no dense output.  A step's
 interpolant (three extra stages and the interpolation coefficients, by
 SciPy's code) is built only when an event changes sign over the step: it
-locates the root and gives the state there, the run's last.  An event may
-also be an index k, meaning the level u[k]; its root is found on
-component k alone, in Python floats, by the same operations.
+locates the root and gives the state there, the run's last.  An event is
+an index k, meaning the level u[k]; its root is found on component k
+alone, in Python floats, by the same operations as on the whole state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -361,18 +361,18 @@ def solve(
     rtol: float,
     atol: float,
     max_step: float = np.inf,
-    events: Sequence[Union[int, Callable[[float, np.ndarray], float]]] = (),
+    events: Sequence[int] = (),
     n_tested: Optional[int] = None,
 ) -> Solution:
     """Integrate ``y' = fun(t, y)`` over ``t_span`` with DOP853.
 
-    ``fun`` must return a float array shaped like ``y0``.  Each event
-    ``g(t, y)``, or index k for the level ``y[k]``, is terminal: the run
-    stops at the earliest root, located by Brent's method on the step's
-    dense output, of any event that changes sign (or touches zero) over
-    a step.  The initial step and the local error test see only the
-    first ``n_tested`` components (all of them by default, as in SciPy);
-    the others ride along on the steps the leading ones choose.
+    ``fun`` must return a float array shaped like ``y0``.  Each event,
+    an index k for the level ``y[k]``, is terminal: the run stops at the
+    earliest root, located by Brent's method on the step's dense output,
+    of any level that changes sign (or touches zero) over a step.  The
+    initial step and the local error test see only the first
+    ``n_tested`` components (all of them by default, as in SciPy); the
+    others ride along on the steps the leading ones choose.
     """
     t0, t_bound = map(float, t_span)
     y = np.asarray(y0).astype(float, copy=False)
@@ -394,7 +394,7 @@ def solve(
     t = t0
     ts = [t0]
     ys = [y]
-    g = _event_values(events, t0, y)
+    g = [y[k] for k in events]
     status = None
     fired = None
     while status is None:
@@ -445,7 +445,7 @@ def solve(
             status = 0
 
         if events:
-            g_new = _event_values(events, t, y)
+            g_new = [y[k] for k in events]
             active = [
                 i for i, (before, after) in enumerate(zip(g, g_new))
                 if (before <= 0 and after >= 0) or (before >= 0 and after <= 0)
@@ -469,17 +469,9 @@ def solve(
     return Solution(status=status, ts=np.array(ts), ys=np.array(ys), event=fired)
 
 
-def _event_values(events, t, y) -> list:
-    return [event(t, y) if callable(event) else y[event] for event in events]
-
-
-def _event_root(event, step: _StepInterpolant, t_old, t):
-    """Root of ``event`` on the dense output of one step (solve_event_equation)."""
-    if callable(event):
-        def g(s):
-            return event(s, step(s))
-    else:
-        def g(s):
-            return step.component(s, event)
+def _event_root(k: int, step: _StepInterpolant, t_old, t):
+    """Root of the level u[k] on the dense output of one step (solve_event_equation)."""
+    def g(s):
+        return step.component(s, k)
 
     return _brent(g, t_old, t, g(t_old), g(t), xtol=EVENT_TOL, rtol=EVENT_TOL)

@@ -7,8 +7,8 @@ failures onto its documented contract:
     2  resonance (degenerate monodromy block)
     3  no validated zero
     4  quadrature refinement failure
-    5  crossing violation (a sliding or escaping contact, a persistent
-       tangency, or a tangency where only crossings are allowed)
+    5  crossing violation (a persistent tangency, or a tangency where
+       only crossings are allowed)
     6  integration stall (event accumulation / step underflow)
 """
 

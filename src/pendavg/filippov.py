@@ -18,14 +18,14 @@ solver is the in-package port :mod:`pendavg.dop853` of SciPy's
 events x = 0 and z = 0 are passed as the state indices 0 and 2, so their
 roots are found on that one component of the dense output.
 
-Every surface contact goes through one resolver, which classifies it
-through the one-sided Lie derivatives and switches the region sign
-(crossing) or resolves it through the curvature of the level (tangency).
-The pendulum's sgn terms enter only the accelerations, so its level
-derivatives x′ = y and z′ = w are the same on both sides of their
-surface and every contact is a crossing or a tangency, the crossing
-region of Filippov's classification.  A sliding or escaping contact,
-which only a field outside that class can make, is refused.
+Every surface contact goes through one resolver.  The pendulum's sgn
+terms enter only the accelerations, so the rate of each level, x′ = y on
+x = 0 and z′ = w on z = 0, does not depend on the surface's own sign: it
+is one number on both sides, and every contact is a crossing or a
+tangency, the crossing region of Filippov's classification.  The
+resolver reads that rate once; a nonzero rate is a crossing and switches
+the region sign to the side it points to, and a vanishing one is a
+tangency, resolved through the curvature of the level.
 
 On request the run also carries the monodromy Φ = ∂s(t)/∂s(t₀), the
 derivative of the flow map that shooting needs.  With the region signs
@@ -71,35 +71,18 @@ DEFAULT_ATOL = 1e-12
 # Escalating micro-step sizes used to leave a surface after an event.
 _RESTART_STEPS = (1e-12, 1e-10, 1e-8, 1e-6)
 
-_KINDS = ("crossing", "sliding", "escaping", "tangent")
-
-
-@dataclass(frozen=True)
-class SurfaceClassification:
-    """Contact type of a trajectory with one switching surface."""
-
-    kind: str
-    lie_minus: float
-    lie_plus: float
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise DomainError(f"unknown contact kind {self.kind!r}")
-
 
 @dataclass(frozen=True)
 class EventRecord:
-    """One classified surface contact along a trajectory."""
+    """One surface contact: ``kind`` is ``"crossing"`` or ``"tangent"``,
+    and ``rate`` is the level's rate there (x′ on surface 1, z′ on 2)."""
 
     time: float
     state: np.ndarray
     surface: int
-    classification: SurfaceClassification
+    kind: str
+    rate: float
     corner: bool = False
-
-    @property
-    def kind(self) -> str:
-        return self.classification.kind
 
 
 @dataclass(frozen=True)
@@ -113,8 +96,6 @@ class Segment:
     sgn arguments; a 0 entry marks that equilibrium's surface.
     """
 
-    t_start: float
-    t_end: float
     ts: np.ndarray
     states: np.ndarray
     signs: Tuple[float, float]
@@ -122,7 +103,7 @@ class Segment:
 
 @dataclass
 class Trajectory:
-    """Piecewise-smooth trajectory with its classified event log.
+    """Piecewise-smooth trajectory with its event log.
 
     ``monodromy`` is ∂(final state)/∂(initial state) when the run was
     asked for it and met only transversal crossings; otherwise it is None
@@ -140,7 +121,7 @@ class Trajectory:
     def final_time(self) -> float:
         if not self.segments:
             return self.t_span[0]
-        return self.segments[-1].t_end
+        return float(self.segments[-1].ts[-1])
 
     @property
     def final_state(self) -> np.ndarray:
@@ -225,45 +206,6 @@ def segment_rhs(field: FieldWithSigns, signs: Tuple[float, float],
     return rhs
 
 
-def classify_values(lie_minus: float, lie_plus: float) -> SurfaceClassification:
-    """Contact kind from the two one-sided level derivatives.
-
-    Tangency wins whenever either derivative sits inside the tolerance
-    band; otherwise the sign pattern decides between crossing (equal
-    signs), sliding (flow pushes onto the surface from both sides) and
-    escaping (flow leaves on both sides).
-    """
-    if abs(lie_minus) <= LIE_TOL or abs(lie_plus) <= LIE_TOL:
-        kind = "tangent"
-    elif lie_minus * lie_plus > 0.0:
-        kind = "crossing"
-    elif lie_minus > 0.0 > lie_plus:
-        kind = "sliding"
-    else:
-        kind = "escaping"
-    return SurfaceClassification(kind=kind, lie_minus=lie_minus, lie_plus=lie_plus)
-
-
-def classify_surface_contact(
-    field: FieldWithSigns,
-    t: float,
-    state: np.ndarray,
-    signs: Sequence[float],
-    k: int,
-) -> SurfaceClassification:
-    """Contact kind of the flow with surface k + 1 at a state on it.
-
-    ``signs`` supplies the region sign of the other surface; the one of
-    surface k + 1 is replaced by ±1 for the two one-sided fields.
-    """
-    minus = list(signs)
-    plus = list(signs)
-    minus[k] = -1.0
-    plus[k] = 1.0
-    return classify_values(float(field(t, state, tuple(minus))[2 * k]),
-                           float(field(t, state, tuple(plus))[2 * k]))
-
-
 def _point_signs(state: np.ndarray) -> Tuple[float, float]:
     return (float(np.sign(state[0])), float(np.sign(state[2])))
 
@@ -326,7 +268,7 @@ class _Integrator:
 
     # -- bookkeeping -----------------------------------------------------
 
-    def _record(self, k: int, cls: SurfaceClassification, corner: bool):
+    def _record(self, k: int, kind: str, rate: float, corner: bool):
         t = self.t
         if len(self.events) >= self.max_events:
             raise _Stalled(f"event budget of {self.max_events} exhausted")
@@ -344,7 +286,8 @@ class _Integrator:
                 time=float(t),
                 state=np.array(self.state, dtype=float),
                 surface=k + 1,
-                classification=cls,
+                kind=kind,
+                rate=rate,
                 corner=corner,
             )
         )
@@ -371,32 +314,30 @@ class _Integrator:
     # -- event resolution --------------------------------------------------
 
     def _resolve_contacts(self, ks: Sequence[int]):
-        """Classify each touched surface and act on its contact kind.
+        """Read each touched surface's rate and act on it.
 
-        A crossing switches the region sign and a tangency is resolved by
-        the curvature of the level.  A sliding or escaping contact is
-        refused: CrossingViolationError carries its recorded event.
-        Crossings carry the monodromy through their saltation matrix; a
-        tangency drops it.
+        The rate of surface k + 1 is component 2k of the field at the
+        point signs, where σ_k = 0; by the contract of
+        :func:`integrate_field` it is the rate on both sides.  Outside the
+        band ``LIE_TOL`` the contact is a crossing: the region sign
+        switches to the side the rate points to, and the monodromy goes
+        through the saltation matrix.  Inside it the contact is a
+        tangency, resolved by the curvature of the level, and the
+        monodromy is dropped.
         """
         corner = len(ks) > 1
-        point_signs = _point_signs(self.state)
+        rates = self.field(self.t, self.state, _point_signs(self.state))
         for k in ks:
             if self.finished:
                 break
-            cls = classify_surface_contact(self.field, self.t, self.state, point_signs, k)
-            self._record(k, cls, corner)
-            if cls.kind == "crossing":
-                self.signs[k] = self.direction * float(np.sign(cls.lie_plus))
-            elif cls.kind == "tangent":
+            rate = float(rates[2 * k])
+            if abs(rate) <= LIE_TOL:
+                self._record(k, "tangent", rate, corner)
                 self._drop_monodromy(f"tangent contact with surface {k + 1}")
                 self._resolve_tangency(k)
             else:
-                raise CrossingViolationError(
-                    f"{cls.kind} contact with surface {k + 1} at t = {self.t:.6g}: the "
-                    "level derivative changes sign across the surface",
-                    events=self.events[-1:],
-                )
+                self._record(k, "crossing", rate, corner)
+                self.signs[k] = self.direction * float(np.sign(rate))
         if self.phi is not None:
             self._cross_monodromy(ks)
 
@@ -467,8 +408,6 @@ class _Integrator:
         """Rest at an equilibrium on the discontinuity set until t1."""
         self.segments.append(
             Segment(
-                t_start=self.t,
-                t_end=self.t1,
                 ts=np.array([self.t, self.t1]),
                 states=np.array([self.state, self.state]),
                 signs=tuple(self.signs),
@@ -549,8 +488,6 @@ class _Integrator:
         state_e = states[-1].copy()
         self.segments.append(
             Segment(
-                t_start=self.t,
-                t_end=te,
                 ts=run.ts,
                 states=states,
                 signs=signs,
@@ -602,14 +539,16 @@ def integrate_field(
     """Integrate a field with explicit region signs through the surfaces.
 
     ``field(t, state, (sgn_x, sgn_z))`` must be smooth for frozen signs,
-    and each level derivative (component 0 on x = 0, component 2 on
-    z = 0) must not change sign across its own surface; every field the
-    package builds meets this.  Events on ``x = 0`` and ``z = 0`` are
-    bracketed on the dense output and located to a time tolerance below
-    1e-12, classified through the one-sided level derivatives, and
-    resolved by region switching or tangency curvature; a sliding or
-    escaping contact raises CrossingViolationError.  Initial states on a
-    surface are classified and resolved before the first segment.
+    and component 2k of the field, the rate of surface k + 1, must not
+    depend on σ_k, the surface's own sign.  Every field the package
+    builds meets this, because each has x′ = y and z′ = w.  A field that
+    does not is not detected at the contact; where its flow cannot leave
+    the surface the run stops with IntegrationStallError or
+    TangencyError.  Events on ``x = 0`` and ``z = 0`` are bracketed on the
+    dense output and located to a time tolerance below 1e-12, and each
+    is a crossing or a tangency by its rate (see
+    ``_Integrator._resolve_contacts``).  Initial states on a surface are
+    resolved before the first segment.
     Segments run on :func:`segment_rhs` and end at the knots
     ``field.knots(t0, t1)`` when the field has them.  With ``monodromy``
     the run also carries the monodromy (see the module docstring) into
@@ -689,8 +628,6 @@ def integrate_regularized(
     if run.status != 0:
         raise IntegrationStallError(f"regularized integration failed: {run.message}")
     segment = Segment(
-        t_start=float(t_span[0]),
-        t_end=float(t_span[1]),
         ts=run.ts,
         states=run.ys,
         signs=(np.nan, np.nan),
@@ -749,7 +686,8 @@ def export_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def export_events_csv(traj: Trajectory, path) -> None:
-    """Write the event log as t,surface,kind,lie_minus,lie_plus rows."""
+    """Write the event log as t,surface,kind,lie_minus,lie_plus rows; both
+    derivative columns hold the contact's rate (see :func:`integrate_field`)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,surface,kind,lie_minus,lie_plus\n")
         for ev in traj.events:
@@ -759,8 +697,8 @@ def export_events_csv(traj: Trajectory, path) -> None:
                         format(ev.time, ".17g"),
                         str(ev.surface),
                         ev.kind,
-                        format(ev.classification.lie_minus, ".17g"),
-                        format(ev.classification.lie_plus, ".17g"),
+                        format(ev.rate, ".17g"),
+                        format(ev.rate, ".17g"),
                     ]
                 )
                 + "\n"

@@ -367,9 +367,9 @@ def poincare_residual(
 
     The run also integrates the variational equations, so the result
     carries the return map's monodromy for `refine_periodic`.
-    Integration failures (stall, persistent tangency, a sliding or
-    escaping contact) do not raise; they return a flagged result so that
-    sweep aggregation can retain the failure.
+    Integration failures (stall, persistent tangency) do not raise; they
+    return a flagged result so that sweep aggregation can retain the
+    failure.
     """
     _check_spec_matches(orbit, spec)
     transform = jordan_transform(reduced, spectral)
@@ -576,6 +576,7 @@ def full_nonlinear_check(
             dd2 += scale * f_w
         return np.array([dphi1, dd1, dphi2, dd2])
 
+    field.knots = lambda t0, t1: tuple(alpha * k for k in spec.table_knots(t0 / alpha, t1 / alpha))
     max_step = alpha * min(spectral.period1, spectral.period2) / 16.0
     try:
         traj = integrate_field(

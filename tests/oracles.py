@@ -10,9 +10,8 @@ evaluations of the averaged pair per ray instead of one pass over the
 parts of the forcing, a scan-and-bisect search for the sgn breakpoints,
 the generic fundamental-matrix average, a Cartesian finite-difference
 Jacobian of the averaged pair instead of the angular derivative along a
-ray, a finite-difference monodromy of the return map instead of
-variational equations with saltation matrices, and Filippov's sliding
-combination as a reference right-hand side for the DOP853 port.  Tests
+ray, and a finite-difference monodromy of the return map instead of
+variational equations with saltation matrices.  Tests
 compare package output against these values; the frozen literals in the
 suite come from ``scripts/derive_oracles.py``.
 """
@@ -350,12 +349,3 @@ def finite_difference_monodromy(spec, reduced, spectral, eps, orbit, scale=1.0, 
             monodromy[:, i] = (return_map(s + step) - image) / h
     return monodromy
 
-
-def sliding_combination(field, t, state, signs, k):
-    """Convex combination of the one-sided fields tangent to surface k + 1
-    (Filippov 1988): the sliding field, which the pendulum never needs."""
-    minus = field(t, state, signs[:k] + (-1.0,) + signs[k + 1:])
-    plus = field(t, state, signs[:k] + (1.0,) + signs[k + 1:])
-    lie_minus = float(minus[2 * k])
-    lie_plus = float(plus[2 * k])
-    return (lie_plus * minus - lie_minus * plus) / (lie_plus - lie_minus)

@@ -2,9 +2,9 @@
 
 The exactly solvable eps = 0 flow provides closure and state oracles;
 synthetic four-component fields with hand-chosen drives exercise what
-the pendulum surfaces cannot reach (their level derivatives are
-one-sided-independent velocities): the refusal of sliding and escaping
-contacts, persistent tangency and corners whose crossing orders disagree.
+the pendulum surfaces cannot reach (the rate of each level is a velocity
+that no region sign changes): sliding fields outside the integrator's
+contract, persistent tangency and corners whose crossing orders disagree.
 """
 
 import math
@@ -16,8 +16,6 @@ from scipy.optimize import brentq
 from pendavg import dop853
 from pendavg.errors import CrossingViolationError, DomainError, IntegrationStallError, TangencyError
 from pendavg.filippov import (
-    classify_surface_contact,
-    classify_values,
     crossing_hypothesis_check,
     d1_field,
     export_events_csv,
@@ -32,7 +30,7 @@ from pendavg.model import PhysicalParams, jordan_transform, reduce_params, spect
 from pendavg.perturbation import LinearForm, PeriodicScalar, PerturbationSpec, builtin
 from pendavg.verify import orbit_from_amplitude
 
-from .oracles import field_term_scale, flow_states, per_call_field, sliding_combination
+from .oracles import field_term_scale, flow_states, per_call_field
 from .test_averaging import random_spec
 from .test_perturbation import _random_scalar
 
@@ -50,35 +48,19 @@ def damped_spec(s, gamma=GAMMA):
     return builtin("damped_forced", {"gamma": gamma}, s, family=1, p=1)
 
 
-# -- contact classification ----------------------------------------------
-
-
-def test_classify_values_sign_table():
-    assert classify_values(1.0, 2.0).kind == "crossing"
-    assert classify_values(-1.0, -2.0).kind == "crossing"
-    assert classify_values(1.0, -2.0).kind == "sliding"
-    assert classify_values(-1.0, 2.0).kind == "escaping"
-    # the tolerance band maps either tiny derivative to tangency
-    assert classify_values(0.0, 2.0).kind == "tangent"
-    assert classify_values(1.0, 0.0).kind == "tangent"
-    assert classify_values(5e-11, -5e-11).kind == "tangent"
+# -- level rates -----------------------------------------------------------
 
 
 def test_pendulum_levels_are_one_sided_independent(bench):
-    # x' = y and z' = w carry no sgn term, so both one-sided level
-    # derivatives equal the velocity coordinate exactly and the builtin
-    # surfaces can never make a sliding or escaping contact.
+    # x' = y and z' = w carry no sgn term, so the rate of each level is the
+    # velocity coordinate exactly, whatever the surface's own sign σ_k:
+    # every contact of the pendulum is a crossing or a tangency.
     reduced, s = bench
     spec = builtin("damped_forced_escapement", {"gamma": GAMMA, "kappa": 0.3}, s, family=1, p=1)
     field = d1_field(spec, reduced, 0.7)
-    cls = classify_surface_contact(field, 1.3, np.array([0.0, 0.45, 1.0, -0.2]), (0.0, 1.0), 0)
-    assert cls.kind == "crossing"
-    assert cls.lie_minus == 0.45
-    assert cls.lie_plus == 0.45
-    cls = classify_surface_contact(field, 1.3, np.array([0.5, 0.45, 0.0, -0.2]), (1.0, 0.0), 1)
-    assert cls.kind == "crossing"
-    assert cls.lie_minus == -0.2
-    assert cls.lie_plus == -0.2
+    for own in (-1.0, 0.0, 1.0):
+        assert field(1.3, np.array([0.0, 0.45, 1.0, -0.2]), (own, 1.0))[0] == 0.45
+        assert field(1.3, np.array([0.5, 0.45, 0.0, -0.2]), (1.0, own))[2] == -0.2
     # the same on random perturbations with τ-dependent coefficients, both
     # families, p = 1 and 2 and several ε, at random states on each surface
     rng = np.random.default_rng(19)
@@ -92,10 +74,10 @@ def test_pendulum_levels_are_one_sided_independent(bench):
                         state = rng.uniform(-2.0, 2.0, size=4)
                         state[2 * k] = 0.0
                         signs = [float(rng.choice([-1.0, 1.0])) for _ in range(2)]
-                        signs[k] = 0.0
-                        cls = classify_surface_contact(field, tau, state, tuple(signs), k)
-                        assert cls.lie_minus == cls.lie_plus == state[2 * k + 1], (family, p, eps, k)
-                        assert cls.kind in ("crossing", "tangent")
+                        for own in (-1.0, 0.0, 1.0):
+                            signs[k] = own
+                            rate = field(tau, state, tuple(signs))[2 * k]
+                            assert rate == state[2 * k + 1], (family, p, eps, k, own)
 
 
 # -- the order-1 field -----------------------------------------------------
@@ -194,7 +176,7 @@ def test_family_orbit_closes_at_eps_zero(bench):
     # surfaces fire simultaneously: two corner pairs per period
     assert len(traj.events) == 4
     assert all(ev.kind == "crossing" and ev.corner for ev in traj.events)
-    assert all(ev.classification.lie_minus == ev.classification.lie_plus for ev in traj.events)
+    assert all(ev.rate == ev.state[2 * ev.surface - 1] for ev in traj.events)
     report = crossing_hypothesis_check(traj)
     assert report.ok and report.n_events == 4
     assert report.margin > 0.5
@@ -229,33 +211,33 @@ def test_trajectory_sample_and_span_checks(bench):
     assert traj.segments[0].ts[0] == 0.0 and traj.segments[-1].ts[-1] == 2.0
 
 
-# -- refused contacts --------------------------------------------------------
+# -- fields outside the contract ----------------------------------------------
 
 
 @pytest.mark.parametrize(
-    "field, s0, kind, time",
+    "field, s0, error, code, reason, time",
     [
-        # |0.25 cos| < 1 keeps both one-sided derivatives pushing onto x = 0
-        (_drive_field(lambda t: 0.25 * math.cos(t)), (0.5, 0.0, 1.0, 0.0), "sliding",
+        # |0.25 cos| < 1 keeps both one-sided rates pushing onto x = 0
+        (_drive_field(lambda t: 0.25 * math.cos(t)), (0.5, 0.0, 1.0, 0.0),
+         IntegrationStallError, 6, "unable to leave the switching surface",
          brentq(lambda t: 0.5 - t + 0.25 * math.sin(t), 0.3, 1.2, xtol=1e-13)),
-        (_drive_field(lambda t: 1.5 * math.sin(t)), (0.5, 0.0, 1.0, 0.0), "sliding",
+        (_drive_field(lambda t: 1.5 * math.sin(t)), (0.5, 0.0, 1.0, 0.0),
+         IntegrationStallError, 6, "unable to leave the switching surface",
          brentq(lambda t: 2.0 - t - 1.5 * math.cos(t), 3.0, 3.6, xtol=1e-13)),
-        # x and z reach zero together at t = 0.5 and both contacts slide
-        (lambda t, st, g: np.array([-g[0], 0.0, -g[1], 0.0]), (0.5, 0.0, 0.5, 0.0), "sliding", 0.5),
-        # x' = sgn(x) leaves x = 0 on both sides
-        (lambda t, st, g: np.array([g[0], 0.0, 0.0, 0.0]), (0.0, 0.0, 1.0, 0.0), "escaping", 0.0),
+        # x and z reach zero together at t = 0.5, where both rates vanish
+        (lambda t, st, g: np.array([-g[0], 0.0, -g[1], 0.0]), (0.5, 0.0, 0.5, 0.0),
+         TangencyError, 5, "persistent tangency with surface 1", 0.5),
     ],
-    ids=["drive-cos", "drive-sin", "corner", "escaping"],
+    ids=["drive-cos", "drive-sin", "corner"],
 )
-def test_sliding_contact_is_refused(field, s0, kind, time):
-    # a level derivative that changes sign across its surface is outside
-    # the integrator's contract: the first such contact is refused
-    with pytest.raises(CrossingViolationError) as err:
+def test_sliding_contact_is_refused(field, s0, error, code, reason, time):
+    # a rate that depends on the surface's own sign is outside the
+    # integrator's contract; a sliding field cannot leave the surface at
+    # its first contact, and the run stops there with an error
+    with pytest.raises(error, match=reason) as err:
         integrate_field(field, s0, (0.0, 6.0))
-    assert err.value.exit_code == 5
-    (event,) = err.value.events
-    assert (event.surface, event.kind) == (1, kind)
-    assert event.time == pytest.approx(time, abs=1e-8)
+    assert err.value.exit_code == code
+    assert f"at t = {time:.6g}:" in str(err.value)
 
 
 # -- monodromy ---------------------------------------------------------------
@@ -347,7 +329,7 @@ def test_tangency_resolves_to_departing_side(bench):
     # sends the trajectory into x > 0
     traj = integrate(spec, reduced, s, 0.0, (0.0, 0.0, 1.0, 0.3), (0.0, 2.0))
     assert traj.events[0].kind == "tangent"
-    assert traj.events[0].classification.lie_minus == 0.0
+    assert traj.events[0].rate == 0.0
     assert traj.segments[0].signs == (1.0, 1.0)
     assert traj.final_time == 2.0
 
@@ -452,7 +434,7 @@ def test_dop853_matches_solve_ivp_bit_for_bit(bench):
                              ("corollary_escapement", {"sigma_d": 1.0, "sigma_e": -1.0}))
     ]
     for case in range(90):
-        # Every third case runs a pendulum field, whose surfaces admit no sliding.
+        # Every third case runs a pendulum field.
         synthetic = case % 3 != 0
         field = random_signed_field(rng) if synthetic else builtin_fields[case // 3 % 3]
         signs = tuple(float(v) for v in rng.choice([-1.0, 1.0], size=2))
@@ -461,53 +443,29 @@ def test_dop853_matches_solve_ivp_bit_for_bit(bench):
         direction = rng.choice([-1.0, 1.0])
         t1 = t0 + direction * 10.0 ** rng.uniform(-4.0, 0.8)
         max_step = np.inf if rng.random() < 0.5 else rng.uniform(0.05, 1.0)
-        # no events, the two level events, or a reference sliding field
-        # with callable events where a one-sided level derivative vanishes
-        modes = ("none", "levels", "sliding") if synthetic else ("none", "levels")
-        mode = modes[case // 3 % len(modes)]
-        if mode == "sliding":
-            k = int(rng.integers(2))
+        # no events or the two level events, which the port takes as the
+        # indices 0 and 2 and SciPy as callables
+        events = [0, 2] if case // 3 % 2 else []
+        if events and rng.random() < 0.5:
+            # Start just before both surfaces, in random order, so that one
+            # step crosses both (on the pendulum fields x' = y and z' = w).
+            y0[[0, 2]] = -direction * y0[[1, 3]] * rng.uniform(1e-4, 1e-2, size=2)
 
-            def rhs(t, u, field=field, signs=signs, k=k):
-                return sliding_combination(field, t, u, signs, k)
+        def rhs(t, u, field=field, signs=signs):
+            return field(t, u, signs)
 
-            events = [terminal(lambda t, u, side=side, field=field, signs=signs, k=k:
-                               float(field(t, u, signs[:k] + (2.0 * side - 1.0,) + signs[k + 1:])[2 * k]))
-                      for side in (0, 1)]
-            indexed = events + [2 - 2 * k]
-            events.append(terminal(lambda t, u, idx=2 - 2 * k: u[idx]))
-        else:
-            def rhs(t, u, field=field, signs=signs):
-                return field(t, u, signs)
-
-            events = [terminal(lambda t, u: u[0]), terminal(lambda t, u: u[2])]
-            indexed = [0, 2]
-            if mode == "none":
-                events = indexed = []
-            elif rng.random() < 0.5:
-                # Start just before both surfaces, in random order, so that one
-                # step crosses both (on the pendulum fields x' = y and z' = w).
-                y0[[0, 2]] = -direction * y0[[1, 3]] * rng.uniform(1e-4, 1e-2, size=2)
-
+        levels = [terminal(lambda t, u, k=k: u[k]) for k in events]
         ref = solve_ivp(rhs, (t0, t1), y0, method="DOP853", dense_output=True,
-                        events=events or None, rtol=1e-10, atol=1e-12, max_step=max_step)
+                        events=levels or None, rtol=1e-10, atol=1e-12, max_step=max_step)
         run = dop853.solve(rhs, (t0, t1), y0, rtol=1e-10, atol=1e-12, max_step=max_step,
                            events=events)
         assert run.status == ref.status, case
         assert run.ts.tobytes() == ref.t.tobytes(), case
         assert run.ys.tobytes() == ref.y.T.tobytes(), case
-        rng.uniform(size=8)  # unused; the cases after this one depend on the draw
         fired = [i for i, times in enumerate(ref.t_events or []) if len(times)]
         assert run.event == (fired[0] if fired else None), case
         if fired:
             assert ref.t_events[fired[0]].tolist() == [run.ts[-1]], case
-        # the levels given by index (SciPy takes only callables) change nothing
-        if indexed:
-            by_index = dop853.solve(rhs, (t0, t1), y0, rtol=1e-10, atol=1e-12, max_step=max_step,
-                                    events=indexed)
-            assert by_index.ts.tobytes() == run.ts.tobytes(), case
-            assert by_index.event == run.event, case
-            assert by_index.ys.tobytes() == run.ys.tobytes(), case
     # an empty span is two equal rows
     ref = solve_ivp(rhs, (t0, t0), y0, method="DOP853", dense_output=True, rtol=1e-10, atol=1e-12)
     run = dop853.solve(rhs, (t0, t0), y0, rtol=1e-10, atol=1e-12)

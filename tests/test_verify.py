@@ -167,8 +167,9 @@ def test_poincare_residual_internal_relations(bench, damped):
 
 
 def test_poincare_run_evaluates_the_general_forcing_at_contacts_only(bench, escapement, monkeypatch):
-    # segments run on their frozen-sign compile [M_σ | c_σ]; only contact
-    # classification and saltation evaluate the forcing for general signs
+    # segments run on their frozen-sign compile [M_σ | c_σ]; only contacts
+    # evaluate the forcing for general signs: one call for the rate and two
+    # for the saltation matrix of each single crossing
     reduced, s, _ = bench
     spec, _, orbit = escapement
     general = filippov_module.eval_order1_with_signs
@@ -181,8 +182,9 @@ def test_poincare_run_evaluates_the_general_forcing_at_contacts_only(bench, esca
     monkeypatch.setattr(filippov_module, "eval_order1_with_signs", counted)
     res = poincare_residual(orbit, spec, reduced, s, 1e-2)
     assert res.flag is None and res.monodromy is not None
-    steps = sum(len(seg.ts) - 1 for seg in res.trajectory.segments)
-    assert 0 < len(calls) < steps
+    events = res.trajectory.events
+    assert events and all(ev.kind == "crossing" and not ev.corner for ev in events)
+    assert len(calls) == 3 * len(events)
 
 
 def test_poincare_residual_flags_integration_failure(bench, damped, monkeypatch):
@@ -260,17 +262,25 @@ def test_refine_stops_at_first_non_contracting_step(bench, monkeypatch):
     assert calls == [1e-2]
 
 
-def test_refine_converges_on_a_table_perturbation(bench, escapement):
-    """The escapement with K₁ a 256-sample table of 0.5·cos(ω₁τ): segments
-    end at the table knots, so no solver step spans an interpolation kink,
-    and shooting converges to the builtin's limit gap."""
+@pytest.fixture(scope="module")
+def table_escapement(bench, escapement):
+    """The escapement with K₁ a 256-sample table of 0.5·cos(ω₁τ), and the
+    orbit predicted at its convention-A zero."""
     reduced, s, transform = bench
-    builtin_spec, _, builtin_orbit = escapement
+    builtin_spec = escapement[0]
     taus = np.arange(256) * (s.period1 / 256)
     table = PeriodicScalar.from_table(taus, GAMMA * np.cos(s.omega1 * taus))
     spec = dataclasses.replace(builtin_spec, K=(table, *builtin_spec.K[1:]))
     (cert,) = annulus_search(BifurcationSystem(1, spec, reduced, s, "A"), 0.05, 2.0, 8)
-    orbit = predicted_initial_state(cert, 1, transform, s, reduced)
+    return spec, predicted_initial_state(cert, 1, transform, s, reduced)
+
+
+def test_refine_converges_on_a_table_perturbation(bench, escapement, table_escapement):
+    """Segments end at the table knots, so no solver step spans an
+    interpolation kink, and shooting converges to the builtin's limit gap."""
+    reduced, s, _ = bench
+    builtin_spec, _, builtin_orbit = escapement
+    spec, orbit = table_escapement
     prediction = poincare_residual(orbit, spec, reduced, s, 1e-2)
     result = refine_periodic(orbit, spec, reduced, s, prediction)
     assert result.reason is None and result.converged
@@ -524,3 +534,17 @@ def test_full_nonlinear_check_returns_finite_gap(damped):
     assert res.events_ok
     # the original-frame gap carries the eps amplitude scaling
     assert res.residual < 1e-4
+
+
+def test_full_nonlinear_check_ends_segments_at_table_knots(bench, table_escapement):
+    # the pendulum runs in physical time t = α·τ, so its segments end at
+    # the table knots scaled by α and no step spans an interpolation kink
+    reduced, _, _ = bench
+    spec, orbit = table_escapement
+    res = full_nonlinear_check(orbit, BENCH, spec, 1e-2)
+    assert res.flag is None
+    alpha = reduced.alpha
+    knots = [alpha * k for k in spec.table_knots(0.0, orbit.period_t / alpha)]
+    assert len(knots) >= 255 and 0.0 < knots[0] and knots[-1] < orbit.period_t
+    ends = {float(seg.ts[-1]) for seg in res.trajectory.segments}
+    assert all(knot in ends for knot in knots)
