@@ -1,0 +1,100 @@
+"""Time two ``pendavg`` source trees against each other in alternating pairs.
+
+Usage:
+    python scripts/pair_bench.py PARENT_SRC CHANGE_SRC [--workload NAME ...]
+                                 [--pairs N] [--seed S]
+
+PARENT_SRC and CHANGE_SRC are ``src/`` directories, each holding a
+``pendavg`` package.  For every workload of ``perfbench/workloads.py``
+(all three by default) the script writes the workload's INI file once and
+runs N pairs.  A pair is one CLI invocation on each tree, each in a fresh
+interpreter (``python -m pendavg`` with ``PYTHONPATH`` set to the tree), as
+the benchmark times ``run_s``; the tree that goes first alternates from
+pair to pair.  Every invocation must end with the workload's expected exit
+code.
+
+Per workload it prints each side's median and quartiles, the number of
+pairs the change won, and whether the pair rule holds: at least 10 pairs,
+the change faster in at least nine of every ten (ties count for neither),
+and a median gap larger than the parent's interquartile range.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
+
+
+def timed_run(src: Path, workload, ini: Path, run_dir: Path) -> float:
+    """Wall seconds of one fresh-interpreter CLI invocation on ``src``."""
+    shutil.rmtree(run_dir / "out", ignore_errors=True)
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PENDAVG_THREADS", None)
+    cmd = [sys.executable, "-m", "pendavg", *workload.cli_args(Path(ini.name))]
+    t0 = perf_counter()
+    done = subprocess.run(cmd, cwd=run_dir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    wall = perf_counter() - t0
+    if done.returncode != workload.expected_exit:
+        raise SystemExit(f"{workload.name} on {src}: exit {done.returncode}, "
+                         f"expected {workload.expected_exit}")
+    return wall
+
+
+def pair_rule(parent, change) -> dict:
+    """Quartiles of both sides, wins of the change and the rule's verdict."""
+    parent_q = statistics.quantiles(parent, n=4)
+    change_q = statistics.quantiles(change, n=4)
+    wins = sum(c < p for p, c in zip(parent, change))
+    iqr = parent_q[2] - parent_q[0]
+    return {
+        "parent": parent_q,
+        "change": change_q,
+        "wins": wins,
+        "holds": len(parent) >= 10 and 10 * wins >= 9 * len(parent) and parent_q[1] - change_q[1] > iqr,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="the parent's src/ directory")
+    parser.add_argument("change", type=Path, help="the change's src/ directory")
+    parser.add_argument("--workload", action="append", choices=sorted(WORKLOADS))
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=7)
+    args = parser.parse_args(argv)
+    trees = [args.parent.resolve(), args.change.resolve()]
+    for src in trees:
+        if not (src / "pendavg" / "cli.py").is_file():
+            parser.error(f"no pendavg package under {src}")
+    for name in args.workload or sorted(WORKLOADS):
+        workload = WORKLOADS[name]
+        with tempfile.TemporaryDirectory(prefix="pair_bench_") as tmp:
+            run_dirs = [Path(tmp) / "parent", Path(tmp) / "change"]
+            inis = []
+            for run_dir in run_dirs:
+                run_dir.mkdir()
+                inis.append(workload.write_ini(run_dir / "workload.ini", args.seed))
+            walls = ([], [])
+            for i in range(args.pairs):
+                for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+                    walls[side].append(timed_run(trees[side], workload, inis[side], run_dirs[side]))
+        result = pair_rule(*walls)
+        sides = ", ".join(f"{side} {q[1]:.4f} s [{q[0]:.4f}, {q[2]:.4f}]" for side, q in
+                          (("parent", result["parent"]), ("change", result["change"])))
+        print(f"{name}: {sides}; change faster in {result['wins']} of {args.pairs}, "
+              f"pair rule {'holds' if result['holds'] else 'fails'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

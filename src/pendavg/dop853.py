@@ -239,6 +239,8 @@ MAX_FACTOR = 10
 ERROR_EXPONENT = -1 / (7 + 1)  # the error estimator has order 7
 # Brent's tolerances for an event root (SciPy's solve_event_equation).
 EVENT_TOL = 4 * np.finfo(float).eps
+# Most steps of one run: the default NMAX of Hairer's DOP853 code.
+MAX_STEPS = 100_000
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 # Per stage s: s, the row A[s, :s] and the node C[s].
@@ -267,7 +269,9 @@ def _initial_step(fun, t0, y0, t_bound, max_step, f0, direction, rtol, atol, n):
     h0 = min(h0, interval_length)
     y1 = y0 + h0 * direction * f0
     f1 = fun(t0 + h0 * direction, y1)
-    d2 = _rms((f1[:n] - f0[:n]) / scale) / h0
+    # In SciPy's float64 arithmetic h0 = 0 (d1 overflowed) gives d2 = inf or nan.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d2 = np.float64(_rms((f1[:n] - f0[:n]) / scale)) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -341,9 +345,9 @@ class Solution:
 
     ``status`` is 0 when the end of the span was reached, 1 when an event
     stopped the run (``event`` is its index and ``ts[-1]`` its time) and
-    −1 on a step-size failure (``message`` says so; ``ts`` and ``ys``
-    are then ``None``).  ``ys[i]`` is the state at ``ts[i]``, as in
-    SciPy's ``solve_ivp(...).y.T``.
+    −1 on a step-size failure or after ``MAX_STEPS`` steps (``message``
+    says so; ``ts`` and ``ys`` are then ``None``).  ``ys[i]`` is the
+    state at ``ts[i]``, as in SciPy's ``solve_ivp(...).y.T``.
     """
 
     status: int
@@ -372,7 +376,9 @@ def solve(
     of any level that changes sign (or touches zero) over a step.  The
     initial step and the local error test see only the first
     ``n_tested`` components (all of them by default, as in SciPy); the
-    others ride along on the steps the leading ones choose.
+    others ride along on the steps the leading ones choose.  A run that
+    needs more than ``MAX_STEPS`` steps ends with status −1, as Hairer's
+    DOP853 does past NMAX; SciPy has no such bound.
     """
     t0, t_bound = map(float, t_span)
     y = np.asarray(y0).astype(float, copy=False)
@@ -398,6 +404,8 @@ def solve(
     status = None
     fired = None
     while status is None:
+        if len(ts) > MAX_STEPS:
+            return Solution(status=-1, message=f"more than {MAX_STEPS} steps")
         # One accepted step (RungeKutta._step_impl).
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs > max_step:

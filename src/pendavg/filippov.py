@@ -10,13 +10,15 @@ frozen region signs until a level crosses zero, or until the next knot
 of a table in the forcing, where linear interpolation has a kink; a
 knot ends the segment and nothing else.
 
-Segments are integrated with DOP853, the adaptive 8(5,3) Dormand–Prince
-pair (Hairer, Nørsett & Wanner, *Solving Ordinary Differential
-Equations I*, §II.10), and events are located on its dense output.  The
-solver is the in-package port :mod:`pendavg.dop853` of SciPy's
-``solve_ivp(method="DOP853")``, so integrating loads no SciPy.  The level
-events x = 0 and z = 0 are passed as the state indices 0 and 2, so their
-roots are found on that one component of the dense output.
+With the region signs frozen the field is affine, f = M_σ(τ)·s + c_σ(τ),
+built once per segment.  Where M_σ is constant and c_σ a constant plus
+cosines and sines, as on every builtin, the segment follows its exact
+flow (:mod:`pendavg.expflow`) in steps of ``max_step``.  Every other
+field runs on DOP853, the adaptive 8(5,3) Dormand–Prince pair (Hairer,
+Nørsett & Wanner, *Solving Ordinary Differential Equations I*, §II.10),
+in the in-package port :mod:`pendavg.dop853` of SciPy's
+``solve_ivp(method="DOP853")``.  Either solver stops at the first root of
+the level x (state index 0) or z (index 2).
 
 Every surface contact goes through one resolver.  The pendulum's sgn
 terms enter only the accelerations, so the rate of each level, x′ = y on
@@ -28,15 +30,13 @@ the region sign to the side it points to, and a vanishing one is a
 tangency, resolved through the curvature of the level.
 
 On request the run also carries the monodromy Φ = ∂s(t)/∂s(t₀), the
-derivative of the flow map that shooting needs.  With the region signs
-frozen the field is affine, f = M_σ(τ)·s + c_σ(τ), and each segment builds
-M_σ and c_σ once (one precomputed matrix when the forcing's coefficients
-are constant); Φ′ = M_σ·Φ then rides along with the state as one matrix
-product per stage, in the same DOP853 call.  The local error test sees
-only the state, so the steps stay those of the plain run.  At each
-transversal crossing of surface k + 1, Φ is multiplied by the saltation
-matrix S = I + (f⁺ − f⁻)·e_{2k}ᵀ / f⁻[2k], with f⁻ and f⁺ the fields
-before and after the crossing (di Bernardo, Budd, Champneys & Kowalczyk,
+derivative of the flow map that shooting needs, by Φ′ = M_σ·Φ: the exact
+flow moves it by exp(M_σ·h), and DOP853 carries it along with the state,
+one matrix product per stage, outside its local error test, so the steps
+stay those of the plain run.  At each transversal crossing of surface
+k + 1, Φ is multiplied by the saltation matrix
+S = I + (f⁺ − f⁻)·e_{2k}ᵀ / f⁻[2k], with f⁻ and f⁺ the fields before and
+after the crossing (di Bernardo, Budd, Champneys & Kowalczyk,
 *Piecewise-smooth Dynamical Systems*, 2008, ch. 2).  Crossing both
 surfaces at once applies both matrices, provided the two crossing orders
 agree.  A tangent contact, or a corner where the orders disagree,
@@ -51,7 +51,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dop853 import solve
+from . import expflow
+from .dop853 import MAX_STEPS, solve
 from .errors import CrossingViolationError, DomainError, IntegrationStallError, TangencyError
 from .model import ReducedParams, SpectralData, linearization_matrix
 from .perturbation import PerturbationSpec, PeriodicArray, eval_order1_with_signs, smooth_sign
@@ -194,7 +195,11 @@ def segment_rhs(field: FieldWithSigns, signs: Tuple[float, float],
         if monodromy:
             raise DomainError("a monodromy needs the field's affine form field.frozen(signs)")
         return lambda t, u: field(t, u, signs)
-    matrix, offset = frozen(signs)
+    return _affine_rhs(*frozen(signs), monodromy)
+
+
+def _affine_rhs(matrix, offset, monodromy: bool) -> Callable[[float, np.ndarray], np.ndarray]:
+    """M_σ·s + c_σ, or its product over [s | Φ] (see :func:`segment_rhs`)."""
     if not monodromy:
         return lambda t, u: matrix(t).dot(u) + offset(t)
 
@@ -460,7 +465,15 @@ class _Integrator:
             u = np.array(self.state, dtype=float)
         else:
             u = np.concatenate((self.state, phi.T.ravel()))
-        rhs = segment_rhs(self.field, signs, phi is not None)
+        frozen = getattr(self.field, "frozen", None)
+        big = None
+        if frozen is None:
+            rhs = segment_rhs(self.field, signs, phi is not None)
+        else:
+            form = frozen(signs)
+            rhs = _affine_rhs(*form, phi is not None)
+            if np.isfinite(self.max_step):
+                big = expflow.generator(*form)
         t_run, u_run = self._depart_surface(rhs, u)
         if self.finished:
             return
@@ -468,18 +481,13 @@ class _Integrator:
         while knots and (knots[-1] - t_run) * self.direction <= 0.0:
             knots.pop()
         t_end = knots[-1] if knots else self.t1
-        run = solve(
-            rhs,
-            (t_run, t_end),
-            u_run,
-            rtol=self.rtol,
-            atol=self.atol,
-            max_step=self.max_step,
-            events=[0, 2],
-            n_tested=4,
-        )
+        if big is not None:
+            run = expflow.solve(big, (t_run, t_end), u_run, max_step=self.max_step, events=[0, 2])
+        else:
+            run = solve(rhs, (t_run, t_end), u_run, rtol=self.rtol, atol=self.atol,
+                        max_step=self.max_step, events=[0, 2], n_tested=4)
         if run.status == -1:
-            raise _Stalled(f"step-size failure of the segment solver: {run.message}")
+            raise _Stalled(f"the segment solver failed: {run.message}")
         te = float(run.ts[-1])
         states = run.ys
         if phi is not None:
@@ -544,22 +552,35 @@ def integrate_field(
     builds meets this, because each has x′ = y and z′ = w.  A field that
     does not is not detected at the contact; where its flow cannot leave
     the surface the run stops with IntegrationStallError or
-    TangencyError.  Events on ``x = 0`` and ``z = 0`` are bracketed on the
-    dense output and located to a time tolerance below 1e-12, and each
-    is a crossing or a tangency by its rate (see
-    ``_Integrator._resolve_contacts``).  Initial states on a surface are
-    resolved before the first segment.
-    Segments run on :func:`segment_rhs` and end at the knots
-    ``field.knots(t0, t1)`` when the field has them.  With ``monodromy``
-    the run also carries the monodromy (see the module docstring) into
-    ``Trajectory.monodromy``; that needs the field's affine form
-    ``field.frozen`` (see :func:`segment_rhs`).
+    TangencyError.  Events on ``x = 0`` and ``z = 0`` are located to a
+    time tolerance below 1e-12, and each is a crossing or a tangency by
+    its rate (see ``_Integrator._resolve_contacts``).  Initial states on
+    a surface are resolved before the first segment.  Segments run on
+    the field's affine form where it has one (its exact flow when that
+    qualifies and ``max_step`` is finite, see the module docstring) and
+    end at the knots ``field.knots(t0, t1)`` when the field has them.
+    With ``monodromy`` the run also carries the monodromy (see the module
+    docstring) into ``Trajectory.monodromy``; that needs the field's
+    affine form ``field.frozen`` (see :func:`segment_rhs`).  A span longer
+    than ``MAX_STEPS`` steps of ``max_step`` raises IntegrationStallError.
     """
+    if max_step is not None:
+        _check_step_budget(t_span, max_step)
     integ = _Integrator(
         field, s0, t_span, rtol=rtol, atol=atol, max_events=max_events, max_step=max_step,
         monodromy=monodromy,
     )
     return integ.run()
+
+
+def _check_step_budget(t_span: Tuple[float, float], max_step: float) -> None:
+    """IntegrationStallError when the span needs more than ``MAX_STEPS``
+    steps of the cap ``max_step``, as on extreme physical parameters."""
+    span = abs(float(t_span[1]) - float(t_span[0]))
+    if span > MAX_STEPS * max_step:
+        raise IntegrationStallError(
+            f"a span of {span:.6g} needs more than {MAX_STEPS} steps of the step cap {max_step:.6g}"
+        )
 
 
 def integrate(
@@ -617,6 +638,7 @@ def integrate_regularized(
         return field(t, state, (smooth_sign(state[0], delta), smooth_sign(state[2], delta)))
 
     max_step = min(spectral.period1, spectral.period2) / 16.0
+    _check_step_budget(t_span, max_step)
     run = solve(
         rhs,
         (float(t_span[0]), float(t_span[1])),

@@ -95,10 +95,18 @@ class JordanTransform:
 
 
 def reduce_params(p: PhysicalParams) -> ReducedParams:
-    """Collapse the five physical constants to (a, b, α)."""
-    a = (p.m1 + p.m2) / p.m2
-    b = p.l1 * (p.m1 + p.m2) / (p.l2 * p.m2)
-    alpha = math.sqrt(p.l1 * p.m1 / (p.g * p.m2))
+    """Collapse the five physical constants to (a, b, α); DomainError naming
+    them unless a, b and α come out finite and positive in floating point."""
+    try:
+        a = (p.m1 + p.m2) / p.m2
+        b = p.l1 * (p.m1 + p.m2) / (p.l2 * p.m2)
+        alpha = math.sqrt(p.l1 * p.m1 / (p.g * p.m2))
+    except ZeroDivisionError:  # l2·m2 or g·m2 underflows to 0
+        a = b = alpha = math.nan
+    if not all(0.0 < v < math.inf for v in (a, b, alpha)):
+        raise DomainError(f"physical parameters out of range: m1 = {p.m1!r}, m2 = {p.m2!r}, l1 = {p.l1!r}, "
+                          f"l2 = {p.l2!r}, g = {p.g!r} give no finite positive reduced a, b and alpha "
+                          "in floating point")
     return ReducedParams(a=a, b=b, alpha=alpha)
 
 

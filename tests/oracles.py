@@ -10,8 +10,9 @@ evaluations of the averaged pair per ray instead of one pass over the
 parts of the forcing, a scan-and-bisect search for the sgn breakpoints,
 the generic fundamental-matrix average, a Cartesian finite-difference
 Jacobian of the averaged pair instead of the angular derivative along a
-ray, and a finite-difference monodromy of the return map instead of
-variational equations with saltation matrices.  Tests
+ray, a finite-difference monodromy of the return map instead of
+variational equations with saltation matrices, and SciPy's ``expm`` on a
+fixed scan with ``brentq`` roots for the exact return map.  Tests
 compare package output against these values; the frozen literals in the
 suite come from ``scripts/derive_oracles.py``.
 """
@@ -349,3 +350,99 @@ def finite_difference_monodromy(spec, reduced, spectral, eps, orbit, scale=1.0, 
             monodromy[:, i] = (return_map(s + step) - image) / h
     return monodromy
 
+
+
+def exact_poincare_map(spec, reduced, eps, s0, window, scan_steps=512):
+    """The reduced system's flow map over [0, window] by matrix exponentials.
+
+    With frozen region signs σ the field is s′ = M_σ·s + c_σ(τ), where the
+    builtins' F coefficients are constants and their K scalars are
+    constants, cosines and sines.  So v = [s; cos ω_iτ, sin ω_iτ; 1] obeys
+    v′ = B_σ·v with B_σ constant (Van Loan, IEEE TAC 23, 1978), M_σ read
+    column by column from :func:`per_call_field` and c_σ from the K tags.
+    Each piece marches ``scan_steps`` fixed steps per window with
+    ``scipy.linalg.expm``; a level that changes sign is solved by
+    ``brentq`` on the exact flow.  At a crossing the monodromy takes the
+    saltation matrix I + (f⁺ − f⁻)·e_kᵀ/f⁻[k]; a start on a surface is a
+    crossing from the far side in the direction of the level's rate.
+    Returns (final state, [(time, surface, kind)], monodromy).
+    """
+    from scipy.optimize import brentq
+
+    field = per_call_field(spec, reduced, eps)
+    for form in spec.F:
+        assert all(d.kind == "const" for d in form.coefficients())
+    omegas = sorted({k.omega for k in spec.K if k.kind in ("cos", "sin")})
+    n = 4 + 2 * len(omegas) + 1
+
+    def generator(signs):
+        out = np.zeros((n, n))
+        offset = field(0.0, np.zeros(4), signs)
+        for j, unit in enumerate(np.eye(4)):
+            out[:4, j] = field(0.0, unit, signs) - offset
+        for row, scalar, factor in ((1, spec.K[0], 1.0), (1, spec.K[1], signs[0]),
+                                    (3, spec.K[2], 1.0), (3, spec.K[3], signs[1])):
+            if scalar.kind == "const":
+                out[row, -1] += eps * factor * scalar.value
+            else:
+                col = 4 + 2 * omegas.index(scalar.omega) + (scalar.kind == "sin")
+                out[row, col] += eps * factor * scalar.value
+        for i, omega in enumerate(omegas):
+            out[4 + 2 * i, 5 + 2 * i] = -omega
+            out[5 + 2 * i, 4 + 2 * i] = omega
+        return out
+
+    def lift(t, state):
+        trig = [f(w * t) for w in omegas for f in (math.cos, math.sin)]
+        return np.concatenate((state, trig, [1.0]))
+
+    def cross(t, state, signs, k, phi, events):
+        rate = float(field(t, state, tuple(0.0 if j == k else signs[j] for j in range(2)))[2 * k])
+        assert abs(rate) > 1e-10, "the oracle follows crossings only"
+        events.append((t, k + 1, "crossing"))
+        before = list(signs)
+        before[k] = -math.copysign(1.0, rate)
+        signs[k] = math.copysign(1.0, rate)
+        f_in = field(t, state, tuple(before))
+        f_out = field(t, state, tuple(signs))
+        salt = np.eye(4)
+        salt[:, 2 * k] += (f_out - f_in) / f_in[2 * k]
+        return salt @ phi
+
+    state = np.array(s0, dtype=float)
+    phi = np.eye(4)
+    events = []
+    signs = [math.copysign(1.0, state[0]), math.copysign(1.0, state[2])]
+    t = 0.0
+    for k in (0, 1):
+        if abs(state[2 * k]) <= 1e-11:
+            state[2 * k] = 0.0
+            phi = cross(t, state, signs, k, phi, events)
+    h = window / scan_steps
+    while t < window:
+        big = generator(tuple(signs))
+        step = expm(big * h)
+        v = lift(t, state)
+        while t < window:
+            dt = min(h, window - t)
+            nxt = (step if dt == h else expm(big * dt)) @ v
+            # a level that just crossed sits at 0 and leaves with its sign
+            active = [k for k in (0, 1) if np.sign(nxt[2 * k]) != signs[k]]
+            if active:
+                roots = [brentq(lambda d, k=k: (expm(big * d) @ v)[2 * k], 0.0, dt,
+                                xtol=1e-15, rtol=4 * np.finfo(float).eps) for k in active]
+                d = min(roots)
+                k = active[roots.index(d)]
+                flow = expm(big * d)
+                v = flow @ v
+                phi = flow[:4, :4] @ phi
+                t += d
+                state = v[:4].copy()
+                state[2 * k] = 0.0
+                phi = cross(t, state, signs, k, phi, events)
+                break
+            v = nxt
+            phi = step[:4, :4] @ phi if dt == h else expm(big * dt)[:4, :4] @ phi
+            t += dt
+            state = v[:4].copy()
+    return state, events, phi

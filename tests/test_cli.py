@@ -6,20 +6,27 @@ numbers come from the closed forms in ``oracles``.
 """
 
 import configparser
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pendavg import cli
+from pendavg.errors import PendavgError
+from pendavg.filippov import MAX_STEPS
 from pendavg.model import PhysicalParams, jordan_transform, reduce_params, spectral_data
-from pendavg.perturbation import BUILTINS
+from pendavg.perturbation import BUILTIN_PARAMS, BUILTINS
 from pendavg.verify import orbit_from_amplitude
 
 from .oracles import corollary_radius, resonant_b
@@ -405,6 +412,105 @@ def test_simulate_stall_exits_6_with_partial_output(tmp_path):
     events = (tmp_path / "out" / "events.csv").read_text().strip().splitlines()
     assert len(events) - 1 == 4
     assert (tmp_path / "out" / "trajectory.csv").exists()
+
+
+def _simulate_gamma(tmp_path, t_span, builtin=None):
+    """`simulate` on a forcing so large that the state leaves 1e297."""
+    sections = bench_sections(tmp_path / "out")
+    sections["perturbation"] = builtin or {"builtin": "damped_forced", "gamma": 1e300}
+    sections["integrate"] = {"eps": 5, "s0": "2 0 2 1e-12", "t_span": t_span}
+    ini = write_ini(tmp_path / "gamma.ini", sections)
+    return cli.main(["simulate", "--config", str(ini)])
+
+
+def test_simulate_huge_forcing_ends_finite(tmp_path):
+    # SciPy's solve_ivp(method="DOP853") ends this segment near 5e297 too
+    assert _simulate_gamma(tmp_path, "0 0.001") == 0
+    summary = json.loads((tmp_path / "out" / "simulate_summary.json").read_text())
+    assert 1e297 < summary["final_state"][1] < 1e298
+
+
+def test_simulate_overflowing_flow_exits_6_without_nan(tmp_path):
+    # After two crossings the anti-damping ε·σ_d = 5 and the kick drive y to
+    # −∞ like e^{5t} with no further crossing: the flow overflows before t = 300.
+    corollary = {"builtin": "corollary_escapement", "sigma_d": 1, "sigma_e": -1}
+    assert _simulate_gamma(tmp_path, "0 300", corollary) == 6
+    rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[1:]
+    assert rows and all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
+DOCUMENTED_EXIT_CODES = range(7)
+FUZZ_NUMBERS = ("1e-300", "1e-100", "1e-3", "0.5", "1", "9.8", "1e3", "1e100", "1e300", "nan")
+FUZZ_BUILTIN_VALUES = ("0.5", "0.05", "1", "-1", "1e-300", "1e300", "nan")
+FUZZ_MAX_STEPS = 2000
+_GAMMA_INTEGRATE = {"eps": "5", "s0": "2 0 2 1e-12", "t_span": "0 0.001"}
+
+
+def _cap_steps(ini):
+    """Steps of the integrators' cap, a sixteenth of the shorter mode
+    period, in the `simulate` span; 0 when the config fails before."""
+    try:
+        config = cli.load_config(ini)
+        s = spectral_data(reduce_params(config.phys))
+    except PendavgError:
+        return 0
+    t0, t1 = config.sim_t_span
+    return abs(t1 - t0) / (min(s.period1, s.period2) / 16.0)
+
+
+@st.composite
+def fuzz_configs(draw):
+    """A command and an INI config drawn from extreme and invalid values."""
+    name = draw(st.sampled_from(sorted(BUILTINS)))
+    keys = BUILTIN_PARAMS[name]
+    perturbation = {"builtin": name, **{key: draw(st.sampled_from(FUZZ_BUILTIN_VALUES)) for key in keys}}
+    sections = {
+        "physical": draw(st.just({}) | st.dictionaries(st.sampled_from(["m1", "m2", "l1", "l2", "g"]),
+                                                       st.sampled_from(FUZZ_NUMBERS), max_size=5)),
+        "perturbation": perturbation,
+        "search": {"r1": draw(st.sampled_from(["0.05", "0.2", "1"])),
+                   "r2": draw(st.sampled_from(["0.5", "2", "3"])),
+                   "grid": draw(st.sampled_from(["4", "8"]))},
+        "integrate": {"eps": draw(st.sampled_from(["0", "1e-3", "0.1", "5", "1e300"])),
+                      "s0": draw(st.sampled_from(["0.3 -0.2 0.5 0.1", "2 0 2 1e-12", "0 0 1 0.3"])),
+                      "t_span": draw(st.sampled_from(["0 0.001", "0 0.5", "0 3", "0.5 0"]))},
+    }
+    delta = draw(st.sampled_from([None, "1e-3", "0.1"]))
+    if delta is not None:
+        sections["integrate"]["delta"] = delta
+    return draw(st.sampled_from(["params", "zeros", "simulate"])), sections
+
+
+@given(case=fuzz_configs())
+@example(case=("params", {"physical": {"m2": "1e-300", "g": "1e-300"},
+                          "perturbation": {"builtin": "damped_forced", "gamma": "0.5"}}))
+@example(case=("simulate", {"perturbation": {"builtin": "damped_forced", "gamma": "1e300"},
+                            "integrate": dict(_GAMMA_INTEGRATE, delta="1e-3")}))
+@example(case=("simulate", {"perturbation": {"builtin": "damped_forced", "gamma": "1e300"},
+                            "integrate": _GAMMA_INTEGRATE}))
+@example(case=("simulate", {"physical": {"m2": "1e-100"},
+                            "perturbation": {"builtin": "damped_forced", "gamma": "0.5"},
+                            "integrate": {"eps": "0", "s0": "0.3 -0.2 0.5 0.1", "t_span": "0 0.5"}}))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_main_ends_with_a_documented_exit_code(case):
+    """`cli.main` on extreme or invalid configs returns a code of the
+    README's table and raises nothing, on `params`, `zeros` and short
+    `simulate` spans, and a trajectory it writes holds finite numbers."""
+    command, sections = case
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        out = Path(tmp) / "out"
+        ini = write_ini(Path(tmp) / "fuzz.ini", {**sections, "output": {"dir": str(out)}})
+        # A span of thousands of step caps is long work, not a failure; one
+        # beyond the integrator's budget ends at once with exit 6.
+        steps = _cap_steps(ini) if command == "simulate" else 0
+        assume(steps <= FUZZ_MAX_STEPS or steps > MAX_STEPS)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([command, "--config", str(ini)])
+        trajectory = out / "trajectory.csv"
+        rows = trajectory.read_text().splitlines()[1:] if trajectory.exists() else []
+    assert code in DOCUMENTED_EXIT_CODES
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
 
 # -- entry points -------------------------------------------------------------

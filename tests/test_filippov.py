@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from pendavg import dop853
+from pendavg import dop853, expflow
 from pendavg.errors import CrossingViolationError, DomainError, IntegrationStallError, TangencyError
 from pendavg.filippov import (
     crossing_hypothesis_check,
@@ -27,7 +27,7 @@ from pendavg.filippov import (
     segment_rhs,
 )
 from pendavg.model import PhysicalParams, jordan_transform, reduce_params, spectral_data
-from pendavg.perturbation import LinearForm, PeriodicScalar, PerturbationSpec, builtin
+from pendavg.perturbation import LinearForm, PeriodicScalar, PerturbationSpec, builtin, smooth_sign
 from pendavg.verify import orbit_from_amplitude
 
 from .oracles import field_term_scale, flow_states, per_call_field
@@ -471,6 +471,67 @@ def test_dop853_matches_solve_ivp_bit_for_bit(bench):
     run = dop853.solve(rhs, (t0, t0), y0, rtol=1e-10, atol=1e-12)
     assert run.status == ref.status == 0 and run.ts.tobytes() == ref.t.tobytes()
     assert run.ys.tobytes() == ref.y.T.tobytes()
+    # The regularized right-hand side of a forcing so large that d1 overflows
+    # in the initial step: h0 = 0, and SciPy's float64 d2 = nan starts the run
+    # from the smallest step.
+    field = d1_field(damped_spec(s, gamma=1e300), reduced, 5.0)
+
+    def rhs(t, u):
+        return field(t, u, (smooth_sign(u[0], 1e-3), smooth_sign(u[2], 1e-3)))
+
+    y0 = np.array([2.0, 0.0, 2.0, 1e-12])
+    max_step = min(s.period1, s.period2) / 16.0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ref = solve_ivp(rhs, (0.0, 1e-3), y0, method="DOP853", dense_output=True, rtol=1e-10,
+                        atol=1e-12, max_step=max_step)
+        run = dop853.solve(rhs, (0.0, 1e-3), y0, rtol=1e-10, atol=1e-12, max_step=max_step)
+    assert run.status == ref.status == 0 and np.isfinite(run.ys).all()
+    assert run.ts.tobytes() == ref.t.tobytes() and run.ys.tobytes() == ref.y.T.tobytes()
+
+
+@pytest.mark.parametrize("eps, gamma", [(1e-2, 0.5), (5.0, 1e300), (1e4, 0.5)],
+                         ids=["small", "huge-forcing", "stiff"])
+def test_exact_flow_matches_scipy_expm(bench, eps, gamma):
+    """The exact segment flow, marched in steps of the step cap from
+    t0 = 0.7, against SciPy's expm over the whole span: with a small
+    forcing, with one that takes the state near 1e300 and with a damping
+    far too stiff for an explicit solver at that step.  The forcing
+    columns of B are scaled by λ before expm, as D·B′·D⁻¹ with
+    D = diag(1, 1, 1, 1, 1/λ, …), so SciPy's scaling sees only M.  Both
+    exponentials are accurate to about u·‖M‖₁·span (Higham 2005)."""
+    from scipy.linalg import expm
+
+    reduced, s = bench
+    spec = builtin("damped_forced_escapement", {"gamma": gamma, "kappa": 0.05}, s, family=1, p=1)
+    big = expflow.generator(*d1_field(spec, reduced, eps).frozen((1.0, -1.0)))
+    u0 = np.array([0.3, -0.2, 0.5, 0.1])
+    run = expflow.solve(big, (0.7, 3.7), u0, max_step=min(s.period1, s.period2) / 16.0)
+    scale = np.abs(big[:4, 4:]).max()
+    scaled = big.copy()
+    scaled[:4, 4:] /= scale
+    flow = expm(scaled * 3.0)
+    lifted = [math.cos(0.7 * s.omega1), math.sin(0.7 * s.omega1), 1.0]
+    expected = flow[:4, :4] @ u0 + scale * (flow[:4, 4:] @ lifted)
+    assert run.status == 0 and run.ts[-1] == 3.7
+    bound = 1e-14 * max(1.0, np.abs(big[:4, :4]).sum(axis=0).max()) * 3.0
+    assert np.all(np.abs(run.ys[-1] - expected) <= bound * np.abs(expected).max())
+
+
+def test_exact_flow_root_under_stiff_damping(bench):
+    """At ε = 1e4 a step's Taylor polynomial of the level (‖M‖₁·h ≈ 2000)
+    misses the exact level at the step's end, so the root comes from
+    Brent's method on the exact flow; it matches brentq on SciPy's expm."""
+    from scipy.linalg import expm
+
+    reduced, s = bench
+    spec = builtin("damped_forced_escapement", {"gamma": GAMMA, "kappa": 0.05}, s, family=1, p=1)
+    big = expflow.generator(*d1_field(spec, reduced, 1e4).frozen((1.0, 1.0)))
+    u0 = np.array([0.1, -0.2, 0.5, 0.1])
+    run = expflow.solve(big, (2.0, 8.0), u0, max_step=min(s.period1, s.period2) / 16.0, events=[0, 2])
+    assert run.status == 1 and run.event == 0
+    lifted = np.concatenate((u0, [math.cos(2.0 * s.omega1), math.sin(2.0 * s.omega1), 1.0]))
+    root = brentq(lambda d: (expm(big * d) @ lifted)[0], 0.0, run.ts[-1] - 1.9, xtol=1e-15)
+    assert abs(2.0 + root - run.ts[-1]) <= 1e-10
 
 
 def test_dop853_builds_dense_output_only_for_event_steps():
