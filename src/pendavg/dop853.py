@@ -454,10 +454,7 @@ def solve(
 
         if events:
             g_new = [y[k] for k in events]
-            active = [
-                i for i, (before, after) in enumerate(zip(g, g_new))
-                if (before <= 0 and after >= 0) or (before >= 0 and after <= 0)
-            ]
+            active = sign_changes(g, g_new)
             if active:
                 step = _StepInterpolant(fun, t_old, t - t_old, y_old, y, K)
                 roots = np.asarray([_event_root(events[i], step, t_old, t) for i in active])
@@ -475,6 +472,13 @@ def solve(
             ys.append(y)
 
     return Solution(status=status, ts=np.array(ts), ys=np.array(ys), event=fired)
+
+
+def sign_changes(g, g_new):
+    """Indices i of the levels with g[i] and g_new[i] not of one strict sign
+    (SciPy's find_active_events for direction 0)."""
+    return [i for i, (before, after) in enumerate(zip(g, g_new))
+            if (before <= 0 and after >= 0) or (before >= 0 and after <= 0)]
 
 
 def _event_root(k: int, step: _StepInterpolant, t_old, t):

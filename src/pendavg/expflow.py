@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .averaging import _brent
-from .dop853 import EVENT_TOL, Solution
+from .dop853 import EVENT_TOL, Solution, sign_changes
 from .perturbation import PeriodicArray
 
 EXPM_DEGREE = 18
@@ -112,8 +112,7 @@ def solve(big: np.ndarray, t_span: Sequence[float], u0, *, max_step: float,
         if not np.isfinite(new).all():
             return Solution(status=-1, message=OVERFLOW)
         g_new = [new[k, 0] for k in events]
-        active = [i for i, (before, after) in enumerate(zip(g, g_new))
-                  if (before <= 0 and after >= 0) or (before >= 0 and after <= 0)]
+        active = sign_changes(g, g_new)
         if active:
             roots = [_level_root(big, norm, lifted[:, 0], events[i], dt, g[i], g_new[i]) for i in active]
             first = int(np.argmin(np.abs(roots)))
