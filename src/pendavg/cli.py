@@ -17,9 +17,8 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,9 +52,12 @@ from .model import (
 )
 from .perturbation import (
     BUILTIN_PARAMS,
+    FAMILY_RULE,
+    ORDER_RULE,
     PerturbationSpec,
     builtin,
     finite_float,
+    parse_keyed,
     perturbation_from_file,
     read_ini,
 )
@@ -66,7 +68,6 @@ from .verify import (
     predicted_initial_state,
 )
 
-DEFAULT_EPS_LIST = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 MAX_ZEROS_SWEPT = 8
 
 
@@ -142,41 +143,10 @@ def _export_csvs(traj: Trajectory, trajectory_path: Path, events_path: Path) -> 
 # -- configuration -------------------------------------------------------
 
 
-@dataclass
-class ExperimentConfig:
-    """Parsed experiment description (flat INI sections, no nesting)."""
-
-    phys: PhysicalParams
-    family: int
-    p: int
-    convention: str
-    builtin_name: Optional[str]
-    builtin_params: Dict[str, float]
-    perturbation_file: Optional[Path]
-    r1: float
-    r2: float
-    grid: int
-    eps_list: List[float]
-    sim_eps: float
-    sim_s0: Optional[np.ndarray]
-    sim_t_span: Optional[Tuple[float, float]]
-    sim_delta: Optional[float]
-    sim_max_events: int
-    sim_require_crossing: bool
-    output_dir: Path
-
-
-# Every section and key an experiment file may set; [perturbation] also
-# takes the parameters of its builtin.
-CONFIG_KEYS = {
-    "physical": ("m1", "m2", "l1", "l2", "g"),
-    "model": ("family", "p", "convention", "seed"),
-    "perturbation": ("builtin", "file"),
-    "search": ("r1", "r2", "grid"),
-    "sweep": ("eps",),
-    "integrate": ("eps", "s0", "t_span", "delta", "max_events", "require_crossing"),
-    "output": ("dir",),
-}
+class ExperimentConfig(argparse.Namespace):
+    """Parsed experiment description: one attribute per ``CONFIG_TABLE``
+    row, with ``phys`` a PhysicalParams, ``builtin_params`` a dict and
+    ``perturbation_file`` relative to the config file's directory."""
 
 
 def _parse_floats(text: str) -> List[float]:
@@ -190,6 +160,47 @@ def _parse_bool(text: str) -> bool:
     return states[text.lower()]
 
 
+def _parse_path(text: str) -> Path:
+    if not text:
+        raise ValueError(text)
+    return Path(text)
+
+
+# Every key an experiment file may set, one row each: section, key, the
+# config attribute it sets ("attr.field" for a field of ``attr``), its
+# default text (None leaves it unset) and parse_keyed's rule for its text:
+# a parser, then maybe a check and the reason it refuses a value.
+# [perturbation] also takes its builtin's parameters, each a finite number.
+CONFIG_TABLE = (
+    ("physical", "m1", "phys.m1", "1.0", finite_float),
+    ("physical", "m2", "phys.m2", "1.0", finite_float),
+    ("physical", "l1", "phys.l1", "1.0", finite_float),
+    ("physical", "l2", "phys.l2", "1.0", finite_float),
+    ("physical", "g", "phys.g", "9.8", finite_float),
+    ("model", "family", "family", "1", *FAMILY_RULE),
+    ("model", "p", "p", "1", *ORDER_RULE),
+    ("model", "convention", "convention", "A", str.upper, lambda c: c in ("A", "B"), "must be A or B"),
+    ("model", "seed", "seed", "0", int),  # accepted for older files; it has no effect
+    ("perturbation", "builtin", "builtin_name", None, str),
+    ("perturbation", "file", "perturbation_file", None, _parse_path),
+    ("search", "r1", "r1", "0.05", finite_float),
+    ("search", "r2", "r2", "2.0", finite_float),
+    ("search", "grid", "grid", "24", int),
+    ("sweep", "eps", "eps_list", "1e-2 5e-3 2.5e-3 1.25e-3", _parse_floats, bool,
+     "must list at least one value"),
+    ("integrate", "eps", "sim_eps", "1e-3", finite_float),
+    ("integrate", "s0", "sim_s0", None, _parse_floats, lambda s0: len(s0) == 4, "must have four entries"),
+    ("integrate", "t_span", "sim_t_span", None, _parse_floats, lambda span: len(span) == 2,
+     "must have two entries"),
+    ("integrate", "delta", "sim_delta", None, finite_float, lambda delta: delta > 0,
+     "the regularization width must be positive"),
+    ("integrate", "max_events", "sim_max_events", str(DEFAULT_MAX_EVENTS), int, lambda n: n >= 0,
+     "the event budget must not be negative"),
+    ("integrate", "require_crossing", "sim_require_crossing", "false", _parse_bool),
+    ("output", "dir", "output_dir", "out", _parse_path),
+)
+
+
 def load_config(
     path,
     *,
@@ -198,28 +209,20 @@ def load_config(
     out: Optional[str] = None,
     delta: Optional[float] = None,
 ) -> ExperimentConfig:
-    """Read an experiment INI file; keyword arguments override sections.
+    """Read an experiment INI file by ``CONFIG_TABLE``.
 
-    Unknown sections and keys, and values that do not parse, raise
-    DomainError naming the section and key.
+    ``family``, ``convention``, ``out`` and ``delta`` (the CLI flags), when
+    given, stand in for the text of ``[model] family``, ``[model]
+    convention``, ``[output] dir`` and ``[integrate] delta``.  Unknown
+    sections and keys, and a value that does not parse (an empty one
+    included) or fails its key's check, raise DomainError naming the
+    section and key; so does a ``[perturbation]`` that does not set
+    exactly one known ``builtin`` or one ``file``.
     """
     path = Path(path)
     parser = read_ini(path, "config file")
-
-    def get(section: str, key: str, fallback: Optional[str] = None) -> Optional[str]:
-        return parser.get(section, key, fallback=fallback)
-
-    def value(section: str, key: str, default, convert: Callable = finite_float):
-        text = get(section, key)
-        if text is None:
-            return default
-        try:
-            return convert(text)
-        except ValueError:
-            raise DomainError(f"[{section}] {key}: cannot parse {text!r}") from None
-
-    builtin_name = get("perturbation", "builtin")
-    pert_file = get("perturbation", "file")
+    builtin_name = parser.get("perturbation", "builtin", fallback=None)
+    pert_file = parser.get("perturbation", "file", fallback=None)
     if builtin_name is None and pert_file is None:
         raise DomainError("[perturbation] must set either 'builtin' or 'file'")
     if builtin_name is not None and pert_file is not None:
@@ -228,76 +231,34 @@ def load_config(
         raise DomainError(
             f"unknown builtin perturbation {builtin_name!r}; known: {', '.join(BUILTIN_PARAMS)}"
         )
+    rows = CONFIG_TABLE + tuple(("perturbation", key, f"builtin_params.{key}", None, finite_float)
+                                for key in BUILTIN_PARAMS.get(builtin_name, ()))
     if parser.defaults():
         raise DomainError(f"unknown config section [{parser.default_section}]")
+    known = {(section, key) for section, key, *_ in rows}
     for section in parser.sections():
-        if section not in CONFIG_KEYS:
+        if section not in {known_section for known_section, _ in known}:
             raise DomainError(f"unknown config section [{section}]")
-        known = CONFIG_KEYS[section]
-        if section == "perturbation":
-            known += BUILTIN_PARAMS.get(builtin_name, ())
-        unknown = sorted(set(parser[section]) - set(known))
+        unknown = sorted(key for key in parser[section] if (section, key) not in known)
         if unknown:
             raise DomainError(f"unknown key(s) in [{section}]: {', '.join(unknown)}")
 
-    phys = PhysicalParams(
-        m1=value("physical", "m1", 1.0),
-        m2=value("physical", "m2", 1.0),
-        l1=value("physical", "l1", 1.0),
-        l2=value("physical", "l2", 1.0),
-        g=value("physical", "g", 9.8),
-    )
-    cfg_family = value("model", "family", 1, int)
-    cfg_p = value("model", "p", 1, int)
-    if cfg_p < 1:
-        raise DomainError(f"[model] p: the resonance order must be at least 1, got {cfg_p}")
-    cfg_convention = get("model", "convention", "A").strip().upper()
-    value("model", "seed", 0, int)  # accepted for older files; it has no effect
-    builtin_params = {
-        key: value("perturbation", key, None)
-        for key in parser["perturbation"]
-        if key not in CONFIG_KEYS["perturbation"]
-    }
-
-    eps_list = value("sweep", "eps", [], _parse_floats) or list(DEFAULT_EPS_LIST)
-    s0 = value("integrate", "s0", [], _parse_floats)
-    t_span = value("integrate", "t_span", [], _parse_floats)
-    if t_span and len(t_span) != 2:
-        raise DomainError("t_span must have two entries")
-    sim_delta = delta if delta is not None else value("integrate", "delta", None)
-    max_events = value("integrate", "max_events", DEFAULT_MAX_EVENTS, int)
-    if max_events < 0:
-        raise DomainError(f"[integrate] max_events: the event budget must not be negative, got {max_events}")
-
-    final_family = family if family is not None else cfg_family
-    final_convention = (convention or cfg_convention).strip().upper()
-    if final_family not in (1, 2):
-        raise DomainError(f"family must be 1 or 2, got {final_family}")
-    if final_convention not in ("A", "B"):
-        raise DomainError(f"convention must be A or B, got {final_convention!r}")
-
-    out_dir = Path(out) if out is not None else Path(get("output", "dir", "out"))
-
-    return ExperimentConfig(
-        phys=phys,
-        family=final_family,
-        p=cfg_p,
-        convention=final_convention,
-        builtin_name=builtin_name,
-        builtin_params=builtin_params,
-        perturbation_file=(path.parent / pert_file) if pert_file else None,
-        r1=value("search", "r1", 0.05),
-        r2=value("search", "r2", 2.0),
-        grid=value("search", "grid", 24, int),
-        eps_list=eps_list,
-        sim_eps=value("integrate", "eps", 1e-3),
-        sim_s0=np.array(s0) if s0 else None,
-        sim_t_span=tuple(t_span) if t_span else None,
-        sim_delta=sim_delta,
-        sim_max_events=max_events,
-        sim_require_crossing=value("integrate", "require_crossing", False, _parse_bool),
-        output_dir=out_dir,
-    )
+    flags = {("model", "family"): family, ("model", "convention"): convention,
+             ("output", "dir"): out, ("integrate", "delta"): delta}
+    fields = {"builtin_params": {}}
+    for section, key, attr, default, *rule in rows:
+        flag = flags.get((section, key))
+        text = parser.get(section, key, fallback=default) if flag is None else str(flag)
+        value = None if text is None else parse_keyed(f"[{section}] {key}", text, *rule)
+        name, _, field = attr.partition(".")
+        if not field:
+            fields[name] = value
+        elif value is not None:
+            fields.setdefault(name, {})[field] = value
+    fields["phys"] = PhysicalParams(**fields["phys"])
+    if fields["perturbation_file"] is not None:
+        fields["perturbation_file"] = path.parent / fields["perturbation_file"]
+    return ExperimentConfig(**fields)
 
 
 def build_perturbation(config: ExperimentConfig, spectral) -> PerturbationSpec:
@@ -493,8 +454,6 @@ def cmd_verify(config: ExperimentConfig, compare_conventions: bool = False) -> i
 def cmd_simulate(config: ExperimentConfig) -> int:
     if config.sim_s0 is None or config.sim_t_span is None:
         raise DomainError("[integrate] must provide s0 and t_span for simulate")
-    if config.sim_s0.shape != (4,):
-        raise DomainError("s0 must have four components")
     reduced = reduce_params(config.phys)
     s = spectral_data(reduced)
     spec = build_perturbation(config, s)

@@ -367,12 +367,24 @@ def read_ini(path, what: str) -> configparser.ConfigParser:
     return parser
 
 
-def _file_number(key: str, text: str, convert: Callable = finite_float):
-    """One number of a perturbation file; a bad one is a DomainError naming its key."""
+def parse_keyed(where: str, text: str, parse: Callable = finite_float, ok: Optional[Callable] = None,
+                reason: str = ""):
+    """``parse(text)`` for the key ``where``: DomainError naming it when the
+    text does not parse (ValueError) or the value fails ``ok``, which
+    states ``reason``."""
     try:
-        return convert(text)
+        value = parse(text)
     except ValueError:
-        raise DomainError(f"perturbation file key {key}: cannot parse {text!r}") from None
+        raise DomainError(f"{where}: cannot parse {text!r}") from None
+    if ok is not None and not ok(value):
+        raise DomainError(f"{where}: {reason}, got {value!r}")
+    return value
+
+
+# How a resonance family and order parse and which values they may take,
+# in experiment files and perturbation files alike: parse_keyed's rule.
+FAMILY_RULE = (int, lambda family: family in (1, 2), "must be 1 or 2")
+ORDER_RULE = (int, lambda p: p >= 1, "the resonance order must be at least 1")
 
 
 def _parse_scalar_entry(key: str, entry: str, spectral: SpectralData, family: int, window: float,
@@ -381,12 +393,12 @@ def _parse_scalar_entry(key: str, entry: str, spectral: SpectralData, family: in
     kind, _, rest = entry.strip().partition(":")
     kind = kind.strip().lower()
     if kind == "const":
-        return PeriodicScalar.constant(_file_number(key, rest), window)
+        return PeriodicScalar.constant(parse_keyed(where, rest), window)
     if kind in ("cos", "sin"):
         parts = [s.strip() for s in rest.split(",")]
         if len(parts) != 2:
             raise DomainError(f"{where}: {kind} entry needs '<amp>,<harmonic>', got {entry!r}")
-        amp, harmonic = (_file_number(key, part) for part in parts)
+        amp, harmonic = (parse_keyed(where, part) for part in parts)
         if harmonic <= 0:
             raise DomainError(f"{where}: harmonic must be positive, got {entry!r}")
         return PeriodicScalar.harmonic(kind, amp, harmonic * spectral.omega(family))
@@ -401,8 +413,8 @@ def _parse_scalar_entry(key: str, entry: str, spectral: SpectralData, family: in
         rows = [row for row in csv.reader(io.StringIO(text)) if row and not row[0].lstrip().startswith("#")]
         if any(len(row) < 2 for row in rows):
             raise DomainError(f"{where}: every row of table {path!r} needs two columns (tau, value)")
-        taus = [_file_number(key, row[0]) for row in rows]
-        values = [_file_number(key, row[1]) for row in rows]
+        taus = [parse_keyed(where, row[0]) for row in rows]
+        values = [parse_keyed(where, row[1]) for row in rows]
         return PeriodicScalar.from_table(taus, values)
     raise DomainError(f"{where}: unknown scalar entry kind {kind!r} in {entry!r}")
 
@@ -436,18 +448,15 @@ def perturbation_from_file(path: str, spectral: SpectralData) -> PerturbationSpe
     ``cos:<amp>,<harmonic>``, ``sin:<amp>,<harmonic>`` (harmonic counted
     relative to ω_family) or ``table:<csv-path>`` (two columns: tau,
     value).  Missing keys default to zero.  Every number must be finite;
-    a value or table that does not parse raises DomainError naming its key.
+    a value or table that does not parse, and a ``family`` or ``p`` out of
+    range, raises DomainError naming its key.
     """
     parser = read_ini(path, "perturbation file")
     if not parser.has_section("perturbation"):
         raise DomainError(f"perturbation file {os.fspath(path)!r} lacks a [perturbation] section")
     entries = dict(parser["perturbation"])
-    family = _file_number("family", entries.pop("family", "1"), int)
-    p = _file_number("p", entries.pop("p", "1"), int)
-    if family not in (1, 2):
-        raise DomainError(f"family must be 1 or 2, got {family!r}")
-    if p < 1:
-        raise DomainError(f"perturbation file key p: the resonance order must be at least 1, got {p}")
+    family = parse_keyed("perturbation file key family", entries.pop("family", "1"), *FAMILY_RULE)
+    p = parse_keyed("perturbation file key p", entries.pop("p", "1"), *ORDER_RULE)
     return _spec_from_entries(entries, spectral, family, p, os.path.dirname(os.path.abspath(path)))
 
 

@@ -26,7 +26,7 @@ from pendavg import cli
 from pendavg.errors import PendavgError
 from pendavg.filippov import MAX_STEPS
 from pendavg.model import PhysicalParams, jordan_transform, reduce_params, spectral_data
-from pendavg.perturbation import BUILTIN_PARAMS, BUILTINS
+from pendavg.perturbation import BUILTIN_PARAMS, BUILTINS, parse_keyed
 from pendavg.verify import orbit_from_amplitude
 
 from .oracles import corollary_radius, resonant_b
@@ -77,7 +77,7 @@ def test_load_config_defaults_and_overrides(tmp_path):
     config = cli.load_config(ini)
     assert config.family == 1 and config.p == 1 and config.convention == "A"
     assert config.r1 == 0.05 and config.r2 == 2.0 and config.grid == 24
-    assert config.eps_list == list(cli.DEFAULT_EPS_LIST)
+    assert config.eps_list == [1e-2, 5e-3, 2.5e-3, 1.25e-3]
     assert config.output_dir.name == "out"
     over = cli.load_config(ini, family=2, convention="b", out=str(tmp_path / "o2"), delta=1e-3)
     assert over.family == 2 and over.convention == "B"
@@ -130,6 +130,17 @@ def test_load_config_rejects_bad_input(tmp_path):
         "zero_p": {"model": {"p": 0}, "perturbation": {"builtin": "damped_forced", "gamma": 0.5}},
         "negative_max_events": {"perturbation": {"builtin": "damped_forced", "gamma": 0.5},
                                 "integrate": {"max_events": -3}},
+        "family_3": {"model": {"family": 3}, "perturbation": {"builtin": "damped_forced", "gamma": 0.5}},
+        "convention_c": {"model": {"convention": "C"},
+                         "perturbation": {"builtin": "damped_forced", "gamma": 0.5}},
+        "three_t_span": {"perturbation": {"builtin": "damped_forced", "gamma": 0.5},
+                         "integrate": {"t_span": "0 1 2"}},
+        "three_s0": {"perturbation": {"builtin": "damped_forced", "gamma": 0.5},
+                     "integrate": {"s0": "0 1 2"}},
+        "negative_delta": {"perturbation": {"builtin": "damped_forced", "gamma": 0.5},
+                           "integrate": {"delta": -1}},
+        "empty_eps": {"perturbation": {"builtin": "damped_forced", "gamma": 0.5}, "sweep": {"eps": ""}},
+        "empty_file": {"perturbation": {"file": ""}},
         # ω₁² cancels below zero, ω₁ rounds to zero, (a − b)² overflows
         **{f"l1_{l1}": {"physical": {"l1": l1}, "perturbation": {"builtin": "damped_forced", "gamma": 0.5}}
            for l1 in ("1e16", "1e20", "1e300")},
@@ -143,9 +154,29 @@ def test_load_config_rejects_bad_input(tmp_path):
                         ("nan_eps", r"\[sweep\] eps"),
                         ("negative_p", r"\[model\] p"),
                         ("zero_p", r"\[model\] p"),
-                        ("negative_max_events", r"\[integrate\] max_events")):
+                        ("negative_max_events", r"\[integrate\] max_events"),
+                        ("family_3", r"\[model\] family"),
+                        ("convention_c", r"\[model\] convention"),
+                        ("three_t_span", r"\[integrate\] t_span"),
+                        ("three_s0", r"\[integrate\] s0"),
+                        ("negative_delta", r"\[integrate\] delta"),
+                        ("empty_eps", r"\[sweep\] eps"),
+                        ("empty_file", r"\[perturbation\] file")):
         with pytest.raises(DomainError, match=where):
             cli.load_config(tmp_path / f"{name}.ini")
+    # a value that does not parse names its key, for every number, list, choice and boolean
+    for section, key, *_ in cli.CONFIG_TABLE:
+        if section not in ("perturbation", "output"):
+            ini = write_ini(tmp_path / "bad_value.ini", {"perturbation": {"builtin": "damped_forced", "gamma": 0.5},
+                                                         section: {key: "x"}})
+            with pytest.raises(DomainError, match=rf"\[{section}\] {key}: "):
+                cli.load_config(ini)
+    empty_dir = write_ini(tmp_path / "empty_dir.ini", {"perturbation": {"builtin": "damped_forced", "gamma": 0.5},
+                                                       "output": {"dir": ""}})
+    with pytest.raises(DomainError, match=r"\[output\] dir"):
+        cli.load_config(empty_dir)
+    with pytest.raises(DomainError, match=r"\[integrate\] delta"):
+        cli.load_config(empty_dir, out="o", delta=-1.0)
     # an event budget of 0 is valid
     zero_budget = write_ini(tmp_path / "zero_budget.ini",
                             {"perturbation": {"builtin": "damped_forced", "gamma": 0.5},
@@ -158,16 +189,17 @@ def test_load_config_rejects_bad_input(tmp_path):
 
 def test_bad_perturbation_file_exits_1_naming_the_key(tmp_path, capsys):
     (tmp_path / "one_column.csv").write_text("# tau, value\n0.0, 1.0\n0.5\n", encoding="utf-8")
-    cases = {
-        "k2": "k2 = cos:nan,1",
-        "family": "family = one",
-        "k3": "k3 = const:abc",
-        "k1": "k1 = table:one_column.csv",
-        "f1.d2": "f1.d2 = table:missing.csv",
-        "k4": "k4 = const:5%",
-        "p": "p = 0",
-    }
-    for key, line in cases.items():
+    cases = (
+        ("k2", "k2 = cos:nan,1"),
+        ("family", "family = one"),
+        ("family", "family = 3"),
+        ("k3", "k3 = const:abc"),
+        ("k1", "k1 = table:one_column.csv"),
+        ("f1.d2", "f1.d2 = table:missing.csv"),
+        ("k4", "k4 = const:5%"),
+        ("p", "p = 0"),
+    )
+    for key, line in cases:
         pert = tmp_path / "pert.ini"
         pert.write_text(f"[perturbation]\n{line}\n", encoding="utf-8")
         ini = write_ini(tmp_path / "exp.ini", {"perturbation": {"file": pert.name}})
@@ -467,6 +499,12 @@ def fuzz_configs(draw):
     sections = {
         "physical": draw(st.just({}) | st.dictionaries(st.sampled_from(["m1", "m2", "l1", "l2", "g"]),
                                                        st.sampled_from(FUZZ_NUMBERS), max_size=5)),
+        "model": draw(st.just({}) | st.fixed_dictionaries({}, optional={
+            "family": st.sampled_from(["1", "2", "3"]),
+            "p": st.sampled_from(["1", "2", "0"]),
+            "convention": st.sampled_from(["A", "B", "b", "C"]),
+            "seed": st.sampled_from(["0", "7", "x"]),
+        })),
         "perturbation": perturbation,
         "search": {"r1": draw(st.sampled_from(["0.05", "0.2", "1"])),
                    "r2": draw(st.sampled_from(["0.5", "2", "3"])),
@@ -644,6 +682,36 @@ def test_readme_lists_the_builtins_as_their_entries():
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(block)
     assert {name: dict(parser[name]) for name in parser.sections()} == BUILTINS
+
+
+def test_readme_experiment_file_states_the_table_defaults():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(block)
+    rows = {(section, key): row for section, key, *row in cli.CONFIG_TABLE}
+    params = BUILTIN_PARAMS[parser["perturbation"]["builtin"]]
+    for section in parser.sections():
+        for key, text in parser[section].items():
+            if section == "perturbation":
+                assert (section, key) in rows or key in params, (section, key)
+                continue
+            _, default, *rule = rows[section, key]
+            assert default is not None, (section, key)
+            where = f"[{section}] {key}"
+            assert parse_keyed(where, text, *rule) == parse_keyed(where, default, *rule), where
+
+
+def test_setup_probe_runs_on_every_workload(tmp_path, monkeypatch):
+    # the benchmark's setup_s comes from this script, which reads the config API
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    from workloads import WORKLOADS
+
+    for name, workload in WORKLOADS.items():
+        ini = workload.write_ini(tmp_path / f"{name}.ini", seed=7)
+        proc = run_child(str(REPO / "perfbench" / "setup_probe.py"), str(ini))
+        assert proc.returncode == 0, (name, proc.stderr)
+        assert math.isfinite(float(proc.stdout)), (name, proc.stdout)
 
 
 def test_derive_oracles_check_runs():
