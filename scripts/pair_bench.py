@@ -16,7 +16,9 @@ code.
 Per workload it prints each side's median and quartiles, the number of
 pairs the change won, and whether the pair rule holds: at least 10 pairs,
 the change faster in at least nine of every ten (ties count for neither),
-and a median gap larger than the parent's interquartile range.
+and a median gap larger than the parent's interquartile range.  It also
+prints each side's median peak RSS, the child's ``ru_maxrss`` from
+``os.wait4`` as the benchmark reads ``peak_rss_mb``, with its quartiles.
 """
 
 from __future__ import annotations
@@ -30,24 +32,27 @@ import sys
 import tempfile
 from pathlib import Path
 from time import perf_counter
+from typing import Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
 
-def timed_run(src: Path, workload, ini: Path, run_dir: Path) -> float:
-    """Wall seconds of one fresh-interpreter CLI invocation on ``src``."""
+def timed_run(src: Path, workload, ini: Path, run_dir: Path) -> Tuple[float, float]:
+    """Wall seconds and peak RSS in MB of one fresh-interpreter CLI
+    invocation on ``src``."""
     shutil.rmtree(run_dir / "out", ignore_errors=True)
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("PENDAVG_THREADS", None)
     cmd = [sys.executable, "-m", "pendavg", *workload.cli_args(Path(ini.name))]
     t0 = perf_counter()
-    done = subprocess.run(cmd, cwd=run_dir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    proc = subprocess.Popen(cmd, cwd=run_dir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
     wall = perf_counter() - t0
-    if done.returncode != workload.expected_exit:
-        raise SystemExit(f"{workload.name} on {src}: exit {done.returncode}, "
-                         f"expected {workload.expected_exit}")
-    return wall
+    code = os.waitstatus_to_exitcode(status)
+    if code != workload.expected_exit:
+        raise SystemExit(f"{workload.name} on {src}: exit {code}, expected {workload.expected_exit}")
+    return wall, usage.ru_maxrss / 1024.0
 
 
 def pair_rule(parent, change) -> dict:
@@ -84,15 +89,20 @@ def main(argv=None) -> int:
             for run_dir in run_dirs:
                 run_dir.mkdir()
                 inis.append(workload.write_ini(run_dir / "workload.ini", args.seed))
-            walls = ([], [])
+            walls, rss = ([], []), ([], [])
             for i in range(args.pairs):
                 for side in ((0, 1) if i % 2 == 0 else (1, 0)):
-                    walls[side].append(timed_run(trees[side], workload, inis[side], run_dirs[side]))
+                    wall, peak = timed_run(trees[side], workload, inis[side], run_dirs[side])
+                    walls[side].append(wall)
+                    rss[side].append(peak)
         result = pair_rule(*walls)
         sides = ", ".join(f"{side} {q[1]:.4f} s [{q[0]:.4f}, {q[2]:.4f}]" for side, q in
                           (("parent", result["parent"]), ("change", result["change"])))
         print(f"{name}: {sides}; change faster in {result['wins']} of {args.pairs}, "
               f"pair rule {'holds' if result['holds'] else 'fails'}")
+        peaks = ", ".join(f"{side} {q[1]:.2f} MB [{q[0]:.2f}, {q[2]:.2f}]" for side, q in
+                          zip(("parent", "change"), (statistics.quantiles(r, n=4) for r in rss)))
+        print(f"{name}: peak RSS {peaks}")
     return 0
 
 

@@ -7,8 +7,10 @@ family, certify simple zeros of the averaged pair, and verify each
 prediction by event-driven integration with an ε²-scaling test on the
 Poincaré residual.
 
-The package root holds the names of the README's library example; every
-other name is imported from its module, e.g. ``pendavg.filippov.integrate``.
+The package root holds the prediction half's names of the README's library
+example, and importing it loads no module of the checking half (filippov,
+verify, dop853, expflow).  Every other name is imported from its module,
+e.g. ``pendavg.verify.epsilon_sweep``.
 """
 
 from .averaging import BifurcationSystem, annulus_search
@@ -20,6 +22,5 @@ from .model import (
     spectral_data,
 )
 from .perturbation import builtin
-from .verify import epsilon_sweep, predicted_initial_state
 
 __version__ = "0.1.0"

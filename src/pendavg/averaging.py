@@ -37,6 +37,11 @@ therefore the roots of the scalar h(θ) = det[L(θ), C(θ)], each at
 radius r* = −⟨L, C⟩/‖L‖².  The annulus search scans h on an angle grid,
 refines each sign change by Brent's method, and certifies a zero by
 det J = h′(θ*)/r*; the sign of h′ is the zero's Brouwer index.
+
+The rays are batched per refinement level: the quadratures of rays with
+the same number of panels share one integrand evaluation per level, and
+each ray stops at its own level.  The scan's rays go in together, and a
+certificate's three angles θ*, θ* ± ``ANGLE_STEP`` in one call.
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ QUADRATURE_RTOL = 1e-10
 SIMPLICITY_RTOL = 1e-8
 ANGLES_PER_GRID = 4
 ANGLE_STEP = 1e-6
+MAX_ROWS_PER_CALL = 32
 BRENT_XTOL = 2e-12
 BRENT_RTOL = 4.0 * np.finfo(float).eps
 BRENT_MAXITER = 100
@@ -138,8 +144,7 @@ class ZeroCertificate:
 
 def _sgn_coefficients(amp, convention: str):
     """(c₀, c₁) of the sgn argument c₀·cos(ωτ) + c₁·sin(ωτ)."""
-    u0, v0 = float(amp[0]), float(amp[1])
-    return (u0, v0) if convention == "A" else (v0, u0)
+    return (amp[0], amp[1]) if convention == "A" else (amp[1], amp[0])
 
 
 def find_sign_changes(amp, family: int, convention: str, s: SpectralData, p: int) -> QuadraturePartition:
@@ -172,7 +177,8 @@ def find_sign_changes(amp, family: int, convention: str, s: SpectralData, p: int
 
 def _along_orbit(sys: BifurcationSystem, amp, tau: np.ndarray):
     """State, (sin ωτ, cos ωτ), signs (σ_x, σ_z) along the orbit of ``amp``,
-    and the weights of (f_y, f_w) in 2√Δ·⟨r, (0, f_y, 0, f_w)⟩."""
+    and the weights of (f_y, f_w) in 2√Δ·⟨r, (0, f_y, 0, f_w)⟩.  ``amp`` is
+    one amplitude or a pair of arrays with one amplitude per time."""
     k = 0 if sys.family == 1 else 2
     inverse, forward = sys.transform.inverse, sys.transform.forward
     state = inverse @ unperturbed_orbit(sys.family, amp, tau, sys.spectral)
@@ -191,42 +197,70 @@ def averaged_integrand(sys: BifurcationSystem, amp, tau: np.ndarray) -> np.ndarr
     return trig * (w_y * f_y + w_w * f_w)
 
 
-def _ray_integrand(sys: BifurcationSystem, unit: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Integrands of (L, C) along the unit orbit: the averaged response of
-    the forcing's state-linear part R·s and of its constant part k."""
-    state, trig, signs, (w_y, w_w) = _along_orbit(sys, unit, tau)
+def _ray_integrand(sys: BifurcationSystem, units: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Integrands of (L, C) along unit orbits, shape (4, n): the averaged
+    response of the forcing's state-linear part R·s and of its constant
+    part k.  ``units`` is one unit amplitude or one per time, shape (2, n)."""
+    state, trig, signs, (w_y, w_w) = _along_orbit(sys, units, tau)
     parts = eval_order1_parts(sys.spec, tau, state, *signs)
     return np.concatenate([trig * (w_y * f_y + w_w * f_w) for f_y, f_w in parts])
 
 
-def _adaptive_gauss(f: Callable, edges: np.ndarray):
-    """Composite Gauss–Legendre over fixed panels with doubling refinement.
+def _adaptive_gauss(f: Callable, edge_rows) -> list:
+    """Composite Gauss–Legendre over fixed panels with doubling refinement,
+    one integral per row of panel edges.
 
-    ``f`` maps a 1-d array of times to values of shape (..., n).  Stops when
-    two successive refinement levels agree to ``QUADRATURE_RTOL`` relative
-    to the larger of 1 and the estimate's norm.
+    ``f(rows, taus)`` maps the row index and the time of each node, two
+    1-d arrays of length n, to values of shape (..., n).  Rows with the
+    same number of panels go into one evaluation per refinement level, at
+    most ``MAX_ROWS_PER_CALL`` of them.  Each row is reduced by its own
+    ``values @ weights`` and stops when two successive levels agree to
+    ``QUADRATURE_RTOL`` relative to the larger of 1 and the estimate's
+    norm, so its integral is the same whatever rows share its calls.
     """
-    edges = np.asarray(edges, dtype=float)
-    # Zero-width panels go first: one zero step would send every panel
-    # through linspace's branch for zero steps.
-    keep = ~(edges[1:] - edges[:-1] <= 0.0)
-    lo, hi = edges[:-1][keep], edges[1:][keep]
-    prev = None
+    by_panels = {}
+    for row, edges in enumerate(edge_rows):
+        edges = np.asarray(edges, dtype=float)
+        # Zero-width panels go first: one zero step would send every panel
+        # through linspace's branch for zero steps.
+        keep = ~(edges[1:] - edges[:-1] <= 0.0)
+        by_panels.setdefault(int(keep.sum()), []).append((row, edges[:-1][keep], edges[1:][keep]))
+    totals = [None] * len(edge_rows)
+    for group in by_panels.values():
+        for start in range(0, len(group), MAX_ROWS_PER_CALL):
+            rows, lo, hi = (np.array(column) for column in zip(*group[start:start + MAX_ROWS_PER_CALL]))
+            _refine_rows(f, rows, lo, hi, totals)
+    return totals
+
+
+def _refine_rows(f: Callable, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, totals: list) -> None:
+    """Refine the rows ``rows`` with panels [lo, hi], one row each, into ``totals``."""
+    prev = [None] * len(rows)
+    live = list(range(len(rows)))
     for level in range(MAX_REFINE_LEVELS + 1):
-        # Row i splits panel i into 2**level subpanels, element by element
-        # as linspace(lo[i], hi[i], 2**level + 1) would; nodes and weights
-        # stay panel-major.
-        bounds = np.linspace(lo, hi, 2 ** level + 1).T
-        mid = 0.5 * (bounds[:, :-1] + bounds[:, 1:])
-        half = 0.5 * (bounds[:, 1:] - bounds[:, :-1])
-        taus = (mid[:, :, None] + half[:, :, None] * _GAUSS_NODES).ravel()
-        weights = (half[:, :, None] * _GAUSS_WEIGHTS).ravel()
-        total = np.asarray(f(taus)) @ weights
-        if prev is not None:
-            scale = max(1.0, float(np.linalg.norm(total)))
-            if float(np.linalg.norm(total - prev)) <= QUADRATURE_RTOL * scale:
-                return total
-        prev = total
+        # Panel j of row i splits into 2**level subpanels, element by
+        # element as linspace(lo[i, j], hi[i, j], 2**level + 1) would;
+        # each row's nodes and weights stay panel-major.
+        bounds = np.linspace(lo[live], hi[live], 2 ** level + 1, axis=-1)
+        mid = 0.5 * (bounds[..., :-1] + bounds[..., 1:])
+        half = 0.5 * (bounds[..., 1:] - bounds[..., :-1])
+        taus = (mid[..., None] + half[..., None] * _GAUSS_NODES).reshape(len(live), -1)
+        weights = (half[..., None] * _GAUSS_WEIGHTS).reshape(len(live), -1)
+        n = taus.shape[1]
+        values = np.asarray(f(np.repeat(rows[live], n), taus.ravel()))
+        unconverged = []
+        for k, i in enumerate(live):
+            total = values[..., k * n:(k + 1) * n] @ weights[k]
+            if prev[i] is not None:
+                scale = max(1.0, float(np.linalg.norm(total)))
+                if float(np.linalg.norm(total - prev[i])) <= QUADRATURE_RTOL * scale:
+                    totals[rows[i]] = total
+                    continue
+            prev[i] = total
+            unconverged.append(i)
+        live = unconverged
+        if not live:
+            return
     raise QuadratureError(
         f"panel refinement did not converge to relative {QUADRATURE_RTOL:g} within "
         f"{MAX_REFINE_LEVELS} doubling levels"
@@ -244,19 +278,20 @@ def _panel_edges(sys: BifurcationSystem, amp) -> np.ndarray:
 
 def bifurcation_values(sys: BifurcationSystem, amp) -> np.ndarray:
     """The averaged pair at amplitude ``amp`` over the resonance window."""
-    return _adaptive_gauss(lambda taus: averaged_integrand(sys, amp, taus), _panel_edges(sys, amp))
+    (pair,) = _adaptive_gauss(lambda _, taus: averaged_integrand(sys, amp, taus), [_panel_edges(sys, amp)])
+    return pair
 
 
-def _ray_pair(sys: BifurcationSystem, theta: float):
-    """(L, C) with G(r·e_θ) = r·L + C for every r > 0, by one quadrature."""
-    unit = np.array([math.cos(theta), math.sin(theta)])
-    pair = _adaptive_gauss(lambda taus: _ray_integrand(sys, unit, taus), _panel_edges(sys, unit))
-    return pair[:2], pair[2:]
+def _ray_pairs(sys: BifurcationSystem, thetas) -> list:
+    """(L, C) with G(r·e_θ) = r·L + C for every r > 0, for each angle θ."""
+    units = np.array([[math.cos(theta) for theta in thetas], [math.sin(theta) for theta in thetas]])
+    pairs = _adaptive_gauss(lambda rows, taus: _ray_integrand(sys, units[:, rows], taus),
+                            [_panel_edges(sys, unit) for unit in units.T])
+    return [(pair[:2], pair[2:]) for pair in pairs]
 
 
-def _ray_det(sys: BifurcationSystem, theta: float) -> float:
-    """h(θ) = det[L(θ), C(θ)]: zero exactly where a ray carries a zero of G."""
-    lin, const = _ray_pair(sys, theta)
+def _det(lin: np.ndarray, const: np.ndarray) -> float:
+    """h = det[L, C]: zero exactly where a ray carries a zero of G."""
     return float(lin[0] * const[1] - lin[1] * const[0])
 
 
@@ -316,7 +351,7 @@ def _brent(f: Callable[[float], float], a: float, b: float, fa: float, fb: float
 def _certificate(sys: BifurcationSystem, theta: float, r1: float, r2: float,
                  scale: float) -> Optional[ZeroCertificate]:
     """Certificate of the zero on the ray θ, a root of h, if it lies in (r1, r2)."""
-    lin, const = _ray_pair(sys, theta)
+    (lin, const), above, below = _ray_pairs(sys, [theta, theta + ANGLE_STEP, theta - ANGLE_STEP])
     norm2 = float(lin @ lin)
     if norm2 == 0.0:
         return None
@@ -325,7 +360,7 @@ def _certificate(sys: BifurcationSystem, theta: float, r1: float, r2: float,
         return None
     point = radius * np.array([math.cos(theta), math.sin(theta)])
     value_norm = float(np.linalg.norm(bifurcation_values(sys, point)))
-    slope = (_ray_det(sys, theta + ANGLE_STEP) - _ray_det(sys, theta - ANGLE_STEP)) / (2.0 * ANGLE_STEP)
+    slope = (_det(*above) - _det(*below)) / (2.0 * ANGLE_STEP)
     # At a zero h'(θ) = det[L, r·L' + C'] = r·det J.
     det = slope / radius
     simple = (
@@ -358,18 +393,18 @@ def annulus_search(sys: BifurcationSystem, r1: float, r2: float, grid: int) -> l
         raise DomainError(f"grid must be at least 8, got {grid!r}")
     n = ANGLES_PER_GRID * grid
     thetas = (2.0 * math.pi * np.arange(n + 1) / n).tolist()
-    pairs = [_ray_pair(sys, theta) for theta in thetas[:-1]]
+    pairs = _ray_pairs(sys, thetas[:-1])
     scale = max(float(np.linalg.norm(r2 * lin + const)) for lin, const in pairs)
     if scale <= 0.0:
         return []
-    h = [float(lin[0] * const[1] - lin[1] * const[0]) for lin, const in pairs]
+    h = [_det(lin, const) for lin, const in pairs]
     h.append(h[0])
     certificates = []
     for i in range(n):
         if h[i] == 0.0:
             theta = thetas[i]
         elif h[i] * h[i + 1] < 0.0:
-            theta = _brent(lambda t: _ray_det(sys, t), thetas[i], thetas[i + 1], h[i], h[i + 1])
+            theta = _brent(lambda t: _det(*_ray_pairs(sys, [t])[0]), thetas[i], thetas[i + 1], h[i], h[i + 1])
         else:
             continue
         cert = _certificate(sys, theta, r1, r2, scale)

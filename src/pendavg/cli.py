@@ -28,20 +28,12 @@ from .averaging import (
     annulus_search,
 )
 from .errors import (
+    DEFAULT_MAX_EVENTS,
     CrossingViolationError,
     DomainError,
     IntegrationStallError,
     NoZeroError,
     PendavgError,
-)
-from .filippov import (
-    DEFAULT_MAX_EVENTS,
-    Trajectory,
-    export_events_csv,
-    export_trajectory_csv,
-    integrate,
-    integrate_regularized,
-    require_transversal_crossings,
 )
 from .model import (
     PhysicalParams,
@@ -60,12 +52,6 @@ from .perturbation import (
     parse_keyed,
     perturbation_from_file,
     read_ini,
-)
-from .verify import (
-    SweepReport,
-    convention_verdict,
-    epsilon_sweep,
-    predicted_initial_state,
 )
 
 MAX_ZEROS_SWEPT = 8
@@ -131,8 +117,10 @@ def _write_text(path: Path, text: str) -> None:
         raise _output_error(path, exc) from None
 
 
-def _export_csvs(traj: Trajectory, trajectory_path: Path, events_path: Path) -> None:
+def _export_csvs(traj, trajectory_path: Path, events_path: Path) -> None:
     """The trajectory and event CSVs of one run."""
+    from .filippov import export_events_csv, export_trajectory_csv
+
     for export, path in ((export_trajectory_csv, trajectory_path), (export_events_csv, events_path)):
         try:
             export(traj, path)
@@ -348,30 +336,21 @@ def cmd_zeros(config: ExperimentConfig) -> int:
     return 0
 
 
-def _sweep_for_cert(
-    config: ExperimentConfig,
-    system: BifurcationSystem,
-    cert: ZeroCertificate,
-) -> SweepReport:
-    reduced = system.reduced
-    s = system.spectral
-    transform = jordan_transform(reduced, s)
-    orbit = predicted_initial_state(
-        cert, config.family, transform, s, reduced, p=config.p
-    )
-    return epsilon_sweep(orbit, system.spec, reduced, s, config.eps_list)
-
-
 def _verify_convention(config: ExperimentConfig, convention: str, tag: str) -> dict:
     """Zero search plus sweeps for one sgn convention; returns a summary."""
+    from .verify import epsilon_sweep, predicted_initial_state
+
     system, certs = _run_zero_search(config, convention)
+    reduced, s = system.reduced, system.spectral
+    transform = jordan_transform(reduced, s)
     simple_certs = [c for c in certs if c.simple][:MAX_ZEROS_SWEPT]
     entries = []
     any_validated = False
     any_crossing_violation = False
     any_stall = False
     for i, cert in enumerate(simple_certs):
-        report = _sweep_for_cert(config, system, cert)
+        orbit = predicted_initial_state(cert, config.family, transform, s, reduced, p=config.p)
+        report = epsilon_sweep(orbit, system.spec, reduced, s, config.eps_list)
         validated = report.validated
         any_validated = any_validated or validated
         for j, sample in enumerate(report.samples):
@@ -409,6 +388,10 @@ def _verify_convention(config: ExperimentConfig, convention: str, tag: str) -> d
 
 
 def cmd_verify(config: ExperimentConfig, compare_conventions: bool = False) -> int:
+    # The checking half (verify, filippov, dop853, expflow) is imported only
+    # here and in cmd_simulate: `zeros` and `params` never load it.
+    from .verify import convention_verdict
+
     summary = _verify_convention(config, config.convention, tag="")
     arbiter_validated = False
     if compare_conventions:
@@ -452,13 +435,14 @@ def cmd_verify(config: ExperimentConfig, compare_conventions: bool = False) -> i
 
 
 def cmd_simulate(config: ExperimentConfig) -> int:
+    from .filippov import integrate, integrate_regularized, require_transversal_crossings
+
     if config.sim_s0 is None or config.sim_t_span is None:
         raise DomainError("[integrate] must provide s0 and t_span for simulate")
     reduced = reduce_params(config.phys)
     s = spectral_data(reduced)
     spec = build_perturbation(config, s)
     out = config.output_dir
-    traj: Optional[Trajectory] = None
     try:
         if config.sim_delta is not None:
             traj = integrate_regularized(

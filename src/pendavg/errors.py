@@ -14,6 +14,9 @@ failures onto its documented contract:
 
 from __future__ import annotations
 
+# Surface contacts one integration may record before it stalls.
+DEFAULT_MAX_EVENTS = 100_000
+
 
 class PendavgError(Exception):
     """Base class for all toolkit errors."""

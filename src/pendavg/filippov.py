@@ -53,7 +53,8 @@ import numpy as np
 
 from . import expflow
 from .dop853 import MAX_STEPS, solve
-from .errors import CrossingViolationError, DomainError, IntegrationStallError, TangencyError
+from .errors import (DEFAULT_MAX_EVENTS, CrossingViolationError, DomainError, IntegrationStallError,
+                     TangencyError)
 from .model import ReducedParams, SpectralData, linearization_matrix
 from .perturbation import PerturbationSpec, PeriodicArray, eval_order1_with_signs, smooth_sign
 
@@ -66,7 +67,6 @@ EQUILIBRIUM_FIELD_TOL = 1e-12
 CORNER_SALTATION_RTOL = 1e-10
 STALL_DT = 1e-12
 STALL_RUN = 50
-DEFAULT_MAX_EVENTS = 100_000
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 # Escalating micro-step sizes used to leave a surface after an event.

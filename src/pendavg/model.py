@@ -214,11 +214,12 @@ def unperturbed_orbit(family: int, amp, tau, s: SpectralData) -> np.ndarray:
 
     Family 1: (X, Y) = (X₀cos ω₁τ + Y₀sin ω₁τ, Y₀cos ω₁τ − X₀sin ω₁τ),
     Z = W = 0.  Family 2 is the analogue in the (Z, W) plane with ω₂.
-    Accepts scalar or array ``tau``; returns shape (4,) or (4, n).
+    Accepts scalar or array ``tau``, and one amplitude or a pair of arrays
+    with one amplitude per time; returns shape (4,) or (4, n).
     """
     if family not in (1, 2):
         raise DomainError(f"family must be 1 or 2, got {family!r}")
-    u0, v0 = float(amp[0]), float(amp[1])
+    u0, v0 = amp[0], amp[1]
     tau = np.asarray(tau, dtype=float)
     w = s.omega(family)
     c, sn = np.cos(w * tau), np.sin(w * tau)

@@ -318,7 +318,8 @@ def malkin_average(g1, s, orbit, window, family=1, breakpoints=()):
 
     edges = np.unique(np.concatenate(([0.0], np.asarray(breakpoints, dtype=float), [window])))
     edges = edges[(edges >= 0.0) & (edges <= window)]
-    return _adaptive_gauss(f, edges) / window
+    (total,) = _adaptive_gauss(lambda _, taus: f(taus), [edges])
+    return total / window
 
 
 def finite_difference_monodromy(spec, reduced, spectral, eps, orbit, scale=1.0, central=False):

@@ -273,8 +273,19 @@ def test_panel_quadrature_matches_per_panel_loop_bit_for_bit(bench):
             edges = np.insert(edges, 1, edges[1])  # a zero-width panel
         edge_sets.append(edges)
     for edges in edge_sets:
-        got = averaging_module._adaptive_gauss(f, edges)
+        (got,) = averaging_module._adaptive_gauss(lambda _, tau: f(tau), [edges])
         assert got.tobytes() == _per_panel_gauss(f, edges).tobytes(), edges
+
+    # all of them as the rows of one call: rows of each panel count go in
+    # together, at most 32 at a time, and each stops at its own level
+    def f_rows(rows, tau):
+        k = 1.0 + rows % 4
+        return np.stack([np.cos(k * tau) ** 3, np.exp(-tau) * np.sin(7.0 * k * tau), tau * tau - k])
+
+    got = averaging_module._adaptive_gauss(f_rows, edge_sets)
+    for row, (edges, total) in enumerate(zip(edge_sets, got)):
+        ref = _per_panel_gauss(lambda tau: f_rows(np.full(tau.shape, row), tau), edges)
+        assert total.tobytes() == ref.tobytes(), (row, edges)
     # the ray integrand on its sign-change panels
     reduced, s = bench
     sys = system_for("damped_forced_escapement", {"gamma": GAMMA, "kappa": KAPPA}, reduced, s)
@@ -282,7 +293,8 @@ def test_panel_quadrature_matches_per_panel_loop_bit_for_bit(bench):
         unit = np.array([math.cos(theta), math.sin(theta)])
         edges = find_sign_changes(unit, 1, "A", s, 1).panel_edges
         ray = lambda tau: averaging_module._ray_integrand(sys, unit, tau)
-        assert averaging_module._adaptive_gauss(ray, edges).tobytes() == _per_panel_gauss(ray, edges).tobytes()
+        (got,) = averaging_module._adaptive_gauss(lambda _, tau: ray(tau), [edges])
+        assert got.tobytes() == _per_panel_gauss(ray, edges).tobytes()
 
 
 def test_bifurcation_values_match_malkin_average_both_families(bench):
@@ -400,11 +412,41 @@ def test_one_pass_ray_pair_matches_two_quadratures(bench):
     rng = np.random.default_rng(17)
     for sys in ray_systems(rng, reduced, s):
         theta = rng.uniform(0.0, 2.0 * math.pi)
-        lin, const = averaging_module._ray_pair(sys, theta)
+        ((lin, const),) = averaging_module._ray_pairs(sys, [theta])
         ref_lin, ref_const = two_quadrature_ray_pair(sys, theta)
         gap = np.linalg.norm(np.concatenate((lin - ref_lin, const - ref_const)))
         size = max(1.0, np.linalg.norm(np.concatenate((ref_lin, ref_const))))
         assert gap <= 1e-12 * size, (sys.spec, theta)
+
+
+def test_ray_batch_equals_its_rows(bench):
+    # The scan's one multi-row call gives every ray the bits of its own
+    # one-row call, whatever rows share its evaluations: 36 angles overflow
+    # one call of at most 32 rows, and θ = π/2, 3π/2 (sgn breakpoint on
+    # τ = 0) and the table knots give rows of other panel counts.  (L, C) is the
+    # averaged pair's affine form: G(r·e_θ) = r·L + C at r = 1 and 2.
+    reduced, s = bench
+    esc = builtin("damped_forced_escapement", {"gamma": GAMMA, "kappa": KAPPA}, s)
+    taus = np.arange(256) * (s.period1 / 256)
+    table = PeriodicScalar.from_table(taus, GAMMA * np.cos(s.omega1 * taus))
+    specs = [(PerturbationSpec(K=(table, *esc.K[1:]), F=esc.F), 1)]
+    specs += [(builtin(name, params, s, family=family, p=1), family)
+              for name, params in BUILTINS for family in (1, 2)]
+    n = 4 * 9
+    thetas = (2.0 * math.pi * np.arange(n) / n).tolist()
+    for spec, family in specs:
+        for conv in ("A", "B"):
+            sys = BifurcationSystem(family, spec, reduced, s, conv)
+            units = [np.array([math.cos(t), math.sin(t)]) for t in thetas]
+            assert len({len(averaging_module._panel_edges(sys, unit)) for unit in units}) > 1
+            batch = averaging_module._ray_pairs(sys, thetas)
+            for theta, unit, (lin, const) in zip(thetas, units, batch):
+                ((row_lin, row_const),) = averaging_module._ray_pairs(sys, [theta])
+                assert np.array_equal(lin, row_lin) and np.array_equal(const, row_const), (family, conv, theta)
+                for r in (1.0, 2.0):
+                    val = bifurcation_values(sys, r * unit)
+                    size = max(np.linalg.norm(val), r * np.linalg.norm(lin), np.linalg.norm(const))
+                    assert np.linalg.norm(val - (r * lin + const)) <= 1e-12 * size, (family, conv, theta, r)
 
 
 def test_annulus_search_det_matches_oracle_jacobian(bench):

@@ -595,16 +595,17 @@ def test_usage_errors_exit_1(bench_ini, capsys):
 # -- start-up and tooling ------------------------------------------------------
 
 # Runs ``python -m pendavg <arguments>`` in process (runpy is what ``-m``
-# uses) and then lists the SciPy modules it left loaded.
-RUN_THEN_LIST_SCIPY = """
+# uses) and then lists the modules it left loaded.
+RUN_THEN_LIST_MODULES = """
 import runpy, sys
 sys.argv = ["pendavg", *sys.argv[1:]]
 try:
     runpy.run_module("pendavg", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     assert exc.code in (None, 0), exc.code
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(" ".join(sorted(sys.modules)))
 """
+CHECKING_HALF = {"pendavg.filippov", "pendavg.verify", "pendavg.dop853", "pendavg.expflow"}
 
 
 def readme_ini(tmp_path):
@@ -615,10 +616,17 @@ def readme_ini(tmp_path):
     return ini
 
 
-def assert_runs_without_scipy(*args):
-    proc = run_child("-c", RUN_THEN_LIST_SCIPY, *args)
+def loaded_modules(*args):
+    """The modules ``python -m pendavg <args>`` leaves loaded."""
+    proc = run_child("-c", RUN_THEN_LIST_MODULES, *args)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def assert_runs_without_scipy(*args):
+    loaded = loaded_modules(*args)
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+    return loaded
 
 
 def test_prediction_path_loads_no_scipy(tmp_path):
@@ -633,10 +641,25 @@ def test_prediction_path_loads_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+def test_prediction_path_loads_no_checking_half(tmp_path):
+    # `zeros` and `params` compute the paper's condition alone: they, and a
+    # plain import of the package, leave the integrator and the verification
+    # layer unloaded.
+    ini = readme_ini(tmp_path)
+    for command in ("zeros", "params"):
+        loaded = loaded_modules(command, "--config", str(ini), "--out", str(tmp_path / command))
+        assert "pendavg.averaging" in loaded and not loaded & CHECKING_HALF, command
+    proc = run_child("-c", "import sys, pendavg; print(' '.join(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "pendavg.averaging" in loaded and not loaded & CHECKING_HALF
+
+
 def test_checking_path_loads_no_scipy(tmp_path):
     # Segments are integrated by the in-package DOP853, not scipy.integrate.
-    assert_runs_without_scipy("verify", "--config", str(readme_ini(tmp_path)),
-                              "--out", str(tmp_path / "verify"))
+    loaded = assert_runs_without_scipy("verify", "--config", str(readme_ini(tmp_path)),
+                                       "--out", str(tmp_path / "verify"))
+    assert CHECKING_HALF <= loaded
     assert json.loads((tmp_path / "verify" / "verify.json").read_text())["any_validated"]
     sections = bench_sections(tmp_path / "sim")
     sections["integrate"] = SIMULATE_INTEGRATE
