@@ -19,6 +19,8 @@ the change faster in at least nine of every ten (ties count for neither),
 and a median gap larger than the parent's interquartile range.  It also
 prints each side's median peak RSS, the child's ``ru_maxrss`` from
 ``os.wait4`` as the benchmark reads ``peak_rss_mb``, with its quartiles.
+Last, it compares the ``out/`` trees the two sides' last runs wrote, byte
+for byte, and prints "artifacts identical" or the files that differ.
 """
 
 from __future__ import annotations
@@ -53,6 +55,15 @@ def timed_run(src: Path, workload, ini: Path, run_dir: Path) -> Tuple[float, flo
     if code != workload.expected_exit:
         raise SystemExit(f"{workload.name} on {src}: exit {code}, expected {workload.expected_exit}")
     return wall, usage.ru_maxrss / 1024.0
+
+
+def differing_files(left: Path, right: Path) -> list:
+    """The relative paths of the files that differ between two trees,
+    byte for byte, or that only one of them holds."""
+    names = {path.relative_to(root) for root in (left, right) for path in root.rglob("*") if path.is_file()}
+    return sorted(str(name) for name in names
+                  if not ((left / name).is_file() and (right / name).is_file()
+                          and (left / name).read_bytes() == (right / name).read_bytes()))
 
 
 def pair_rule(parent, change) -> dict:
@@ -95,6 +106,7 @@ def main(argv=None) -> int:
                     wall, peak = timed_run(trees[side], workload, inis[side], run_dirs[side])
                     walls[side].append(wall)
                     rss[side].append(peak)
+            differ = differing_files(*(run_dir / "out" for run_dir in run_dirs))
         result = pair_rule(*walls)
         sides = ", ".join(f"{side} {q[1]:.4f} s [{q[0]:.4f}, {q[2]:.4f}]" for side, q in
                           (("parent", result["parent"]), ("change", result["change"])))
@@ -103,6 +115,7 @@ def main(argv=None) -> int:
         peaks = ", ".join(f"{side} {q[1]:.2f} MB [{q[0]:.2f}, {q[2]:.2f}]" for side, q in
                           zip(("parent", "change"), (statistics.quantiles(r, n=4) for r in rss)))
         print(f"{name}: peak RSS {peaks}")
+        print(f"{name}: " + (f"artifacts differ: {', '.join(differ)}" if differ else "artifacts identical"))
     return 0
 
 

@@ -32,7 +32,8 @@ its direction, so G is affine along every ray: G(r·e_θ) = r·L(θ) + C(θ).
 For frozen signs the forcing is affine, f = R·s + k, so L(θ) is the
 averaged response of R·s along the unit orbit e_θ and C(θ) that of k,
 both from one quadrature over the two parts of
-:func:`~pendavg.perturbation.eval_order1_parts`.  The zeros of G are
+:func:`~pendavg.perturbation.eval_order1_parts`: the state columns and
+the constant column of the spec's forcing table.  The zeros of G are
 therefore the roots of the scalar h(θ) = det[L(θ), C(θ)], each at
 radius r* = −⟨L, C⟩/‖L‖².  The annulus search scans h on an angle grid,
 refines each sign change by Brent's method, and certifies a zero by

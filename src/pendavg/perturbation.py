@@ -20,13 +20,13 @@ A small file format states a perturbation as one entry per scalar
 are such entries with their parameters in braces, and every spec, builtin
 or file, is built from its entries by one function.
 
-Each spec folds K and F once, on first use (exact-zero constants
-dropped, other constants made floats), and every evaluation reads that
-folding: :func:`eval_order1_with_signs` for any signs,
+The forcing is affine in the state and in the signs, so each spec states
+it once, as one table P (:attr:`PerturbationSpec.table`), and every
+reader reads P: :func:`eval_order1_with_signs` for any signs,
 :func:`eval_order1_parts` for its state-linear part R·s and its constant
 part k apart (the averaged pair integrates the two separately) and, for
-frozen signs, the affine form (f_y, f_w) = R(τ)·s + k(τ) of
-:meth:`PerturbationSpec.frozen`, one precomputed array on constant
+frozen signs, :meth:`PerturbationSpec.frozen`, the affine form
+(f_y, f_w) = R(τ)·s + k(τ), one precomputed array on constant
 coefficients, from which the integrator builds each segment's field.
 """
 
@@ -153,8 +153,8 @@ class LinearForm:
 
 @dataclass(frozen=True, eq=False)
 class PeriodicArray:
-    """An array of folded sums of periodic scalars: ``constant`` plus, for
-    each of ``terms`` (index, factor, scalar), factor·scalar(τ) at index."""
+    """An array of sums of periodic scalars: ``constant`` plus, for each
+    of ``terms`` (index, factor, scalar), factor·scalar(τ) at index."""
 
     constant: np.ndarray
     terms: Tuple[Tuple[tuple, float, PeriodicScalar], ...] = ()
@@ -198,40 +198,54 @@ class PerturbationSpec:
             raise DomainError("need exactly four forcing scalars and four linear forms")
 
     @cached_property
-    def _groups(self):
-        """The one folding: per component (f_y, f_w), the folded groups of
-        (K, F) and of the signed (K′, F′)."""
-        K, F = self.K, self.F
-        return tuple((_fold_group(K[i], F[i]), _fold_group(K[i + 1], F[i + 1])) for i in (0, 2))
+    def table(self) -> PeriodicArray:
+        """The forcing as one affine table P, shape (2, 2, 5): component
+        (f_y, f_w) × (plain, signed) × column (x, y, z, w, 1), so that
+        f_i = Σ_j P[i,0,j]·s_j + σ_i·Σ_j P[i,1,j]·s_j with s₅ = 1.
+
+        Row [i, 0] holds F₁, K₁ (F₃, K₃ for f_w), row [i, 1] F₂, K₂ (F₄,
+        K₄).  A ``const`` scalar is an entry of ``P.constant``, any other
+        a term ((i, part, j), 1.0, scalar); the terms are in index order.
+        """
+        scalars = np.array([(*form.coefficients(), k) for form, k in zip(self.F, self.K)], dtype=object)
+        constant = np.zeros((2, 2, 5))
+        terms = []
+        for index, scalar in np.ndenumerate(scalars.reshape(constant.shape)):
+            if scalar.kind == "const":
+                constant[index] = scalar.value
+            else:
+                terms.append((index, 1.0, scalar))
+        return PeriodicArray(constant, tuple(terms))
 
     @cached_property
-    def _readouts(self):
-        """Per component, the folding read whole, as its state-linear part
-        and as its constant part (see :func:`_shaped`)."""
-        period = self.K[0].period
-        return tuple((_shaped(k, terms, k_s, terms_s, period), _shaped(None, terms, None, terms_s, period),
-                      _shaped(k, (), k_s, (), period)) for (k, terms), (k_s, terms_s) in self._groups)
+    def _entries(self):
+        """The table's entries in index order, exact-zero constants left
+        out: (index, constant, None) or, for a term, (index, factor, scalar).
+        The evaluator walks these rather than all 20 places on every call."""
+        table = self.table
+        constants = [(index, float(value), None) for index, value in np.ndenumerate(table.constant) if value != 0.0]
+        return tuple(sorted([*constants, *table.terms], key=lambda entry: entry[0]))
 
     def frozen(self, sgn_x: float, sgn_z: float) -> Tuple[PeriodicArray, PeriodicArray]:
-        """The forcing for frozen signs, affine: (f_y, f_w) = R(τ)·s + k(τ).
+        """The forcing for frozen signs σ, affine: (f_y, f_w) = R(τ)·s + k(τ).
 
-        Row i of R (2 × 4) holds the coefficients of F + σ·F′ of component
-        i and k_i = K + σ·K′, from the folding; constant terms are summed.
+        P[:, 0] + σ·P[:, 1] split into R (columns 0–3) and k (column 4):
+        the table's terms in its order, each scaled by σ on a signed row
+        and skipped where σ = 0.
         """
-        parts = (np.zeros((2, 4)), []), (np.zeros(2), [])
-        for row, (groups, sgn) in enumerate(zip(self._groups, (sgn_x, sgn_z))):
-            for (k, form_terms), factor in zip(groups, (1.0, float(sgn))):
-                if factor == 0.0:
-                    continue
-                entries = [(d, parts[0], (row, j)) for d, j in form_terms]
-                if k is not None:
-                    entries.append((k, parts[1], (row,)))
-                for d, (constant, terms), index in entries:
-                    if d.__class__ is float:
-                        constant[index] += factor * d
-                    else:
-                        terms.append((index, factor, d))
-        return tuple(PeriodicArray(constant, tuple(terms)) for constant, terms in parts)
+        signs = (float(sgn_x), float(sgn_z))
+        table = self.table
+        constant = table.constant[:, 0] + np.array(signs)[:, None] * table.constant[:, 1]
+        linear, offset = [], []
+        for (i, part, j), factor, scalar in table.terms:
+            factor *= signs[i] if part else 1.0
+            if factor == 0.0:
+                continue
+            if j < 4:
+                linear.append(((i, j), factor, scalar))
+            else:
+                offset.append(((i,), factor, scalar))
+        return PeriodicArray(constant[:, :4], tuple(linear)), PeriodicArray(constant[:, 4], tuple(offset))
 
     def table_knots(self, t0: float, t1: float) -> Tuple[float, ...]:
         """The knots of the spec's tables between t0 and t1, ascending:
@@ -239,8 +253,7 @@ class PerturbationSpec:
         period-divisibility tolerance of an end counts as that end."""
         lo, hi = min(t0, t1), max(t0, t1)
         margin = PERIOD_DIVISIBILITY_TOL * (hi - lo)
-        scalars = (*self.K, *(d for form in self.F for d in form.coefficients()))
-        knots = {t + k * d.period for d in scalars if d.kind == "table"
+        knots = {t + k * d.period for _, _, d in self.table.terms if d.kind == "table"
                  for k in range(math.floor(lo / d.period), math.ceil(hi / d.period))
                  for t in d.knots[0][:-1].tolist()}
         return tuple(sorted(t for t in knots if lo + margin < t < hi - margin))
@@ -258,72 +271,48 @@ class PerturbationSpec:
                 )
 
 
-def _fold(scalar: PeriodicScalar):
-    """None for an exact-zero constant, a float for any other constant."""
-    if scalar.kind != "const":
-        return scalar
-    return float(scalar.value) if scalar.value != 0.0 else None
-
-
-def _fold_group(k: PeriodicScalar, form: LinearForm):
-    """K and the (coefficient, state index) terms of F left after folding."""
-    terms = tuple((d, j) for j, d in enumerate(map(_fold, form.coefficients())) if d is not None)
-    return _fold(k), terms
-
-
-def _shaped(k, terms, k_s, terms_s, period: float):
-    """The read-out as given or, when no part of it depends on τ or the
-    state, with K a constant scalar, so that its value takes τ's shape."""
-    if terms or terms_s or k.__class__ is PeriodicScalar or k_s.__class__ is PeriodicScalar:
-        return k, terms, k_s, terms_s
-    return PeriodicScalar.constant(k or 0.0, period), terms, k_s, terms_s
-
-
-def _group_value(k, terms, tau, state):
-    """K + (d₁x + d₂y + d₃z + d₄w) over the folded terms; None if none is left."""
-    total = None
-    for d, j in terms:
-        term = (d if d.__class__ is float else d(tau)) * state[j]
-        total = term if total is None else total + term
-    if k is None:
-        return total
-    if k.__class__ is not float:
-        k = k(tau)
-    return k if total is None else k + total
-
-
-def _read(readout, tau, state, sgn):
-    """K + F + (K′ + F′)·σ over one read-out of the folding."""
-    k, terms, k_s, terms_s = readout
-    value = _group_value(k, terms, tau, state)
-    signed = _group_value(k_s, terms_s, tau, state)
-    if signed is None:
-        return value
-    signed = signed * sgn
-    return signed if value is None else value + signed
+def _forcing(spec: PerturbationSpec, tau, state, signs, column_sets):
+    """One pair (f_y, f_w) per set of table columns: for each component i,
+    Σ_j P[i,0,j]·s_j + σ_i·Σ_j P[i,1,j]·s_j over the set's columns j, with
+    s = (x, y, z, w, 1).  Each term is evaluated once, each sum runs in
+    column order, the plain one from zeros shaped like τ, and an
+    exact-zero constant adds nothing, so it never meets an infinite state."""
+    state = np.asarray(state, dtype=float)
+    zero = np.zeros(tau.shape) if isinstance(tau, np.ndarray) else 0.0
+    out = []
+    for columns in column_sets:
+        sums = [zero, None, zero, None]  # sums[2i + part]: the row of F₁..F₄, K₁..K₄
+        for (i, part, j), value, scalar in spec._entries:
+            if j in columns:
+                coefficient = value if scalar is None else value * scalar(tau)
+                term = coefficient * state[j] if j < 4 else coefficient
+                k = 2 * i + part
+                sums[k] = term if sums[k] is None else sums[k] + term
+        y, y_signed, w, w_signed = sums
+        out.append((y if y_signed is None else y + y_signed * signs[0],
+                    w if w_signed is None else w + w_signed * signs[1]))
+    return out
 
 
 def eval_order1_with_signs(spec: PerturbationSpec, tau, state, sgn_x, sgn_z):
-    """Order-ε forcing (f_y, f_w) of the y′ and w′ equations.
+    """Order-ε forcing (f_y, f_w) of the y′ and w′ equations: the table
+    over all five columns.
 
     ``sgn_x`` and ``sgn_z`` stand in for sgn(x) and sgn(z); the caller
     resolves them.  Scalar or array ``tau`` with state of shape (4,) or
-    (4, n).  The sums keep the association K + (d₁x + d₂y + d₃z + d₄w),
+    (4, n).  The sums keep the association (d₁x + d₂y + d₃z + d₄w) + K,
     then (…)·σ, so the values equal the term-by-term sum except possibly
     for the sign of a zero.
     """
-    state = np.asarray(state, dtype=float)
-    (y, _, _), (w, _, _) = spec._readouts
-    return _read(y, tau, state, sgn_x), _read(w, tau, state, sgn_z)
+    return _forcing(spec, tau, state, (sgn_x, sgn_z), (range(5),))[0]
 
 
 def eval_order1_parts(spec: PerturbationSpec, tau, state, sgn_x, sgn_z):
     """The state-linear part R·s and the constant part k of the forcing,
-    each as (f_y, f_w): the forcings of the spec without K and without F."""
-    state = np.asarray(state, dtype=float)
-    (_, linear_y, constant_y), (_, linear_w, constant_w) = spec._readouts
-    return ((_read(linear_y, tau, state, sgn_x), _read(linear_w, tau, state, sgn_z)),
-            (_read(constant_y, tau, state, sgn_x), _read(constant_w, tau, state, sgn_z)))
+    each as (f_y, f_w): the table's columns 0–3, (d₁x + d₂y + d₃z + d₄w)
+    then (…)·σ, and its column 4, K then K′·σ, each term evaluated once.
+    They are the forcings of the spec without K and without F."""
+    return tuple(_forcing(spec, tau, state, (sgn_x, sgn_z), (range(4), (4,))))
 
 
 def smooth_sign(x, delta: float):

@@ -357,6 +357,41 @@ def test_verify_validates_and_reruns_byte_identical(tmp_path):
         assert b1 == b2, name
 
 
+# Time-dependent coefficients in both the state columns and the constant
+# column of the forcing, on the plain and the signed rows.
+TIME_DEPENDENT_ENTRIES = {
+    "k1": "cos:0.5,1", "k2": "sin:0.03,2", "k4": "const:0.05",
+    "f1.d1": "cos:0.2,1", "f1.d2": "const:-1", "f2.d4": "const:0.01",
+    "f3.d4": "const:-1", "f4.d3": "sin:0.05,1",
+}
+
+
+def test_verify_refines_time_dependent_coefficients_and_reruns_byte_identical(tmp_path):
+    # M_σ varies in time, so refinement carries the monodromy Φ through
+    # DOP853 rather than the exact flow of a constant matrix
+    pert = tmp_path / "pert.ini"
+    pert.write_text("[perturbation]\n" + "".join(f"{key} = {entry}\n" for key, entry
+                                                   in TIME_DEPENDENT_ENTRIES.items()), encoding="utf-8")
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(readme_ini(tmp_path), encoding="utf-8")
+    parser["search"]["grid"] = "8"
+    parser["perturbation"] = {"file": pert.name}
+    ini = tmp_path / "time_dependent.ini"
+    with open(ini, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    outs = [tmp_path / "o1", tmp_path / "o2"]
+    for out in outs:
+        assert cli.main(["verify", "--config", str(ini), "--out", str(out)]) == 0
+    payload = json.loads((outs[0] / "verify.json").read_text())
+    assert payload["any_validated"] is True and payload["sweeps"]
+    for sweep in payload["sweeps"]:
+        assert sweep["sweep"]["limit_gap_reason"] == [None] * 4
+    names = sorted(path.name for path in outs[0].iterdir())
+    assert names == sorted(path.name for path in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_verify_compare_conventions_arbiter_neither(tmp_path, capsys):
     sections = {
         "physical": {"m1": 1.0, "m2": 1.0, "l1": 1.0, "l2": 1.0, "g": 9.8},

@@ -262,6 +262,24 @@ def test_all_zero_spec_forcing_is_shaped_like_tau():
     assert np.array_equal(f_y, np.full(3, 0.25)) and np.array_equal(f_w, np.full(3, -0.25))
 
 
+def test_exact_zero_coefficient_contributes_nothing():
+    # an exact-zero coefficient is left out of the sums, not multiplied by
+    # the state, so an infinite x or z meets no 0·inf
+    s = bench_spectral()
+    spec = builtin("damped_forced", {"gamma": 0.5}, s)
+    state = np.array([np.inf, 0.0, -np.inf, 0.0])
+    for tau, states in ((0.3, state), (np.array([0.3, 1.1]), np.tile(state[:, None], 2))):
+        forcing = 0.5 * np.cos(s.omega1 * tau)
+        f_y, f_w = eval_order1_with_signs(spec, tau, states, 1.0, -1.0)
+        (linear_y, linear_w), (constant_y, constant_w) = eval_order1_parts(spec, tau, states, 1.0, -1.0)
+        for value in (f_y, f_w, linear_y, linear_w, constant_y, constant_w):
+            assert np.all(np.isfinite(value))
+        # the sign of a zero may differ from the term-by-term sum
+        assert np.array_equal(f_y, forcing) and np.array_equal(constant_y, forcing)
+        assert np.all(f_w == 0.0) and np.all(linear_y == 0.0) and np.all(linear_w == 0.0)
+        assert np.all(constant_w == 0.0)
+
+
 @given(x=st.floats(-2, 2), delta=st.floats(1e-4, 0.5))
 @settings(max_examples=80, deadline=None)
 def test_smooth_sign_ramp(x, delta):
