@@ -19,6 +19,10 @@ the change faster in at least nine of every ten (ties count for neither),
 and a median gap larger than the parent's interquartile range.  It also
 prints each side's median peak RSS, the child's ``ru_maxrss`` from
 ``os.wait4`` as the benchmark reads ``peak_rss_mb``, with its quartiles.
+On Linux a child's ``ru_maxrss`` starts from the RSS of the process that
+spawned it, which is lower here than in ``perfbench/run.py`` (that
+one has numpy loaded), so a child that stays below the benchmark's floor
+of about 30 MB reads lower here than in the benchmark.
 Last, it compares the ``out/`` trees the two sides' last runs wrote, byte
 for byte, and prints "artifacts identical" or the files that differ.
 """
@@ -42,15 +46,18 @@ from workloads import WORKLOADS  # noqa: E402
 
 def timed_run(src: Path, workload, ini: Path, run_dir: Path) -> Tuple[float, float]:
     """Wall seconds and peak RSS in MB of one fresh-interpreter CLI
-    invocation on ``src``."""
+    invocation on ``src``, its output written to ``run_dir/stdout.log``."""
     shutil.rmtree(run_dir / "out", ignore_errors=True)
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("PENDAVG_THREADS", None)
     cmd = [sys.executable, "-m", "pendavg", *workload.cli_args(Path(ini.name))]
-    t0 = perf_counter()
-    proc = subprocess.Popen(cmd, cwd=run_dir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = perf_counter() - t0
+    # The child writes to a file, as the benchmark's runs do: its peak RSS
+    # differs when it writes to /dev/null.
+    with open(run_dir / "stdout.log", "w", encoding="utf-8") as log:
+        t0 = perf_counter()
+        proc = subprocess.Popen(cmd, cwd=run_dir, env=env, stdout=log, stderr=subprocess.STDOUT)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = perf_counter() - t0
     code = os.waitstatus_to_exitcode(status)
     if code != workload.expected_exit:
         raise SystemExit(f"{workload.name} on {src}: exit {code}, expected {workload.expected_exit}")

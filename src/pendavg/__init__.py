@@ -9,7 +9,7 @@ Poincaré residual.
 
 The package root holds the prediction half's names of the README's library
 example, and importing it loads no module of the checking half (filippov,
-verify, dop853, expflow).  Every other name is imported from its module,
+verify, dop853, expflow) and not numpy.  Every other name is imported from its module,
 e.g. ``pendavg.verify.epsilon_sweep``.
 """
 

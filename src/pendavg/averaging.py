@@ -22,27 +22,30 @@ fixed by the phase convention:
 Convention A matches the sign the simulated discontinuity actually sees;
 B is kept selectable so the end-to-end residual test can arbitrate.
 
-Quadrature is per-panel Gauss–Legendre with panels split at the sgn
-breakpoints and at the knots of table scalars (linear interpolation has a
-kink at each), refined by doubling until two successive levels agree.
-Writing the sgn argument as c₀·cos(ωτ) + c₁·sin(ωτ), the breakpoints are
-τ_k = (atan2(c₁, c₀) + π/2 + kπ)/ω, clipped to the window.
 The orbit is linear in the amplitude and the sgn pattern depends only on
-its direction, so G is affine along every ray: G(r·e_θ) = r·L(θ) + C(θ).
-For frozen signs the forcing is affine, f = R·s + k, so L(θ) is the
-averaged response of R·s along the unit orbit e_θ and C(θ) that of k,
-both from one quadrature over the two parts of
-:func:`~pendavg.perturbation.eval_order1_parts`: the state columns and
-the constant column of the spec's forcing table.  The zeros of G are
-therefore the roots of the scalar h(θ) = det[L(θ), C(θ)], each at
-radius r* = −⟨L, C⟩/‖L‖².  The annulus search scans h on an angle grid,
-refines each sign change by Brent's method, and certifies a zero by
-det J = h′(θ*)/r*; the sign of h′ is the zero's Brouwer index.
+its direction, so G is affine along every ray: G(r·e_θ) = r·L(θ) + C(θ),
+with L(θ) the averaged response of the state columns of the spec's
+forcing table (:attr:`~pendavg.perturbation.PerturbationSpec.table`)
+along the unit orbit e_θ and C(θ) that of its constant column.  Both are
+exact sums.  The window splits into panels at the sgn breakpoints and at
+the knots of table scalars, where linear interpolation has a kink.
+Writing the sgn argument as c₀·cos(ωτ) + c₁·sin(ωτ), the breakpoints are
+τ_k = (atan2(c₁, c₀) + π/2 + kπ)/ω, clipped to the window.  On a panel
+the sign is fixed, and the integrand is a finite sum of
+(α + β·(τ − m))·e^{iλτ}: the orbit's cos and sin ωτ, the trig weight and
+every scalar (const, cos, sin or a table's linear piece) are such terms.
+With m the panel's midpoint, h its half-width and x = λh,
 
-The rays are batched per refinement level: the quadratures of rays with
-the same number of panels share one integrand evaluation per level, and
-each ray stops at its own level.  The scan's rays go in together, and a
-certificate's three angles θ*, θ* ± ``ANGLE_STEP`` in one call.
+    ∫ e^{iλτ} dτ = e^{iλm}·2h·sin(x)/x,
+    ∫ (τ − m)·e^{iλτ} dτ = e^{iλm}·2i·h²·(sin x − x·cos x)/x²,
+
+by their Taylor series where |x| < 1.  This is Filon's rule (Proc. R.
+Soc. Edinburgh 49, 1928) without a remainder, the other factor being of
+degree at most one.  The zeros of G are therefore the roots of the
+scalar h(θ) = det[L(θ), C(θ)], each at radius r* = −⟨L, C⟩/‖L‖².  The
+annulus search scans h on an angle grid, refines each sign change by
+Brent's method, and certifies a zero by det J = h′(θ*)/r*; the sign of
+h′ is the zero's Brouwer index.
 """
 
 from __future__ import annotations
@@ -50,32 +53,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from sys import float_info
 from typing import Callable, Optional, Tuple
 
-import numpy as np
+from .errors import DomainError, NumericalError
+from .model import JordanTransform, ReducedParams, SpectralData, jordan_transform
+from .perturbation import PerturbationSpec
 
-from .errors import DomainError, NumericalError, QuadratureError
-from .model import (
-    JordanTransform,
-    ReducedParams,
-    SpectralData,
-    jordan_transform,
-    unperturbed_orbit,
-)
-from .perturbation import PerturbationSpec, eval_order1_parts, eval_order1_with_signs
-
-GAUSS_ORDER = 16
-MAX_REFINE_LEVELS = 12
-QUADRATURE_RTOL = 1e-10
 SIMPLICITY_RTOL = 1e-8
 ANGLES_PER_GRID = 4
 ANGLE_STEP = 1e-6
-MAX_ROWS_PER_CALL = 32
 BRENT_XTOL = 2e-12
-BRENT_RTOL = 4.0 * np.finfo(float).eps
+BRENT_RTOL = 4.0 * float_info.epsilon
 BRENT_MAXITER = 100
-
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,6 +103,47 @@ class BifurcationSystem:
         interpolation has a kink at each."""
         return self.spec.table_knots(0.0, self.spec.p * self.spectral.period(self.family))
 
+    @cached_property
+    def modes(self) -> Tuple[tuple, ...]:
+        """The integrands of L and C as modes (λ, part, table, a, b, c).
+
+        On the ray e_θ, with ζ = e^{−iθ}, a mode adds σ^part·P(τ)·e^{iλτ}
+        times ζ·a + ζ̄·b to the integrand of L and times c to that of C,
+        with σ the panel's sign and P the ``table`` scalar's linear piece,
+        or 1 when ``table`` is None; L and C are the imaginary (sin) and
+        real (cos) parts of the integrals.  The orbit's physical state
+        is s_j = ζ·g_j·e^{iωτ} + conj, g_j = (T⁻¹[j, k] + i·T⁻¹[j, k+1])/2,
+        and the trig weight is e^{iωτ}.
+        """
+        k = 0 if self.family == 1 else 2
+        inverse, forward = self.transform.inverse, self.transform.forward
+        scale = 2.0 * math.sqrt(self.spectral.delta)
+        weights = (scale * forward[k + 1][1], scale * forward[k + 1][3])
+        # The signs (σ_x, σ_z) are those of T⁻¹[0, k] and T⁻¹[2, k] times sgn u(τ).
+        signs = (math.copysign(1.0, inverse[0][k]), math.copysign(1.0, inverse[2][k]))
+        modes = {}
+
+        def add(lam, part, table, a=0j, b=0j, c=0j):
+            old = modes.get((lam, part, table), (0j, 0j, 0j))
+            modes[lam, part, table] = (old[0] + a, old[1] + b, old[2] + c)
+
+        for (i, part, j), value, scalar in self.spec.table:
+            weight = value * weights[i] * (signs[i] if part else 1.0)
+            table = scalar if scalar is not None and scalar.kind == "table" else None
+            if scalar is None or table is not None:
+                harmonics = ((0.0, weight),)
+            else:  # A·cos Ωτ = (A/2)·e^{iΩτ} + conj, A·sin Ωτ = (−iA/2)·e^{iΩτ} + conj
+                half = 0.5 * weight * scalar.value * (1.0 if scalar.kind == "cos" else -1j)
+                harmonics = ((scalar.omega, half), (-scalar.omega, half.conjugate()))
+            for lam, coefficient in harmonics:
+                if j < 4:
+                    g = 0.5 * complex(inverse[j][k], inverse[j][k + 1])
+                    add(lam + 2.0 * self.omega, part, table, a=coefficient * g)
+                    add(lam, part, table, b=coefficient * g.conjugate())
+                else:
+                    add(lam + self.omega, part, table, c=coefficient)
+        return tuple((*key, *coefficients) for key, coefficients in modes.items())
+
 
 @dataclass(frozen=True)
 class QuadraturePartition:
@@ -122,14 +153,10 @@ class QuadraturePartition:
     window: float
 
     @cached_property
-    def panel_edges(self) -> np.ndarray:
-        """0, the distinct breakpoints and the window end, ascending.
-
-        Every breakpoint already lies in [0, window].  (np.unique gives the
-        same edges, but its first call imports numpy.ma, which costs more
-        than a whole zero search.)
-        """
-        return np.array(sorted({0.0, *self.breakpoints, self.window}))
+    def panel_edges(self) -> Tuple[float, ...]:
+        """0, the distinct breakpoints and the window end, ascending; every
+        breakpoint already lies in [0, window]."""
+        return tuple(sorted({0.0, *self.breakpoints, self.window}))
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,130 +197,87 @@ def find_sign_changes(amp, family: int, convention: str, s: SpectralData, p: int
 
     # Constant sign strictly between consecutive breakpoints.
     edges = partition.panel_edges
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    if np.any(c0 * np.cos(omega * mids) + c1 * np.sin(omega * mids) == 0.0):
-        raise NumericalError("sign-change partition has a zero at a panel midpoint")
+    for lo, hi in zip(edges, edges[1:]):
+        mid = 0.5 * (lo + hi)
+        if c0 * math.cos(omega * mid) + c1 * math.sin(omega * mid) == 0.0:
+            raise NumericalError("sign-change partition has a zero at a panel midpoint")
     return partition
 
 
-def _along_orbit(sys: BifurcationSystem, amp, tau: np.ndarray):
-    """State, (sin ωτ, cos ωτ), signs (σ_x, σ_z) along the orbit of ``amp``,
-    and the weights of (f_y, f_w) in 2√Δ·⟨r, (0, f_y, 0, f_w)⟩.  ``amp`` is
-    one amplitude or a pair of arrays with one amplitude per time."""
-    k = 0 if sys.family == 1 else 2
-    inverse, forward = sys.transform.inverse, sys.transform.forward
-    state = inverse @ unperturbed_orbit(sys.family, amp, tau, sys.spectral)
-    trig = np.stack([np.sin(sys.omega * tau), np.cos(sys.omega * tau)])
-    c0, c1 = _sgn_coefficients(amp, sys.sgn_convention)
-    sgn = np.sign(c0 * trig[1] + c1 * trig[0])
-    scale = 2.0 * math.sqrt(sys.spectral.delta)
-    signs = (np.sign(inverse[0, k]) * sgn, np.sign(inverse[2, k]) * sgn)
-    return state, trig, signs, (scale * forward[k + 1, 1], scale * forward[k + 1, 3])
-
-
-def averaged_integrand(sys: BifurcationSystem, amp, tau: np.ndarray) -> np.ndarray:
-    """Integrand pair of the averaged response at the n times ``tau``, shape (2, n)."""
-    state, trig, signs, (w_y, w_w) = _along_orbit(sys, amp, tau)
-    f_y, f_w = eval_order1_with_signs(sys.spec, tau, state, *signs)
-    return trig * (w_y * f_y + w_w * f_w)
-
-
-def _ray_integrand(sys: BifurcationSystem, units: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Integrands of (L, C) along unit orbits, shape (4, n): the averaged
-    response of the forcing's state-linear part R·s and of its constant
-    part k.  ``units`` is one unit amplitude or one per time, shape (2, n)."""
-    state, trig, signs, (w_y, w_w) = _along_orbit(sys, units, tau)
-    parts = eval_order1_parts(sys.spec, tau, state, *signs)
-    return np.concatenate([trig * (w_y * f_y + w_w * f_w) for f_y, f_w in parts])
-
-
-def _adaptive_gauss(f: Callable, edge_rows) -> list:
-    """Composite Gauss–Legendre over fixed panels with doubling refinement,
-    one integral per row of panel edges.
-
-    ``f(rows, taus)`` maps the row index and the time of each node, two
-    1-d arrays of length n, to values of shape (..., n).  Rows with the
-    same number of panels go into one evaluation per refinement level, at
-    most ``MAX_ROWS_PER_CALL`` of them.  Each row is reduced by its own
-    ``values @ weights`` and stops when two successive levels agree to
-    ``QUADRATURE_RTOL`` relative to the larger of 1 and the estimate's
-    norm, so its integral is the same whatever rows share its calls.
-    """
-    by_panels = {}
-    for row, edges in enumerate(edge_rows):
-        edges = np.asarray(edges, dtype=float)
-        # Zero-width panels go first: one zero step would send every panel
-        # through linspace's branch for zero steps.
-        keep = ~(edges[1:] - edges[:-1] <= 0.0)
-        by_panels.setdefault(int(keep.sum()), []).append((row, edges[:-1][keep], edges[1:][keep]))
-    totals = [None] * len(edge_rows)
-    for group in by_panels.values():
-        for start in range(0, len(group), MAX_ROWS_PER_CALL):
-            rows, lo, hi = (np.array(column) for column in zip(*group[start:start + MAX_ROWS_PER_CALL]))
-            _refine_rows(f, rows, lo, hi, totals)
-    return totals
-
-
-def _refine_rows(f: Callable, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, totals: list) -> None:
-    """Refine the rows ``rows`` with panels [lo, hi], one row each, into ``totals``."""
-    prev = [None] * len(rows)
-    live = list(range(len(rows)))
-    for level in range(MAX_REFINE_LEVELS + 1):
-        # Panel j of row i splits into 2**level subpanels, element by
-        # element as linspace(lo[i, j], hi[i, j], 2**level + 1) would;
-        # each row's nodes and weights stay panel-major.
-        bounds = np.linspace(lo[live], hi[live], 2 ** level + 1, axis=-1)
-        mid = 0.5 * (bounds[..., :-1] + bounds[..., 1:])
-        half = 0.5 * (bounds[..., 1:] - bounds[..., :-1])
-        taus = (mid[..., None] + half[..., None] * _GAUSS_NODES).reshape(len(live), -1)
-        weights = (half[..., None] * _GAUSS_WEIGHTS).reshape(len(live), -1)
-        n = taus.shape[1]
-        values = np.asarray(f(np.repeat(rows[live], n), taus.ravel()))
-        unconverged = []
-        for k, i in enumerate(live):
-            total = values[..., k * n:(k + 1) * n] @ weights[k]
-            if prev[i] is not None:
-                scale = max(1.0, float(np.linalg.norm(total)))
-                if float(np.linalg.norm(total - prev[i])) <= QUADRATURE_RTOL * scale:
-                    totals[rows[i]] = total
-                    continue
-            prev[i] = total
-            unconverged.append(i)
-        live = unconverged
-        if not live:
-            return
-    raise QuadratureError(
-        f"panel refinement did not converge to relative {QUADRATURE_RTOL:g} within "
-        f"{MAX_REFINE_LEVELS} doubling levels"
-    )
-
-
-def _panel_edges(sys: BifurcationSystem, amp) -> np.ndarray:
-    """Quadrature panel edges for ``amp``: the sgn breakpoints of its orbit
-    and the table knots."""
+def _panel_edges(sys: BifurcationSystem, amp) -> Tuple[float, ...]:
+    """Panel edges for ``amp``: the sgn breakpoints of its orbit and the
+    table knots."""
     edges = find_sign_changes(amp, sys.family, sys.sgn_convention, sys.spectral, sys.spec.p).panel_edges
     if not sys.table_knots:
         return edges
-    return np.array(sorted({*edges.tolist(), *sys.table_knots}))
+    return tuple(sorted({*edges, *sys.table_knots}))
 
 
-def bifurcation_values(sys: BifurcationSystem, amp) -> np.ndarray:
-    """The averaged pair at amplitude ``amp`` over the resonance window."""
-    (pair,) = _adaptive_gauss(lambda _, taus: averaged_integrand(sys, amp, taus), [_panel_edges(sys, amp)])
-    return pair
+def _moments(x: float) -> Tuple[float, float]:
+    """sin(x)/x and (sin x − x·cos x)/x², by their Taylor series where |x| < 1."""
+    if abs(x) >= 1.0:
+        sin, cos = math.sin(x), math.cos(x)
+        return sin / x, (sin - x * cos) / (x * x)
+    if x == 0.0:
+        return 1.0, 0.0
+    x2 = x * x
+    s0 = t0 = 1.0
+    s1 = t1 = x / 3.0
+    for n in range(2, 20, 2):
+        t0 *= -x2 / (n * (n + 1))
+        t1 *= -x2 / (n * (n + 3))
+        s0 += t0
+        s1 += t1
+    return s0, s1
 
 
 def _ray_pairs(sys: BifurcationSystem, thetas) -> list:
-    """(L, C) with G(r·e_θ) = r·L + C for every r > 0, for each angle θ."""
-    units = np.array([[math.cos(theta) for theta in thetas], [math.sin(theta) for theta in thetas]])
-    pairs = _adaptive_gauss(lambda rows, taus: _ray_integrand(sys, units[:, rows], taus),
-                            [_panel_edges(sys, unit) for unit in units.T])
-    return [(pair[:2], pair[2:]) for pair in pairs]
+    """(L, C) with G(r·e_θ) = r·L + C for every r > 0, for each angle θ:
+    the modes of :attr:`BifurcationSystem.modes` integrated exactly on
+    each panel."""
+    pairs = []
+    for theta in thetas:
+        unit = (math.cos(theta), math.sin(theta))
+        zeta = complex(unit[0], -unit[1])
+        modes = [(lam, part, table, zeta * a + zeta.conjugate() * b, c)
+                 for lam, part, table, a, b, c in sys.modes]
+        c0, c1 = _sgn_coefficients(unit, sys.sgn_convention)
+        edges = _panel_edges(sys, unit)
+        lin = const = 0j
+        for lo, hi in zip(edges, edges[1:]):
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            u = c0 * math.cos(sys.omega * mid) + c1 * math.sin(sys.omega * mid)
+            sign = (u > 0.0) - (u < 0.0)
+            for lam, part, table, k_lin, k_const in modes:
+                s0, s1 = _moments(lam * half)
+                if table is None:
+                    integral = complex(2.0 * half * s0)
+                else:
+                    alpha, beta = table.piece(mid)
+                    integral = complex(2.0 * half * alpha * s0, 2.0 * half * half * beta * s1)
+                integral *= complex(math.cos(lam * mid), math.sin(lam * mid))
+                if part:
+                    integral *= sign
+                lin += k_lin * integral
+                const += k_const * integral
+        pairs.append(((lin.imag, lin.real), (const.imag, const.real)))
+    return pairs
 
 
-def _det(lin: np.ndarray, const: np.ndarray) -> float:
+def bifurcation_values(sys: BifurcationSystem, amp) -> Tuple[float, float]:
+    """The averaged pair at amplitude ``amp`` over the resonance window:
+    |amp|·L + C at the angle of ``amp``."""
+    u0, v0 = float(amp[0]), float(amp[1])
+    radius = math.hypot(u0, v0)
+    if radius == 0.0:
+        raise DomainError("degenerate amplitude (0, 0) has no sign structure")
+    ((lin, const),) = _ray_pairs(sys, [math.atan2(v0, u0)])
+    return (radius * lin[0] + const[0], radius * lin[1] + const[1])
+
+
+def _det(lin, const) -> float:
     """h = det[L, C]: zero exactly where a ray carries a zero of G."""
-    return float(lin[0] * const[1] - lin[1] * const[0])
+    return lin[0] * const[1] - lin[1] * const[0]
 
 
 def _brent(f: Callable[[float], float], a: float, b: float, fa: float, fb: float,
@@ -353,14 +337,14 @@ def _certificate(sys: BifurcationSystem, theta: float, r1: float, r2: float,
                  scale: float) -> Optional[ZeroCertificate]:
     """Certificate of the zero on the ray θ, a root of h, if it lies in (r1, r2)."""
     (lin, const), above, below = _ray_pairs(sys, [theta, theta + ANGLE_STEP, theta - ANGLE_STEP])
-    norm2 = float(lin @ lin)
+    norm2 = lin[0] * lin[0] + lin[1] * lin[1]
     if norm2 == 0.0:
         return None
-    radius = -float(lin @ const) / norm2
+    radius = -(lin[0] * const[0] + lin[1] * const[1]) / norm2
     if not r1 < radius < r2:
         return None
-    point = radius * np.array([math.cos(theta), math.sin(theta)])
-    value_norm = float(np.linalg.norm(bifurcation_values(sys, point)))
+    point = (radius * math.cos(theta), radius * math.sin(theta))
+    value_norm = math.hypot(*bifurcation_values(sys, point))
     slope = (_det(*above) - _det(*below)) / (2.0 * ANGLE_STEP)
     # At a zero h'(θ) = det[L, r·L' + C'] = r·det J.
     det = slope / radius
@@ -369,10 +353,10 @@ def _certificate(sys: BifurcationSystem, theta: float, r1: float, r2: float,
         and abs(det) > SIMPLICITY_RTOL * scale * scale / (radius * radius)
     )
     return ZeroCertificate(
-        point=(float(point[0]), float(point[1])),
+        point=point,
         value_norm=value_norm,
         det=det,
-        index=int(np.sign(slope)),
+        index=(slope > 0.0) - (slope < 0.0),
         simple=simple,
     )
 
@@ -393,9 +377,9 @@ def annulus_search(sys: BifurcationSystem, r1: float, r2: float, grid: int) -> l
     if grid < 8:
         raise DomainError(f"grid must be at least 8, got {grid!r}")
     n = ANGLES_PER_GRID * grid
-    thetas = (2.0 * math.pi * np.arange(n + 1) / n).tolist()
+    thetas = [2.0 * math.pi * i / n for i in range(n + 1)]
     pairs = _ray_pairs(sys, thetas[:-1])
-    scale = max(float(np.linalg.norm(r2 * lin + const)) for lin, const in pairs)
+    scale = max(math.hypot(r2 * lin[0] + const[0], r2 * lin[1] + const[1]) for lin, const in pairs)
     if scale <= 0.0:
         return []
     h = [_det(lin, const) for lin, const in pairs]

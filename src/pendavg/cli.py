@@ -8,19 +8,18 @@ printed with 17 significant digits so reruns with the same config are
 byte-identical.
 
 Exit codes: 0 success, 2 resonance degeneracy, 3 no (validated) zero,
-4 quadrature failure, 5 crossing-hypothesis violation, 6 integration
-stall; usage errors and other domain errors exit 1.
+5 crossing-hypothesis violation, 6 integration stall; usage errors and
+other domain errors exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import numbers
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .averaging import (
     BifurcationSystem,
@@ -69,20 +68,26 @@ def _format_float(v: float) -> str:
 
 
 def dumps_deterministic(obj, indent: int = 0) -> str:
-    """JSON text with 17-significant-digit floats and stable layout."""
+    """JSON text with 17-significant-digit floats and stable layout.
+
+    numpy scalars count as numbers (numpy registers them as
+    ``numbers.Integral`` and ``numbers.Real``) and arrays as their
+    ``tolist()``, so no numpy import is needed to recognise them."""
     pad = "  " * indent
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, numbers.Integral):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, numbers.Real):
         return _format_float(float(obj))
     if isinstance(obj, str):
         escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if hasattr(obj, "tolist"):
+        return dumps_deterministic(obj.tolist(), indent)
+    if isinstance(obj, (list, tuple)):
         items = [dumps_deterministic(v, indent + 1) for v in list(obj)]
         if not items:
             return "[]"

@@ -6,7 +6,6 @@ failures onto its documented contract:
     0  success
     2  resonance (degenerate monodromy block)
     3  no validated zero
-    4  quadrature refinement failure
     5  crossing violation (a persistent tangency, or a tangency where
        only crossings are allowed)
     6  integration stall (event accumulation / step underflow)
@@ -46,12 +45,6 @@ class NoZeroError(PendavgError):
     """No (validated) simple zero of the bifurcation pair was found."""
 
     exit_code = 3
-
-
-class QuadratureError(PendavgError):
-    """Adaptive panel refinement did not converge within the level budget."""
-
-    exit_code = 4
 
 
 class CrossingViolationError(PendavgError):

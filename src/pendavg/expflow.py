@@ -24,7 +24,6 @@ import numpy as np
 
 from .averaging import _brent
 from .dop853 import EVENT_TOL, Solution, sign_changes
-from .perturbation import PeriodicArray
 
 EXPM_DEGREE = 18
 ROOT_DEGREE = 30
@@ -33,10 +32,9 @@ OVERFLOW = "the exponential flow overflowed or is not finite"
 
 
 def generator(matrix, offset) -> Optional[np.ndarray]:
-    """B of v′ = B·v for s′ = matrix·s + offset(τ), or None unless both are
-    PeriodicArrays, the matrix constant and the offset's terms cos or sin."""
-    if not all(isinstance(part, PeriodicArray) for part in (matrix, offset)):
-        return None
+    """B of v′ = B·v for s′ = matrix·s + offset(τ), given as the periodic
+    arrays of :mod:`pendavg.filippov`, or None unless the matrix is
+    constant and the offset's terms are cos or sin."""
     if matrix.terms or any(scalar.kind not in ("cos", "sin") for _, _, scalar in offset.terms):
         return None
     omegas = sorted({scalar.omega for _, _, scalar in offset.terms})

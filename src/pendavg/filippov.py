@@ -55,8 +55,8 @@ from . import expflow
 from .dop853 import MAX_STEPS, solve
 from .errors import (DEFAULT_MAX_EVENTS, CrossingViolationError, DomainError, IntegrationStallError,
                      TangencyError)
-from .model import ReducedParams, SpectralData, linearization_matrix
-from .perturbation import PerturbationSpec, PeriodicArray, eval_order1_with_signs, smooth_sign
+from .model import ReducedParams, SpectralData
+from .perturbation import PerturbationSpec, PeriodicScalar, eval_order1_with_signs, smooth_sign
 
 # Tolerances of the event machinery.
 EVENT_TIME_TOL = 1e-12
@@ -119,12 +119,6 @@ class Trajectory:
     monodromy_reason: Optional[str] = None
 
     @property
-    def final_time(self) -> float:
-        if not self.segments:
-            return self.t_span[0]
-        return float(self.segments[-1].ts[-1])
-
-    @property
     def final_state(self) -> np.ndarray:
         if not self.segments:
             return np.array(self.initial_state, dtype=float)
@@ -141,6 +135,63 @@ class CrossingReport:
     offenders: Tuple[int, ...]
 
 
+@dataclass(frozen=True, eq=False)
+class PeriodicArray:
+    """An array of sums of periodic scalars: ``constant`` plus, for each
+    of ``terms`` (index, factor, scalar), factor·scalar(τ) at index."""
+
+    constant: np.ndarray
+    terms: Tuple[Tuple[tuple, float, PeriodicScalar], ...] = ()
+
+    def __call__(self, tau: float) -> np.ndarray:
+        """The array at a scalar τ (the shared ``constant`` when no term varies)."""
+        if not self.terms:
+            return self.constant
+        out = self.constant.copy()
+        for index, factor, scalar in self.terms:
+            out[index] += factor * scalar(tau)
+        return out
+
+    def embedded(self, base: np.ndarray, rows: Sequence[int], scale: float) -> "PeriodicArray":
+        """``base`` plus ``scale`` times this array, its row i added to ``rows[i]``."""
+        constant = np.array(base, dtype=float)
+        constant[list(rows)] += scale * self.constant
+        return PeriodicArray(constant, tuple(((rows[index[0]],) + index[1:], scale * factor, scalar)
+                                             for index, factor, scalar in self.terms))
+
+
+def linearization_matrix(r: ReducedParams) -> np.ndarray:
+    """State matrix of the reduced linear system in the physical frame."""
+    return np.array(
+        [
+            [0.0, 1.0, 0.0, 0.0],
+            [-r.a, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [r.b, 0.0, -r.b, 0.0],
+        ]
+    )
+
+
+def _frozen_forcing(spec: PerturbationSpec, signs: Tuple[float, float]) -> Tuple[PeriodicArray, PeriodicArray]:
+    """The forcing for frozen signs σ, affine: (f_y, f_w) = R(τ)·s + k(τ).
+
+    P[:, 0] + σ·P[:, 1] of the spec's table split into R (columns 0–3)
+    and k (column 4): the table's terms in its order, each scaled by σ on
+    a signed row and skipped where σ = 0.
+    """
+    constant = np.zeros((2, 5))
+    linear, offset = [], []
+    for (i, part, j), value, scalar in spec.table:
+        factor = value * signs[i] if part else value
+        if scalar is None:
+            constant[i, j] += factor
+        elif factor != 0.0 and j < 4:
+            linear.append(((i, j), factor, scalar))
+        elif factor != 0.0:
+            offset.append(((i,), factor, scalar))
+    return PeriodicArray(constant[:, :4], tuple(linear)), PeriodicArray(constant[:, 4], tuple(offset))
+
+
 FieldWithSigns = Callable[[float, np.ndarray, Tuple[float, float]], np.ndarray]
 
 
@@ -153,7 +204,7 @@ def d1_field(spec: PerturbationSpec, reduced: ReducedParams, eps: float) -> Fiel
     Calling it evaluates the forcing for any signs (contacts, the
     regularized run).  ``field.frozen(signs)`` is its affine form for
     frozen signs, f = M_σ(τ)·s + c_σ(τ), as the periodic arrays
-    M_σ = A + ε·R_σ and c_σ = ε·k_σ (R_σ, k_σ from ``spec.frozen``), on
+    M_σ = A + ε·R_σ and c_σ = ε·k_σ (R_σ, k_σ from the spec's table), on
     which segments and the monodromy run.  ``field.knots(t0, t1)`` gives
     the knots of the forcing's tables between t0 and t1, at which
     segments end.
@@ -170,7 +221,7 @@ def d1_field(spec: PerturbationSpec, reduced: ReducedParams, eps: float) -> Fiel
         return np.array([y, dy, w, dw], dtype=float)
 
     def frozen(signs: Tuple[float, float]) -> Tuple[PeriodicArray, PeriodicArray]:
-        rows, consts = spec.frozen(signs[0], signs[1])
+        rows, consts = _frozen_forcing(spec, (float(signs[0]), float(signs[1])))
         return rows.embedded(linear, (1, 3), eps), consts.embedded(np.zeros(4), (1, 3), eps)
 
     field.frozen = frozen
@@ -472,7 +523,7 @@ class _Integrator:
         else:
             form = frozen(signs)
             rhs = _affine_rhs(*form, phi is not None)
-            if np.isfinite(self.max_step):
+            if np.isfinite(self.max_step) and all(isinstance(part, PeriodicArray) for part in form):
                 big = expflow.generator(*form)
         t_run, u_run = self._depart_surface(rhs, u)
         if self.finished:

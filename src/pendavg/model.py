@@ -5,7 +5,7 @@ Physical constants, the small-angle reduction to dimensionless constants
 block-rotation normal form, the two unperturbed periodic-orbit families,
 and the full nonlinear accelerations.
 
-States are length-4 float arrays.  Two frames are used throughout:
+States are length-4 sequences of floats.  Two frames are used throughout:
 
 * physical frame  (x, y, z, w) = (θ₁, θ₁′, θ₂, θ₂′), primes are d/dτ;
 * normal-form frame (X, Y, Z, W), where the linear flow is a pair of
@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Tuple
 
 from .errors import DomainError, NumericalError, ResonanceError
 
@@ -82,16 +81,19 @@ class SpectralData:
         return self.period1 if family == 1 else self.period2
 
 
+Matrix4 = Tuple[Tuple[float, float, float, float], ...]
+
+
 @dataclass(frozen=True, eq=False)
 class JordanTransform:
     """Linear change of variables between physical and normal-form frames.
 
-    ``forward`` maps (x, y, z, w) to (X, Y, Z, W); ``inverse`` is its
-    numerically computed and verified inverse.
+    ``forward`` maps (x, y, z, w) to (X, Y, Z, W) and ``inverse`` maps
+    back, each a 4×4 matrix as a tuple of rows.
     """
 
-    forward: np.ndarray
-    inverse: np.ndarray
+    forward: Matrix4
+    inverse: Matrix4
 
 
 def reduce_params(p: PhysicalParams) -> ReducedParams:
@@ -132,55 +134,33 @@ def spectral_data(r: ReducedParams) -> SpectralData:
     )
 
 
-def linearization_matrix(r: ReducedParams) -> np.ndarray:
-    """State matrix of the reduced linear system in the physical frame."""
-    return np.array(
-        [
-            [0.0, 1.0, 0.0, 0.0],
-            [-r.a, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [r.b, 0.0, -r.b, 0.0],
-        ]
-    )
-
-
 def jordan_transform(r: ReducedParams, s: SpectralData) -> JordanTransform:
     """Build the block-rotation normal-form change of variables.
 
     The forward matrix conjugates the linearization into
-    diag([[0, ω₁], [−ω₁, 0]], [[0, ω₂], [−ω₂, 0]]); the inverse is computed
-    numerically and checked against the identity.
+    diag([[0, ω₁], [−ω₁, 0]], [[0, ω₂], [−ω₂, 0]]).  Its rows 0 and 2 use
+    columns 0 and 2 only, and rows 1 and 3 columns 1 and 3, so its inverse
+    is two 2×2 inverses, of determinants b·ω₁ω₂/√Δ and b/√Δ.
     """
     a, b = r.a, r.b
     rd = math.sqrt(s.delta)
     w1, w2 = s.omega1, s.omega2
-    forward = np.array(
-        [
-            [b * w1 / rd, 0.0, w1 * (a - b + rd) / (2.0 * rd), 0.0],
-            [0.0, b / rd, 0.0, (a - b + rd) / (2.0 * rd)],
-            [-b * w2 / rd, 0.0, w2 * (-a + b + rd) / (2.0 * rd), 0.0],
-            [0.0, -b / rd, 0.0, (-a + b + rd) / (2.0 * rd)],
-        ]
+    forward = (
+        (b * w1 / rd, 0.0, w1 * (a - b + rd) / (2.0 * rd), 0.0),
+        (0.0, b / rd, 0.0, (a - b + rd) / (2.0 * rd)),
+        (-b * w2 / rd, 0.0, w2 * (-a + b + rd) / (2.0 * rd), 0.0),
+        (0.0, -b / rd, 0.0, (-a + b + rd) / (2.0 * rd)),
     )
-    # Determinant is bounded away from zero for a > 1, b > 0; guard anyway.
-    if abs(np.linalg.det(forward)) < 1e-14:
+    blocks = ((0, 2), (1, 3))
+    dets = [forward[i][i] * forward[j][j] - forward[i][j] * forward[j][i] for i, j in blocks]
+    # Bounded away from zero for a > 1, b > 0; guard anyway.
+    if not abs(dets[0] * dets[1]) >= 1e-14:
         raise NumericalError("normal-form transform is numerically singular")
-    inverse = np.linalg.inv(forward)
-    if not np.allclose(forward @ inverse, np.eye(4), atol=1e-12):
-        raise NumericalError("normal-form transform inverse failed the identity check")
-    return JordanTransform(forward=forward, inverse=inverse)
-
-
-def fundamental_matrix(s: SpectralData, tau: float) -> np.ndarray:
-    """Fundamental solution of the normal-form linear system, M(0) = I."""
-    m = np.zeros((4, 4))
-    for k, w in ((0, s.omega1), (2, s.omega2)):
-        c, sn = math.cos(w * tau), math.sin(w * tau)
-        m[k, k] = c
-        m[k, k + 1] = sn
-        m[k + 1, k] = -sn
-        m[k + 1, k + 1] = c
-    return m
+    inverse = [[0.0] * 4 for _ in range(4)]
+    for (i, j), det in zip(blocks, dets):
+        inverse[i][i], inverse[i][j] = forward[j][j] / det, -forward[i][j] / det
+        inverse[j][i], inverse[j][j] = -forward[j][i] / det, forward[i][i] / det
+    return JordanTransform(forward=forward, inverse=tuple(map(tuple, inverse)))
 
 
 def monodromy_lower_block(s: SpectralData, p: int, family: int = 1):
@@ -195,11 +175,14 @@ def monodromy_lower_block(s: SpectralData, p: int, family: int = 1):
         raise DomainError(f"traversal count p must be a positive integer, got {p!r}")
     if family not in (1, 2):
         raise DomainError(f"family must be 1 or 2, got {family!r}")
-    period = s.period(family)
-    diff = np.linalg.inv(fundamental_matrix(s, 0.0)) - np.linalg.inv(fundamental_matrix(s, p * period))
-    sl = slice(2, 4) if family == 1 else slice(0, 2)
-    block = diff[sl, sl]
-    det = float(np.linalg.det(block))
+    # M(t) turns the transverse plane by ω·t, ω its frequency, so the block
+    # is I − M(pT)⁻¹ = [[1 − c, s], [−s, 1 − c]] with c, s the cosine and
+    # sine of ω·pT, and its determinant is 2 − 2c.
+    other = s.omega2 if family == 1 else s.omega1
+    angle = other * (p * s.period(family))
+    c, sn = math.cos(angle), math.sin(angle)
+    block = ((1.0 - c, sn), (-sn, 1.0 - c))
+    det = 2.0 - 2.0 * c
     if abs(det) < RESONANCE_TOL:
         ratio = s.omega2 / s.omega1 if family == 1 else s.omega1 / s.omega2
         raise ResonanceError(
@@ -207,28 +190,6 @@ def monodromy_lower_block(s: SpectralData, p: int, family: int = 1):
             f"4·sin²(p·π·{ratio:.6g}) = {det:.3e} below tolerance {RESONANCE_TOL:g}"
         )
     return block, det
-
-
-def unperturbed_orbit(family: int, amp, tau, s: SpectralData) -> np.ndarray:
-    """Normal-form state of the family-1 or family-2 periodic orbit.
-
-    Family 1: (X, Y) = (X₀cos ω₁τ + Y₀sin ω₁τ, Y₀cos ω₁τ − X₀sin ω₁τ),
-    Z = W = 0.  Family 2 is the analogue in the (Z, W) plane with ω₂.
-    Accepts scalar or array ``tau``, and one amplitude or a pair of arrays
-    with one amplitude per time; returns shape (4,) or (4, n).
-    """
-    if family not in (1, 2):
-        raise DomainError(f"family must be 1 or 2, got {family!r}")
-    u0, v0 = amp[0], amp[1]
-    tau = np.asarray(tau, dtype=float)
-    w = s.omega(family)
-    c, sn = np.cos(w * tau), np.sin(w * tau)
-    u = u0 * c + v0 * sn
-    v = v0 * c - u0 * sn
-    zero = np.zeros_like(u)
-    if family == 1:
-        return np.stack([u, v, zero, zero])
-    return np.stack([zero, zero, u, v])
 
 
 def nonlinear_accelerations(p: PhysicalParams, phi1, dphi1, phi2, dphi2):

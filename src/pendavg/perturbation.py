@@ -14,8 +14,9 @@ signs along an unperturbed orbit for the averaged pair.
 
 Periodic scalars are tagged data: ``const`` (a value), ``cos``/``sin``
 (amplitude and ω) or ``table`` (uniform grid, linear interpolation, at
-least 256 samples per period), evaluated on scalar or array arguments.
-A small file format states a perturbation as one entry per scalar
+least 256 samples per period).  They evaluate with :mod:`math` on a float
+and with numpy only on an array, so the prediction half never loads
+numpy.  A small file format states a perturbation as one entry per scalar
 (``k1 = cos:<amp>,<harmonic>``, ``f1.d2 = const:<v>``, …); the builtins
 are such entries with their parameters in braces, and every spec, builtin
 or file, is built from its entries by one function.
@@ -24,10 +25,9 @@ The forcing is affine in the state and in the signs, so each spec states
 it once, as one table P (:attr:`PerturbationSpec.table`), and every
 reader reads P: :func:`eval_order1_with_signs` for any signs,
 :func:`eval_order1_parts` for its state-linear part R·s and its constant
-part k apart (the averaged pair integrates the two separately) and, for
-frozen signs, :meth:`PerturbationSpec.frozen`, the affine form
-(f_y, f_w) = R(τ)·s + k(τ), one precomputed array on constant
-coefficients, from which the integrator builds each segment's field.
+part k apart, the averaged pair's closed form
+(:mod:`pendavg.averaging`) and the integrator's affine form
+(f_y, f_w) = R(τ)·s + k(τ) for frozen signs (:mod:`pendavg.filippov`).
 """
 
 from __future__ import annotations
@@ -38,11 +38,10 @@ import io
 import math
 import os
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .errors import DomainError
 from .model import SpectralData
@@ -66,7 +65,7 @@ class PeriodicScalar:
     period: float
     value: float = 0.0
     omega: float = 0.0
-    knots: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    knots: Optional[Tuple[Tuple[float, ...], Tuple[float, ...]]] = None
 
     def __post_init__(self):
         if self.kind not in SCALAR_KINDS:
@@ -75,12 +74,30 @@ class PeriodicScalar:
             raise DomainError(f"period must be a positive real, got {self.period!r}")
 
     def __call__(self, tau):
+        if isinstance(tau, (int, float)):
+            if self.kind == "const":
+                return tau * 0.0 + self.value
+            if self.kind == "table":
+                return self.piece(tau)[0]
+            return self.value * (math.cos if self.kind == "cos" else math.sin)(self.omega * tau)
+        import numpy as np  # an array argument: numpy is loaded already
+
         if self.kind == "const":
             return np.asarray(tau, dtype=float) * 0.0 + self.value
         if self.kind == "table":
             return np.interp(np.mod(tau, self.period), *self.knots)
-        trig = np.cos if self.kind == "cos" else np.sin
-        return self.value * trig(self.omega * tau)
+        return self.value * (np.cos if self.kind == "cos" else np.sin)(self.omega * tau)
+
+    def piece(self, tau: float) -> Tuple[float, float]:
+        """A table's value at the float τ, as ``np.interp`` gives it, and the
+        slope of the knot interval holding τ."""
+        xs, ys = self.knots
+        x = min(max(tau % self.period, xs[0]), xs[-1])
+        j = min(bisect_right(xs, x), len(xs) - 1)  # xs[j − 1] ≤ x < xs[j], or x = xs[-1]
+        slope = (ys[j] - ys[j - 1]) / (xs[j] - xs[j - 1])
+        if x == xs[j]:
+            return ys[j], slope
+        return slope * (x - xs[j - 1]) + ys[j - 1], slope
 
     @staticmethod
     def constant(value: float, period: float) -> "PeriodicScalar":
@@ -103,9 +120,11 @@ class PeriodicScalar:
         ``MIN_TABLE_SAMPLES_PER_PERIOD`` samples; the implied period is
         one spacing past the last knot.
         """
-        taus = np.asarray(taus, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if taus.ndim != 1 or taus.shape != values.shape:
+        try:
+            taus, values = [float(t) for t in taus], [float(v) for v in values]
+        except (TypeError, ValueError):
+            raise DomainError("table needs matching 1-d tau and value columns") from None
+        if len(taus) != len(values):
             raise DomainError("table needs matching 1-d tau and value columns")
         if len(taus) < MIN_TABLE_SAMPLES_PER_PERIOD:
             raise DomainError(
@@ -114,13 +133,11 @@ class PeriodicScalar:
             )
         if abs(taus[0]) > 1e-12:
             raise DomainError("table grid must start at tau = 0")
-        steps = np.diff(taus)
-        dt = steps[0]
-        if dt <= 0 or not np.allclose(steps, dt, rtol=1e-8, atol=1e-12):
+        dt = taus[1] - taus[0]
+        if not dt > 0 or any(not abs(b - a - dt) <= 1e-12 + 1e-8 * dt for a, b in zip(taus, taus[1:])):
             raise DomainError("table grid must be uniform and increasing")
-        period = float(taus[-1] + dt)
-        knots = (np.append(taus, period), np.append(values, values[0]))
-        return PeriodicScalar("table", period, knots=knots)
+        period = taus[-1] + dt
+        return PeriodicScalar("table", period, knots=((*taus, period), (*values, values[0])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,45 +152,10 @@ class LinearForm:
     def coefficients(self) -> Tuple[PeriodicScalar, ...]:
         return (self.d1, self.d2, self.d3, self.d4)
 
-    def evaluate(self, tau, state):
-        """Evaluate at scalar/array tau with state of shape (4,) or (4, n)."""
-        state = np.asarray(state, dtype=float)
-        return (
-            self.d1(tau) * state[0]
-            + self.d2(tau) * state[1]
-            + self.d3(tau) * state[2]
-            + self.d4(tau) * state[3]
-        )
-
     @staticmethod
     def zero(period: float) -> "LinearForm":
         z = PeriodicScalar.constant(0.0, period)
         return LinearForm(z, z, z, z)
-
-
-@dataclass(frozen=True, eq=False)
-class PeriodicArray:
-    """An array of sums of periodic scalars: ``constant`` plus, for each
-    of ``terms`` (index, factor, scalar), factor·scalar(τ) at index."""
-
-    constant: np.ndarray
-    terms: Tuple[Tuple[tuple, float, PeriodicScalar], ...] = ()
-
-    def __call__(self, tau: float) -> np.ndarray:
-        """The array at a scalar τ (the shared ``constant`` when no term varies)."""
-        if not self.terms:
-            return self.constant
-        out = self.constant.copy()
-        for index, factor, scalar in self.terms:
-            out[index] += factor * scalar(tau)
-        return out
-
-    def embedded(self, base: np.ndarray, rows: Sequence[int], scale: float) -> "PeriodicArray":
-        """``base`` plus ``scale`` times this array, its row i added to ``rows[i]``."""
-        constant = np.array(base, dtype=float)
-        constant[list(rows)] += scale * self.constant
-        return PeriodicArray(constant, tuple(((rows[index[0]],) + index[1:], scale * factor, scalar)
-                                             for index, factor, scalar in self.terms))
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,54 +180,26 @@ class PerturbationSpec:
             raise DomainError("need exactly four forcing scalars and four linear forms")
 
     @cached_property
-    def table(self) -> PeriodicArray:
-        """The forcing as one affine table P, shape (2, 2, 5): component
+    def table(self) -> tuple:
+        """The forcing as one affine table P of shape (2, 2, 5): component
         (f_y, f_w) × (plain, signed) × column (x, y, z, w, 1), so that
         f_i = Σ_j P[i,0,j]·s_j + σ_i·Σ_j P[i,1,j]·s_j with s₅ = 1.
 
         Row [i, 0] holds F₁, K₁ (F₃, K₃ for f_w), row [i, 1] F₂, K₂ (F₄,
-        K₄).  A ``const`` scalar is an entry of ``P.constant``, any other
-        a term ((i, part, j), 1.0, scalar); the terms are in index order.
+        K₄).  P is stated as its entries in index order, exact-zero
+        constants left out: ((i, part, j), value, None) for a ``const``
+        scalar and ((i, part, j), 1.0, scalar) for any other.
         """
-        scalars = np.array([(*form.coefficients(), k) for form, k in zip(self.F, self.K)], dtype=object)
-        constant = np.zeros((2, 2, 5))
-        terms = []
-        for index, scalar in np.ndenumerate(scalars.reshape(constant.shape)):
-            if scalar.kind == "const":
-                constant[index] = scalar.value
-            else:
-                terms.append((index, 1.0, scalar))
-        return PeriodicArray(constant, tuple(terms))
-
-    @cached_property
-    def _entries(self):
-        """The table's entries in index order, exact-zero constants left
-        out: (index, constant, None) or, for a term, (index, factor, scalar).
-        The evaluator walks these rather than all 20 places on every call."""
-        table = self.table
-        constants = [(index, float(value), None) for index, value in np.ndenumerate(table.constant) if value != 0.0]
-        return tuple(sorted([*constants, *table.terms], key=lambda entry: entry[0]))
-
-    def frozen(self, sgn_x: float, sgn_z: float) -> Tuple[PeriodicArray, PeriodicArray]:
-        """The forcing for frozen signs σ, affine: (f_y, f_w) = R(τ)·s + k(τ).
-
-        P[:, 0] + σ·P[:, 1] split into R (columns 0–3) and k (column 4):
-        the table's terms in its order, each scaled by σ on a signed row
-        and skipped where σ = 0.
-        """
-        signs = (float(sgn_x), float(sgn_z))
-        table = self.table
-        constant = table.constant[:, 0] + np.array(signs)[:, None] * table.constant[:, 1]
-        linear, offset = [], []
-        for (i, part, j), factor, scalar in table.terms:
-            factor *= signs[i] if part else 1.0
-            if factor == 0.0:
-                continue
-            if j < 4:
-                linear.append(((i, j), factor, scalar))
-            else:
-                offset.append(((i,), factor, scalar))
-        return PeriodicArray(constant[:, :4], tuple(linear)), PeriodicArray(constant[:, 4], tuple(offset))
+        rows = [(*form.coefficients(), k) for form, k in zip(self.F, self.K)]
+        entries = []
+        for i in range(2):
+            for part in range(2):
+                for j, scalar in enumerate(rows[2 * i + part]):
+                    if scalar.kind != "const":
+                        entries.append(((i, part, j), 1.0, scalar))
+                    elif scalar.value != 0.0:
+                        entries.append(((i, part, j), scalar.value, None))
+        return tuple(entries)
 
     def table_knots(self, t0: float, t1: float) -> Tuple[float, ...]:
         """The knots of the spec's tables between t0 and t1, ascending:
@@ -253,9 +207,9 @@ class PerturbationSpec:
         period-divisibility tolerance of an end counts as that end."""
         lo, hi = min(t0, t1), max(t0, t1)
         margin = PERIOD_DIVISIBILITY_TOL * (hi - lo)
-        knots = {t + k * d.period for _, _, d in self.table.terms if d.kind == "table"
+        knots = {t + k * d.period for _, _, d in self.table if d is not None and d.kind == "table"
                  for k in range(math.floor(lo / d.period), math.ceil(hi / d.period))
-                 for t in d.knots[0][:-1].tolist()}
+                 for t in d.knots[0][:-1]}
         return tuple(sorted(t for t in knots if lo + margin < t < hi - margin))
 
     def validate_against(self, spectral: SpectralData) -> None:
@@ -277,12 +231,16 @@ def _forcing(spec: PerturbationSpec, tau, state, signs, column_sets):
     s = (x, y, z, w, 1).  Each term is evaluated once, each sum runs in
     column order, the plain one from zeros shaped like τ, and an
     exact-zero constant adds nothing, so it never meets an infinite state."""
-    state = np.asarray(state, dtype=float)
-    zero = np.zeros(tau.shape) if isinstance(tau, np.ndarray) else 0.0
+    if isinstance(tau, (int, float)):
+        zero = 0.0
+    else:
+        import numpy as np  # an array argument: numpy is loaded already
+
+        zero = np.zeros(np.shape(tau))
     out = []
     for columns in column_sets:
         sums = [zero, None, zero, None]  # sums[2i + part]: the row of F₁..F₄, K₁..K₄
-        for (i, part, j), value, scalar in spec._entries:
+        for (i, part, j), value, scalar in spec.table:
             if j in columns:
                 coefficient = value if scalar is None else value * scalar(tau)
                 term = coefficient * state[j] if j < 4 else coefficient
@@ -319,6 +277,12 @@ def smooth_sign(x, delta: float):
     """C¹ odd ramp s_δ: sign(x) for |x| ≥ δ, else x(3δ² − x²)/(2δ³)."""
     if not delta > 0:
         raise DomainError(f"regularization width delta must be positive, got {delta!r}")
+    if isinstance(x, float):
+        if abs(x) >= delta:
+            return math.copysign(1.0, x)
+        return x * (3.0 * delta * delta - x * x) / (2.0 * delta ** 3)
+    import numpy as np  # an array argument: numpy is loaded already
+
     x = np.asarray(x, dtype=float)
     inner = x * (3.0 * delta * delta - x * x) / (2.0 * delta ** 3)
     return np.where(np.abs(x) >= delta, np.sign(x), inner)

@@ -271,7 +271,7 @@ def orbit_from_amplitude(
     jordan_point = np.zeros(4)
     offset = 0 if family == 1 else 2
     jordan_point[offset : offset + 2] = amplitude
-    initial = transform.inverse @ jordan_point
+    initial = np.asarray(transform.inverse) @ jordan_point
     period_tau = p * spectral.period(family)
     return PredictedOrbit(
         family=family,
@@ -310,7 +310,7 @@ def _package_result(
     residual: float,
 ) -> PoincareResult:
     """Result for a completed run with its reduced-frame gap and residual."""
-    jordan_gap = transform.forward @ gap
+    jordan_gap = np.asarray(transform.forward) @ gap
     report = crossing_hypothesis_check(traj)
     return PoincareResult(
         epsilon=eps,

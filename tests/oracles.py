@@ -2,19 +2,19 @@
 
 Everything here reaches results through routes the package does not use:
 eigensolvers instead of closed-form frequencies, matrix exponentials
-instead of rotation-block propagators, dense breakpoint-split trapezoid
-sums instead of adaptive panels, hand-written averaged closed forms
-refined by a local Newton loop, the unfolded term-by-term forcing sum and
-the reduced field summed whole from it on every call, two full
-evaluations of the averaged pair per ray instead of one pass over the
-parts of the forcing, a scan-and-bisect search for the sgn breakpoints,
-the generic fundamental-matrix average, a Cartesian finite-difference
-Jacobian of the averaged pair instead of the angular derivative along a
-ray, a finite-difference monodromy of the return map instead of
-variational equations with saltation matrices, and SciPy's ``expm`` on a
-fixed scan with ``brentq`` roots for the exact return map.  Tests
-compare package output against these values; the frozen literals in the
-suite come from ``scripts/derive_oracles.py``.
+instead of rotation-block propagators, the averaged pair's integrand on
+arrays of times, summed by dense breakpoint-split trapezoid sums or by
+composite Gauss–Legendre quadrature instead of the closed-form panel
+integrals, hand-written averaged closed forms refined by a local Newton
+loop, the unfolded term-by-term forcing sum and the reduced field summed
+whole from it on every call, a scan-and-bisect search for the sgn
+breakpoints, the generic fundamental-matrix average, a Cartesian
+finite-difference Jacobian of the averaged pair instead of the angular
+derivative along a ray, a finite-difference monodromy of the return map
+instead of variational equations with saltation matrices, and SciPy's
+``expm`` on a fixed scan with ``brentq`` roots for the exact return map.
+Tests compare package output against these values; the frozen literals in
+the suite come from ``scripts/derive_oracles.py``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,12 @@ import numpy as np
 from scipy.linalg import expm
 
 from pendavg.errors import DomainError
-from pendavg.model import fundamental_matrix, monodromy_lower_block
+from pendavg.model import monodromy_lower_block
+from pendavg.perturbation import LinearForm, PerturbationSpec, PeriodicScalar, eval_order1_with_signs
+
+GAUSS_ORDER = 16
+MAX_REFINE_LEVELS = 12
+QUADRATURE_RTOL = 1e-10
 
 
 def linear_matrix(a: float, b: float) -> np.ndarray:
@@ -74,6 +79,98 @@ def flow_states(a: float, b: float, s0: np.ndarray, taus: np.ndarray) -> np.ndar
     return np.real(vecs @ modes)
 
 
+def fundamental_matrix(s, tau: float) -> np.ndarray:
+    """Fundamental solution of the normal-form linear system, M(0) = I."""
+    m = np.zeros((4, 4))
+    for k, w in ((0, s.omega1), (2, s.omega2)):
+        c, sn = math.cos(w * tau), math.sin(w * tau)
+        m[k, k] = c
+        m[k, k + 1] = sn
+        m[k + 1, k] = -sn
+        m[k + 1, k + 1] = c
+    return m
+
+
+def unperturbed_orbit(family: int, amp, tau, s) -> np.ndarray:
+    """Normal-form state of the family-1 or family-2 periodic orbit.
+
+    Family 1: (X, Y) = (X₀cos ω₁τ + Y₀sin ω₁τ, Y₀cos ω₁τ − X₀sin ω₁τ),
+    Z = W = 0.  Family 2 is the analogue in the (Z, W) plane with ω₂.
+    Scalar or array ``tau``; returns shape (4,) or (4, n).
+    """
+    if family not in (1, 2):
+        raise DomainError(f"family must be 1 or 2, got {family!r}")
+    u0, v0 = amp[0], amp[1]
+    tau = np.asarray(tau, dtype=float)
+    w = s.omega(family)
+    c, sn = np.cos(w * tau), np.sin(w * tau)
+    u = u0 * c + v0 * sn
+    v = v0 * c - u0 * sn
+    zero = np.zeros_like(u)
+    if family == 1:
+        return np.stack([u, v, zero, zero])
+    return np.stack([zero, zero, u, v])
+
+
+def averaged_integrand(system, amp, tau: np.ndarray) -> np.ndarray:
+    """Integrand pair of the averaged pair at the n times ``tau``, shape (2, n):
+    trig(ωτ)·2√Δ·⟨r, (0, f_y, 0, f_w)⟩ along the orbit of ``amp`` mapped to
+    the physical frame, with the signs of the convention's sgn argument."""
+    k = 0 if system.family == 1 else 2
+    inverse, forward = np.asarray(system.transform.inverse), np.asarray(system.transform.forward)
+    state = inverse @ unperturbed_orbit(system.family, amp, tau, system.spectral)
+    omega = system.omega
+    trig = np.stack([np.sin(omega * tau), np.cos(omega * tau)])
+    c0, c1 = (amp[0], amp[1]) if system.sgn_convention == "A" else (amp[1], amp[0])
+    sgn = np.sign(c0 * trig[1] + c1 * trig[0])
+    f_y, f_w = eval_order1_with_signs(system.spec, tau, state, np.sign(inverse[0, k]) * sgn,
+                                      np.sign(inverse[2, k]) * sgn)
+    scale = 2.0 * math.sqrt(system.spectral.delta)
+    return trig * (scale * forward[k + 1, 1] * f_y + scale * forward[k + 1, 3] * f_w)
+
+
+def gauss_quadrature(f, edges) -> np.ndarray:
+    """Composite 16-point Gauss–Legendre over the panels between ``edges``,
+    each split in 2**level equal parts, the level doubled until two
+    successive levels agree to ``QUADRATURE_RTOL`` relative to the larger
+    of 1 and the estimate's norm.  ``f`` maps an array of times to values
+    of shape (..., n)."""
+    nodes, weights_1 = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+    edges = np.asarray(edges, dtype=float)
+    prev = None
+    for level in range(MAX_REFINE_LEVELS + 1):
+        bounds = np.linspace(edges[:-1], edges[1:], 2 ** level + 1, axis=-1)
+        mid = 0.5 * (bounds[:, :-1] + bounds[:, 1:])
+        half = 0.5 * (bounds[:, 1:] - bounds[:, :-1])
+        total = np.asarray(f((mid[..., None] + half[..., None] * nodes).ravel())) @ (
+            half[..., None] * weights_1).ravel()
+        if prev is not None:
+            if float(np.linalg.norm(total - prev)) <= QUADRATURE_RTOL * max(1.0, float(np.linalg.norm(total))):
+                return total
+        prev = total
+    raise AssertionError("reference quadrature did not converge")
+
+
+def gauss_ray_pair(system, theta):
+    """(L, C) on the ray θ by :func:`gauss_quadrature` on the package's
+    panels: L is the averaged pair of the spec without K along the unit
+    orbit, C that of the spec without F."""
+    from pendavg.averaging import BifurcationSystem, _panel_edges
+
+    spec = system.spec
+    window = spec.p * system.spectral.period(system.family)
+    zero = PeriodicScalar.constant(0.0, window)
+    unit = np.array([math.cos(theta), math.sin(theta)])
+    edges = _panel_edges(system, unit)
+    pair = []
+    for part in (PerturbationSpec(K=(zero,) * 4, F=spec.F, family=spec.family, p=spec.p),
+                 PerturbationSpec(K=spec.K, F=(LinearForm.zero(window),) * 4, family=spec.family, p=spec.p)):
+        part_system = BifurcationSystem(system.family, part, system.reduced, system.spectral,
+                                        system.sgn_convention)
+        pair.append(gauss_quadrature(lambda taus: averaged_integrand(part_system, unit, taus), edges))
+    return tuple(pair)
+
+
 def trapezoid_bifurcation(system, amp, n_points: int = 1_000_000) -> np.ndarray:
     """Dense-trapezoid value of the averaged pair with analytic breakpoints.
 
@@ -81,8 +178,6 @@ def trapezoid_bifurcation(system, amp, n_points: int = 1_000_000) -> np.ndarray:
     are (χ + π/2 + kπ)/ω; each smooth piece between consecutive roots is
     integrated by the composite trapezoid rule on its own uniform grid.
     """
-    from pendavg.averaging import averaged_integrand
-
     omega = system.omega
     window = system.spec.p * system.spectral.period(system.family)
     u0, v0 = float(amp[0]), float(amp[1])
@@ -188,13 +283,21 @@ def resonant_b(a: float, ratio: float) -> float:
     return brentq(f, 0.5, 0.7, xtol=1e-15)
 
 
+def linear_form_value(form, tau, state):
+    """d₁(τ)x + d₂(τ)y + d₃(τ)z + d₄(τ)w at scalar or array τ, with state
+    of shape (4,) or (4, n)."""
+    state = np.asarray(state, dtype=float)
+    return (form.d1(tau) * state[0] + form.d2(tau) * state[1]
+            + form.d3(tau) * state[2] + form.d4(tau) * state[3])
+
+
 def unfolded_forcing(spec, tau, state, sgn_x, sgn_z):
     """(f_y, f_w) as the term-by-term sum of every K scalar and F coefficient."""
     state = np.asarray(state, dtype=float)
     k1, k2, k3, k4 = spec.K
     f1, f2, f3, f4 = spec.F
-    f_y = k1(tau) + f1.evaluate(tau, state) + (k2(tau) + f2.evaluate(tau, state)) * sgn_x
-    f_w = k3(tau) + f3.evaluate(tau, state) + (k4(tau) + f4.evaluate(tau, state)) * sgn_z
+    f_y = k1(tau) + linear_form_value(f1, tau, state) + (k2(tau) + linear_form_value(f2, tau, state)) * sgn_x
+    f_w = k3(tau) + linear_form_value(f3, tau, state) + (k4(tau) + linear_form_value(f4, tau, state)) * sgn_z
     return f_y, f_w
 
 
@@ -228,17 +331,6 @@ def field_term_scale(spec, reduced, eps, tau, state, signs):
         w,
         abs(b) * x + abs(b) * z + eps * (k3 + f3 + sz * (k4 + f4)),
     ])
-
-
-def two_quadrature_ray_pair(system, theta):
-    """(L, C) on the ray θ from two full evaluations of the averaged pair,
-    L = G(2e_θ) − G(e_θ) and C = 2G(e_θ) − G(2e_θ)."""
-    from pendavg.averaging import bifurcation_values
-
-    unit = np.array([math.cos(theta), math.sin(theta)])
-    g1 = bifurcation_values(system, unit)
-    g2 = bifurcation_values(system, 2.0 * unit)
-    return g2 - g1, 2.0 * g1 - g2
 
 
 def scan_sign_changes(amp, family, convention, s, p):
@@ -285,8 +377,8 @@ def jacobian(system, amp) -> np.ndarray:
     for j in range(2):
         step = np.zeros(2)
         step[j] = h
-        jac[:, j] = (bifurcation_values(system, amp + step)
-                     - bifurcation_values(system, amp - step)) / (2.0 * h)
+        jac[:, j] = np.subtract(bifurcation_values(system, amp + step),
+                                bifurcation_values(system, amp - step)) / (2.0 * h)
     return jac
 
 
@@ -299,8 +391,6 @@ def malkin_average(g1, s, orbit, window, family=1, breakpoints=()):
     The transverse monodromy block must be nondegenerate; known integrand
     discontinuities can be passed as ``breakpoints``.
     """
-    from pendavg.averaging import _adaptive_gauss
-
     period = s.period(family)
     p_float = window / period
     p = int(round(p_float))
@@ -318,8 +408,7 @@ def malkin_average(g1, s, orbit, window, family=1, breakpoints=()):
 
     edges = np.unique(np.concatenate(([0.0], np.asarray(breakpoints, dtype=float), [window])))
     edges = edges[(edges >= 0.0) & (edges <= window)]
-    (total,) = _adaptive_gauss(lambda _, taus: f(taus), [edges])
-    return total / window
+    return gauss_quadrature(f, edges) / window
 
 
 def finite_difference_monodromy(spec, reduced, spectral, eps, orbit, scale=1.0, central=False):

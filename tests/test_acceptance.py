@@ -155,7 +155,7 @@ def test_accept_3_quadrature_vs_oracle(bench):
     worst_identity = 0.0
     for phi in np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False):
         amp = np.array([math.cos(phi), math.sin(phi)])
-        diff = bifurcation_values(kicked, amp) - bifurcation_values(base, amp)
+        diff = np.subtract(bifurcation_values(kicked, amp), bifurcation_values(base, amp))
         got = diff * s.omega1 / (kappa * c)
         expect = np.array([4.0 * math.sin(phi), 4.0 * math.cos(phi)])
         worst_identity = max(worst_identity, float(np.max(np.abs(got - expect))))

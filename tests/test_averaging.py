@@ -17,7 +17,6 @@ from pendavg.model import (
     jordan_transform,
     reduce_params,
     spectral_data,
-    unperturbed_orbit,
 )
 from pendavg.perturbation import (
     LinearForm,
@@ -29,11 +28,13 @@ from pendavg.perturbation import (
 
 from .oracles import (
     escapement_closed_pair,
+    fundamental_matrix,
+    gauss_ray_pair,
     jacobian,
     malkin_average,
     scan_sign_changes,
     trapezoid_bifurcation,
-    two_quadrature_ray_pair,
+    unperturbed_orbit,
 )
 
 BENCH = PhysicalParams(1.0, 1.0, 1.0, 1.0, 9.8)
@@ -114,7 +115,7 @@ def test_find_sign_changes_matches_scan(bench):
         partition = find_sign_changes(amp, family, conv, s, p)
         got = partition.breakpoints
         edges = np.unique(np.concatenate(([0.0], got, [window])))
-        assert partition.panel_edges.tobytes() == edges.tobytes()
+        assert np.array(partition.panel_edges).tobytes() == edges.tobytes()
         scan = scan_sign_changes(amp, family, conv, s, p)
         inner = [t for t in got if 1e-9 < t < window - 1e-9]
         assert np.allclose(inner, [t for t in scan if 1e-9 < t < window - 1e-9], rtol=0, atol=1e-11)
@@ -236,67 +237,6 @@ def test_table_forcing_against_trapezoid_oracle(bench):
     assert np.linalg.norm(np.subtract(table_zero.point, zero.point)) < 1e-4
 
 
-def _per_panel_gauss(f, edges, rtol=averaging_module.QUADRATURE_RTOL,
-                    max_levels=averaging_module.MAX_REFINE_LEVELS):
-    """Reference for ``_adaptive_gauss``: the same quadrature, one linspace per panel."""
-    nodes, weights_1 = np.polynomial.legendre.leggauss(averaging_module.GAUSS_ORDER)
-    prev = None
-    for level in range(max_levels + 1):
-        sub = 2 ** level
-        taus_parts, w_parts = [], []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            if hi - lo <= 0.0:
-                continue
-            bounds = np.linspace(lo, hi, sub + 1)
-            mid = 0.5 * (bounds[:-1] + bounds[1:])
-            half = 0.5 * (bounds[1:] - bounds[:-1])
-            taus_parts.append((mid[:, None] + half[:, None] * nodes[None, :]).ravel())
-            w_parts.append((half[:, None] * weights_1[None, :]).ravel())
-        total = np.asarray(f(np.concatenate(taus_parts))) @ np.concatenate(w_parts)
-        if prev is not None:
-            scale = max(1.0, float(np.linalg.norm(total)))
-            if float(np.linalg.norm(total - prev)) <= rtol * scale:
-                return total
-        prev = total
-    raise AssertionError("reference quadrature did not converge")
-
-
-def test_panel_quadrature_matches_per_panel_loop_bit_for_bit(bench):
-    def f(tau):
-        return np.stack([np.cos(tau) ** 3, np.exp(-tau) * np.sin(7.0 * tau), tau * tau - 1.0])
-
-    rng = np.random.default_rng(5)
-    edge_sets = [np.array([0.0, 4.0]), np.array([0.0, 1.5, 1.5, 4.0])]
-    for _ in range(40):
-        edges = np.sort(rng.uniform(0.0, 6.0, size=int(rng.integers(2, 9))))
-        if rng.random() < 0.3:
-            edges = np.insert(edges, 1, edges[1])  # a zero-width panel
-        edge_sets.append(edges)
-    for edges in edge_sets:
-        (got,) = averaging_module._adaptive_gauss(lambda _, tau: f(tau), [edges])
-        assert got.tobytes() == _per_panel_gauss(f, edges).tobytes(), edges
-
-    # all of them as the rows of one call: rows of each panel count go in
-    # together, at most 32 at a time, and each stops at its own level
-    def f_rows(rows, tau):
-        k = 1.0 + rows % 4
-        return np.stack([np.cos(k * tau) ** 3, np.exp(-tau) * np.sin(7.0 * k * tau), tau * tau - k])
-
-    got = averaging_module._adaptive_gauss(f_rows, edge_sets)
-    for row, (edges, total) in enumerate(zip(edge_sets, got)):
-        ref = _per_panel_gauss(lambda tau: f_rows(np.full(tau.shape, row), tau), edges)
-        assert total.tobytes() == ref.tobytes(), (row, edges)
-    # the ray integrand on its sign-change panels
-    reduced, s = bench
-    sys = system_for("damped_forced_escapement", {"gamma": GAMMA, "kappa": KAPPA}, reduced, s)
-    for theta in (0.3, 2.0, 4.5):
-        unit = np.array([math.cos(theta), math.sin(theta)])
-        edges = find_sign_changes(unit, 1, "A", s, 1).panel_edges
-        ray = lambda tau: averaging_module._ray_integrand(sys, unit, tau)
-        (got,) = averaging_module._adaptive_gauss(lambda _, tau: ray(tau), [edges])
-        assert got.tobytes() == _per_panel_gauss(ray, edges).tobytes()
-
-
 def test_bifurcation_values_match_malkin_average_both_families(bench):
     # The averaged pair is the family-plane Malkin average of the forcing
     # lifted to the normal-form frame, with exact signs of the physical
@@ -394,37 +334,19 @@ def test_averaged_pair_is_affine_along_rays(bench):
     for sys in ray_systems(rng, reduced, s):
         theta = rng.uniform(0.0, 2.0 * math.pi)
         unit = np.array([math.cos(theta), math.sin(theta)])
-        g1, g2 = bifurcation_values(sys, unit), bifurcation_values(sys, 2.0 * unit)
+        g1, g2 = np.array(bifurcation_values(sys, unit)), np.array(bifurcation_values(sys, 2.0 * unit))
         lin, const = g2 - g1, 2.0 * g1 - g2
         for r in rng.uniform(0.05, 3.0, size=2):
-            val = bifurcation_values(sys, r * unit)
+            val = np.array(bifurcation_values(sys, r * unit))
             size = max(np.linalg.norm(val), r * np.linalg.norm(lin), np.linalg.norm(const))
             assert np.linalg.norm(val - (r * lin + const)) <= 1e-12 * size, (sys.spec, theta, r)
 
 
-def test_one_pass_ray_pair_matches_two_quadratures(bench):
-    # L and C from one quadrature over the parts of the forcing against
-    # L = G(2e) − G(e) and C = 2G(e) − G(2e) from two full quadratures,
-    # relative to the larger of 1 and ‖(L, C)‖ as the quadrature's own
-    # stopping rule is: one random spec has no resonant term, G ≡ 0, and
-    # both sides are rounding noise of 1e-15
-    reduced, s = bench
-    rng = np.random.default_rng(17)
-    for sys in ray_systems(rng, reduced, s):
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        ((lin, const),) = averaging_module._ray_pairs(sys, [theta])
-        ref_lin, ref_const = two_quadrature_ray_pair(sys, theta)
-        gap = np.linalg.norm(np.concatenate((lin - ref_lin, const - ref_const)))
-        size = max(1.0, np.linalg.norm(np.concatenate((ref_lin, ref_const))))
-        assert gap <= 1e-12 * size, (sys.spec, theta)
-
-
 def test_ray_batch_equals_its_rows(bench):
-    # The scan's one multi-row call gives every ray the bits of its own
-    # one-row call, whatever rows share its evaluations: 36 angles overflow
-    # one call of at most 32 rows, and θ = π/2, 3π/2 (sgn breakpoint on
-    # τ = 0) and the table knots give rows of other panel counts.  (L, C) is the
-    # averaged pair's affine form: G(r·e_θ) = r·L + C at r = 1 and 2.
+    # The scan's one call over all its angles gives every ray the bits of
+    # Brent's one-angle call, on rays of every panel count: θ = π/2, 3π/2
+    # put a sgn breakpoint on τ = 0 and the table knots add panels.  (L, C)
+    # is the averaged pair's affine form: G(r·e_θ) = r·L + C at r = 1 and 2.
     reduced, s = bench
     esc = builtin("damped_forced_escapement", {"gamma": GAMMA, "kappa": KAPPA}, s)
     taus = np.arange(256) * (s.period1 / 256)
@@ -441,12 +363,56 @@ def test_ray_batch_equals_its_rows(bench):
             assert len({len(averaging_module._panel_edges(sys, unit)) for unit in units}) > 1
             batch = averaging_module._ray_pairs(sys, thetas)
             for theta, unit, (lin, const) in zip(thetas, units, batch):
-                ((row_lin, row_const),) = averaging_module._ray_pairs(sys, [theta])
-                assert np.array_equal(lin, row_lin) and np.array_equal(const, row_const), (family, conv, theta)
+                assert averaging_module._ray_pairs(sys, [theta]) == [(lin, const)], (family, conv, theta)
+                lin, const = np.array(lin), np.array(const)
                 for r in (1.0, 2.0):
-                    val = bifurcation_values(sys, r * unit)
+                    val = np.array(bifurcation_values(sys, r * unit))
                     size = max(np.linalg.norm(val), r * np.linalg.norm(lin), np.linalg.norm(const))
                     assert np.linalg.norm(val - (r * lin + const)) <= 1e-12 * size, (family, conv, theta, r)
+
+
+def test_closed_form_ray_pairs_match_gauss_reference(bench):
+    # (L, C) from the closed-form panel integrals against composite Gauss
+    # on the same panels, at 24 angles (π/2 and 3π/2 among them): the 3
+    # builtins × families 1, 2 × conventions A, B × p = 1, 2, 40 random
+    # specs and the 256-knot table spec, relative to the larger of 1 and
+    # ‖(L, C)‖ (a random spec without a resonant term has G ≡ 0)
+    reduced, s = bench
+    rng = np.random.default_rng(11)
+    builtins = [BifurcationSystem(family, builtin(name, params, s, family=family, p=p), reduced, s, conv)
+                for name, params in BUILTINS for family in (1, 2) for conv in ("A", "B") for p in (1, 2)]
+    others = []
+    for _ in range(40):
+        family, p = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        conv = "A" if rng.uniform() < 0.5 else "B"
+        others.append(BifurcationSystem(family, random_spec(rng, s, family, p), reduced, s, conv))
+    esc = builtin("damped_forced_escapement", {"gamma": GAMMA, "kappa": KAPPA}, s)
+    taus = np.arange(256) * (s.period1 / 256)
+    table = PeriodicScalar.from_table(taus, GAMMA * np.cos(s.omega1 * taus))
+    others += [BifurcationSystem(1, PerturbationSpec(K=(table, *esc.K[1:]), F=esc.F), reduced, s, conv)
+               for conv in ("A", "B")]
+    thetas = (2.0 * math.pi * np.arange(24) / 24).tolist()
+    for systems, bound in ((builtins, 1e-14), (others, 1e-13)):
+        for sys in systems:
+            for theta, (lin, const) in zip(thetas, averaging_module._ray_pairs(sys, thetas)):
+                ref = np.concatenate(gauss_ray_pair(sys, theta))
+                gap = np.linalg.norm(np.concatenate((lin, const)) - ref)
+                assert gap <= bound * max(1.0, np.linalg.norm(ref)), (sys.spec, theta, gap)
+
+
+def test_closed_form_matches_the_escapement_closed_pair(bench):
+    # the hand-written averaged pair of the escapement builtin (convention
+    # A) and its Newton-refined zero
+    reduced, s = bench
+    sys = system_for("damped_forced_escapement", {"gamma": GAMMA, "kappa": KAPPA}, reduced, s)
+    pair, point = escapement_closed_pair(reduced.a, reduced.b, GAMMA, KAPPA)
+    rng = np.random.default_rng(23)
+    for amp in rng.uniform(-2.0, 2.0, size=(200, 2)):
+        ref = pair(amp)
+        gap = np.linalg.norm(np.subtract(bifurcation_values(sys, amp), ref))
+        assert gap <= 1e-13 * max(1.0, np.linalg.norm(ref)), amp
+    (cert,) = [c for c in annulus_search(sys, 0.05, 2.0, 24) if c.simple]
+    assert np.linalg.norm(np.subtract(cert.point, point)) <= 1e-11
 
 
 def test_annulus_search_det_matches_oracle_jacobian(bench):
@@ -563,8 +529,6 @@ def test_malkin_average_against_dense_trapezoid(bench):
 
     window = s.period(1)
     got = malkin_average(g1, s, orbit, window)
-    from pendavg.model import fundamental_matrix
-
     taus = np.linspace(0.0, window, 200_001)
     vals = np.empty((2, taus.size))
     for i, tau in enumerate(taus):

@@ -321,17 +321,27 @@ def test_zeros_without_zero_exits_3(tmp_path, capsys):
     assert payload["zeros"] == []
 
 
-def test_quadrature_failure_exits_4(tmp_path, capsys):
-    pert = tmp_path / "wild.ini"
-    pert.write_text(
-        "[perturbation]\nfamily = 1\np = 1\n"
-        "k1 = cos:1.0,1000003\nf1.d2 = const:-1.0\nf3.d4 = const:-1.0\n",
-        encoding="utf-8",
-    )
-    sections = bench_sections(tmp_path / "out")
-    sections["perturbation"] = {"file": pert.name}
-    ini = write_ini(tmp_path / "wild_exp.ini", sections)
-    assert cli.main(["zeros", "--config", str(ini)]) == 4
+def test_fast_harmonic_averages_out_and_exits_3(tmp_path, capsys):
+    # A forcing of harmonic 1000003 averages to nothing over the window:
+    # the closed-form (L, C) are those of the same file without it, and
+    # with no forcing left there is no zero.
+    from pendavg.averaging import BifurcationSystem, _ray_pairs
+
+    text = "[perturbation]\nfamily = 1\np = 1\nf1.d2 = const:-1.0\nf3.d4 = const:-1.0\n"
+    pairs = []
+    for name, body in (("wild", text + "k1 = cos:1.0,1000003\n"), ("tame", text)):
+        (tmp_path / f"{name}.ini").write_text(body, encoding="utf-8")
+        sections = bench_sections(tmp_path / "out")
+        sections["perturbation"] = {"file": f"{name}.ini"}
+        ini = write_ini(tmp_path / f"{name}_exp.ini", sections)
+        config = cli.load_config(ini)
+        s = spectral_data(reduce_params(config.phys))
+        system = BifurcationSystem(1, cli.build_perturbation(config, s), reduce_params(config.phys), s)
+        pairs.append(_ray_pairs(system, [2.0 * math.pi * i / 8 for i in range(8)]))
+    for (lin, const), (tame_lin, tame_const) in zip(*pairs):
+        scale = max(1.0, math.hypot(*tame_lin))
+        assert math.dist(lin, tame_lin) <= 1e-12 * scale and math.dist(const, tame_const) <= 1e-12 * scale
+    assert cli.main(["zeros", "--config", str(tmp_path / "wild_exp.ini")]) == 3
 
 
 # -- verify -----------------------------------------------------------------
@@ -506,7 +516,7 @@ def test_simulate_overflowing_flow_exits_6_without_nan(tmp_path):
     assert rows and all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
 
-DOCUMENTED_EXIT_CODES = range(7)
+DOCUMENTED_EXIT_CODES = (0, 1, 2, 3, 5, 6)
 FUZZ_NUMBERS = ("1e-300", "1e-100", "1e-3", "0.5", "1", "9.8", "1e3", "1e100", "1e300", "nan")
 FUZZ_BUILTIN_VALUES = ("0.5", "0.05", "1", "-1", "1e-300", "1e300", "nan")
 FUZZ_MAX_STEPS = 2000
@@ -678,16 +688,17 @@ def test_prediction_path_loads_no_scipy(tmp_path):
 
 def test_prediction_path_loads_no_checking_half(tmp_path):
     # `zeros` and `params` compute the paper's condition alone: they, and a
-    # plain import of the package, leave the integrator and the verification
-    # layer unloaded.
+    # plain import of the package, leave the integrator, the verification
+    # layer and numpy unloaded.
     ini = readme_ini(tmp_path)
     for command in ("zeros", "params"):
         loaded = loaded_modules(command, "--config", str(ini), "--out", str(tmp_path / command))
         assert "pendavg.averaging" in loaded and not loaded & CHECKING_HALF, command
+        assert "numpy" not in loaded, command
     proc = run_child("-c", "import sys, pendavg; print(' '.join(sorted(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
-    assert "pendavg.averaging" in loaded and not loaded & CHECKING_HALF
+    assert "pendavg.averaging" in loaded and not loaded & CHECKING_HALF and "numpy" not in loaded
 
 
 def test_checking_path_loads_no_scipy(tmp_path):

@@ -6,19 +6,24 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from pendavg.errors import DomainError, ResonanceError
+from pendavg.filippov import linearization_matrix
 from pendavg.model import (
     PhysicalParams,
-    fundamental_matrix,
     jordan_transform,
-    linearization_matrix,
     monodromy_lower_block,
     nonlinear_accelerations,
     reduce_params,
     spectral_data,
-    unperturbed_orbit,
 )
 
-from .oracles import eig_frequencies, expm_monodromy_det, linear_matrix, resonant_b
+from .oracles import (
+    eig_frequencies,
+    expm_monodromy_det,
+    fundamental_matrix,
+    linear_matrix,
+    resonant_b,
+    unperturbed_orbit,
+)
 
 BENCH = PhysicalParams(m1=1.0, m2=1.0, l1=1.0, l2=1.0, g=9.8)
 
@@ -90,7 +95,7 @@ def test_jordan_transform_block_diagonalizes():
     expected[0, 1], expected[1, 0] = s.omega1, -s.omega1
     expected[2, 3], expected[3, 2] = s.omega2, -s.omega2
     assert np.allclose(gen, expected, atol=1e-12)
-    assert np.allclose(t.forward @ t.inverse, np.eye(4), atol=1e-12)
+    assert np.allclose(np.asarray(t.forward) @ t.inverse, np.eye(4), atol=1e-12)
 
 
 @given(tau=st.floats(min_value=-20.0, max_value=20.0, allow_nan=False))

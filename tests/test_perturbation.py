@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pendavg.errors import DomainError
+from pendavg.filippov import _frozen_forcing
 from pendavg.model import PhysicalParams, reduce_params, spectral_data
 from pendavg.perturbation import (
     BUILTINS,
@@ -18,7 +19,7 @@ from pendavg.perturbation import (
     smooth_sign,
 )
 
-from .oracles import unfolded_forcing
+from .oracles import linear_form_value, unfolded_forcing
 
 BENCH = PhysicalParams(1.0, 1.0, 1.0, 1.0, 9.8)
 
@@ -68,7 +69,7 @@ def test_linear_form_evaluate(x, y, z, w):
         PeriodicScalar.constant(0.5, 2.0),
         PeriodicScalar.constant(3.0, 2.0),
     )
-    val = form.evaluate(0.1, np.array([x, y, z, w]))
+    val = linear_form_value(form, 0.1, np.array([x, y, z, w]))
     assert val == pytest.approx(x - 2 * y + 0.5 * z + 3 * w, rel=1e-12, abs=1e-12)
 
 
@@ -241,7 +242,7 @@ def test_forcing_jacobian_matches_unfolded_differences():
         )
         tau = rng.uniform(-3, 10)
         signs = rng.choice([-1.0, 0.0, 1.0], size=2)
-        rows = tuple(spec.frozen(*signs)[0](tau))
+        rows = tuple(_frozen_forcing(spec, tuple(signs))[0](tau))
         at_zero = unfolded_forcing(spec, tau, np.zeros(4), *signs)
         for j in range(4):
             at_axis = unfolded_forcing(spec, tau, np.eye(4)[j], *signs)
@@ -300,6 +301,17 @@ def test_smooth_sign_is_c1_at_the_seam():
     assert float(smooth_sign(0.0, delta)) == 0.0
 
 
+def test_smooth_sign_scalar_matches_array_bit_for_bit():
+    # a float takes the math branch, an array the numpy one: the same bits
+    delta = 0.1
+    rng = np.random.default_rng(29)
+    xs = [0.0, -0.0, delta, -delta, delta / 2, -delta / 2, math.inf, -math.inf,
+          *rng.uniform(-3.0 * delta, 3.0 * delta, size=1000).tolist()]
+    scalar = [smooth_sign(x, delta) for x in xs]
+    assert all(type(v) is float for v in scalar)
+    assert np.array(scalar).tobytes() == smooth_sign(np.array(xs), delta).tobytes()
+
+
 def test_eval_order1_regularized_matches_exact_outside_delta():
     s = bench_spectral()
     spec = builtin("damped_forced_escapement", {"gamma": 0.5, "kappa": 0.05}, s)
@@ -355,10 +367,9 @@ def test_builtins_are_their_file_entries(tmp_path):
                 for evaluate in (eval_order1_with_signs, eval_order1_parts):
                     assert (np.asarray(evaluate(got, taus, states, *signs)).tobytes()
                             == np.asarray(evaluate(expect, taus, states, *signs)).tobytes())
-                for sgn_x in (-1.0, 1.0):
-                    for sgn_z in (-1.0, 1.0):
-                        for g, e in zip(got.frozen(sgn_x, sgn_z), expect.frozen(sgn_x, sgn_z)):
-                            assert all(g(t).tobytes() == e(t).tobytes() for t in taus)
+                for frozen in ((-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)):
+                    for g, e in zip(_frozen_forcing(got, frozen), _frozen_forcing(expect, frozen)):
+                        assert all(g(t).tobytes() == e(t).tobytes() for t in taus)
     esc = builtin("damped_forced_escapement", params["damped_forced_escapement"], s, family=2)
     assert esc.K[0].value == 0.5 and esc.K[0].omega == s.omega2
     assert esc.K[1].value == esc.K[3].value == 1.0 / 3.0
