@@ -145,20 +145,6 @@ class BifurcationSystem:
         return tuple((*key, *coefficients) for key, coefficients in modes.items())
 
 
-@dataclass(frozen=True)
-class QuadraturePartition:
-    """Zeros of the sgn argument inside the averaging window."""
-
-    breakpoints: Tuple[float, ...]
-    window: float
-
-    @cached_property
-    def panel_edges(self) -> Tuple[float, ...]:
-        """0, the distinct breakpoints and the window end, ascending; every
-        breakpoint already lies in [0, window]."""
-        return tuple(sorted({0.0, *self.breakpoints, self.window}))
-
-
 @dataclass(frozen=True, eq=False)
 class ZeroCertificate:
     """A located zero with its Jacobian determinant and Brouwer index."""
@@ -175,41 +161,21 @@ def _sgn_coefficients(amp, convention: str):
     return (amp[0], amp[1]) if convention == "A" else (amp[1], amp[0])
 
 
-def find_sign_changes(amp, family: int, convention: str, s: SpectralData, p: int) -> QuadraturePartition:
-    """Zeros of the convention's sgn argument in [0, p·T_family].
-
-    The argument c₀·cos(ωτ) + c₁·sin(ωτ) vanishes exactly at
-    τ_k = (atan2(c₁, c₀) + π/2 + kπ)/ω: 2p zeros in [0, p·T), plus the
-    window end when a zero sits on τ = 0.
-    """
-    if math.hypot(float(amp[0]), float(amp[1])) == 0.0:
-        raise DomainError("degenerate amplitude (0, 0) has no sign structure")
-    if convention not in ("A", "B"):
-        raise DomainError(f"convention must be 'A' or 'B', got {convention!r}")
-    omega = s.omega(family)
-    window = p * s.period(family)
-    c0, c1 = _sgn_coefficients(amp, convention)
+def _panel_edges(sys: BifurcationSystem, amp) -> Tuple[float, ...]:
+    """Panel edges for ``amp``, ascending: 0, the sgn breakpoints τ_k of
+    its orbit clipped to the window, the table knots and the window end."""
+    omega = sys.omega
+    window = sys.spec.p * sys.spectral.period(sys.family)
+    c0, c1 = _sgn_coefficients(amp, sys.sgn_convention)
     phase = (math.atan2(c1, c0) + 0.5 * math.pi) % math.pi
-    breakpoints = [min((phase + k * math.pi) / omega, window) for k in range(2 * p)]
-    if phase == 0.0:
-        breakpoints.append(window)
-    partition = QuadraturePartition(breakpoints=tuple(breakpoints), window=window)
-
+    edges = sorted({0.0, window, *(min((phase + k * math.pi) / omega, window) for k in range(2 * sys.spec.p))})
     # Constant sign strictly between consecutive breakpoints.
-    edges = partition.panel_edges
     for lo, hi in zip(edges, edges[1:]):
         mid = 0.5 * (lo + hi)
         if c0 * math.cos(omega * mid) + c1 * math.sin(omega * mid) == 0.0:
             raise NumericalError("sign-change partition has a zero at a panel midpoint")
-    return partition
-
-
-def _panel_edges(sys: BifurcationSystem, amp) -> Tuple[float, ...]:
-    """Panel edges for ``amp``: the sgn breakpoints of its orbit and the
-    table knots."""
-    edges = find_sign_changes(amp, sys.family, sys.sgn_convention, sys.spectral, sys.spec.p).panel_edges
     if not sys.table_knots:
-        return edges
+        return tuple(edges)
     return tuple(sorted({*edges, *sys.table_knots}))
 
 

@@ -46,6 +46,7 @@ the run goes on, and the trajectory says why it carries no monodromy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -679,25 +680,32 @@ def integrate_regularized(
     """Single smooth integration with sgn replaced by its C¹ spline.
 
     No events are generated; the result carries one segment covering the
-    whole span.
+    whole span.  The run stops with IntegrationStallError once two field
+    evaluations at distinct times lie closer than 10 ulps of the span:
+    SciPy's minimum step taken at the span instead of at τ, which near
+    τ = 0 would let a stiff run crawl through its whole step budget.
+    A stiff run's error norm may overflow; the step it rejects, not a
+    numpy warning, reports that.
     """
     if delta <= 0.0:
         raise DomainError(f"regularization width must be positive, got {delta}")
     field = d1_field(spec, reduced, eps)
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    floor = 10.0 * math.ulp(abs(t1 - t0))
+    last = [t0]
 
     def rhs(t, state):
+        if 0.0 < abs(t - last[0]) < floor:
+            raise IntegrationStallError(
+                f"regularized integration stalled: its steps fell below {floor:.3g} near tau = {t:.6g}"
+            )
+        last[0] = t
         return field(t, state, (smooth_sign(state[0], delta), smooth_sign(state[2], delta)))
 
     max_step = min(spectral.period1, spectral.period2) / 16.0
     _check_step_budget(t_span, max_step)
-    run = solve(
-        rhs,
-        (float(t_span[0]), float(t_span[1])),
-        np.array(s0, dtype=float),
-        rtol=rtol,
-        atol=atol,
-        max_step=max_step,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = solve(rhs, (t0, t1), np.array(s0, dtype=float), rtol=rtol, atol=atol, max_step=max_step)
     if run.status != 0:
         raise IntegrationStallError(f"regularized integration failed: {run.message}")
     segment = Segment(

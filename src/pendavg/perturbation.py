@@ -14,20 +14,19 @@ signs along an unperturbed orbit for the averaged pair.
 
 Periodic scalars are tagged data: ``const`` (a value), ``cos``/``sin``
 (amplitude and ω) or ``table`` (uniform grid, linear interpolation, at
-least 256 samples per period).  They evaluate with :mod:`math` on a float
-and with numpy only on an array, so the prediction half never loads
-numpy.  A small file format states a perturbation as one entry per scalar
-(``k1 = cos:<amp>,<harmonic>``, ``f1.d2 = const:<v>``, …); the builtins
-are such entries with their parameters in braces, and every spec, builtin
-or file, is built from its entries by one function.
+least 256 samples per period).  Every evaluation here is on floats, with
+:mod:`math`, so this module never loads numpy.  A small file format
+states a perturbation as one entry per scalar (``k1 = cos:<amp>,<harmonic>``,
+``f1.d2 = const:<v>``, …); the builtins are such entries with their
+parameters in braces, and every spec, builtin or file, is built from its
+entries by one function.
 
 The forcing is affine in the state and in the signs, so each spec states
 it once, as one table P (:attr:`PerturbationSpec.table`), and every
-reader reads P: :func:`eval_order1_with_signs` for any signs,
-:func:`eval_order1_parts` for its state-linear part R·s and its constant
-part k apart, the averaged pair's closed form
-(:mod:`pendavg.averaging`) and the integrator's affine form
-(f_y, f_w) = R(τ)·s + k(τ) for frozen signs (:mod:`pendavg.filippov`).
+reader reads P: :func:`eval_order1_with_signs` for any signs, the
+averaged pair's closed form (:mod:`pendavg.averaging`) and the
+integrator's affine form (f_y, f_w) = R(τ)·s + k(τ) for frozen signs
+(:mod:`pendavg.filippov`).
 """
 
 from __future__ import annotations
@@ -73,20 +72,12 @@ class PeriodicScalar:
         if not (math.isfinite(self.period) and self.period > 0):
             raise DomainError(f"period must be a positive real, got {self.period!r}")
 
-    def __call__(self, tau):
-        if isinstance(tau, (int, float)):
-            if self.kind == "const":
-                return tau * 0.0 + self.value
-            if self.kind == "table":
-                return self.piece(tau)[0]
-            return self.value * (math.cos if self.kind == "cos" else math.sin)(self.omega * tau)
-        import numpy as np  # an array argument: numpy is loaded already
-
+    def __call__(self, tau: float) -> float:
         if self.kind == "const":
-            return np.asarray(tau, dtype=float) * 0.0 + self.value
+            return tau * 0.0 + self.value
         if self.kind == "table":
-            return np.interp(np.mod(tau, self.period), *self.knots)
-        return self.value * (np.cos if self.kind == "cos" else np.sin)(self.omega * tau)
+            return self.piece(tau)[0]
+        return self.value * (math.cos if self.kind == "cos" else math.sin)(self.omega * tau)
 
     def piece(self, tau: float) -> Tuple[float, float]:
         """A table's value at the float τ, as ``np.interp`` gives it, and the
@@ -225,67 +216,38 @@ class PerturbationSpec:
                 )
 
 
-def _forcing(spec: PerturbationSpec, tau, state, signs, column_sets):
-    """One pair (f_y, f_w) per set of table columns: for each component i,
-    Σ_j P[i,0,j]·s_j + σ_i·Σ_j P[i,1,j]·s_j over the set's columns j, with
-    s = (x, y, z, w, 1).  Each term is evaluated once, each sum runs in
-    column order, the plain one from zeros shaped like τ, and an
-    exact-zero constant adds nothing, so it never meets an infinite state."""
-    if isinstance(tau, (int, float)):
-        zero = 0.0
-    else:
-        import numpy as np  # an array argument: numpy is loaded already
-
-        zero = np.zeros(np.shape(tau))
-    out = []
-    for columns in column_sets:
-        sums = [zero, None, zero, None]  # sums[2i + part]: the row of F₁..F₄, K₁..K₄
-        for (i, part, j), value, scalar in spec.table:
-            if j in columns:
-                coefficient = value if scalar is None else value * scalar(tau)
-                term = coefficient * state[j] if j < 4 else coefficient
-                k = 2 * i + part
-                sums[k] = term if sums[k] is None else sums[k] + term
-        y, y_signed, w, w_signed = sums
-        out.append((y if y_signed is None else y + y_signed * signs[0],
-                    w if w_signed is None else w + w_signed * signs[1]))
-    return out
-
-
-def eval_order1_with_signs(spec: PerturbationSpec, tau, state, sgn_x, sgn_z):
-    """Order-ε forcing (f_y, f_w) of the y′ and w′ equations: the table
-    over all five columns.
+def eval_order1_with_signs(spec: PerturbationSpec, tau: float, state, sgn_x: float, sgn_z: float):
+    """Order-ε forcing (f_y, f_w) of the y′ and w′ equations at the float
+    τ and the state (x, y, z, w): for each component i,
+    Σ_j P[i,0,j]·s_j + σ_i·Σ_j P[i,1,j]·s_j over the spec's table, with
+    s₅ = 1.
 
     ``sgn_x`` and ``sgn_z`` stand in for sgn(x) and sgn(z); the caller
-    resolves them.  Scalar or array ``tau`` with state of shape (4,) or
-    (4, n).  The sums keep the association (d₁x + d₂y + d₃z + d₄w) + K,
-    then (…)·σ, so the values equal the term-by-term sum except possibly
-    for the sign of a zero.
+    resolves them.  Each term is evaluated once and each sum runs in
+    column order, so the sums keep the association
+    (d₁x + d₂y + d₃z + d₄w) + K, then (…)·σ, and the values equal the
+    term-by-term sum except possibly for the sign of a zero.  An
+    exact-zero constant adds nothing, so it never meets an infinite state.
     """
-    return _forcing(spec, tau, state, (sgn_x, sgn_z), (range(5),))[0]
+    sums = [0.0, None, 0.0, None]  # sums[2i + part]: the row of F₁..F₄, K₁..K₄
+    for (i, part, j), value, scalar in spec.table:
+        coefficient = value if scalar is None else value * scalar(tau)
+        term = coefficient * state[j] if j < 4 else coefficient
+        k = 2 * i + part
+        sums[k] = term if sums[k] is None else sums[k] + term
+    y, y_signed, w, w_signed = sums
+    return (y if y_signed is None else y + y_signed * sgn_x,
+            w if w_signed is None else w + w_signed * sgn_z)
 
 
-def eval_order1_parts(spec: PerturbationSpec, tau, state, sgn_x, sgn_z):
-    """The state-linear part R·s and the constant part k of the forcing,
-    each as (f_y, f_w): the table's columns 0–3, (d₁x + d₂y + d₃z + d₄w)
-    then (…)·σ, and its column 4, K then K′·σ, each term evaluated once.
-    They are the forcings of the spec without K and without F."""
-    return tuple(_forcing(spec, tau, state, (sgn_x, sgn_z), (range(4), (4,))))
-
-
-def smooth_sign(x, delta: float):
-    """C¹ odd ramp s_δ: sign(x) for |x| ≥ δ, else x(3δ² − x²)/(2δ³)."""
+def smooth_sign(x: float, delta: float) -> float:
+    """C¹ odd ramp s_δ at the float x (an int is taken as a float):
+    sign(x) for |x| ≥ δ, else x(3δ² − x²)/(2δ³)."""
     if not delta > 0:
         raise DomainError(f"regularization width delta must be positive, got {delta!r}")
-    if isinstance(x, float):
-        if abs(x) >= delta:
-            return math.copysign(1.0, x)
-        return x * (3.0 * delta * delta - x * x) / (2.0 * delta ** 3)
-    import numpy as np  # an array argument: numpy is loaded already
-
-    x = np.asarray(x, dtype=float)
-    inner = x * (3.0 * delta * delta - x * x) / (2.0 * delta ** 3)
-    return np.where(np.abs(x) >= delta, np.sign(x), inner)
+    if abs(x) >= delta:
+        return math.copysign(1.0, x)
+    return x * (3.0 * delta * delta - x * x) / (2.0 * delta ** 3)
 
 
 def finite_float(text) -> float:

@@ -6,13 +6,15 @@ instead of rotation-block propagators, the averaged pair's integrand on
 arrays of times, summed by dense breakpoint-split trapezoid sums or by
 composite Gauss–Legendre quadrature instead of the closed-form panel
 integrals, hand-written averaged closed forms refined by a local Newton
-loop, the unfolded term-by-term forcing sum and the reduced field summed
-whole from it on every call, a scan-and-bisect search for the sgn
-breakpoints, the generic fundamental-matrix average, a Cartesian
-finite-difference Jacobian of the averaged pair instead of the angular
-derivative along a ray, a finite-difference monodromy of the return map
-instead of variational equations with saltation matrices, and SciPy's
-``expm`` on a fixed scan with ``brentq`` roots for the exact return map.
+loop, numpy evaluation of the periodic scalars and the sign ramp on
+arrays instead of the package's float code, the unfolded term-by-term
+forcing sum and the reduced field summed whole from it on every call, a
+scan-and-bisect search for the sgn breakpoints, the generic
+fundamental-matrix average, a Cartesian finite-difference Jacobian of the
+averaged pair instead of the angular derivative along a ray, a
+finite-difference monodromy of the return map instead of variational
+equations with saltation matrices, and SciPy's ``expm`` on a fixed scan
+with ``brentq`` roots for the exact return map.
 Tests compare package output against these values; the frozen literals in
 the suite come from ``scripts/derive_oracles.py``.
 """
@@ -26,7 +28,7 @@ from scipy.linalg import expm
 
 from pendavg.errors import DomainError
 from pendavg.model import monodromy_lower_block
-from pendavg.perturbation import LinearForm, PerturbationSpec, PeriodicScalar, eval_order1_with_signs
+from pendavg.perturbation import LinearForm, PerturbationSpec, PeriodicScalar
 
 GAUSS_ORDER = 16
 MAX_REFINE_LEVELS = 12
@@ -112,10 +114,30 @@ def unperturbed_orbit(family: int, amp, tau, s) -> np.ndarray:
     return np.stack([zero, zero, u, v])
 
 
+def scalar_values(scalar, tau) -> np.ndarray:
+    """A periodic scalar at scalar or array τ, by numpy: ``np.cos`` and
+    ``np.sin`` for the harmonics, ``np.interp`` on τ mod the period for a
+    table."""
+    tau = np.asarray(tau, dtype=float)
+    if scalar.kind == "const":
+        return tau * 0.0 + scalar.value
+    if scalar.kind == "table":
+        return np.interp(np.mod(tau, scalar.period), *scalar.knots)
+    return scalar.value * (np.cos if scalar.kind == "cos" else np.sin)(scalar.omega * tau)
+
+
+def ramp_values(x, delta: float) -> np.ndarray:
+    """The C¹ odd ramp s_δ at scalar or array x, by ``np.where``."""
+    x = np.asarray(x, dtype=float)
+    inner = x * (3.0 * delta * delta - x * x) / (2.0 * delta ** 3)
+    return np.where(np.abs(x) >= delta, np.sign(x), inner)
+
+
 def averaged_integrand(system, amp, tau: np.ndarray) -> np.ndarray:
     """Integrand pair of the averaged pair at the n times ``tau``, shape (2, n):
     trig(ωτ)·2√Δ·⟨r, (0, f_y, 0, f_w)⟩ along the orbit of ``amp`` mapped to
-    the physical frame, with the signs of the convention's sgn argument."""
+    the physical frame, with the signs of the convention's sgn argument and
+    (f_y, f_w) the unfolded forcing sum."""
     k = 0 if system.family == 1 else 2
     inverse, forward = np.asarray(system.transform.inverse), np.asarray(system.transform.forward)
     state = inverse @ unperturbed_orbit(system.family, amp, tau, system.spectral)
@@ -123,8 +145,8 @@ def averaged_integrand(system, amp, tau: np.ndarray) -> np.ndarray:
     trig = np.stack([np.sin(omega * tau), np.cos(omega * tau)])
     c0, c1 = (amp[0], amp[1]) if system.sgn_convention == "A" else (amp[1], amp[0])
     sgn = np.sign(c0 * trig[1] + c1 * trig[0])
-    f_y, f_w = eval_order1_with_signs(system.spec, tau, state, np.sign(inverse[0, k]) * sgn,
-                                      np.sign(inverse[2, k]) * sgn)
+    f_y, f_w = unfolded_forcing(system.spec, tau, state, np.sign(inverse[0, k]) * sgn,
+                                np.sign(inverse[2, k]) * sgn)
     scale = 2.0 * math.sqrt(system.spectral.delta)
     return trig * (scale * forward[k + 1, 1] * f_y + scale * forward[k + 1, 3] * f_w)
 
@@ -285,19 +307,20 @@ def resonant_b(a: float, ratio: float) -> float:
 
 def linear_form_value(form, tau, state):
     """d₁(τ)x + d₂(τ)y + d₃(τ)z + d₄(τ)w at scalar or array τ, with state
-    of shape (4,) or (4, n)."""
+    of shape (4,) or (4, n), the coefficients by :func:`scalar_values`."""
     state = np.asarray(state, dtype=float)
-    return (form.d1(tau) * state[0] + form.d2(tau) * state[1]
-            + form.d3(tau) * state[2] + form.d4(tau) * state[3])
+    d1, d2, d3, d4 = (scalar_values(d, tau) for d in form.coefficients())
+    return d1 * state[0] + d2 * state[1] + d3 * state[2] + d4 * state[3]
 
 
 def unfolded_forcing(spec, tau, state, sgn_x, sgn_z):
-    """(f_y, f_w) as the term-by-term sum of every K scalar and F coefficient."""
+    """(f_y, f_w) as the term-by-term sum of every K scalar and F
+    coefficient, each by :func:`scalar_values`."""
     state = np.asarray(state, dtype=float)
-    k1, k2, k3, k4 = spec.K
-    f1, f2, f3, f4 = spec.F
-    f_y = k1(tau) + linear_form_value(f1, tau, state) + (k2(tau) + linear_form_value(f2, tau, state)) * sgn_x
-    f_w = k3(tau) + linear_form_value(f3, tau, state) + (k4(tau) + linear_form_value(f4, tau, state)) * sgn_z
+    k1, k2, k3, k4 = (scalar_values(k, tau) for k in spec.K)
+    f1, f2, f3, f4 = (linear_form_value(form, tau, state) for form in spec.F)
+    f_y = k1 + f1 + (k2 + f2) * sgn_x
+    f_w = k3 + f3 + (k4 + f4) * sgn_z
     return f_y, f_w
 
 

@@ -9,7 +9,6 @@ from pendavg.averaging import (
     BifurcationSystem,
     annulus_search,
     bifurcation_values,
-    find_sign_changes,
 )
 from pendavg.errors import DomainError, NumericalError, ResonanceError
 from pendavg.model import (
@@ -23,7 +22,6 @@ from pendavg.perturbation import (
     PeriodicScalar,
     PerturbationSpec,
     builtin,
-    eval_order1_with_signs,
 )
 
 from .oracles import (
@@ -34,6 +32,7 @@ from .oracles import (
     malkin_average,
     scan_sign_changes,
     trapezoid_bifurcation,
+    unfolded_forcing,
     unperturbed_orbit,
 )
 
@@ -70,6 +69,13 @@ def closed_damped_forced(amp, reduced, s):
     )
 
 
+def sgn_system(family, conv, p, reduced, s):
+    """A system without tables: its panel edges are 0, the sgn breakpoints
+    and the window end."""
+    return BifurcationSystem(family, builtin("damped_forced", {"gamma": GAMMA}, s, family=family, p=p),
+                             reduced, s, conv)
+
+
 @given(
     u0=st.floats(-2, 2),
     v0=st.floats(-2, 2),
@@ -77,14 +83,15 @@ def closed_damped_forced(amp, reduced, s):
     p=st.integers(min_value=1, max_value=2),
 )
 @settings(max_examples=50, deadline=None)
-def test_find_sign_changes_locates_analytic_roots(u0, v0, conv, p):
+def test_panel_edges_locate_analytic_roots(u0, v0, conv, p):
     reduced = reduce_params(BENCH)
     s = spectral_data(reduced)
+    sys = sgn_system(1, conv, p, reduced, s)
     if math.hypot(u0, v0) < 1e-3:
         with pytest.raises(DomainError):
-            find_sign_changes((0.0, 0.0), 1, conv, s, p)
+            bifurcation_values(sys, (0.0, 0.0))
         return
-    part = find_sign_changes((u0, v0), 1, conv, s, p)
+    edges = averaging_module._panel_edges(sys, (u0, v0))
     omega = s.omega1
     c0, c1 = (u0, v0) if conv == "A" else (v0, u0)
     chi = math.atan2(c1, c0)
@@ -98,13 +105,13 @@ def test_find_sign_changes_locates_analytic_roots(u0, v0, conv, p):
         if root > 1e-9 and root < window - 1e-9:
             expected.append(root)
         k += 1
-    got = [t for t in part.breakpoints if 1e-9 < t < window - 1e-9]
+    got = [t for t in edges if 1e-9 < t < window - 1e-9]
     assert len(got) == len(expected)
     assert np.allclose(sorted(got), expected, atol=1e-9)
 
 
-def test_find_sign_changes_matches_scan(bench):
-    _, s = bench
+def test_panel_edges_match_scan(bench):
+    reduced, s = bench
     rng = np.random.default_rng(11)
     cases = [(rng.uniform(-2, 2, size=2), family, conv, p)
              for family in (1, 2) for conv in ("A", "B") for p in (1, 2, 3) for _ in range(20)]
@@ -112,18 +119,14 @@ def test_find_sign_changes_matches_scan(bench):
     cases += [((0.0, 0.8), 1, "A", 1), ((-0.3, 0.0), 2, "B", 2), ((0.0, -1.5), 1, "A", 3)]
     for amp, family, conv, p in cases:
         window = p * s.period(family)
-        partition = find_sign_changes(amp, family, conv, s, p)
-        got = partition.breakpoints
-        edges = np.unique(np.concatenate(([0.0], got, [window])))
-        assert np.array(partition.panel_edges).tobytes() == edges.tobytes()
+        edges = averaging_module._panel_edges(sgn_system(family, conv, p, reduced, s), amp)
+        assert np.array(edges).tobytes() == np.unique(edges).tobytes()
+        assert edges[0] == 0.0 and edges[-1] == window
         scan = scan_sign_changes(amp, family, conv, s, p)
-        inner = [t for t in got if 1e-9 < t < window - 1e-9]
+        inner = [t for t in edges if 1e-9 < t < window - 1e-9]
         assert np.allclose(inner, [t for t in scan if 1e-9 < t < window - 1e-9], rtol=0, atol=1e-11)
         c0 = amp[0] if conv == "A" else amp[1]
-        if c0 == 0.0:
-            assert got[0] == 0.0 and got[-1] == window and len(got) == 2 * p + 1
-        else:
-            assert len(got) == 2 * p
+        assert len(edges) == (2 * p + 1 if c0 == 0.0 else 2 * p + 2)
 
 
 def test_bifurcation_values_smooth_closed_form(bench):
@@ -252,16 +255,13 @@ def test_bifurcation_values_match_malkin_average_both_families(bench):
 
             def g1(tau, nf):
                 state = transform.inverse @ nf
-                f_y, f_w = eval_order1_with_signs(
-                    spec, tau, state, np.sign(state[0]), np.sign(state[2])
-                )
+                f_y, f_w = unfolded_forcing(spec, tau, state, np.sign(state[0]), np.sign(state[2]))
                 return transform.forward @ np.array([0.0, f_y, 0.0, f_w])
 
             window = p * s.period(family)
-            partition = find_sign_changes(amp, family, "A", s, p)
             avg = malkin_average(
                 g1, s, lambda tau: unperturbed_orbit(family, amp, tau, s), window,
-                family=family, breakpoints=partition.breakpoints,
+                family=family, breakpoints=scan_sign_changes(amp, family, "A", s, p),
             )
             ref = 2.0 * math.sqrt(s.delta) * window * np.array([-avg[0], avg[1]])
             val = bifurcation_values(sys, amp)

@@ -5,6 +5,7 @@ checks artifacts, exit codes, and byte-level determinism.  Expected
 numbers come from the closed forms in ``oracles``.
 """
 
+import ast
 import configparser
 import contextlib
 import io
@@ -15,6 +16,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -516,6 +518,26 @@ def test_simulate_overflowing_flow_exits_6_without_nan(tmp_path):
     assert rows and all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
 
+def test_simulate_stiff_regularized_run_exits_6_at_once(tmp_path, capsys):
+    # ε = 1e300 makes the regularized run so stiff that its error norm
+    # overflows and DOP853 shrinks its steps to subnormal sizes near τ = 0,
+    # far below any step that could cross the span; the floor of 10 ulps of
+    # the span ends the run with one error line and no numpy warning
+    sections = bench_sections(tmp_path / "out")
+    sections["perturbation"] = {"builtin": "damped_forced", "gamma": "1e-300"}
+    sections["integrate"] = {"eps": "1e300", "s0": "0 0 1 0.3", "t_span": "0 0.001", "delta": "1e-3"}
+    ini = write_ini(tmp_path / "stiff.ini", sections)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        start = time.perf_counter()
+        code = cli.main(["simulate", "--config", str(ini)])
+        elapsed = time.perf_counter() - start
+    assert code == 6 and elapsed < 1.0
+    assert not caught
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: regularized integration stalled")
+
+
 DOCUMENTED_EXIT_CODES = (0, 1, 2, 3, 5, 6)
 FUZZ_NUMBERS = ("1e-300", "1e-100", "1e-3", "0.5", "1", "9.8", "1e3", "1e100", "1e300", "nan")
 FUZZ_BUILTIN_VALUES = ("0.5", "0.05", "1", "-1", "1e-300", "1e300", "nan")
@@ -699,6 +721,25 @@ def test_prediction_path_loads_no_checking_half(tmp_path):
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "pendavg.averaging" in loaded and not loaded & CHECKING_HALF and "numpy" not in loaded
+
+
+PREDICTION_HALF = ("errors", "model", "perturbation", "averaging", "cli", "__init__", "__main__")
+
+
+def test_prediction_half_imports_no_numpy_anywhere():
+    # not at the top, and not inside a function either: the prediction
+    # modules have one float code path, so no caller can make them load numpy
+    package = Path(cli.__file__).resolve().parent
+    for name in PREDICTION_HALF:
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "numpy" for m in modules), (name, node.lineno)
 
 
 def test_checking_path_loads_no_scipy(tmp_path):

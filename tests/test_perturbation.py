@@ -13,13 +13,12 @@ from pendavg.perturbation import (
     PeriodicScalar,
     PerturbationSpec,
     builtin,
-    eval_order1_parts,
     eval_order1_with_signs,
     perturbation_from_file,
     smooth_sign,
 )
 
-from .oracles import linear_form_value, unfolded_forcing
+from .oracles import linear_form_value, ramp_values, scalar_values, unfolded_forcing
 
 BENCH = PhysicalParams(1.0, 1.0, 1.0, 1.0, 9.8)
 
@@ -31,7 +30,7 @@ def bench_spectral():
 def test_periodic_scalar_constant_and_harmonic():
     c = PeriodicScalar.constant(2.5, 4.0)
     assert c(0.3) == 2.5
-    assert np.array_equal(c(np.array([0.0, 1.0])), np.array([2.5, 2.5]))
+    assert c(-1.0) == c(1e6) == 2.5
     h = PeriodicScalar.harmonic("cos", 1.5, 2.0)
     assert h(0.7) == pytest.approx(1.5 * math.cos(1.4), rel=1e-15)
     assert h.period == pytest.approx(math.pi, rel=1e-15)
@@ -48,7 +47,9 @@ def test_periodic_scalar_table():
     taus = np.arange(n) * (2.0 * math.pi / n)
     table = PeriodicScalar.from_table(taus, np.sin(taus))
     probe = np.linspace(0.0, 4.0 * math.pi, 101)
-    assert np.allclose(table(probe), np.sin(probe), atol=1e-4)
+    values = np.array([table(t) for t in probe])
+    assert values.tobytes() == scalar_values(table, probe).tobytes()
+    assert np.allclose(values, np.sin(probe), atol=1e-4)
     assert table.period == pytest.approx(2.0 * math.pi, rel=1e-12)
     with pytest.raises(DomainError):
         PeriodicScalar.from_table(taus[:100], np.sin(taus[:100]))
@@ -157,10 +158,30 @@ def test_eval_order1_with_signs_agrees_on_interior_states():
     states = np.array([[0.4, -0.1, -0.7, 0.2], [-0.3, 0.5, 0.6, -0.1]]).T
     taus = np.array([1.0, 2.5])
     sgn_x, sgn_z = np.sign(states[0]), np.sign(states[2])
-    f_y, f_w = eval_order1_with_signs(spec, taus, states, sgn_x, sgn_z)
+    f_y, f_w = unfolded_forcing(spec, taus, states, sgn_x, sgn_z)
     for i in range(2):
-        expect = eval_order1_with_signs(spec, taus[i], states[:, i], sgn_x[i], sgn_z[i])
-        assert (f_y[i], f_w[i]) == pytest.approx(expect, rel=1e-14, abs=1e-15)
+        got = eval_order1_with_signs(spec, taus[i], states[:, i], sgn_x[i], sgn_z[i])
+        assert got == pytest.approx((f_y[i], f_w[i]), rel=1e-14, abs=1e-15)
+
+
+def test_scalars_match_the_array_reference_bit_for_bit():
+    # the float path of every scalar kind against numpy on arrays: random
+    # τ, negative τ, every knot of a table and multiples of the period
+    rng = np.random.default_rng(31)
+    window = 2.7
+    scalars = [PeriodicScalar.constant(0.0, window), PeriodicScalar.constant(-1.25, window)]
+    scalars += [PeriodicScalar.harmonic(kind, rng.uniform(-2, 2), k * 2.0 * math.pi / window)
+                for kind in ("cos", "sin") for k in (1, 3)]
+    for n in (256, 300):
+        scalars.append(PeriodicScalar.from_table(np.arange(n) * (window / n), rng.uniform(-1, 1, n)))
+    for scalar in scalars:
+        taus = [rng.uniform(-30.0, 30.0, size=10_000), np.arange(-5, 6) * scalar.period]
+        if scalar.kind == "table":
+            knots = np.asarray(scalar.knots[0])
+            taus += [knots, knots - scalar.period, knots + 3.0 * scalar.period]
+        probe = np.concatenate(taus)
+        got = np.array([scalar(t) for t in probe.tolist()])
+        assert got.tobytes() == scalar_values(scalar, probe).tobytes(), scalar.kind
 
 
 def _random_scalar(rng, window):
@@ -194,34 +215,9 @@ def test_compiled_forcing_matches_unfolded_sum():
         taus = rng.uniform(-3, 10, size=7)
         states = rng.normal(size=(4, 7))
         sgn_x, sgn_z = rng.choice([-1.0, 0.0, 1.0], size=(2, 7))
-        got = eval_order1_with_signs(spec, taus, states, sgn_x, sgn_z)
-        expect = unfolded_forcing(spec, taus, states, sgn_x, sgn_z)
-        for g, e in zip(got, expect):
-            assert np.shape(g) == (7,) and np.array_equal(g, e)
-
-
-def test_forcing_parts_match_the_zeroed_specs():
-    # the state-linear part R·s is the forcing of the spec without K and the
-    # constant part k that of the spec without F, value for value and shape
-    # for shape
-    rng = np.random.default_rng(7)
-    window = 2.7
-    zero = PeriodicScalar.constant(0.0, window)
-    for _ in range(200):
-        spec = PerturbationSpec(
-            K=tuple(_random_scalar(rng, window) for _ in range(4)),
-            F=tuple(LinearForm(*(_random_scalar(rng, window) for _ in range(4))) for _ in range(4)),
-        )
-        without_k = PerturbationSpec(K=(zero,) * 4, F=spec.F)
-        without_f = PerturbationSpec(K=spec.K, F=(LinearForm.zero(window),) * 4)
-        scalar = rng.uniform(-3, 10), rng.normal(size=4), rng.choice([-1.0, 0.0, 1.0], size=2)
-        array = rng.uniform(-3, 10, size=7), rng.normal(size=(4, 7)), rng.choice([-1.0, 0.0, 1.0], size=(2, 7))
-        for tau, state, signs in (scalar, array):
-            linear, constant = eval_order1_parts(spec, tau, state, *signs)
-            for got, part in ((linear, without_k), (constant, without_f)):
-                expect = eval_order1_with_signs(part, tau, state, *signs)
-                for g, e in zip(got, expect):
-                    assert np.shape(g) == np.shape(tau) and np.array_equal(g, e)
+        got = np.array([eval_order1_with_signs(spec, taus[n], states[:, n], sgn_x[n], sgn_z[n])
+                        for n in range(7)]).T
+        assert np.array_equal(got, unfolded_forcing(spec, taus, states, sgn_x, sgn_z))
 
 
 def test_forcing_jacobian_matches_unfolded_differences():
@@ -255,12 +251,10 @@ def test_all_zero_spec_forcing_is_shaped_like_tau():
     z = PeriodicScalar.constant(0.0, 1.0)
     spec = PerturbationSpec(K=(z, z, z, z), F=(LinearForm.zero(1.0),) * 4)
     assert eval_order1_with_signs(spec, 0.5, np.ones(4), 1.0, -1.0) == (0.0, 0.0)
-    f_y, f_w = eval_order1_with_signs(spec, np.arange(3.0), np.ones((4, 3)), 1.0, -1.0)
-    assert np.array_equal(f_y, np.zeros(3)) and np.array_equal(f_w, np.zeros(3))
     constant = PeriodicScalar.constant(0.25, 1.0)
     spec = PerturbationSpec(K=(constant, z, z, constant), F=(LinearForm.zero(1.0),) * 4)
-    f_y, f_w = eval_order1_with_signs(spec, np.arange(3.0), np.ones((4, 3)), 1.0, -1.0)
-    assert np.array_equal(f_y, np.full(3, 0.25)) and np.array_equal(f_w, np.full(3, -0.25))
+    for tau in (0.0, 1.0, 2.0):
+        assert eval_order1_with_signs(spec, tau, np.ones(4), 1.0, -1.0) == (0.25, -0.25)
 
 
 def test_exact_zero_coefficient_contributes_nothing():
@@ -269,16 +263,11 @@ def test_exact_zero_coefficient_contributes_nothing():
     s = bench_spectral()
     spec = builtin("damped_forced", {"gamma": 0.5}, s)
     state = np.array([np.inf, 0.0, -np.inf, 0.0])
-    for tau, states in ((0.3, state), (np.array([0.3, 1.1]), np.tile(state[:, None], 2))):
-        forcing = 0.5 * np.cos(s.omega1 * tau)
-        f_y, f_w = eval_order1_with_signs(spec, tau, states, 1.0, -1.0)
-        (linear_y, linear_w), (constant_y, constant_w) = eval_order1_parts(spec, tau, states, 1.0, -1.0)
-        for value in (f_y, f_w, linear_y, linear_w, constant_y, constant_w):
-            assert np.all(np.isfinite(value))
+    for tau in (0.3, 1.1):
+        f_y, f_w = eval_order1_with_signs(spec, tau, state, 1.0, -1.0)
+        assert math.isfinite(f_y) and math.isfinite(f_w)
         # the sign of a zero may differ from the term-by-term sum
-        assert np.array_equal(f_y, forcing) and np.array_equal(constant_y, forcing)
-        assert np.all(f_w == 0.0) and np.all(linear_y == 0.0) and np.all(linear_w == 0.0)
-        assert np.all(constant_w == 0.0)
+        assert f_y == 0.5 * math.cos(s.omega1 * tau) and f_w == 0.0
 
 
 @given(x=st.floats(-2, 2), delta=st.floats(1e-4, 0.5))
@@ -302,14 +291,14 @@ def test_smooth_sign_is_c1_at_the_seam():
 
 
 def test_smooth_sign_scalar_matches_array_bit_for_bit():
-    # a float takes the math branch, an array the numpy one: the same bits
+    # the float ramp against numpy's on the array of the same points
     delta = 0.1
     rng = np.random.default_rng(29)
     xs = [0.0, -0.0, delta, -delta, delta / 2, -delta / 2, math.inf, -math.inf,
           *rng.uniform(-3.0 * delta, 3.0 * delta, size=1000).tolist()]
     scalar = [smooth_sign(x, delta) for x in xs]
     assert all(type(v) is float for v in scalar)
-    assert np.array(scalar).tobytes() == smooth_sign(np.array(xs), delta).tobytes()
+    assert np.array(scalar).tobytes() == ramp_values(np.array(xs), delta).tobytes()
 
 
 def test_eval_order1_regularized_matches_exact_outside_delta():
@@ -364,9 +353,9 @@ def test_builtins_are_their_file_entries(tmp_path):
                 taus = rng.uniform(-3.0, 30.0, size=9)
                 states = rng.normal(size=(4, 9))
                 signs = rng.choice([-1.0, 0.0, 1.0], size=(2, 9))
-                for evaluate in (eval_order1_with_signs, eval_order1_parts):
-                    assert (np.asarray(evaluate(got, taus, states, *signs)).tobytes()
-                            == np.asarray(evaluate(expect, taus, states, *signs)).tobytes())
+                columns = [(taus[n], states[:, n], *signs[:, n]) for n in range(9)]
+                assert (np.array([eval_order1_with_signs(got, *column) for column in columns]).tobytes()
+                        == np.array([eval_order1_with_signs(expect, *column) for column in columns]).tobytes())
                 for frozen in ((-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)):
                     for g, e in zip(_frozen_forcing(got, frozen), _frozen_forcing(expect, frozen)):
                         assert all(g(t).tobytes() == e(t).tobytes() for t in taus)
