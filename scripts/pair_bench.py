@@ -24,12 +24,22 @@ spawned it, which is lower here than in ``perfbench/run.py`` (that
 one has numpy loaded), so a child that stays below the benchmark's floor
 of about 30 MB reads lower here than in the benchmark.
 Last, it compares the ``out/`` trees the two sides' last runs wrote, byte
-for byte, and prints "artifacts identical" or the files that differ.
+for byte, and prints "artifacts identical" or the files that differ.  For
+each JSON or CSV file that both sides wrote and that differs, it prints
+the largest relative difference |a − b| / max(|a|, |b|) over the file's
+float values (JSON numbers with a fraction or exponent, CSV cells that
+are not integers), field by field (a JSON key path with list indices
+dropped, or a CSV column) with the largest absolute difference beside
+it, and lists every other difference: strings, integers, booleans,
+nulls, key sets, list lengths and row counts.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import json
+import math
 import os
 import shutil
 import statistics
@@ -38,7 +48,7 @@ import sys
 import tempfile
 from pathlib import Path
 from time import perf_counter
-from typing import Tuple
+from typing import Dict, List, Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
@@ -71,6 +81,79 @@ def differing_files(left: Path, right: Path) -> list:
     return sorted(str(name) for name in names
                   if not ((left / name).is_file() and (right / name).is_file()
                           and (left / name).read_bytes() == (right / name).read_bytes()))
+
+
+def _cell(text: str):
+    """A CSV cell as an int, a float or its text."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _read(path: Path):
+    """A JSON file's value, a CSV file's rows keyed by column, or None."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        if path.suffix == ".json":
+            return json.load(fh)
+        if path.suffix == ".csv":
+            return [{key: _cell(value) for key, value in row.items()} for row in csv.DictReader(fh)]
+    return None
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _walk(left, right, field: str, drift: Dict[str, Tuple[float, float]], other: List[str]) -> None:
+    """Compare two decoded values: the largest relative and absolute
+    differences of each field's floats go into ``drift``, every other
+    difference into ``other``.  A float prints 0.0 as ``0``, so two
+    numbers count as floats when either is one."""
+    if _number(left) and _number(right) and float in (type(left), type(right)):
+        left, right = float(left), float(right)
+        scale = max(abs(left), abs(right))
+        rel = 0.0 if left == right else abs(left - right) / scale if math.isfinite(scale) else math.inf
+        worst = drift.get(field, (0.0, 0.0))
+        drift[field] = (max(worst[0], rel), max(worst[1], abs(left - right) if rel else 0.0))
+    elif isinstance(left, dict) and isinstance(right, dict):
+        if left.keys() != right.keys():
+            other.append(f"{field or '.'}: keys {sorted(left.keys() ^ right.keys())} on one side only")
+        for key in left.keys() & right.keys():
+            _walk(left[key], right[key], f"{field}.{key}" if field else str(key), drift, other)
+    elif isinstance(left, list) and isinstance(right, list):
+        if len(left) != len(right):
+            other.append(f"{field or 'rows'}: {len(left)} entries against {len(right)}")
+        for a, b in zip(left, right):
+            _walk(a, b, f"{field}[]", drift, other)
+    elif type(left) is not type(right) or left != right:
+        other.append(f"{field}: {left!r} against {right!r}")
+
+
+def drift_lines(left: Path, right: Path, differ: List[str]) -> List[str]:
+    """For each differing file of two trees, its largest relative float
+    difference, field by field, and one line per other difference."""
+    lines = []
+    for relative in differ:
+        paths = (left / relative, right / relative)
+        if not all(path.is_file() for path in paths):
+            lines.append(f"  {relative}: written by one side only")
+            continue
+        drift, other = {}, []
+        values = [_read(path) for path in paths]
+        if values[0] is None:
+            other.append("not JSON or CSV")
+        else:
+            _walk(*values, "", drift, other)
+        fields = sorted(drift.items(), key=lambda item: -item[1][0])
+        largest = fields[0][1][0] if fields else 0.0
+        lines.append(f"  {relative}: largest relative float difference {largest:.2g}"
+                     + "".join(f"; {field} {rel:.2g} (absolute {diff:.2g})"
+                               for field, (rel, diff) in fields if rel > 0.0))
+        lines += [f"  {relative}: non-float difference: {line}" for line in other]
+    return lines
 
 
 def pair_rule(parent, change) -> dict:
@@ -113,7 +196,9 @@ def main(argv=None) -> int:
                     wall, peak = timed_run(trees[side], workload, inis[side], run_dirs[side])
                     walls[side].append(wall)
                     rss[side].append(peak)
-            differ = differing_files(*(run_dir / "out" for run_dir in run_dirs))
+            outs = [run_dir / "out" for run_dir in run_dirs]
+            differ = differing_files(*outs)
+            drift = drift_lines(*outs, differ)
         result = pair_rule(*walls)
         sides = ", ".join(f"{side} {q[1]:.4f} s [{q[0]:.4f}, {q[2]:.4f}]" for side, q in
                           (("parent", result["parent"]), ("change", result["change"])))
@@ -123,6 +208,8 @@ def main(argv=None) -> int:
                           zip(("parent", "change"), (statistics.quantiles(r, n=4) for r in rss)))
         print(f"{name}: peak RSS {peaks}")
         print(f"{name}: " + (f"artifacts differ: {', '.join(differ)}" if differ else "artifacts identical"))
+        for line in drift:
+            print(line)
     return 0
 
 

@@ -9,8 +9,10 @@ Poincaré residual.
 
 The package root holds the prediction half's names of the README's library
 example, and importing it loads no module of the checking half (filippov,
-verify, dop853, expflow) and not numpy.  Every other name is imported from its module,
-e.g. ``pendavg.verify.epsilon_sweep``.
+verify, dop853, expflow) and not numpy.  Every other name is imported from
+its module, e.g. ``pendavg.verify.epsilon_sweep``.  Both halves compute on
+Python floats; numpy loads only with :mod:`pendavg.dop853`, for a segment
+that the exact flow of :mod:`pendavg.expflow` cannot take.
 """
 
 from .averaging import BifurcationSystem, annulus_search

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import numbers
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -68,25 +67,19 @@ def _format_float(v: float) -> str:
 
 
 def dumps_deterministic(obj, indent: int = 0) -> str:
-    """JSON text with 17-significant-digit floats and stable layout.
-
-    numpy scalars count as numbers (numpy registers them as
-    ``numbers.Integral`` and ``numbers.Real``) and arrays as their
-    ``tolist()``, so no numpy import is needed to recognise them."""
+    """JSON text with 17-significant-digit floats and stable layout."""
     pad = "  " * indent
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, numbers.Integral):
-        return str(int(obj))
-    if isinstance(obj, numbers.Real):
-        return _format_float(float(obj))
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _format_float(obj)
     if isinstance(obj, str):
         escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
-    if hasattr(obj, "tolist"):
-        return dumps_deterministic(obj.tolist(), indent)
     if isinstance(obj, (list, tuple)):
         items = [dumps_deterministic(v, indent + 1) for v in list(obj)]
         if not items:
@@ -393,8 +386,9 @@ def _verify_convention(config: ExperimentConfig, convention: str, tag: str) -> d
 
 
 def cmd_verify(config: ExperimentConfig, compare_conventions: bool = False) -> int:
-    # The checking half (verify, filippov, dop853, expflow) is imported only
-    # here and in cmd_simulate: `zeros` and `params` never load it.
+    # The checking half (verify, filippov, expflow) is imported only here and
+    # in cmd_simulate: `zeros` and `params` never load it.  dop853, and numpy
+    # with it, loads only for a segment the exact flow cannot take.
     from .verify import convention_verdict
 
     summary = _verify_convention(config, config.convention, tag="")

@@ -33,13 +33,13 @@ alone, in Python floats, by the same operations as on the whole state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .averaging import _brent
 from .errors import DomainError
+from .expflow import EVENT_TOL, MAX_STEPS, Solution, sign_changes
 
 N_STAGES = 12
 N_STAGES_EXTENDED = 16
@@ -237,10 +237,6 @@ SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10
 ERROR_EXPONENT = -1 / (7 + 1)  # the error estimator has order 7
-# Brent's tolerances for an event root (SciPy's solve_event_equation).
-EVENT_TOL = 4 * np.finfo(float).eps
-# Most steps of one run: the default NMAX of Hairer's DOP853 code.
-MAX_STEPS = 100_000
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 # Per stage s: s, the row A[s, :s] and the node C[s].
@@ -339,26 +335,9 @@ def _horner(F, x, y):
     return y
 
 
-@dataclass(frozen=True)
-class Solution:
-    """Outcome of :func:`solve`.
-
-    ``status`` is 0 when the end of the span was reached, 1 when an event
-    stopped the run (``event`` is its index and ``ts[-1]`` its time) and
-    −1 on a step-size failure or after ``MAX_STEPS`` steps (``message``
-    says so; ``ts`` and ``ys`` are then ``None``).  ``ys[i]`` is the
-    state at ``ts[i]``, as in SciPy's ``solve_ivp(...).y.T``.
-    """
-
-    status: int
-    ts: Optional[np.ndarray] = None
-    ys: Optional[np.ndarray] = None
-    event: Optional[int] = None
-    message: Optional[str] = None
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def solve(
-    fun: Callable[[float, np.ndarray], np.ndarray],
+    fun: Callable[[float, np.ndarray], Sequence[float]],
     t_span: Sequence[float],
     y0,
     *,
@@ -370,16 +349,20 @@ def solve(
 ) -> Solution:
     """Integrate ``y' = fun(t, y)`` over ``t_span`` with DOP853.
 
-    ``fun`` must return a float array shaped like ``y0``.  Each event,
-    an index k for the level ``y[k]``, is terminal: the run stops at the
-    earliest root, located by Brent's method on the step's dense output,
-    of any level that changes sign (or touches zero) over a step.  The
-    initial step and the local error test see only the first
-    ``n_tested`` components (all of them by default, as in SciPy); the
-    others ride along on the steps the leading ones choose.  A run that
-    needs more than ``MAX_STEPS`` steps ends with status −1, as Hairer's
-    DOP853 does past NMAX; SciPy has no such bound.
+    ``fun`` must return floats shaped like ``y0``; as in SciPy, its value
+    is taken as a float array.  Each event, an index k for the level
+    ``y[k]``, is terminal: the run stops at the earliest root, located by
+    Brent's method on the step's dense output, of any level that changes
+    sign (or touches zero) over a step.  The initial step and the local
+    error test see only the first ``n_tested`` components (all of them by
+    default, as in SciPy); the others ride along on the steps the leading
+    ones choose.  A run that needs more than ``MAX_STEPS`` steps ends with
+    status −1, as Hairer's DOP853 does past NMAX; SciPy has no such bound.
+    A step whose error norm overflows is rejected, with no numpy warning.
     """
+    def fun(t, y, fun=fun):
+        return np.asarray(fun(t, y), dtype=float)
+
     t0, t_bound = map(float, t_span)
     y = np.asarray(y0).astype(float, copy=False)
     if not np.isfinite(y).all():
@@ -434,7 +417,10 @@ def solve(
             K[-1] = f_new
 
             scale = atol + np.maximum(np.abs(y[:n_tested]), np.abs(y_new[:n_tested])) * rtol
-            error_norm = _error_norm(K[:, :n_tested], h, scale)
+            # Contiguous, as K is when every component is tested, so that the
+            # untested components leave the error norm as it is without them:
+            # numpy's product over strided columns rounds differently.
+            error_norm = _error_norm(np.ascontiguousarray(K[:, :n_tested]), h, scale)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -472,13 +458,6 @@ def solve(
             ys.append(y)
 
     return Solution(status=status, ts=np.array(ts), ys=np.array(ys), event=fired)
-
-
-def sign_changes(g, g_new):
-    """Indices i of the levels with g[i] and g_new[i] not of one strict sign
-    (SciPy's find_active_events for direction 0)."""
-    return [i for i, (before, after) in enumerate(zip(g, g_new))
-            if (before <= 0 and after >= 0) or (before >= 0 and after <= 0)]
 
 
 def _event_root(k: int, step: _StepInterpolant, t_old, t):

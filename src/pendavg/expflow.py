@@ -5,33 +5,73 @@ is a constant plus cosines and sines, v = [s; cos ω_iτ, sin ω_iτ; 1] obeys
 v′ = B·v with B constant and block upper triangular, M and the rotations
 of the ω_i on its diagonal; so a step h is one exp(B·h) (Van Loan, IEEE
 TAC 23, 1978), and a monodromy rides along as more columns of v with zero
-trigonometric rows.  exp is a Taylor polynomial with scaling and squaring
-(Higham, SIAM J. Matrix Anal. Appl. 26, 2005) scaled by the diagonal
-blocks alone, so a large forcing amplitude costs no accuracy.  An event
-root is found by Brent's method on the level's Taylor polynomial
+trigonometric rows, which see only M's block.  The step's exponential is
+a Taylor polynomial with scaling and squaring (Higham, SIAM J. Matrix
+Anal. Appl. 26, 2005) scaled by the diagonal blocks alone, so a large
+forcing amplitude costs no accuracy; it is built once per step size and
+applied block by block, the trigonometric rows as a rotation.  A partial
+step or an event's offset δ needs exp(B·δ) once: where ‖B·δ‖ ≤ 1, so that
+no squaring is needed, Horner's rule applies the Taylor polynomial to the
+columns directly; otherwise the exponential is formed.  An event root is
+found by Brent's method on the level's Taylor polynomial
 Σ δʲ·(Bʲv)[k]/j! when that meets the exact level at the step's end, where
 its error is largest, to ``ROOT_CHECK_RTOL`` of the level's change over
 the step; otherwise on the exact flow.
+
+Everything here is Python floats: B is a tuple of rows, and a run's
+times and states are lists.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
-
-import numpy as np
+from itertools import chain
+from operator import mul
+from typing import List, Optional, Sequence, Tuple
 
 from .averaging import _brent
-from .dop853 import EVENT_TOL, Solution, sign_changes
 
 EXPM_DEGREE = 18
 ROOT_DEGREE = 30
 ROOT_CHECK_RTOL = 1e-13
 OVERFLOW = "the exponential flow overflowed or is not finite"
+# Brent's tolerances for an event root (SciPy's solve_event_equation).
+EVENT_TOL = 4 * sys.float_info.epsilon
+# Most steps of one run: the default NMAX of Hairer's DOP853 code.
+MAX_STEPS = 100_000
+
+Matrix = Tuple[Tuple[float, ...], ...]
 
 
-def generator(matrix, offset) -> Optional[np.ndarray]:
+@dataclass(frozen=True)
+class Solution:
+    """Outcome of a segment solver (:func:`solve`, :func:`pendavg.dop853.solve`).
+
+    ``status`` is 0 when the end of the span was reached, 1 when an event
+    stopped the run (``event`` is its index and ``ts[-1]`` its time) and
+    −1 on a failure (``message`` says which; ``ts`` and ``ys`` are then
+    ``None``).  ``ys[i]`` is the state at ``ts[i]``, as in SciPy's
+    ``solve_ivp(...).y.T``.
+    """
+
+    status: int
+    ts: Optional[Sequence[float]] = None
+    ys: Optional[Sequence[Sequence[float]]] = None
+    event: Optional[int] = None
+    message: Optional[str] = None
+
+
+def sign_changes(g, g_new):
+    """Indices i of the levels with g[i] and g_new[i] not of one strict sign
+    (SciPy's find_active_events for direction 0)."""
+    return [i for i, (before, after) in enumerate(zip(g, g_new))
+            if (before <= 0 and after >= 0) or (before >= 0 and after <= 0)]
+
+
+def generator(matrix, offset) -> Optional[Matrix]:
     """B of v′ = B·v for s′ = matrix·s + offset(τ), given as the periodic
     arrays of :mod:`pendavg.filippov`, or None unless the matrix is
     constant and the offset's terms are cos or sin."""
@@ -39,39 +79,81 @@ def generator(matrix, offset) -> Optional[np.ndarray]:
         return None
     omegas = sorted({scalar.omega for _, _, scalar in offset.terms})
     n = 5 + 2 * len(omegas)
-    out = np.zeros((n, n))
-    out[:4, :4] = matrix.constant
-    out[:4, -1] = offset.constant
+    out = [[*row, *[0.0] * (n - 5), c] for row, c in zip(matrix.constant, offset.constant)]
+    out += [[0.0] * n for _ in range(n - 4)]
     for (row,), factor, scalar in offset.terms:
-        out[row, 4 + 2 * omegas.index(scalar.omega) + (scalar.kind == "sin")] += factor * scalar.value
+        out[row][4 + 2 * omegas.index(scalar.omega) + (scalar.kind == "sin")] += factor * scalar.value
     for i, omega in enumerate(omegas):
-        out[4 + 2 * i, 5 + 2 * i] = -omega
-        out[5 + 2 * i, 4 + 2 * i] = omega
+        out[4 + 2 * i][5 + 2 * i] = -omega
+        out[5 + 2 * i][4 + 2 * i] = omega
+    return tuple(map(tuple, out))
+
+
+def _matmul(a, b) -> List[List[float]]:
+    """a·b, each row of the product the sum of b's rows scaled by the
+    nonzero entries of a's row, in column order: B and its Taylor terms
+    are sparse."""
+    out = []
+    for row in a:
+        acc = [0.0] * len(b[0])
+        for x, b_row in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b_row)]
+        out.append(acc)
     return out
 
 
-def _expm(a: np.ndarray, norm: float) -> np.ndarray:
+def _expm(a, norm: float) -> List[List[float]]:
     """exp(a), given ``norm``, the 1-norm of a's diagonal blocks."""
     squarings = max(0, math.ceil(math.log2(norm))) if norm > 1.0 else 0
-    a = np.ldexp(a, -squarings)
-    eye = np.eye(len(a))
+    a = [[math.ldexp(x, -squarings) for x in row] for row in a]
+    eye = [[float(i == j) for j in range(len(a))] for i in range(len(a))]
     out = eye
     for j in range(EXPM_DEGREE, 0, -1):
-        out = eye + a.dot(out) / j
+        out = [[x / j + e for x, e in zip(row, diagonal)] for row, diagonal in zip(_matmul(a, out), eye)]
     for _ in range(squarings):
-        out = out.dot(out)
+        out = _matmul(out, out)
     return out
 
 
 @lru_cache(maxsize=128)
-def _step_flow(key: bytes, n: int, h: float, norm: float) -> np.ndarray:
-    out = _expm(np.frombuffer(key).reshape(n, n) * h, norm * abs(h))
-    out.setflags(write=False)
-    return out
+def _step_flow(big: Matrix, h: float, norm: float) -> Matrix:
+    return tuple(map(tuple, _expm([[x * h for x in row] for row in big], norm * abs(h))))
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def solve(big: np.ndarray, t_span: Sequence[float], u0, *, max_step: float,
+def _apply(flow, v: List[float], cols) -> Tuple[List[float], list]:
+    """flow·[v | cols] by blocks: the state rows on v, each rotation on
+    its (cos, sin) pair, the constant kept; the columns of Φ, whose other
+    rows are zero, on the leading 4×4 block."""
+    out = [sum(map(mul, row, v)) for row in flow[:4]]
+    for i in range(4, len(v) - 1, 2):
+        c, s = v[i], v[i + 1]
+        out += (flow[i][i] * c + flow[i][i + 1] * s, flow[i + 1][i] * c + flow[i + 1][i + 1] * s)
+    out.append(v[-1])
+    return out, [[r[0] * x + r[1] * y + r[2] * z + r[3] * w for r in flow[:4]] for x, y, z, w in cols]
+
+
+def _flow(big: Matrix, norm: float, delta: float, v: List[float], cols) -> Tuple[List[float], list]:
+    """exp(B·δ)·[v | cols]: without squarings, Horner's rule for the Taylor
+    polynomial on the columns, p ← v + (B·δ)·p / j; else the exponential."""
+    if norm * abs(delta) > 1.0:
+        return _apply(_expm([[x * delta for x in row] for row in big], norm * abs(delta)), v, cols)
+    a = [[x * delta for x in row] for row in big[:4]]
+    # The rotation rows of B·δ: (−ωδ, ωδ) at each (cos, sin) pair i.
+    turns = [(i, big[i][i + 1] * delta, big[i + 1][i] * delta) for i in range(4, len(v) - 1, 2)]
+    p, ps = v, cols
+    for j in range(EXPM_DEGREE, 0, -1):
+        head = [sum(map(mul, row, p)) / j + x for row, x in zip(a, v)]
+        for i, up, down in turns:
+            head += (up * p[i + 1] / j + v[i], down * p[i] / j + v[i + 1])
+        head.append(v[-1])
+        p = head
+        ps = [[(r[0] * q0 + r[1] * q1 + r[2] * q2 + r[3] * q3) / j + x for r, x in zip(a, col)]
+              for (q0, q1, q2, q3), col in zip(ps, cols)]
+    return p, ps
+
+
+def solve(big: Matrix, t_span: Sequence[float], u0, *, max_step: float,
           events: Sequence[int] = ()) -> Solution:
     """Integrate s′ = M·s + c(τ), given as ``big`` = B (see :func:`generator`),
     in steps of the finite ``max_step``, the last one ending at t_span[1].
@@ -82,22 +164,20 @@ def solve(big: np.ndarray, t_span: Sequence[float], u0, *, max_step: float,
     overflows ends the run with status −1.
     """
     t0, t1 = map(float, t_span)
-    u0 = np.asarray(u0, dtype=float)
-    if not np.isfinite(big).all():
+    norm = max(max(sum(abs(big[i][j]) for i in block) for j in block)
+               for block in (range(4), range(4, len(big))))
+    # Every exponential is of B·δ with |δ| ≤ max_step, and every angle ω·t0
+    # is at most ‖B‖·|t0|, so this bounds both.
+    if not (all(map(math.isfinite, chain.from_iterable(big))) and math.isfinite(norm * (abs(t0) + max_step))):
         return Solution(status=-1, message=OVERFLOW)
-    n = len(big)
-    norm = max(np.abs(big[:4, :4]).sum(axis=0).max(), np.abs(big[4:, 4:]).sum(axis=0).max())
     h = math.copysign(max_step, t1 - t0)
-    key = big.tobytes()
-    omegas = big[5:-1:2, 4:-1:2].diagonal()
-    cols = u0.reshape(-1, 4).T
-    lifted = np.zeros((n, cols.shape[1]))
-    lifted[:4] = cols
-    lifted[4:-1:2, 0], lifted[5:-1:2, 0] = np.cos(omegas * t0), np.sin(omegas * t0)
-    lifted[-1, 0] = 1.0
+    u0 = [float(x) for x in u0]
+    omegas = [big[i + 1][i] for i in range(4, len(big) - 1, 2)]
+    v = u0[:4] + [f(omega * t0) for omega in omegas for f in (math.cos, math.sin)] + [1.0]
+    cols = [u0[b:b + 4] for b in range(4, len(u0), 4)]
     ts, ys = [t0], [u0]
     g = [u0[k] for k in events]
-    t, steps = t0, 0
+    t, steps, step = t0, 0, None
     while t != t1:
         steps += 1
         # Times t0 + k·h carry the flow of k full steps, up to the
@@ -105,44 +185,45 @@ def solve(big: np.ndarray, t_span: Sequence[float], u0, *, max_step: float,
         t_new, dt = t0 + steps * h, h
         if (t_new - t1) * h >= 0.0:
             t_new, dt = t1, t1 - t
-        flow = _step_flow(key, n, h, norm) if dt == h else _expm(big * dt, norm * abs(dt))
-        new = flow.dot(lifted)
-        if not np.isfinite(new).all():
+        if dt == h:
+            step = step or _step_flow(big, h, norm)
+            new, new_cols = _apply(step, v, cols)
+        else:
+            new, new_cols = _flow(big, norm, dt, v, cols)
+        if not all(map(math.isfinite, chain(new, *new_cols))):
             return Solution(status=-1, message=OVERFLOW)
-        g_new = [new[k, 0] for k in events]
+        g_new = [new[k] for k in events]
         active = sign_changes(g, g_new)
         if active:
-            roots = [_level_root(big, norm, lifted[:, 0], events[i], dt, g[i], g_new[i]) for i in active]
-            first = int(np.argmin(np.abs(roots)))
-            new = _expm(big * roots[first], norm * abs(roots[first])).dot(lifted)
+            roots = [_level_root(big, norm, v, events[i], dt, g[i], g_new[i]) for i in active]
+            first = min(range(len(roots)), key=lambda i: abs(roots[i]))
+            new, new_cols = _flow(big, norm, roots[first], v, cols)
             # As in dop853.solve, no second row at a time already kept.
             if len(ts) == 1 or ts[-1] != t + roots[first]:
                 ts.append(t + roots[first])
-                ys.append(new[:4].T.ravel())
-            return Solution(status=1, ts=np.array(ts), ys=np.array(ys), event=active[first])
-        t, lifted, g = t_new, new, g_new
+                ys.append(new[:4] + [x for col in new_cols for x in col])
+            return Solution(status=1, ts=ts, ys=ys, event=active[first])
+        t, v, cols, g = t_new, new, new_cols, g_new
         ts.append(t)
-        ys.append(new[:4].T.ravel())
-    return Solution(status=0, ts=np.array(ts), ys=np.array(ys))
+        ys.append(new[:4] + [x for col in new_cols for x in col])
+    return Solution(status=0, ts=ts, ys=ys)
 
 
 @lru_cache(maxsize=128)
-def _taylor_rows(key: bytes, n: int) -> np.ndarray:
-    """The state rows of Bʲ/j!, j = ROOT_DEGREE down to 0: shape (ROOT_DEGREE + 1, 4, n)."""
-    big = np.frombuffer(key).reshape(n, n)
-    rows = [np.eye(4, n)]
+def _taylor_row(big: Matrix, k: int) -> Tuple[Tuple[float, ...], ...]:
+    """Row k of Bʲ/j!, j = ROOT_DEGREE down to 0, by rⱼ = rⱼ₋₁·B / j."""
+    cols = list(zip(*big))
+    rows = [tuple(float(i == k) for i in range(len(big)))]
     for j in range(1, ROOT_DEGREE + 1):
-        rows.append(rows[-1].dot(big) / j)
-    out = np.array(rows[::-1])
-    out.setflags(write=False)
-    return out
+        rows.append(tuple(sum(map(mul, rows[-1], col)) / j for col in cols))
+    return tuple(rows[::-1])
 
 
-def _level_root(big: np.ndarray, norm: float, v: np.ndarray, k: int, dt: float, g0: float,
+def _level_root(big: Matrix, norm: float, v: List[float], k: int, dt: float, g0: float,
                 g1: float) -> float:
     """Offset δ in [0, dt] of the root of v(δ)[k] by Brent's method,
     bracketed by the exact values g0 and g1 (see the module docstring)."""
-    coefficients = _taylor_rows(big.tobytes(), len(v))[:, k].dot(v).tolist()
+    coefficients = [sum(map(mul, row, v)) for row in _taylor_row(big, k)]
 
     def level(delta):
         out = 0.0
@@ -152,6 +233,6 @@ def _level_root(big: np.ndarray, norm: float, v: np.ndarray, k: int, dt: float, 
 
     if not abs(level(dt) - g1) <= ROOT_CHECK_RTOL * abs(g1 - g0):
         def level(delta):
-            return float(_expm(big * delta, norm * abs(delta)).dot(v)[k])
+            return _flow(big, norm, delta, v, ())[0][k]
 
     return _brent(level, 0.0, dt, g0, g1, xtol=EVENT_TOL, rtol=EVENT_TOL)

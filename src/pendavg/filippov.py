@@ -20,6 +20,12 @@ in the in-package port :mod:`pendavg.dop853` of SciPy's
 ``solve_ivp(method="DOP853")``.  Either solver stops at the first root of
 the level x (state index 0) or z (index 2).
 
+The event loop, the saltation matrices and every trajectory work on
+Python floats: states are tuples or lists, matrices tuples of rows.  Only
+DOP853 computes on numpy arrays; it is imported, and numpy with it, when
+the first segment needs it, and its times and states become lists where
+:func:`_dop853` returns them.
+
 Every surface contact goes through one resolver.  The pendulum's sgn
 terms enter only the accelerations, so the rate of each level, x′ = y on
 x = 0 and z′ = w on z = 0, does not depend on the surface's own sign: it
@@ -48,14 +54,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import expflow
-from .dop853 import MAX_STEPS, solve
 from .errors import (DEFAULT_MAX_EVENTS, CrossingViolationError, DomainError, IntegrationStallError,
                      TangencyError)
+from .expflow import MAX_STEPS, Matrix, Solution, _matmul
 from .model import ReducedParams, SpectralData
 from .perturbation import PerturbationSpec, PeriodicScalar, eval_order1_with_signs, smooth_sign
 
@@ -80,7 +85,7 @@ class EventRecord:
     and ``rate`` is the level's rate there (x′ on surface 1, z′ on 2)."""
 
     time: float
-    state: np.ndarray
+    state: Tuple[float, ...]
     surface: int
     kind: str
     rate: float
@@ -98,8 +103,8 @@ class Segment:
     sgn arguments; a 0 entry marks that equilibrium's surface.
     """
 
-    ts: np.ndarray
-    states: np.ndarray
+    ts: Sequence[float]
+    states: Sequence[Sequence[float]]
     signs: Tuple[float, float]
 
 
@@ -115,15 +120,15 @@ class Trajectory:
     segments: List[Segment]
     events: List[EventRecord]
     t_span: Tuple[float, float]
-    initial_state: np.ndarray
-    monodromy: Optional[np.ndarray] = None
+    initial_state: Tuple[float, ...]
+    monodromy: Optional[Matrix] = None
     monodromy_reason: Optional[str] = None
 
     @property
-    def final_state(self) -> np.ndarray:
+    def final_state(self) -> Tuple[float, ...]:
         if not self.segments:
-            return np.array(self.initial_state, dtype=float)
-        return np.array(self.segments[-1].states[-1])
+            return tuple(self.initial_state)
+        return tuple(self.segments[-1].states[-1])
 
 
 @dataclass(frozen=True)
@@ -138,38 +143,44 @@ class CrossingReport:
 
 @dataclass(frozen=True, eq=False)
 class PeriodicArray:
-    """An array of sums of periodic scalars: ``constant`` plus, for each
-    of ``terms`` (index, factor, scalar), factor·scalar(τ) at index."""
+    """A vector or matrix of sums of periodic scalars: ``constant``, a
+    tuple of floats or of rows, plus, for each of ``terms`` (index,
+    factor, scalar), factor·scalar(τ) at index, (i,) or (i, j)."""
 
-    constant: np.ndarray
+    constant: tuple
     terms: Tuple[Tuple[tuple, float, PeriodicScalar], ...] = ()
 
-    def __call__(self, tau: float) -> np.ndarray:
+    def __call__(self, tau: float):
         """The array at a scalar τ (the shared ``constant`` when no term varies)."""
         if not self.terms:
             return self.constant
-        out = self.constant.copy()
-        for index, factor, scalar in self.terms:
-            out[index] += factor * scalar(tau)
+        if isinstance(self.constant[0], tuple):
+            out = [list(row) for row in self.constant]
+            for (i, j), factor, scalar in self.terms:
+                out[i][j] += factor * scalar(tau)
+        else:
+            out = list(self.constant)
+            for (i,), factor, scalar in self.terms:
+                out[i] += factor * scalar(tau)
         return out
 
-    def embedded(self, base: np.ndarray, rows: Sequence[int], scale: float) -> "PeriodicArray":
+    def embedded(self, base: tuple, rows: Sequence[int], scale: float) -> "PeriodicArray":
         """``base`` plus ``scale`` times this array, its row i added to ``rows[i]``."""
-        constant = np.array(base, dtype=float)
-        constant[list(rows)] += scale * self.constant
-        return PeriodicArray(constant, tuple(((rows[index[0]],) + index[1:], scale * factor, scalar)
-                                             for index, factor, scalar in self.terms))
+        constant = list(base)
+        for row, own in zip(rows, self.constant):
+            constant[row] = (tuple(b + scale * c for b, c in zip(constant[row], own))
+                             if isinstance(own, tuple) else constant[row] + scale * own)
+        return PeriodicArray(tuple(constant), tuple(((rows[index[0]],) + index[1:], scale * factor, scalar)
+                                                    for index, factor, scalar in self.terms))
 
 
-def linearization_matrix(r: ReducedParams) -> np.ndarray:
+def linearization_matrix(r: ReducedParams) -> Matrix:
     """State matrix of the reduced linear system in the physical frame."""
-    return np.array(
-        [
-            [0.0, 1.0, 0.0, 0.0],
-            [-r.a, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [r.b, 0.0, -r.b, 0.0],
-        ]
+    return (
+        (0.0, 1.0, 0.0, 0.0),
+        (-r.a, 0.0, 1.0, 0.0),
+        (0.0, 0.0, 0.0, 1.0),
+        (r.b, 0.0, -r.b, 0.0),
     )
 
 
@@ -180,20 +191,21 @@ def _frozen_forcing(spec: PerturbationSpec, signs: Tuple[float, float]) -> Tuple
     and k (column 4): the table's terms in its order, each scaled by σ on
     a signed row and skipped where σ = 0.
     """
-    constant = np.zeros((2, 5))
+    constant = [[0.0] * 5 for _ in range(2)]
     linear, offset = [], []
     for (i, part, j), value, scalar in spec.table:
         factor = value * signs[i] if part else value
         if scalar is None:
-            constant[i, j] += factor
+            constant[i][j] += factor
         elif factor != 0.0 and j < 4:
             linear.append(((i, j), factor, scalar))
         elif factor != 0.0:
             offset.append(((i,), factor, scalar))
-    return PeriodicArray(constant[:, :4], tuple(linear)), PeriodicArray(constant[:, 4], tuple(offset))
+    return (PeriodicArray(tuple(tuple(row[:4]) for row in constant), tuple(linear)),
+            PeriodicArray(tuple(row[4] for row in constant), tuple(offset)))
 
 
-FieldWithSigns = Callable[[float, np.ndarray, Tuple[float, float]], np.ndarray]
+FieldWithSigns = Callable[[float, Sequence[float], Tuple[float, float]], Sequence[float]]
 
 
 def d1_field(spec: PerturbationSpec, reduced: ReducedParams, eps: float) -> FieldWithSigns:
@@ -214,16 +226,16 @@ def d1_field(spec: PerturbationSpec, reduced: ReducedParams, eps: float) -> Fiel
     b = reduced.b
     linear = linearization_matrix(reduced)
 
-    def field(t: float, state: np.ndarray, signs: Tuple[float, float]) -> np.ndarray:
+    def field(t: float, state: Sequence[float], signs: Tuple[float, float]) -> Tuple[float, ...]:
         x, y, z, w = state
         f_y, f_w = eval_order1_with_signs(spec, t, state, signs[0], signs[1])
         dy = -a * x + z + eps * f_y
         dw = b * x - b * z + eps * f_w
-        return np.array([y, dy, w, dw], dtype=float)
+        return (y, dy, w, dw)
 
     def frozen(signs: Tuple[float, float]) -> Tuple[PeriodicArray, PeriodicArray]:
         rows, consts = _frozen_forcing(spec, (float(signs[0]), float(signs[1])))
-        return rows.embedded(linear, (1, 3), eps), consts.embedded(np.zeros(4), (1, 3), eps)
+        return rows.embedded(linear, (1, 3), eps), consts.embedded((0.0,) * 4, (1, 3), eps)
 
     field.frozen = frozen
     field.knots = spec.table_knots
@@ -231,48 +243,53 @@ def d1_field(spec: PerturbationSpec, reduced: ReducedParams, eps: float) -> Fiel
 
 
 def segment_rhs(field: FieldWithSigns, signs: Tuple[float, float],
-                monodromy: bool = False) -> Callable[[float, np.ndarray], np.ndarray]:
+                monodromy: bool = False) -> Callable[[float, Sequence[float]], Sequence[float]]:
     """Right-hand side of a segment with frozen region signs ``signs``.
 
     A field with an affine form ``field.frozen`` (as from :func:`d1_field`)
     runs on it, built once here: M_σ·s + c_σ or, with ``monodromy``, over
-    u = [s | Φ] with Φ stored column by column, so u.reshape(5, 4) holds s
-    and the columns of Φ as rows and u′ is the one product
-    u.reshape(5, 4)·M_σᵀ plus c_σ on the state row.  Any other field is
-    called as given and carries no monodromy: asking for one raises
-    DomainError.
+    u = [s | Φ] with Φ stored column by column, so each block of four
+    holds s or a column of Φ and u′ is M_σ times each block, plus c_σ on
+    the state.  Any other field is called as given and carries no
+    monodromy: asking for one raises DomainError.
     """
     frozen = getattr(field, "frozen", None)
     if frozen is None:
         if monodromy:
             raise DomainError("a monodromy needs the field's affine form field.frozen(signs)")
         return lambda t, u: field(t, u, signs)
-    return _affine_rhs(*frozen(signs), monodromy)
+    return _affine_rhs(*frozen(signs))
 
 
-def _affine_rhs(matrix, offset, monodromy: bool) -> Callable[[float, np.ndarray], np.ndarray]:
-    """M_σ·s + c_σ, or its product over [s | Φ] (see :func:`segment_rhs`)."""
-    if not monodromy:
-        return lambda t, u: matrix(t).dot(u) + offset(t)
-
+def _affine_rhs(matrix, offset) -> Callable[[float, Sequence[float]], List[float]]:
+    """M_σ·s + c_σ, followed by M_σ·Φ when u carries Φ (see :func:`segment_rhs`)."""
     def rhs(t, u):
-        du = u.reshape(5, 4).dot(matrix(t).T)
-        du[0] += offset(t)
-        return du.ravel()
+        rows = matrix(t)
+        x, y, z, w = u[:4]
+        du = [m0 * x + m1 * y + m2 * z + m3 * w + c for (m0, m1, m2, m3), c in zip(rows, offset(t))]
+        for b in range(4, len(u), 4):
+            x, y, z, w = u[b:b + 4]
+            du += [m0 * x + m1 * y + m2 * z + m3 * w for m0, m1, m2, m3 in rows]
+        return du
 
     return rhs
 
 
-def _point_signs(state: np.ndarray) -> Tuple[float, float]:
-    return (float(np.sign(state[0])), float(np.sign(state[2])))
+def _sign(x: float) -> float:
+    """np.sign of a float: ±1.0, 0.0 at ±0.0 and NaN at NaN (x − x)."""
+    return 1.0 if x > 0.0 else -1.0 if x < 0.0 else x - x
 
 
-def _rk4_step(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
+def _point_signs(state: Sequence[float]) -> Tuple[float, float]:
+    return (_sign(state[0]), _sign(state[2]))
+
+
+def _rk4_step(rhs, t: float, y: Sequence[float], h: float) -> List[float]:
     k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = rhs(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = rhs(t + 0.5 * h, [a + 0.5 * h * b for a, b in zip(y, k1)])
+    k3 = rhs(t + 0.5 * h, [a + 0.5 * h * b for a, b in zip(y, k2)])
+    k4 = rhs(t + h, [a + h * b for a, b in zip(y, k3)])
+    return [a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
 class _Stalled(Exception):
@@ -300,15 +317,15 @@ class _Integrator:
         self.rtol = rtol
         self.atol = atol
         self.max_events = max_events
-        self.max_step = np.inf if max_step is None else float(max_step)
+        self.max_step = math.inf if max_step is None else float(max_step)
 
-        self.state = np.array(s0, dtype=float)
-        if self.state.shape != (4,):
+        self.state = [float(v) for v in s0]
+        if len(self.state) != 4:
             raise DomainError("state must have four components (x, y, z, w)")
         for idx in (0, 2):
             if abs(self.state[idx]) <= EVENT_STATE_TOL:
                 self.state[idx] = 0.0
-        self.s_initial = np.array(self.state, dtype=float)
+        self.s_initial = tuple(self.state)
         self.t = self.t0
         self.segments: List[Segment] = []
         self.events: List[EventRecord] = []
@@ -317,7 +334,7 @@ class _Integrator:
         knots = getattr(field, "knots", None)
         self.knots = sorted(knots(self.t0, self.t1) if knots else (), reverse=self.direction > 0)
         # The monodromy so far; None when not requested or dropped.
-        self.phi = np.eye(4) if monodromy else None
+        self.phi = _eye(4) if monodromy else None
         self.monodromy_reason: Optional[str] = None
         self.finished = False
         self._tiny_run = 0
@@ -341,7 +358,7 @@ class _Integrator:
         self.events.append(
             EventRecord(
                 time=float(t),
-                state=np.array(self.state, dtype=float),
+                state=tuple(self.state),
                 surface=k + 1,
                 kind=kind,
                 rate=rate,
@@ -357,8 +374,8 @@ class _Integrator:
             segments=self.segments,
             events=self.events,
             t_span=(self.t0, self.t1),
-            initial_state=np.array(self.s_initial, dtype=float),
-            monodromy=None if self.phi is None else np.array(self.phi),
+            initial_state=self.s_initial,
+            monodromy=self.phi,
             monodromy_reason=self.monodromy_reason,
         )
 
@@ -394,11 +411,11 @@ class _Integrator:
                 self._resolve_tangency(k)
             else:
                 self._record(k, "crossing", rate, corner)
-                self.signs[k] = self.direction * float(np.sign(rate))
+                self.signs[k] = self.direction * _sign(rate)
         if self.phi is not None:
             self._cross_monodromy(ks)
 
-    def _saltation(self, ks: Sequence[int]) -> np.ndarray:
+    def _saltation(self, ks: Sequence[int]) -> Matrix:
         """Saltation matrix of crossing the surfaces ``ks`` in that order.
 
         Crossing surface k + 1 from field f⁻ to field f⁺ maps Φ to
@@ -409,13 +426,14 @@ class _Integrator:
         for k in ks:
             signs[k] = -signs[k]
         f_in = self.field(self.t, self.state, tuple(signs))
-        saltation = np.eye(4)
+        saltation = _eye(4)
         for k in ks:
             signs[k] = self.signs[k]
             f_out = self.field(self.t, self.state, tuple(signs))
-            step = np.eye(4)
-            step[:, 2 * k] += (f_out - f_in) / f_in[2 * k]
-            saltation = step @ saltation
+            jump = [(after - before) / f_in[2 * k] for after, before in zip(f_out, f_in)]
+            step = [[e + jump[i] if j == 2 * k else e for j, e in enumerate(row)]
+                    for i, row in enumerate(_eye(4))]
+            saltation = _matmul(step, saltation)
             f_in = f_out
         return saltation
 
@@ -430,10 +448,11 @@ class _Integrator:
         saltation = self._saltation(ks)
         if len(ks) > 1:
             other = self._saltation(ks[::-1])
-            if np.linalg.norm(saltation - other) > CORNER_SALTATION_RTOL * np.linalg.norm(saltation):
+            difference = (a - b for row, row_other in zip(saltation, other) for a, b in zip(row, row_other))
+            if math.hypot(*difference) > CORNER_SALTATION_RTOL * math.hypot(*chain.from_iterable(saltation)):
                 self._drop_monodromy("corner contact with both surfaces")
                 return
-        self.phi = saltation @ self.phi
+        self.phi = tuple(map(tuple, _matmul(saltation, self.phi)))
 
     def _resolve_tangency(self, k: int):
         """Decide the outgoing side at a tangential contact.
@@ -448,10 +467,10 @@ class _Integrator:
         signs0[k] = 0.0
         f0 = self.field(self.t, self.state, tuple(signs0))
         h = 1e-6 * self.direction * max(1.0, abs(self.t))
-        f1 = self.field(self.t + h, self.state + h * f0, tuple(signs0))
+        f1 = self.field(self.t + h, [s + h * f for s, f in zip(self.state, f0)], tuple(signs0))
         dlie = (float(f1[2 * k]) - float(f0[2 * k])) / h
         if abs(dlie) <= LIE_TOL:
-            if float(np.linalg.norm(f0)) <= EQUILIBRIUM_FIELD_TOL:
+            if math.hypot(*f0) <= EQUILIBRIUM_FIELD_TOL:
                 self.signs[k] = 0.0
                 self._settle_constant()
                 return
@@ -459,21 +478,21 @@ class _Integrator:
                 f"persistent tangency with surface {k + 1} at t = {self.t:.6g}: "
                 "the contact neither crosses nor resolves"
             )
-        self.signs[k] = float(np.sign(dlie))
+        self.signs[k] = _sign(dlie)
 
     def _settle_constant(self):
         """Rest at an equilibrium on the discontinuity set until t1."""
         self.segments.append(
             Segment(
-                ts=np.array([self.t, self.t1]),
-                states=np.array([self.state, self.state]),
+                ts=[self.t, self.t1],
+                states=[tuple(self.state)] * 2,
                 signs=tuple(self.signs),
             )
         )
         self.t = self.t1
         self.finished = True
 
-    def _depart_surface(self, rhs, u: np.ndarray) -> Tuple[float, np.ndarray]:
+    def _depart_surface(self, rhs, u: List[float]) -> Tuple[float, List[float]]:
         """Micro-step off the surfaces so restarted levels have strict signs.
 
         Every surface the state sits on with a nonzero region sign is
@@ -494,7 +513,7 @@ class _Integrator:
                 break
             h = h_mag * self.direction
             trial = _rk4_step(rhs, self.t, u, h)
-            if all(np.sign(trial[2 * k]) == self.signs[k] for k in targets):
+            if all(_sign(trial[2 * k]) == self.signs[k] for k in targets):
                 return self.t + h, trial
         if remaining <= 2.0 * _RESTART_STEPS[-1]:
             self._settle_constant()
@@ -513,18 +532,17 @@ class _Integrator:
         """
         signs = tuple(self.signs)
         phi = self.phi
-        if phi is None:
-            u = np.array(self.state, dtype=float)
-        else:
-            u = np.concatenate((self.state, phi.T.ravel()))
+        u = list(self.state)
+        if phi is not None:
+            u += [x for column in zip(*phi) for x in column]
         frozen = getattr(self.field, "frozen", None)
         big = None
         if frozen is None:
             rhs = segment_rhs(self.field, signs, phi is not None)
         else:
             form = frozen(signs)
-            rhs = _affine_rhs(*form, phi is not None)
-            if np.isfinite(self.max_step) and all(isinstance(part, PeriodicArray) for part in form):
+            rhs = _affine_rhs(*form)
+            if math.isfinite(self.max_step) and all(isinstance(part, PeriodicArray) for part in form):
                 big = expflow.generator(*form)
         t_run, u_run = self._depart_surface(rhs, u)
         if self.finished:
@@ -536,16 +554,17 @@ class _Integrator:
         if big is not None:
             run = expflow.solve(big, (t_run, t_end), u_run, max_step=self.max_step, events=[0, 2])
         else:
-            run = solve(rhs, (t_run, t_end), u_run, rtol=self.rtol, atol=self.atol,
-                        max_step=self.max_step, events=[0, 2], n_tested=4)
+            run = _dop853(rhs, (t_run, t_end), u_run, rtol=self.rtol, atol=self.atol,
+                          max_step=self.max_step, events=[0, 2], n_tested=4)
         if run.status == -1:
             raise _Stalled(f"the segment solver failed: {run.message}")
-        te = float(run.ts[-1])
+        te = run.ts[-1]
         states = run.ys
         if phi is not None:
-            self.phi = states[-1, 4:].reshape(4, 4).T
-            states = states[:, :4].copy()
-        state_e = states[-1].copy()
+            last = states[-1]
+            self.phi = tuple(tuple(last[4 + 4 * j + i] for j in range(4)) for i in range(4))
+            states = [row[:4] for row in states]
+        state_e = list(states[-1])
         self.segments.append(
             Segment(
                 ts=run.ts,
@@ -583,6 +602,22 @@ class _Integrator:
                 trajectory=self._trajectory(),
             ) from None
         return self._trajectory()
+
+
+def _eye(n: int) -> Matrix:
+    return tuple(tuple(float(i == j) for j in range(n)) for i in range(n))
+
+
+def _dop853(rhs, t_span: Tuple[float, float], u0, **options) -> Solution:
+    """:func:`pendavg.dop853.solve` on Python floats: ``rhs`` sees lists,
+    and the run's times and states come back as lists.  DOP853, and numpy
+    with it, is imported here on first use."""
+    from .dop853 import solve
+
+    run = solve(lambda t, u: rhs(t, u.tolist()), t_span, u0, **options)
+    if run.status == -1:
+        return run
+    return Solution(status=run.status, ts=run.ts.tolist(), ys=run.ys.tolist(), event=run.event)
 
 
 def integrate_field(
@@ -684,8 +719,8 @@ def integrate_regularized(
     evaluations at distinct times lie closer than 10 ulps of the span:
     SciPy's minimum step taken at the span instead of at τ, which near
     τ = 0 would let a stiff run crawl through its whole step budget.
-    A stiff run's error norm may overflow; the step it rejects, not a
-    numpy warning, reports that.
+    A stiff run's error norm may overflow; the step it rejects reports
+    that.
     """
     if delta <= 0.0:
         raise DomainError(f"regularization width must be positive, got {delta}")
@@ -704,20 +739,20 @@ def integrate_regularized(
 
     max_step = min(spectral.period1, spectral.period2) / 16.0
     _check_step_budget(t_span, max_step)
-    with np.errstate(over="ignore", invalid="ignore"):
-        run = solve(rhs, (t0, t1), np.array(s0, dtype=float), rtol=rtol, atol=atol, max_step=max_step)
+    s0 = tuple(float(v) for v in s0)
+    run = _dop853(rhs, (t0, t1), s0, rtol=rtol, atol=atol, max_step=max_step)
     if run.status != 0:
         raise IntegrationStallError(f"regularized integration failed: {run.message}")
     segment = Segment(
         ts=run.ts,
         states=run.ys,
-        signs=(np.nan, np.nan),
+        signs=(math.nan, math.nan),
     )
     return Trajectory(
         segments=[segment],
         events=[],
-        t_span=(float(t_span[0]), float(t_span[1])),
-        initial_state=np.array(s0, dtype=float),
+        t_span=(t0, t1),
+        initial_state=s0,
     )
 
 
@@ -727,7 +762,7 @@ def crossing_hypothesis_check(traj: Trajectory) -> CrossingReport:
     The margin is the closest approach to the tangency set: the minimum
     of |y| over contacts with x = 0 and |w| over contacts with z = 0.
     """
-    margin = np.inf
+    margin = math.inf
     offenders = []
     for i, ev in enumerate(traj.events):
         velocity_index = 1 if ev.surface == 1 else 3
@@ -737,7 +772,7 @@ def crossing_hypothesis_check(traj: Trajectory) -> CrossingReport:
     n_events = len(traj.events)
     return CrossingReport(
         ok=not offenders,
-        margin=float(margin) if n_events else np.inf,
+        margin=margin if n_events else math.inf,
         n_events=n_events,
         offenders=tuple(offenders),
     )

@@ -242,12 +242,16 @@ def eval_order1_with_signs(spec: PerturbationSpec, tau: float, state, sgn_x: flo
 
 def smooth_sign(x: float, delta: float) -> float:
     """C¹ odd ramp s_δ at the float x (an int is taken as a float):
-    sign(x) for |x| ≥ δ, else x(3δ² − x²)/(2δ³)."""
+    sign(x) for |x| ≥ δ, else x(3δ² − x²)/(2δ³).  Where δ³ would overflow
+    or vanish the same ramp is r(3 − r²)/2 with r = x/δ."""
     if not delta > 0:
         raise DomainError(f"regularization width delta must be positive, got {delta!r}")
     if abs(x) >= delta:
         return math.copysign(1.0, x)
-    return x * (3.0 * delta * delta - x * x) / (2.0 * delta ** 3)
+    if 1e-100 <= delta <= 1e100:
+        return x * (3.0 * delta * delta - x * x) / (2.0 * delta ** 3)
+    r = x / delta
+    return r * (3.0 - r * r) / 2.0
 
 
 def finite_float(text) -> float:

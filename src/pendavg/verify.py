@@ -10,15 +10,20 @@ the averaged pair controls directly and separates a correct prediction
 from a wrong one.  The same prediction can be refined to the true fixed
 point of the return map and checked against the full nonlinear pendulum
 in the original frame.
+
+States and gaps are tuples of floats and matrices tuples of rows; the
+shooting step's 4×4 linear algebra is plain Python (:func:`solve_linear`,
+:func:`smallest_singular_value`).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from itertools import chain
+from operator import mul
 from typing import List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .averaging import ZeroCertificate
 from .errors import (
@@ -26,6 +31,7 @@ from .errors import (
     PendavgError,
     RefinementDegenerateError,
 )
+from .expflow import Matrix
 from .filippov import (
     CrossingReport,
     Trajectory,
@@ -62,6 +68,9 @@ DEGENERATE_SHOOTING = "degenerate shooting matrix"
 INTEGRATION_FAILED = "integration failed"
 PREDICTION_FLAGGED = "prediction run flagged"
 NO_MONODROMY = "no monodromy: non-crossing contact"
+# Most sweeps of one-sided Jacobi; a 4×4 matrix takes about six.
+JACOBI_SWEEPS = 30
+State = Tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -74,8 +83,8 @@ class PredictedOrbit:
 
     family: int
     p: int
-    amplitude: np.ndarray
-    initial_state: np.ndarray
+    amplitude: Tuple[float, float]
+    initial_state: State
     period_tau: float
     period_t: float
 
@@ -105,14 +114,14 @@ class PoincareResult:
     residual: float
     residual_full: float
     residual_family: float
-    gap: np.ndarray
-    jordan_gap: np.ndarray
+    gap: State
+    jordan_gap: State
     events_ok: bool
     crossing: Optional[CrossingReport]
     trajectory: Optional[Trajectory]
     flag: Optional[str] = None
     flag_code: int = 0
-    monodromy: Optional[np.ndarray] = None
+    monodromy: Optional[Matrix] = None
     monodromy_reason: Optional[str] = None
 
 
@@ -129,11 +138,11 @@ class RefinementResult:
     run; `PREDICTION_FLAGGED` rungs are not refined.
     """
 
-    state: np.ndarray
+    state: State
     residual: float
     iterations: int
     converged: bool
-    monodromy: Optional[np.ndarray]
+    monodromy: Optional[Matrix]
     reason: Optional[str]
 
 
@@ -238,18 +247,81 @@ def convention_verdict(validated: Mapping[str, bool]) -> str:
     return winners[0] if winners else "neither"
 
 
-def to_physical_frame(state_reduced, eps: float, alpha: float) -> np.ndarray:
+def to_physical_frame(state_reduced, eps: float, alpha: float) -> State:
     """Reduced-frame state (per-τ velocities) to the pendulum frame."""
-    x, y, z, w = np.asarray(state_reduced, dtype=float)
-    return np.array([eps * x, eps * y / alpha, eps * z, eps * w / alpha])
+    x, y, z, w = map(float, state_reduced)
+    return (eps * x, eps * y / alpha, eps * z, eps * w / alpha)
 
 
-def to_reduced_frame(state_physical, eps: float, alpha: float) -> np.ndarray:
+def to_reduced_frame(state_physical, eps: float, alpha: float) -> State:
     """Pendulum-frame state (per-t velocities) to the reduced frame."""
     if eps == 0.0:
         raise DomainError("the reduced frame is undefined at eps = 0")
-    p1, dp1, p2, dp2 = np.asarray(state_physical, dtype=float)
-    return np.array([p1 / eps, alpha * dp1 / eps, p2 / eps, alpha * dp2 / eps])
+    p1, dp1, p2, dp2 = map(float, state_physical)
+    return (p1 / eps, alpha * dp1 / eps, p2 / eps, alpha * dp2 / eps)
+
+
+def _dot(a, b) -> float:
+    return sum(map(mul, a, b))
+
+
+def _matvec(matrix, vector) -> tuple:
+    return tuple(_dot(row, vector) for row in matrix)
+
+
+def _frobenius(matrix) -> float:
+    return math.hypot(*chain.from_iterable(matrix))
+
+
+def solve_linear(matrix, rhs) -> tuple:
+    """x with matrix·x = rhs, by Gaussian elimination with partial pivoting
+    (the largest magnitude in the column, the first on a tie, as LAPACK's
+    getrf); an exactly zero pivot raises RefinementDegenerateError."""
+    n = len(rhs)
+    rows = [[*row, b] for row, b in zip(matrix, rhs)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        if rows[p][k] == 0.0:
+            raise RefinementDegenerateError("the shooting matrix (monodromy - identity) is singular")
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k]
+        for i in range(k + 1, n):
+            factor = rows[i][k] / pivot[k]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], pivot)]
+    x = [0.0] * n
+    for k in reversed(range(n)):
+        x[k] = (rows[k][n] - _dot(rows[k][k + 1:n], x[k + 1:])) / rows[k][k]
+    return tuple(x)
+
+
+def smallest_singular_value(matrix) -> float:
+    """The smallest singular value of a square matrix by one-sided Jacobi
+    (Hestenes): plane rotations orthogonalize the columns, whose norms are
+    then the singular values (Demmel & Veselić, SIAM J. Matrix Anal. Appl.
+    13, 1992).  The matrix is scaled by its largest entry first, so no
+    inner product overflows."""
+    scale = max(map(abs, chain.from_iterable(matrix)))
+    if not 0.0 < scale < math.inf:
+        return scale if scale == 0.0 else math.nan
+    cols = [[x / scale for x in col] for col in zip(*matrix)]
+    for _ in range(JACOBI_SWEEPS):
+        rotated = False
+        for i in range(len(cols) - 1):
+            for j in range(i + 1, len(cols)):
+                p, q = cols[i], cols[j]
+                alpha, beta, gamma = _dot(p, p), _dot(q, q), _dot(p, q)
+                if not abs(gamma) > sys.float_info.epsilon * math.sqrt(alpha * beta):
+                    continue
+                rotated = True
+                zeta = (beta - alpha) / (2.0 * gamma)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = c * t
+                cols[i] = [c * a - s * b for a, b in zip(p, q)]
+                cols[j] = [s * a + c * b for a, b in zip(p, q)]
+        if not rotated:
+            break
+    return scale * min(math.hypot(*col) for col in cols)
 
 
 def orbit_from_amplitude(
@@ -265,13 +337,11 @@ def orbit_from_amplitude(
         raise DomainError(f"family must be 1 or 2, got {family}")
     if p < 1:
         raise DomainError(f"resonance order p must be a positive integer, got {p}")
-    amplitude = np.asarray(amplitude, dtype=float)
-    if amplitude.shape != (2,):
+    amplitude = tuple(map(float, amplitude))
+    if len(amplitude) != 2:
         raise DomainError("amplitude must be a pair")
-    jordan_point = np.zeros(4)
-    offset = 0 if family == 1 else 2
-    jordan_point[offset : offset + 2] = amplitude
-    initial = np.asarray(transform.inverse) @ jordan_point
+    jordan_point = amplitude + (0.0, 0.0) if family == 1 else (0.0, 0.0) + amplitude
+    initial = _matvec(transform.inverse, jordan_point)
     period_tau = p * spectral.period(family)
     return PredictedOrbit(
         family=family,
@@ -306,17 +376,17 @@ def _package_result(
     family: int,
     transform: JordanTransform,
     traj: Trajectory,
-    gap: np.ndarray,
+    gap: State,
     residual: float,
 ) -> PoincareResult:
     """Result for a completed run with its reduced-frame gap and residual."""
-    jordan_gap = np.asarray(transform.forward) @ gap
+    jordan_gap = _matvec(transform.forward, gap)
     report = crossing_hypothesis_check(traj)
     return PoincareResult(
         epsilon=eps,
         residual=residual,
-        residual_full=float(np.linalg.norm(gap)),
-        residual_family=float(np.linalg.norm(jordan_gap[_family_slice(family)])),
+        residual_full=math.hypot(*gap),
+        residual_family=math.hypot(*jordan_gap[_family_slice(family)]),
         gap=gap,
         jordan_gap=jordan_gap,
         events_ok=report.ok,
@@ -335,8 +405,8 @@ def _flagged_result(
         residual=float("nan"),
         residual_full=float("nan"),
         residual_family=float("nan"),
-        gap=np.full(4, np.nan),
-        jordan_gap=np.full(4, np.nan),
+        gap=(math.nan,) * 4,
+        jordan_gap=(math.nan,) * 4,
         events_ok=False,
         crossing=crossing_hypothesis_check(traj) if traj is not None else None,
         trajectory=traj,
@@ -389,8 +459,8 @@ def poincare_residual(
         return _flagged_result(
             eps, str(exc), getattr(exc, "trajectory", None), code=exc.exit_code
         )
-    gap = traj.final_state - traj.initial_state
-    residual = float(np.linalg.norm(to_physical_frame(gap, eps, reduced.alpha)))
+    gap = _difference(traj.final_state, traj.initial_state)
+    residual = math.hypot(*to_physical_frame(gap, eps, reduced.alpha))
     return _package_result(eps, orbit.family, transform, traj, gap, residual)
 
 
@@ -420,9 +490,9 @@ def refine_periodic(
     if prediction.flag is not None:
         raise DomainError(f"the prediction run is flagged: {prediction.flag}")
     eps = prediction.epsilon
-    s = np.array(orbit.initial_state, dtype=float)
-    gap = prediction.trajectory.final_state - s
-    residual = float(np.linalg.norm(gap))
+    s = tuple(orbit.initial_state)
+    gap = _difference(prediction.trajectory.final_state, s)
+    residual = math.hypot(*gap)
     monodromy = prediction.monodromy
     if monodromy is None:
         return RefinementResult(
@@ -434,7 +504,7 @@ def refine_periodic(
             reason=NO_MONODROMY,
         )
 
-    def return_map(s: np.ndarray) -> np.ndarray:
+    def return_map(s: State) -> State:
         traj = integrate(
             spec,
             reduced,
@@ -447,9 +517,8 @@ def refine_periodic(
         )
         return traj.final_state
 
-    jac = monodromy - np.eye(4)
-    smallest = np.linalg.svd(jac, compute_uv=False)[-1]
-    if smallest < DEGENERATE_SV_RTOL * max(1.0, float(np.linalg.norm(jac))):
+    jac = [[m - float(i == j) for j, m in enumerate(row)] for i, row in enumerate(monodromy)]
+    if smallest_singular_value(jac) < DEGENERATE_SV_RTOL * max(1.0, _frobenius(jac)):
         raise RefinementDegenerateError(
             "the shooting matrix (monodromy - identity) is numerically singular; "
             "the return-map fixed point is not isolated at this eps"
@@ -458,9 +527,9 @@ def refine_periodic(
     iterations = 0
     while residual > REFINE_TOL and iterations < REFINE_MAX_ITER:
         iterations += 1
-        s = s + np.linalg.solve(jac, -gap)
-        gap = return_map(s) - s
-        previous, residual = residual, float(np.linalg.norm(gap))
+        s = tuple(a + b for a, b in zip(s, solve_linear(jac, [-g for g in gap])))
+        gap = _difference(return_map(s), s)
+        previous, residual = residual, math.hypot(*gap)
         if not residual < previous:
             reason = NOT_CONTRACTING
             break
@@ -476,15 +545,23 @@ def refine_periodic(
     )
 
 
+def _difference(a, b) -> State:
+    return tuple(x - y for x, y in zip(a, b))
+
+
 def fit_exponent(epsilons: Sequence[float], residuals: Sequence[float]) -> float:
-    """Least-squares slope of log residual against log ε."""
-    eps_arr = np.asarray(list(epsilons), dtype=float)
-    res_arr = np.asarray(list(residuals), dtype=float)
-    mask = np.isfinite(res_arr) & (res_arr > 0.0) & np.isfinite(eps_arr) & (eps_arr > 0.0)
-    if int(mask.sum()) < 2:
-        return float("nan")
-    slope = np.polyfit(np.log(eps_arr[mask]), np.log(res_arr[mask]), 1)[0]
-    return float(slope)
+    """Least-squares slope of log residual against log ε, in closed form:
+    Σ(x − x̄)(y − ȳ) / Σ(x − x̄)² over the finite positive pairs; NaN with
+    fewer than two of them or a single ε."""
+    points = [(math.log(e), math.log(r)) for e, r in zip(map(float, epsilons), map(float, residuals))
+              if 0.0 < e < math.inf and 0.0 < r < math.inf]
+    if len(points) < 2:
+        return math.nan
+    x_mean = sum(x for x, _ in points) / len(points)
+    y_mean = sum(y for _, y in points) / len(points)
+    sxx = sum((x - x_mean) * (x - x_mean) for x, _ in points)
+    sxy = sum((x - x_mean) * (y - y_mean) for x, y in points)
+    return sxy / sxx if sxx > 0.0 else math.nan
 
 
 def epsilon_sweep(
@@ -524,7 +601,7 @@ def epsilon_sweep(
             return float("nan"), INTEGRATION_FAILED
         if not result.converged:
             return float("nan"), result.reason
-        return float(np.linalg.norm(result.state - orbit.initial_state)), None
+        return math.hypot(*_difference(result.state, orbit.initial_state)), None
 
     samples = [poincare_residual(orbit, spec, reduced, spectral, e) for e in eps_values]
     refined = [run_refine(sample) for sample in samples]
@@ -565,7 +642,7 @@ def full_nonlinear_check(
     scale = eps * eps / (alpha * alpha)
     s0 = to_physical_frame(orbit.initial_state, eps, alpha)
 
-    def field(t: float, u: np.ndarray, signs: Tuple[float, float]) -> np.ndarray:
+    def field(t: float, u: Sequence[float], signs: Tuple[float, float]) -> State:
         phi1, dphi1, phi2, dphi2 = u
         dd1, dd2 = nonlinear_accelerations(phys, phi1, dphi1, phi2, dphi2)
         if eps != 0.0:
@@ -574,7 +651,7 @@ def full_nonlinear_check(
             )
             dd1 += scale * f_y
             dd2 += scale * f_w
-        return np.array([dphi1, dd1, dphi2, dd2])
+        return (dphi1, dd1, dphi2, dd2)
 
     field.knots = lambda t0, t1: tuple(alpha * k for k in spec.table_knots(t0 / alpha, t1 / alpha))
     max_step = alpha * min(spectral.period1, spectral.period2) / 16.0
@@ -592,12 +669,12 @@ def full_nonlinear_check(
             eps, str(exc), getattr(exc, "trajectory", None), code=exc.exit_code
         )
 
-    gap_phi = traj.final_state - traj.initial_state
+    gap_phi = _difference(traj.final_state, traj.initial_state)
     if eps == 0.0:
         gap_reduced = gap_phi
     else:
         # The frame map is linear, so it applies to the gap directly.
         gap_reduced = to_reduced_frame(gap_phi, eps, alpha)
     return _package_result(
-        eps, orbit.family, transform, traj, gap_reduced, float(np.linalg.norm(gap_phi))
+        eps, orbit.family, transform, traj, gap_reduced, math.hypot(*gap_phi)
     )

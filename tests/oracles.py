@@ -448,8 +448,8 @@ def finite_difference_monodromy(spec, reduced, spectral, eps, orbit, scale=1.0, 
     s = np.array(orbit.initial_state, dtype=float)
 
     def return_map(state):
-        return integrate(spec, reduced, spectral, eps, state, (0.0, orbit.period_tau),
-                         rtol=VERIFY_RTOL, atol=VERIFY_ATOL).final_state
+        return np.asarray(integrate(spec, reduced, spectral, eps, state, (0.0, orbit.period_tau),
+                                    rtol=VERIFY_RTOL, atol=VERIFY_ATOL).final_state)
 
     h = scale * max(1e-7 * float(np.linalg.norm(s)), 1e-8)
     image = None if central else return_map(s)
@@ -559,3 +559,40 @@ def exact_poincare_map(spec, reduced, eps, s0, window, scan_steps=512):
             t += dt
             state = v[:4].copy()
     return state, events, phi
+
+
+def polyfit_slope(epsilons, residuals) -> float:
+    """``np.polyfit``'s least-squares slope of log residual against log ε over
+    the finite positive pairs; NaN with fewer than two."""
+    eps = np.asarray(epsilons, dtype=float)
+    res = np.asarray(residuals, dtype=float)
+    mask = np.isfinite(res) & (res > 0.0) & np.isfinite(eps) & (eps > 0.0)
+    if int(mask.sum()) < 2:
+        return math.nan
+    return float(np.polyfit(np.log(eps[mask]), np.log(res[mask]), 1)[0])
+
+
+def svd_smallest(matrix) -> float:
+    """The smallest singular value by ``np.linalg.svd``."""
+    return float(np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)[-1])
+
+
+def shooting_matrices(rng, n_random: int = 200):
+    """(kind, 4×4 array) pairs: ``n_random`` Gaussian matrices scaled over six
+    decades, near-singular ones U·diag(1, 1, 1, σ)·Vᵀ with σ from 1e-6 down
+    to 1e-14, and exactly singular ones with small integer entries (a
+    repeated row or a zero column), on which elimination meets an exactly
+    zero pivot whatever its rounding."""
+    for _ in range(n_random):
+        yield "random", rng.normal(size=(4, 4)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    for exponent in range(6, 15):
+        u, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        v, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        yield "near-singular", u @ np.diag([1.0, 0.7, 0.3, 10.0 ** -exponent]) @ v.T
+    for _ in range(10):
+        a = rng.integers(-5, 6, size=(4, 4)).astype(float)
+        repeated, zero_column = a.copy(), a.copy()
+        repeated[3] = repeated[1]
+        zero_column[:, 2] = 0.0
+        yield "singular", repeated
+        yield "singular", zero_column

@@ -343,7 +343,7 @@ def test_accept_8_regularization_convergence(bench):
             reg = integrate_regularized(
                 spec, reduced, s, eps, delta, s0, span, rtol=1e-12, atol=1e-14
             )
-            gaps.append(float(np.linalg.norm(reg.final_state - exact.final_state)))
+            gaps.append(float(np.linalg.norm(np.asarray(reg.final_state) - exact.final_state)))
         all_monotone &= gaps[0] > gaps[1] > gaps[2]
         details.append("/".join(f"{g:.2e}" for g in gaps))
     report(

@@ -662,14 +662,16 @@ def test_usage_errors_exit_1(bench_ini, capsys):
 # -- start-up and tooling ------------------------------------------------------
 
 # Runs ``python -m pendavg <arguments>`` in process (runpy is what ``-m``
-# uses) and then lists the modules it left loaded.
+# uses) and then prints its exit code and the modules it left loaded.
 RUN_THEN_LIST_MODULES = """
 import runpy, sys
 sys.argv = ["pendavg", *sys.argv[1:]]
+code = 0
 try:
     runpy.run_module("pendavg", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
-    assert exc.code in (None, 0), exc.code
+    code = exc.code or 0
+print(code)
 print(" ".join(sorted(sys.modules)))
 """
 CHECKING_HALF = {"pendavg.filippov", "pendavg.verify", "pendavg.dop853", "pendavg.expflow"}
@@ -683,11 +685,13 @@ def readme_ini(tmp_path):
     return ini
 
 
-def loaded_modules(*args):
-    """The modules ``python -m pendavg <args>`` leaves loaded."""
+def loaded_modules(*args, code=0):
+    """The modules ``python -m pendavg <args>`` leaves loaded; it must exit with ``code``."""
     proc = run_child("-c", RUN_THEN_LIST_MODULES, *args)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.splitlines()[-1].split())
+    *_, exit_code, modules = proc.stdout.splitlines()
+    assert int(exit_code) == code, proc.stderr
+    return set(modules.split())
 
 
 def assert_runs_without_scipy(*args):
@@ -723,14 +727,15 @@ def test_prediction_path_loads_no_checking_half(tmp_path):
     assert "pendavg.averaging" in loaded and not loaded & CHECKING_HALF and "numpy" not in loaded
 
 
-PREDICTION_HALF = ("errors", "model", "perturbation", "averaging", "cli", "__init__", "__main__")
-
-
-def test_prediction_half_imports_no_numpy_anywhere():
-    # not at the top, and not inside a function either: the prediction
-    # modules have one float code path, so no caller can make them load numpy
+def test_no_module_but_dop853_imports_numpy():
+    # not at the top, and not inside a function either: every module but the
+    # DOP853 port has one float code path, so no caller can make it load numpy
     package = Path(cli.__file__).resolve().parent
-    for name in PREDICTION_HALF:
+    names = sorted(path.stem for path in package.glob("*.py"))
+    assert {"cli", "expflow", "filippov", "verify", "dop853"} <= set(names)
+    for name in names:
+        if name == "dop853":
+            continue
         tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -743,10 +748,11 @@ def test_prediction_half_imports_no_numpy_anywhere():
 
 
 def test_checking_path_loads_no_scipy(tmp_path):
-    # Segments are integrated by the in-package DOP853, not scipy.integrate.
+    # Segments are integrated by the exact flow or the in-package DOP853, not
+    # scipy.integrate.
     loaded = assert_runs_without_scipy("verify", "--config", str(readme_ini(tmp_path)),
                                        "--out", str(tmp_path / "verify"))
-    assert CHECKING_HALF <= loaded
+    assert CHECKING_HALF - {"pendavg.dop853"} <= loaded
     assert json.loads((tmp_path / "verify" / "verify.json").read_text())["any_validated"]
     sections = bench_sections(tmp_path / "sim")
     sections["integrate"] = SIMULATE_INTEGRATE
@@ -755,6 +761,51 @@ def test_checking_path_loads_no_scipy(tmp_path):
     assert_runs_without_scipy("simulate", "--config", str(ini), "--delta", "1e-3",
                               "--out", str(tmp_path / "reg"))
     assert json.loads((tmp_path / "reg" / "simulate_summary.json").read_text())["regularized"]
+
+
+def corollary_ini(tmp_path):
+    """The corollary escapement with convention B, as the benchmark runs it."""
+    sections = bench_sections(tmp_path / "out")
+    sections["model"]["convention"] = "B"
+    sections["perturbation"] = {"builtin": "corollary_escapement", "sigma_d": 1, "sigma_e": 1}
+    sections["search"] = {"r1": 0.2, "r2": 3.0, "grid": 8}
+    return write_ini(tmp_path / "corollary.ini", sections)
+
+
+def table_ini(tmp_path):
+    """The README config with K₁ = 0.5·cos(ω₁τ) as a table of 256 knots."""
+    omega = spectral_data(reduce_params(PhysicalParams(1.0, 1.0, 1.0, 1.0, 9.8))).omega1
+    taus = [i * 2.0 * math.pi / omega / 256 for i in range(256)]
+    (tmp_path / "k1.csv").write_text("".join(f"{tau!r},{GAMMA * math.cos(omega * tau)!r}\n" for tau in taus),
+                                     encoding="utf-8")
+    (tmp_path / "table.ini").write_text("[perturbation]\nk1 = table:k1.csv\nk2 = const:0.05\nk4 = const:0.05\n"
+                                        "f1.d2 = const:-1\nf3.d4 = const:-1\n", encoding="utf-8")
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(readme_ini(tmp_path), encoding="utf-8")
+    parser["search"]["grid"] = "8"
+    parser["perturbation"] = {"file": "table.ini"}
+    with open(tmp_path / "table_exp.ini", "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    return tmp_path / "table_exp.ini"
+
+
+def test_only_segments_off_the_exact_flow_load_numpy(tmp_path):
+    # Every builtin segment takes the exact flow, on Python floats: `verify`
+    # on the README config and on the corollary config with both conventions
+    # leaves numpy and the DOP853 port unloaded ...
+    for args, code in ((("verify", "--config", str(readme_ini(tmp_path))), 0),
+                       (("verify", "--compare-conventions", "--config", str(corollary_ini(tmp_path))), 3)):
+        loaded = loaded_modules(*args, "--out", str(tmp_path / "out"), code=code)
+        assert "pendavg.expflow" in loaded and not {"numpy", "pendavg.dop853"} & loaded, args
+    # ... and the regularized run and a table forcing, which run on DOP853,
+    # import it when their first segment needs it
+    sections = bench_sections(tmp_path / "sim")
+    sections["integrate"] = SIMULATE_INTEGRATE
+    ini = write_ini(tmp_path / "sim.ini", sections)
+    assert {"numpy", "pendavg.dop853"} <= loaded_modules("simulate", "--config", str(ini), "--delta", "1e-3")
+    loaded = loaded_modules("verify", "--config", str(table_ini(tmp_path)), "--out", str(tmp_path / "table"))
+    assert {"numpy", "pendavg.dop853"} <= loaded
+    assert json.loads((tmp_path / "table" / "verify.json").read_text())["any_validated"]
 
 
 def test_model_seed_is_accepted_and_changes_nothing(tmp_path, capsys):

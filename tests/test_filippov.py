@@ -142,7 +142,7 @@ def test_frozen_sign_segment_field_matches_per_call_field(bench):
             expect = reference(tau, state, signs)
             bound = 32 * ulp * field_term_scale(spec, reduced, eps, tau, state, signs)
             assert np.all(np.abs(plain(tau, state) - expect) <= bound), (i, tau)
-            du = variational(tau, np.concatenate((state, phi.T.ravel())))
+            du = np.asarray(variational(tau, np.concatenate((state, phi.T.ravel()))))
             assert np.all(np.abs(du[:4] - expect) <= bound), (i, tau)
             # column j of M_σ is f(e_j) − f(0), each side rounded as above
             at_zero = reference(tau, np.zeros(4), signs)
@@ -175,7 +175,7 @@ def test_family_orbit_closes_at_eps_zero(bench):
     transform = jordan_transform(reduced, s)
     orbit = orbit_from_amplitude(np.array([0.8, 0.3]), 1, transform, s, reduced)
     traj = integrate(spec, reduced, s, 0.0, orbit.initial_state, (0.0, orbit.period_tau))
-    gap = traj.final_state - orbit.initial_state
+    gap = np.asarray(traj.final_state) - orbit.initial_state
     assert float(np.linalg.norm(gap)) < 5e-9
     # x and z are both proportional to the family cosine, so the two
     # surfaces fire simultaneously: two corner pairs per period
@@ -212,7 +212,7 @@ def test_trajectory_sample_and_span_checks(bench):
     spec = damped_spec(s)
     traj = integrate(spec, reduced, s, 0.0, (0.3, -0.2, 0.5, 0.1), (0.0, 2.0))
     # one state row per step time, and the steps cover the span
-    assert all(seg.states.shape == (len(seg.ts), 4) for seg in traj.segments)
+    assert all(np.asarray(seg.states).shape == (len(seg.ts), 4) for seg in traj.segments)
     assert traj.segments[0].ts[0] == 0.0 and traj.segments[-1].ts[-1] == 2.0
 
 
@@ -296,7 +296,7 @@ def test_monodromy_follows_the_time_direction(bench):
     forward = integrate(spec, reduced, s, 1e-2, s0, (0.0, 5.0), monodromy=True)
     assert len(forward.events) >= 2 and all(ev.kind == "crossing" for ev in forward.events)
     backward = integrate(spec, reduced, s, 1e-2, forward.final_state, (5.0, 0.0), monodromy=True)
-    assert np.allclose(backward.monodromy @ forward.monodromy, np.eye(4), rtol=0.0, atol=1e-9)
+    assert np.allclose(np.asarray(backward.monodromy) @ forward.monodromy, np.eye(4), rtol=0.0, atol=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -401,7 +401,7 @@ def test_regularized_matches_linear_flow(bench):
     assert len(traj.segments) == 1
     seg = traj.segments[0]
     ref = flow_states(reduced.a, reduced.b, s0, seg.ts)
-    assert np.allclose(seg.states.T, ref, atol=1e-7)
+    assert np.allclose(np.asarray(seg.states).T, ref, atol=1e-7)
     with pytest.raises(DomainError):
         integrate_regularized(spec, reduced, s, 0.0, 0.0, s0, (0.0, 1.0))
 
@@ -511,14 +511,14 @@ def test_exact_flow_matches_scipy_expm(bench, eps, gamma):
     big = expflow.generator(*d1_field(spec, reduced, eps).frozen((1.0, -1.0)))
     u0 = np.array([0.3, -0.2, 0.5, 0.1])
     run = expflow.solve(big, (0.7, 3.7), u0, max_step=min(s.period1, s.period2) / 16.0)
-    scale = np.abs(big[:4, 4:]).max()
-    scaled = big.copy()
+    scale = np.abs(np.asarray(big)[:4, 4:]).max()
+    scaled = np.asarray(big).copy()
     scaled[:4, 4:] /= scale
     flow = expm(scaled * 3.0)
     lifted = [math.cos(0.7 * s.omega1), math.sin(0.7 * s.omega1), 1.0]
     expected = flow[:4, :4] @ u0 + scale * (flow[:4, 4:] @ lifted)
     assert run.status == 0 and run.ts[-1] == 3.7
-    bound = 1e-14 * max(1.0, np.abs(big[:4, :4]).sum(axis=0).max()) * 3.0
+    bound = 1e-14 * max(1.0, np.abs(np.asarray(big)[:4, :4]).sum(axis=0).max()) * 3.0
     assert np.all(np.abs(run.ys[-1] - expected) <= bound * np.abs(expected).max())
 
 
@@ -535,7 +535,7 @@ def test_exact_flow_root_under_stiff_damping(bench):
     run = expflow.solve(big, (2.0, 8.0), u0, max_step=min(s.period1, s.period2) / 16.0, events=[0, 2])
     assert run.status == 1 and run.event == 0
     lifted = np.concatenate((u0, [math.cos(2.0 * s.omega1), math.sin(2.0 * s.omega1), 1.0]))
-    root = brentq(lambda d: (expm(big * d) @ lifted)[0], 0.0, run.ts[-1] - 1.9, xtol=1e-15)
+    root = brentq(lambda d: (expm(np.asarray(big) * d) @ lifted)[0], 0.0, run.ts[-1] - 1.9, xtol=1e-15)
     assert abs(2.0 + root - run.ts[-1]) <= 1e-10
 
 

@@ -90,7 +90,7 @@ def test_linearization_matrix_structure():
 def test_jordan_transform_block_diagonalizes():
     reduced, s = bench_spectral()
     t = jordan_transform(reduced, s)
-    gen = t.forward @ linearization_matrix(reduced) @ t.inverse
+    gen = t.forward @ np.asarray(linearization_matrix(reduced)) @ t.inverse
     expected = np.zeros((4, 4))
     expected[0, 1], expected[1, 0] = s.omega1, -s.omega1
     expected[2, 3], expected[3, 2] = s.omega2, -s.omega2
@@ -103,7 +103,7 @@ def test_jordan_transform_block_diagonalizes():
 def test_fundamental_matrix_is_normal_form_flow(tau):
     reduced, s = bench_spectral()
     t = jordan_transform(reduced, s)
-    gen = t.forward @ linearization_matrix(reduced) @ t.inverse
+    gen = t.forward @ np.asarray(linearization_matrix(reduced)) @ t.inverse
     from scipy.linalg import expm
 
     assert np.allclose(fundamental_matrix(s, tau), expm(gen * tau), atol=1e-10)
@@ -178,7 +178,7 @@ def test_unperturbed_orbit_periodicity(u0, v0, tau, family):
 def test_unperturbed_orbit_solves_normal_form():
     reduced, s = bench_spectral()
     t = jordan_transform(reduced, s)
-    gen = t.forward @ linearization_matrix(reduced) @ t.inverse
+    gen = t.forward @ np.asarray(linearization_matrix(reduced)) @ t.inverse
     taus = np.linspace(0.0, 5.0, 7)
     h = 1e-6
     for tau in taus:

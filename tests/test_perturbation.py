@@ -243,7 +243,7 @@ def test_forcing_jacobian_matches_unfolded_differences():
         for j in range(4):
             at_axis = unfolded_forcing(spec, tau, np.eye(4)[j], *signs)
             for row, f1, f0 in zip(rows, at_axis, at_zero):
-                assert row.shape == (4,)
+                assert np.asarray(row).shape == (4,)
                 assert row[j] == pytest.approx(f1 - f0, rel=1e-12, abs=1e-12)
 
 
@@ -358,7 +358,7 @@ def test_builtins_are_their_file_entries(tmp_path):
                         == np.array([eval_order1_with_signs(expect, *column) for column in columns]).tobytes())
                 for frozen in ((-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)):
                     for g, e in zip(_frozen_forcing(got, frozen), _frozen_forcing(expect, frozen)):
-                        assert all(g(t).tobytes() == e(t).tobytes() for t in taus)
+                        assert all(np.asarray(g(t)).tobytes() == np.asarray(e(t)).tobytes() for t in taus)
     esc = builtin("damped_forced_escapement", params["damped_forced_escapement"], s, family=2)
     assert esc.K[0].value == 0.5 and esc.K[0].omega == s.omega2
     assert esc.K[1].value == esc.K[3].value == 1.0 / 3.0

@@ -29,6 +29,8 @@ from pendavg.verify import (
     poincare_residual,
     predicted_initial_state,
     refine_periodic,
+    smallest_singular_value,
+    solve_linear,
     to_physical_frame,
     to_reduced_frame,
 )
@@ -38,6 +40,9 @@ from .oracles import (
     exact_poincare_map,
     finite_difference_monodromy,
     linear_periodic_state,
+    polyfit_slope,
+    shooting_matrices,
+    svd_smallest,
 )
 
 BENCH = PhysicalParams(1.0, 1.0, 1.0, 1.0, 9.8)
@@ -158,10 +163,10 @@ def test_poincare_residual_internal_relations(bench, damped):
     assert res.flag is None and res.flag_code == 0
     # pendulum-frame gap: angles scale by eps, velocities by eps/alpha
     alpha = reduced.alpha
-    physical_gap = eps * res.gap / np.array([1.0, alpha, 1.0, alpha])
+    physical_gap = eps * np.asarray(res.gap) / np.array([1.0, alpha, 1.0, alpha])
     assert res.residual == pytest.approx(float(np.linalg.norm(physical_gap)), rel=1e-15)
     assert res.residual_full == float(np.linalg.norm(res.gap))
-    assert np.allclose(res.jordan_gap, transform.forward @ res.gap, rtol=1e-12, atol=1e-15)
+    assert np.allclose(res.jordan_gap, transform.forward @ np.asarray(res.gap), rtol=1e-12, atol=1e-15)
     assert res.residual_family == pytest.approx(
         float(np.linalg.norm(res.jordan_gap[:2])), rel=1e-15
     )
@@ -235,7 +240,7 @@ def test_refine_matches_exponential_oracle(bench, damped):
     ref = linear_periodic_state(reduced.a, reduced.b, eps, GAMMA)
     assert np.allclose(result.state, ref, rtol=1e-8, atol=1e-8)
     # the refined monodromy stays close to the unperturbed one
-    assert result.monodromy.shape == (4, 4)
+    assert np.asarray(result.monodromy).shape == (4, 4)
 
 
 def test_refine_stops_at_first_non_contracting_step(bench, monkeypatch):
@@ -290,11 +295,12 @@ def test_refine_converges_on_a_table_perturbation(bench, escapement, table_escap
     result = refine_periodic(orbit, spec, reduced, s, prediction)
     assert result.reason is None and result.converged
     assert len(prediction.trajectory.segments) > 255
-    limit_gap = np.linalg.norm(result.state - orbit.initial_state)
+    limit_gap = np.linalg.norm(np.asarray(result.state) - orbit.initial_state)
     reference = refine_periodic(
         builtin_orbit, builtin_spec, reduced, s, poincare_residual(builtin_orbit, builtin_spec, reduced, s, 1e-2)
     )
-    assert limit_gap == pytest.approx(np.linalg.norm(reference.state - builtin_orbit.initial_state), rel=1e-3)
+    assert limit_gap == pytest.approx(
+        np.linalg.norm(np.asarray(reference.state) - builtin_orbit.initial_state), rel=1e-3)
 
 
 def test_refine_degenerate_at_eps_zero(bench, damped):
@@ -303,6 +309,50 @@ def test_refine_degenerate_at_eps_zero(bench, damped):
     prediction = poincare_residual(orbit, spec, reduced, s, 0.0)
     with pytest.raises(RefinementDegenerateError):
         refine_periodic(orbit, spec, reduced, s, prediction)
+
+
+def test_sweep_rung_with_a_singular_chord_matrix_is_degenerate(bench, damped, monkeypatch):
+    """A monodromy whose first column is e₁ makes the chord matrix
+    M − I exactly singular but not zero: every rung stops before a step."""
+    reduced, s, _ = bench
+    spec, _, orbit = damped
+
+    def singular_chord(*args):
+        result = poincare_residual(*args)
+        monodromy = tuple((float(i == 0),) + row[1:] for i, row in enumerate(result.monodromy))
+        return dataclasses.replace(result, monodromy=monodromy)
+
+    monkeypatch.setattr(verify_module, "poincare_residual", singular_chord)
+    report = epsilon_sweep(orbit, spec, reduced, s, LADDER)
+    assert all(sample.flag is None for sample in report.samples)
+    assert all(math.isnan(g) for g in report.limit_gap)
+    assert report.limit_gap_reason == ["degenerate shooting matrix"] * len(LADDER)
+
+
+def test_shooting_linear_algebra_matches_numpy():
+    """The plain-Python solve and smallest singular value against LAPACK's,
+    on random, near-singular and exactly singular 4×4 matrices: the solve
+    to u·κ(A) relative to the solution, the singular value to u·σ₁, and an
+    exactly zero pivot raises where ``np.linalg.solve`` does."""
+    rng = np.random.default_rng(43)
+    ulp = np.finfo(float).eps
+    kinds = set()
+    for kind, a in shooting_matrices(rng):
+        kinds.add(kind)
+        rows = a.tolist()
+        sigma = np.linalg.svd(a, compute_uv=False)
+        assert abs(smallest_singular_value(rows) - svd_smallest(a)) <= 16 * ulp * sigma[0], kind
+        b = rng.normal(size=4)
+        if kind == "singular":
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(a, b)
+            with pytest.raises(RefinementDegenerateError):
+                solve_linear(rows, b.tolist())
+            continue
+        x = np.asarray(solve_linear(rows, b.tolist()))
+        reference = np.linalg.solve(a, b)
+        assert np.linalg.norm(x - reference) <= 64 * ulp * (sigma[0] / sigma[-1]) * np.linalg.norm(reference), kind
+    assert kinds == {"random", "near-singular", "singular"}
 
 
 @pytest.mark.parametrize("case", ["damped", "escapement"])
@@ -543,6 +593,23 @@ def test_family_residual_separates_sgn_conventions(bench):
 
 
 # -- exponent fits ------------------------------------------------------------
+
+
+def test_fit_exponent_matches_polyfit():
+    # the closed-form slope against np.polyfit on noisy power laws, with
+    # rungs that are NaN, zero or negative left out of both
+    rng = np.random.default_rng(47)
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        eps = np.sort(10.0 ** rng.uniform(-4.0, -1.0, size=n))[::-1]
+        res = rng.uniform(0.1, 10.0) * eps ** rng.uniform(0.5, 3.5) * np.exp(rng.normal(scale=0.3, size=n))
+        res[rng.random(n) < 0.15] = rng.choice([np.nan, 0.0, -1.0])
+        expected = polyfit_slope(eps, res)
+        got = fit_exponent(eps.tolist(), res.tolist())
+        if math.isnan(expected):
+            assert math.isnan(got)
+        else:
+            assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_fit_exponent_recovers_power_law():
