@@ -5,7 +5,9 @@ Usage:
                                  [--pairs N] [--seed S]
 
 PARENT_SRC and CHANGE_SRC are ``src/`` directories, each holding a
-``pendavg`` package.  For every workload of ``perfbench/workloads.py``
+``pendavg`` package.  First the script prints each tree's source lines,
+the newlines of its ``pendavg/*.py`` files as ``wc -l`` counts them, and
+the change's net lines against the parent.  For every workload of ``perfbench/workloads.py``
 (all three by default) the script writes the workload's INI file once and
 runs N pairs.  A pair is one CLI invocation on each tree, each in a fresh
 interpreter (``python -m pendavg`` with ``PYTHONPATH`` set to the tree), as
@@ -72,6 +74,11 @@ def timed_run(src: Path, workload, ini: Path, run_dir: Path) -> Tuple[float, flo
     if code != workload.expected_exit:
         raise SystemExit(f"{workload.name} on {src}: exit {code}, expected {workload.expected_exit}")
     return wall, usage.ru_maxrss / 1024.0
+
+
+def source_lines(src: Path) -> int:
+    """Newlines in the ``pendavg/*.py`` files under ``src``, as ``wc -l``."""
+    return sum(path.read_bytes().count(b"\n") for path in (src / "pendavg").glob("*.py"))
 
 
 def differing_files(left: Path, right: Path) -> list:
@@ -182,6 +189,8 @@ def main(argv=None) -> int:
     for src in trees:
         if not (src / "pendavg" / "cli.py").is_file():
             parser.error(f"no pendavg package under {src}")
+    lines = [source_lines(src) for src in trees]
+    print(f"source lines: parent {lines[0]}, change {lines[1]}, net {lines[1] - lines[0]:+d}")
     for name in args.workload or sorted(WORKLOADS):
         workload = WORKLOADS[name]
         with tempfile.TemporaryDirectory(prefix="pair_bench_") as tmp:

@@ -434,7 +434,7 @@ def cmd_verify(config: ExperimentConfig, compare_conventions: bool = False) -> i
 
 
 def cmd_simulate(config: ExperimentConfig) -> int:
-    from .filippov import integrate, integrate_regularized, require_transversal_crossings
+    from .filippov import crossing_hypothesis_check, integrate, integrate_regularized
 
     if config.sim_s0 is None or config.sim_t_span is None:
         raise DomainError("[integrate] must provide s0 and t_span for simulate")
@@ -473,21 +473,17 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     text = dumps_deterministic(summary)
     print(text)
     _write_text(out / "simulate_summary.json", text)
-    if config.sim_require_crossing:
-        try:
-            require_transversal_crossings(traj)
-        except CrossingViolationError as exc:
-            offenders = [
-                {
-                    "time": ev.time,
-                    "surface": ev.surface,
-                    "kind": ev.kind,
-                    "state": list(ev.state),
-                }
-                for ev in (exc.events or [])
-            ]
-            _write_text(out / "crossing_violations.json", dumps_deterministic(offenders))
-            raise
+    report = crossing_hypothesis_check(traj)
+    if config.sim_require_crossing and not report.ok:
+        offenders = [traj.events[i] for i in report.offenders]
+        _write_text(out / "crossing_violations.json", dumps_deterministic([
+            {"time": ev.time, "surface": ev.surface, "kind": ev.kind, "state": list(ev.state)}
+            for ev in offenders
+        ]))
+        raise CrossingViolationError(
+            f"{len(offenders)} of {report.n_events} surface contacts are not transversal "
+            f"crossings (kinds: {', '.join(sorted({ev.kind for ev in offenders}))})"
+        )
     return 0
 
 

@@ -52,10 +52,6 @@ class CrossingViolationError(PendavgError):
 
     exit_code = 5
 
-    def __init__(self, message, events=None):
-        super().__init__(message)
-        self.events = events or []
-
 
 class TangencyError(PendavgError):
     """Persistent tangency: the flow hugs a switching surface ambiguously."""

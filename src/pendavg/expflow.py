@@ -71,17 +71,17 @@ def sign_changes(g, g_new):
             if (before <= 0 and after >= 0) or (before >= 0 and after <= 0)]
 
 
-def generator(matrix, offset) -> Optional[Matrix]:
-    """B of v′ = B·v for s′ = matrix·s + offset(τ), given as the periodic
-    arrays of :mod:`pendavg.filippov`, or None unless the matrix is
-    constant and the offset's terms are cos or sin."""
-    if matrix.terms or any(scalar.kind not in ("cos", "sin") for _, _, scalar in offset.terms):
+def generator(form) -> Optional[Matrix]:
+    """B of v′ = B·v for s′ = M·s + c(τ), given as the periodic 4×5 array
+    ``form`` = [M | c] of :mod:`pendavg.filippov`, or None unless every
+    term of it sits in column 4, the constant's, and is a cos or a sin."""
+    if any(j != 4 or scalar.kind not in ("cos", "sin") for (_, j), _, scalar in form.terms):
         return None
-    omegas = sorted({scalar.omega for _, _, scalar in offset.terms})
+    omegas = sorted({scalar.omega for _, _, scalar in form.terms})
     n = 5 + 2 * len(omegas)
-    out = [[*row, *[0.0] * (n - 5), c] for row, c in zip(matrix.constant, offset.constant)]
+    out = [[*row[:4], *[0.0] * (n - 5), row[4]] for row in form.constant]
     out += [[0.0] * n for _ in range(n - 4)]
-    for (row,), factor, scalar in offset.terms:
+    for (row, _), factor, scalar in form.terms:
         out[row][4 + 2 * omegas.index(scalar.omega) + (scalar.kind == "sin")] += factor * scalar.value
     for i, omega in enumerate(omegas):
         out[4 + 2 * i][5 + 2 * i] = -omega

@@ -11,14 +11,16 @@ of a table in the forcing, where linear interpolation has a kink; a
 knot ends the segment and nothing else.
 
 With the region signs frozen the field is affine, f = M_σ(τ)·s + c_σ(τ),
-built once per segment.  Where M_σ is constant and c_σ a constant plus
-cosines and sines, as on every builtin, the segment follows its exact
-flow (:mod:`pendavg.expflow`) in steps of ``max_step``.  Every other
-field runs on DOP853, the adaptive 8(5,3) Dormand–Prince pair (Hairer,
-Nørsett & Wanner, *Solving Ordinary Differential Equations I*, §II.10),
-in the in-package port :mod:`pendavg.dop853` of SciPy's
-``solve_ivp(method="DOP853")``.  Either solver stops at the first root of
-the level x (state index 0) or z (index 2).
+built once per segment as one periodic 4×5 array F_σ = [M_σ | c_σ] over
+(x, y, z, w, 1), the columns of the forcing's table.  Where every
+τ-dependent term of F_σ is a cosine or a sine in column 4, as on every
+builtin, the segment follows its exact flow (:mod:`pendavg.expflow`) in
+steps of ``max_step``.  Every other field runs on DOP853, the adaptive
+8(5,3) Dormand–Prince pair (Hairer, Nørsett & Wanner, *Solving Ordinary
+Differential Equations I*, §II.10), in the in-package port
+:mod:`pendavg.dop853` of SciPy's ``solve_ivp(method="DOP853")``.  Either
+solver stops at the first root of the level x (state index 0) or z
+(index 2).
 
 The event loop, the saltation matrices and every trajectory work on
 Python floats: states are tuples or lists, matrices tuples of rows.  Only
@@ -58,8 +60,7 @@ from itertools import chain
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import expflow
-from .errors import (DEFAULT_MAX_EVENTS, CrossingViolationError, DomainError, IntegrationStallError,
-                     TangencyError)
+from .errors import DEFAULT_MAX_EVENTS, DomainError, IntegrationStallError, TangencyError
 from .expflow import MAX_STEPS, Matrix, Solution, _matmul
 from .model import ReducedParams, SpectralData
 from .perturbation import PerturbationSpec, PeriodicScalar, eval_order1_with_signs, smooth_sign
@@ -143,35 +144,21 @@ class CrossingReport:
 
 @dataclass(frozen=True, eq=False)
 class PeriodicArray:
-    """A vector or matrix of sums of periodic scalars: ``constant``, a
-    tuple of floats or of rows, plus, for each of ``terms`` (index,
-    factor, scalar), factor·scalar(τ) at index, (i,) or (i, j)."""
+    """A matrix of sums of periodic scalars: ``constant``, a tuple of rows,
+    plus, for each of ``terms`` ((i, j), factor, scalar), factor·scalar(τ)
+    at row i, column j."""
 
     constant: tuple
-    terms: Tuple[Tuple[tuple, float, PeriodicScalar], ...] = ()
+    terms: Tuple[Tuple[Tuple[int, int], float, PeriodicScalar], ...] = ()
 
     def __call__(self, tau: float):
-        """The array at a scalar τ (the shared ``constant`` when no term varies)."""
+        """The matrix at a scalar τ (the shared ``constant`` when no term varies)."""
         if not self.terms:
             return self.constant
-        if isinstance(self.constant[0], tuple):
-            out = [list(row) for row in self.constant]
-            for (i, j), factor, scalar in self.terms:
-                out[i][j] += factor * scalar(tau)
-        else:
-            out = list(self.constant)
-            for (i,), factor, scalar in self.terms:
-                out[i] += factor * scalar(tau)
+        out = [list(row) for row in self.constant]
+        for (i, j), factor, scalar in self.terms:
+            out[i][j] += factor * scalar(tau)
         return out
-
-    def embedded(self, base: tuple, rows: Sequence[int], scale: float) -> "PeriodicArray":
-        """``base`` plus ``scale`` times this array, its row i added to ``rows[i]``."""
-        constant = list(base)
-        for row, own in zip(rows, self.constant):
-            constant[row] = (tuple(b + scale * c for b, c in zip(constant[row], own))
-                             if isinstance(own, tuple) else constant[row] + scale * own)
-        return PeriodicArray(tuple(constant), tuple(((rows[index[0]],) + index[1:], scale * factor, scalar)
-                                                    for index, factor, scalar in self.terms))
 
 
 def linearization_matrix(r: ReducedParams) -> Matrix:
@@ -184,25 +171,22 @@ def linearization_matrix(r: ReducedParams) -> Matrix:
     )
 
 
-def _frozen_forcing(spec: PerturbationSpec, signs: Tuple[float, float]) -> Tuple[PeriodicArray, PeriodicArray]:
-    """The forcing for frozen signs σ, affine: (f_y, f_w) = R(τ)·s + k(τ).
+def _frozen_forcing(spec: PerturbationSpec, signs: Tuple[float, float]) -> PeriodicArray:
+    """The forcing for frozen signs σ, affine: (f_y, f_w) = [R | k](τ)·(s, 1).
 
-    P[:, 0] + σ·P[:, 1] of the spec's table split into R (columns 0–3)
-    and k (column 4): the table's terms in its order, each scaled by σ on
+    P[:, 0] + σ·P[:, 1] of the spec's table as one 2×5 array over
+    (x, y, z, w, 1): the table's terms in its order, each scaled by σ on
     a signed row and skipped where σ = 0.
     """
     constant = [[0.0] * 5 for _ in range(2)]
-    linear, offset = [], []
+    terms = []
     for (i, part, j), value, scalar in spec.table:
         factor = value * signs[i] if part else value
         if scalar is None:
             constant[i][j] += factor
-        elif factor != 0.0 and j < 4:
-            linear.append(((i, j), factor, scalar))
         elif factor != 0.0:
-            offset.append(((i,), factor, scalar))
-    return (PeriodicArray(tuple(tuple(row[:4]) for row in constant), tuple(linear)),
-            PeriodicArray(tuple(row[4] for row in constant), tuple(offset)))
+            terms.append(((i, j), factor, scalar))
+    return PeriodicArray(tuple(map(tuple, constant)), tuple(terms))
 
 
 FieldWithSigns = Callable[[float, Sequence[float], Tuple[float, float]], Sequence[float]]
@@ -216,15 +200,15 @@ def d1_field(spec: PerturbationSpec, reduced: ReducedParams, eps: float) -> Fiel
 
     Calling it evaluates the forcing for any signs (contacts, the
     regularized run).  ``field.frozen(signs)`` is its affine form for
-    frozen signs, f = M_σ(τ)·s + c_σ(τ), as the periodic arrays
-    M_σ = A + ε·R_σ and c_σ = ε·k_σ (R_σ, k_σ from the spec's table), on
-    which segments and the monodromy run.  ``field.knots(t0, t1)`` gives
-    the knots of the forcing's tables between t0 and t1, at which
-    segments end.
+    frozen signs, f = M_σ(τ)·s + c_σ(τ), as one periodic 4×5 array
+    F_σ = [M_σ | c_σ] = [A | 0] + ε·[R_σ | k_σ] on rows 1 and 3 (see
+    :func:`_frozen_forcing`), on which segments and the monodromy run.
+    ``field.knots(t0, t1)`` gives the knots of the forcing's tables
+    between t0 and t1, at which segments end.
     """
     a = reduced.a
     b = reduced.b
-    linear = linearization_matrix(reduced)
+    base = [(*row, 0.0) for row in linearization_matrix(reduced)]
 
     def field(t: float, state: Sequence[float], signs: Tuple[float, float]) -> Tuple[float, ...]:
         x, y, z, w = state
@@ -233,43 +217,31 @@ def d1_field(spec: PerturbationSpec, reduced: ReducedParams, eps: float) -> Fiel
         dw = b * x - b * z + eps * f_w
         return (y, dy, w, dw)
 
-    def frozen(signs: Tuple[float, float]) -> Tuple[PeriodicArray, PeriodicArray]:
-        rows, consts = _frozen_forcing(spec, (float(signs[0]), float(signs[1])))
-        return rows.embedded(linear, (1, 3), eps), consts.embedded((0.0,) * 4, (1, 3), eps)
+    def frozen(signs: Tuple[float, float]) -> PeriodicArray:
+        forcing = _frozen_forcing(spec, (float(signs[0]), float(signs[1])))
+        constant = list(base)
+        for row, own in zip((1, 3), forcing.constant):
+            constant[row] = tuple(x + eps * c for x, c in zip(base[row], own))
+        return PeriodicArray(tuple(constant), tuple(((2 * i + 1, j), eps * factor, scalar)
+                                                    for (i, j), factor, scalar in forcing.terms))
 
     field.frozen = frozen
     field.knots = spec.table_knots
     return field
 
 
-def segment_rhs(field: FieldWithSigns, signs: Tuple[float, float],
-                monodromy: bool = False) -> Callable[[float, Sequence[float]], Sequence[float]]:
-    """Right-hand side of a segment with frozen region signs ``signs``.
-
-    A field with an affine form ``field.frozen`` (as from :func:`d1_field`)
-    runs on it, built once here: M_σ·s + c_σ or, with ``monodromy``, over
-    u = [s | Φ] with Φ stored column by column, so each block of four
-    holds s or a column of Φ and u′ is M_σ times each block, plus c_σ on
-    the state.  Any other field is called as given and carries no
-    monodromy: asking for one raises DomainError.
-    """
-    frozen = getattr(field, "frozen", None)
-    if frozen is None:
-        if monodromy:
-            raise DomainError("a monodromy needs the field's affine form field.frozen(signs)")
-        return lambda t, u: field(t, u, signs)
-    return _affine_rhs(*frozen(signs))
-
-
-def _affine_rhs(matrix, offset) -> Callable[[float, Sequence[float]], List[float]]:
-    """M_σ·s + c_σ, followed by M_σ·Φ when u carries Φ (see :func:`segment_rhs`)."""
+def _affine_rhs(form: PeriodicArray) -> Callable[[float, Sequence[float]], List[float]]:
+    """The segment's right-hand side on the affine form ``form`` = [M_σ | c_σ]:
+    each row m0..m3, c gives m0·x + m1·y + m2·z + m3·w + c.  When u
+    carries Φ after the state, stored column by column, each further
+    block of four is a column of Φ and gets M_σ times it."""
     def rhs(t, u):
-        rows = matrix(t)
+        rows = form(t)
         x, y, z, w = u[:4]
-        du = [m0 * x + m1 * y + m2 * z + m3 * w + c for (m0, m1, m2, m3), c in zip(rows, offset(t))]
+        du = [m0 * x + m1 * y + m2 * z + m3 * w + c for m0, m1, m2, m3, c in rows]
         for b in range(4, len(u), 4):
             x, y, z, w = u[b:b + 4]
-            du += [m0 * x + m1 * y + m2 * z + m3 * w for m0, m1, m2, m3 in rows]
+            du += [m0 * x + m1 * y + m2 * z + m3 * w for m0, m1, m2, m3, _ in rows]
         return du
 
     return rhs
@@ -525,10 +497,11 @@ class _Integrator:
     def _advance(self):
         """Integrate one segment up to its first terminal event.
 
-        The field runs with frozen region signs and stops where either
-        level crosses zero, or at the next table knot, where the segment
-        ends with no event.  A carried monodromy rides along as
-        components 4 to 19, left out of the error test.
+        The field runs with frozen region signs, on its affine form when
+        it has one, and stops where either level crosses zero, or at the
+        next table knot, where the segment ends with no event.  A carried
+        monodromy rides along as components 4 to 19, left out of the
+        error test.
         """
         signs = tuple(self.signs)
         phi = self.phi
@@ -537,13 +510,16 @@ class _Integrator:
             u += [x for column in zip(*phi) for x in column]
         frozen = getattr(self.field, "frozen", None)
         big = None
-        if frozen is None:
-            rhs = segment_rhs(self.field, signs, phi is not None)
-        else:
+        if frozen is not None:
             form = frozen(signs)
-            rhs = _affine_rhs(*form)
-            if math.isfinite(self.max_step) and all(isinstance(part, PeriodicArray) for part in form):
-                big = expflow.generator(*form)
+            rhs = _affine_rhs(form)
+            if math.isfinite(self.max_step):
+                big = expflow.generator(form)
+        elif phi is not None:
+            raise DomainError("a monodromy needs the field's affine form field.frozen(signs)")
+        else:
+            def rhs(t, u):
+                return self.field(t, u, signs)
         t_run, u_run = self._depart_surface(rhs, u)
         if self.finished:
             return
@@ -642,14 +618,17 @@ def integrate_field(
     TangencyError.  Events on ``x = 0`` and ``z = 0`` are located to a
     time tolerance below 1e-12, and each is a crossing or a tangency by
     its rate (see ``_Integrator._resolve_contacts``).  Initial states on
-    a surface are resolved before the first segment.  Segments run on
-    the field's affine form where it has one (its exact flow when that
-    qualifies and ``max_step`` is finite, see the module docstring) and
-    end at the knots ``field.knots(t0, t1)`` when the field has them.
-    With ``monodromy`` the run also carries the monodromy (see the module
-    docstring) into ``Trajectory.monodromy``; that needs the field's
-    affine form ``field.frozen`` (see :func:`segment_rhs`).  A span longer
-    than ``MAX_STEPS`` steps of ``max_step`` raises IntegrationStallError.
+    a surface are resolved before the first segment.  A field with an
+    affine form ``field.frozen(signs)``, the :class:`PeriodicArray`
+    [M_σ | c_σ] (as from :func:`d1_field`), runs each segment on it: its
+    exact flow when that qualifies and ``max_step`` is finite (see the
+    module docstring), else DOP853 on :func:`_affine_rhs`.  Any other
+    field runs on DOP853 as ``field(t, state, signs)``.  Segments end at
+    the knots ``field.knots(t0, t1)`` when the field has them.  With
+    ``monodromy`` the run also carries the monodromy (see the module
+    docstring) into ``Trajectory.monodromy``; that needs ``field.frozen``,
+    and a field without it raises DomainError.  A span longer than
+    ``MAX_STEPS`` steps of ``max_step`` raises IntegrationStallError.
     """
     if max_step is not None:
         _check_step_budget(t_span, max_step)
@@ -776,19 +755,6 @@ def crossing_hypothesis_check(traj: Trajectory) -> CrossingReport:
         n_events=n_events,
         offenders=tuple(offenders),
     )
-
-
-def require_transversal_crossings(traj: Trajectory) -> CrossingReport:
-    """Crossing check that raises when a non-crossing contact occurred."""
-    report = crossing_hypothesis_check(traj)
-    if not report.ok:
-        kinds = sorted({traj.events[i].kind for i in report.offenders})
-        raise CrossingViolationError(
-            f"{len(report.offenders)} of {report.n_events} surface contacts are not "
-            f"transversal crossings (kinds: {', '.join(kinds)})",
-            events=[traj.events[i] for i in report.offenders],
-        )
-    return report
 
 
 def export_trajectory_csv(traj: Trajectory, path) -> None:

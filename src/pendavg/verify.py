@@ -91,7 +91,16 @@ class PredictedOrbit:
 
 @dataclass(frozen=True)
 class PoincareResult:
-    """Return-map gap of one verification integration.
+    """Return-map gap of one verification integration: its trajectory and
+    the numbers read from it.
+
+    ``trajectory`` is the run, partial or None on a flagged run (``flag``
+    says why and ``flag_code`` gives the error's exit code), and
+    ``crossing`` its crossing report, None without a trajectory.  The
+    monodromy of the return map at the initial state is the trajectory's
+    (`poincare_residual` asks for it, `refine_periodic` reads it):
+    ``trajectory.monodromy``, or None with ``trajectory.monodromy_reason``
+    naming the contact that ended the request (see :mod:`pendavg.filippov`).
 
     ``residual`` is the return-map gap norm of the orbit in the
     original (pendulum) frame, which carries one power of ε from the
@@ -100,29 +109,25 @@ class PoincareResult:
     reduced-frame four-dimensional gap norm (first order in ε);
     ``residual_family`` is its component in the orbit-family plane, the
     part the averaged pair controls directly, which separates a correct
-    prediction (second order) from a wrong one (first order).
-
-    ``monodromy`` is the reduced-frame derivative of the return map at
-    the initial state, integrated along with the run
-    (`poincare_residual` asks for it).  It is None on a flagged run, on
-    the full nonlinear check, and when a contact without a saltation rule
-    ended the request (see :mod:`pendavg.filippov`); ``monodromy_reason``
-    then names that contact and its time.
+    prediction (second order) from a wrong one (first order).  The
+    residuals and gaps are NaN on a flagged run.
     """
 
     epsilon: float
-    residual: float
-    residual_full: float
-    residual_family: float
-    gap: State
-    jordan_gap: State
-    events_ok: bool
-    crossing: Optional[CrossingReport]
     trajectory: Optional[Trajectory]
+    crossing: Optional[CrossingReport]
+    residual: float = math.nan
+    residual_full: float = math.nan
+    residual_family: float = math.nan
+    gap: State = (math.nan,) * 4
+    jordan_gap: State = (math.nan,) * 4
     flag: Optional[str] = None
     flag_code: int = 0
-    monodromy: Optional[Matrix] = None
-    monodromy_reason: Optional[str] = None
+
+    @property
+    def events_ok(self) -> bool:
+        """True when the run completed and met only transversal crossings."""
+        return self.flag is None and self.crossing.ok
 
 
 @dataclass(frozen=True)
@@ -381,38 +386,22 @@ def _package_result(
 ) -> PoincareResult:
     """Result for a completed run with its reduced-frame gap and residual."""
     jordan_gap = _matvec(transform.forward, gap)
-    report = crossing_hypothesis_check(traj)
     return PoincareResult(
         epsilon=eps,
+        trajectory=traj,
+        crossing=crossing_hypothesis_check(traj),
         residual=residual,
         residual_full=math.hypot(*gap),
         residual_family=math.hypot(*jordan_gap[_family_slice(family)]),
         gap=gap,
         jordan_gap=jordan_gap,
-        events_ok=report.ok,
-        crossing=report,
-        trajectory=traj,
-        monodromy=traj.monodromy,
-        monodromy_reason=traj.monodromy_reason,
     )
 
 
-def _flagged_result(
-    eps: float, message: str, traj: Optional[Trajectory], code: int = 1
-) -> PoincareResult:
-    return PoincareResult(
-        epsilon=eps,
-        residual=float("nan"),
-        residual_full=float("nan"),
-        residual_family=float("nan"),
-        gap=(math.nan,) * 4,
-        jordan_gap=(math.nan,) * 4,
-        events_ok=False,
-        crossing=crossing_hypothesis_check(traj) if traj is not None else None,
-        trajectory=traj,
-        flag=message,
-        flag_code=code,
-    )
+def _flagged_result(eps: float, exc: PendavgError) -> PoincareResult:
+    traj = getattr(exc, "trajectory", None)
+    crossing = crossing_hypothesis_check(traj) if traj is not None else None
+    return PoincareResult(eps, traj, crossing, flag=str(exc), flag_code=exc.exit_code)
 
 
 def _check_spec_matches(orbit: PredictedOrbit, spec: PerturbationSpec):
@@ -456,9 +445,7 @@ def poincare_residual(
             monodromy=True,
         )
     except PendavgError as exc:
-        return _flagged_result(
-            eps, str(exc), getattr(exc, "trajectory", None), code=exc.exit_code
-        )
+        return _flagged_result(eps, exc)
     gap = _difference(traj.final_state, traj.initial_state)
     residual = math.hypot(*to_physical_frame(gap, eps, reduced.alpha))
     return _package_result(eps, orbit.family, transform, traj, gap, residual)
@@ -493,7 +480,7 @@ def refine_periodic(
     s = tuple(orbit.initial_state)
     gap = _difference(prediction.trajectory.final_state, s)
     residual = math.hypot(*gap)
-    monodromy = prediction.monodromy
+    monodromy = prediction.trajectory.monodromy
     if monodromy is None:
         return RefinementResult(
             state=s,
@@ -665,9 +652,7 @@ def full_nonlinear_check(
             max_step=max_step,
         )
     except PendavgError as exc:
-        return _flagged_result(
-            eps, str(exc), getattr(exc, "trajectory", None), code=exc.exit_code
-        )
+        return _flagged_result(eps, exc)
 
     gap_phi = _difference(traj.final_state, traj.initial_state)
     if eps == 0.0:

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from pendavg import cli
-from pendavg.errors import PendavgError
+from pendavg.errors import IntegrationStallError, PendavgError
 from pendavg.filippov import MAX_STEPS
 from pendavg.model import PhysicalParams, jordan_transform, reduce_params, spectral_data
 from pendavg.perturbation import BUILTIN_PARAMS, BUILTINS, parse_keyed
@@ -431,6 +431,52 @@ def test_verify_compare_conventions_arbiter_neither(tmp_path, capsys):
         assert math.hypot(*zero["point"]) == pytest.approx(radius, abs=1e-6)
     assert not report["B"]["any_validated"]
     assert "neither" in capsys.readouterr().out
+
+
+def test_verify_crossing_violation_exits_5(tmp_path, monkeypatch, capsys):
+    # a tangent contact appended to every run breaks the crossing
+    # hypothesis, so no zero validates and the sweeps' event summaries
+    # go to crossing_violations.json
+    from pendavg import verify
+    from pendavg.filippov import EventRecord
+
+    integrate = verify.integrate
+
+    def with_tangent(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        traj.events.append(EventRecord(time=0.0, state=tuple(traj.initial_state), surface=1,
+                                       kind="tangent", rate=0.0))
+        return traj
+
+    monkeypatch.setattr(verify, "integrate", with_tangent)
+    out = tmp_path / "out"
+    ini = write_ini(tmp_path / "bench.ini", bench_sections(out))
+    assert cli.main(["verify", "--config", str(ini)]) == 5
+    payload = json.loads((out / "verify.json").read_text())
+    assert payload["any_crossing_violation"] is True and payload["any_validated"] is False
+    violations = json.loads((out / "crossing_violations.json").read_text())
+    assert violations == [entry["sweep"]["events_summary"] for entry in payload["sweeps"]]
+    assert violations and not any(summary["all_crossings"] for summary in violations)
+    assert capsys.readouterr().err == ("error: the crossing hypothesis failed during verification; "
+                                       "see crossing_violations.json\n")
+
+
+def test_verify_stall_exits_6_without_crossing_file(tmp_path, monkeypatch, capsys):
+    from pendavg import verify
+
+    def stalled(*args, **kwargs):
+        raise IntegrationStallError("event budget exhausted")
+
+    monkeypatch.setattr(verify, "integrate", stalled)
+    out = tmp_path / "out"
+    ini = write_ini(tmp_path / "bench.ini", bench_sections(out))
+    assert cli.main(["verify", "--config", str(ini)]) == 6
+    payload = json.loads((out / "verify.json").read_text())
+    assert payload["any_stall"] is True and payload["any_crossing_violation"] is False
+    assert payload["sweeps"] and all(entry["sweep"]["limit_gap_reason"] == ["prediction run flagged"] * 4
+                                     for entry in payload["sweeps"])
+    assert not (out / "crossing_violations.json").exists()
+    assert capsys.readouterr().err == "error: verification integrations stalled\n"
 
 
 # -- simulate ----------------------------------------------------------------

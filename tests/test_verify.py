@@ -191,7 +191,7 @@ def test_poincare_run_evaluates_the_general_forcing_at_contacts_only(bench, esca
 
     monkeypatch.setattr(filippov_module, "eval_order1_with_signs", counted)
     res = poincare_residual(orbit, spec, reduced, s, 1e-2)
-    assert res.flag is None and res.monodromy is not None
+    assert res.flag is None and res.trajectory.monodromy is not None
     events = res.trajectory.events
     assert events and all(ev.kind == "crossing" and not ev.corner for ev in events)
     assert len(calls) == 3 * len(events)
@@ -319,8 +319,8 @@ def test_sweep_rung_with_a_singular_chord_matrix_is_degenerate(bench, damped, mo
 
     def singular_chord(*args):
         result = poincare_residual(*args)
-        monodromy = tuple((float(i == 0),) + row[1:] for i, row in enumerate(result.monodromy))
-        return dataclasses.replace(result, monodromy=monodromy)
+        monodromy = tuple((float(i == 0),) + row[1:] for i, row in enumerate(result.trajectory.monodromy))
+        return dataclasses.replace(result, trajectory=dataclasses.replace(result.trajectory, monodromy=monodromy))
 
     monkeypatch.setattr(verify_module, "poincare_residual", singular_chord)
     report = epsilon_sweep(orbit, spec, reduced, s, LADDER)
@@ -378,7 +378,7 @@ def test_variational_monodromy_matches_finite_differences(bench, case, eps, requ
     step 2h and against central differences."""
     reduced, s, _ = bench
     spec, _, orbit = request.getfixturevalue(case)
-    monodromy = poincare_residual(orbit, spec, reduced, s, eps).monodromy
+    monodromy = poincare_residual(orbit, spec, reduced, s, eps).trajectory.monodromy
     forward = finite_difference_monodromy(spec, reduced, s, eps, orbit)
     doubled = finite_difference_monodromy(spec, reduced, s, eps, orbit, scale=2.0)
     central = finite_difference_monodromy(spec, reduced, s, eps, orbit, central=True)
@@ -396,7 +396,7 @@ def test_variational_monodromy_meets_liouville(bench, case, eps, request):
     escapement and damped runs."""
     reduced, s, _ = bench
     spec, _, orbit = request.getfixturevalue(case)
-    monodromy = poincare_residual(orbit, spec, reduced, s, eps).monodromy
+    monodromy = poincare_residual(orbit, spec, reduced, s, eps).trajectory.monodromy
     trace = spec.F[0].d2.value + spec.F[2].d4.value
     sign, logdet = np.linalg.slogdet(monodromy)
     assert sign == 1.0
@@ -427,7 +427,7 @@ def test_poincare_run_matches_the_exact_flow_map(bench, name, params, convention
     assert [(ev.surface, ev.kind) for ev in traj.events] == [(k, kind) for _, k, kind in events]
     assert max(abs(ev.time - t) for ev, (t, _, _) in zip(traj.events, events)) <= 1e-10
     assert np.abs(traj.final_state - state).max() <= 1e-10
-    assert np.abs(run.monodromy - monodromy).max() <= 1e-8
+    assert np.abs(traj.monodromy - monodromy).max() <= 1e-8
 
 
 def test_tangent_prediction_run_carries_no_monodromy(bench, damped):
@@ -438,8 +438,8 @@ def test_tangent_prediction_run_carries_no_monodromy(bench, damped):
     tangent = dataclasses.replace(orbit, initial_state=np.array([0.0, 0.0, 1.0, 0.3]))
     prediction = poincare_residual(tangent, spec, reduced, s, 1e-3)
     assert prediction.flag is None and not prediction.events_ok
-    assert prediction.monodromy is None
-    assert prediction.monodromy_reason == "tangent contact with surface 1 at t = 0"
+    assert prediction.trajectory.monodromy is None
+    assert prediction.trajectory.monodromy_reason == "tangent contact with surface 1 at t = 0"
     result = refine_periodic(tangent, spec, reduced, s, prediction)
     assert not result.converged and result.iterations == 0
     assert result.reason == verify_module.NO_MONODROMY
@@ -563,8 +563,8 @@ def test_sweep_rung_without_monodromy_gives_its_reason(bench, damped, monkeypatc
     report = epsilon_sweep(orbit, spec, reduced, s, LADDER)
     for sample in report.samples:
         assert sample.flag is None and not sample.events_ok
-        assert sample.monodromy is None
-        assert sample.monodromy_reason == "tangent contact with surface 1 at t = 0"
+        assert sample.trajectory.monodromy is None
+        assert sample.trajectory.monodromy_reason == "tangent contact with surface 1 at t = 0"
     assert all(math.isnan(g) for g in report.limit_gap)
     assert report.limit_gap_reason == ["no monodromy: non-crossing contact"] * len(LADDER)
 
