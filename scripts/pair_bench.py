@@ -9,7 +9,7 @@ PARENT_SRC and CHANGE_SRC are ``src/`` directories, each holding a
 the newlines of its ``pendavg/*.py`` files as ``wc -l`` counts them, and
 the change's net lines against the parent.  For every workload of ``perfbench/workloads.py``
 (all three by default) the script writes the workload's INI file once and
-runs N pairs.  A pair is one CLI invocation on each tree, each in a fresh
+runs N pairs, N at least 2.  A pair is one CLI invocation on each tree, each in a fresh
 interpreter (``python -m pendavg`` with ``PYTHONPATH`` set to the tree), as
 the benchmark times ``run_s``; the tree that goes first alternates from
 pair to pair.  Every invocation must end with the workload's expected exit
@@ -185,6 +185,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error(f"--pairs must be at least 2, got {args.pairs}: the quartiles need two runs a side")
     trees = [args.parent.resolve(), args.change.resolve()]
     for src in trees:
         if not (src / "pendavg" / "cli.py").is_file():

@@ -35,7 +35,6 @@ from .errors import (
 )
 from .model import (
     PhysicalParams,
-    jordan_transform,
     monodromy_lower_block,
     reduce_params,
     spectral_data,
@@ -339,16 +338,13 @@ def _verify_convention(config: ExperimentConfig, convention: str, tag: str) -> d
     from .verify import epsilon_sweep, predicted_initial_state
 
     system, certs = _run_zero_search(config, convention)
-    reduced, s = system.reduced, system.spectral
-    transform = jordan_transform(reduced, s)
     simple_certs = [c for c in certs if c.simple][:MAX_ZEROS_SWEPT]
     entries = []
     any_validated = False
     any_crossing_violation = False
     any_stall = False
     for i, cert in enumerate(simple_certs):
-        orbit = predicted_initial_state(cert, config.family, transform, s, reduced, p=config.p)
-        report = epsilon_sweep(orbit, system.spec, reduced, s, config.eps_list)
+        report = epsilon_sweep(predicted_initial_state(system, cert), config.eps_list)
         validated = report.validated
         any_validated = any_validated or validated
         for j, sample in enumerate(report.samples):

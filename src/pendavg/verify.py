@@ -1,15 +1,19 @@
 """Validation of averaged predictions by direct piecewise-smooth integration.
 
 An amplitude certified as a simple zero of the averaged pair is mapped
-to a reduced-frame initial condition, integrated over the resonant
-window, and judged by the return-map gap of the corresponding orbit in
-the original frame (amplitude ε times the reduced state), which shrinks
-like ε² at a correct prediction.  The reduced-frame gap and its
-orbit-family projection are kept alongside: the projection is the part
-the averaged pair controls directly and separates a correct prediction
-from a wrong one.  The same prediction can be refined to the true fixed
-point of the return map and checked against the full nonlinear pendulum
-in the original frame.
+to a reduced-frame initial condition, a `PredictedOrbit` that carries
+the `BifurcationSystem` it was predicted from, so every check reads the
+perturbation, constants and spectrum from the orbit.  Two checks
+integrate it over the resonant window in the reduced frame: the system
+truncated at order ε (`poincare_residual`) and the full nonlinear
+pendulum (`full_nonlinear_check`).  Both are judged by the return-map
+gap of the corresponding orbit in the original frame
+(`to_physical_frame`, the one frame map: amplitude ε times the reduced
+state), which shrinks like ε² at a correct prediction.  The
+reduced-frame gap and its orbit-family projection are kept alongside:
+the projection is the part the averaged pair controls directly and
+separates a correct prediction from a wrong one.  The same prediction
+can be refined to the true fixed point of the return map.
 
 States and gaps are tuples of floats and matrices tuples of rows; the
 shooting step's 4×4 linear algebra is plain Python (:func:`solve_linear`,
@@ -25,13 +29,12 @@ from itertools import chain
 from operator import mul
 from typing import List, Mapping, Optional, Sequence, Tuple
 
-from .averaging import ZeroCertificate
+from .averaging import BifurcationSystem, ZeroCertificate
 from .errors import (
     DomainError,
     PendavgError,
     RefinementDegenerateError,
 )
-from .expflow import Matrix
 from .filippov import (
     CrossingReport,
     Trajectory,
@@ -39,17 +42,8 @@ from .filippov import (
     integrate,
     integrate_field,
 )
-from .model import (
-    JordanTransform,
-    PhysicalParams,
-    ReducedParams,
-    SpectralData,
-    jordan_transform,
-    nonlinear_accelerations,
-    reduce_params,
-    spectral_data,
-)
-from .perturbation import PerturbationSpec, eval_order1_with_signs
+from .model import PhysicalParams, nonlinear_accelerations, reduce_params
+from .perturbation import eval_order1_with_signs
 
 SWEEP_MIN_SAMPLES = 4
 SWEEP_MIN_RATIO = 8.0
@@ -75,18 +69,20 @@ State = Tuple[float, float, float, float]
 
 @dataclass(frozen=True)
 class PredictedOrbit:
-    """Initial condition and window predicted for a persistent orbit.
+    """A persistent orbit predicted by an averaged system.
 
-    ``initial_state`` lives in the reduced frame at τ = 0; the physical
-    orbit is recovered through the scalings φ = ε·θ and t = α·τ.
+    ``system`` is the `BifurcationSystem` whose zero ``amplitude`` is: the
+    checks read the family, p, perturbation, constants, spectrum and
+    normal-form transform from it.  ``initial_state`` lives in the
+    reduced frame at τ = 0 and ``period_tau`` is the resonant window
+    p·T_family in τ; the physical orbit is recovered through the
+    scalings φ = ε·θ and t = α·τ.
     """
 
-    family: int
-    p: int
+    system: BifurcationSystem
     amplitude: Tuple[float, float]
     initial_state: State
     period_tau: float
-    period_t: float
 
 
 @dataclass(frozen=True)
@@ -136,7 +132,8 @@ class RefinementResult:
 
     ``reason`` is None when converged, otherwise `NOT_CONTRACTING`,
     `BUDGET_EXHAUSTED` or `NO_MONODROMY` (the prediction run carries no
-    monodromy, so no step was taken and ``monodromy`` is None).  The other
+    monodromy, so no step was taken).  The chord matrix comes from the
+    prediction run's ``trajectory.monodromy``.  The other
     reasons of `SweepReport.limit_gap_reason` come from errors that
     `refine_periodic` raises: `DEGENERATE_SHOOTING` from a singular
     shooting matrix and `INTEGRATION_FAILED` from a failed chord-step
@@ -147,7 +144,6 @@ class RefinementResult:
     residual: float
     iterations: int
     converged: bool
-    monodromy: Optional[Matrix]
     reason: Optional[str]
 
 
@@ -160,10 +156,8 @@ class SweepReport:
     """
 
     samples: List[PoincareResult]
-    fitted_exponent: float
     limit_gap: List[float]
     limit_gap_reason: List[Optional[str]]
-    valid: bool
 
     @property
     def epsilons(self) -> List[float]:
@@ -172,6 +166,15 @@ class SweepReport:
     @property
     def residuals(self) -> List[float]:
         return [s.residual for s in self.samples]
+
+    @property
+    def fitted_exponent(self) -> float:
+        return fit_exponent(self.epsilons, self.residuals)
+
+    @property
+    def valid(self) -> bool:
+        """True when every run completed and met only transversal crossings."""
+        return all(s.events_ok for s in self.samples)
 
     @property
     def family_exponent(self) -> float:
@@ -220,7 +223,7 @@ class SweepReport:
         ]
         return {
             "total_events": total,
-            "all_crossings": all(s.events_ok for s in self.samples),
+            "all_crossings": self.valid,
             "min_margin": min(margins) if margins else None,
         }
 
@@ -256,14 +259,6 @@ def to_physical_frame(state_reduced, eps: float, alpha: float) -> State:
     """Reduced-frame state (per-τ velocities) to the pendulum frame."""
     x, y, z, w = map(float, state_reduced)
     return (eps * x, eps * y / alpha, eps * z, eps * w / alpha)
-
-
-def to_reduced_frame(state_physical, eps: float, alpha: float) -> State:
-    """Pendulum-frame state (per-t velocities) to the reduced frame."""
-    if eps == 0.0:
-        raise DomainError("the reduced frame is undefined at eps = 0")
-    p1, dp1, p2, dp2 = map(float, state_physical)
-    return (p1 / eps, alpha * dp1 / eps, p2 / eps, alpha * dp2 / eps)
 
 
 def _dot(a, b) -> float:
@@ -329,70 +324,42 @@ def smallest_singular_value(matrix) -> float:
     return scale * min(math.hypot(*col) for col in cols)
 
 
-def orbit_from_amplitude(
-    amplitude,
-    family: int,
-    transform: JordanTransform,
-    spectral: SpectralData,
-    reduced: ReducedParams,
-    p: int = 1,
-) -> PredictedOrbit:
-    """Predicted orbit for an explicit family-plane amplitude."""
-    if family not in (1, 2):
-        raise DomainError(f"family must be 1 or 2, got {family}")
-    if p < 1:
-        raise DomainError(f"resonance order p must be a positive integer, got {p}")
+def orbit_from_amplitude(system: BifurcationSystem, amplitude) -> PredictedOrbit:
+    """Predicted orbit of ``system`` for an explicit family-plane amplitude."""
     amplitude = tuple(map(float, amplitude))
     if len(amplitude) != 2:
         raise DomainError("amplitude must be a pair")
-    jordan_point = amplitude + (0.0, 0.0) if family == 1 else (0.0, 0.0) + amplitude
-    initial = _matvec(transform.inverse, jordan_point)
-    period_tau = p * spectral.period(family)
+    jordan_point = amplitude + (0.0, 0.0) if system.family == 1 else (0.0, 0.0) + amplitude
     return PredictedOrbit(
-        family=family,
-        p=p,
+        system=system,
         amplitude=amplitude,
-        initial_state=initial,
-        period_tau=period_tau,
-        period_t=reduced.alpha * period_tau,
+        initial_state=_matvec(system.transform.inverse, jordan_point),
+        period_tau=system.spec.p * system.spectral.period(system.family),
     )
 
 
-def predicted_initial_state(
-    cert: ZeroCertificate,
-    family: int,
-    transform: JordanTransform,
-    spectral: SpectralData,
-    reduced: ReducedParams,
-    p: int = 1,
-) -> PredictedOrbit:
-    """Map a certified simple zero to its predicted initial condition."""
+def predicted_initial_state(system: BifurcationSystem, cert: ZeroCertificate) -> PredictedOrbit:
+    """Map a certified simple zero of ``system`` to its predicted orbit."""
     if not cert.simple:
         raise DomainError("the certificate does not certify a simple zero")
-    return orbit_from_amplitude(cert.point, family, transform, spectral, reduced, p=p)
+    return orbit_from_amplitude(system, cert.point)
 
 
-def _family_slice(family: int) -> slice:
-    return slice(0, 2) if family == 1 else slice(2, 4)
-
-
-def _package_result(
-    eps: float,
-    family: int,
-    transform: JordanTransform,
-    traj: Trajectory,
-    gap: State,
-    residual: float,
-) -> PoincareResult:
-    """Result for a completed run with its reduced-frame gap and residual."""
-    jordan_gap = _matvec(transform.forward, gap)
+def _package_result(eps: float, orbit: PredictedOrbit, traj: Trajectory) -> PoincareResult:
+    """Result of a completed reduced-frame run of ``orbit``: the gap, its
+    original-frame norm (the residual), its normal-form image and that
+    image's norm in the orbit's family plane."""
+    system = orbit.system
+    gap = _difference(traj.final_state, traj.initial_state)
+    jordan_gap = _matvec(system.transform.forward, gap)
+    k = 0 if system.family == 1 else 2
     return PoincareResult(
         epsilon=eps,
         trajectory=traj,
         crossing=crossing_hypothesis_check(traj),
-        residual=residual,
+        residual=math.hypot(*to_physical_frame(gap, eps, system.reduced.alpha)),
         residual_full=math.hypot(*gap),
-        residual_family=math.hypot(*jordan_gap[_family_slice(family)]),
+        residual_family=math.hypot(*jordan_gap[k:k + 2]),
         gap=gap,
         jordan_gap=jordan_gap,
     )
@@ -404,24 +371,7 @@ def _flagged_result(eps: float, exc: PendavgError) -> PoincareResult:
     return PoincareResult(eps, traj, crossing, flag=str(exc), flag_code=exc.exit_code)
 
 
-def _check_spec_matches(orbit: PredictedOrbit, spec: PerturbationSpec):
-    if spec.family != orbit.family:
-        raise DomainError(
-            f"perturbation is stated for family {spec.family}, orbit is family {orbit.family}"
-        )
-    if spec.p != orbit.p:
-        raise DomainError(
-            f"perturbation resonance order p = {spec.p} does not match orbit p = {orbit.p}"
-        )
-
-
-def poincare_residual(
-    orbit: PredictedOrbit,
-    spec: PerturbationSpec,
-    reduced: ReducedParams,
-    spectral: SpectralData,
-    eps: float,
-) -> PoincareResult:
+def poincare_residual(orbit: PredictedOrbit, eps: float) -> PoincareResult:
     """Return-map gap of the reduced system over the resonant window.
 
     The run also integrates the variational equations, so the result
@@ -430,34 +380,16 @@ def poincare_residual(
     return a flagged result so that sweep aggregation can retain the
     failure.
     """
-    _check_spec_matches(orbit, spec)
-    transform = jordan_transform(reduced, spectral)
+    system = orbit.system
     try:
-        traj = integrate(
-            spec,
-            reduced,
-            spectral,
-            eps,
-            orbit.initial_state,
-            (0.0, orbit.period_tau),
-            rtol=VERIFY_RTOL,
-            atol=VERIFY_ATOL,
-            monodromy=True,
-        )
+        traj = integrate(system.spec, system.reduced, system.spectral, eps, orbit.initial_state,
+                         (0.0, orbit.period_tau), rtol=VERIFY_RTOL, atol=VERIFY_ATOL, monodromy=True)
     except PendavgError as exc:
         return _flagged_result(eps, exc)
-    gap = _difference(traj.final_state, traj.initial_state)
-    residual = math.hypot(*to_physical_frame(gap, eps, reduced.alpha))
-    return _package_result(eps, orbit.family, transform, traj, gap, residual)
+    return _package_result(eps, orbit, traj)
 
 
-def refine_periodic(
-    orbit: PredictedOrbit,
-    spec: PerturbationSpec,
-    reduced: ReducedParams,
-    spectral: SpectralData,
-    prediction: PoincareResult,
-) -> RefinementResult:
+def refine_periodic(orbit: PredictedOrbit, prediction: PoincareResult) -> RefinementResult:
     """Chord-Newton shooting from the prediction to a return-map fixed point.
 
     ``prediction`` is the `poincare_residual` run of ``orbit`` at the
@@ -473,7 +405,6 @@ def refine_periodic(
     singular shooting matrix, as at ε = 0 where the orbit family makes
     the return map non-isolated, raises a degenerate-refinement error.
     """
-    _check_spec_matches(orbit, spec)
     if prediction.flag is not None:
         raise DomainError(f"the prediction run is flagged: {prediction.flag}")
     eps = prediction.epsilon
@@ -482,27 +413,13 @@ def refine_periodic(
     residual = math.hypot(*gap)
     monodromy = prediction.trajectory.monodromy
     if monodromy is None:
-        return RefinementResult(
-            state=s,
-            residual=residual,
-            iterations=0,
-            converged=False,
-            monodromy=None,
-            reason=NO_MONODROMY,
-        )
+        return RefinementResult(state=s, residual=residual, iterations=0, converged=False,
+                                reason=NO_MONODROMY)
+    system = orbit.system
 
     def return_map(s: State) -> State:
-        traj = integrate(
-            spec,
-            reduced,
-            spectral,
-            eps,
-            s,
-            (0.0, orbit.period_tau),
-            rtol=VERIFY_RTOL,
-            atol=VERIFY_ATOL,
-        )
-        return traj.final_state
+        return integrate(system.spec, system.reduced, system.spectral, eps, s, (0.0, orbit.period_tau),
+                         rtol=VERIFY_RTOL, atol=VERIFY_ATOL).final_state
 
     jac = [[m - float(i == j) for j, m in enumerate(row)] for i, row in enumerate(monodromy)]
     if smallest_singular_value(jac) < DEGENERATE_SV_RTOL * max(1.0, _frobenius(jac)):
@@ -522,14 +439,8 @@ def refine_periodic(
             break
     else:
         reason = None if residual <= REFINE_TOL else BUDGET_EXHAUSTED
-    return RefinementResult(
-        state=s,
-        residual=residual,
-        iterations=iterations,
-        converged=reason is None,
-        monodromy=monodromy,
-        reason=reason,
-    )
+    return RefinementResult(state=s, residual=residual, iterations=iterations,
+                            converged=reason is None, reason=reason)
 
 
 def _difference(a, b) -> State:
@@ -551,13 +462,7 @@ def fit_exponent(epsilons: Sequence[float], residuals: Sequence[float]) -> float
     return sxy / sxx if sxx > 0.0 else math.nan
 
 
-def epsilon_sweep(
-    orbit: PredictedOrbit,
-    spec: PerturbationSpec,
-    reduced: ReducedParams,
-    spectral: SpectralData,
-    eps_list: Sequence[float],
-) -> SweepReport:
+def epsilon_sweep(orbit: PredictedOrbit, eps_list: Sequence[float]) -> SweepReport:
     """Residual scaling across a decreasing ε ladder.
 
     Requires at least four strictly decreasing, finite, positive values
@@ -581,7 +486,7 @@ def epsilon_sweep(
         if sample.flag is not None:
             return float("nan"), PREDICTION_FLAGGED
         try:
-            result = refine_periodic(orbit, spec, reduced, spectral, sample)
+            result = refine_periodic(orbit, sample)
         except RefinementDegenerateError:
             return float("nan"), DEGENERATE_SHOOTING
         except PendavgError:
@@ -590,76 +495,53 @@ def epsilon_sweep(
             return float("nan"), result.reason
         return math.hypot(*_difference(result.state, orbit.initial_state)), None
 
-    samples = [poincare_residual(orbit, spec, reduced, spectral, e) for e in eps_values]
+    samples = [poincare_residual(orbit, e) for e in eps_values]
     refined = [run_refine(sample) for sample in samples]
-
-    exponent = fit_exponent(eps_values, [s.residual for s in samples])
-    valid = all(s.events_ok and s.flag is None for s in samples)
     return SweepReport(
         samples=samples,
-        fitted_exponent=exponent,
         limit_gap=[gap for gap, _ in refined],
         limit_gap_reason=[reason for _, reason in refined],
-        valid=valid,
     )
 
 
-def full_nonlinear_check(
-    orbit: PredictedOrbit,
-    phys: PhysicalParams,
-    spec: PerturbationSpec,
-    eps: float,
-) -> PoincareResult:
-    """Return-map gap of the full nonlinear pendulum in the original frame.
+def full_nonlinear_check(orbit: PredictedOrbit, phys: PhysicalParams, eps: float) -> PoincareResult:
+    """Return-map gap of the full nonlinear pendulum, run in the reduced frame.
 
-    The pendulum accelerations carry the reduced-frame forcing pulled back
-    through φ = ε·θ and t = α·τ: (ε²/α²) times the forcing at τ = t/α and
-    at the reduced-frame state of the pendulum, which puts the
-    state-linear forms at order ε and the periodic scalars at order ε².
-    At ε = 0 the pendulum is unforced.  The residual is the
-    original-frame gap norm, directly comparable with
-    `poincare_residual`; the pulled-back reduced-frame gap and its family
-    projection are kept alongside.
+    The pendulum's state is φ = ε·θ with t = α·τ, so in the reduced
+    frame its accelerations read
+
+        y′ = (α²/ε)·acc₁(to_physical_frame(s, ε, α)) + ε·f_y(τ, s, σ),
+
+    and w′ the same with acc₂ and f_w: the order-ε forcing at the
+    reduced state, as the truncated system sees it, while the first term
+    tends to the truncated system's linear part as ε → 0.  The run
+    starts at ``orbit.initial_state``, spans ``orbit.period_tau``, ends
+    its segments at the spec's table knots and caps its steps as
+    `poincare_residual`'s run does, so the two checks differ only in the
+    field; the residual is likewise the original-frame gap norm.  A
+    ``phys`` that does not reduce to the orbit's constants, or an ε that
+    is not finite and positive (the reduced frame does not exist at
+    ε = 0), raises DomainError; a failed integration returns a flagged
+    result.
     """
-    _check_spec_matches(orbit, spec)
-    reduced = reduce_params(phys)
-    spectral = spectral_data(reduced)
-    transform = jordan_transform(reduced, spectral)
-    alpha = reduced.alpha
-    scale = eps * eps / (alpha * alpha)
-    s0 = to_physical_frame(orbit.initial_state, eps, alpha)
+    system = orbit.system
+    if reduce_params(phys) != system.reduced:
+        raise DomainError("the physical parameters do not reduce to the orbit's constants")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise DomainError(f"eps must be finite and positive, got {eps}")
+    spec, alpha = system.spec, system.reduced.alpha
+    scale = alpha * alpha / eps
 
-    def field(t: float, u: Sequence[float], signs: Tuple[float, float]) -> State:
-        phi1, dphi1, phi2, dphi2 = u
-        dd1, dd2 = nonlinear_accelerations(phys, phi1, dphi1, phi2, dphi2)
-        if eps != 0.0:
-            f_y, f_w = eval_order1_with_signs(
-                spec, t / alpha, to_reduced_frame(u, eps, alpha), signs[0], signs[1]
-            )
-            dd1 += scale * f_y
-            dd2 += scale * f_w
-        return (dphi1, dd1, dphi2, dd2)
+    def field(tau: float, s: Sequence[float], signs: Tuple[float, float]) -> State:
+        dd1, dd2 = nonlinear_accelerations(phys, *to_physical_frame(s, eps, alpha))
+        f_y, f_w = eval_order1_with_signs(spec, tau, s, signs[0], signs[1])
+        return (s[1], scale * dd1 + eps * f_y, s[3], scale * dd2 + eps * f_w)
 
-    field.knots = lambda t0, t1: tuple(alpha * k for k in spec.table_knots(t0 / alpha, t1 / alpha))
-    max_step = alpha * min(spectral.period1, spectral.period2) / 16.0
+    field.knots = spec.table_knots
+    max_step = min(system.spectral.period1, system.spectral.period2) / 16.0
     try:
-        traj = integrate_field(
-            field,
-            s0,
-            (0.0, orbit.period_t),
-            rtol=VERIFY_RTOL,
-            atol=VERIFY_ATOL,
-            max_step=max_step,
-        )
+        traj = integrate_field(field, orbit.initial_state, (0.0, orbit.period_tau), rtol=VERIFY_RTOL,
+                               atol=VERIFY_ATOL, max_step=max_step)
     except PendavgError as exc:
         return _flagged_result(eps, exc)
-
-    gap_phi = _difference(traj.final_state, traj.initial_state)
-    if eps == 0.0:
-        gap_reduced = gap_phi
-    else:
-        # The frame map is linear, so it applies to the gap directly.
-        gap_reduced = to_reduced_frame(gap_phi, eps, alpha)
-    return _package_result(
-        eps, orbit.family, transform, traj, gap_reduced, math.hypot(*gap_phi)
-    )
+    return _package_result(eps, orbit, traj)

@@ -25,7 +25,6 @@ from pendavg.filippov import (
 )
 from pendavg.model import (
     PhysicalParams,
-    jordan_transform,
     monodromy_lower_block,
     reduce_params,
     spectral_data,
@@ -65,7 +64,7 @@ def report(n: int, ok: bool, detail: str = "") -> None:
 def bench():
     reduced = reduce_params(BENCH)
     s = spectral_data(reduced)
-    return reduced, s, jordan_transform(reduced, s)
+    return reduced, s
 
 
 def test_accept_1_spectral_fidelity():
@@ -121,7 +120,7 @@ def test_accept_2_monodromy_identity():
 
 
 def test_accept_3_quadrature_vs_oracle(bench):
-    reduced, s, _ = bench
+    reduced, s = bench
     rng = np.random.default_rng(303)
     worst = 0.0
     for _ in range(50):
@@ -170,7 +169,7 @@ def test_accept_3_quadrature_vs_oracle(bench):
 
 
 def test_accept_4_smooth_benchmark_end_to_end(bench):
-    reduced, s, transform = bench
+    reduced, s = bench
     spec = builtin("damped_forced", {"gamma": GAMMA}, s, family=1, p=1)
     system = BifurcationSystem(1, spec, reduced, s, "A")
     zeros = annulus_search(system, 0.05, 2.0, 12)
@@ -178,9 +177,9 @@ def test_accept_4_smooth_benchmark_end_to_end(bench):
     zero_dev = (
         float(np.linalg.norm(np.array(zeros[0].point) - expect)) if zeros else np.inf
     )
-    orbit = predicted_initial_state(zeros[0], 1, transform, s, reduced)
-    sweep = epsilon_sweep(orbit, spec, reduced, s, (1e-2, 5e-3, 2.5e-3, 1.25e-3))
-    refined = refine_periodic(orbit, spec, reduced, s, sweep.samples[0])
+    orbit = predicted_initial_state(system, zeros[0])
+    sweep = epsilon_sweep(orbit, (1e-2, 5e-3, 2.5e-3, 1.25e-3))
+    refined = refine_periodic(orbit, sweep.samples[0])
     oracle = linear_periodic_state(reduced.a, reduced.b, 1e-2, GAMMA)
     refine_dev = float(np.linalg.norm(refined.state - oracle))
     ok = (
@@ -201,7 +200,7 @@ def test_accept_4_smooth_benchmark_end_to_end(bench):
 
 
 def test_accept_5_nonsmooth_benchmark_end_to_end(bench):
-    reduced, s, transform = bench
+    reduced, s = bench
     spec = builtin(
         "damped_forced_escapement", {"gamma": GAMMA, "kappa": KAPPA}, s, family=1, p=1
     )
@@ -217,8 +216,8 @@ def test_accept_5_nonsmooth_benchmark_end_to_end(bench):
     nearest = min(
         zeros, key=lambda z: float(np.linalg.norm(np.array(z.point) - anchor))
     )
-    orbit = predicted_initial_state(nearest, 1, transform, s, reduced)
-    sweep = epsilon_sweep(orbit, spec, reduced, s, (1e-2, 5e-3, 2.5e-3, 1.25e-3))
+    orbit = predicted_initial_state(system, nearest)
+    sweep = epsilon_sweep(orbit, (1e-2, 5e-3, 2.5e-3, 1.25e-3))
     events = sweep.events_summary()
     ok = (
         dist <= 10.0 * KAPPA**2
@@ -236,7 +235,7 @@ def test_accept_5_nonsmooth_benchmark_end_to_end(bench):
 
 
 def test_accept_6_constant_escapement_zero_circle(bench, tmp_path):
-    reduced, s, _ = bench
+    reduced, s = bench
     spec = builtin(
         "corollary_escapement", {"sigma_d": 1.0, "sigma_e": 1.0}, s, family=1, p=1
     )
@@ -284,7 +283,7 @@ def test_accept_6_constant_escapement_zero_circle(bench, tmp_path):
 
 
 def test_accept_7_filippov_semantics(bench):
-    reduced, s, transform = bench
+    reduced, s = bench
     spec = builtin(
         "damped_forced_escapement", {"gamma": GAMMA, "kappa": KAPPA}, s, family=1, p=1
     )
@@ -313,7 +312,7 @@ def test_accept_7_filippov_semantics(bench):
         stopped = True
 
     # family orbits away from the tangency set keep a positive margin
-    orbit = orbit_from_amplitude(np.array([0.8, 0.3]), 1, transform, s, reduced)
+    orbit = orbit_from_amplitude(BifurcationSystem(1, spec, reduced, s), np.array([0.8, 0.3]))
     run = integrate(spec, reduced, s, 1e-3, orbit.initial_state, (0.0, orbit.period_tau))
     crossing = crossing_hypothesis_check(run)
     ok = rates_exact and stopped and crossing.ok and crossing.margin > 0.0
@@ -327,7 +326,7 @@ def test_accept_7_filippov_semantics(bench):
 
 
 def test_accept_8_regularization_convergence(bench):
-    reduced, s, _ = bench
+    reduced, s = bench
     spec = builtin(
         "damped_forced_escapement", {"gamma": GAMMA, "kappa": KAPPA}, s, family=1, p=1
     )
@@ -355,15 +354,15 @@ def test_accept_8_regularization_convergence(bench):
 
 
 def test_accept_9_full_nonlinear_consistency(bench):
-    reduced, s, transform = bench
+    reduced, s = bench
     spec = builtin("damped_forced", {"gamma": GAMMA}, s, family=1, p=1)
     system = BifurcationSystem(1, spec, reduced, s, "A")
     zeros = annulus_search(system, 0.05, 2.0, 12)
-    orbit = predicted_initial_state(zeros[0], 1, transform, s, reduced)
+    orbit = predicted_initial_state(system, zeros[0])
     eps = 1e-3
-    truncated = poincare_residual(orbit, spec, reduced, s, eps)
-    full = full_nonlinear_check(orbit, BENCH, spec, eps)
-    half = full_nonlinear_check(orbit, BENCH, spec, eps / 2.0)
+    truncated = poincare_residual(orbit, eps)
+    full = full_nonlinear_check(orbit, BENCH, eps)
+    half = full_nonlinear_check(orbit, BENCH, eps / 2.0)
     factor = full.residual / truncated.residual
     halving = full.residual / half.residual
     ok = abs(factor - 1.0) <= 1e-3 and 3.5 <= halving <= 4.5
@@ -380,7 +379,7 @@ def test_accept_10_headline_verdicts(bench):
     # Which sgn convention's zeros survive verification, per builtin at
     # grid 12: the reproduction's headline table.  The README escapement
     # config must also validate on family 2 and at p = 2.
-    reduced, s, transform = bench
+    reduced, s = bench
     ladder = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
     escapement = {"gamma": GAMMA, "kappa": KAPPA}
 
@@ -389,8 +388,7 @@ def test_accept_10_headline_verdicts(bench):
         system = BifurcationSystem(family, spec, reduced, s, convention)
         for cert in annulus_search(system, 0.05, 2.0, grid):
             if cert.simple:
-                orbit = predicted_initial_state(cert, family, transform, s, reduced, p=p)
-                if epsilon_sweep(orbit, spec, reduced, s, ladder).validated:
+                if epsilon_sweep(predicted_initial_state(system, cert), ladder).validated:
                     return True
         return False
 

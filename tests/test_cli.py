@@ -27,8 +27,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from pendavg import cli
 from pendavg.errors import IntegrationStallError, PendavgError
 from pendavg.filippov import MAX_STEPS
-from pendavg.model import PhysicalParams, jordan_transform, reduce_params, spectral_data
-from pendavg.perturbation import BUILTIN_PARAMS, BUILTINS, parse_keyed
+from pendavg.averaging import BifurcationSystem
+from pendavg.model import PhysicalParams, reduce_params, spectral_data
+from pendavg.perturbation import BUILTIN_PARAMS, BUILTINS, builtin, parse_keyed
 from pendavg.verify import orbit_from_amplitude
 
 from .oracles import corollary_radius, resonant_b
@@ -522,8 +523,8 @@ def test_simulate_crossing_violation_exits_5(tmp_path):
 def test_simulate_stall_exits_6_with_partial_output(tmp_path):
     reduced = reduce_params(PhysicalParams(1.0, 1.0, 1.0, 1.0, 9.8))
     s = spectral_data(reduced)
-    transform = jordan_transform(reduced, s)
-    orbit = orbit_from_amplitude(np.array([0.8, 0.3]), 1, transform, s, reduced)
+    spec = builtin("damped_forced", {"gamma": GAMMA}, s, family=1, p=1)
+    orbit = orbit_from_amplitude(BifurcationSystem(1, spec, reduced, s), np.array([0.8, 0.3]))
     s0 = " ".join(format(v, ".17g") for v in orbit.initial_state)
     sections = bench_sections(tmp_path / "out")
     sections["integrate"] = {
@@ -919,6 +920,22 @@ def test_setup_probe_runs_on_every_workload(tmp_path, monkeypatch):
         proc = run_child(str(REPO / "perfbench" / "setup_probe.py"), str(ini))
         assert proc.returncode == 0, (name, proc.stderr)
         assert math.isfinite(float(proc.stdout)), (name, proc.stdout)
+
+
+def test_pair_bench_refuses_fewer_than_two_pairs(tmp_path):
+    # a tree whose CLI leaves a mark when run: the refusal comes before any run
+    marker = tmp_path / "spawned"
+    package = tmp_path / "src" / "pendavg"
+    package.mkdir(parents=True)
+    (package / "cli.py").write_text("", encoding="utf-8")
+    (package / "__main__.py").write_text(f"open({str(marker)!r}, 'w').close()\n", encoding="utf-8")
+    src = str(tmp_path / "src")
+    proc = run_child(str(REPO / "scripts" / "pair_bench.py"), src, src, "--pairs", "1")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: pair_bench.py")
+    assert "--pairs must be at least 2" in proc.stderr
+    assert "Traceback" not in proc.stderr + proc.stdout
+    assert not marker.exists()
 
 
 def test_derive_oracles_check_runs():

@@ -19,6 +19,7 @@ import pytest
 from scipy.optimize import brentq
 
 from pendavg import dop853, expflow
+from pendavg.averaging import BifurcationSystem
 from pendavg.errors import DomainError, IntegrationStallError, TangencyError
 from pendavg.filippov import (
     PeriodicArray,
@@ -33,7 +34,7 @@ from pendavg.filippov import (
     integrate_regularized,
     linearization_matrix,
 )
-from pendavg.model import PhysicalParams, jordan_transform, reduce_params, spectral_data
+from pendavg.model import PhysicalParams, reduce_params, spectral_data
 from pendavg.perturbation import LinearForm, PeriodicScalar, PerturbationSpec, builtin, smooth_sign
 from pendavg.verify import orbit_from_amplitude
 
@@ -188,8 +189,7 @@ def _drive_field(drive):
 def test_family_orbit_closes_at_eps_zero(bench):
     reduced, s = bench
     spec = damped_spec(s)
-    transform = jordan_transform(reduced, s)
-    orbit = orbit_from_amplitude(np.array([0.8, 0.3]), 1, transform, s, reduced)
+    orbit = orbit_from_amplitude(BifurcationSystem(1, spec, reduced, s), np.array([0.8, 0.3]))
     traj = integrate(spec, reduced, s, 0.0, orbit.initial_state, (0.0, orbit.period_tau))
     gap = np.asarray(traj.final_state) - orbit.initial_state
     assert float(np.linalg.norm(gap)) < 5e-9
@@ -378,8 +378,7 @@ def test_persistent_tangency_raises():
 def test_event_budget_stall_attaches_partial_trajectory(bench):
     reduced, s = bench
     spec = damped_spec(s)
-    transform = jordan_transform(reduced, s)
-    orbit = orbit_from_amplitude(np.array([0.8, 0.3]), 1, transform, s, reduced)
+    orbit = orbit_from_amplitude(BifurcationSystem(1, spec, reduced, s), np.array([0.8, 0.3]))
     with pytest.raises(IntegrationStallError) as err:
         integrate(spec, reduced, s, 0.0, orbit.initial_state, (0.0, orbit.period_tau), max_events=1)
     partial = err.value.trajectory

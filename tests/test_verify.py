@@ -18,7 +18,7 @@ import pendavg.filippov as filippov_module
 import pendavg.verify as verify_module
 from pendavg.averaging import BifurcationSystem, annulus_search
 from pendavg.errors import DomainError, RefinementDegenerateError
-from pendavg.filippov import integrate
+from pendavg.filippov import integrate, integrate_field
 from pendavg.model import PhysicalParams, jordan_transform, reduce_params, spectral_data
 from pendavg.perturbation import PeriodicScalar, builtin
 from pendavg.verify import (
@@ -32,7 +32,6 @@ from pendavg.verify import (
     smallest_singular_value,
     solve_linear,
     to_physical_frame,
-    to_reduced_frame,
 )
 
 from .oracles import (
@@ -60,23 +59,23 @@ def bench():
 
 @pytest.fixture(scope="module")
 def damped(bench):
-    reduced, s, transform = bench
+    reduced, s, _ = bench
     spec = builtin("damped_forced", {"gamma": GAMMA}, s, family=1, p=1)
-    sys = BifurcationSystem(1, spec, reduced, s, "A")
-    (cert,) = annulus_search(sys, 0.05, 2.0, 8)
-    orbit = predicted_initial_state(cert, 1, transform, s, reduced)
+    system = BifurcationSystem(1, spec, reduced, s, "A")
+    (cert,) = annulus_search(system, 0.05, 2.0, 8)
+    orbit = predicted_initial_state(system, cert)
     return spec, cert, orbit
 
 
 @pytest.fixture(scope="module")
 def escapement(bench):
-    reduced, s, transform = bench
+    reduced, s, _ = bench
     spec = builtin(
         "damped_forced_escapement", {"gamma": GAMMA, "kappa": KAPPA}, s, family=1, p=1
     )
-    sys = BifurcationSystem(1, spec, reduced, s, "A")
-    (cert,) = annulus_search(sys, 0.05, 2.0, 8)
-    orbit = predicted_initial_state(cert, 1, transform, s, reduced)
+    system = BifurcationSystem(1, spec, reduced, s, "A")
+    (cert,) = annulus_search(system, 0.05, 2.0, 8)
+    orbit = predicted_initial_state(system, cert)
     return spec, cert, orbit
 
 
@@ -84,13 +83,13 @@ def escapement(bench):
 def corollary(bench):
     """The corollary's wrong-convention (B) zero (r*, 0): no fixed point of
     the return map sits there, so its refinements fail."""
-    reduced, s, transform = bench
+    reduced, s, _ = bench
     spec = builtin(
         "corollary_escapement", {"sigma_d": 1.0, "sigma_e": 1.0}, s, family=1, p=1
     )
     sys_b = BifurcationSystem(1, spec, reduced, s, "B")
     cert = annulus_search(sys_b, 0.2, 3.0, 8)[-1]
-    orbit = predicted_initial_state(cert, 1, transform, s, reduced)
+    orbit = predicted_initial_state(sys_b, cert)
     return spec, cert, orbit
 
 
@@ -104,16 +103,16 @@ def corollary(bench):
 )
 @settings(max_examples=60, deadline=None)
 def test_frame_round_trip(s, eps, alpha):
-    state = np.array(s)
-    physical = to_physical_frame(state, eps, alpha)
-    back = to_reduced_frame(physical, eps, alpha)
-    assert np.allclose(back, state, rtol=1e-12, atol=1e-12)
+    # the inverse scaling: angles divide by eps, velocities also multiply by alpha
+    physical = np.asarray(to_physical_frame(s, eps, alpha))
+    back = physical / eps * np.array([1.0, alpha, 1.0, alpha])
+    assert np.allclose(back, s, rtol=1e-12, atol=1e-12)
 
 
-def test_reduced_frame_undefined_at_eps_zero():
+def test_reduced_frame_undefined_at_eps_zero(damped):
     assert np.array_equal(to_physical_frame((1.0, 2.0, 3.0, 4.0), 0.0, 0.5), np.zeros(4))
     with pytest.raises(DomainError):
-        to_reduced_frame((1.0, 2.0, 3.0, 4.0), 0.0, 0.5)
+        full_nonlinear_check(damped[2], BENCH, 0.0)
 
 
 # -- predicted orbits --------------------------------------------------------
@@ -122,44 +121,52 @@ def test_reduced_frame_undefined_at_eps_zero():
 def test_orbit_from_amplitude_structure(bench):
     reduced, s, transform = bench
     amp = np.array([0.8, 0.3])
-    orbit = orbit_from_amplitude(amp, 1, transform, s, reduced, p=2)
+    system = BifurcationSystem(1, builtin("damped_forced", {"gamma": GAMMA}, s, family=1, p=2), reduced, s)
+    orbit = orbit_from_amplitude(system, amp)
+    assert orbit.system is system
     assert np.array_equal(orbit.amplitude, amp)
     expected = transform.inverse @ np.array([0.8, 0.3, 0.0, 0.0])
     assert np.array_equal(orbit.initial_state, expected)
     assert orbit.period_tau == pytest.approx(2.0 * s.period(1), rel=1e-15)
-    assert orbit.period_t == pytest.approx(reduced.alpha * orbit.period_tau, rel=1e-15)
-    orbit2 = orbit_from_amplitude(amp, 2, transform, s, reduced)
+    system2 = BifurcationSystem(2, builtin("damped_forced", {"gamma": GAMMA}, s, family=2, p=1), reduced, s)
+    orbit2 = orbit_from_amplitude(system2, amp)
     expected2 = transform.inverse @ np.array([0.0, 0.0, 0.8, 0.3])
     assert np.array_equal(orbit2.initial_state, expected2)
 
 
-def test_orbit_from_amplitude_validation(bench):
-    reduced, s, transform = bench
+def test_orbit_from_amplitude_validation(bench, damped):
+    # a family outside {1, 2}, a p below 1 or a spec of the other family
+    # cannot build the system an orbit is predicted from
+    reduced, s, _ = bench
+    spec, _, orbit = damped
     with pytest.raises(DomainError):
-        orbit_from_amplitude((0.1, 0.2), 3, transform, s, reduced)
+        builtin("damped_forced", {"gamma": GAMMA}, s, family=3, p=1)
     with pytest.raises(DomainError):
-        orbit_from_amplitude((0.1, 0.2), 1, transform, s, reduced, p=0)
+        builtin("damped_forced", {"gamma": GAMMA}, s, family=1, p=0)
     with pytest.raises(DomainError):
-        orbit_from_amplitude((0.1, 0.2, 0.3), 1, transform, s, reduced)
+        BifurcationSystem(3, spec, reduced, s)
+    with pytest.raises(DomainError):
+        BifurcationSystem(2, spec, reduced, s)
+    with pytest.raises(DomainError):
+        orbit_from_amplitude(orbit.system, (0.1, 0.2, 0.3))
 
 
-def test_predicted_initial_state_requires_simple_zero(bench, damped):
-    reduced, s, transform = bench
+def test_predicted_initial_state_requires_simple_zero(damped):
     _, cert, orbit = damped
     assert tuple(orbit.amplitude) == cert.point
     blunt = dataclasses.replace(cert, simple=False)
     with pytest.raises(DomainError):
-        predicted_initial_state(blunt, 1, transform, s, reduced)
+        predicted_initial_state(orbit.system, blunt)
 
 
 # -- the Poincare residual ----------------------------------------------------
 
 
 def test_poincare_residual_internal_relations(bench, damped):
-    reduced, s, transform = bench
-    spec, _, orbit = damped
+    reduced, _, transform = bench
+    _, _, orbit = damped
     eps = 1e-3
-    res = poincare_residual(orbit, spec, reduced, s, eps)
+    res = poincare_residual(orbit, eps)
     assert res.flag is None and res.flag_code == 0
     # pendulum-frame gap: angles scale by eps, velocities by eps/alpha
     alpha = reduced.alpha
@@ -176,12 +183,11 @@ def test_poincare_residual_internal_relations(bench, damped):
     assert res.residual_family < 1e-10
 
 
-def test_poincare_run_evaluates_the_general_forcing_at_contacts_only(bench, escapement, monkeypatch):
+def test_poincare_run_evaluates_the_general_forcing_at_contacts_only(escapement, monkeypatch):
     # segments run on their frozen-sign compile [M_σ | c_σ]; only contacts
     # evaluate the forcing for general signs: one call for the rate and two
     # for the saltation matrix of each single crossing
-    reduced, s, _ = bench
-    spec, _, orbit = escapement
+    _, _, orbit = escapement
     general = filippov_module.eval_order1_with_signs
     calls = []
 
@@ -190,23 +196,22 @@ def test_poincare_run_evaluates_the_general_forcing_at_contacts_only(bench, esca
         return general(*args)
 
     monkeypatch.setattr(filippov_module, "eval_order1_with_signs", counted)
-    res = poincare_residual(orbit, spec, reduced, s, 1e-2)
+    res = poincare_residual(orbit, 1e-2)
     assert res.flag is None and res.trajectory.monodromy is not None
     events = res.trajectory.events
     assert events and all(ev.kind == "crossing" and not ev.corner for ev in events)
     assert len(calls) == 3 * len(events)
 
 
-def test_poincare_residual_flags_integration_failure(bench, damped, monkeypatch):
-    reduced, s, _ = bench
-    spec, _, orbit = damped
+def test_poincare_residual_flags_integration_failure(damped, monkeypatch):
+    _, _, orbit = damped
 
     def stalling(*args, **kwargs):
         # a one-event budget stalls the integration and attaches its partial trajectory
         return integrate(*args, **dict(kwargs, max_events=1))
 
     monkeypatch.setattr(verify_module, "integrate", stalling)
-    res = poincare_residual(orbit, spec, reduced, s, 1e-3)
+    res = poincare_residual(orbit, 1e-3)
     assert res.flag is not None
     assert res.flag_code == 6
     assert math.isnan(res.residual)
@@ -214,40 +219,28 @@ def test_poincare_residual_flags_integration_failure(bench, damped, monkeypatch)
     assert res.crossing is not None
 
 
-def test_spec_orbit_family_mismatch(bench, damped):
-    reduced, s, transform = bench
-    spec, _, orbit = damped
-    other = orbit_from_amplitude((0.1, 0.2), 2, transform, s, reduced)
-    with pytest.raises(DomainError):
-        poincare_residual(other, spec, reduced, s, 1e-3)
-    bumped = orbit_from_amplitude((0.1, 0.2), 1, transform, s, reduced, p=2)
-    prediction = poincare_residual(orbit, spec, reduced, s, 1e-3)
-    with pytest.raises(DomainError):
-        refine_periodic(bumped, spec, reduced, s, prediction)
-
-
 # -- refinement ---------------------------------------------------------------
 
 
 def test_refine_matches_exponential_oracle(bench, damped):
-    reduced, s, _ = bench
-    spec, _, orbit = damped
+    reduced, _, _ = bench
+    _, _, orbit = damped
     eps = 1e-2
-    prediction = poincare_residual(orbit, spec, reduced, s, eps)
-    result = refine_periodic(orbit, spec, reduced, s, prediction)
+    prediction = poincare_residual(orbit, eps)
+    result = refine_periodic(orbit, prediction)
     assert result.converged and result.reason is None
     assert result.residual <= 1e-11
     ref = linear_periodic_state(reduced.a, reduced.b, eps, GAMMA)
     assert np.allclose(result.state, ref, rtol=1e-8, atol=1e-8)
-    # the refined monodromy stays close to the unperturbed one
-    assert np.asarray(result.monodromy).shape == (4, 4)
+    # the chord matrix came from the prediction run's monodromy
+    assert np.asarray(prediction.trajectory.monodromy).shape == (4, 4)
 
 
 def test_refine_stops_at_first_non_contracting_step(bench, monkeypatch):
     """A wrong-convention prediction is no fixed point: the first chord step
     grows the gap, so refinement stops after that one step; the
     prediction's image and monodromy come from its Poincaré run."""
-    reduced, s, transform = bench
+    reduced, s, _ = bench
     spec = builtin(
         "corollary_escapement", {"sigma_d": 1.0, "sigma_e": 1.0}, s, family=1, p=1
     )
@@ -256,8 +249,8 @@ def test_refine_stops_at_first_non_contracting_step(bench, monkeypatch):
     cert = annulus_search(sys_b, 0.2, 3.0, 8)[-1]
     assert cert.simple
     assert np.allclose(cert.point, [rstar, 0.0], atol=1e-8)
-    orbit = predicted_initial_state(cert, 1, transform, s, reduced)
-    prediction = poincare_residual(orbit, spec, reduced, s, 1e-2)
+    orbit = predicted_initial_state(sys_b, cert)
+    prediction = poincare_residual(orbit, 1e-2)
     calls = []
 
     def counted(*args, **kwargs):
@@ -265,7 +258,7 @@ def test_refine_stops_at_first_non_contracting_step(bench, monkeypatch):
         return integrate(*args, **kwargs)
 
     monkeypatch.setattr(verify_module, "integrate", counted)
-    result = refine_periodic(orbit, spec, reduced, s, prediction)
+    result = refine_periodic(orbit, prediction)
     assert not result.converged
     assert result.reason == "not contracting"
     assert result.iterations == 1
@@ -276,46 +269,42 @@ def test_refine_stops_at_first_non_contracting_step(bench, monkeypatch):
 def table_escapement(bench, escapement):
     """The escapement with K₁ a 256-sample table of 0.5·cos(ω₁τ), and the
     orbit predicted at its convention-A zero."""
-    reduced, s, transform = bench
+    reduced, s, _ = bench
     builtin_spec = escapement[0]
     taus = np.arange(256) * (s.period1 / 256)
     table = PeriodicScalar.from_table(taus, GAMMA * np.cos(s.omega1 * taus))
     spec = dataclasses.replace(builtin_spec, K=(table, *builtin_spec.K[1:]))
-    (cert,) = annulus_search(BifurcationSystem(1, spec, reduced, s, "A"), 0.05, 2.0, 8)
-    return spec, predicted_initial_state(cert, 1, transform, s, reduced)
+    system = BifurcationSystem(1, spec, reduced, s, "A")
+    (cert,) = annulus_search(system, 0.05, 2.0, 8)
+    return spec, predicted_initial_state(system, cert)
 
 
-def test_refine_converges_on_a_table_perturbation(bench, escapement, table_escapement):
+def test_refine_converges_on_a_table_perturbation(escapement, table_escapement):
     """Segments end at the table knots, so no solver step spans an
     interpolation kink, and shooting converges to the builtin's limit gap."""
-    reduced, s, _ = bench
-    builtin_spec, _, builtin_orbit = escapement
-    spec, orbit = table_escapement
-    prediction = poincare_residual(orbit, spec, reduced, s, 1e-2)
-    result = refine_periodic(orbit, spec, reduced, s, prediction)
+    _, _, builtin_orbit = escapement
+    _, orbit = table_escapement
+    prediction = poincare_residual(orbit, 1e-2)
+    result = refine_periodic(orbit, prediction)
     assert result.reason is None and result.converged
     assert len(prediction.trajectory.segments) > 255
     limit_gap = np.linalg.norm(np.asarray(result.state) - orbit.initial_state)
-    reference = refine_periodic(
-        builtin_orbit, builtin_spec, reduced, s, poincare_residual(builtin_orbit, builtin_spec, reduced, s, 1e-2)
-    )
+    reference = refine_periodic(builtin_orbit, poincare_residual(builtin_orbit, 1e-2))
     assert limit_gap == pytest.approx(
         np.linalg.norm(np.asarray(reference.state) - builtin_orbit.initial_state), rel=1e-3)
 
 
-def test_refine_degenerate_at_eps_zero(bench, damped):
-    reduced, s, _ = bench
-    spec, _, orbit = damped
-    prediction = poincare_residual(orbit, spec, reduced, s, 0.0)
+def test_refine_degenerate_at_eps_zero(damped):
+    _, _, orbit = damped
+    prediction = poincare_residual(orbit, 0.0)
     with pytest.raises(RefinementDegenerateError):
-        refine_periodic(orbit, spec, reduced, s, prediction)
+        refine_periodic(orbit, prediction)
 
 
-def test_sweep_rung_with_a_singular_chord_matrix_is_degenerate(bench, damped, monkeypatch):
+def test_sweep_rung_with_a_singular_chord_matrix_is_degenerate(damped, monkeypatch):
     """A monodromy whose first column is e₁ makes the chord matrix
     M − I exactly singular but not zero: every rung stops before a step."""
-    reduced, s, _ = bench
-    spec, _, orbit = damped
+    _, _, orbit = damped
 
     def singular_chord(*args):
         result = poincare_residual(*args)
@@ -323,7 +312,7 @@ def test_sweep_rung_with_a_singular_chord_matrix_is_degenerate(bench, damped, mo
         return dataclasses.replace(result, trajectory=dataclasses.replace(result.trajectory, monodromy=monodromy))
 
     monkeypatch.setattr(verify_module, "poincare_residual", singular_chord)
-    report = epsilon_sweep(orbit, spec, reduced, s, LADDER)
+    report = epsilon_sweep(orbit, LADDER)
     assert all(sample.flag is None for sample in report.samples)
     assert all(math.isnan(g) for g in report.limit_gap)
     assert report.limit_gap_reason == ["degenerate shooting matrix"] * len(LADDER)
@@ -355,21 +344,6 @@ def test_shooting_linear_algebra_matches_numpy():
     assert kinds == {"random", "near-singular", "singular"}
 
 
-@pytest.mark.parametrize("case", ["damped", "escapement"])
-@pytest.mark.parametrize("eps", [1e-2, 1e-3])
-def test_refine_monodromy_meets_liouville(bench, case, eps, request):
-    """det M = exp(ε·∫tr D dτ) = exp(−2ε·pT) for both builtins; the
-    escapement's crossings have unit saltation determinant because
-    x' = y does not depend on the sign."""
-    reduced, s, _ = bench
-    spec, _, orbit = request.getfixturevalue(case)
-    prediction = poincare_residual(orbit, spec, reduced, s, eps)
-    monodromy = refine_periodic(orbit, spec, reduced, s, prediction).monodromy
-    sign, logdet = np.linalg.slogdet(monodromy)
-    assert sign == 1.0
-    assert abs(logdet + 2.0 * eps * orbit.period_tau) <= 1e-6
-
-
 @pytest.mark.parametrize("case", ["escapement", "corollary", "damped"])
 @pytest.mark.parametrize("eps", [1e-2, 1e-3])
 def test_variational_monodromy_matches_finite_differences(bench, case, eps, request):
@@ -378,7 +352,7 @@ def test_variational_monodromy_matches_finite_differences(bench, case, eps, requ
     step 2h and against central differences."""
     reduced, s, _ = bench
     spec, _, orbit = request.getfixturevalue(case)
-    monodromy = poincare_residual(orbit, spec, reduced, s, eps).trajectory.monodromy
+    monodromy = poincare_residual(orbit, eps).trajectory.monodromy
     forward = finite_difference_monodromy(spec, reduced, s, eps, orbit)
     doubled = finite_difference_monodromy(spec, reduced, s, eps, orbit, scale=2.0)
     central = finite_difference_monodromy(spec, reduced, s, eps, orbit, central=True)
@@ -388,15 +362,14 @@ def test_variational_monodromy_matches_finite_differences(bench, case, eps, requ
 
 @pytest.mark.parametrize("case", ["escapement", "corollary", "damped"])
 @pytest.mark.parametrize("eps", [1e-2, 1e-3])
-def test_variational_monodromy_meets_liouville(bench, case, eps, request):
+def test_variational_monodromy_meets_liouville(case, eps, request):
     """log det M = ε·pT·tr D with tr D the y coefficient of F₁ plus the w
     coefficient of F₃ (−2 with damping, 2σ_d on the corollary); every
     saltation determinant is 1 since x' = y and z' = w ignore the signs.
     The finite-difference oracle misses it by up to 2.8e-8 on the
     escapement and damped runs."""
-    reduced, s, _ = bench
     spec, _, orbit = request.getfixturevalue(case)
-    monodromy = poincare_residual(orbit, spec, reduced, s, eps).trajectory.monodromy
+    monodromy = poincare_residual(orbit, eps).trajectory.monodromy
     trace = spec.F[0].d2.value + spec.F[2].d4.value
     sign, logdet = np.linalg.slogdet(monodromy)
     assert sign == 1.0
@@ -415,13 +388,14 @@ def test_poincare_run_matches_the_exact_flow_map(bench, name, params, convention
     none, a fixed amplitude) against the matrix-exponential return map:
     final state and event times within 1e-10, the same contacts, and the
     monodromy within 1e-8."""
-    reduced, s, transform = bench
+    reduced, s, _ = bench
     eps = 1e-2
     spec = builtin(name, params, s, family=family, p=1)
-    certs = annulus_search(BifurcationSystem(family, spec, reduced, s, convention), 0.05, 2.0, 8)
-    orbit = (predicted_initial_state(certs[0], family, transform, s, reduced) if certs
-             else orbit_from_amplitude((0.6, 0.8), family, transform, s, reduced))
-    run = poincare_residual(orbit, spec, reduced, s, eps)
+    system = BifurcationSystem(family, spec, reduced, s, convention)
+    certs = annulus_search(system, 0.05, 2.0, 8)
+    orbit = (predicted_initial_state(system, certs[0]) if certs
+             else orbit_from_amplitude(system, (0.6, 0.8)))
+    run = poincare_residual(orbit, eps)
     state, events, monodromy = exact_poincare_map(spec, reduced, eps, orbit.initial_state, orbit.period_tau)
     traj = run.trajectory
     assert [(ev.surface, ev.kind) for ev in traj.events] == [(k, kind) for _, k, kind in events]
@@ -430,37 +404,34 @@ def test_poincare_run_matches_the_exact_flow_map(bench, name, params, convention
     assert np.abs(traj.monodromy - monodromy).max() <= 1e-8
 
 
-def test_tangent_prediction_run_carries_no_monodromy(bench, damped):
+def test_tangent_prediction_run_carries_no_monodromy(damped):
     """A start on x = 0 with y = 0 is a tangent contact: the run goes on, but
     without a monodromy, and refinement stops before any step."""
-    reduced, s, _ = bench
-    spec, _, orbit = damped
+    _, _, orbit = damped
     tangent = dataclasses.replace(orbit, initial_state=np.array([0.0, 0.0, 1.0, 0.3]))
-    prediction = poincare_residual(tangent, spec, reduced, s, 1e-3)
+    prediction = poincare_residual(tangent, 1e-3)
     assert prediction.flag is None and not prediction.events_ok
     assert prediction.trajectory.monodromy is None
     assert prediction.trajectory.monodromy_reason == "tangent contact with surface 1 at t = 0"
-    result = refine_periodic(tangent, spec, reduced, s, prediction)
+    result = refine_periodic(tangent, prediction)
     assert not result.converged and result.iterations == 0
     assert result.reason == verify_module.NO_MONODROMY
-    assert result.monodromy is None
     assert result.residual == prediction.residual_full
 
 
 # -- sweeps -------------------------------------------------------------------
 
 
-def test_epsilon_sweep_ladder_validation(bench, damped):
-    reduced, s, _ = bench
-    spec, _, orbit = damped
+def test_epsilon_sweep_ladder_validation(damped):
+    _, _, orbit = damped
     with pytest.raises(DomainError):
-        epsilon_sweep(orbit, spec, reduced, s, [1e-2, 5e-3, 2e-3])
+        epsilon_sweep(orbit, [1e-2, 5e-3, 2e-3])
     with pytest.raises(DomainError):
-        epsilon_sweep(orbit, spec, reduced, s, [1e-2, 2e-3, 5e-3, 1e-3])
+        epsilon_sweep(orbit, [1e-2, 2e-3, 5e-3, 1e-3])
     with pytest.raises(DomainError):
-        epsilon_sweep(orbit, spec, reduced, s, [1e-2, 5e-3, 2e-3, -1e-3])
+        epsilon_sweep(orbit, [1e-2, 5e-3, 2e-3, -1e-3])
     with pytest.raises(DomainError):
-        epsilon_sweep(orbit, spec, reduced, s, [1e-2, 8e-3, 5e-3, 2e-3])
+        epsilon_sweep(orbit, [1e-2, 8e-3, 5e-3, 2e-3])
 
 
 @pytest.mark.parametrize(
@@ -472,23 +443,21 @@ def test_epsilon_sweep_ladder_validation(bench, damped):
         (1e-2, 5e-3, 2.5e-3, math.nan),
     ],
 )
-def test_epsilon_sweep_rejects_non_finite_eps(bench, damped, ladder, monkeypatch):
+def test_epsilon_sweep_rejects_non_finite_eps(damped, ladder, monkeypatch):
     # NaN slips past both `e <= 0` and `b >= a`, and a NaN rung integrates for minutes.
-    reduced, s, _ = bench
-    spec, _, orbit = damped
+    _, _, orbit = damped
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a rejected ladder must not integrate")
 
     monkeypatch.setattr(verify_module, "integrate", forbidden)
     with pytest.raises(DomainError, match="finite and positive"):
-        epsilon_sweep(orbit, spec, reduced, s, ladder)
+        epsilon_sweep(orbit, ladder)
 
 
-def test_epsilon_sweep_validates_prediction(bench, damped):
-    reduced, s, _ = bench
-    spec, _, orbit = damped
-    report = epsilon_sweep(orbit, spec, reduced, s, LADDER)
+def test_epsilon_sweep_validates_prediction(damped):
+    _, _, orbit = damped
+    report = epsilon_sweep(orbit, LADDER)
     assert report.valid
     assert 1.8 <= report.fitted_exponent <= 2.2
     # exactly solvable: in-family residuals at noise, hence consistent
@@ -503,11 +472,10 @@ def test_epsilon_sweep_validates_prediction(bench, damped):
     assert payload["events_summary"]["all_crossings"] is True
 
 
-def test_epsilon_sweep_reuses_the_prediction_run(bench, escapement, monkeypatch):
+def test_epsilon_sweep_reuses_the_prediction_run(escapement, monkeypatch):
     """Each rung integrates the prediction once (its Poincaré run, which
     carries the monodromy), then refinement adds one run per chord step."""
-    reduced, s, _ = bench
-    spec, _, orbit = escapement
+    _, _, orbit = escapement
     calls = []
     iterations = []
 
@@ -522,7 +490,7 @@ def test_epsilon_sweep_reuses_the_prediction_run(bench, escapement, monkeypatch)
 
     monkeypatch.setattr(verify_module, "integrate", counted)
     monkeypatch.setattr(verify_module, "refine_periodic", refine)
-    report = epsilon_sweep(orbit, spec, reduced, s, LADDER)
+    report = epsilon_sweep(orbit, LADDER)
     assert report.limit_gap_reason == [None] * len(LADDER)
     assert len(iterations) == len(LADDER)
     prediction = tuple(orbit.initial_state)
@@ -533,34 +501,50 @@ def test_epsilon_sweep_reuses_the_prediction_run(bench, escapement, monkeypatch)
     assert len(calls) == sum(1 + steps for steps in iterations)
 
 
-def test_epsilon_sweep_skips_refinement_of_flagged_rungs(bench, damped, monkeypatch):
-    reduced, s, _ = bench
-    spec, _, orbit = damped
+def test_epsilon_sweep_skips_refinement_of_flagged_rungs(damped, monkeypatch):
+    _, _, orbit = damped
 
     def stalling(*args, **kwargs):
         return integrate(*args, **dict(kwargs, max_events=1))
 
     monkeypatch.setattr(verify_module, "integrate", stalling)
-    report = epsilon_sweep(orbit, spec, reduced, s, LADDER)
+    report = epsilon_sweep(orbit, LADDER)
     assert all(sample.flag is not None for sample in report.samples)
     assert all(math.isnan(g) for g in report.limit_gap)
     assert report.limit_gap_reason == ["prediction run flagged"] * len(LADDER)
     with pytest.raises(DomainError):
-        refine_periodic(orbit, spec, reduced, s, report.samples[0])
+        refine_periodic(orbit, report.samples[0])
 
 
-def test_sweep_rung_without_monodromy_gives_its_reason(bench, damped, monkeypatch):
+def test_sweep_rung_whose_chord_step_fails_gives_its_reason(damped, monkeypatch):
+    """A chord-step run that stalls ends its rung's refinement; the
+    prediction runs, which carry the monodromy, complete."""
+    _, _, orbit = damped
+
+    def stalling_chord_steps(*args, **kwargs):
+        if kwargs.get("monodromy"):
+            return integrate(*args, **kwargs)
+        return integrate(*args, **dict(kwargs, max_events=1))
+
+    monkeypatch.setattr(verify_module, "integrate", stalling_chord_steps)
+    report = epsilon_sweep(orbit, LADDER)
+    assert all(sample.flag is None for sample in report.samples)
+    assert all(math.isfinite(r) for r in report.residuals)
+    assert all(math.isnan(g) for g in report.limit_gap)
+    assert report.limit_gap_reason == ["integration failed"] * len(LADDER)
+
+
+def test_sweep_rung_without_monodromy_gives_its_reason(damped, monkeypatch):
     """A Poincaré run that meets a tangency carries no monodromy, so its
     rung is not refined and its limit gap is null for a documented reason."""
-    reduced, s, _ = bench
-    spec, _, orbit = damped
+    _, _, orbit = damped
 
     def tangent_run(spec, reduced, spectral, eps, s0, t_span, **kwargs):
         # start on x = 0 with y = 0, a tangent contact, instead of the prediction
         return integrate(spec, reduced, spectral, eps, (0.0, 0.0, 1.0, 0.3), t_span, **kwargs)
 
     monkeypatch.setattr(verify_module, "integrate", tangent_run)
-    report = epsilon_sweep(orbit, spec, reduced, s, LADDER)
+    report = epsilon_sweep(orbit, LADDER)
     for sample in report.samples:
         assert sample.flag is None and not sample.events_ok
         assert sample.trajectory.monodromy is None
@@ -570,18 +554,17 @@ def test_sweep_rung_without_monodromy_gives_its_reason(bench, damped, monkeypatc
 
 
 def test_family_residual_separates_sgn_conventions(bench):
-    reduced, s, transform = bench
+    reduced, s, _ = bench
     spec = builtin(
         "damped_forced_escapement", {"gamma": GAMMA, "kappa": KAPPA}, s, family=1, p=1
     )
     ladder = (2e-2, 1e-2, 5e-3, 2.5e-3, 1.25e-3)
     reports = {}
     for convention in ("A", "B"):
-        sys = BifurcationSystem(1, spec, reduced, s, convention)
-        zeros = annulus_search(sys, 0.02, 1.5, 12)
+        system = BifurcationSystem(1, spec, reduced, s, convention)
+        zeros = annulus_search(system, 0.02, 1.5, 12)
         assert zeros, convention
-        orbit = predicted_initial_state(zeros[0], 1, transform, s, reduced)
-        reports[convention] = epsilon_sweep(orbit, spec, reduced, s, ladder)
+        reports[convention] = epsilon_sweep(predicted_initial_state(system, zeros[0]), ladder)
     # both predictions pass the coarse orbit-scale test ...
     assert 1.8 <= reports["A"].fitted_exponent <= 2.2
     assert 1.8 <= reports["B"].fitted_exponent <= 2.2
@@ -626,8 +609,8 @@ def test_fit_exponent_recovers_power_law():
 
 
 def test_full_nonlinear_check_returns_finite_gap(damped):
-    spec, _, orbit = damped
-    res = full_nonlinear_check(orbit, BENCH, spec, 1e-3)
+    _, _, orbit = damped
+    res = full_nonlinear_check(orbit, BENCH, 1e-3)
     assert res.flag is None
     assert math.isfinite(res.residual)
     assert res.events_ok
@@ -635,15 +618,42 @@ def test_full_nonlinear_check_returns_finite_gap(damped):
     assert res.residual < 1e-4
 
 
-def test_full_nonlinear_check_ends_segments_at_table_knots(bench, table_escapement):
-    # the pendulum runs in physical time t = α·τ, so its segments end at
-    # the table knots scaled by α and no step spans an interpolation kink
-    reduced, _, _ = bench
+@pytest.mark.parametrize("phys, eps", [
+    (PhysicalParams(1.0, 1.0, 1.0, 1.0, 9.81), 1e-3),
+    (BENCH, 0.0),
+    (BENCH, -1e-3),
+    (BENCH, math.nan),
+])
+def test_full_nonlinear_check_guards(damped, phys, eps, monkeypatch):
+    # a pendulum of other constants, or an eps with no reduced frame, is
+    # refused before any integration
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a refused check must not integrate")
+
+    monkeypatch.setattr(verify_module, "integrate_field", forbidden)
+    with pytest.raises(DomainError):
+        full_nonlinear_check(damped[2], phys, eps)
+
+
+def test_full_nonlinear_check_flags_integration_failure(damped, monkeypatch):
+    def stalling(*args, **kwargs):
+        return integrate_field(*args, **dict(kwargs, max_events=1))
+
+    monkeypatch.setattr(verify_module, "integrate_field", stalling)
+    res = full_nonlinear_check(damped[2], BENCH, 1e-3)
+    assert res.flag is not None and res.flag_code == 6
+    assert math.isnan(res.residual)
+    assert not res.events_ok
+    assert res.trajectory is not None and res.crossing is not None
+
+
+def test_full_nonlinear_check_ends_segments_at_table_knots(table_escapement):
+    # the pendulum runs in the reduced frame's time τ, so its segments end
+    # at the table knots and no step spans an interpolation kink
     spec, orbit = table_escapement
-    res = full_nonlinear_check(orbit, BENCH, spec, 1e-2)
+    res = full_nonlinear_check(orbit, BENCH, 1e-2)
     assert res.flag is None
-    alpha = reduced.alpha
-    knots = [alpha * k for k in spec.table_knots(0.0, orbit.period_t / alpha)]
-    assert len(knots) >= 255 and 0.0 < knots[0] and knots[-1] < orbit.period_t
+    knots = spec.table_knots(0.0, orbit.period_tau)
+    assert len(knots) >= 255 and 0.0 < knots[0] and knots[-1] < orbit.period_tau
     ends = {float(seg.ts[-1]) for seg in res.trajectory.segments}
     assert all(knot in ends for knot in knots)
