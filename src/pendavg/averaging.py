@@ -51,10 +51,9 @@ h′ is the zero's Brouwer index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from sys import float_info
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, NumericalError
 from .model import JordanTransform, ReducedParams, SpectralData, jordan_transform
@@ -68,26 +67,18 @@ BRENT_RTOL = 4.0 * float_info.epsilon
 BRENT_MAXITER = 100
 
 
-@dataclass(frozen=True, eq=False)
 class BifurcationSystem:
     """Evaluable averaged pair for one perturbation and orbit family."""
 
-    family: int
-    spec: PerturbationSpec
-    reduced: ReducedParams
-    spectral: SpectralData
-    sgn_convention: str = "A"
-
-    def __post_init__(self):
-        if self.family not in (1, 2):
-            raise DomainError(f"family must be 1 or 2, got {self.family!r}")
-        if self.spec.family != self.family:
-            raise DomainError(
-                f"perturbation is attached to family {self.spec.family}, system wants {self.family}"
-            )
-        if self.sgn_convention not in ("A", "B"):
-            raise DomainError(f"sgn_convention must be 'A' or 'B', got {self.sgn_convention!r}")
-        self.spec.validate_against(self.spectral)
+    def __init__(self, family: int, spec: PerturbationSpec, reduced: ReducedParams, spectral: SpectralData,
+                 sgn_convention: str = "A"):
+        if spec.family != family:
+            raise DomainError(f"perturbation is attached to family {spec.family}, system wants {family}")
+        if sgn_convention not in ("A", "B"):
+            raise DomainError(f"sgn_convention must be 'A' or 'B', got {sgn_convention!r}")
+        spec.validate_against(spectral)
+        self.family, self.spec, self.reduced, self.spectral = family, spec, reduced, spectral
+        self.sgn_convention = sgn_convention
 
     @property
     def omega(self) -> float:
@@ -145,8 +136,7 @@ class BifurcationSystem:
         return tuple((*key, *coefficients) for key, coefficients in modes.items())
 
 
-@dataclass(frozen=True, eq=False)
-class ZeroCertificate:
+class ZeroCertificate(NamedTuple):
     """A located zero with its Jacobian determinant and Brouwer index."""
 
     point: Tuple[float, float]

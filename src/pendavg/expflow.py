@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .averaging import _brent
 
@@ -46,8 +45,7 @@ MAX_STEPS = 100_000
 Matrix = Tuple[Tuple[float, ...], ...]
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """Outcome of a segment solver (:func:`solve`, :func:`pendavg.dop853.solve`).
 
     ``status`` is 0 when the end of the span was reached, 1 when an event

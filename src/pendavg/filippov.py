@@ -55,9 +55,8 @@ the run goes on, and the trajectory says why it carries no monodromy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import expflow
 from .errors import DEFAULT_MAX_EVENTS, DomainError, IntegrationStallError, TangencyError
@@ -80,8 +79,7 @@ DEFAULT_ATOL = 1e-12
 _RESTART_STEPS = (1e-12, 1e-10, 1e-8, 1e-6)
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     """One surface contact: ``kind`` is ``"crossing"`` or ``"tangent"``,
     and ``rate`` is the level's rate there (x′ on surface 1, z′ on 2)."""
 
@@ -93,8 +91,7 @@ class EventRecord:
     corner: bool = False
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """A smooth piece of a trajectory.
 
     ``states[i]`` is the state (x, y, z, w) at ``ts[i]``: the solver's
@@ -109,8 +106,7 @@ class Segment:
     signs: Tuple[float, float]
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """Piecewise-smooth trajectory with its event log.
 
     ``monodromy`` is ∂(final state)/∂(initial state) when the run was
@@ -132,8 +128,7 @@ class Trajectory:
         return tuple(self.segments[-1].states[-1])
 
 
-@dataclass(frozen=True)
-class CrossingReport:
+class CrossingReport(NamedTuple):
     """Outcome of checking that every event is a transversal crossing."""
 
     ok: bool
@@ -142,8 +137,7 @@ class CrossingReport:
     offenders: Tuple[int, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class PeriodicArray:
+class PeriodicArray(NamedTuple):
     """A matrix of sums of periodic scalars: ``constant``, a tuple of rows,
     plus, for each of ``terms`` ((i, j), factor, scalar), factor·scalar(τ)
     at row i, column j."""

@@ -22,50 +22,35 @@ with eigenvalues ±iω₁, ±iω₂ where ω₁,₂² = (a + b ∓ √Δ)/2 and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import DomainError, NumericalError, ResonanceError
 
 RESONANCE_TOL = 1e-8
 
 
-@dataclass(frozen=True)
 class PhysicalParams:
     """Masses, arm lengths and gravity of the physical pendulum."""
 
-    m1: float
-    m2: float
-    l1: float
-    l2: float
-    g: float
+    __slots__ = ("m1", "m2", "l1", "l2", "g")
 
-    def __post_init__(self):
-        for name in ("m1", "m2", "l1", "l2", "g"):
-            value = getattr(self, name)
+    def __init__(self, m1: float, m2: float, l1: float, l2: float, g: float):
+        for name, value in zip(self.__slots__, (m1, m2, l1, l2, g)):
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise DomainError(f"physical parameter {name!r} must be a positive real, got {value!r}")
+            setattr(self, name, value)
 
 
-@dataclass(frozen=True)
-class ReducedParams:
-    """Dimensionless constants a > 1, b > 0 and the time scale α > 0."""
+class ReducedParams(NamedTuple):
+    """Dimensionless constants a > 1, b > 0 and the time scale α > 0, as
+    :func:`reduce_params` builds and checks them."""
 
     a: float
     b: float
     alpha: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and self.a > 1):
-            raise DomainError(f"reduced parameter a must exceed 1, got {self.a!r}")
-        if not (math.isfinite(self.b) and self.b > 0):
-            raise DomainError(f"reduced parameter b must be positive, got {self.b!r}")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise DomainError(f"time scale alpha must be positive, got {self.alpha!r}")
 
-
-@dataclass(frozen=True)
-class SpectralData:
+class SpectralData(NamedTuple):
     """Frequencies and periods of the two rotation planes, Δ = (a−b)² + 4b."""
 
     delta: float
@@ -84,8 +69,7 @@ class SpectralData:
 Matrix4 = Tuple[Tuple[float, float, float, float], ...]
 
 
-@dataclass(frozen=True, eq=False)
-class JordanTransform:
+class JordanTransform(NamedTuple):
     """Linear change of variables between physical and normal-form frames.
 
     ``forward`` maps (x, y, z, w) to (X, Y, Z, W) and ``inverse`` maps
@@ -98,7 +82,8 @@ class JordanTransform:
 
 def reduce_params(p: PhysicalParams) -> ReducedParams:
     """Collapse the five physical constants to (a, b, α); DomainError naming
-    them unless a, b and α come out finite and positive in floating point."""
+    them unless a, b and α come out finite and positive in floating point,
+    and DomainError unless a = 1 + m₁/m₂ rounds above 1."""
     try:
         a = (p.m1 + p.m2) / p.m2
         b = p.l1 * (p.m1 + p.m2) / (p.l2 * p.m2)
@@ -109,6 +94,8 @@ def reduce_params(p: PhysicalParams) -> ReducedParams:
         raise DomainError(f"physical parameters out of range: m1 = {p.m1!r}, m2 = {p.m2!r}, l1 = {p.l1!r}, "
                           f"l2 = {p.l2!r}, g = {p.g!r} give no finite positive reduced a, b and alpha "
                           "in floating point")
+    if not a > 1:  # m₁/m₂ below half an ulp of 1
+        raise DomainError(f"reduced parameter a must exceed 1, got {a!r}")
     return ReducedParams(a=a, b=b, alpha=alpha)
 
 

@@ -38,8 +38,6 @@ import math
 import os
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import DomainError
@@ -50,27 +48,25 @@ SCALAR_KINDS = ("const", "cos", "sin", "table")
 PERIOD_DIVISIBILITY_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
 class PeriodicScalar:
     """A periodic function of time with a declared period, as tagged data.
 
     ``kind`` is ``"const"`` (``value``), ``"cos"`` or ``"sin"``
     (``value``·trig(``omega``·τ)) or ``"table"`` (linear interpolation of
     ``knots`` = (τ, value) closed over one period).  Build one with
-    :meth:`constant`, :meth:`harmonic` or :meth:`from_table`.
+    :meth:`constant`, :meth:`harmonic` or :meth:`from_table`.  Scalars
+    hash and compare by identity.
     """
 
-    kind: str
-    period: float
-    value: float = 0.0
-    omega: float = 0.0
-    knots: Optional[Tuple[Tuple[float, ...], Tuple[float, ...]]] = None
+    __slots__ = ("kind", "period", "value", "omega", "knots")
 
-    def __post_init__(self):
-        if self.kind not in SCALAR_KINDS:
-            raise DomainError(f"scalar kind must be one of {SCALAR_KINDS}, got {self.kind!r}")
-        if not (math.isfinite(self.period) and self.period > 0):
-            raise DomainError(f"period must be a positive real, got {self.period!r}")
+    def __init__(self, kind: str, period: float, value: float = 0.0, omega: float = 0.0,
+                 knots: Optional[Tuple[Tuple[float, ...], Tuple[float, ...]]] = None):
+        if kind not in SCALAR_KINDS:
+            raise DomainError(f"scalar kind must be one of {SCALAR_KINDS}, got {kind!r}")
+        if not (math.isfinite(period) and period > 0):
+            raise DomainError(f"period must be a positive real, got {period!r}")
+        self.kind, self.period, self.value, self.omega, self.knots = kind, period, value, omega, knots
 
     def __call__(self, tau: float) -> float:
         if self.kind == "const":
@@ -131,66 +127,44 @@ class PeriodicScalar:
         return PeriodicScalar("table", period, knots=((*taus, period), (*values, values[0])))
 
 
-@dataclass(frozen=True, eq=False)
-class LinearForm:
-    """Linear form d₁(τ)x + d₂(τ)y + d₃(τ)z + d₄(τ)w with periodic coefficients."""
-
-    d1: PeriodicScalar
-    d2: PeriodicScalar
-    d3: PeriodicScalar
-    d4: PeriodicScalar
-
-    def coefficients(self) -> Tuple[PeriodicScalar, ...]:
-        return (self.d1, self.d2, self.d3, self.d4)
-
-    @staticmethod
-    def zero(period: float) -> "LinearForm":
-        z = PeriodicScalar.constant(0.0, period)
-        return LinearForm(z, z, z, z)
-
-
-@dataclass(frozen=True, eq=False)
 class PerturbationSpec:
     """The eight perturbation ingredients plus resonance bookkeeping.
 
-    ``family`` selects which orbit family the forcing is resonant with and
-    ``p`` how many times that orbit is traversed per forcing period.
+    ``K`` holds the forcing scalars K₁..K₄ and ``F`` the linear forms
+    F₁..F₄, each a 4-tuple of periodic scalars (d₁, d₂, d₃, d₄), the
+    coefficients of x, y, z and w.  ``family`` selects which orbit family
+    the forcing is resonant with and ``p`` how many times that orbit is
+    traversed per forcing period.
+
+    ``table`` is the forcing as one affine table P of shape (2, 2, 5):
+    component (f_y, f_w) × (plain, signed) × column (x, y, z, w, 1), so
+    that f_i = Σ_j P[i,0,j]·s_j + σ_i·Σ_j P[i,1,j]·s_j with s₅ = 1.  Row
+    [i, 0] holds F₁, K₁ (F₃, K₃ for f_w), row [i, 1] F₂, K₂ (F₄, K₄).  P
+    is stated as its entries in index order, exact-zero constants left
+    out: ((i, part, j), value, None) for a ``const`` scalar and
+    ((i, part, j), 1.0, scalar) for any other.
     """
 
-    K: Tuple[PeriodicScalar, PeriodicScalar, PeriodicScalar, PeriodicScalar]
-    F: Tuple[LinearForm, LinearForm, LinearForm, LinearForm]
-    family: int = 1
-    p: int = 1
+    __slots__ = ("K", "F", "family", "p", "table")
 
-    def __post_init__(self):
-        if self.family not in (1, 2):
-            raise DomainError(f"family must be 1 or 2, got {self.family!r}")
-        if self.p < 1 or int(self.p) != self.p:
-            raise DomainError(f"traversal count p must be a positive integer, got {self.p!r}")
-        if len(self.K) != 4 or len(self.F) != 4:
-            raise DomainError("need exactly four forcing scalars and four linear forms")
-
-    @cached_property
-    def table(self) -> tuple:
-        """The forcing as one affine table P of shape (2, 2, 5): component
-        (f_y, f_w) × (plain, signed) × column (x, y, z, w, 1), so that
-        f_i = Σ_j P[i,0,j]·s_j + σ_i·Σ_j P[i,1,j]·s_j with s₅ = 1.
-
-        Row [i, 0] holds F₁, K₁ (F₃, K₃ for f_w), row [i, 1] F₂, K₂ (F₄,
-        K₄).  P is stated as its entries in index order, exact-zero
-        constants left out: ((i, part, j), value, None) for a ``const``
-        scalar and ((i, part, j), 1.0, scalar) for any other.
-        """
-        rows = [(*form.coefficients(), k) for form, k in zip(self.F, self.K)]
+    def __init__(self, K: Tuple[PeriodicScalar, ...], F: Tuple[Tuple[PeriodicScalar, ...], ...],
+                 family: int = 1, p: int = 1):
+        if family not in (1, 2):
+            raise DomainError(f"family must be 1 or 2, got {family!r}")
+        if p < 1 or int(p) != p:
+            raise DomainError(f"traversal count p must be a positive integer, got {p!r}")
+        if len(K) != 4 or len(F) != 4 or any(len(form) != 4 for form in F):
+            raise DomainError("need exactly four forcing scalars and four linear forms of four coefficients")
+        self.K, self.F, self.family, self.p = K, F, family, p
         entries = []
         for i in range(2):
             for part in range(2):
-                for j, scalar in enumerate(rows[2 * i + part]):
+                for j, scalar in enumerate((*F[2 * i + part], K[2 * i + part])):
                     if scalar.kind != "const":
                         entries.append(((i, part, j), 1.0, scalar))
                     elif scalar.value != 0.0:
                         entries.append(((i, part, j), scalar.value, None))
-        return tuple(entries)
+        self.table = tuple(entries)
 
     def table_knots(self, t0: float, t1: float) -> Tuple[float, ...]:
         """The knots of the spec's tables between t0 and t1, ascending:
@@ -206,7 +180,7 @@ class PerturbationSpec:
     def validate_against(self, spectral: SpectralData) -> None:
         """Check every component period divides p·T_family."""
         window = self.p * spectral.period(self.family)
-        coefficients = (c for form in self.F for c in form.coefficients())
+        coefficients = (c for form in self.F for c in form)
         for period in (scalar.period for scalar in (*self.K, *coefficients)):
             ratio = window / period
             if abs(ratio - round(ratio)) > PERIOD_DIVISIBILITY_TOL * max(1.0, abs(ratio)):
@@ -351,7 +325,7 @@ def _spec_from_entries(entries, spectral: SpectralData, family: int, p: int, bas
     unknown = set(entries) - set(ENTRY_KEYS)
     if unknown:
         raise DomainError(f"unknown perturbation keys: {sorted(unknown)}")
-    forms = tuple(LinearForm(*scalars[i:i + 4]) for i in (4, 8, 12, 16))
+    forms = tuple(tuple(scalars[i:i + 4]) for i in (4, 8, 12, 16))
     spec = PerturbationSpec(K=tuple(scalars[:4]), F=forms, family=family, p=p)
     spec.validate_against(spectral)
     return spec

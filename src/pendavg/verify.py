@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import chain
 from operator import mul
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .averaging import BifurcationSystem, ZeroCertificate
 from .errors import (
@@ -67,8 +66,7 @@ JACOBI_SWEEPS = 30
 State = Tuple[float, float, float, float]
 
 
-@dataclass(frozen=True)
-class PredictedOrbit:
+class PredictedOrbit(NamedTuple):
     """A persistent orbit predicted by an averaged system.
 
     ``system`` is the `BifurcationSystem` whose zero ``amplitude`` is: the
@@ -85,8 +83,7 @@ class PredictedOrbit:
     period_tau: float
 
 
-@dataclass(frozen=True)
-class PoincareResult:
+class PoincareResult(NamedTuple):
     """Return-map gap of one verification integration: its trajectory and
     the numbers read from it.
 
@@ -126,8 +123,7 @@ class PoincareResult:
         return self.flag is None and self.crossing.ok
 
 
-@dataclass(frozen=True)
-class RefinementResult:
+class RefinementResult(NamedTuple):
     """Newton-shooting fixed point of the return map.
 
     ``reason`` is None when converged, otherwise `NOT_CONTRACTING`,
@@ -147,8 +143,7 @@ class RefinementResult:
     reason: Optional[str]
 
 
-@dataclass
-class SweepReport:
+class SweepReport(NamedTuple):
     """Residual scaling of one prediction across an ε ladder.
 
     ``limit_gap_reason`` says, per rung, why ``limit_gap`` is NaN (None

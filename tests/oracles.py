@@ -28,7 +28,7 @@ from scipy.linalg import expm
 
 from pendavg.errors import DomainError
 from pendavg.model import monodromy_lower_block
-from pendavg.perturbation import LinearForm, PerturbationSpec, PeriodicScalar
+from pendavg.perturbation import PerturbationSpec, PeriodicScalar
 
 GAUSS_ORDER = 16
 MAX_REFINE_LEVELS = 12
@@ -186,7 +186,7 @@ def gauss_ray_pair(system, theta):
     edges = _panel_edges(system, unit)
     pair = []
     for part in (PerturbationSpec(K=(zero,) * 4, F=spec.F, family=spec.family, p=spec.p),
-                 PerturbationSpec(K=spec.K, F=(LinearForm.zero(window),) * 4, family=spec.family, p=spec.p)):
+                 PerturbationSpec(K=spec.K, F=((zero,) * 4,) * 4, family=spec.family, p=spec.p)):
         part_system = BifurcationSystem(system.family, part, system.reduced, system.spectral,
                                         system.sgn_convention)
         pair.append(gauss_quadrature(lambda taus: averaged_integrand(part_system, unit, taus), edges))
@@ -306,22 +306,26 @@ def resonant_b(a: float, ratio: float) -> float:
 
 
 def linear_form_value(form, tau, state):
-    """d₁(τ)x + d₂(τ)y + d₃(τ)z + d₄(τ)w at scalar or array τ, with state
-    of shape (4,) or (4, n), the coefficients by :func:`scalar_values`."""
+    """d₁(τ)x + d₂(τ)y + d₃(τ)z + d₄(τ)w, plus d₅(τ) when ``form`` has a
+    fifth coefficient, at scalar or array τ, with state of shape (4,) or
+    (4, n), the coefficients by :func:`scalar_values`.  The terms are
+    summed in order and an exact-zero ``const`` coefficient is skipped: it
+    adds nothing but the sign of a zero, and evaluating it on every τ
+    costs as much as any other scalar."""
     state = np.asarray(state, dtype=float)
-    d1, d2, d3, d4 = (scalar_values(d, tau) for d in form.coefficients())
-    return d1 * state[0] + d2 * state[1] + d3 * state[2] + d4 * state[3]
+    total = np.zeros(np.broadcast(np.asarray(tau, dtype=float), state[0]).shape)
+    for d, s in zip(form, (*state, 1.0)):
+        if d.kind != "const" or d.value != 0.0:
+            total = total + scalar_values(d, tau) * s
+    return total
 
 
 def unfolded_forcing(spec, tau, state, sgn_x, sgn_z):
     """(f_y, f_w) as the term-by-term sum of every K scalar and F
-    coefficient, each by :func:`scalar_values`."""
-    state = np.asarray(state, dtype=float)
-    k1, k2, k3, k4 = (scalar_values(k, tau) for k in spec.K)
-    f1, f2, f3, f4 = (linear_form_value(form, tau, state) for form in spec.F)
-    f_y = k1 + f1 + (k2 + f2) * sgn_x
-    f_w = k3 + f3 + (k4 + f4) * sgn_z
-    return f_y, f_w
+    coefficient, each by :func:`scalar_values`: K_i + F_i is the form F_i
+    with K_i as its fifth coefficient, so K_i is added last."""
+    g1, g2, g3, g4 = (linear_form_value((*form, k), tau, state) for form, k in zip(spec.F, spec.K))
+    return g1 + g2 * sgn_x, g3 + g4 * sgn_z
 
 
 def per_call_field(spec, reduced, eps):
@@ -345,7 +349,7 @@ def field_term_scale(spec, reduced, eps, tau, state, signs):
     a, b = reduced.a, reduced.b
     x, y, z, w = np.abs(np.asarray(state, dtype=float))
     k1, k2, k3, k4 = (abs(float(k(tau))) for k in spec.K)
-    f1, f2, f3, f4 = (sum(abs(float(d(tau))) * v for d, v in zip(form.coefficients(), (x, y, z, w)))
+    f1, f2, f3, f4 = (sum(abs(float(d(tau))) * v for d, v in zip(form, (x, y, z, w)))
                       for form in spec.F)
     sx, sz = abs(signs[0]), abs(signs[1])
     return np.array([
@@ -484,7 +488,7 @@ def exact_poincare_map(spec, reduced, eps, s0, window, scan_steps=512):
 
     field = per_call_field(spec, reduced, eps)
     for form in spec.F:
-        assert all(d.kind == "const" for d in form.coefficients())
+        assert all(d.kind == "const" for d in form)
     omegas = sorted({k.omega for k in spec.K if k.kind in ("cos", "sin")})
     n = 4 + 2 * len(omegas) + 1
 

@@ -18,7 +18,6 @@ from pendavg.model import (
     spectral_data,
 )
 from pendavg.perturbation import (
-    LinearForm,
     PeriodicScalar,
     PerturbationSpec,
     builtin,
@@ -194,8 +193,8 @@ def random_spec(rng, s, family, p):
 
     def form():
         if rng.uniform() < 0.5:
-            return LinearForm.zero(window)
-        return LinearForm(scalar(), scalar(), scalar(), scalar())
+            return (PeriodicScalar.constant(0.0, window),) * 4
+        return (scalar(), scalar(), scalar(), scalar())
 
     return PerturbationSpec(
         K=(scalar(), scalar(), scalar(), scalar()),

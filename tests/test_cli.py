@@ -289,6 +289,17 @@ def test_params_command_writes_frozen_constants(bench_ini, capsys):
     assert json.loads(printed) == payload
 
 
+def test_params_with_a_reduced_a_of_one_exits_1(tmp_path):
+    # m1/m2 = 1e-20 rounds a = 1 + m1/m2 to 1.0: one error line, no traceback
+    sections = bench_sections(tmp_path / "out")
+    sections["physical"]["m1"] = 1e-20
+    ini = write_ini(tmp_path / "light.ini", sections)
+    proc = run_child("-m", "pendavg", "params", "--config", str(ini))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: reduced parameter a must exceed 1, got 1.0\n"
+    assert proc.stdout == ""
+
+
 def test_params_resonance_exit_code(tmp_path, capsys):
     b = resonant_b(2.0, 3.0)
     sections = bench_sections(tmp_path / "out")
@@ -774,24 +785,42 @@ def test_prediction_path_loads_no_checking_half(tmp_path):
     assert "pendavg.averaging" in loaded and not loaded & CHECKING_HALF and "numpy" not in loaded
 
 
-def test_no_module_but_dop853_imports_numpy():
-    # not at the top, and not inside a function either: every module but the
-    # DOP853 port has one float code path, so no caller can make it load numpy
+def package_imports():
+    """(module, line, top-level package) of every import statement in the
+    package's modules, at the top or inside a function."""
     package = Path(cli.__file__).resolve().parent
-    names = sorted(path.stem for path in package.glob("*.py"))
-    assert {"cli", "expflow", "filippov", "verify", "dop853"} <= set(names)
-    for name in names:
-        if name == "dop853":
-            continue
-        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
                 modules = [node.module or ""]
             else:
                 continue
-            assert not any(m.split(".")[0] == "numpy" for m in modules), (name, node.lineno)
+            for module in modules:
+                yield path.stem, node.lineno, module.split(".")[0]
+
+
+def test_no_module_but_dop853_imports_numpy():
+    # not at the top, and not inside a function either: every module but the
+    # DOP853 port has one float code path, so no caller can make it load numpy
+    imports = list(package_imports())
+    assert {"cli", "expflow", "filippov", "verify", "dop853"} <= {name for name, _, _ in imports}
+    assert not [(name, line) for name, line, top in imports if top == "numpy" and name != "dop853"]
+
+
+def test_no_module_imports_dataclasses():
+    # the package's records are NamedTuples or plain classes: the decorator
+    # and the inspect, ast and tokenize modules it pulls in cost start-up
+    assert not [(name, line) for name, line, top in package_imports() if top == "dataclasses"]
+
+
+def test_zeros_and_verify_load_neither_dataclasses_nor_inspect(tmp_path):
+    ini = readme_ini(tmp_path)
+    for command in ("zeros", "verify"):
+        loaded = loaded_modules(command, "--config", str(ini), "--out", str(tmp_path / command))
+        assert "pendavg.averaging" in loaded, command
+        assert not loaded & {"dataclasses", "inspect"}, command
 
 
 def test_checking_path_loads_no_scipy(tmp_path):

@@ -11,7 +11,6 @@ alone, so the tests check both against the field summed whole, and a
 synthetic field carries a monodromy once it is given such an array.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -35,7 +34,7 @@ from pendavg.filippov import (
     linearization_matrix,
 )
 from pendavg.model import PhysicalParams, reduce_params, spectral_data
-from pendavg.perturbation import LinearForm, PeriodicScalar, PerturbationSpec, builtin, smooth_sign
+from pendavg.perturbation import PeriodicScalar, PerturbationSpec, builtin, smooth_sign
 from pendavg.verify import orbit_from_amplitude
 
 from .oracles import field_term_scale, flow_states, per_call_field
@@ -136,7 +135,7 @@ def test_frozen_sign_segment_field_matches_per_call_field(bench):
         coefficient = _random_scalar if i % 2 else constant
         spec = PerturbationSpec(
             K=tuple(_random_scalar(rng, window) for _ in range(4)),
-            F=tuple(LinearForm(*(coefficient(rng, window) for _ in range(4))) for _ in range(4)),
+            F=tuple(tuple(coefficient(rng, window) for _ in range(4)) for _ in range(4)),
         )
         eps = 10.0 ** rng.uniform(-3.0, 0.0)
         signs = tuple(rng.choice([-1.0, 0.0, 1.0], size=2))
@@ -537,9 +536,9 @@ def test_exact_flow_matches_scipy_expm(bench, eps, gamma):
         spec = random_spec(rng, s, 1, 1)
         if i % 3 == 0:
             taus = np.arange(256) * (s.period1 / 256)
-            spec = dataclasses.replace(spec, K=(PeriodicScalar.from_table(taus, rng.uniform(-1, 1, 256)),
-                                                *spec.K[1:]))
-        state_column = any(d.kind != "const" for form in spec.F for d in form.coefficients())
+            spec = PerturbationSpec((PeriodicScalar.from_table(taus, rng.uniform(-1, 1, 256)), *spec.K[1:]),
+                                    spec.F, spec.family, spec.p)
+        state_column = any(d.kind != "const" for form in spec.F for d in form)
         case = "table" if i % 3 == 0 else "state column" if state_column else "exact"
         big = expflow.generator(d1_field(spec, reduced, eps).frozen((1.0, -1.0)))
         assert (big is None) == (case != "exact"), i

@@ -52,6 +52,13 @@ def test_physical_params_validation():
         PhysicalParams(m1=1.0, m2=1.0, l1=1.0, l2=1.0, g=0.0)
 
 
+def test_reduce_params_refuses_a_that_rounds_to_one():
+    # a = 1 + m1/m2 is 1.0 in floating point once m1/m2 is below half an ulp of 1
+    with pytest.raises(DomainError, match=r"^reduced parameter a must exceed 1, got 1\.0$"):
+        reduce_params(PhysicalParams(m1=1e-20, m2=1.0, l1=1.0, l2=1.0, g=9.8))
+    assert reduce_params(PhysicalParams(m1=1e-15, m2=1.0, l1=1.0, l2=1.0, g=9.8)).a > 1.0
+
+
 @given(m1=positive, m2=positive, l1=positive, l2=positive, g=gravity)
 @settings(max_examples=60, deadline=None)
 def test_reduction_formulas(m1, m2, l1, l2, g):

@@ -9,7 +9,6 @@ from pendavg.filippov import _frozen_forcing
 from pendavg.model import PhysicalParams, reduce_params, spectral_data
 from pendavg.perturbation import (
     BUILTINS,
-    LinearForm,
     PeriodicScalar,
     PerturbationSpec,
     builtin,
@@ -64,7 +63,7 @@ def test_periodic_scalar_table():
 @given(x=st.floats(-3, 3), y=st.floats(-3, 3), z=st.floats(-3, 3), w=st.floats(-3, 3))
 @settings(max_examples=40, deadline=None)
 def test_linear_form_evaluate(x, y, z, w):
-    form = LinearForm(
+    form = (
         PeriodicScalar.constant(1.0, 2.0),
         PeriodicScalar.constant(-2.0, 2.0),
         PeriodicScalar.constant(0.5, 2.0),
@@ -77,14 +76,14 @@ def test_linear_form_evaluate(x, y, z, w):
 def _spec_with_form(form, window):
     return PerturbationSpec(
         K=(PeriodicScalar.constant(0.0, window),) * 4,
-        F=(form,) + (LinearForm.zero(window),) * 3,
+        F=(form,) + ((PeriodicScalar.constant(0.0, window),) * 4,) * 3,
     )
 
 
 def test_linear_form_accepts_commensurate_periods():
     s = bench_spectral()
     window = s.period(1)
-    form = LinearForm(
+    form = (
         PeriodicScalar.constant(1.0, window / 3),
         PeriodicScalar.constant(1.0, window / 2),
         PeriodicScalar.constant(1.0, window / 3),
@@ -96,7 +95,7 @@ def test_linear_form_accepts_commensurate_periods():
 def test_linear_form_rejects_incommensurate_periods():
     s = bench_spectral()
     window = s.period(1)
-    form = LinearForm(
+    form = (
         PeriodicScalar.constant(1.0, window),
         PeriodicScalar.constant(1.0, window / math.pi),
         PeriodicScalar.constant(1.0, window),
@@ -108,7 +107,7 @@ def test_linear_form_rejects_incommensurate_periods():
 
 def test_spec_validation():
     z = PeriodicScalar.constant(0.0, 1.0)
-    zf = LinearForm.zero(1.0)
+    zf = (z,) * 4
     with pytest.raises(DomainError):
         PerturbationSpec(K=(z, z, z, z), F=(zf, zf, zf, zf), family=3)
     with pytest.raises(DomainError):
@@ -122,12 +121,12 @@ def test_validate_against_window():
     window = s.period(1)
     good = PerturbationSpec(
         K=(PeriodicScalar.harmonic("cos", 1.0, 2.0 * s.omega1),) * 4,
-        F=(LinearForm.zero(window),) * 4,
+        F=((PeriodicScalar.constant(0.0, window),) * 4,) * 4,
     )
     good.validate_against(s)  # harmonic of the window divides it
     bad = PerturbationSpec(
         K=(PeriodicScalar.harmonic("cos", 1.0, 1.37 * s.omega1),) * 4,
-        F=(LinearForm.zero(window),) * 4,
+        F=((PeriodicScalar.constant(0.0, window),) * 4,) * 4,
     )
     with pytest.raises(DomainError):
         bad.validate_against(s)
@@ -203,7 +202,7 @@ def test_compiled_forcing_matches_unfolded_sum():
     for _ in range(200):
         spec = PerturbationSpec(
             K=tuple(_random_scalar(rng, window) for _ in range(4)),
-            F=tuple(LinearForm(*(_random_scalar(rng, window) for _ in range(4))) for _ in range(4)),
+            F=tuple(tuple(_random_scalar(rng, window) for _ in range(4)) for _ in range(4)),
         )
         tau = rng.uniform(-3, 10)
         state = rng.normal(size=4)
@@ -234,7 +233,7 @@ def test_forcing_jacobian_matches_unfolded_differences():
         scalar = _random_scalar if i % 2 else constant
         spec = PerturbationSpec(
             K=tuple(_random_scalar(rng, window) for _ in range(4)),
-            F=tuple(LinearForm(*(scalar(rng, window) for _ in range(4))) for _ in range(4)),
+            F=tuple(tuple(scalar(rng, window) for _ in range(4)) for _ in range(4)),
         )
         tau = rng.uniform(-3, 10)
         signs = rng.choice([-1.0, 0.0, 1.0], size=2)
@@ -249,10 +248,10 @@ def test_forcing_jacobian_matches_unfolded_differences():
 
 def test_all_zero_spec_forcing_is_shaped_like_tau():
     z = PeriodicScalar.constant(0.0, 1.0)
-    spec = PerturbationSpec(K=(z, z, z, z), F=(LinearForm.zero(1.0),) * 4)
+    spec = PerturbationSpec(K=(z, z, z, z), F=((z,) * 4,) * 4)
     assert eval_order1_with_signs(spec, 0.5, np.ones(4), 1.0, -1.0) == (0.0, 0.0)
     constant = PeriodicScalar.constant(0.25, 1.0)
-    spec = PerturbationSpec(K=(constant, z, z, constant), F=(LinearForm.zero(1.0),) * 4)
+    spec = PerturbationSpec(K=(constant, z, z, constant), F=((z,) * 4,) * 4)
     for tau in (0.0, 1.0, 2.0):
         assert eval_order1_with_signs(spec, tau, np.ones(4), 1.0, -1.0) == (0.25, -0.25)
 

@@ -7,7 +7,6 @@ the wrong sgn convention supplies the negative control for the
 in-family residual discriminator.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +19,7 @@ from pendavg.averaging import BifurcationSystem, annulus_search
 from pendavg.errors import DomainError, RefinementDegenerateError
 from pendavg.filippov import integrate, integrate_field
 from pendavg.model import PhysicalParams, jordan_transform, reduce_params, spectral_data
-from pendavg.perturbation import PeriodicScalar, builtin
+from pendavg.perturbation import PeriodicScalar, PerturbationSpec, builtin
 from pendavg.verify import (
     epsilon_sweep,
     fit_exponent,
@@ -154,7 +153,7 @@ def test_orbit_from_amplitude_validation(bench, damped):
 def test_predicted_initial_state_requires_simple_zero(damped):
     _, cert, orbit = damped
     assert tuple(orbit.amplitude) == cert.point
-    blunt = dataclasses.replace(cert, simple=False)
+    blunt = cert._replace(simple=False)
     with pytest.raises(DomainError):
         predicted_initial_state(orbit.system, blunt)
 
@@ -273,7 +272,7 @@ def table_escapement(bench, escapement):
     builtin_spec = escapement[0]
     taus = np.arange(256) * (s.period1 / 256)
     table = PeriodicScalar.from_table(taus, GAMMA * np.cos(s.omega1 * taus))
-    spec = dataclasses.replace(builtin_spec, K=(table, *builtin_spec.K[1:]))
+    spec = PerturbationSpec((table, *builtin_spec.K[1:]), builtin_spec.F, builtin_spec.family, builtin_spec.p)
     system = BifurcationSystem(1, spec, reduced, s, "A")
     (cert,) = annulus_search(system, 0.05, 2.0, 8)
     return spec, predicted_initial_state(system, cert)
@@ -309,7 +308,7 @@ def test_sweep_rung_with_a_singular_chord_matrix_is_degenerate(damped, monkeypat
     def singular_chord(*args):
         result = poincare_residual(*args)
         monodromy = tuple((float(i == 0),) + row[1:] for i, row in enumerate(result.trajectory.monodromy))
-        return dataclasses.replace(result, trajectory=dataclasses.replace(result.trajectory, monodromy=monodromy))
+        return result._replace(trajectory=result.trajectory._replace(monodromy=monodromy))
 
     monkeypatch.setattr(verify_module, "poincare_residual", singular_chord)
     report = epsilon_sweep(orbit, LADDER)
@@ -370,7 +369,7 @@ def test_variational_monodromy_meets_liouville(case, eps, request):
     escapement and damped runs."""
     spec, _, orbit = request.getfixturevalue(case)
     monodromy = poincare_residual(orbit, eps).trajectory.monodromy
-    trace = spec.F[0].d2.value + spec.F[2].d4.value
+    trace = spec.F[0][1].value + spec.F[2][3].value
     sign, logdet = np.linalg.slogdet(monodromy)
     assert sign == 1.0
     assert abs(logdet - eps * orbit.period_tau * trace) <= 1e-8
@@ -408,7 +407,7 @@ def test_tangent_prediction_run_carries_no_monodromy(damped):
     """A start on x = 0 with y = 0 is a tangent contact: the run goes on, but
     without a monodromy, and refinement stops before any step."""
     _, _, orbit = damped
-    tangent = dataclasses.replace(orbit, initial_state=np.array([0.0, 0.0, 1.0, 0.3]))
+    tangent = orbit._replace(initial_state=np.array([0.0, 0.0, 1.0, 0.3]))
     prediction = poincare_residual(tangent, 1e-3)
     assert prediction.flag is None and not prediction.events_ok
     assert prediction.trajectory.monodromy is None
