@@ -120,6 +120,8 @@ def _export_csvs(traj, trajectory_path: Path, events_path: Path) -> None:
 
     for export, path in ((export_trajectory_csv, trajectory_path), (export_events_csv, events_path)):
         try:
+            if not path.parent.is_dir():  # on an existing one, mkdir raises and catches
+                path.parent.mkdir(parents=True, exist_ok=True)
             export(traj, path)
         except OSError as exc:
             raise _output_error(path, exc) from None
@@ -352,8 +354,7 @@ def _verify_convention(config: ExperimentConfig, convention: str, tag: str) -> d
                 base = config.output_dir / f"{tag}zero{i}_eps{j}"
                 _export_csvs(sample.trajectory, base.with_suffix(".trajectory.csv"),
                              base.with_suffix(".events.csv"))
-            if sample.crossing is not None and not sample.crossing.ok:
-                any_crossing_violation = True
+                any_crossing_violation = any_crossing_violation or bool(sample.trajectory.offenders)
             if sample.flag_code == IntegrationStallError.exit_code:
                 any_stall = True
         entry = {
@@ -430,7 +431,7 @@ def cmd_verify(config: ExperimentConfig, compare_conventions: bool = False) -> i
 
 
 def cmd_simulate(config: ExperimentConfig) -> int:
-    from .filippov import crossing_hypothesis_check, integrate, integrate_regularized
+    from .filippov import integrate, integrate_regularized
 
     if config.sim_s0 is None or config.sim_t_span is None:
         raise DomainError("[integrate] must provide s0 and t_span for simulate")
@@ -469,15 +470,14 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     text = dumps_deterministic(summary)
     print(text)
     _write_text(out / "simulate_summary.json", text)
-    report = crossing_hypothesis_check(traj)
-    if config.sim_require_crossing and not report.ok:
-        offenders = [traj.events[i] for i in report.offenders]
+    offenders = [traj.events[i] for i in traj.offenders]
+    if config.sim_require_crossing and offenders:
         _write_text(out / "crossing_violations.json", dumps_deterministic([
             {"time": ev.time, "surface": ev.surface, "kind": ev.kind, "state": list(ev.state)}
             for ev in offenders
         ]))
         raise CrossingViolationError(
-            f"{len(offenders)} of {report.n_events} surface contacts are not transversal "
+            f"{len(offenders)} of {len(traj.events)} surface contacts are not transversal "
             f"crossings (kinds: {', '.join(sorted({ev.kind for ev in offenders}))})"
         )
     return 0
@@ -529,10 +529,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             out=args.out,
             delta=getattr(args, "delta", None),
         )
-        try:
-            config.output_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise DomainError(f"[output] dir: cannot create {config.output_dir}: {exc.strerror}") from None
         if args.command == "params":
             return cmd_params(config)
         if args.command == "zeros":

@@ -107,11 +107,15 @@ class Segment(NamedTuple):
 
 
 class Trajectory(NamedTuple):
-    """Piecewise-smooth trajectory with its event log.
+    """Piecewise-smooth trajectory with its event log, which judges its
+    own contacts against the crossing region.
 
-    ``monodromy`` is ∂(final state)/∂(initial state) when the run was
-    asked for it and met only transversal crossings; otherwise it is None
-    and, where a contact ended the request, ``monodromy_reason`` names it.
+    ``offenders`` are the indices of the events that are not transversal
+    crossings, and ``margin`` is the closest approach to the tangency
+    set.  ``monodromy`` is ∂(final state)/∂(initial state) when the run
+    was asked for it and met only transversal crossings; otherwise it is
+    None and, where a contact ended the request, ``monodromy_reason``
+    names it.
     """
 
     segments: List[Segment]
@@ -127,14 +131,19 @@ class Trajectory(NamedTuple):
             return tuple(self.initial_state)
         return tuple(self.segments[-1].states[-1])
 
+    @property
+    def offenders(self) -> Tuple[int, ...]:
+        """Indices of the events whose kind is not ``"crossing"``."""
+        return tuple(i for i, ev in enumerate(self.events) if ev.kind != "crossing")
 
-class CrossingReport(NamedTuple):
-    """Outcome of checking that every event is a transversal crossing."""
-
-    ok: bool
-    margin: float
-    n_events: int
-    offenders: Tuple[int, ...]
+    @property
+    def margin(self) -> float:
+        """The least |y| over contacts with x = 0 and |w| over contacts
+        with z = 0; inf without contacts."""
+        margin = math.inf
+        for ev in self.events:
+            margin = min(margin, abs(ev.state[1 if ev.surface == 1 else 3]))
+        return margin
 
 
 class PeriodicArray(NamedTuple):
@@ -611,7 +620,8 @@ def integrate_field(
     the surface the run stops with IntegrationStallError or
     TangencyError.  Events on ``x = 0`` and ``z = 0`` are located to a
     time tolerance below 1e-12, and each is a crossing or a tangency by
-    its rate (see ``_Integrator._resolve_contacts``).  Initial states on
+    its rate (see ``_Integrator._resolve_contacts``); the trajectory's
+    ``offenders`` and ``margin`` judge the log.  Initial states on
     a surface are resolved before the first segment.  A field with an
     affine form ``field.frozen(signs)``, the :class:`PeriodicArray`
     [M_σ | c_σ] (as from :func:`d1_field`), runs each segment on it: its
@@ -643,6 +653,11 @@ def _check_step_budget(t_span: Tuple[float, float], max_step: float) -> None:
         )
 
 
+def step_cap(spectral: SpectralData) -> float:
+    """Largest step of a pendulum run: a sixteenth of the shorter normal-mode period."""
+    return min(spectral.period1, spectral.period2) / 16.0
+
+
 def integrate(
     spec: PerturbationSpec,
     reduced: ReducedParams,
@@ -658,8 +673,8 @@ def integrate(
 ) -> Trajectory:
     """Event-driven trajectory of the perturbed reduced system.
 
-    Steps are capped at a sixteenth of the shorter normal-mode period.
-    With ``monodromy`` the run carries the monodromy of the flow map.
+    Steps are capped at :func:`step_cap`.  With ``monodromy`` the run
+    carries the monodromy of the flow map.
     """
     return integrate_field(
         d1_field(spec, reduced, eps),
@@ -668,7 +683,7 @@ def integrate(
         rtol=rtol,
         atol=atol,
         max_events=max_events,
-        max_step=min(spectral.period1, spectral.period2) / 16.0,
+        max_step=step_cap(spectral),
         monodromy=monodromy,
     )
 
@@ -710,7 +725,7 @@ def integrate_regularized(
         last[0] = t
         return field(t, state, (smooth_sign(state[0], delta), smooth_sign(state[2], delta)))
 
-    max_step = min(spectral.period1, spectral.period2) / 16.0
+    max_step = step_cap(spectral)
     _check_step_budget(t_span, max_step)
     s0 = tuple(float(v) for v in s0)
     run = _dop853(rhs, (t0, t1), s0, rtol=rtol, atol=atol, max_step=max_step)
@@ -726,28 +741,6 @@ def integrate_regularized(
         events=[],
         t_span=(t0, t1),
         initial_state=s0,
-    )
-
-
-def crossing_hypothesis_check(traj: Trajectory) -> CrossingReport:
-    """Verify that every recorded event is a transversal crossing.
-
-    The margin is the closest approach to the tangency set: the minimum
-    of |y| over contacts with x = 0 and |w| over contacts with z = 0.
-    """
-    margin = math.inf
-    offenders = []
-    for i, ev in enumerate(traj.events):
-        velocity_index = 1 if ev.surface == 1 else 3
-        margin = min(margin, abs(float(ev.state[velocity_index])))
-        if ev.kind != "crossing":
-            offenders.append(i)
-    n_events = len(traj.events)
-    return CrossingReport(
-        ok=not offenders,
-        margin=margin if n_events else math.inf,
-        n_events=n_events,
-        offenders=tuple(offenders),
     )
 
 

@@ -34,13 +34,7 @@ from .errors import (
     PendavgError,
     RefinementDegenerateError,
 )
-from .filippov import (
-    CrossingReport,
-    Trajectory,
-    crossing_hypothesis_check,
-    integrate,
-    integrate_field,
-)
+from .filippov import Trajectory, integrate, integrate_field, step_cap
 from .model import PhysicalParams, nonlinear_accelerations, reduce_params
 from .perturbation import eval_order1_with_signs
 
@@ -88,9 +82,10 @@ class PoincareResult(NamedTuple):
     the numbers read from it.
 
     ``trajectory`` is the run, partial or None on a flagged run (``flag``
-    says why and ``flag_code`` gives the error's exit code), and
-    ``crossing`` its crossing report, None without a trajectory.  The
-    monodromy of the return map at the initial state is the trajectory's
+    says why and ``flag_code`` gives the error's exit code); it judges
+    its own contacts (``Trajectory.offenders`` and ``.margin``), and its
+    end states give the gap the residuals measure.  The monodromy of the
+    return map at the initial state is the trajectory's
     (`poincare_residual` asks for it, `refine_periodic` reads it):
     ``trajectory.monodromy``, or None with ``trajectory.monodromy_reason``
     naming the contact that ended the request (see :mod:`pendavg.filippov`).
@@ -103,24 +98,21 @@ class PoincareResult(NamedTuple):
     ``residual_family`` is its component in the orbit-family plane, the
     part the averaged pair controls directly, which separates a correct
     prediction (second order) from a wrong one (first order).  The
-    residuals and gaps are NaN on a flagged run.
+    residuals are NaN on a flagged run.
     """
 
     epsilon: float
     trajectory: Optional[Trajectory]
-    crossing: Optional[CrossingReport]
     residual: float = math.nan
     residual_full: float = math.nan
     residual_family: float = math.nan
-    gap: State = (math.nan,) * 4
-    jordan_gap: State = (math.nan,) * 4
     flag: Optional[str] = None
     flag_code: int = 0
 
     @property
     def events_ok(self) -> bool:
         """True when the run completed and met only transversal crossings."""
-        return self.flag is None and self.crossing.ok
+        return self.flag is None and not self.trajectory.offenders
 
 
 class RefinementResult(NamedTuple):
@@ -210,14 +202,10 @@ class SweepReport(NamedTuple):
         )
 
     def events_summary(self) -> dict:
-        total = sum(s.crossing.n_events for s in self.samples if s.crossing is not None)
-        margins = [
-            s.crossing.margin
-            for s in self.samples
-            if s.crossing is not None and math.isfinite(s.crossing.margin)
-        ]
+        runs = [s.trajectory for s in self.samples if s.trajectory is not None]
+        margins = [m for m in (t.margin for t in runs) if math.isfinite(m)]
         return {
-            "total_events": total,
+            "total_events": sum(len(t.events) for t in runs),
             "all_crossings": self.valid,
             "min_margin": min(margins) if margins else None,
         }
@@ -341,29 +329,23 @@ def predicted_initial_state(system: BifurcationSystem, cert: ZeroCertificate) ->
 
 
 def _package_result(eps: float, orbit: PredictedOrbit, traj: Trajectory) -> PoincareResult:
-    """Result of a completed reduced-frame run of ``orbit``: the gap, its
-    original-frame norm (the residual), its normal-form image and that
-    image's norm in the orbit's family plane."""
+    """Result of a completed reduced-frame run of ``orbit``: the norms of
+    its gap in the original frame (the residual) and the reduced one, and
+    of the gap's normal-form image in the orbit's family plane."""
     system = orbit.system
     gap = _difference(traj.final_state, traj.initial_state)
-    jordan_gap = _matvec(system.transform.forward, gap)
     k = 0 if system.family == 1 else 2
     return PoincareResult(
         epsilon=eps,
         trajectory=traj,
-        crossing=crossing_hypothesis_check(traj),
         residual=math.hypot(*to_physical_frame(gap, eps, system.reduced.alpha)),
         residual_full=math.hypot(*gap),
-        residual_family=math.hypot(*jordan_gap[k:k + 2]),
-        gap=gap,
-        jordan_gap=jordan_gap,
+        residual_family=math.hypot(*_matvec(system.transform.forward, gap)[k:k + 2]),
     )
 
 
 def _flagged_result(eps: float, exc: PendavgError) -> PoincareResult:
-    traj = getattr(exc, "trajectory", None)
-    crossing = crossing_hypothesis_check(traj) if traj is not None else None
-    return PoincareResult(eps, traj, crossing, flag=str(exc), flag_code=exc.exit_code)
+    return PoincareResult(eps, getattr(exc, "trajectory", None), flag=str(exc), flag_code=exc.exit_code)
 
 
 def poincare_residual(orbit: PredictedOrbit, eps: float) -> PoincareResult:
@@ -533,10 +515,9 @@ def full_nonlinear_check(orbit: PredictedOrbit, phys: PhysicalParams, eps: float
         return (s[1], scale * dd1 + eps * f_y, s[3], scale * dd2 + eps * f_w)
 
     field.knots = spec.table_knots
-    max_step = min(system.spectral.period1, system.spectral.period2) / 16.0
     try:
         traj = integrate_field(field, orbit.initial_state, (0.0, orbit.period_tau), rtol=VERIFY_RTOL,
-                               atol=VERIFY_ATOL, max_step=max_step)
+                               atol=VERIFY_ATOL, max_step=step_cap(system.spectral))
     except PendavgError as exc:
         return _flagged_result(eps, exc)
     return _package_result(eps, orbit, traj)

@@ -298,6 +298,8 @@ def test_params_with_a_reduced_a_of_one_exits_1(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr == "error: reduced parameter a must exceed 1, got 1.0\n"
     assert proc.stdout == ""
+    # the output directory comes with the first artifact, not before the computation
+    assert not (tmp_path / "out").exists()
 
 
 def test_params_resonance_exit_code(tmp_path, capsys):
@@ -949,6 +951,25 @@ def test_setup_probe_runs_on_every_workload(tmp_path, monkeypatch):
         proc = run_child(str(REPO / "perfbench" / "setup_probe.py"), str(ini))
         assert proc.returncode == 0, (name, proc.stderr)
         assert math.isfinite(float(proc.stdout)), (name, proc.stdout)
+
+
+def test_traced_counts_of_verify_escapement(tmp_path, monkeypatch):
+    # the benchmark's per-layer counts read the trajectory and refinement
+    # records by field name; a renamed field would read 0, not fail
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    monkeypatch.chdir(tmp_path)
+    from workloads import WORKLOADS
+
+    workload = WORKLOADS["verify-escapement"]
+    ini = workload.write_ini(tmp_path / "verify.ini", seed=7)
+    proc = run_child(str(REPO / "perfbench" / "traced_cli.py"), str(tmp_path / "trace"), "--",
+                     *workload.cli_args(ini))
+    assert proc.returncode == workload.expected_exit, proc.stderr
+    layers = json.loads((tmp_path / "trace" / "layers.json").read_text(encoding="utf-8"))
+    counts = {name: layers[name] for name in ("filippov.integrations", "filippov.steps", "filippov.events",
+                                              "verify.refine_converged", "verify.refine_integrations")}
+    assert counts == {"filippov.integrations": 12, "filippov.steps": 504, "filippov.events": 48,
+                      "verify.refine_converged": 4, "verify.refine_integrations": 8}
 
 
 def test_pair_bench_refuses_fewer_than_two_pairs(tmp_path):

@@ -24,7 +24,6 @@ from pendavg.filippov import (
     PeriodicArray,
     _affine_rhs,
     _frozen_forcing,
-    crossing_hypothesis_check,
     d1_field,
     export_events_csv,
     export_trajectory_csv,
@@ -197,9 +196,8 @@ def test_family_orbit_closes_at_eps_zero(bench):
     assert len(traj.events) == 4
     assert all(ev.kind == "crossing" and ev.corner for ev in traj.events)
     assert all(ev.rate == ev.state[2 * ev.surface - 1] for ev in traj.events)
-    report = crossing_hypothesis_check(traj)
-    assert report.ok and report.n_events == 4
-    assert report.margin > 0.5
+    assert traj.offenders == ()
+    assert traj.margin > 0.5
 
 
 def test_eps_zero_matches_expm_flow(bench):
@@ -391,10 +389,8 @@ def test_crossing_requirement_flags_tangency(bench):
     reduced, s = bench
     spec = damped_spec(s)
     traj = integrate(spec, reduced, s, 0.0, (0.0, 0.0, 1.0, 0.3), (0.0, 2.0))
-    report = crossing_hypothesis_check(traj)
-    assert not report.ok
-    assert report.offenders == (0,)
-    assert report.margin == 0.0
+    assert traj.offenders == (0,)
+    assert traj.margin == 0.0
 
 
 # -- regularized route -------------------------------------------------------

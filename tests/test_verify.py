@@ -169,15 +169,17 @@ def test_poincare_residual_internal_relations(bench, damped):
     assert res.flag is None and res.flag_code == 0
     # pendulum-frame gap: angles scale by eps, velocities by eps/alpha
     alpha = reduced.alpha
-    physical_gap = eps * np.asarray(res.gap) / np.array([1.0, alpha, 1.0, alpha])
-    assert res.residual == pytest.approx(float(np.linalg.norm(physical_gap)), rel=1e-15)
-    assert res.residual_full == float(np.linalg.norm(res.gap))
-    assert np.allclose(res.jordan_gap, transform.forward @ np.asarray(res.gap), rtol=1e-12, atol=1e-15)
-    assert res.residual_family == pytest.approx(
-        float(np.linalg.norm(res.jordan_gap[:2])), rel=1e-15
-    )
-    assert res.events_ok and res.crossing is not None and res.crossing.ok
     assert res.trajectory is not None
+    gap = np.asarray(res.trajectory.final_state) - np.asarray(res.trajectory.initial_state)
+    jordan_gap = verify_module._matvec(transform.forward, gap)
+    physical_gap = eps * gap / np.array([1.0, alpha, 1.0, alpha])
+    assert res.residual == pytest.approx(float(np.linalg.norm(physical_gap)), rel=1e-15)
+    assert res.residual_full == float(np.linalg.norm(gap))
+    assert np.allclose(jordan_gap, transform.forward @ gap, rtol=1e-12, atol=1e-15)
+    assert res.residual_family == pytest.approx(
+        float(np.linalg.norm(jordan_gap[:2])), rel=1e-15
+    )
+    assert res.events_ok
     # exactly solvable case: the in-family residual sits at solver noise
     assert res.residual_family < 1e-10
 
@@ -215,7 +217,7 @@ def test_poincare_residual_flags_integration_failure(damped, monkeypatch):
     assert res.flag_code == 6
     assert math.isnan(res.residual)
     assert not res.events_ok
-    assert res.crossing is not None
+    assert res.trajectory is not None
 
 
 # -- refinement ---------------------------------------------------------------
@@ -515,6 +517,29 @@ def test_epsilon_sweep_skips_refinement_of_flagged_rungs(damped, monkeypatch):
         refine_periodic(orbit, report.samples[0])
 
 
+def test_events_summary_counts_the_contacts_of_partial_runs(damped, monkeypatch):
+    _, _, orbit = damped
+
+    def stalling(*args, **kwargs):
+        return integrate(*args, **dict(kwargs, max_events=1))
+
+    monkeypatch.setattr(verify_module, "integrate", stalling)
+    report = epsilon_sweep(orbit, LADDER)
+    runs = [sample.trajectory for sample in report.samples]
+    # each stalled rung keeps the one contact its budget allowed
+    assert all(len(run.events) == 1 for run in runs)
+    margins = [abs(run.events[0].state[2 * run.events[0].surface - 1]) for run in runs]
+    assert [run.margin for run in runs] == margins
+    summary = report.events_summary()
+    assert summary["total_events"] == len(LADDER)
+    assert summary["all_crossings"] is False
+    assert summary["min_margin"] == min(margins) > 0.0
+    # without contacts there is no margin to report
+    bare = report._replace(samples=[s._replace(trajectory=s.trajectory._replace(events=[]))
+                                    for s in report.samples])
+    assert bare.events_summary() == {"total_events": 0, "all_crossings": False, "min_margin": None}
+
+
 def test_sweep_rung_whose_chord_step_fails_gives_its_reason(damped, monkeypatch):
     """A chord-step run that stalls ends its rung's refinement; the
     prediction runs, which carry the monodromy, complete."""
@@ -643,7 +668,7 @@ def test_full_nonlinear_check_flags_integration_failure(damped, monkeypatch):
     assert res.flag is not None and res.flag_code == 6
     assert math.isnan(res.residual)
     assert not res.events_ok
-    assert res.trajectory is not None and res.crossing is not None
+    assert res.trajectory is not None
 
 
 def test_full_nonlinear_check_ends_segments_at_table_knots(table_escapement):
