@@ -3,7 +3,8 @@
 Subcommands: ``params`` (spectral constants and the resonance check),
 ``zeros`` (annulus search for simple zeros of the averaged pair),
 ``verify`` (per-zero ε-sweep with scaling fit), ``simulate`` (a single
-event-driven or regularized trajectory).  All floating-point output is
+event-driven or regularized trajectory).  This module writes every
+artifact, JSON and CSV, through one writer; every float in them is
 printed with 17 significant digits so reruns with the same config are
 byte-identical.
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -54,15 +56,15 @@ from .perturbation import (
 MAX_ZEROS_SWEPT = 8
 
 
-# -- deterministic JSON -------------------------------------------------
+# -- deterministic artifacts ----------------------------------------------
+
+
+def _digits(v) -> str:
+    return format(float(v), ".17g")
 
 
 def _format_float(v: float) -> str:
-    if v != v:
-        return "null"
-    if v == float("inf") or v == float("-inf"):
-        return "null"
-    return format(float(v), ".17g")
+    return _digits(v) if math.isfinite(v) else "null"
 
 
 def dumps_deterministic(obj, indent: int = 0) -> str:
@@ -99,32 +101,40 @@ def dumps_deterministic(obj, indent: int = 0) -> str:
     raise DomainError(f"cannot serialize value of type {type(obj).__name__}")
 
 
-def _output_error(path: Path, exc: OSError) -> DomainError:
-    return DomainError(f"[output] dir: cannot write {path}: {exc.strerror}")
-
-
 def _write_text(path: Path, text: str) -> None:
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
+        if not path.parent.is_dir():  # on an existing one, mkdir raises and catches
+            path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
             if not text.endswith("\n"):
                 fh.write("\n")
     except OSError as exc:
-        raise _output_error(path, exc) from None
+        raise DomainError(f"[output] dir: cannot write {path}: {exc.strerror}") from None
+
+
+def _trajectory_csv(traj) -> str:
+    """Each segment's step times and states as t,x,y,z,w,segment_id rows."""
+    return "".join(["t,x,y,z,w,segment_id\n"] + [
+        ",".join(map(_digits, (t, *s))) + f",{seg_id}\n"
+        for seg_id, seg in enumerate(traj.segments) for t, s in zip(seg.ts, seg.states)
+    ])
+
+
+def _events_csv(traj) -> str:
+    """The event log as t,surface,kind,lie_minus,lie_plus rows; both
+    derivative columns hold the contact's rate, one number on both sides
+    of the surface (see :mod:`pendavg.filippov`)."""
+    return "".join(["t,surface,kind,lie_minus,lie_plus\n"] + [
+        f"{_digits(ev.time)},{ev.surface},{ev.kind},{_digits(ev.rate)},{_digits(ev.rate)}\n"
+        for ev in traj.events
+    ])
 
 
 def _export_csvs(traj, trajectory_path: Path, events_path: Path) -> None:
     """The trajectory and event CSVs of one run."""
-    from .filippov import export_events_csv, export_trajectory_csv
-
-    for export, path in ((export_trajectory_csv, trajectory_path), (export_events_csv, events_path)):
-        try:
-            if not path.parent.is_dir():  # on an existing one, mkdir raises and catches
-                path.parent.mkdir(parents=True, exist_ok=True)
-            export(traj, path)
-        except OSError as exc:
-            raise _output_error(path, exc) from None
+    _write_text(trajectory_path, _trajectory_csv(traj))
+    _write_text(events_path, _events_csv(traj))
 
 
 # -- configuration -------------------------------------------------------

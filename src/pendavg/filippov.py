@@ -50,6 +50,9 @@ surfaces at once applies both matrices, provided the two crossing orders
 agree.  A tangent contact, or a corner where the orders disagree,
 leaves the flow map without a derivative to carry: Φ is dropped there,
 the run goes on, and the trajectory says why it carries no monodromy.
+
+The module writes no files: :mod:`pendavg.cli` formats and writes a
+run's trajectory and event CSVs.
 """
 
 from __future__ import annotations
@@ -742,33 +745,3 @@ def integrate_regularized(
         t_span=(t0, t1),
         initial_state=s0,
     )
-
-
-def export_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write each segment's step times and states as t,x,y,z,w,segment_id rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,x,y,z,w,segment_id\n")
-        for seg_id, seg in enumerate(traj.segments):
-            for t, s in zip(seg.ts, seg.states):
-                fields = [format(float(v), ".17g") for v in (t, *s)]
-                fh.write(",".join(fields) + f",{seg_id}\n")
-
-
-def export_events_csv(traj: Trajectory, path) -> None:
-    """Write the event log as t,surface,kind,lie_minus,lie_plus rows; both
-    derivative columns hold the contact's rate (see :func:`integrate_field`)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,surface,kind,lie_minus,lie_plus\n")
-        for ev in traj.events:
-            fh.write(
-                ",".join(
-                    [
-                        format(ev.time, ".17g"),
-                        str(ev.surface),
-                        ev.kind,
-                        format(ev.rate, ".17g"),
-                        format(ev.rate, ".17g"),
-                    ]
-                )
-                + "\n"
-            )

@@ -240,13 +240,18 @@ def test_unwritable_output_dir_exits_1(tmp_path, bench_ini, capsys):
     (out / "params.json").mkdir(parents=True)
     assert cli.main(["params", "--config", str(ini), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: [output] dir: cannot write {out / 'params.json'}")
+    (out / "zero0_eps0.trajectory.csv").mkdir()
+    assert cli.main(["verify", "--config", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [output] dir: cannot write {out / 'zero0_eps0.trajectory.csv'}")
+    assert "Traceback" not in err
     ini = write_ini(tmp_path / "sim.ini", {**bench_sections(out), "integrate": SIMULATE_INTEGRATE})
     (out / "events.csv").mkdir()
     assert cli.main(["simulate", "--config", str(ini)]) == 1
     assert capsys.readouterr().err.startswith(f"error: [output] dir: cannot write {out / 'events.csv'}")
 
 
-# -- deterministic JSON --------------------------------------------------------
+# -- deterministic JSON and CSV ------------------------------------------------
 
 
 def test_dumps_deterministic_is_valid_json_with_17_digits():
@@ -271,6 +276,32 @@ def test_dumps_deterministic_is_valid_json_with_17_digits():
     assert parsed["text"] == 'quote " and backslash \\'
     assert parsed["empty"] == []
     assert text == cli.dumps_deterministic(payload)
+
+
+def test_csv_export_round_trip(tmp_path):
+    import csv
+
+    from pendavg.filippov import integrate
+
+    reduced = reduce_params(PhysicalParams(1.0, 1.0, 1.0, 1.0, 9.8))
+    s = spectral_data(reduced)
+    spec = builtin("damped_forced", {"gamma": GAMMA}, s, family=1, p=1)
+    traj = integrate(spec, reduced, s, 1e-3, (0.3, -0.2, 0.5, 0.1), (0.0, 5.0))
+    tpath = tmp_path / "trajectory.csv"
+    epath = tmp_path / "events.csv"
+    cli._export_csvs(traj, tpath, epath)
+    with open(tpath, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "x", "y", "z", "w", "segment_id"]
+    data = np.array([[float(v) for v in row[:5]] for row in rows[1:]])
+    assert data[:, 0].tobytes() == np.concatenate([seg.ts for seg in traj.segments]).tobytes()
+    assert data[:, 1:].tobytes() == np.concatenate([seg.states for seg in traj.segments]).tobytes()
+    assert [int(row[5]) for row in rows[1:]] == [i for i, seg in enumerate(traj.segments) for _ in seg.ts]
+    with open(epath, newline="") as fh:
+        erows = list(csv.reader(fh))
+    assert erows[0] == ["t", "surface", "kind", "lie_minus", "lie_plus"]
+    assert len(erows) - 1 == len(traj.events)
+    assert float(erows[1][0]) == traj.events[0].time
 
 
 # -- params ---------------------------------------------------------------
@@ -787,20 +818,26 @@ def test_prediction_path_loads_no_checking_half(tmp_path):
     assert "pendavg.averaging" in loaded and not loaded & CHECKING_HALF and "numpy" not in loaded
 
 
-def package_imports():
-    """(module, line, top-level package) of every import statement in the
-    package's modules, at the top or inside a function."""
+def package_nodes():
+    """(module, node) of every syntax node in the package's modules."""
     package = Path(cli.__file__).resolve().parent
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            for module in modules:
-                yield path.stem, node.lineno, module.split(".")[0]
+            yield path.stem, node
+
+
+def package_imports():
+    """(module, line, top-level package) of every import statement in the
+    package's modules, at the top or inside a function."""
+    for name, node in package_nodes():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        for module in modules:
+            yield name, node.lineno, module.split(".")[0]
 
 
 def test_no_module_but_dop853_imports_numpy():
@@ -815,6 +852,31 @@ def test_no_module_imports_dataclasses():
     # the package's records are NamedTuples or plain classes: the decorator
     # and the inspect, ast and tokenize modules it pulls in cost start-up
     assert not [(name, line) for name, line, top in package_imports() if top == "dataclasses"]
+
+
+def file_writes():
+    """(module, line) of every call in the package that writes or creates a
+    file: ``open`` with a mode holding w, a, x or + (or a mode not spelled
+    out), ``.write_text``, ``.write_bytes`` and ``.mkdir``."""
+    for name, node in package_nodes():
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        method = func.attr if isinstance(func, ast.Attribute) else None
+        if method in ("write_text", "write_bytes", "mkdir"):
+            yield name, node.lineno
+        elif method == "open" or isinstance(func, ast.Name) and func.id == "open":
+            position = 0 if method else 1
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[position:position + 1]
+            if any(not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+") for mode in modes):
+                yield name, node.lineno
+
+
+def test_only_cli_writes_files():
+    # one writer for every artifact: its directory policy and its error
+    # mapping (exit 1 naming [output] dir) hold for JSON and CSV alike
+    writes = list(file_writes())
+    assert {name for name, _ in writes} == {"cli"}, writes
 
 
 def test_zeros_and_verify_load_neither_dataclasses_nor_inspect(tmp_path):
@@ -953,23 +1015,26 @@ def test_setup_probe_runs_on_every_workload(tmp_path, monkeypatch):
         assert math.isfinite(float(proc.stdout)), (name, proc.stdout)
 
 
-def test_traced_counts_of_verify_escapement(tmp_path, monkeypatch):
+@pytest.mark.parametrize("name, expected", [
+    ("verify-escapement", (12, 504, 48, 4, 8)),
+    ("compare-corollary", (16, 672, 64, 0, 8)),
+])
+def test_traced_counts_of_verify_workloads(tmp_path, monkeypatch, name, expected):
     # the benchmark's per-layer counts read the trajectory and refinement
     # records by field name; a renamed field would read 0, not fail
     monkeypatch.syspath_prepend(str(REPO / "perfbench"))
     monkeypatch.chdir(tmp_path)
     from workloads import WORKLOADS
 
-    workload = WORKLOADS["verify-escapement"]
+    workload = WORKLOADS[name]
     ini = workload.write_ini(tmp_path / "verify.ini", seed=7)
     proc = run_child(str(REPO / "perfbench" / "traced_cli.py"), str(tmp_path / "trace"), "--",
                      *workload.cli_args(ini))
     assert proc.returncode == workload.expected_exit, proc.stderr
     layers = json.loads((tmp_path / "trace" / "layers.json").read_text(encoding="utf-8"))
-    counts = {name: layers[name] for name in ("filippov.integrations", "filippov.steps", "filippov.events",
-                                              "verify.refine_converged", "verify.refine_integrations")}
-    assert counts == {"filippov.integrations": 12, "filippov.steps": 504, "filippov.events": 48,
-                      "verify.refine_converged": 4, "verify.refine_integrations": 8}
+    counts = ("filippov.integrations", "filippov.steps", "filippov.events",
+              "verify.refine_converged", "verify.refine_integrations")
+    assert {count: layers[count] for count in counts} == dict(zip(counts, expected))
 
 
 def test_pair_bench_refuses_fewer_than_two_pairs(tmp_path):

@@ -25,8 +25,6 @@ from pendavg.filippov import (
     _affine_rhs,
     _frozen_forcing,
     d1_field,
-    export_events_csv,
-    export_trajectory_csv,
     integrate,
     integrate_field,
     integrate_regularized,
@@ -624,31 +622,7 @@ def test_dop853_error_test_on_leading_components(bench):
     assert len(dop853.solve(rhs, (0.0, 6.0), u0, **options).ts) > len(ref.ts)
 
 
-# -- export and determinism ---------------------------------------------------
-
-
-def test_csv_export_round_trip(tmp_path, bench):
-    import csv
-
-    reduced, s = bench
-    spec = damped_spec(s)
-    traj = integrate(spec, reduced, s, 1e-3, (0.3, -0.2, 0.5, 0.1), (0.0, 5.0))
-    tpath = tmp_path / "trajectory.csv"
-    epath = tmp_path / "events.csv"
-    export_trajectory_csv(traj, tpath)
-    export_events_csv(traj, epath)
-    with open(tpath, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "x", "y", "z", "w", "segment_id"]
-    data = np.array([[float(v) for v in row[:5]] for row in rows[1:]])
-    assert data[:, 0].tobytes() == np.concatenate([seg.ts for seg in traj.segments]).tobytes()
-    assert data[:, 1:].tobytes() == np.concatenate([seg.states for seg in traj.segments]).tobytes()
-    assert [int(row[5]) for row in rows[1:]] == [i for i, seg in enumerate(traj.segments) for _ in seg.ts]
-    with open(epath, newline="") as fh:
-        erows = list(csv.reader(fh))
-    assert erows[0] == ["t", "surface", "kind", "lie_minus", "lie_plus"]
-    assert len(erows) - 1 == len(traj.events)
-    assert float(erows[1][0]) == traj.events[0].time
+# -- determinism ---------------------------------------------------------------
 
 
 def test_integration_is_deterministic(bench):
