@@ -1015,11 +1015,7 @@ def test_setup_probe_runs_on_every_workload(tmp_path, monkeypatch):
         assert math.isfinite(float(proc.stdout)), (name, proc.stdout)
 
 
-@pytest.mark.parametrize("name, expected", [
-    ("verify-escapement", (12, 504, 48, 4, 8)),
-    ("compare-corollary", (16, 672, 64, 0, 8)),
-])
-def test_traced_counts_of_verify_workloads(tmp_path, monkeypatch, name, expected):
+def _traced_counts(tmp_path, monkeypatch, name):
     # the benchmark's per-layer counts read the trajectory and refinement
     # records by field name; a renamed field would read 0, not fail
     monkeypatch.syspath_prepend(str(REPO / "perfbench"))
@@ -1034,7 +1030,15 @@ def test_traced_counts_of_verify_workloads(tmp_path, monkeypatch, name, expected
     layers = json.loads((tmp_path / "trace" / "layers.json").read_text(encoding="utf-8"))
     counts = ("filippov.integrations", "filippov.steps", "filippov.events",
               "verify.refine_converged", "verify.refine_integrations")
-    assert {count: layers[count] for count in counts} == dict(zip(counts, expected))
+    return tuple(layers[count] for count in counts)
+
+
+def test_traced_counts_of_verify_escapement(tmp_path, monkeypatch):
+    assert _traced_counts(tmp_path, monkeypatch, "verify-escapement") == (12, 504, 48, 4, 8)
+
+
+def test_traced_counts_of_compare_corollary(tmp_path, monkeypatch):
+    assert _traced_counts(tmp_path, monkeypatch, "compare-corollary") == (16, 672, 64, 0, 8)
 
 
 def test_pair_bench_refuses_fewer_than_two_pairs(tmp_path):
