@@ -164,8 +164,6 @@ def _panel_edges(sys: BifurcationSystem, amp) -> Tuple[float, ...]:
         mid = 0.5 * (lo + hi)
         if c0 * math.cos(omega * mid) + c1 * math.sin(omega * mid) == 0.0:
             raise NumericalError("sign-change partition has a zero at a panel midpoint")
-    if not sys.table_knots:
-        return tuple(edges)
     return tuple(sorted({*edges, *sys.table_knots}))
 
 

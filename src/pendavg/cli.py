@@ -545,9 +545,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_zeros(config)
         if args.command == "verify":
             return cmd_verify(config, compare_conventions=getattr(args, "compare_conventions", False))
-        if args.command == "simulate":
-            return cmd_simulate(config)
-        raise DomainError(f"unknown command {args.command!r}")
+        return cmd_simulate(config)
     except PendavgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

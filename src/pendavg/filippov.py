@@ -15,12 +15,12 @@ built once per segment as one periodic 4×5 array F_σ = [M_σ | c_σ] over
 (x, y, z, w, 1), the columns of the forcing's table.  Where every
 τ-dependent term of F_σ is a cosine or a sine in column 4, as on every
 builtin, the segment follows its exact flow (:mod:`pendavg.expflow`) in
-steps of ``max_step``.  Every other field runs on DOP853, the adaptive
-8(5,3) Dormand–Prince pair (Hairer, Nørsett & Wanner, *Solving Ordinary
-Differential Equations I*, §II.10), in the in-package port
-:mod:`pendavg.dop853` of SciPy's ``solve_ivp(method="DOP853")``.  Either
-solver stops at the first root of the level x (state index 0) or z
-(index 2).
+steps of ``max_step``, the cap every run gives.  Every other field runs
+on DOP853 under that cap, the adaptive 8(5,3) Dormand–Prince pair
+(Hairer, Nørsett & Wanner, *Solving Ordinary Differential Equations I*,
+§II.10), in the in-package port :mod:`pendavg.dop853` of SciPy's
+``solve_ivp(method="DOP853")``.  Either solver stops at the first root
+of the level x (state index 0) or z (index 2).
 
 The event loop, the saltation matrices and every trajectory work on
 Python floats: states are tuples or lists, matrices tuples of rows.  Only
@@ -158,9 +158,7 @@ class PeriodicArray(NamedTuple):
     terms: Tuple[Tuple[Tuple[int, int], float, PeriodicScalar], ...] = ()
 
     def __call__(self, tau: float):
-        """The matrix at a scalar τ (the shared ``constant`` when no term varies)."""
-        if not self.terms:
-            return self.constant
+        """The matrix at a scalar τ, as a new list of rows."""
         out = [list(row) for row in self.constant]
         for (i, j), factor, scalar in self.terms:
             out[i][j] += factor * scalar(tau)
@@ -286,7 +284,7 @@ class _Integrator:
         rtol: float,
         atol: float,
         max_events: int,
-        max_step: Optional[float],
+        max_step: float,
         monodromy: bool = False,
     ):
         self.field = field
@@ -295,7 +293,7 @@ class _Integrator:
         self.rtol = rtol
         self.atol = atol
         self.max_events = max_events
-        self.max_step = math.inf if max_step is None else float(max_step)
+        self.max_step = max_step
 
         self.state = [float(v) for v in s0]
         if len(self.state) != 4:
@@ -519,8 +517,7 @@ class _Integrator:
         if frozen is not None:
             form = frozen(signs)
             rhs = _affine_rhs(form)
-            if math.isfinite(self.max_step):
-                big = expflow.generator(form)
+            big = expflow.generator(form)
         elif phi is not None:
             raise DomainError("a monodromy needs the field's affine form field.frozen(signs)")
         else:
@@ -610,7 +607,7 @@ def integrate_field(
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     max_events: int = DEFAULT_MAX_EVENTS,
-    max_step: Optional[float] = None,
+    max_step: float,
     monodromy: bool = False,
 ) -> Trajectory:
     """Integrate a field with explicit region signs through the surfaces.
@@ -628,17 +625,19 @@ def integrate_field(
     a surface are resolved before the first segment.  A field with an
     affine form ``field.frozen(signs)``, the :class:`PeriodicArray`
     [M_σ | c_σ] (as from :func:`d1_field`), runs each segment on it: its
-    exact flow when that qualifies and ``max_step`` is finite (see the
-    module docstring), else DOP853 on :func:`_affine_rhs`.  Any other
-    field runs on DOP853 as ``field(t, state, signs)``.  Segments end at
-    the knots ``field.knots(t0, t1)`` when the field has them.  With
-    ``monodromy`` the run also carries the monodromy (see the module
-    docstring) into ``Trajectory.monodromy``; that needs ``field.frozen``,
-    and a field without it raises DomainError.  A span longer than
-    ``MAX_STEPS`` steps of ``max_step`` raises IntegrationStallError.
+    exact flow when that qualifies (see the module docstring), else
+    DOP853 on :func:`_affine_rhs`.  Any other field runs on DOP853 as
+    ``field(t, state, signs)``.  Segments end at the knots
+    ``field.knots(t0, t1)`` when the field has them.  With ``monodromy``
+    the run also carries the monodromy (see the module docstring) into
+    ``Trajectory.monodromy``; that needs ``field.frozen``, and a field
+    without it raises DomainError.  Every step is at most ``max_step``: a
+    cap that is not finite and positive raises DomainError, and a span
+    longer than ``MAX_STEPS`` steps of it raises IntegrationStallError.
     """
-    if max_step is not None:
-        _check_step_budget(t_span, max_step)
+    if not 0.0 < max_step < math.inf:
+        raise DomainError(f"max_step must be finite and positive, got {max_step!r}")
+    _check_step_budget(t_span, max_step)
     integ = _Integrator(
         field, s0, t_span, rtol=rtol, atol=atol, max_events=max_events, max_step=max_step,
         monodromy=monodromy,

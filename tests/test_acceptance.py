@@ -305,7 +305,7 @@ def test_accept_7_filippov_semantics(bench):
         return np.array([-signs[0] + 0.25 * math.cos(t), 0.0, 0.0, 0.0])
 
     try:
-        integrate_field(field, (0.5, 0.0, 1.0, 0.0), (0.0, 6.0))
+        integrate_field(field, (0.5, 0.0, 1.0, 0.0), (0.0, 6.0), max_step=0.25)
         stopped = False
     except IntegrationStallError:
         stopped = True

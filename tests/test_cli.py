@@ -88,7 +88,7 @@ def test_load_config_defaults_and_overrides(tmp_path):
     assert over.output_dir == tmp_path / "o2"
 
 
-def test_load_config_rejects_bad_input(tmp_path):
+def test_load_config_rejects_bad_input(tmp_path, capsys):
     from pendavg.errors import DomainError
 
     with pytest.raises(DomainError):
@@ -188,6 +188,17 @@ def test_load_config_rejects_bad_input(tmp_path):
     family_flag = write_ini(tmp_path / "flag.ini", {"perturbation": {"file": pert.name}})
     assert cli.main(["zeros", "--config", str(family_flag), "--family", "2",
                      "--out", str(tmp_path / "o")]) == 1
+    # a [DEFAULT] section, whose keys would reach every section, and a file
+    # with no section header
+    write_ini(tmp_path / "default.ini", {"DEFAULT": {"grid": 8},
+                                         "perturbation": {"builtin": "damped_forced", "gamma": 0.5}})
+    (tmp_path / "headless.ini").write_text("builtin = damped_forced\n", encoding="utf-8")
+    capsys.readouterr()
+    for name, message in (("default", "unknown config section [DEFAULT]"),
+                          ("headless", "cannot parse config file")):
+        assert cli.main(["zeros", "--config", str(tmp_path / f"{name}.ini"), "--out", str(tmp_path / "o")]) == 1
+        errors = [row for row in capsys.readouterr().err.splitlines() if row.startswith("error:")]
+        assert len(errors) == 1 and message in errors[0], (name, errors)
 
 
 def test_bad_perturbation_file_exits_1_naming_the_key(tmp_path, capsys):
@@ -201,6 +212,9 @@ def test_bad_perturbation_file_exits_1_naming_the_key(tmp_path, capsys):
         ("f1.d2", "f1.d2 = table:missing.csv"),
         ("k4", "k4 = const:5%"),
         ("p", "p = 0"),
+        ("k1", "k1 = cos:1"),
+        ("k1", "k1 = cos:1,-1"),
+        ("k1", "k1 = tan:1"),
     )
     for key, line in cases:
         pert = tmp_path / "pert.ini"
@@ -609,6 +623,19 @@ def test_simulate_overflowing_flow_exits_6_without_nan(tmp_path):
     assert rows and all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
 
+def test_simulate_flow_not_finite_before_its_first_step_exits_6(tmp_path, capsys):
+    # ε·κ = 1e308·10 is inf in the constant column of the segment's generator
+    sections = bench_sections(tmp_path / "out")
+    sections["perturbation"] = {"builtin": "damped_forced_escapement", "gamma": 0.5, "kappa": 10}
+    sections["integrate"] = {"eps": "1e308", "s0": "0.1 0 0.1 0", "t_span": "0 10"}
+    ini = write_ini(tmp_path / "inf.ini", sections)
+    assert cli.main(["simulate", "--config", str(ini)]) == 6
+    assert capsys.readouterr().err.splitlines() == [
+        "error: integration stalled at t = 0: the segment solver failed: "
+        "the exponential flow overflowed or is not finite"
+    ]
+
+
 def test_simulate_stiff_regularized_run_exits_6_at_once(tmp_path, capsys):
     # ε = 1e300 makes the regularized run so stiff that its error norm
     # overflows and DOP853 shrinks its steps to subnormal sizes near τ = 0,
@@ -745,6 +772,11 @@ def test_usage_errors_exit_1(bench_ini, capsys):
     assert "usage:" in capsys.readouterr().err
     assert cli.main(["simulate", "--config", str(ini), "--delta", "nan"]) == 1
     assert "--delta" in capsys.readouterr().err
+    assert cli.main(["bogus"]) == 1
+    assert "invalid choice" in capsys.readouterr().err
+    # the config has no [integrate] s0 and t_span
+    assert cli.main(["simulate", "--config", str(ini)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: [integrate] must provide s0 and t_span for simulate"]
     with pytest.raises(SystemExit) as exc:
         cli.main(["zeros", "--help"])
     assert exc.value.code == 0

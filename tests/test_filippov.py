@@ -226,6 +226,16 @@ def test_trajectory_sample_and_span_checks(bench):
     assert traj.segments[0].ts[0] == 0.0 and traj.segments[-1].ts[-1] == 2.0
 
 
+def test_integrate_field_needs_a_finite_positive_step_cap(bench):
+    # the cap bounds every step of both solvers, and no value of it turns
+    # the exact flow or the step budget off
+    reduced, s = bench
+    spec = builtin("damped_forced_escapement", {"gamma": GAMMA, "kappa": 0.1}, s, family=1, p=1)
+    for cap in (math.inf, math.nan, 0.0, -0.25):
+        with pytest.raises(DomainError, match="max_step must be finite and positive"):
+            integrate_field(d1_field(spec, reduced, 1e-2), (0.3, -0.2, 0.5, 0.1), (0.0, 1.0), max_step=cap)
+
+
 # -- fields outside the contract ----------------------------------------------
 
 
@@ -250,7 +260,7 @@ def test_sliding_contact_is_refused(field, s0, error, code, reason, time):
     # integrator's contract; a sliding field cannot leave the surface at
     # its first contact, and the run stops there with an error
     with pytest.raises(error, match=reason) as err:
-        integrate_field(field, s0, (0.0, 6.0))
+        integrate_field(field, s0, (0.0, 6.0), max_step=0.25)
     assert err.value.exit_code == code
     assert f"at t = {time:.6g}:" in str(err.value)
 
@@ -281,7 +291,8 @@ def test_saltation_matches_the_exact_flow_map():
     def field(t, state, signs):
         return np.array([2.0 + signs[0], 0.0, 0.0, 0.0])
 
-    traj = integrate_field(_with_affine_form(field), (-1.0, 0.0, 1.0, 0.0), (0.0, 1.5), monodromy=True)
+    traj = integrate_field(_with_affine_form(field), (-1.0, 0.0, 1.0, 0.0), (0.0, 1.5), monodromy=True,
+                           max_step=0.25)
     assert [ev.kind for ev in traj.events] == ["crossing"]
     assert traj.monodromy_reason is None
     assert np.allclose(traj.monodromy, np.diag([3.0, 1.0, 1.0, 1.0]), rtol=0.0, atol=1e-12)
@@ -293,8 +304,8 @@ def test_monodromy_needs_the_affine_form():
         return np.array([2.0 + signs[0], 0.0, 0.0, 0.0])
 
     with pytest.raises(DomainError, match="affine form"):
-        integrate_field(field, (-1.0, 0.0, 1.0, 0.0), (0.0, 1.5), monodromy=True)
-    assert integrate_field(field, (-1.0, 0.0, 1.0, 0.0), (0.0, 1.5)).monodromy is None
+        integrate_field(field, (-1.0, 0.0, 1.0, 0.0), (0.0, 1.5), monodromy=True, max_step=0.25)
+    assert integrate_field(field, (-1.0, 0.0, 1.0, 0.0), (0.0, 1.5), max_step=0.25).monodromy is None
 
 
 def test_monodromy_follows_the_time_direction(bench):
@@ -314,8 +325,8 @@ def test_monodromy_follows_the_time_direction(bench):
     ids=["corner"],
 )
 def test_monodromy_request_ends_at_a_non_crossing_contact(field, s0, t1, reason):
-    plain = integrate_field(field, s0, (0.0, t1))
-    traj = integrate_field(_with_affine_form(field), s0, (0.0, t1), monodromy=True)
+    plain = integrate_field(field, s0, (0.0, t1), max_step=0.25)
+    traj = integrate_field(_with_affine_form(field), s0, (0.0, t1), monodromy=True, max_step=0.25)
     assert traj.monodromy is None
     assert traj.monodromy_reason.startswith(reason)
     assert [(ev.surface, ev.kind) for ev in traj.events] == [
@@ -364,7 +375,7 @@ def test_persistent_tangency_raises():
         return np.array([0.0, 0.0, 1.0, 0.0])
 
     with pytest.raises(TangencyError):
-        integrate_field(field, (0.0, 0.0, 1.0, 0.0), (0.0, 1.0))
+        integrate_field(field, (0.0, 0.0, 1.0, 0.0), (0.0, 1.0), max_step=0.25)
 
 
 # -- stall handling ----------------------------------------------------------
@@ -555,6 +566,17 @@ def test_exact_flow_root_under_stiff_damping(bench):
     lifted = np.concatenate((u0, [math.cos(2.0 * s.omega1), math.sin(2.0 * s.omega1), 1.0]))
     root = brentq(lambda d: (expm(np.asarray(big) * d) @ lifted)[0], 0.0, run.ts[-1] - 1.9, xtol=1e-15)
     assert abs(2.0 + root - run.ts[-1]) <= 1e-10
+
+
+def test_exact_flow_refuses_a_generator_that_is_not_finite(bench):
+    # ε·κ = 1e308·10 overflows to inf in the constant column
+    reduced, s = bench
+    spec = builtin("damped_forced_escapement", {"gamma": GAMMA, "kappa": 10.0}, s, family=1, p=1)
+    big = expflow.generator(d1_field(spec, reduced, 1e308).frozen((1.0, 1.0)))
+    assert math.inf in map(abs, (x for row in big for x in row))
+    run = expflow.solve(big, (0.0, 10.0), (0.1, 0.0, 0.1, 0.0), max_step=min(s.period1, s.period2) / 16.0)
+    assert run.status == -1 and run.message == expflow.OVERFLOW
+    assert run.ts is None and run.ys is None
 
 
 def test_dop853_builds_dense_output_only_for_event_steps():
