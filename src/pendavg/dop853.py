@@ -346,19 +346,24 @@ def solve(
     max_step: float = np.inf,
     events: Sequence[int] = (),
     n_tested: Optional[int] = None,
+    departures: Optional[Sequence] = None,
 ) -> Solution:
     """Integrate ``y' = fun(t, y)`` over ``t_span`` with DOP853.
 
     ``fun`` must return floats shaped like ``y0``; as in SciPy, its value
     is taken as a float array.  Each event, an index k for the level
     ``y[k]``, is terminal: the run stops at the earliest root, located by
-    Brent's method on the step's dense output, of any level that changes
-    sign (or touches zero) over a step.  The initial step and the local
-    error test see only the first ``n_tested`` components (all of them by
-    default, as in SciPy); the others ride along on the steps the leading
-    ones choose.  A run that needs more than ``MAX_STEPS`` steps ends with
-    status −1, as Hairer's DOP853 does past NMAX; SciPy has no such bound.
-    A step whose error norm overflows is rejected, with no numpy warning.
+    Brent's method on the step's dense output, of any level whose values
+    at a step's two ends are not of one strict sign.  A level that leaves
+    its surface at t0 as q0·(t − t0)^order has the ``departures`` entry
+    (order, q0), else None: it starts at q0's sign, and a root in the
+    first step is found on y[k]/(t − t0)^order.  The initial step and the
+    local error test see only the first ``n_tested`` components (all of
+    them by default, as in SciPy); the others ride along on the steps the
+    leading ones choose.  A run that needs more than ``MAX_STEPS`` steps
+    ends with status −1, as Hairer's DOP853 does past NMAX; SciPy has no
+    such bound.  A step whose error norm overflows is rejected, with no
+    numpy warning.
     """
     def fun(t, y, fun=fun):
         return np.asarray(fun(t, y), dtype=float)
@@ -383,7 +388,8 @@ def solve(
     t = t0
     ts = [t0]
     ys = [y]
-    g = [y[k] for k in events]
+    departures = departures or [None] * len(events)
+    g = [y[k] if d is None else d[1] * direction ** d[0] for k, d in zip(events, departures)]
     status = None
     fired = None
     while status is None:
@@ -443,7 +449,8 @@ def solve(
             active = sign_changes(g, g_new)
             if active:
                 step = _StepInterpolant(fun, t_old, t - t_old, y_old, y, K)
-                roots = np.asarray([_event_root(events[i], step, t_old, t) for i in active])
+                roots = np.asarray([_event_root(events[i], step, t_old, t,
+                                                departures[i] if len(ts) == 1 else None) for i in active])
                 first = np.argsort(roots if t > t_old else -roots)[0]
                 fired = active[first]
                 t = roots[first]
@@ -460,9 +467,12 @@ def solve(
     return Solution(status=status, ts=np.array(ts), ys=np.array(ys), event=fired)
 
 
-def _event_root(k: int, step: _StepInterpolant, t_old, t):
-    """Root of the level u[k] on the dense output of one step (solve_event_equation)."""
-    def g(s):
-        return step.component(s, k)
+def _event_root(k: int, step: _StepInterpolant, t_old, t, departure=None):
+    """Root of the level u[k] on the dense output of one step (solve_event_equation);
+    for a ``departure`` (order, q0), of u[k]/(s − t_old)^order, q0 at t_old."""
+    order, q0 = departure or (0, None)
 
-    return _brent(g, t_old, t, g(t_old), g(t), xtol=EVENT_TOL, rtol=EVENT_TOL)
+    def g(s):
+        return step.component(s, k) / (s - t_old) ** order
+
+    return _brent(g, t_old, t, g(t_old) if q0 is None else q0, g(t), xtol=EVENT_TOL, rtol=EVENT_TOL)

@@ -16,7 +16,8 @@ columns directly; otherwise the exponential is formed.  An event root is
 found by Brent's method on the level's Taylor polynomial
 Σ δʲ·(Bʲv)[k]/j! when that meets the exact level at the step's end, where
 its error is largest, to ``ROOT_CHECK_RTOL`` of the level's change over
-the step; otherwise on the exact flow.
+the step; otherwise on the exact flow.  A level that leaves its surface
+as q0·δ^order is searched on level(δ)/δ^order in the run's first step.
 
 Everything here is Python floats: B is a tuple of rows, and a run's
 times and states are lists.
@@ -152,7 +153,7 @@ def _flow(big: Matrix, norm: float, delta: float, v: List[float], cols) -> Tuple
 
 
 def solve(big: Matrix, t_span: Sequence[float], u0, *, max_step: float,
-          events: Sequence[int] = ()) -> Solution:
+          events: Sequence[int] = (), departures: Optional[Sequence] = None) -> Solution:
     """Integrate s′ = M·s + c(τ), given as ``big`` = B (see :func:`generator`),
     in steps of the finite ``max_step``, the last one ending at t_span[1].
 
@@ -174,7 +175,8 @@ def solve(big: Matrix, t_span: Sequence[float], u0, *, max_step: float,
     v = u0[:4] + [f(omega * t0) for omega in omegas for f in (math.cos, math.sin)] + [1.0]
     cols = [u0[b:b + 4] for b in range(4, len(u0), 4)]
     ts, ys = [t0], [u0]
-    g = [u0[k] for k in events]
+    departures = departures or [None] * len(events)
+    g = [u0[k] if d is None else d[1] * math.copysign(1.0, h) ** d[0] for k, d in zip(events, departures)]
     t, steps, step = t0, 0, None
     while t != t1:
         steps += 1
@@ -193,7 +195,8 @@ def solve(big: Matrix, t_span: Sequence[float], u0, *, max_step: float,
         g_new = [new[k] for k in events]
         active = sign_changes(g, g_new)
         if active:
-            roots = [_level_root(big, norm, v, events[i], dt, g[i], g_new[i]) for i in active]
+            roots = [_level_root(big, norm, v, events[i], dt, g[i], g_new[i],
+                                 departures[i] if steps == 1 else None) for i in active]
             first = min(range(len(roots)), key=lambda i: abs(roots[i]))
             new, new_cols = _flow(big, norm, roots[first], v, cols)
             # As in dop853.solve, no second row at a time already kept.
@@ -218,10 +221,13 @@ def _taylor_row(big: Matrix, k: int) -> Tuple[Tuple[float, ...], ...]:
 
 
 def _level_root(big: Matrix, norm: float, v: List[float], k: int, dt: float, g0: float,
-                g1: float) -> float:
+                g1: float, departure: Optional[Tuple[int, float]] = None) -> float:
     """Offset δ in [0, dt] of the root of v(δ)[k] by Brent's method,
-    bracketed by the exact values g0 and g1 (see the module docstring)."""
-    coefficients = [sum(map(mul, row, v)) for row in _taylor_row(big, k)]
+    bracketed by the exact values g0 and g1 (see the module docstring);
+    for a ``departure`` (order, q0), of v(δ)[k]/δ^order, q0 at δ = 0."""
+    order, g0 = departure or (0, g0)
+    g1 /= dt ** order
+    coefficients = [sum(map(mul, row, v)) for row in _taylor_row(big, k)[:ROOT_DEGREE + 1 - order]]
 
     def level(delta):
         out = 0.0
@@ -231,6 +237,6 @@ def _level_root(big: Matrix, norm: float, v: List[float], k: int, dt: float, g0:
 
     if not abs(level(dt) - g1) <= ROOT_CHECK_RTOL * abs(g1 - g0):
         def level(delta):
-            return _flow(big, norm, delta, v, ())[0][k]
+            return _flow(big, norm, delta, v, ())[0][k] / delta ** order
 
     return _brent(level, 0.0, dt, g0, g1, xtol=EVENT_TOL, rtol=EVENT_TOL)

@@ -3,12 +3,13 @@
 The discontinuity set is the union of the two coordinate hyperplanes
 ``x = 0`` (surface 1, state index 0) and ``z = 0`` (surface 2, state
 index 2); surface k + 1 is the level of state index 2k.  The trajectory
-is a chain of segments, each integrated by the same step: leave the
-surfaces the last event put the state on, integrate to the next
-terminal event, append the segment.  A segment follows the field with
-frozen region signs until a level crosses zero, or until the next knot
-of a table in the forcing, where linear interpolation has a kink; a
-knot ends the segment and nothing else.
+is a chain of segments, each integrated by the same step: start at the
+contact the last event ended on, integrate to the next terminal event,
+append the segment.  A segment follows the field with frozen region
+signs until a level crosses zero, or until the next knot of a table in
+the forcing, where linear interpolation has a kink; a knot ends the
+segment and nothing else.  A level that starts on its surface is tested
+as it leaves it (see ``_Integrator._departures``).
 
 With the region signs frozen the field is affine, f = M_σ(τ)·s + c_σ(τ),
 built once per segment as one periodic 4×5 array F_σ = [M_σ | c_σ] over
@@ -78,8 +79,6 @@ STALL_DT = 1e-12
 STALL_RUN = 50
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
-# Escalating micro-step sizes used to leave a surface after an event.
-_RESTART_STEPS = (1e-12, 1e-10, 1e-8, 1e-6)
 
 
 class EventRecord(NamedTuple):
@@ -260,14 +259,6 @@ def _point_signs(state: Sequence[float]) -> Tuple[float, float]:
     return (_sign(state[0]), _sign(state[2]))
 
 
-def _rk4_step(rhs, t: float, y: Sequence[float], h: float) -> List[float]:
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, [a + 0.5 * h * b for a, b in zip(y, k1)])
-    k3 = rhs(t + 0.5 * h, [a + 0.5 * h * b for a, b in zip(y, k2)])
-    k4 = rhs(t + h, [a + h * b for a, b in zip(y, k3)])
-    return [a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-
-
 class _Stalled(Exception):
     """Internal control-flow signal; converted to IntegrationStallError."""
 
@@ -312,6 +303,8 @@ class _Integrator:
         # The monodromy so far; None when not requested or dropped.
         self.phi = _eye(4) if monodromy else None
         self.monodromy_reason: Optional[str] = None
+        # Per level, the order of the contact the state sits on, else None.
+        self.orders: List[Optional[int]] = [None, None]
         self.finished = False
         self._tiny_run = 0
         self._last_event_time: Optional[float] = None
@@ -384,9 +377,11 @@ class _Integrator:
             if abs(rate) <= LIE_TOL:
                 self._record(k, "tangent", rate, corner)
                 self._drop_monodromy(f"tangent contact with surface {k + 1}")
+                self.orders[k] = 2
                 self._resolve_tangency(k)
             else:
                 self._record(k, "crossing", rate, corner)
+                self.orders[k] = 1
                 self.signs[k] = self.direction * _sign(rate)
         if self.phi is not None:
             self._cross_monodromy(ks)
@@ -441,10 +436,7 @@ class _Integrator:
         """
         signs0 = list(self.signs)
         signs0[k] = 0.0
-        f0 = self.field(self.t, self.state, tuple(signs0))
-        h = 1e-6 * self.direction * max(1.0, abs(self.t))
-        f1 = self.field(self.t + h, [s + h * f for s, f in zip(self.state, f0)], tuple(signs0))
-        dlie = (float(f1[2 * k]) - float(f0[2 * k])) / h
+        f0, dlie = self._curvature(lambda t, state: self.field(t, state, tuple(signs0)), k)
         if abs(dlie) <= LIE_TOL:
             if math.hypot(*f0) <= EQUILIBRIUM_FIELD_TOL:
                 self.signs[k] = 0.0
@@ -456,56 +448,49 @@ class _Integrator:
             )
         self.signs[k] = _sign(dlie)
 
+    def _curvature(self, rhs, k: int) -> Tuple[Sequence[float], float]:
+        """``rhs(t, state)`` at the contact, and level k's curvature there by
+        a forward difference of its rate along ``rhs``."""
+        f0 = rhs(self.t, self.state)
+        h = 1e-6 * self.direction * max(1.0, abs(self.t))
+        f1 = rhs(self.t + h, [s + h * f for s, f in zip(self.state, f0)])
+        return f0, (float(f1[2 * k]) - float(f0[2 * k])) / h
+
+    def _departures(self, rhs) -> List[Optional[Tuple[int, float]]]:
+        """Per level, (order, q0) when the state sits on its surface, else None.
+
+        The level leaves the contact as q0·δ^order along ``rhs``, the coming
+        segment's right-hand side, δ the time since the contact: order 1
+        and q0 its rate after a crossing, order 2 and q0 half its curvature
+        after a tangency.  A level that would not leave for the side the
+        contact selected, sign(q0)·direction^order, stalls the run.
+        """
+        departures = [None, None]
+        for k, order in enumerate(self.orders):
+            if order:
+                q0 = float(rhs(self.t, self.state)[2 * k]) if order == 1 else 0.5 * self._curvature(rhs, k)[1]
+                if _sign(q0) * self.direction ** order != self.signs[k]:
+                    raise _Stalled("unable to leave the switching surface after an event")
+                departures[k] = (order, q0)
+        return departures
+
     def _settle_constant(self):
         """Rest at an equilibrium on the discontinuity set until t1."""
-        self.segments.append(
-            Segment(
-                ts=[self.t, self.t1],
-                states=[tuple(self.state)] * 2,
-                signs=tuple(self.signs),
-            )
-        )
+        self.segments.append(Segment(ts=[self.t, self.t1], states=[tuple(self.state)] * 2,
+                                     signs=tuple(self.signs)))
         self.t = self.t1
         self.finished = True
-
-    def _depart_surface(self, rhs, u: List[float]) -> Tuple[float, List[float]]:
-        """Micro-step off the surfaces so restarted levels have strict signs.
-
-        Every surface the state sits on with a nonzero region sign is
-        left along ``rhs``, the right-hand side of the coming segment, from
-        ``u``: the state, followed by the flattened monodromy when one is
-        carried (steps of up to 1e-6 are not negligible for it).  A
-        first-order step suffices after a transversal crossing; after a
-        tangency the level leaves quadratically, so the
-        step size escalates until every departed level shows the sign
-        selected by the event resolution.
-        """
-        targets = [k for k in range(2) if self.state[2 * k] == 0.0 and self.signs[k] != 0.0]
-        if not targets:
-            return self.t, u
-        remaining = self._remaining()
-        for h_mag in _RESTART_STEPS:
-            if h_mag > 0.5 * remaining:
-                break
-            h = h_mag * self.direction
-            trial = _rk4_step(rhs, self.t, u, h)
-            if all(_sign(trial[2 * k]) == self.signs[k] for k in targets):
-                return self.t + h, trial
-        if remaining <= 2.0 * _RESTART_STEPS[-1]:
-            self._settle_constant()
-            return self.t1, u
-        raise _Stalled("unable to leave the switching surface after an event")
 
     # -- segment step --------------------------------------------------------
 
     def _advance(self):
         """Integrate one segment up to its first terminal event.
 
-        The field runs with frozen region signs, on its affine form when
-        it has one, and stops where either level crosses zero, or at the
-        next table knot, where the segment ends with no event.  A carried
-        monodromy rides along as components 4 to 19, left out of the
-        error test.
+        The field runs from the last contact with frozen region signs, on
+        its affine form when it has one, and stops where either level
+        crosses zero, or at the next table knot, where the segment ends
+        with no event.  A carried monodromy rides along as components 4
+        to 19, left out of the error test.
         """
         signs = tuple(self.signs)
         phi = self.phi
@@ -523,35 +508,28 @@ class _Integrator:
         else:
             def rhs(t, u):
                 return self.field(t, u, signs)
-        t_run, u_run = self._depart_surface(rhs, u)
-        if self.finished:
-            return
+        departures = self._departures(rhs)
+        self.orders = [None, None]
         knots = self.knots
-        while knots and (knots[-1] - t_run) * self.direction <= 0.0:
+        while knots and (knots[-1] - self.t) * self.direction <= 0.0:
             knots.pop()
         t_end = knots[-1] if knots else self.t1
         if big is not None:
-            run = expflow.solve(big, (t_run, t_end), u_run, max_step=self.max_step, events=[0, 2])
+            run = expflow.solve(big, (self.t, t_end), u, max_step=self.max_step, events=[0, 2],
+                                departures=departures)
         else:
-            run = _dop853(rhs, (t_run, t_end), u_run, rtol=self.rtol, atol=self.atol,
-                          max_step=self.max_step, events=[0, 2], n_tested=4)
+            run = _dop853(rhs, (self.t, t_end), u, rtol=self.rtol, atol=self.atol,
+                          max_step=self.max_step, events=[0, 2], n_tested=4, departures=departures)
         if run.status == -1:
             raise _Stalled(f"the segment solver failed: {run.message}")
-        te = run.ts[-1]
         states = run.ys
         if phi is not None:
             last = states[-1]
             self.phi = tuple(tuple(last[4 + 4 * j + i] for j in range(4)) for i in range(4))
             states = [row[:4] for row in states]
         state_e = list(states[-1])
-        self.segments.append(
-            Segment(
-                ts=run.ts,
-                states=states,
-                signs=signs,
-            )
-        )
-        self.t = te
+        self.segments.append(Segment(ts=run.ts, states=states, signs=signs))
+        self.t = run.ts[-1]
         self.state = state_e
         if run.status == 0:
             self.finished = t_end == self.t1

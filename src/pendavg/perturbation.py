@@ -256,7 +256,8 @@ def read_ini(path, what: str) -> configparser.ConfigParser:
     try:
         parser.read_string(read_text(path, what), source=os.fspath(path))
     except configparser.Error as exc:
-        raise DomainError(f"cannot parse {what} {os.fspath(path)!r}: {exc}") from None
+        reason = " ".join(map(str.strip, str(exc).splitlines()))
+        raise DomainError(f"cannot parse {what} {os.fspath(path)!r}: {reason}") from None
     return parser
 
 

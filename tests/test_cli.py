@@ -197,8 +197,11 @@ def test_load_config_rejects_bad_input(tmp_path, capsys):
     for name, message in (("default", "unknown config section [DEFAULT]"),
                           ("headless", "cannot parse config file")):
         assert cli.main(["zeros", "--config", str(tmp_path / f"{name}.ini"), "--out", str(tmp_path / "o")]) == 1
-        errors = [row for row in capsys.readouterr().err.splitlines() if row.startswith("error:")]
+        err = capsys.readouterr().err
+        errors = [row for row in err.splitlines() if row.startswith("error:")]
         assert len(errors) == 1 and message in errors[0], (name, errors)
+        # configparser's own message spans lines; it is joined into one
+        assert len(err.splitlines()) == 1, (name, err)
 
 
 def test_bad_perturbation_file_exits_1_naming_the_key(tmp_path, capsys):

@@ -239,30 +239,96 @@ def test_integrate_field_needs_a_finite_positive_step_cap(bench):
 # -- fields outside the contract ----------------------------------------------
 
 
+_DRIVE_COS_CONTACT = brentq(lambda t: 0.5 - t + 0.25 * math.sin(t), 0.3, 1.2, xtol=1e-13)
+
+
 @pytest.mark.parametrize(
-    "field, s0, error, code, reason, time",
+    "field, s0, t1, error, code, reason, time",
     [
         # |0.25 cos| < 1 keeps both one-sided rates pushing onto x = 0
-        (_drive_field(lambda t: 0.25 * math.cos(t)), (0.5, 0.0, 1.0, 0.0),
-         IntegrationStallError, 6, "unable to leave the switching surface",
-         brentq(lambda t: 0.5 - t + 0.25 * math.sin(t), 0.3, 1.2, xtol=1e-13)),
-        (_drive_field(lambda t: 1.5 * math.sin(t)), (0.5, 0.0, 1.0, 0.0),
+        (_drive_field(lambda t: 0.25 * math.cos(t)), (0.5, 0.0, 1.0, 0.0), 6.0,
+         IntegrationStallError, 6, "unable to leave the switching surface", _DRIVE_COS_CONTACT),
+        (_drive_field(lambda t: 1.5 * math.sin(t)), (0.5, 0.0, 1.0, 0.0), 6.0,
          IntegrationStallError, 6, "unable to leave the switching surface",
          brentq(lambda t: 2.0 - t - 1.5 * math.cos(t), 3.0, 3.6, xtol=1e-13)),
         # x and z reach zero together at t = 0.5, where both rates vanish
-        (lambda t, st, g: np.array([-g[0], 0.0, -g[1], 0.0]), (0.5, 0.0, 0.5, 0.0),
+        (lambda t, st, g: np.array([-g[0], 0.0, -g[1], 0.0]), (0.5, 0.0, 0.5, 0.0), 6.0,
          TangencyError, 5, "persistent tangency with surface 1", 0.5),
+        # however little of the span is left after the contact
+        (_drive_field(lambda t: 0.25 * math.cos(t)), (0.5, 0.0, 1.0, 0.0), _DRIVE_COS_CONTACT + 1e-9,
+         IntegrationStallError, 6, "unable to leave the switching surface", _DRIVE_COS_CONTACT),
     ],
-    ids=["drive-cos", "drive-sin", "corner"],
+    ids=["drive-cos", "drive-sin", "corner", "drive-cos-near-the-end"],
 )
-def test_sliding_contact_is_refused(field, s0, error, code, reason, time):
+def test_sliding_contact_is_refused(field, s0, t1, error, code, reason, time):
     # a rate that depends on the surface's own sign is outside the
     # integrator's contract; a sliding field cannot leave the surface at
     # its first contact, and the run stops there with an error
     with pytest.raises(error, match=reason) as err:
-        integrate_field(field, s0, (0.0, 6.0), max_step=0.25)
+        integrate_field(field, s0, (0.0, t1), max_step=0.25)
     assert err.value.exit_code == code
     assert f"at t = {time:.6g}:" in str(err.value)
+
+
+def _field_of(form: PeriodicArray, solver: str):
+    """The field of the affine form ``form`` = [M | c]: a plain function,
+    which runs on DOP853, or with ``frozen``, which takes the exact flow."""
+    rhs = _affine_rhs(form)
+
+    def field(t, state, signs):
+        return rhs(t, state)
+
+    if solver == "exact-flow":
+        field.frozen = lambda signs: form
+    return field
+
+
+# x' = y, y' = -2 with z parked at 1: x = y0·t − t² leaves x = 0 and
+# returns at t = y0
+_THROWN = PeriodicArray(((0.0, 1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, -2.0),
+                         (0.0, 0.0, 0.0, 1.0, 0.0), (0.0,) * 5))
+# x' = y, y' = -1 + 2 cos 20t from rest on x = 0: x = -t²/2 + (1 - cos 20t)/200
+# touches x = 0, leaves it with curvature 1 and returns at ±t*
+_TOUCHED = PeriodicArray(((0.0, 1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, -1.0),
+                          (0.0, 0.0, 0.0, 1.0, 0.0), (0.0,) * 5),
+                         (((1, 4), 2.0, PeriodicScalar.harmonic("cos", 1.0, 20.0)),))
+_T_STAR = 0.13915573782515103
+
+
+@pytest.mark.parametrize("solver", ["dop853", "exact-flow"])
+@pytest.mark.parametrize("direction", [1.0, -1.0], ids=["forward", "backward"])
+def test_level_leaves_its_contact_and_returns(solver, direction):
+    # a segment starts at its contact, with the level at exactly 0, and
+    # the level's return to the surface is still found: inside the first
+    # step on the exact flow, a few steps on for DOP853
+    traj = integrate_field(_field_of(_THROWN, solver), (0.0, 0.1 * direction, 1.0, 0.0),
+                           (0.0, direction), max_step=0.25)
+    assert [(ev.surface, ev.kind) for ev in traj.events[:2]] == [(1, "crossing")] * 2
+    assert traj.events[0].time == 0.0
+    assert abs(traj.events[1].time - 0.1 * direction) <= 1e-12
+
+    traj = integrate_field(_field_of(_TOUCHED, solver), (0.0, 0.0, 1.0, 0.0), (0.0, direction),
+                           max_step=0.25)
+    assert [(ev.surface, ev.kind) for ev in traj.events[:2]] == [(1, "tangent"), (1, "crossing")]
+    assert traj.events[0].time == 0.0
+    tol = 1e-12 if solver == "exact-flow" else 1e-10
+    assert abs(traj.events[1].time - _T_STAR * direction) <= tol
+
+
+@pytest.mark.parametrize("direction", [1.0, -1.0], ids=["forward", "backward"])
+def test_dop853_finds_a_return_inside_its_first_step(direction):
+    # DOP853 resolves the cosine above in several steps; on polynomial
+    # levels, which it integrates exactly, the return falls inside its first
+    # step, where the root is searched on the deflated level
+    thrown = integrate_field(lambda t, st, g: np.array([st[1], -2.0, st[3], 0.0]),
+                             (0.0, 1e-3 * direction, 1.0, 0.0), (0.0, direction), max_step=0.25)
+    # x = t²/2 − t⁴/c² with c = 0.01 touches x = 0 and returns at ±c/√2
+    touched = integrate_field(lambda t, st, g: np.array([st[1], 1.0 - 12e4 * t * t, st[3], 0.0]),
+                              (0.0, 0.0, 1.0, 0.0), (0.0, direction), max_step=0.25)
+    for traj, first, t_return in ((thrown, "crossing", 1e-3), (touched, "tangent", 0.01 / math.sqrt(2))):
+        assert [ev.kind for ev in traj.events[:2]] == [first, "crossing"]
+        assert len(traj.segments[0].ts) == 2
+        assert abs(traj.events[1].time - t_return * direction) <= 1e-12
 
 
 # -- monodromy ---------------------------------------------------------------

@@ -403,6 +403,9 @@ def test_poincare_run_matches_the_exact_flow_map(bench, name, params, convention
     assert max(abs(ev.time - t) for ev, (t, _, _) in zip(traj.events, events)) <= 1e-10
     assert np.abs(traj.final_state - state).max() <= 1e-10
     assert np.abs(traj.monodromy - monodromy).max() <= 1e-8
+    # the segment after each contact starts at the contact's time and state
+    starts = {(segment.ts[0], tuple(segment.states[0])) for segment in traj.segments}
+    assert all((ev.time, ev.state) in starts for ev in traj.events)
 
 
 def test_tangent_prediction_run_carries_no_monodromy(damped):
