@@ -20,7 +20,7 @@ import configparser
 import math
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .averaging import (
     BifurcationSystem,
@@ -273,11 +273,19 @@ def build_perturbation(config: ExperimentConfig, spectral) -> PerturbationSpec:
 # -- subcommands ----------------------------------------------------------
 
 
-def _params_payload(config: ExperimentConfig) -> dict:
+def _model(config: ExperimentConfig):
+    """The reduced constants and spectrum of the config's pendulum, once the
+    monodromy block has passed the resonance check, and that block's
+    determinant."""
     reduced = reduce_params(config.phys)
     s = spectral_data(reduced)
     _, det = monodromy_lower_block(s, config.p, family=config.family)
-    return {
+    return reduced, s, det
+
+
+def cmd_params(config: ExperimentConfig) -> int:
+    reduced, s, det = _model(config)
+    text = dumps_deterministic({
         "a": reduced.a,
         "b": reduced.b,
         "alpha": reduced.alpha,
@@ -289,12 +297,7 @@ def _params_payload(config: ExperimentConfig) -> dict:
         "family": config.family,
         "p": config.p,
         "monodromy_det": det,
-    }
-
-
-def cmd_params(config: ExperimentConfig) -> int:
-    payload = _params_payload(config)
-    text = dumps_deterministic(payload)
+    })
     print(text)
     _write_text(config.output_dir / "params.json", text)
     return 0
@@ -313,24 +316,10 @@ def _certificates_payload(certs: Sequence[ZeroCertificate]) -> list:
     ]
 
 
-def _run_zero_search(config: ExperimentConfig, convention: Optional[str] = None) -> Tuple[BifurcationSystem, List[ZeroCertificate]]:
-    reduced = reduce_params(config.phys)
-    s = spectral_data(reduced)
-    monodromy_lower_block(s, config.p, family=config.family)
-    spec = build_perturbation(config, s)
-    system = BifurcationSystem(
-        family=config.family,
-        spec=spec,
-        reduced=reduced,
-        spectral=s,
-        sgn_convention=convention or config.convention,
-    )
-    certs = annulus_search(system, config.r1, config.r2, config.grid)
-    return system, certs
-
-
 def cmd_zeros(config: ExperimentConfig) -> int:
-    _, certs = _run_zero_search(config)
+    reduced, s, _ = _model(config)
+    system = BifurcationSystem(config.family, build_perturbation(config, s), reduced, s, config.convention)
+    certs = annulus_search(system, config.r1, config.r2, config.grid)
     payload = {
         "convention": config.convention,
         "family": config.family,
@@ -345,50 +334,38 @@ def cmd_zeros(config: ExperimentConfig) -> int:
     return 0
 
 
-def _verify_convention(config: ExperimentConfig, convention: str, tag: str) -> dict:
-    """Zero search plus sweeps for one sgn convention; returns a summary."""
+def _verify_convention(config: ExperimentConfig, system: BifurcationSystem, tag: str) -> dict:
+    """Zero search plus sweeps for the system's sgn convention; returns a
+    summary whose verdicts are the sweeps' own."""
     from .verify import epsilon_sweep, predicted_initial_state
 
-    system, certs = _run_zero_search(config, convention)
+    certs = annulus_search(system, config.r1, config.r2, config.grid)
     simple_certs = [c for c in certs if c.simple][:MAX_ZEROS_SWEPT]
     entries = []
-    any_validated = False
-    any_crossing_violation = False
-    any_stall = False
+    reports = []
     for i, cert in enumerate(simple_certs):
         report = epsilon_sweep(predicted_initial_state(system, cert), config.eps_list)
-        validated = report.validated
-        any_validated = any_validated or validated
+        reports.append(report)
         for j, sample in enumerate(report.samples):
             if sample.trajectory is not None:
                 base = config.output_dir / f"{tag}zero{i}_eps{j}"
                 _export_csvs(sample.trajectory, base.with_suffix(".trajectory.csv"),
                              base.with_suffix(".events.csv"))
-                any_crossing_violation = any_crossing_violation or bool(sample.trajectory.offenders)
-            if sample.flag_code == IntegrationStallError.exit_code:
-                any_stall = True
         entry = {
-            "zero": {
-                "point": list(cert.point),
-                "det": cert.det,
-                "simple": cert.simple,
-            },
+            "zero": {"point": list(cert.point), "det": cert.det, "simple": cert.simple},
             "sweep": report.to_json_dict(),
-            "validated": validated,
+            "validated": report.validated,
         }
         entries.append(entry)
-        _write_text(
-            config.output_dir / f"{tag}sweep_zero{i}.json",
-            dumps_deterministic(entry),
-        )
+        _write_text(config.output_dir / f"{tag}sweep_zero{i}.json", dumps_deterministic(entry))
     return {
-        "convention": convention,
+        "convention": system.sgn_convention,
         "n_zeros": len(simple_certs),
         "zeros": _certificates_payload(simple_certs),
         "sweeps": entries,
-        "any_validated": any_validated,
-        "any_crossing_violation": any_crossing_violation,
-        "any_stall": any_stall,
+        "any_validated": any(r.validated for r in reports),
+        "any_crossing_violation": any(r.crossing_violation for r in reports),
+        "any_stall": any(r.stalled for r in reports),
     }
 
 
@@ -398,39 +375,30 @@ def cmd_verify(config: ExperimentConfig, compare_conventions: bool = False) -> i
     # with it, loads only for a segment the exact flow cannot take.
     from .verify import convention_verdict
 
-    summary = _verify_convention(config, config.convention, tag="")
-    arbiter_validated = False
+    reduced, s, _ = _model(config)
+    spec = build_perturbation(config, s)
+
+    def summary_of(convention: str, tag: str) -> dict:
+        return _verify_convention(config, BifurcationSystem(config.family, spec, reduced, s, convention), tag)
+
+    summary = summary_of(config.convention, "")
+    validated = summary["any_validated"]
     if compare_conventions:
         other = "B" if config.convention == "A" else "A"
-        other_summary = _verify_convention(config, other, tag=f"conv{other}_")
-        by_convention = {config.convention: summary, other: other_summary}
-        arbiter = convention_verdict(
-            {c: s["any_validated"] for c, s in by_convention.items()}
-        )
-        arbiter_validated = arbiter != "neither"
-        report = {
-            "A": by_convention.get("A"),
-            "B": by_convention.get("B"),
-            "arbiter": arbiter,
-        }
-        text = dumps_deterministic(report)
+        by_convention = {config.convention: summary, other: summary_of(other, f"conv{other}_")}
+        arbiter = convention_verdict({c: each["any_validated"] for c, each in by_convention.items()})
+        validated = arbiter != "neither"
+        text = dumps_deterministic({"A": by_convention["A"], "B": by_convention["B"], "arbiter": arbiter})
         _write_text(config.output_dir / "convention_report.json", text)
         print(f"convention arbiter: {arbiter}")
     text = dumps_deterministic(summary)
     _write_text(config.output_dir / "verify.json", text)
-    print(
-        f"zeros: {summary['n_zeros']}, validated: {summary['any_validated']}"
-    )
-    if summary["any_validated"] or arbiter_validated:
+    print(f"zeros: {summary['n_zeros']}, validated: {summary['any_validated']}")
+    if validated:
         return 0
     if summary["any_crossing_violation"]:
-        offenders = []
-        for entry in summary["sweeps"]:
-            offenders.append(entry["sweep"]["events_summary"])
-        _write_text(
-            config.output_dir / "crossing_violations.json",
-            dumps_deterministic(offenders),
-        )
+        _write_text(config.output_dir / "crossing_violations.json",
+                    dumps_deterministic([entry["sweep"]["events_summary"] for entry in summary["sweeps"]]))
         raise CrossingViolationError(
             "the crossing hypothesis failed during verification; "
             "see crossing_violations.json"

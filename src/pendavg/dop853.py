@@ -362,8 +362,9 @@ def solve(
     them by default, as in SciPy); the others ride along on the steps the
     leading ones choose.  A run that needs more than ``MAX_STEPS`` steps
     ends with status −1, as Hairer's DOP853 does past NMAX; SciPy has no
-    such bound.  A step whose error norm overflows is rejected, with no
-    numpy warning.
+    such bound.  A failed run returns the steps it accepted, as SciPy's
+    does.  A step whose error norm overflows is rejected, with no numpy
+    warning.
     """
     def fun(t, y, fun=fun):
         return np.asarray(fun(t, y), dtype=float)
@@ -394,7 +395,8 @@ def solve(
     fired = None
     while status is None:
         if len(ts) > MAX_STEPS:
-            return Solution(status=-1, message=f"more than {MAX_STEPS} steps")
+            return Solution(status=-1, ts=np.array(ts), ys=np.array(ys),
+                            message=f"more than {MAX_STEPS} steps")
         # One accepted step (RungeKutta._step_impl).
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs > max_step:
@@ -404,7 +406,7 @@ def solve(
         step_rejected = False
         while True:
             if h_abs < min_step:
-                return Solution(status=-1, message=TOO_SMALL_STEP)
+                return Solution(status=-1, ts=np.array(ts), ys=np.array(ys), message=TOO_SMALL_STEP)
             h = h_abs * direction
             t_new = t + h
             if direction * (t_new - t_bound) > 0:

@@ -51,9 +51,10 @@ class Solution(NamedTuple):
 
     ``status`` is 0 when the end of the span was reached, 1 when an event
     stopped the run (``event`` is its index and ``ts[-1]`` its time) and
-    −1 on a failure (``message`` says which; ``ts`` and ``ys`` are then
-    ``None``).  ``ys[i]`` is the state at ``ts[i]``, as in SciPy's
-    ``solve_ivp(...).y.T``.
+    −1 on a failure (``message`` says which; ``ts`` and ``ys`` then hold
+    the steps accepted from the start on, as SciPy's do, or are ``None``
+    when the exact flow fails before its first step).  ``ys[i]`` is the
+    state at ``ts[i]``, as in SciPy's ``solve_ivp(...).y.T``.
     """
 
     status: int
@@ -160,7 +161,7 @@ def solve(big: Matrix, t_span: Sequence[float], u0, *, max_step: float,
     ``u0``, ``events`` and the result are as for :func:`pendavg.dop853.solve`:
     u0 may carry the columns of Φ after the state, and the run stops at the
     earliest root of a level that changes sign over a step.  A flow that
-    overflows ends the run with status −1.
+    overflows ends the run with status −1 and the steps before it.
     """
     t0, t1 = map(float, t_span)
     norm = max(max(sum(abs(big[i][j]) for i in block) for j in block)
@@ -191,7 +192,7 @@ def solve(big: Matrix, t_span: Sequence[float], u0, *, max_step: float,
         else:
             new, new_cols = _flow(big, norm, dt, v, cols)
         if not all(map(math.isfinite, chain(new, *new_cols))):
-            return Solution(status=-1, message=OVERFLOW)
+            return Solution(status=-1, ts=ts, ys=ys, message=OVERFLOW)
         g_new = [new[k] for k in events]
         active = sign_changes(g, g_new)
         if active:

@@ -490,7 +490,9 @@ class _Integrator:
         its affine form when it has one, and stops where either level
         crosses zero, or at the next table knot, where the segment ends
         with no event.  A carried monodromy rides along as components 4
-        to 19, left out of the error test.
+        to 19, left out of the error test.  A solver that fails stalls the
+        run; the steps it accepted past the start, if any, stay as the
+        run's last segment.
         """
         signs = tuple(self.signs)
         phi = self.phi
@@ -520,7 +522,7 @@ class _Integrator:
         else:
             run = _dop853(rhs, (self.t, t_end), u, rtol=self.rtol, atol=self.atol,
                           max_step=self.max_step, events=[0, 2], n_tested=4, departures=departures)
-        if run.status == -1:
+        if run.status == -1 and len(run.ts or ()) < 2:
             raise _Stalled(f"the segment solver failed: {run.message}")
         states = run.ys
         if phi is not None:
@@ -531,6 +533,8 @@ class _Integrator:
         self.segments.append(Segment(ts=run.ts, states=states, signs=signs))
         self.t = run.ts[-1]
         self.state = state_e
+        if run.status == -1:
+            raise _Stalled(f"the segment solver failed: {run.message}")
         if run.status == 0:
             self.finished = t_end == self.t1
             return
@@ -572,9 +576,7 @@ def _dop853(rhs, t_span: Tuple[float, float], u0, **options) -> Solution:
     from .dop853 import solve
 
     run = solve(lambda t, u: rhs(t, u.tolist()), t_span, u0, **options)
-    if run.status == -1:
-        return run
-    return Solution(status=run.status, ts=run.ts.tolist(), ys=run.ys.tolist(), event=run.event)
+    return run._replace(ts=run.ts.tolist(), ys=run.ys.tolist())
 
 
 def integrate_field(

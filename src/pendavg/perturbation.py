@@ -178,15 +178,16 @@ class PerturbationSpec:
         return tuple(sorted(t for t in knots if lo + margin < t < hi - margin))
 
     def validate_against(self, spectral: SpectralData) -> None:
-        """Check every component period divides p·T_family."""
+        """Check every component period divides p·T_family; the error names
+        the component by its key in ``ENTRY_KEYS``."""
         window = self.p * spectral.period(self.family)
         coefficients = (c for form in self.F for c in form)
-        for period in (scalar.period for scalar in (*self.K, *coefficients)):
-            ratio = window / period
+        for key, scalar in zip(ENTRY_KEYS, (*self.K, *coefficients)):
+            ratio = window / scalar.period
             if abs(ratio - round(ratio)) > PERIOD_DIVISIBILITY_TOL * max(1.0, abs(ratio)):
                 raise DomainError(
-                    f"component period {period!r} does not divide the averaging "
-                    f"window p·T = {window!r} (ratio {ratio!r})"
+                    f"perturbation key {key}: component period {scalar.period!r} does not divide "
+                    f"the averaging window p·T = {window!r} (ratio {ratio!r})"
                 )
 
 
@@ -302,14 +303,15 @@ def _parse_scalar_entry(key: str, entry: str, spectral: SpectralData, family: in
             path = os.path.join(base_dir, path)
         try:
             text = read_text(path, "table")
+            rows = [row for row in csv.reader(io.StringIO(text)) if row and not row[0].lstrip().startswith("#")]
+            if any(len(row) < 2 for row in rows):
+                raise DomainError(f"every row of table {path!r} needs two columns (tau, value)")
+            source = f"table {path!r}"
+            taus = [parse_keyed(source, row[0]) for row in rows]
+            values = [parse_keyed(source, row[1]) for row in rows]
+            return PeriodicScalar.from_table(taus, values)
         except DomainError as exc:
             raise DomainError(f"{where}: {exc}") from None
-        rows = [row for row in csv.reader(io.StringIO(text)) if row and not row[0].lstrip().startswith("#")]
-        if any(len(row) < 2 for row in rows):
-            raise DomainError(f"{where}: every row of table {path!r} needs two columns (tau, value)")
-        taus = [parse_keyed(where, row[0]) for row in rows]
-        values = [parse_keyed(where, row[1]) for row in rows]
-        return PeriodicScalar.from_table(taus, values)
     raise DomainError(f"{where}: unknown scalar entry kind {kind!r} in {entry!r}")
 
 
@@ -342,8 +344,9 @@ def perturbation_from_file(path: str, spectral: SpectralData) -> PerturbationSpe
     ``cos:<amp>,<harmonic>``, ``sin:<amp>,<harmonic>`` (harmonic counted
     relative to ω_family) or ``table:<csv-path>`` (two columns: tau,
     value).  Missing keys default to zero.  Every number must be finite;
-    a value or table that does not parse, and a ``family`` or ``p`` out of
-    range, raises DomainError naming its key.
+    a value or table that does not parse or fails its checks, a period
+    that does not divide the averaging window, and a ``family`` or ``p``
+    out of range raise DomainError naming the key.
     """
     parser = read_ini(path, "perturbation file")
     if not parser.has_section("perturbation"):

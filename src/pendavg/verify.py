@@ -30,7 +30,9 @@ from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .averaging import BifurcationSystem, ZeroCertificate
 from .errors import (
+    CrossingViolationError,
     DomainError,
+    IntegrationStallError,
     PendavgError,
     RefinementDegenerateError,
 )
@@ -136,7 +138,8 @@ class RefinementResult(NamedTuple):
 
 
 class SweepReport(NamedTuple):
-    """Residual scaling of one prediction across an ε ladder.
+    """Residual scaling of one prediction across an ε ladder, and its verdict:
+    ``validated``, ``crossing_violation`` and ``stalled``.
 
     ``limit_gap_reason`` says, per rung, why ``limit_gap`` is NaN (None
     where refinement converged).
@@ -200,6 +203,19 @@ class SweepReport(NamedTuple):
             and exponent >= VALIDATED_EXPONENT_MIN
             and self.family_consistent
         )
+
+    @property
+    def crossing_violation(self) -> bool:
+        """True when some rung's trajectory, partial ones included, has
+        offenders, or some rung's run was flagged with exit 5 (a persistent
+        tangency, which leaves no trajectory)."""
+        return any(s.flag_code == CrossingViolationError.exit_code
+                   or (s.trajectory is not None and s.trajectory.offenders) for s in self.samples)
+
+    @property
+    def stalled(self) -> bool:
+        """True when some rung's run was flagged with exit 6."""
+        return any(s.flag_code == IntegrationStallError.exit_code for s in self.samples)
 
     def events_summary(self) -> dict:
         runs = [s.trajectory for s in self.samples if s.trajectory is not None]

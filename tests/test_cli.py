@@ -206,6 +206,8 @@ def test_load_config_rejects_bad_input(tmp_path, capsys):
 
 def test_bad_perturbation_file_exits_1_naming_the_key(tmp_path, capsys):
     (tmp_path / "one_column.csv").write_text("# tau, value\n0.0, 1.0\n0.5\n", encoding="utf-8")
+    # a table of 100 rows, short of the 256 samples a period needs
+    (tmp_path / "short.csv").write_text("".join(f"{i / 100!r}, 0.0\n" for i in range(100)), encoding="utf-8")
     cases = (
         ("k2", "k2 = cos:nan,1"),
         ("family", "family = one"),
@@ -218,6 +220,9 @@ def test_bad_perturbation_file_exits_1_naming_the_key(tmp_path, capsys):
         ("k1", "k1 = cos:1"),
         ("k1", "k1 = cos:1,-1"),
         ("k1", "k1 = tan:1"),
+        ("k1", "k1 = table:short.csv"),
+        # half the resonant harmonic: its period does not divide the window
+        ("k1", "k1 = cos:1,0.5"),
     )
     for key, line in cases:
         pert = tmp_path / "pert.ini"
@@ -523,6 +528,49 @@ def test_verify_crossing_violation_exits_5(tmp_path, monkeypatch, capsys):
                                        "see crossing_violations.json\n")
 
 
+def test_verify_persistent_tangency_exits_5(tmp_path, monkeypatch, capsys):
+    # a persistent tangency flags its rung with exit 5 and leaves no
+    # trajectory; the sweep still counts it as a contact outside the
+    # crossing region
+    from pendavg import verify
+    from pendavg.errors import TangencyError
+
+    def tangent(*args, **kwargs):
+        raise TangencyError("persistent tangency on x = 0")
+
+    monkeypatch.setattr(verify, "integrate", tangent)
+    out = tmp_path / "out"
+    ini = write_ini(tmp_path / "bench.ini", bench_sections(out))
+    assert cli.main(["verify", "--config", str(ini)]) == 5
+    payload = json.loads((out / "verify.json").read_text())
+    assert payload["any_crossing_violation"] is True and payload["any_validated"] is False
+    violations = json.loads((out / "crossing_violations.json").read_text())
+    assert violations and violations == [entry["sweep"]["events_summary"] for entry in payload["sweeps"]]
+    assert capsys.readouterr().err == ("error: the crossing hypothesis failed during verification; "
+                                       "see crossing_violations.json\n")
+
+
+def test_compare_conventions_reads_the_perturbation_file_once(tmp_path, monkeypatch):
+    # both conventions share one model and one perturbation
+    pert = tmp_path / "pert.ini"
+    pert.write_text(f"[perturbation]\nk1 = cos:{GAMMA!r},1\nf1.d2 = const:-1\nf3.d4 = const:-1\n",
+                    encoding="utf-8")
+    sections = bench_sections(tmp_path / "out")
+    sections["perturbation"] = {"file": pert.name}
+    ini = write_ini(tmp_path / "bench.ini", sections)
+    calls = []
+    read = cli.perturbation_from_file
+
+    def counted(*args):
+        calls.append(args)
+        return read(*args)
+
+    monkeypatch.setattr(cli, "perturbation_from_file", counted)
+    assert cli.main(["verify", "--config", str(ini), "--compare-conventions"]) == 0
+    assert len(calls) == 1
+    assert json.loads((tmp_path / "out" / "convention_report.json").read_text())["arbiter"] != "neither"
+
+
 def test_verify_stall_exits_6_without_crossing_file(tmp_path, monkeypatch, capsys):
     from pendavg import verify
 
@@ -624,6 +672,19 @@ def test_simulate_overflowing_flow_exits_6_without_nan(tmp_path):
     assert _simulate_gamma(tmp_path, "0 300", corollary) == 6
     rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[1:]
     assert rows and all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
+def test_simulate_overflow_keeps_the_failed_segment_steps(tmp_path, capsys):
+    # the segment after the last crossing runs its exact flow to t ≈ 145
+    # before it overflows; its finite steps stay and the message names the last
+    corollary = {"builtin": "corollary_escapement", "sigma_d": 1, "sigma_e": -1}
+    assert _simulate_gamma(tmp_path, "0 300", corollary) == 6
+    last = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[-1].split(",")
+    assert float(last[0]) > 100.0 and all(math.isfinite(float(v)) for v in last)
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: integration stalled at t = {float(last[0]):.6g}: the segment solver failed: "
+        "the exponential flow overflowed or is not finite"
+    ]
 
 
 def test_simulate_flow_not_finite_before_its_first_step_exits_6(tmp_path, capsys):

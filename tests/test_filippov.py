@@ -468,6 +468,45 @@ def test_crossing_requirement_flags_tangency(bench):
     assert traj.margin == 0.0
 
 
+def blow_up_field(t, state, signs):
+    """x′ = 1, z′ = z²: from z = 1 at t = 0, z = 1/(1 − t) blows up at t = 1
+    and neither level reaches zero."""
+    return (1.0, 0.0, state[2] * state[2], 0.0)
+
+
+def test_failed_dop853_run_returns_its_accepted_steps():
+    # y′ = y² from y = 1 blows up at t = 1, where the step size collapses
+    from scipy.integrate import solve_ivp
+
+    def rhs(t, y):
+        return [y[0] * y[0]]
+
+    ref = solve_ivp(rhs, (0.0, 2.0), [1.0], method="DOP853", rtol=1e-10, atol=1e-12)
+    run = dop853.solve(rhs, (0.0, 2.0), [1.0], rtol=1e-10, atol=1e-12)
+    assert run.status == ref.status == -1 and run.message == ref.message == dop853.TOO_SMALL_STEP
+    assert len(run.ts) > 2
+    assert run.ts.tobytes() == ref.t.tobytes() and run.ys.tobytes() == ref.y.T.tobytes()
+
+
+def test_stalled_segment_keeps_its_accepted_steps():
+    with pytest.raises(IntegrationStallError) as err:
+        integrate_field(blow_up_field, (0.5, 0.0, 1.0, 0.0), (0.0, 2.0), max_step=0.1)
+    assert err.value.exit_code == 6
+    (segment,) = err.value.trajectory.segments
+    assert len(segment.ts) > 2 and segment.ts[-1] == pytest.approx(1.0, abs=1e-6)
+    assert str(err.value) == (f"integration stalled at t = {segment.ts[-1]:.6g}: the segment solver failed: "
+                              f"{dop853.TOO_SMALL_STEP}")
+
+
+def test_step_budget_stall_keeps_its_accepted_steps(monkeypatch):
+    monkeypatch.setattr(dop853, "MAX_STEPS", 3)
+    with pytest.raises(IntegrationStallError, match="more than 3 steps") as err:
+        integrate_field(blow_up_field, (0.5, 0.0, 1.0, 0.0), (0.0, 2.0), max_step=0.1)
+    (segment,) = err.value.trajectory.segments
+    assert len(segment.ts) == len(segment.states) == 4
+    assert f"stalled at t = {segment.ts[-1]:.6g}:" in str(err.value)
+
+
 # -- regularized route -------------------------------------------------------
 
 
