@@ -7,24 +7,28 @@ Usage:
 PARENT_SRC and CHANGE_SRC are ``src/`` directories, each holding a
 ``pendavg`` package.  First the script prints each tree's source lines,
 the newlines of its ``pendavg/*.py`` files as ``wc -l`` counts them, and
-the change's net lines against the parent.  For every workload of ``perfbench/workloads.py``
-(all three by default) the script writes the workload's INI file once and
-runs N pairs, N at least 2.  A pair is one CLI invocation on each tree, each in a fresh
-interpreter (``python -m pendavg`` with ``PYTHONPATH`` set to the tree), as
-the benchmark times ``run_s``; the tree that goes first alternates from
-pair to pair.  Every invocation must end with the workload's expected exit
-code.
+the change's net lines against the parent.  For every workload of
+``perfbench/workloads.py`` (all three by default) the script copies each
+tree's ``pendavg`` package to ``<tmp>/parent/src`` and
+``<tmp>/change/src``, two paths of equal length, so that the two sides
+differ in their code alone.  It then writes the workload's INI file once
+and runs N pairs, N at least 2.  A pair is one CLI invocation on each
+copy, each in a fresh interpreter (``python -m pendavg`` with
+``PYTHONPATH`` set to the copy), as the benchmark times ``run_s``; the
+tree that goes first alternates from pair to pair.  Every invocation
+must end with the workload's expected exit code.
 
 Per workload it prints each side's median and quartiles, the number of
 pairs the change won, and whether the pair rule holds: at least 10 pairs,
 the change faster in at least nine of every ten (ties count for neither),
 and a median gap larger than the parent's interquartile range.  It also
 prints each side's median peak RSS, the child's ``ru_maxrss`` from
-``os.wait4`` as the benchmark reads ``peak_rss_mb``, with its quartiles.
-On Linux a child's ``ru_maxrss`` starts from the RSS of the process that
-spawned it, which is lower here than in ``perfbench/run.py`` (that
-one has numpy loaded), so a child that stays below the benchmark's floor
-of about 30 MB reads lower here than in the benchmark.
+``os.wait4``, with its quartiles.  On Linux a child's ``ru_maxrss``
+starts from the RSS of the process that forks it.  This script's own RSS
+is about the CLI child's peak, so a bare interpreter forks each CLI run
+and the figure is the child's own peak.  ``perfbench/run.py`` forks from
+a process with numpy loaded, so a child that stays below that floor of
+about 30 MB reads lower here than the benchmark's ``peak_rss_mb``.
 Last, it compares the ``out/`` trees the two sides' last runs wrote, byte
 for byte, and prints "artifacts identical" or the files that differ.  For
 each JSON or CSV file that both sides wrote and that differs, it prints
@@ -49,31 +53,43 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from time import perf_counter
 from typing import Dict, List, Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
 
+# Runs the command in its arguments, its stderr joined to its stdout, and
+# prints its wall seconds, exit code and ru_maxrss in KiB on stderr.  A
+# Linux child's ru_maxrss starts from the RSS of the process that forks it;
+# this bare interpreter's is below every workload's peak, where the RSS of
+# this script is about that peak.
+TIMER = """\
+import os, subprocess, sys, time
+t0 = time.perf_counter()
+proc = subprocess.Popen(sys.argv[1:], stderr=subprocess.STDOUT)
+_, status, usage = os.wait4(proc.pid, 0)
+print(time.perf_counter() - t0, os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
+"""
+
+
 def timed_run(src: Path, workload, ini: Path, run_dir: Path) -> Tuple[float, float]:
     """Wall seconds and peak RSS in MB of one fresh-interpreter CLI
-    invocation on ``src``, its output written to ``run_dir/stdout.log``."""
+    invocation on ``src``, forked, timed and read by ``TIMER``, its output
+    written to ``run_dir/stdout.log``."""
     shutil.rmtree(run_dir / "out", ignore_errors=True)
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("PENDAVG_THREADS", None)
-    cmd = [sys.executable, "-m", "pendavg", *workload.cli_args(Path(ini.name))]
+    cmd = [sys.executable, "-c", TIMER, sys.executable, "-m", "pendavg", *workload.cli_args(Path(ini.name))]
     # The child writes to a file, as the benchmark's runs do: its peak RSS
     # differs when it writes to /dev/null.
     with open(run_dir / "stdout.log", "w", encoding="utf-8") as log:
-        t0 = perf_counter()
-        proc = subprocess.Popen(cmd, cwd=run_dir, env=env, stdout=log, stderr=subprocess.STDOUT)
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = perf_counter() - t0
-    code = os.waitstatus_to_exitcode(status)
-    if code != workload.expected_exit:
+        timer = subprocess.run(cmd, cwd=run_dir, env=env, stdout=log, stderr=subprocess.PIPE, text=True,
+                               check=True)
+    wall, code, peak = timer.stderr.split()
+    if int(code) != workload.expected_exit:
         raise SystemExit(f"{workload.name} on {src}: exit {code}, expected {workload.expected_exit}")
-    return wall, usage.ru_maxrss / 1024.0
+    return float(wall), int(peak) / 1024.0
 
 
 def source_lines(src: Path) -> int:
@@ -198,13 +214,14 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory(prefix="pair_bench_") as tmp:
             run_dirs = [Path(tmp) / "parent", Path(tmp) / "change"]
             inis = []
-            for run_dir in run_dirs:
-                run_dir.mkdir()
+            for src, run_dir in zip(trees, run_dirs):
+                shutil.copytree(src / "pendavg", run_dir / "src" / "pendavg",
+                                ignore=shutil.ignore_patterns("__pycache__"))
                 inis.append(workload.write_ini(run_dir / "workload.ini", args.seed))
             walls, rss = ([], []), ([], [])
             for i in range(args.pairs):
                 for side in ((0, 1) if i % 2 == 0 else (1, 0)):
-                    wall, peak = timed_run(trees[side], workload, inis[side], run_dirs[side])
+                    wall, peak = timed_run(run_dirs[side] / "src", workload, inis[side], run_dirs[side])
                     walls[side].append(wall)
                     rss[side].append(peak)
             outs = [run_dir / "out" for run_dir in run_dirs]

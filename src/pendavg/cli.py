@@ -429,7 +429,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
                 config.sim_s0, config.sim_t_span,
                 max_events=config.sim_max_events,
             )
-    except IntegrationStallError as exc:
+    except PendavgError as exc:
         if exc.trajectory is not None:
             _export_csvs(exc.trajectory, out / "trajectory.csv", out / "events.csv")
         raise

@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .averaging import _brent
-from .errors import DomainError
+from .errors import DomainError, IntegrationStallError
 from .expflow import EVENT_TOL, MAX_STEPS, Solution, sign_changes
 
 N_STAGES = 12
@@ -362,9 +362,10 @@ def solve(
     them by default, as in SciPy); the others ride along on the steps the
     leading ones choose.  A run that needs more than ``MAX_STEPS`` steps
     ends with status −1, as Hairer's DOP853 does past NMAX; SciPy has no
-    such bound.  A failed run returns the steps it accepted, as SciPy's
-    does.  A step whose error norm overflows is rejected, with no numpy
-    warning.
+    such bound.  So does a run whose ``fun`` raises IntegrationStallError,
+    with the error's text as its message; SciPy lets any error escape.  A
+    failed run returns the steps it accepted, as SciPy's does.  A step
+    whose error norm overflows is rejected, with no numpy warning.
     """
     def fun(t, y, fun=fun):
         return np.asarray(fun(t, y), dtype=float)
@@ -377,94 +378,96 @@ def solve(
     n = y.size
     n_tested = n if n_tested is None else n_tested
     direction = np.sign(t_bound - t0) if t_bound != t0 else 1
-    f = fun(t0, y)
-    if t0 == t_bound:
-        return Solution(status=0, ts=np.array([t0, t0]), ys=np.array([y, y]))
-    h_abs = _initial_step(fun, t0, y, t_bound, max_step, f, direction, rtol, atol, n_tested)
-    K = np.empty((N_STAGES + 1, n))
-    # KT[s] is SciPy's K[:s].T, a view of the first s stages.  Products
-    # are taken by ndarray.dot: np.dot's own routine, without its dispatch.
-    KT = [K[:s].T for s in range(N_STAGES + 1)]
+    ts, ys = [t0], [y]
+    try:
+        f = fun(t0, y)
+        if t0 == t_bound:
+            return Solution(status=0, ts=np.array([t0, t0]), ys=np.array([y, y]))
+        h_abs = _initial_step(fun, t0, y, t_bound, max_step, f, direction, rtol, atol, n_tested)
+        K = np.empty((N_STAGES + 1, n))
+        # KT[s] is SciPy's K[:s].T, a view of the first s stages.  Products
+        # are taken by ndarray.dot: np.dot's own routine, without its dispatch.
+        KT = [K[:s].T for s in range(N_STAGES + 1)]
 
-    t = t0
-    ts = [t0]
-    ys = [y]
-    departures = departures or [None] * len(events)
-    g = [y[k] if d is None else d[1] * direction ** d[0] for k, d in zip(events, departures)]
-    status = None
-    fired = None
-    while status is None:
-        if len(ts) > MAX_STEPS:
-            return Solution(status=-1, ts=np.array(ts), ys=np.array(ys),
-                            message=f"more than {MAX_STEPS} steps")
-        # One accepted step (RungeKutta._step_impl).
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
-            h_abs = min_step
-        step_rejected = False
-        while True:
-            if h_abs < min_step:
-                return Solution(status=-1, ts=np.array(ts), ys=np.array(ys), message=TOO_SMALL_STEP)
-            h = h_abs * direction
-            t_new = t + h
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
+        t = t0
+        departures = departures or [None] * len(events)
+        g = [y[k] if d is None else d[1] * direction ** d[0] for k, d in zip(events, departures)]
+        status = None
+        fired = None
+        while status is None:
+            if len(ts) > MAX_STEPS:
+                return Solution(status=-1, ts=np.array(ts), ys=np.array(ys),
+                                message=f"more than {MAX_STEPS} steps")
+            # One accepted step (RungeKutta._step_impl).
+            min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+            if h_abs > max_step:
+                h_abs = max_step
+            elif h_abs < min_step:
+                h_abs = min_step
+            step_rejected = False
+            while True:
+                if h_abs < min_step:
+                    return Solution(status=-1, ts=np.array(ts), ys=np.array(ys), message=TOO_SMALL_STEP)
+                h = h_abs * direction
+                t_new = t + h
+                if direction * (t_new - t_bound) > 0:
+                    t_new = t_bound
+                h = t_new - t
+                h_abs = abs(h)
 
-            K[0] = f
-            for s, a, c in _STAGES:
-                dy = KT[s].dot(a)
-                dy *= h
-                dy += y
-                K[s] = fun(t + c * h, dy)
-            y_new = y + h * K[:-1].T.dot(B)
-            f_new = fun(t + h, y_new)
-            K[-1] = f_new
+                K[0] = f
+                for s, a, c in _STAGES:
+                    dy = KT[s].dot(a)
+                    dy *= h
+                    dy += y
+                    K[s] = fun(t + c * h, dy)
+                y_new = y + h * K[:-1].T.dot(B)
+                f_new = fun(t + h, y_new)
+                K[-1] = f_new
 
-            scale = atol + np.maximum(np.abs(y[:n_tested]), np.abs(y_new[:n_tested])) * rtol
-            # Contiguous, as K is when every component is tested, so that the
-            # untested components leave the error norm as it is without them:
-            # numpy's product over strided columns rounds differently.
-            error_norm = _error_norm(np.ascontiguousarray(K[:, :n_tested]), h, scale)
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = MAX_FACTOR
-                else:
-                    factor = min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
-                if step_rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
-            step_rejected = True
+                scale = atol + np.maximum(np.abs(y[:n_tested]), np.abs(y_new[:n_tested])) * rtol
+                # Contiguous, as K is when every component is tested, so that the
+                # untested components leave the error norm as it is without them:
+                # numpy's product over strided columns rounds differently.
+                error_norm = _error_norm(np.ascontiguousarray(K[:, :n_tested]), h, scale)
+                if error_norm < 1:
+                    if error_norm == 0:
+                        factor = MAX_FACTOR
+                    else:
+                        factor = min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+                    if step_rejected:
+                        factor = min(1, factor)
+                    h_abs *= factor
+                    break
+                h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+                step_rejected = True
 
-        t_old, y_old = t, y
-        t, y, f = t_new, y_new, f_new
-        if direction * (t - t_bound) >= 0:
-            status = 0
+            t_old, y_old = t, y
+            t, y, f = t_new, y_new, f_new
+            if direction * (t - t_bound) >= 0:
+                status = 0
 
-        if events:
-            g_new = [y[k] for k in events]
-            active = sign_changes(g, g_new)
-            if active:
-                step = _StepInterpolant(fun, t_old, t - t_old, y_old, y, K)
-                roots = np.asarray([_event_root(events[i], step, t_old, t,
-                                                departures[i] if len(ts) == 1 else None) for i in active])
-                first = np.argsort(roots if t > t_old else -roots)[0]
-                fired = active[first]
-                t = roots[first]
-                y = step(t)
-                status = 1
-            g = g_new
+            if events:
+                g_new = [y[k] for k in events]
+                active = sign_changes(g, g_new)
+                if active:
+                    step = _StepInterpolant(fun, t_old, t - t_old, y_old, y, K)
+                    roots = np.asarray([_event_root(events[i], step, t_old, t,
+                                                    departures[i] if len(ts) == 1 else None) for i in active])
+                    first = np.argsort(roots if t > t_old else -roots)[0]
+                    fired = active[first]
+                    t = roots[first]
+                    y = step(t)
+                    status = 1
+                g = g_new
 
-        # SciPy keeps no second row at a time it already has (an event
-        # root at the step's start).
-        if len(ts) == 1 or ts[-1] != t:
-            ts.append(t)
-            ys.append(y)
+            # SciPy keeps no second row at a time it already has (an event
+            # root at the step's start).
+            if len(ts) == 1 or ts[-1] != t:
+                ts.append(t)
+                ys.append(y)
+    except IntegrationStallError as exc:
+        return Solution(status=-1, ts=np.array(ts), ys=np.array(ys), message=str(exc))
 
     return Solution(status=status, ts=np.array(ts), ys=np.array(ys), event=fired)
 

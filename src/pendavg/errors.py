@@ -18,9 +18,14 @@ DEFAULT_MAX_EVENTS = 100_000
 
 
 class PendavgError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; ``trajectory`` is the partial run
+    of an integration that stopped after a step, else None."""
 
     exit_code = 1
+
+    def __init__(self, message, trajectory=None):
+        super().__init__(message)
+        self.trajectory = trajectory
 
 
 class DomainError(PendavgError, ValueError):
@@ -48,25 +53,16 @@ class NoZeroError(PendavgError):
 
 
 class CrossingViolationError(PendavgError):
-    """A trajectory met the switching set outside its crossing region."""
-
-    exit_code = 5
-
-
-class TangencyError(PendavgError):
-    """Persistent tangency: the flow hugs a switching surface ambiguously."""
+    """A trajectory met the switching set outside its crossing region, or
+    a persistent tangency stopped it."""
 
     exit_code = 5
 
 
 class IntegrationStallError(PendavgError):
-    """Event accumulation or step underflow; partial trajectory attached."""
+    """Event accumulation or step underflow."""
 
     exit_code = 6
-
-    def __init__(self, message, trajectory=None):
-        super().__init__(message)
-        self.trajectory = trajectory
 
 
 class RefinementDegenerateError(PendavgError):

@@ -63,7 +63,7 @@ from itertools import chain
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import expflow
-from .errors import DEFAULT_MAX_EVENTS, DomainError, IntegrationStallError, TangencyError
+from .errors import DEFAULT_MAX_EVENTS, CrossingViolationError, DomainError, IntegrationStallError
 from .expflow import MAX_STEPS, Matrix, Solution, _matmul
 from .model import ReducedParams, SpectralData
 from .perturbation import PerturbationSpec, PeriodicScalar, eval_order1_with_signs, smooth_sign
@@ -431,8 +431,9 @@ class _Integrator:
         The level behaves like ½·g″·Δt² around the contact, so the sign
         of g″, measured on the in-surface field (sgn = 0), fixes the
         side on which the trajectory continues.  A persistent tangency
-        with a nonzero field cannot be continued; a vanishing field is
-        an equilibrium and the trajectory stays put.
+        with a nonzero field cannot be continued: the run stops with
+        CrossingViolationError, its steps and the tangent contact attached.
+        A vanishing field is an equilibrium and the trajectory stays put.
         """
         signs0 = list(self.signs)
         signs0[k] = 0.0
@@ -442,9 +443,10 @@ class _Integrator:
                 self.signs[k] = 0.0
                 self._settle_constant()
                 return
-            raise TangencyError(
+            raise CrossingViolationError(
                 f"persistent tangency with surface {k + 1} at t = {self.t:.6g}: "
-                "the contact neither crosses nor resolves"
+                "the contact neither crosses nor resolves",
+                trajectory=self._trajectory(),
             )
         self.signs[k] = _sign(dlie)
 
@@ -597,8 +599,10 @@ def integrate_field(
     depend on σ_k, the surface's own sign.  Every field the package
     builds meets this, because each has x′ = y and z′ = w.  A field that
     does not is not detected at the contact; where its flow cannot leave
-    the surface the run stops with IntegrationStallError or
-    TangencyError.  Events on ``x = 0`` and ``z = 0`` are located to a
+    the surface the run stops with IntegrationStallError or, at a
+    persistent tangency, CrossingViolationError.  Either error, and every
+    stall after the first step, carries the steps taken in its
+    ``trajectory``.  Events on ``x = 0`` and ``z = 0`` are located to a
     time tolerance below 1e-12, and each is a crossing or a tangency by
     its rate (see ``_Integrator._resolve_contacts``); the trajectory's
     ``offenders`` and ``margin`` judge the log.  Initial states on
@@ -685,12 +689,14 @@ def integrate_regularized(
     """Single smooth integration with sgn replaced by its C¹ spline.
 
     No events are generated; the result carries one segment covering the
-    whole span.  The run stops with IntegrationStallError once two field
-    evaluations at distinct times lie closer than 10 ulps of the span:
-    SciPy's minimum step taken at the span instead of at τ, which near
-    τ = 0 would let a stiff run crawl through its whole step budget.
-    A stiff run's error norm may overflow; the step it rejects reports
-    that.
+    whole span.  The run stops once two field evaluations at distinct
+    times lie closer than 10 ulps of the span: SciPy's minimum step taken
+    at the span instead of at τ, which near τ = 0 would let a stiff run
+    crawl through its whole step budget.  A stiff run's error norm may
+    overflow; the step it rejects reports that.  That floor and every
+    DOP853 failure raise one IntegrationStallError, "regularized
+    integration stalled: " and the reason, with the steps accepted so
+    far as its one-segment ``trajectory``.
     """
     if delta <= 0.0:
         raise DomainError(f"regularization width must be positive, got {delta}")
@@ -701,9 +707,7 @@ def integrate_regularized(
 
     def rhs(t, state):
         if 0.0 < abs(t - last[0]) < floor:
-            raise IntegrationStallError(
-                f"regularized integration stalled: its steps fell below {floor:.3g} near tau = {t:.6g}"
-            )
+            raise IntegrationStallError(f"its steps fell below {floor:.3g} near tau = {t:.6g}")
         last[0] = t
         return field(t, state, (smooth_sign(state[0], delta), smooth_sign(state[2], delta)))
 
@@ -711,16 +715,8 @@ def integrate_regularized(
     _check_step_budget(t_span, max_step)
     s0 = tuple(float(v) for v in s0)
     run = _dop853(rhs, (t0, t1), s0, rtol=rtol, atol=atol, max_step=max_step)
+    traj = Trajectory(segments=[Segment(ts=run.ts, states=run.ys, signs=(math.nan, math.nan))],
+                      events=[], t_span=(t0, t1), initial_state=s0)
     if run.status != 0:
-        raise IntegrationStallError(f"regularized integration failed: {run.message}")
-    segment = Segment(
-        ts=run.ts,
-        states=run.ys,
-        signs=(math.nan, math.nan),
-    )
-    return Trajectory(
-        segments=[segment],
-        events=[],
-        t_span=(t0, t1),
-        initial_state=s0,
-    )
+        raise IntegrationStallError(f"regularized integration stalled: {run.message}", trajectory=traj)
+    return traj

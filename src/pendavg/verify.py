@@ -208,7 +208,7 @@ class SweepReport(NamedTuple):
     def crossing_violation(self) -> bool:
         """True when some rung's trajectory, partial ones included, has
         offenders, or some rung's run was flagged with exit 5 (a persistent
-        tangency, which leaves no trajectory)."""
+        tangency)."""
         return any(s.flag_code == CrossingViolationError.exit_code
                    or (s.trajectory is not None and s.trajectory.offenders) for s in self.samples)
 
@@ -361,7 +361,7 @@ def _package_result(eps: float, orbit: PredictedOrbit, traj: Trajectory) -> Poin
 
 
 def _flagged_result(eps: float, exc: PendavgError) -> PoincareResult:
-    return PoincareResult(eps, getattr(exc, "trajectory", None), flag=str(exc), flag_code=exc.exit_code)
+    return PoincareResult(eps, exc.trajectory, flag=str(exc), flag_code=exc.exit_code)
 
 
 def poincare_residual(orbit: PredictedOrbit, eps: float) -> PoincareResult:

@@ -249,6 +249,15 @@ def test_unreadable_input_files_exit_1(tmp_path):
         assert f"cannot read {named}" in proc.stderr, proc.stderr
 
 
+def test_config_file_not_utf8_names_the_byte(tmp_path, capsys):
+    ini = tmp_path / "latin1.ini"
+    ini.write_bytes(b"[perturbation]\nbuiltin = damped_forced\ngamma = 0.5\n# caf\xe9\n")
+    assert cli.main(["zeros", "--config", str(ini), "--out", str(tmp_path / "o")]) == 1
+    offset = ini.read_bytes().index(b"\xe9")
+    assert capsys.readouterr().err == (f"error: cannot read config file {str(ini)!r}: "
+                                       f"not UTF-8 text (byte 0xe9 at offset {offset})\n")
+
+
 def test_unwritable_output_dir_exits_1(tmp_path, bench_ini, capsys):
     ini, _ = bench_ini
     taken = tmp_path / "taken"
@@ -388,6 +397,16 @@ def test_zeros_without_zero_exits_3(tmp_path, capsys):
     assert cli.main(["zeros", "--config", str(ini)]) == 3
     payload = json.loads((tmp_path / "out" / "zeros.json").read_text())
     assert payload["zeros"] == []
+
+
+def test_zeros_on_a_zero_perturbation_exits_3(tmp_path, capsys):
+    # with no forcing at all the averaged pair vanishes on every ray
+    (tmp_path / "zero.ini").write_text("[perturbation]\nfamily = 1\np = 1\nk1 = const:0\n", encoding="utf-8")
+    sections = bench_sections(tmp_path / "out")
+    sections["perturbation"] = {"file": "zero.ini"}
+    ini = write_ini(tmp_path / "exp.ini", sections)
+    assert cli.main(["zeros", "--config", str(ini)]) == 3
+    assert json.loads((tmp_path / "out" / "zeros.json").read_text())["zeros"] == []
 
 
 def test_fast_harmonic_averages_out_and_exits_3(tmp_path, capsys):
@@ -533,10 +552,10 @@ def test_verify_persistent_tangency_exits_5(tmp_path, monkeypatch, capsys):
     # trajectory; the sweep still counts it as a contact outside the
     # crossing region
     from pendavg import verify
-    from pendavg.errors import TangencyError
+    from pendavg.errors import CrossingViolationError
 
     def tangent(*args, **kwargs):
-        raise TangencyError("persistent tangency on x = 0")
+        raise CrossingViolationError("persistent tangency on x = 0")
 
     monkeypatch.setattr(verify, "integrate", tangent)
     out = tmp_path / "out"
@@ -718,6 +737,53 @@ def test_simulate_stiff_regularized_run_exits_6_at_once(tmp_path, capsys):
     assert not caught
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: regularized integration stalled")
+
+
+def test_simulate_stalled_regularized_run_keeps_its_steps(tmp_path, capsys):
+    # the corollary escapement of test_simulate_overflow_keeps_the_failed_segment_steps,
+    # regularized: the floor of 10 ulps of the span ends the run near τ = 144
+    # and the steps DOP853 accepted before it are written
+    sections = bench_sections(tmp_path / "out")
+    sections["perturbation"] = {"builtin": "corollary_escapement", "sigma_d": 1, "sigma_e": -1}
+    sections["integrate"] = {"eps": 5, "s0": "2 0 2 1e-12", "t_span": "0 300"}
+    ini = write_ini(tmp_path / "reg.ini", sections)
+    assert cli.main(["simulate", "--config", str(ini), "--delta", "1e-3"]) == 6
+    (line,) = capsys.readouterr().err.splitlines()
+    match = re.fullmatch(r"error: regularized integration stalled: its steps fell below 5\.68e-13 "
+                         r"near tau = (\S+)", line)
+    assert match, line
+    rows = [[float(v) for v in row.split(",")]
+            for row in (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[1:]]
+    assert len(rows) > 2 and all(math.isfinite(v) for row in rows for v in row)
+    assert f"{rows[-1][0]:.6g}" == match.group(1)
+    assert (tmp_path / "out" / "events.csv").read_text() == "t,surface,kind,lie_minus,lie_plus\n"
+
+
+def test_simulate_persistent_tangency_exits_5_with_its_contact(tmp_path, capsys):
+    # γ = 0 leaves the pendulum unforced: from x = y = 0 the level x stays
+    # flat while w moves the state, a persistent tangency at t = 0
+    sections = bench_sections(tmp_path / "out")
+    sections["perturbation"]["gamma"] = 0.0
+    sections["integrate"] = {"eps": 1e-3, "s0": "0 0 0 0.3", "t_span": "0 1"}
+    ini = write_ini(tmp_path / "tan.ini", sections)
+    assert cli.main(["simulate", "--config", str(ini)]) == 5
+    assert capsys.readouterr().err == ("error: persistent tangency with surface 1 at t = 0: "
+                                       "the contact neither crosses nor resolves\n")
+    header, *events = (tmp_path / "out" / "events.csv").read_text().splitlines()
+    assert [row.split(",")[1:3] for row in events] == [["1", "tangent"]]
+    assert (tmp_path / "out" / "trajectory.csv").read_text() == "t,x,y,z,w,segment_id\n"
+
+
+def test_simulate_on_an_empty_span_writes_header_only_csvs(tmp_path, capsys):
+    sections = bench_sections(tmp_path / "out")
+    sections["integrate"] = {**SIMULATE_INTEGRATE, "t_span": "1 1"}
+    ini = write_ini(tmp_path / "empty.ini", sections)
+    assert cli.main(["simulate", "--config", str(ini)]) == 0
+    summary = json.loads((tmp_path / "out" / "simulate_summary.json").read_text())
+    assert summary["n_segments"] == summary["n_events"] == 0
+    assert summary["t_span"] == [1.0, 1.0] and summary["final_state"] == summary["initial_state"]
+    assert (tmp_path / "out" / "trajectory.csv").read_text() == "t,x,y,z,w,segment_id\n"
+    assert (tmp_path / "out" / "events.csv").read_text() == "t,surface,kind,lie_minus,lie_plus\n"
 
 
 DOCUMENTED_EXIT_CODES = (0, 1, 2, 3, 5, 6)

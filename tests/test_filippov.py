@@ -19,7 +19,7 @@ from scipy.optimize import brentq
 
 from pendavg import dop853, expflow
 from pendavg.averaging import BifurcationSystem
-from pendavg.errors import DomainError, IntegrationStallError, TangencyError
+from pendavg.errors import CrossingViolationError, DomainError, IntegrationStallError
 from pendavg.filippov import (
     PeriodicArray,
     _affine_rhs,
@@ -253,7 +253,7 @@ _DRIVE_COS_CONTACT = brentq(lambda t: 0.5 - t + 0.25 * math.sin(t), 0.3, 1.2, xt
          brentq(lambda t: 2.0 - t - 1.5 * math.cos(t), 3.0, 3.6, xtol=1e-13)),
         # x and z reach zero together at t = 0.5, where both rates vanish
         (lambda t, st, g: np.array([-g[0], 0.0, -g[1], 0.0]), (0.5, 0.0, 0.5, 0.0), 6.0,
-         TangencyError, 5, "persistent tangency with surface 1", 0.5),
+         CrossingViolationError, 5, "persistent tangency with surface 1", 0.5),
         # however little of the span is left after the contact
         (_drive_field(lambda t: 0.25 * math.cos(t)), (0.5, 0.0, 1.0, 0.0), _DRIVE_COS_CONTACT + 1e-9,
          IntegrationStallError, 6, "unable to leave the switching surface", _DRIVE_COS_CONTACT),
@@ -440,8 +440,30 @@ def test_persistent_tangency_raises():
     def field(t, state, signs):
         return np.array([0.0, 0.0, 1.0, 0.0])
 
-    with pytest.raises(TangencyError):
+    with pytest.raises(CrossingViolationError):
         integrate_field(field, (0.0, 0.0, 1.0, 0.0), (0.0, 1.0), max_step=0.25)
+
+
+@pytest.mark.parametrize(
+    "field, s0, time, n_segments",
+    [
+        # the field of test_persistent_tangency_raises, on x = 0 from the start
+        (lambda t, state, signs: np.array([0.0, 0.0, 1.0, 0.0]), (0.0, 0.0, 1.0, 0.0), 0.0, 0),
+        # the corner of test_sliding_contact_is_refused, after one segment
+        (lambda t, st, g: np.array([-g[0], 0.0, -g[1], 0.0]), (0.5, 0.0, 0.5, 0.0), 0.5, 1),
+    ],
+    ids=["initial", "after-a-segment"],
+)
+def test_persistent_tangency_keeps_its_run(field, s0, time, n_segments):
+    # the tangent contact is logged before the run stops, so the partial
+    # run ends on the contact that stopped it
+    with pytest.raises(CrossingViolationError) as err:
+        integrate_field(field, s0, (0.0, 1.0), max_step=0.25)
+    partial = err.value.trajectory
+    (event,) = partial.events
+    assert (event.kind, event.surface) == ("tangent", 1) and event.time == pytest.approx(time, abs=1e-12)
+    assert partial.offenders == (0,) and len(partial.segments) == n_segments
+    assert partial.final_state == pytest.approx(event.state, abs=1e-12)
 
 
 # -- stall handling ----------------------------------------------------------
@@ -486,6 +508,29 @@ def test_failed_dop853_run_returns_its_accepted_steps():
     assert run.status == ref.status == -1 and run.message == ref.message == dop853.TOO_SMALL_STEP
     assert len(run.ts) > 2
     assert run.ts.tobytes() == ref.t.tobytes() and run.ys.tobytes() == ref.y.T.tobytes()
+
+
+@pytest.mark.parametrize("stop_at", [1, 2, 200])
+def test_dop853_run_ends_where_its_right_hand_side_stalls(stop_at):
+    # call 1 is f(t0), call 2 the initial step's probe and call 200 falls
+    # in the 14th step; the run ends there, with the steps accepted before it
+    def rhs(t, y):
+        return [-y[0] + math.cos(3.0 * t)]
+
+    calls = []
+
+    def stopping(t, y):
+        calls.append(t)
+        if len(calls) == stop_at:
+            raise IntegrationStallError("the right-hand side stopped the run")
+        return rhs(t, y)
+
+    full = dop853.solve(rhs, (0.0, 20.0), [1.0], rtol=1e-10, atol=1e-12)
+    run = dop853.solve(stopping, (0.0, 20.0), [1.0], rtol=1e-10, atol=1e-12)
+    assert run.status == -1 and run.message == "the right-hand side stopped the run"
+    n = len(run.ts)
+    assert n == len(run.ys) and (n == 1 if stop_at < 200 else 2 < n < len(full.ts))
+    assert run.ts.tobytes() == full.ts[:n].tobytes() and run.ys.tobytes() == full.ys[:n].tobytes()
 
 
 def test_stalled_segment_keeps_its_accepted_steps():
