@@ -2,7 +2,7 @@
 
 Usage:
     python scripts/pair_bench.py PARENT_SRC CHANGE_SRC [--workload NAME ...]
-                                 [--pairs N] [--seed S]
+                                 [--pairs N]
 
 PARENT_SRC and CHANGE_SRC are ``src/`` directories, each holding a
 ``pendavg`` package.  First the script prints each tree's source lines,
@@ -11,7 +11,8 @@ the change's net lines against the parent.  For every workload of
 ``perfbench/workloads.py`` (all three by default) the script copies each
 tree's ``pendavg`` package to ``<tmp>/parent/src`` and
 ``<tmp>/change/src``, two paths of equal length, so that the two sides
-differ in their code alone.  It then writes the workload's INI file once
+differ in their code alone.  It then writes the workload's INI file once,
+with ``[model] seed = 0`` (the key has no effect, so no seed is taken),
 and runs N pairs, N at least 2.  A pair is one CLI invocation on each
 copy, each in a fresh interpreter (``python -m pendavg`` with
 ``PYTHONPATH`` set to the copy), as the benchmark times ``run_s``; the
@@ -199,7 +200,6 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="the change's src/ directory")
     parser.add_argument("--workload", action="append", choices=sorted(WORKLOADS))
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error(f"--pairs must be at least 2, got {args.pairs}: the quartiles need two runs a side")
@@ -217,7 +217,7 @@ def main(argv=None) -> int:
             for src, run_dir in zip(trees, run_dirs):
                 shutil.copytree(src / "pendavg", run_dir / "src" / "pendavg",
                                 ignore=shutil.ignore_patterns("__pycache__"))
-                inis.append(workload.write_ini(run_dir / "workload.ini", args.seed))
+                inis.append(workload.write_ini(run_dir / "workload.ini", seed=0))
             walls, rss = ([], []), ([], [])
             for i in range(args.pairs):
                 for side in ((0, 1) if i % 2 == 0 else (1, 0)):

@@ -20,8 +20,11 @@ steps of ``max_step``, the cap every run gives.  Every other field runs
 on DOP853 under that cap, the adaptive 8(5,3) Dormand–Prince pair
 (Hairer, Nørsett & Wanner, *Solving Ordinary Differential Equations I*,
 §II.10), in the in-package port :mod:`pendavg.dop853` of SciPy's
-``solve_ivp(method="DOP853")``.  Either solver stops at the first root
-of the level x (state index 0) or z (index 2).
+``solve_ivp(method="DOP853")``.  Every DOP853 run the package starts,
+the regularized run included, takes one accuracy, ``RTOL`` = 1e-12 and
+``ATOL`` = 1e-14, and no caller passes another, so a trajectory is the
+same whichever command asked for it.  Either solver stops at the first
+root of the level x (state index 0) or z (index 2).
 
 The event loop, the saltation matrices and every trajectory work on
 Python floats: states are tuples or lists, matrices tuples of rows.  Only
@@ -77,8 +80,9 @@ EQUILIBRIUM_FIELD_TOL = 1e-12
 CORNER_SALTATION_RTOL = 1e-10
 STALL_DT = 1e-12
 STALL_RUN = 50
-DEFAULT_RTOL = 1e-10
-DEFAULT_ATOL = 1e-12
+# The one accuracy of every DOP853 run the package starts.
+RTOL = 1e-12
+ATOL = 1e-14
 
 
 class EventRecord(NamedTuple):
@@ -272,8 +276,6 @@ class _Integrator:
         s0,
         t_span: Tuple[float, float],
         *,
-        rtol: float,
-        atol: float,
         max_events: int,
         max_step: float,
         monodromy: bool = False,
@@ -281,8 +283,6 @@ class _Integrator:
         self.field = field
         self.t0, self.t1 = float(t_span[0]), float(t_span[1])
         self.direction = 1.0 if self.t1 >= self.t0 else -1.0
-        self.rtol = rtol
-        self.atol = atol
         self.max_events = max_events
         self.max_step = max_step
 
@@ -522,8 +522,8 @@ class _Integrator:
             run = expflow.solve(big, (self.t, t_end), u, max_step=self.max_step, events=[0, 2],
                                 departures=departures)
         else:
-            run = _dop853(rhs, (self.t, t_end), u, rtol=self.rtol, atol=self.atol,
-                          max_step=self.max_step, events=[0, 2], n_tested=4, departures=departures)
+            run = _dop853(rhs, (self.t, t_end), u, max_step=self.max_step, events=[0, 2], n_tested=4,
+                          departures=departures)
         if run.status == -1 and len(run.ts or ()) < 2:
             raise _Stalled(f"the segment solver failed: {run.message}")
         states = run.ys
@@ -572,12 +572,12 @@ def _eye(n: int) -> Matrix:
 
 
 def _dop853(rhs, t_span: Tuple[float, float], u0, **options) -> Solution:
-    """:func:`pendavg.dop853.solve` on Python floats: ``rhs`` sees lists,
-    and the run's times and states come back as lists.  DOP853, and numpy
-    with it, is imported here on first use."""
+    """:func:`pendavg.dop853.solve` at ``RTOL`` and ``ATOL`` on Python
+    floats: ``rhs`` sees lists, and the run's times and states come back
+    as lists.  DOP853, and numpy with it, is imported here on first use."""
     from .dop853 import solve
 
-    run = solve(lambda t, u: rhs(t, u.tolist()), t_span, u0, **options)
+    run = solve(lambda t, u: rhs(t, u.tolist()), t_span, u0, rtol=RTOL, atol=ATOL, **options)
     return run._replace(ts=run.ts.tolist(), ys=run.ys.tolist())
 
 
@@ -586,8 +586,6 @@ def integrate_field(
     s0,
     t_span: Tuple[float, float],
     *,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
     max_events: int = DEFAULT_MAX_EVENTS,
     max_step: float,
     monodromy: bool = False,
@@ -611,7 +609,8 @@ def integrate_field(
     [M_σ | c_σ] (as from :func:`d1_field`), runs each segment on it: its
     exact flow when that qualifies (see the module docstring), else
     DOP853 on :func:`_affine_rhs`.  Any other field runs on DOP853 as
-    ``field(t, state, signs)``.  Segments end at the knots
+    ``field(t, state, signs)``.  DOP853 runs at ``RTOL`` and ``ATOL``;
+    the call takes no tolerance.  Segments end at the knots
     ``field.knots(t0, t1)`` when the field has them.  With ``monodromy``
     the run also carries the monodromy (see the module docstring) into
     ``Trajectory.monodromy``; that needs ``field.frozen``, and a field
@@ -622,11 +621,7 @@ def integrate_field(
     if not 0.0 < max_step < math.inf:
         raise DomainError(f"max_step must be finite and positive, got {max_step!r}")
     _check_step_budget(t_span, max_step)
-    integ = _Integrator(
-        field, s0, t_span, rtol=rtol, atol=atol, max_events=max_events, max_step=max_step,
-        monodromy=monodromy,
-    )
-    return integ.run()
+    return _Integrator(field, s0, t_span, max_events=max_events, max_step=max_step, monodromy=monodromy).run()
 
 
 def _check_step_budget(t_span: Tuple[float, float], max_step: float) -> None:
@@ -652,22 +647,19 @@ def integrate(
     s0,
     t_span: Tuple[float, float],
     *,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
     max_events: int = DEFAULT_MAX_EVENTS,
     monodromy: bool = False,
 ) -> Trajectory:
     """Event-driven trajectory of the perturbed reduced system.
 
-    Steps are capped at :func:`step_cap`.  With ``monodromy`` the run
-    carries the monodromy of the flow map.
+    Steps are capped at :func:`step_cap`, and segments off the exact
+    flow run on DOP853 at ``RTOL`` and ``ATOL``.  With ``monodromy`` the
+    run carries the monodromy of the flow map.
     """
     return integrate_field(
         d1_field(spec, reduced, eps),
         s0,
         t_span,
-        rtol=rtol,
-        atol=atol,
         max_events=max_events,
         max_step=step_cap(spectral),
         monodromy=monodromy,
@@ -682,11 +674,9 @@ def integrate_regularized(
     delta: float,
     s0,
     t_span: Tuple[float, float],
-    *,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ) -> Trajectory:
-    """Single smooth integration with sgn replaced by its C¹ spline.
+    """Single smooth DOP853 integration, at ``RTOL`` and ``ATOL``, with sgn
+    replaced by its C¹ spline.
 
     No events are generated; the result carries one segment covering the
     whole span.  The run stops once two field evaluations at distinct
@@ -714,7 +704,7 @@ def integrate_regularized(
     max_step = step_cap(spectral)
     _check_step_budget(t_span, max_step)
     s0 = tuple(float(v) for v in s0)
-    run = _dop853(rhs, (t0, t1), s0, rtol=rtol, atol=atol, max_step=max_step)
+    run = _dop853(rhs, (t0, t1), s0, max_step=max_step)
     traj = Trajectory(segments=[Segment(ts=run.ts, states=run.ys, signs=(math.nan, math.nan))],
                       events=[], t_span=(t0, t1), initial_state=s0)
     if run.status != 0:

@@ -48,8 +48,6 @@ DEGENERATE_SV_RTOL = 1e-6
 VALIDATED_EXPONENT_MIN = 1.8
 FAMILY_NOISE_FLOOR = 1e-10
 FAMILY_EXPONENT_MIN = 1.5
-VERIFY_RTOL = 1e-12
-VERIFY_ATOL = 1e-14
 # Why a rung's refinement gave no limit gap; null on a converged rung.
 NOT_CONTRACTING = "not contracting"
 BUDGET_EXHAUSTED = "iteration budget exhausted"
@@ -376,7 +374,7 @@ def poincare_residual(orbit: PredictedOrbit, eps: float) -> PoincareResult:
     system = orbit.system
     try:
         traj = integrate(system.spec, system.reduced, system.spectral, eps, orbit.initial_state,
-                         (0.0, orbit.period_tau), rtol=VERIFY_RTOL, atol=VERIFY_ATOL, monodromy=True)
+                         (0.0, orbit.period_tau), monodromy=True)
     except PendavgError as exc:
         return _flagged_result(eps, exc)
     return _package_result(eps, orbit, traj)
@@ -411,8 +409,8 @@ def refine_periodic(orbit: PredictedOrbit, prediction: PoincareResult) -> Refine
     system = orbit.system
 
     def return_map(s: State) -> State:
-        return integrate(system.spec, system.reduced, system.spectral, eps, s, (0.0, orbit.period_tau),
-                         rtol=VERIFY_RTOL, atol=VERIFY_ATOL).final_state
+        return integrate(system.spec, system.reduced, system.spectral, eps, s,
+                         (0.0, orbit.period_tau)).final_state
 
     jac = [[m - float(i == j) for j, m in enumerate(row)] for i, row in enumerate(monodromy)]
     if smallest_singular_value(jac) < DEGENERATE_SV_RTOL * max(1.0, _frobenius(jac)):
@@ -532,8 +530,8 @@ def full_nonlinear_check(orbit: PredictedOrbit, phys: PhysicalParams, eps: float
 
     field.knots = spec.table_knots
     try:
-        traj = integrate_field(field, orbit.initial_state, (0.0, orbit.period_tau), rtol=VERIFY_RTOL,
-                               atol=VERIFY_ATOL, max_step=step_cap(system.spectral))
+        traj = integrate_field(field, orbit.initial_state, (0.0, orbit.period_tau),
+                               max_step=step_cap(system.spectral))
     except PendavgError as exc:
         return _flagged_result(eps, exc)
     return _package_result(eps, orbit, traj)

@@ -447,13 +447,11 @@ def finite_difference_monodromy(spec, reduced, spectral, eps, orbit, scale=1.0, 
     noise over h plus the truncation error, about 1e-8 on the builtins.
     """
     from pendavg.filippov import integrate
-    from pendavg.verify import VERIFY_ATOL, VERIFY_RTOL
 
     s = np.array(orbit.initial_state, dtype=float)
 
     def return_map(state):
-        return np.asarray(integrate(spec, reduced, spectral, eps, state, (0.0, orbit.period_tau),
-                                    rtol=VERIFY_RTOL, atol=VERIFY_ATOL).final_state)
+        return np.asarray(integrate(spec, reduced, spectral, eps, state, (0.0, orbit.period_tau)).final_state)
 
     h = scale * max(1e-7 * float(np.linalg.norm(s)), 1e-8)
     image = None if central else return_map(s)

@@ -333,13 +333,11 @@ def test_accept_8_regularization_convergence(bench):
     all_monotone = True
     details = []
     for s0 in (np.array([0.3, -0.2, 0.5, 0.1]), np.array([0.5, 0.1, -0.4, 0.3])):
-        exact = integrate(spec, reduced, s, eps, s0, span, rtol=1e-12, atol=1e-14)
+        exact = integrate(spec, reduced, s, eps, s0, span)
         assert not exact.offenders
         gaps = []
         for delta in (1e-2, 1e-3, 1e-4):
-            reg = integrate_regularized(
-                spec, reduced, s, eps, delta, s0, span, rtol=1e-12, atol=1e-14
-            )
+            reg = integrate_regularized(spec, reduced, s, eps, delta, s0, span)
             gaps.append(float(np.linalg.norm(np.asarray(reg.final_state) - exact.final_state)))
         all_monotone &= gaps[0] > gaps[1] > gaps[2]
         details.append("/".join(f"{g:.2e}" for g in gaps))

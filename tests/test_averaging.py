@@ -510,6 +510,15 @@ def test_brent_returns_an_exact_zero_at_a_bracket_end():
     assert averaging_module._brent(never, 0.25, 1.0, -3.0, 0.0) == 1.0
 
 
+def test_brent_refuses_a_bracket_without_a_sign_change():
+    def never(x):
+        raise AssertionError("f must not be evaluated")
+
+    for fa, fb in ((1.0, 3.0), (-1.0, -3.0)):
+        with pytest.raises(DomainError, match="needs a sign change"):
+            averaging_module._brent(never, 0.25, 1.0, fa, fb)
+
+
 def test_brent_exhausted_budget_raises_numerical_error(monkeypatch):
     monkeypatch.setattr(averaging_module, "BRENT_MAXITER", 3)
     with pytest.raises(NumericalError, match="did not converge"):

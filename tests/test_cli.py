@@ -1110,6 +1110,36 @@ def test_only_segments_off_the_exact_flow_load_numpy(tmp_path):
     assert json.loads((tmp_path / "table" / "verify.json").read_text())["any_validated"]
 
 
+@pytest.mark.parametrize("config", [readme_ini, table_ini], ids=["readme", "table"])
+def test_simulate_reproduces_a_verify_rung(tmp_path, config):
+    # `simulate` from a rung's first row, at its ε and over its window,
+    # runs at the accuracy `verify` ran at: on the exact flow byte for
+    # byte, and on DOP853 (a table forcing) with the same steps, the rung
+    # carrying Φ beside the state, which numpy rounds differently
+    ini = config(tmp_path)
+    assert cli.main(["verify", "--config", str(ini), "--out", str(tmp_path / "verify")]) == 0
+    rung = tmp_path / "verify" / "zero0_eps0"
+    rung_csv = rung.with_suffix(".trajectory.csv").read_text(encoding="utf-8")
+    rows = [line.split(",") for line in rung_csv.splitlines()[1:]]
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(ini, encoding="utf-8")
+    parser["integrate"] = {"eps": parser["sweep"]["eps"].split()[0], "s0": " ".join(rows[0][1:5]),
+                           "t_span": f"0 {rows[-1][0]}"}
+    with open(tmp_path / "rung.ini", "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    assert cli.main(["simulate", "--config", str(tmp_path / "rung.ini"), "--out", str(tmp_path / "sim")]) == 0
+    sim_csv = (tmp_path / "sim" / "trajectory.csv").read_text(encoding="utf-8")
+    if config is readme_ini:
+        assert sim_csv == rung_csv
+    else:
+        sim = np.array([line.split(",") for line in sim_csv.splitlines()[1:]], dtype=float)
+        ref = np.array(rows, dtype=float)
+        assert sim.shape == ref.shape
+        assert sim[:, 0].tobytes() == ref[:, 0].tobytes() and np.array_equal(sim[:, 5], ref[:, 5])
+        assert np.abs(sim[:, 1:5] - ref[:, 1:5]).max() <= 1e-14 * np.abs(ref[:, 1:5]).max()
+    assert (tmp_path / "sim" / "events.csv").read_bytes() == rung.with_suffix(".events.csv").read_bytes()
+
+
 def test_model_seed_is_accepted_and_changes_nothing(tmp_path, capsys):
     # benchmark configs set [model] seed, so the key stays accepted; the
     # search is deterministic and the seed reaches no artifact

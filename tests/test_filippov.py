@@ -215,6 +215,9 @@ def test_integrate_validates_state_shape(bench):
     spec = damped_spec(s)
     with pytest.raises(DomainError):
         integrate(spec, reduced, s, 0.0, (0.1, 0.2, 0.3), (0.0, 1.0))
+    # the DOP853 port takes no step from a state that is not finite
+    with pytest.raises(DomainError, match="must be finite"):
+        dop853.solve(lambda t, y: y, (0.0, 1.0), [0.1, math.nan], rtol=1e-10, atol=1e-12)
 
 
 def test_trajectory_sample_and_span_checks(bench):
@@ -480,6 +483,30 @@ def test_event_budget_stall_attaches_partial_trajectory(bench):
     assert len(partial.events) == 1
     assert len(partial.segments) >= 1
     assert err.value.exit_code == 6
+
+
+def _chattering_form(signs):
+    """x′ = y, y′ = −1e4·σ_x, z′ = w, w′ = −1 as [M_σ | c_σ]: from x = 0
+    with y = 1e-9, x returns to 0 every 2e-13 time units."""
+    return PeriodicArray(((0.0, 1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, -1e4 * signs[0]),
+                          (0.0, 0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 0.0, -1.0)))
+
+
+@pytest.mark.parametrize("solver", ["dop853", "exact-flow"])
+def test_event_accumulation_stalls_the_run(solver):
+    # crossings that pile up faster than the event time tolerance stop the
+    # run after STALL_RUN of them, with the crossings it logged
+    def field(t, state, signs):
+        return _affine_rhs(_chattering_form(signs))(t, state)
+
+    if solver == "exact-flow":
+        field.frozen = _chattering_form
+    with pytest.raises(IntegrationStallError) as err:
+        integrate_field(field, (0.0, 1e-9, 1.0, 0.0), (0.0, 1.0), max_step=0.25)
+    assert str(err.value) == "integration stalled at t = 1e-11: 50 consecutive events within 1e-12 time units"
+    assert err.value.exit_code == 6
+    events = err.value.trajectory.events
+    assert len(events) == 50 and all((ev.surface, ev.kind) == (1, "crossing") for ev in events)
 
 
 def test_crossing_requirement_flags_tangency(bench):

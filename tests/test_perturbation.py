@@ -39,6 +39,8 @@ def test_periodic_scalar_constant_and_harmonic():
         PeriodicScalar.harmonic("cos", 1.0, 0.0)
     with pytest.raises(DomainError):
         PeriodicScalar.constant(1.0, -2.0)
+    with pytest.raises(DomainError, match="scalar kind"):
+        PeriodicScalar("tri", 1.0)
 
 
 def test_periodic_scalar_table():

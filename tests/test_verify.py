@@ -146,6 +146,8 @@ def test_orbit_from_amplitude_validation(bench, damped):
         BifurcationSystem(3, spec, reduced, s)
     with pytest.raises(DomainError):
         BifurcationSystem(2, spec, reduced, s)
+    with pytest.raises(DomainError, match="sgn_convention"):
+        BifurcationSystem(1, spec, reduced, s, "C")
     with pytest.raises(DomainError):
         orbit_from_amplitude(orbit.system, (0.1, 0.2, 0.3))
 
