@@ -134,8 +134,9 @@ def _number(value) -> bool:
 def _walk(left, right, field: str, drift: Dict[str, Tuple[float, float]], other: List[str]) -> None:
     """Compare two decoded values: the largest relative and absolute
     differences of each field's floats go into ``drift``, every other
-    difference into ``other``.  A float prints 0.0 as ``0``, so two
-    numbers count as floats when either is one."""
+    difference into ``other``.  A 17-significant-digit writer prints
+    the float 0.0 as ``0``, so two numbers count as floats when either
+    is one."""
     if _number(left) and _number(right) and float in (type(left), type(right)):
         left, right = float(left), float(right)
         scale = max(abs(left), abs(right))

@@ -4,9 +4,9 @@ Subcommands: ``params`` (spectral constants and the resonance check),
 ``zeros`` (annulus search for simple zeros of the averaged pair),
 ``verify`` (per-zero ε-sweep with scaling fit), ``simulate`` (a single
 event-driven or regularized trajectory).  This module writes every
-artifact, JSON and CSV, through one writer; every float in them is
-printed with 17 significant digits so reruns with the same config are
-byte-identical.
+artifact, JSON and CSV, through one writer; every float in them is its
+``repr``, the shortest text that reads back as the same double, so reruns
+with the same config are byte-identical.
 
 Exit codes: 0 success, 2 resonance degeneracy, 3 no (validated) zero,
 5 crossing-hypothesis violation, 6 integration stall; usage errors and
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import json
 import math
 import sys
 from pathlib import Path
@@ -59,46 +60,22 @@ MAX_ZEROS_SWEPT = 8
 # -- deterministic artifacts ----------------------------------------------
 
 
-def _digits(v) -> str:
-    return format(float(v), ".17g")
-
-
-def _format_float(v: float) -> str:
-    return _digits(v) if math.isfinite(v) else "null"
-
-
-def dumps_deterministic(obj, indent: int = 0) -> str:
-    """JSON text with 17-significant-digit floats and stable layout."""
-    pad = "  " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+def _plain(obj):
+    """``obj`` with NaN and ±inf as None, tuples as lists and keys as strings."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     if isinstance(obj, (list, tuple)):
-        items = [dumps_deterministic(v, indent + 1) for v in list(obj)]
-        if not items:
-            return "[]"
-        inner = ",\n".join("  " * (indent + 1) + it for it in items)
-        return "[\n" + inner + "\n" + pad + "]"
+        return [_plain(v) for v in obj]
     if isinstance(obj, dict):
-        items = [
-            "  " * (indent + 1)
-            + dumps_deterministic(str(k))
-            + ": "
-            + dumps_deterministic(v, indent + 1)
-            for k, v in obj.items()
-        ]
-        if not items:
-            return "{}"
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    raise DomainError(f"cannot serialize value of type {type(obj).__name__}")
+        return {str(k): _plain(v) for k, v in obj.items()}
+    return obj
+
+
+def dumps_deterministic(obj) -> str:
+    """JSON text of ``obj`` by ``json.dumps`` with a two-space indent: keys
+    in insertion order, every float its ``repr`` (the shortest text that
+    reads back as the same double) and NaN and ±inf as null."""
+    return json.dumps(_plain(obj), indent=2, allow_nan=False)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -116,7 +93,7 @@ def _write_text(path: Path, text: str) -> None:
 def _trajectory_csv(traj) -> str:
     """Each segment's step times and states as t,x,y,z,w,segment_id rows."""
     return "".join(["t,x,y,z,w,segment_id\n"] + [
-        ",".join(map(_digits, (t, *s))) + f",{seg_id}\n"
+        ",".join(repr(float(v)) for v in (t, *s)) + f",{seg_id}\n"
         for seg_id, seg in enumerate(traj.segments) for t, s in zip(seg.ts, seg.states)
     ])
 
@@ -126,7 +103,7 @@ def _events_csv(traj) -> str:
     derivative columns hold the contact's rate, one number on both sides
     of the surface (see :mod:`pendavg.filippov`)."""
     return "".join(["t,surface,kind,lie_minus,lie_plus\n"] + [
-        f"{_digits(ev.time)},{ev.surface},{ev.kind},{_digits(ev.rate)},{_digits(ev.rate)}\n"
+        f"{float(ev.time)!r},{ev.surface},{ev.kind},{float(ev.rate)!r},{float(ev.rate)!r}\n"
         for ev in traj.events
     ])
 
@@ -373,8 +350,12 @@ def cmd_verify(config: ExperimentConfig, compare_conventions: bool = False) -> i
     # The checking half (verify, filippov, expflow) is imported only here and
     # in cmd_simulate: `zeros` and `params` never load it.  dop853, and numpy
     # with it, loads only for a segment the exact flow cannot take.
-    from .verify import convention_verdict
+    from .verify import convention_verdict, sweep_ladder
 
+    try:
+        sweep_ladder(config.eps_list)
+    except DomainError as exc:
+        raise DomainError(f"[sweep] eps: {exc}") from None
     reduced, s, _ = _model(config)
     spec = build_perturbation(config, s)
 

@@ -296,10 +296,12 @@ def smallest_singular_value(matrix) -> float:
     (Hestenes): plane rotations orthogonalize the columns, whose norms are
     then the singular values (Demmel & Veselić, SIAM J. Matrix Anal. Appl.
     13, 1992).  The matrix is scaled by its largest entry first, so no
-    inner product overflows."""
-    scale = max(map(abs, chain.from_iterable(matrix)))
-    if not 0.0 < scale < math.inf:
-        return scale if scale == 0.0 else math.nan
+    inner product overflows; a matrix with an entry that is not finite
+    has NaN."""
+    entries = [abs(x) for x in chain.from_iterable(matrix)]
+    scale = max(entries) if all(map(math.isfinite, entries)) else math.nan  # max() skips a later NaN
+    if not scale > 0.0:
+        return scale
     cols = [[x / scale for x in col] for col in zip(*matrix)]
     for _ in range(JACOBI_SWEEPS):
         rotated = False
@@ -453,12 +455,10 @@ def fit_exponent(epsilons: Sequence[float], residuals: Sequence[float]) -> float
     return sxy / sxx if sxx > 0.0 else math.nan
 
 
-def epsilon_sweep(orbit: PredictedOrbit, eps_list: Sequence[float]) -> SweepReport:
-    """Residual scaling across a decreasing ε ladder.
-
-    Requires at least four strictly decreasing, finite, positive values
-    spanning a factor of at least 8.
-    """
+def sweep_ladder(eps_list: Sequence[float]) -> List[float]:
+    """The ε ladder as floats, once it holds at least four strictly
+    decreasing, finite, positive values spanning a factor of at least 8;
+    otherwise DomainError."""
     eps_values = [float(e) for e in eps_list]
     if len(eps_values) < SWEEP_MIN_SAMPLES:
         raise DomainError(f"need at least {SWEEP_MIN_SAMPLES} eps samples, got {len(eps_values)}")
@@ -471,6 +471,12 @@ def epsilon_sweep(orbit: PredictedOrbit, eps_list: Sequence[float]) -> SweepRepo
             f"eps samples must span a factor of at least {SWEEP_MIN_RATIO}, "
             f"got {eps_values[0] / eps_values[-1]:.3g}"
         )
+    return eps_values
+
+
+def epsilon_sweep(orbit: PredictedOrbit, eps_list: Sequence[float]) -> SweepReport:
+    """Residual scaling across a decreasing ε ladder that `sweep_ladder` accepts."""
+    eps_values = sweep_ladder(eps_list)
 
     def run_refine(sample: PoincareResult) -> Tuple[float, Optional[str]]:
         """Limit gap of one rung and, when there is none, the reason."""

@@ -431,6 +431,12 @@ def test_annulus_search_unforced_is_empty(bench):
     # excluded origin
     sys = system_for("damped_forced", {"gamma": 0.0}, reduced, s)
     assert annulus_search(sys, 0.05, 2.0, 12) == []
+    # forcing alone, K₁ = 0.5·cos(ω₁τ): L is exactly (0, 0) on every ray, so
+    # h ≡ 0 and no ray has a radius
+    zero = PeriodicScalar.constant(0.0, s.period(1))
+    forcing = PerturbationSpec(K=(PeriodicScalar.harmonic("cos", 0.5, s.omega1), zero, zero, zero),
+                               F=((zero,) * 4,) * 4)
+    assert annulus_search(BifurcationSystem(1, forcing, reduced, s, "A"), 0.05, 2.0, 8) == []
 
 
 def test_annulus_search_damped_forced(bench):

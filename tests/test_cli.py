@@ -285,7 +285,7 @@ def test_unwritable_output_dir_exits_1(tmp_path, bench_ini, capsys):
 # -- deterministic JSON and CSV ------------------------------------------------
 
 
-def test_dumps_deterministic_is_valid_json_with_17_digits():
+def test_dumps_deterministic_reads_back_every_float():
     payload = {
         "x": 0.1 + 0.2,
         "nan": float("nan"),
@@ -299,7 +299,7 @@ def test_dumps_deterministic_is_valid_json_with_17_digits():
     }
     text = cli.dumps_deterministic(payload)
     parsed = json.loads(text)
-    # 17 significant digits reproduce the double exactly
+    # every float is its repr, which reads back as the same double
     assert parsed["x"] == 0.1 + 0.2
     assert parsed["nan"] is None and parsed["inf"] is None
     assert parsed["flag"] is True and parsed["n"] == 3
@@ -307,6 +307,14 @@ def test_dumps_deterministic_is_valid_json_with_17_digits():
     assert parsed["text"] == 'quote " and backslash \\'
     assert parsed["empty"] == []
     assert text == cli.dumps_deterministic(payload)
+    one, (_, zero) = parsed["items"]
+    assert type(one) is float and one == 1.0
+    assert type(zero) is float and math.copysign(1.0, zero) == -1.0
+    nested = {"a": (1.0, -0.0, float("nan")), "b": {}, "c": [], "d": {"e": -math.inf, 2: [0.1, 3]}}
+    assert cli.dumps_deterministic(nested) == (
+        '{\n  "a": [\n    1.0,\n    -0.0,\n    null\n  ],\n  "b": {},\n  "c": [],\n'
+        '  "d": {\n    "e": null,\n    "2": [\n      0.1,\n      3\n    ]\n  }\n}'
+    )
 
 
 def test_csv_export_round_trip(tmp_path):
@@ -328,11 +336,15 @@ def test_csv_export_round_trip(tmp_path):
     assert data[:, 0].tobytes() == np.concatenate([seg.ts for seg in traj.segments]).tobytes()
     assert data[:, 1:].tobytes() == np.concatenate([seg.states for seg in traj.segments]).tobytes()
     assert [int(row[5]) for row in rows[1:]] == [i for i, seg in enumerate(traj.segments) for _ in seg.ts]
+    # every float cell is the repr of the value it holds, so 0.0 stays 0.0
+    assert rows[1][0] == "0.0"
+    assert all(cell == repr(float(cell)) for row in rows[1:] for cell in row[:5])
     with open(epath, newline="") as fh:
         erows = list(csv.reader(fh))
     assert erows[0] == ["t", "surface", "kind", "lie_minus", "lie_plus"]
     assert len(erows) - 1 == len(traj.events)
     assert float(erows[1][0]) == traj.events[0].time
+    assert all(row[i] == repr(float(row[i])) for row in erows[1:] for i in (0, 3, 4))
 
 
 # -- params ---------------------------------------------------------------
@@ -606,6 +618,30 @@ def test_verify_stall_exits_6_without_crossing_file(tmp_path, monkeypatch, capsy
                                      for entry in payload["sweeps"])
     assert not (out / "crossing_violations.json").exists()
     assert capsys.readouterr().err == "error: verification integrations stalled\n"
+
+
+ESCAPEMENT = {"builtin": "damped_forced_escapement", "gamma": GAMMA, "kappa": 0.05}
+
+
+@pytest.mark.parametrize("perturbation, ladder", [
+    (ESCAPEMENT, "1e-2 5e-3"),  # too few rungs
+    ({"builtin": "damped_forced", "gamma": 0.0}, "1e-2 2e-2 3e-3 1e-4"),  # no zero to sweep
+    (ESCAPEMENT, "1e-2 2e-2 3e-3 1e-4"),  # not decreasing
+    (ESCAPEMENT, "1e-2 5e-3 2.5e-3 -1e-3"),  # not positive
+    (ESCAPEMENT, "1e-2 9e-3 8e-3 7e-3"),  # spans less than a factor of 8
+])
+def test_verify_refuses_a_bad_ladder_before_its_search(tmp_path, capsys, perturbation, ladder):
+    out = tmp_path / "out"
+    sections = bench_sections(out, eps=ladder)
+    sections["perturbation"] = perturbation
+    sections["search"]["grid"] = 8
+    ini = write_ini(tmp_path / "ladder.ini", sections)
+    assert cli.main(["verify", "--config", str(ini)]) == 1
+    assert capsys.readouterr().err.startswith("error: [sweep] eps: ")
+    assert not out.exists()
+    # the prediction half never reads the ladder
+    zeros_exit = 0 if perturbation is ESCAPEMENT else 3
+    assert cli.main(["zeros", "--config", str(ini), "--out", str(tmp_path / "zeros")]) == zeros_exit
 
 
 # -- simulate ----------------------------------------------------------------
@@ -1231,6 +1267,24 @@ def test_traced_counts_of_verify_escapement(tmp_path, monkeypatch):
 
 def test_traced_counts_of_compare_corollary(tmp_path, monkeypatch):
     assert _traced_counts(tmp_path, monkeypatch, "compare-corollary") == (16, 672, 64, 0, 8)
+
+
+def test_benchmark_checks_pass_on_every_workload(tmp_path, monkeypatch, capsys):
+    # the gate that decides whether a benchmark operation failed, fed the
+    # artifacts of each workload run in process
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    from checks import Outcome, check_operation
+    from workloads import WORKLOADS
+
+    for name, workload in WORKLOADS.items():
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        ini = workload.write_ini(run_dir / "workload.ini", seed=7)
+        code = cli.main(list(workload.cli_args(ini)))
+        assert code == workload.expected_exit, (name, capsys.readouterr().err)
+        outcome = check_operation(name, code, workload.expected_exit, run_dir / "out")
+        assert outcome == Outcome(failure=None, problems=[]), name
 
 
 def test_pair_bench_refuses_fewer_than_two_pairs(tmp_path):

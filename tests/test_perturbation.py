@@ -60,6 +60,16 @@ def test_periodic_scalar_table():
     bad[200] += 1e-3
     with pytest.raises(DomainError):
         PeriodicScalar.from_table(bad, np.sin(bad))
+    for bad_taus, bad_values in ((taus, np.sin(taus[:-1])), (["x", *taus[1:]], np.sin(taus)),
+                                 (taus, [None] * n)):
+        with pytest.raises(DomainError, match="table needs matching 1-d tau and value columns"):
+            PeriodicScalar.from_table(bad_taus, bad_values)
+    # just below a period boundary τ mod T rounds to T: the closing knot,
+    # on the interval that wraps from the last value to the first
+    values = np.cos(np.arange(256) / 256.0 * 2.0 * math.pi)
+    wrap = PeriodicScalar.from_table(np.arange(256) / 256.0, values)
+    assert -1e-20 % wrap.period == wrap.period
+    assert wrap.piece(-1e-20) == (values[0], (values[0] - values[-1]) / (1.0 / 256.0))
 
 
 @given(x=st.floats(-3, 3), y=st.floats(-3, 3), z=st.floats(-3, 3), w=st.floats(-3, 3))
@@ -289,6 +299,9 @@ def test_smooth_sign_is_c1_at_the_seam():
     assert float(smooth_sign(delta - h, delta)) == pytest.approx(1.0, abs=1e-13)
     assert float(smooth_sign(delta, delta)) == 1.0
     assert float(smooth_sign(0.0, delta)) == 0.0
+    # where δ³ would vanish or overflow the ramp is taken in r = x/δ
+    for width in (1e-200, 1.0, 1e200):
+        assert smooth_sign(width / 2, width) == 0.6875
 
 
 def test_smooth_sign_scalar_matches_array_bit_for_bit():

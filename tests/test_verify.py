@@ -345,6 +345,14 @@ def test_shooting_linear_algebra_matches_numpy():
         reference = np.linalg.solve(a, b)
         assert np.linalg.norm(x - reference) <= 64 * ulp * (sigma[0] / sigma[-1]) * np.linalg.norm(reference), kind
     assert kinds == {"random", "near-singular", "singular"}
+    # the zero matrix has nothing to scale by; a matrix with an entry that is
+    # not finite has no singular values, wherever that entry sits
+    assert smallest_singular_value([[0.0] * 4] * 4) == 0.0
+    for bad in (math.inf, -math.inf, math.nan):
+        for i, j in ((0, 0), (2, 1)):
+            rows = np.eye(4).tolist()
+            rows[i][j] = bad
+            assert math.isnan(smallest_singular_value(rows)), (bad, i, j)
 
 
 @pytest.mark.parametrize("case", ["escapement", "corollary", "damped"])
