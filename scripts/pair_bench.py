@@ -24,10 +24,14 @@ pairs the change won, and whether the pair rule holds: at least 10 pairs,
 the change faster in at least nine of every ten (ties count for neither),
 and a median gap larger than the parent's interquartile range.  It also
 prints each side's median peak RSS, the child's ``ru_maxrss`` from
-``os.wait4``, with its quartiles.  On Linux a child's ``ru_maxrss``
-starts from the RSS of the process that forks it.  This script's own RSS
-is about the CLI child's peak, so a bare interpreter forks each CLI run
-and the figure is the child's own peak.  ``perfbench/run.py`` forks from
+``os.wait4``, with its quartiles.  For wall time (``run_s``) and peak RSS
+(``peak_rss_mb``) each it prints the no-regression verdict of
+`no_regression_verdict` under that metric's relative bound in the
+``end_to_end`` entries of ``BENCHMARK.json``; ``setup_s``, the
+benchmark's import probe, is not measured here.  On Linux a child's
+``ru_maxrss`` starts from the RSS of the process that forks it.  This
+script's own RSS is about the CLI child's peak, so a bare interpreter
+forks each CLI run and the figure is the child's own peak.  ``perfbench/run.py`` forks from
 a process with numpy loaded, so a child that stays below that floor of
 about 30 MB reads lower here than the benchmark's ``peak_rss_mb``.
 Last, it compares the ``out/`` trees the two sides' last runs wrote, byte
@@ -56,7 +60,8 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List, Tuple
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
 
@@ -195,6 +200,22 @@ def pair_rule(parent, change) -> dict:
     }
 
 
+def no_regression_verdict(parent, change, bound: float) -> str:
+    """The verdict on a lower-is-better metric: "better in every run" when
+    every change run beats every parent run; otherwise "unresolved" when
+    the parent's interquartile range exceeds ``bound`` times its median;
+    otherwise "no regression" when the change's median is at most the
+    parent's times (1 + bound); otherwise "regression"."""
+    parent_q = statistics.quantiles(parent, n=4)
+    if max(change) < min(parent):
+        return "better in every run"
+    if parent_q[2] - parent_q[0] > bound * parent_q[1]:
+        return "unresolved"
+    if statistics.median(change) <= parent_q[1] * (1.0 + bound):
+        return "no regression"
+    return "regression"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="the parent's src/ directory")
@@ -208,6 +229,8 @@ def main(argv=None) -> int:
     for src in trees:
         if not (src / "pendavg" / "cli.py").is_file():
             parser.error(f"no pendavg package under {src}")
+    benchmark = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    bounds = {entry["name"]: entry["bound"] for entry in benchmark["end_to_end"]}
     lines = [source_lines(src) for src in trees]
     print(f"source lines: parent {lines[0]}, change {lines[1]}, net {lines[1] - lines[0]:+d}")
     for name in args.workload or sorted(WORKLOADS):
@@ -232,10 +255,12 @@ def main(argv=None) -> int:
         sides = ", ".join(f"{side} {q[1]:.4f} s [{q[0]:.4f}, {q[2]:.4f}]" for side, q in
                           (("parent", result["parent"]), ("change", result["change"])))
         print(f"{name}: {sides}; change faster in {result['wins']} of {args.pairs}, "
-              f"pair rule {'holds' if result['holds'] else 'fails'}")
+              f"pair rule {'holds' if result['holds'] else 'fails'}; "
+              f"run_s {no_regression_verdict(*walls, bounds['run_s'])} (bound {bounds['run_s']:g})")
         peaks = ", ".join(f"{side} {q[1]:.2f} MB [{q[0]:.2f}, {q[2]:.2f}]" for side, q in
                           zip(("parent", "change"), (statistics.quantiles(r, n=4) for r in rss)))
-        print(f"{name}: peak RSS {peaks}")
+        print(f"{name}: peak RSS {peaks}; "
+              f"peak_rss_mb {no_regression_verdict(*rss, bounds['peak_rss_mb'])} (bound {bounds['peak_rss_mb']:g})")
         print(f"{name}: " + (f"artifacts differ: {', '.join(differ)}" if differ else "artifacts identical"))
         for line in drift:
             print(line)

@@ -315,6 +315,14 @@ def _certificate(sys: BifurcationSystem, theta: float, r1: float, r2: float,
     )
 
 
+def check_search(r1: float, r2: float, grid: int) -> None:
+    """DomainError unless 0 < r1 < r2 and ``grid`` is at least 8."""
+    if not (0.0 < r1 < r2):
+        raise DomainError(f"need 0 < r1 < r2, got r1={r1!r}, r2={r2!r}")
+    if grid < 8:
+        raise DomainError(f"grid must be at least 8, got {grid!r}")
+
+
 def annulus_search(sys: BifurcationSystem, r1: float, r2: float, grid: int) -> list:
     """Zeros of the averaged pair in the annulus r1 < |amp| < r2, sorted by point.
 
@@ -324,12 +332,10 @@ def annulus_search(sys: BifurcationSystem, r1: float, r2: float, grid: int) -> l
     sign change is refined by Brent's method.  A zero is simple when ‖G‖
     there is at most ``SIMPLICITY_RTOL`` times the largest ‖G‖ on the outer
     circle and |det J| is above ``SIMPLICITY_RTOL`` times that scale
-    squared over r*².
+    squared over r*².  Bounds that `check_search` refuses raise its
+    DomainError.
     """
-    if not (0.0 < r1 < r2):
-        raise DomainError(f"need 0 < r1 < r2, got r1={r1!r}, r2={r2!r}")
-    if grid < 8:
-        raise DomainError(f"grid must be at least 8, got {grid!r}")
+    check_search(r1, r2, grid)
     n = ANGLES_PER_GRID * grid
     thetas = [2.0 * math.pi * i / n for i in range(n + 1)]
     pairs = _ray_pairs(sys, thetas[:-1])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import gc
 import json
 import math
 import sys
@@ -27,6 +28,7 @@ from .averaging import (
     BifurcationSystem,
     ZeroCertificate,
     annulus_search,
+    check_search,
 )
 from .errors import (
     DEFAULT_MAX_EVENTS,
@@ -250,6 +252,15 @@ def build_perturbation(config: ExperimentConfig, spectral) -> PerturbationSpec:
 # -- subcommands ----------------------------------------------------------
 
 
+def _check_keyed(prefix: str, check, *values) -> None:
+    """``check(*values)``, its DomainError re-raised behind ``prefix``,
+    the section (and key) the values come from."""
+    try:
+        check(*values)
+    except DomainError as exc:
+        raise DomainError(f"{prefix} {exc}") from None
+
+
 def _model(config: ExperimentConfig):
     """The reduced constants and spectrum of the config's pendulum, once the
     monodromy block has passed the resonance check, and that block's
@@ -294,6 +305,7 @@ def _certificates_payload(certs: Sequence[ZeroCertificate]) -> list:
 
 
 def cmd_zeros(config: ExperimentConfig) -> int:
+    _check_keyed("[search]", check_search, config.r1, config.r2, config.grid)
     reduced, s, _ = _model(config)
     system = BifurcationSystem(config.family, build_perturbation(config, s), reduced, s, config.convention)
     certs = annulus_search(system, config.r1, config.r2, config.grid)
@@ -352,10 +364,8 @@ def cmd_verify(config: ExperimentConfig, compare_conventions: bool = False) -> i
     # with it, loads only for a segment the exact flow cannot take.
     from .verify import convention_verdict, sweep_ladder
 
-    try:
-        sweep_ladder(config.eps_list)
-    except DomainError as exc:
-        raise DomainError(f"[sweep] eps: {exc}") from None
+    _check_keyed("[sweep] eps:", sweep_ladder, config.eps_list)
+    _check_keyed("[search]", check_search, config.r1, config.r2, config.grid)
     reduced, s, _ = _model(config)
     spec = build_perturbation(config, s)
 
@@ -501,8 +511,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    """The process entry of ``pendavg`` and ``python -m pendavg``: `main`
+    with the heap frozen, so no collection in the run traverses the
+    imported modules and the one at exit traverses nothing."""
+    gc.freeze()
+    code = main()
+    gc.freeze()
+    sys.exit(code)

@@ -63,9 +63,3 @@ class IntegrationStallError(PendavgError):
     """Event accumulation or step underflow."""
 
     exit_code = 6
-
-
-class RefinementDegenerateError(PendavgError):
-    """Shooting refinement has a singular (I - monodromy) matrix."""
-
-    exit_code = 1

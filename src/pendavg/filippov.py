@@ -263,10 +263,6 @@ def _point_signs(state: Sequence[float]) -> Tuple[float, float]:
     return (_sign(state[0]), _sign(state[2]))
 
 
-class _Stalled(Exception):
-    """Internal control-flow signal; converted to IntegrationStallError."""
-
-
 class _Integrator:
     """Mutable state of one event-driven integration run."""
 
@@ -314,13 +310,11 @@ class _Integrator:
     def _record(self, k: int, kind: str, rate: float, corner: bool):
         t = self.t
         if len(self.events) >= self.max_events:
-            raise _Stalled(f"event budget of {self.max_events} exhausted")
+            raise self._stall(f"event budget of {self.max_events} exhausted")
         if self._last_event_time is not None and abs(t - self._last_event_time) <= STALL_DT:
             self._tiny_run += 1
             if self._tiny_run >= STALL_RUN:
-                raise _Stalled(
-                    f"{STALL_RUN} consecutive events within {STALL_DT} time units"
-                )
+                raise self._stall(f"{STALL_RUN} consecutive events within {STALL_DT} time units")
         else:
             self._tiny_run = 0
         self._last_event_time = t
@@ -347,6 +341,11 @@ class _Integrator:
             monodromy=self.phi,
             monodromy_reason=self.monodromy_reason,
         )
+
+    def _stall(self, reason: str) -> IntegrationStallError:
+        """The error that stops the run here, with its steps so far."""
+        return IntegrationStallError(f"integration stalled at t = {self.t:.6g}: {reason}",
+                                     trajectory=self._trajectory())
 
     def _drop_monodromy(self, reason: str):
         """End the monodromy request at a contact it cannot pass."""
@@ -472,7 +471,7 @@ class _Integrator:
             if order:
                 q0 = float(rhs(self.t, self.state)[2 * k]) if order == 1 else 0.5 * self._curvature(rhs, k)[1]
                 if _sign(q0) * self.direction ** order != self.signs[k]:
-                    raise _Stalled("unable to leave the switching surface after an event")
+                    raise self._stall("unable to leave the switching surface after an event")
                 departures[k] = (order, q0)
         return departures
 
@@ -525,7 +524,7 @@ class _Integrator:
             run = _dop853(rhs, (self.t, t_end), u, max_step=self.max_step, events=[0, 2], n_tested=4,
                           departures=departures)
         if run.status == -1 and len(run.ts or ()) < 2:
-            raise _Stalled(f"the segment solver failed: {run.message}")
+            raise self._stall(f"the segment solver failed: {run.message}")
         states = run.ys
         if phi is not None:
             last = states[-1]
@@ -536,7 +535,7 @@ class _Integrator:
         self.t = run.ts[-1]
         self.state = state_e
         if run.status == -1:
-            raise _Stalled(f"the segment solver failed: {run.message}")
+            raise self._stall(f"the segment solver failed: {run.message}")
         if run.status == 0:
             self.finished = t_end == self.t1
             return
@@ -554,16 +553,10 @@ class _Integrator:
         if self._remaining() <= EVENT_TIME_TOL:
             return self._trajectory()
         initial_contacts = [k for k in range(2) if self.state[2 * k] == 0.0]
-        try:
-            if initial_contacts:
-                self._resolve_contacts(initial_contacts)
-            while not self.finished and self._remaining() > EVENT_TIME_TOL:
-                self._advance()
-        except _Stalled as exc:
-            raise IntegrationStallError(
-                f"integration stalled at t = {self.t:.6g}: {exc}",
-                trajectory=self._trajectory(),
-            ) from None
+        if initial_contacts:
+            self._resolve_contacts(initial_contacts)
+        while not self.finished and self._remaining() > EVENT_TIME_TOL:
+            self._advance()
         return self._trajectory()
 
 

@@ -29,13 +29,7 @@ from operator import mul
 from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .averaging import BifurcationSystem, ZeroCertificate
-from .errors import (
-    CrossingViolationError,
-    DomainError,
-    IntegrationStallError,
-    PendavgError,
-    RefinementDegenerateError,
-)
+from .errors import CrossingViolationError, DomainError, IntegrationStallError, PendavgError
 from .filippov import Trajectory, integrate, integrate_field, step_cap
 from .model import PhysicalParams, nonlinear_accelerations, reduce_params
 from .perturbation import eval_order1_with_signs
@@ -118,29 +112,30 @@ class PoincareResult(NamedTuple):
 class RefinementResult(NamedTuple):
     """Newton-shooting fixed point of the return map.
 
-    ``reason`` is None when converged, otherwise `NOT_CONTRACTING`,
-    `BUDGET_EXHAUSTED` or `NO_MONODROMY` (the prediction run carries no
-    monodromy, so no step was taken).  The chord matrix comes from the
-    prediction run's ``trajectory.monodromy``.  The other
-    reasons of `SweepReport.limit_gap_reason` come from errors that
-    `refine_periodic` raises: `DEGENERATE_SHOOTING` from a singular
-    shooting matrix and `INTEGRATION_FAILED` from a failed chord-step
-    run; `PREDICTION_FLAGGED` rungs are not refined.
+    ``reason`` is None when converged, otherwise why not, and no step was
+    taken for the first three: `PREDICTION_FLAGGED` (the prediction run
+    was flagged), `NO_MONODROMY` (it carries no monodromy, the chord
+    matrix), `DEGENERATE_SHOOTING` (the shooting matrix is singular),
+    `INTEGRATION_FAILED` (a chord-step run raised; ``state`` is that
+    step's and ``residual`` NaN), `NOT_CONTRACTING` or `BUDGET_EXHAUSTED`.
     """
 
     state: State
     residual: float
     iterations: int
-    converged: bool
     reason: Optional[str]
+
+    @property
+    def converged(self) -> bool:
+        return self.reason is None
 
 
 class SweepReport(NamedTuple):
     """Residual scaling of one prediction across an ε ladder, and its verdict:
     ``validated``, ``crossing_violation`` and ``stalled``.
 
-    ``limit_gap_reason`` says, per rung, why ``limit_gap`` is NaN (None
-    where refinement converged).
+    ``limit_gap_reason`` says, per rung, why ``limit_gap`` is NaN: the
+    rung's `RefinementResult.reason`, None where refinement converged.
     """
 
     samples: List[PoincareResult]
@@ -273,13 +268,13 @@ def _frobenius(matrix) -> float:
 def solve_linear(matrix, rhs) -> tuple:
     """x with matrix·x = rhs, by Gaussian elimination with partial pivoting
     (the largest magnitude in the column, the first on a tie, as LAPACK's
-    getrf); an exactly zero pivot raises RefinementDegenerateError."""
+    getrf); an exactly zero pivot raises DomainError."""
     n = len(rhs)
     rows = [[*row, b] for row, b in zip(matrix, rhs)]
     for k in range(n):
         p = max(range(k, n), key=lambda i: abs(rows[i][k]))
         if rows[p][k] == 0.0:
-            raise RefinementDegenerateError("the shooting matrix (monodromy - identity) is singular")
+            raise DomainError("the shooting matrix (monodromy - identity) is singular")
         rows[k], rows[p] = rows[p], rows[k]
         pivot = rows[k]
         for i in range(k + 1, n):
@@ -392,22 +387,22 @@ def refine_periodic(orbit: PredictedOrbit, prediction: PoincareResult) -> Refine
     matrix, so the prediction is not integrated again and each step
     costs one integration.  Near an isolated orbit every step shrinks
     the gap; the first step that does not ends the refinement
-    unconverged, and ``REFINE_MAX_ITER`` only bounds the loop.  A
-    prediction run without a monodromy (a non-crossing contact ended
-    it) ends the refinement before any step with `NO_MONODROMY`.  A
-    singular shooting matrix, as at ε = 0 where the orbit family makes
-    the return map non-isolated, raises a degenerate-refinement error.
+    unconverged, and ``REFINE_MAX_ITER`` only bounds the loop.  Every
+    outcome is returned, and `RefinementResult.reason` names it; the
+    refinement also ends at a flagged prediction run, at one without a
+    monodromy (a non-crossing contact ended it), at a singular shooting
+    matrix, as at ε = 0 where the orbit family makes the return map
+    non-isolated, and at a chord-step run that raises.
     """
-    if prediction.flag is not None:
-        raise DomainError(f"the prediction run is flagged: {prediction.flag}")
-    eps = prediction.epsilon
     s = tuple(orbit.initial_state)
+    if prediction.flag is not None:
+        return RefinementResult(state=s, residual=math.nan, iterations=0, reason=PREDICTION_FLAGGED)
+    eps = prediction.epsilon
     gap = _difference(prediction.trajectory.final_state, s)
     residual = math.hypot(*gap)
     monodromy = prediction.trajectory.monodromy
     if monodromy is None:
-        return RefinementResult(state=s, residual=residual, iterations=0, converged=False,
-                                reason=NO_MONODROMY)
+        return RefinementResult(state=s, residual=residual, iterations=0, reason=NO_MONODROMY)
     system = orbit.system
 
     def return_map(s: State) -> State:
@@ -416,24 +411,24 @@ def refine_periodic(orbit: PredictedOrbit, prediction: PoincareResult) -> Refine
 
     jac = [[m - float(i == j) for j, m in enumerate(row)] for i, row in enumerate(monodromy)]
     if smallest_singular_value(jac) < DEGENERATE_SV_RTOL * max(1.0, _frobenius(jac)):
-        raise RefinementDegenerateError(
-            "the shooting matrix (monodromy - identity) is numerically singular; "
-            "the return-map fixed point is not isolated at this eps"
-        )
+        return RefinementResult(state=s, residual=residual, iterations=0, reason=DEGENERATE_SHOOTING)
 
     iterations = 0
     while residual > REFINE_TOL and iterations < REFINE_MAX_ITER:
         iterations += 1
         s = tuple(a + b for a, b in zip(s, solve_linear(jac, [-g for g in gap])))
-        gap = _difference(return_map(s), s)
+        try:
+            gap = _difference(return_map(s), s)
+        except PendavgError:
+            return RefinementResult(state=s, residual=math.nan, iterations=iterations,
+                                    reason=INTEGRATION_FAILED)
         previous, residual = residual, math.hypot(*gap)
         if not residual < previous:
             reason = NOT_CONTRACTING
             break
     else:
         reason = None if residual <= REFINE_TOL else BUDGET_EXHAUSTED
-    return RefinementResult(state=s, residual=residual, iterations=iterations,
-                            converged=reason is None, reason=reason)
+    return RefinementResult(state=s, residual=residual, iterations=iterations, reason=reason)
 
 
 def _difference(a, b) -> State:
@@ -476,28 +471,13 @@ def sweep_ladder(eps_list: Sequence[float]) -> List[float]:
 
 def epsilon_sweep(orbit: PredictedOrbit, eps_list: Sequence[float]) -> SweepReport:
     """Residual scaling across a decreasing ε ladder that `sweep_ladder` accepts."""
-    eps_values = sweep_ladder(eps_list)
-
-    def run_refine(sample: PoincareResult) -> Tuple[float, Optional[str]]:
-        """Limit gap of one rung and, when there is none, the reason."""
-        if sample.flag is not None:
-            return float("nan"), PREDICTION_FLAGGED
-        try:
-            result = refine_periodic(orbit, sample)
-        except RefinementDegenerateError:
-            return float("nan"), DEGENERATE_SHOOTING
-        except PendavgError:
-            return float("nan"), INTEGRATION_FAILED
-        if not result.converged:
-            return float("nan"), result.reason
-        return math.hypot(*_difference(result.state, orbit.initial_state)), None
-
-    samples = [poincare_residual(orbit, e) for e in eps_values]
-    refined = [run_refine(sample) for sample in samples]
+    samples = [poincare_residual(orbit, e) for e in sweep_ladder(eps_list)]
+    refined = [refine_periodic(orbit, sample) for sample in samples]
     return SweepReport(
         samples=samples,
-        limit_gap=[gap for gap, _ in refined],
-        limit_gap_reason=[reason for _, reason in refined],
+        limit_gap=[math.hypot(*_difference(r.state, orbit.initial_state)) if r.converged else math.nan
+                   for r in refined],
+        limit_gap_reason=[r.reason for r in refined],
     )
 
 

@@ -8,6 +8,7 @@ numbers come from the closed forms in ``oracles``.
 import ast
 import configparser
 import contextlib
+import gc
 import io
 import json
 import math
@@ -644,6 +645,22 @@ def test_verify_refuses_a_bad_ladder_before_its_search(tmp_path, capsys, perturb
     assert cli.main(["zeros", "--config", str(ini), "--out", str(tmp_path / "zeros")]) == zeros_exit
 
 
+@pytest.mark.parametrize("search", [{"grid": 4}, {"r1": 3.0}, {"r1": -1.0}])
+def test_bad_search_bounds_exit_1_naming_the_section(tmp_path, capsys, search):
+    out = tmp_path / "out"
+    sections = bench_sections(out)
+    sections["search"].update(search)
+    sections["integrate"] = SIMULATE_INTEGRATE
+    ini = write_ini(tmp_path / "search.ini", sections)
+    for command in ("zeros", "verify"):
+        assert cli.main([command, "--config", str(ini)]) == 1, command
+        assert capsys.readouterr().err.startswith("error: [search] "), command
+        assert not out.exists(), command
+    # params and simulate never read [search]
+    for command in ("params", "simulate"):
+        assert cli.main([command, "--config", str(ini)]) == 0, (command, capsys.readouterr().err)
+
+
 # -- simulate ----------------------------------------------------------------
 
 
@@ -1001,6 +1018,20 @@ def test_prediction_path_loads_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+def test_only_the_process_entry_freezes_the_heap(tmp_path):
+    # `python -m pendavg` ends in console_main, which freezes the heap; the
+    # library entry cli.main leaves the collector as it found it
+    script = RUN_THEN_LIST_MODULES + "import gc\nprint(gc.get_freeze_count())\n"
+    args = ("zeros", "--config", str(readme_ini(tmp_path)), "--out", str(tmp_path / "out"))
+    proc = run_child("-c", script, *args)
+    assert proc.returncode == 0, proc.stderr
+    *_, code, _, frozen = proc.stdout.splitlines()
+    assert int(code) == 0 and int(frozen) > 0
+    before = gc.get_freeze_count()
+    assert cli.main(list(args)) == 0
+    assert gc.get_freeze_count() == before
+
+
 def test_prediction_path_loads_no_checking_half(tmp_path):
     # `zeros` and `params` compute the paper's condition alone: they, and a
     # plain import of the package, leave the integrator, the verification
@@ -1301,6 +1332,21 @@ def test_pair_bench_refuses_fewer_than_two_pairs(tmp_path):
     assert "--pairs must be at least 2" in proc.stderr
     assert "Traceback" not in proc.stderr + proc.stdout
     assert not marker.exists()
+
+
+@pytest.mark.parametrize("parent, change, verdict", [
+    ([1.0, 2.0, 3.0, 4.0], [0.5, 0.6, 0.7, 0.9], "better in every run"),
+    ([1.0, 2.0, 3.0, 4.0], [0.9, 2.5, 3.0, 5.0], "unresolved"),
+    ([1.0, 1.01, 1.02, 1.03], [1.0, 1.1, 1.2, 1.25], "no regression"),
+    ([1.0, 1.01, 1.02, 1.03], [1.3, 1.4, 1.5, 1.6], "regression"),
+])
+def test_pair_bench_no_regression_verdict(monkeypatch, parent, change, verdict):
+    # the parent's interquartile range is its median in the first two cases
+    # and about 0.025 of it in the last two; 0.25 is the run_s bound
+    monkeypatch.syspath_prepend(str(REPO / "scripts"))
+    from pair_bench import no_regression_verdict
+
+    assert no_regression_verdict(parent, change, 0.25) == verdict
 
 
 def test_derive_oracles_check_runs():

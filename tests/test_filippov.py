@@ -666,6 +666,14 @@ def test_dop853_matches_solve_ivp_bit_for_bit(bench):
     run = dop853.solve(rhs, (t0, t0), y0, rtol=1e-10, atol=1e-12)
     assert run.status == ref.status == 0 and run.ts.tobytes() == ref.t.tobytes()
     assert run.ys.tobytes() == ref.y.T.tobytes()
+    # a vanishing field: the initial step's two derivative estimates and
+    # every step's two error estimates are zero
+    rest = [0.3, -0.2, 0.1, 0.5]
+    ref = solve_ivp(lambda t, u: [0.0] * 4, (0.0, 2.0), rest, method="DOP853", dense_output=True,
+                    rtol=1e-10, atol=1e-12, max_step=0.5)
+    run = dop853.solve(lambda t, u: [0.0] * 4, (0.0, 2.0), rest, rtol=1e-10, atol=1e-12, max_step=0.5)
+    assert run.status == ref.status and run.ts.tobytes() == ref.t.tobytes()
+    assert run.ys.tobytes() == ref.y.T.tobytes()
     # The regularized right-hand side of a forcing so large that d1 overflows
     # in the initial step: h0 = 0, and SciPy's float64 d2 = nan starts the run
     # from the smallest step.
