@@ -17,24 +17,28 @@ and runs N pairs, N at least 2.  A pair is one CLI invocation on each
 copy, each in a fresh interpreter (``python -m pendavg`` with
 ``PYTHONPATH`` set to the copy), as the benchmark times ``run_s``; the
 tree that goes first alternates from pair to pair.  Every invocation
-must end with the workload's expected exit code.
+must end with the workload's expected exit code.  Before the CLI pairs it
+runs N pairs of the benchmark's set-up probe, ``perfbench/setup_probe.py``,
+in the same alternation, each timed by ``probe_setup`` of
+``perfbench/run.py`` as the benchmark times ``setup_s``: from the spawn of
+a fresh interpreter to the end of the workload's set-up.
 
 Per workload it prints each side's median and quartiles, the number of
 pairs the change won, and whether the pair rule holds: at least 10 pairs,
 the change faster in at least nine of every ten (ties count for neither),
 and a median gap larger than the parent's interquartile range.  It also
 prints each side's median peak RSS, the child's ``ru_maxrss`` from
-``os.wait4``, with its quartiles.  For wall time (``run_s``) and peak RSS
-(``peak_rss_mb``) each it prints the no-regression verdict of
+``os.wait4``, and median set-up seconds, each with its quartiles.  For
+wall time (``run_s``), peak RSS (``peak_rss_mb``) and set-up time
+(``setup_s``) each it prints the no-regression verdict of
 `no_regression_verdict` under that metric's relative bound in the
-``end_to_end`` entries of ``BENCHMARK.json``; ``setup_s``, the
-benchmark's import probe, is not measured here.  On Linux a child's
+``end_to_end`` entries of ``BENCHMARK.json``.  On Linux a child's
 ``ru_maxrss`` starts from the RSS of the process that forks it.  This
-script's own RSS is about the CLI child's peak, so a bare interpreter
-forks each CLI run and the figure is the child's own peak.  ``perfbench/run.py`` forks from
+script loads numpy with ``perfbench/run.py``, so a bare interpreter forks
+each CLI run and the figure is the child's own peak.  ``perfbench/run.py`` forks from
 a process with numpy loaded, so a child that stays below that floor of
 about 30 MB reads lower here than the benchmark's ``peak_rss_mb``.
-Last, it compares the ``out/`` trees the two sides' last runs wrote, byte
+Then it compares the ``out/`` trees the two sides' last runs wrote, byte
 for byte, and prints "artifacts identical" or the files that differ.  For
 each JSON or CSV file that both sides wrote and that differs, it prints
 the largest relative difference |a − b| / max(|a|, |b|) over the file's
@@ -42,7 +46,9 @@ float values (JSON numbers with a fraction or exponent, CSV cells that
 are not integers), field by field (a JSON key path with list indices
 dropped, or a CSV column) with the largest absolute difference beside
 it, and lists every other difference: strings, integers, booleans,
-nulls, key sets, list lengths and row counts.
+nulls, key sets, list lengths and row counts.  Last, it compares the two
+sides' last ``stdout.log``, each the CLI's stdout and stderr joined, and
+prints "output identical" or the first line that differs.
 """
 
 from __future__ import annotations
@@ -62,14 +68,18 @@ from typing import Dict, List, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "perfbench"))
+from run import BenchError, probe_setup  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
+
+# Seconds one set-up probe may take before it counts as failed.
+PROBE_TIMEOUT_S = 60.0
 
 
 # Runs the command in its arguments, its stderr joined to its stdout, and
 # prints its wall seconds, exit code and ru_maxrss in KiB on stderr.  A
 # Linux child's ru_maxrss starts from the RSS of the process that forks it;
 # this bare interpreter's is below every workload's peak, where the RSS of
-# this script is about that peak.
+# this script, with numpy loaded, is above it.
 TIMER = """\
 import os, subprocess, sys, time
 t0 = time.perf_counter()
@@ -79,23 +89,60 @@ print(time.perf_counter() - t0, os.waitstatus_to_exitcode(status), usage.ru_maxr
 """
 
 
+def child_env(src: Path) -> dict:
+    """The environment of a child on ``src``, as the benchmark's."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PENDAVG_THREADS", None)
+    return env
+
+
+def setup_seconds(src: Path, ini: Path, run_dir: Path) -> float:
+    """Seconds from spawning ``perfbench/setup_probe.py`` on ``src`` to the
+    end of the workload's set-up, timed by the benchmark's own
+    ``probe_setup``, its stderr written to ``run_dir/setup.log``."""
+    try:
+        return probe_setup(ini, run_dir, child_env(src), PROBE_TIMEOUT_S)
+    except BenchError as exc:
+        raise SystemExit(f"set-up probe on {src}: {exc}") from None
+
+
 def timed_run(src: Path, workload, ini: Path, run_dir: Path) -> Tuple[float, float]:
     """Wall seconds and peak RSS in MB of one fresh-interpreter CLI
     invocation on ``src``, forked, timed and read by ``TIMER``, its output
     written to ``run_dir/stdout.log``."""
     shutil.rmtree(run_dir / "out", ignore_errors=True)
-    env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("PENDAVG_THREADS", None)
     cmd = [sys.executable, "-c", TIMER, sys.executable, "-m", "pendavg", *workload.cli_args(Path(ini.name))]
     # The child writes to a file, as the benchmark's runs do: its peak RSS
     # differs when it writes to /dev/null.
     with open(run_dir / "stdout.log", "w", encoding="utf-8") as log:
-        timer = subprocess.run(cmd, cwd=run_dir, env=env, stdout=log, stderr=subprocess.PIPE, text=True,
-                               check=True)
+        timer = subprocess.run(cmd, cwd=run_dir, env=child_env(src), stdout=log, stderr=subprocess.PIPE,
+                               text=True, check=True)
     wall, code, peak = timer.stderr.split()
     if int(code) != workload.expected_exit:
         raise SystemExit(f"{workload.name} on {src}: exit {code}, expected {workload.expected_exit}")
     return float(wall), int(peak) / 1024.0
+
+
+def alternate(pairs: int, measure) -> Tuple[list, list]:
+    """``measure(side)`` for side 0, the parent, and 1, the change, in
+    ``pairs`` pairs, the side that goes first alternating from pair to
+    pair; each side's results in its order."""
+    runs = ([], [])
+    for i in range(pairs):
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            runs[side].append(measure(side))
+    return runs
+
+
+def output_difference(left: str, right: str) -> str:
+    """"output identical" when two runs' combined stdout and stderr agree,
+    else the first line that differs, numbered from 1."""
+    if left == right:
+        return "output identical"
+    lines = (left.splitlines(keepends=True), right.splitlines(keepends=True))
+    n = next((i for i, (a, b) in enumerate(zip(*lines)) if a != b), min(map(len, lines)))
+    parent, change = (side[n] if n < len(side) else "" for side in lines)
+    return f"output differs at line {n + 1}: parent {parent!r}, change {change!r}"
 
 
 def source_lines(src: Path) -> int:
@@ -242,15 +289,17 @@ def main(argv=None) -> int:
                 shutil.copytree(src / "pendavg", run_dir / "src" / "pendavg",
                                 ignore=shutil.ignore_patterns("__pycache__"))
                 inis.append(workload.write_ini(run_dir / "workload.ini", seed=0))
-            walls, rss = ([], []), ([], [])
-            for i in range(args.pairs):
-                for side in ((0, 1) if i % 2 == 0 else (1, 0)):
-                    wall, peak = timed_run(run_dirs[side] / "src", workload, inis[side], run_dirs[side])
-                    walls[side].append(wall)
-                    rss[side].append(peak)
+            setups = alternate(args.pairs, lambda side: setup_seconds(
+                run_dirs[side] / "src", inis[side], run_dirs[side]))
+            runs = alternate(args.pairs, lambda side: timed_run(
+                run_dirs[side] / "src", workload, inis[side], run_dirs[side]))
+            walls = [[wall for wall, _ in side] for side in runs]
+            rss = [[peak for _, peak in side] for side in runs]
             outs = [run_dir / "out" for run_dir in run_dirs]
             differ = differing_files(*outs)
             drift = drift_lines(*outs, differ)
+            output = output_difference(*((run_dir / "stdout.log").read_text(encoding="utf-8")
+                                         for run_dir in run_dirs))
         result = pair_rule(*walls)
         sides = ", ".join(f"{side} {q[1]:.4f} s [{q[0]:.4f}, {q[2]:.4f}]" for side, q in
                           (("parent", result["parent"]), ("change", result["change"])))
@@ -261,9 +310,14 @@ def main(argv=None) -> int:
                           zip(("parent", "change"), (statistics.quantiles(r, n=4) for r in rss)))
         print(f"{name}: peak RSS {peaks}; "
               f"peak_rss_mb {no_regression_verdict(*rss, bounds['peak_rss_mb'])} (bound {bounds['peak_rss_mb']:g})")
+        setup = ", ".join(f"{side} {q[1]:.4f} s [{q[0]:.4f}, {q[2]:.4f}]" for side, q in
+                          zip(("parent", "change"), (statistics.quantiles(r, n=4) for r in setups)))
+        print(f"{name}: set-up {setup}; "
+              f"setup_s {no_regression_verdict(*setups, bounds['setup_s'])} (bound {bounds['setup_s']:g})")
         print(f"{name}: " + (f"artifacts differ: {', '.join(differ)}" if differ else "artifacts identical"))
         for line in drift:
             print(line)
+        print(f"{name}: {output}")
     return 0
 
 

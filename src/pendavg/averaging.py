@@ -65,6 +65,9 @@ ANGLE_STEP = 1e-6
 BRENT_XTOL = 2e-12
 BRENT_RTOL = 4.0 * float_info.epsilon
 BRENT_MAXITER = 100
+# Most panels of one annulus scan, rays times panels per ray: a zeros run at
+# the bound takes about 8 s and 150 MB (README, Experiment file).
+MAX_SCAN_PANELS = 1_000_000
 
 
 class BifurcationSystem:
@@ -315,12 +318,17 @@ def _certificate(sys: BifurcationSystem, theta: float, r1: float, r2: float,
     )
 
 
-def check_search(r1: float, r2: float, grid: int) -> None:
-    """DomainError unless 0 < r1 < r2 and ``grid`` is at least 8."""
+def check_search(r1: float, r2: float, grid: int, p: int) -> None:
+    """DomainError unless 0 < r1 < r2, ``grid`` is at least 8 and the scan's
+    4·grid rays of 2p + 1 sign panels are at most ``MAX_SCAN_PANELS``."""
     if not (0.0 < r1 < r2):
         raise DomainError(f"need 0 < r1 < r2, got r1={r1!r}, r2={r2!r}")
     if grid < 8:
         raise DomainError(f"grid must be at least 8, got {grid!r}")
+    panels = ANGLES_PER_GRID * grid * (2 * p + 1)
+    if panels > MAX_SCAN_PANELS:
+        raise DomainError(f"grid = {grid} and [model] p = {p} ask for a scan of {panels} panels, "
+                          f"more than {MAX_SCAN_PANELS}")
 
 
 def annulus_search(sys: BifurcationSystem, r1: float, r2: float, grid: int) -> list:
@@ -335,7 +343,7 @@ def annulus_search(sys: BifurcationSystem, r1: float, r2: float, grid: int) -> l
     squared over r*².  Bounds that `check_search` refuses raise its
     DomainError.
     """
-    check_search(r1, r2, grid)
+    check_search(r1, r2, grid, sys.spec.p)
     n = ANGLES_PER_GRID * grid
     thetas = [2.0 * math.pi * i / n for i in range(n + 1)]
     pairs = _ray_pairs(sys, thetas[:-1])

@@ -22,7 +22,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .averaging import (
     BifurcationSystem,
@@ -305,7 +305,7 @@ def _certificates_payload(certs: Sequence[ZeroCertificate]) -> list:
 
 
 def cmd_zeros(config: ExperimentConfig) -> int:
-    _check_keyed("[search]", check_search, config.r1, config.r2, config.grid)
+    _check_keyed("[search]", check_search, config.r1, config.r2, config.grid, config.p)
     reduced, s, _ = _model(config)
     system = BifurcationSystem(config.family, build_perturbation(config, s), reduced, s, config.convention)
     certs = annulus_search(system, config.r1, config.r2, config.grid)
@@ -323,19 +323,23 @@ def cmd_zeros(config: ExperimentConfig) -> int:
     return 0
 
 
-def _verify_convention(config: ExperimentConfig, system: BifurcationSystem, tag: str) -> dict:
+def _verify_convention(config: ExperimentConfig, system: BifurcationSystem, tag: str) -> Tuple[dict, Dict[int, str]]:
     """Zero search plus sweeps for the system's sgn convention; returns a
-    summary whose verdicts are the sweeps' own."""
+    summary whose verdicts are the sweeps' own, and per exit code the
+    first rung flagged with it, as ": zero i, eps ε: <its flag>"."""
     from .verify import epsilon_sweep, predicted_initial_state
 
     certs = annulus_search(system, config.r1, config.r2, config.grid)
     simple_certs = [c for c in certs if c.simple][:MAX_ZEROS_SWEPT]
     entries = []
     reports = []
+    flags = {}
     for i, cert in enumerate(simple_certs):
         report = epsilon_sweep(predicted_initial_state(system, cert), config.eps_list)
         reports.append(report)
         for j, sample in enumerate(report.samples):
+            if sample.flag is not None:
+                flags.setdefault(sample.flag_code, f": zero {i}, eps {sample.epsilon!r}: {sample.flag}")
             if sample.trajectory is not None:
                 base = config.output_dir / f"{tag}zero{i}_eps{j}"
                 _export_csvs(sample.trajectory, base.with_suffix(".trajectory.csv"),
@@ -355,7 +359,7 @@ def _verify_convention(config: ExperimentConfig, system: BifurcationSystem, tag:
         "any_validated": any(r.validated for r in reports),
         "any_crossing_violation": any(r.crossing_violation for r in reports),
         "any_stall": any(r.stalled for r in reports),
-    }
+    }, flags
 
 
 def cmd_verify(config: ExperimentConfig, compare_conventions: bool = False) -> int:
@@ -365,18 +369,18 @@ def cmd_verify(config: ExperimentConfig, compare_conventions: bool = False) -> i
     from .verify import convention_verdict, sweep_ladder
 
     _check_keyed("[sweep] eps:", sweep_ladder, config.eps_list)
-    _check_keyed("[search]", check_search, config.r1, config.r2, config.grid)
+    _check_keyed("[search]", check_search, config.r1, config.r2, config.grid, config.p)
     reduced, s, _ = _model(config)
     spec = build_perturbation(config, s)
 
-    def summary_of(convention: str, tag: str) -> dict:
+    def summary_of(convention: str, tag: str) -> Tuple[dict, Dict[int, str]]:
         return _verify_convention(config, BifurcationSystem(config.family, spec, reduced, s, convention), tag)
 
-    summary = summary_of(config.convention, "")
+    summary, flags = summary_of(config.convention, "")
     validated = summary["any_validated"]
     if compare_conventions:
         other = "B" if config.convention == "A" else "A"
-        by_convention = {config.convention: summary, other: summary_of(other, f"conv{other}_")}
+        by_convention = {config.convention: summary, other: summary_of(other, f"conv{other}_")[0]}
         arbiter = convention_verdict({c: each["any_validated"] for c, each in by_convention.items()})
         validated = arbiter != "neither"
         text = dumps_deterministic({"A": by_convention["A"], "B": by_convention["B"], "arbiter": arbiter})
@@ -390,12 +394,10 @@ def cmd_verify(config: ExperimentConfig, compare_conventions: bool = False) -> i
     if summary["any_crossing_violation"]:
         _write_text(config.output_dir / "crossing_violations.json",
                     dumps_deterministic([entry["sweep"]["events_summary"] for entry in summary["sweeps"]]))
-        raise CrossingViolationError(
-            "the crossing hypothesis failed during verification; "
-            "see crossing_violations.json"
-        )
+        raise CrossingViolationError("the crossing hypothesis failed during verification; see "
+                                     "crossing_violations.json" + flags.get(CrossingViolationError.exit_code, ""))
     if summary["any_stall"]:
-        raise IntegrationStallError("verification integrations stalled")
+        raise IntegrationStallError("verification integrations stalled" + flags[IntegrationStallError.exit_code])
     raise NoZeroError("no zero validated the second-order residual scaling")
 
 

@@ -5,14 +5,14 @@ is a constant plus cosines and sines, v = [s; cos ω_iτ, sin ω_iτ; 1] obeys
 v′ = B·v with B constant and block upper triangular, M and the rotations
 of the ω_i on its diagonal; so a step h is one exp(B·h) (Van Loan, IEEE
 TAC 23, 1978), and a monodromy rides along as more columns of v with zero
-trigonometric rows, which see only M's block.  The step's exponential is
-a Taylor polynomial with scaling and squaring (Higham, SIAM J. Matrix
-Anal. Appl. 26, 2005) scaled by the diagonal blocks alone, so a large
-forcing amplitude costs no accuracy; it is built once per step size and
-applied block by block, the trigonometric rows as a rotation.  A partial
-step or an event's offset δ needs exp(B·δ) once: where ‖B·δ‖ ≤ 1, so that
-no squaring is needed, Horner's rule applies the Taylor polynomial to the
-columns directly; otherwise the exponential is formed.  An event root is
+trigonometric rows, which see only M's block.  One Horner loop applies
+the Taylor polynomial of exp(B·δ), the state rows in full and each
+rotation pair as two scalars: to [v | Φ] itself where ‖B·δ‖ ≤ 1, else to
+the identity at δ/2ˢ, squared s times (Higham, SIAM J. Matrix Anal.
+Appl. 26, 2005), s set by the diagonal blocks alone, so a large forcing
+amplitude costs no accuracy.  A full step's exponential is built once
+per step size and applied by blocks, the trigonometric rows as a
+rotation.  An event root is
 found by Brent's method on the level's Taylor polynomial
 Σ δʲ·(Bʲv)[k]/j! when that meets the exact level at the step's end, where
 its error is largest, to ``ROOT_CHECK_RTOL`` of the level's change over
@@ -103,14 +103,16 @@ def _matmul(a, b) -> List[List[float]]:
     return out
 
 
-def _expm(a, norm: float) -> List[List[float]]:
-    """exp(a), given ``norm``, the 1-norm of a's diagonal blocks."""
-    squarings = max(0, math.ceil(math.log2(norm))) if norm > 1.0 else 0
-    a = [[math.ldexp(x, -squarings) for x in row] for row in a]
-    eye = [[float(i == j) for j in range(len(a))] for i in range(len(a))]
-    out = eye
-    for j in range(EXPM_DEGREE, 0, -1):
-        out = [[x / j + e for x, e in zip(row, diagonal)] for row, diagonal in zip(_matmul(a, out), eye)]
+def _expm(big: Matrix, norm: float, delta: float) -> List[List[float]]:
+    """exp(B·δ), given ``norm``, the 1-norm of B's diagonal blocks: the
+    identity moved by :func:`_horner` at δ/2ˢ, its state columns as Φ's
+    (they see only M's block), then squared s times."""
+    squarings = max(0, math.ceil(math.log2(norm * abs(delta)))) if norm * abs(delta) > 1.0 else 0
+    delta = math.ldexp(delta, -squarings)
+    eye = [[float(i == j) for j in range(len(big))] for i in range(len(big))]
+    last, state = _horner(big, delta, eye[-1], [e[:4] for e in eye[:4]])
+    columns = [c + e[4:] for c, e in zip(state, eye)] + [_horner(big, delta, e, ())[0] for e in eye[4:-1]]
+    out = [list(row) for row in zip(*columns, last)]
     for _ in range(squarings):
         out = _matmul(out, out)
     return out
@@ -118,7 +120,7 @@ def _expm(a, norm: float) -> List[List[float]]:
 
 @lru_cache(maxsize=128)
 def _step_flow(big: Matrix, h: float, norm: float) -> Matrix:
-    return tuple(map(tuple, _expm([[x * h for x in row] for row in big], norm * abs(h))))
+    return tuple(map(tuple, _expm(big, norm, h)))
 
 
 def _apply(flow, v: List[float], cols) -> Tuple[List[float], list]:
@@ -133,11 +135,9 @@ def _apply(flow, v: List[float], cols) -> Tuple[List[float], list]:
     return out, [[r[0] * x + r[1] * y + r[2] * z + r[3] * w for r in flow[:4]] for x, y, z, w in cols]
 
 
-def _flow(big: Matrix, norm: float, delta: float, v: List[float], cols) -> Tuple[List[float], list]:
-    """exp(B·δ)·[v | cols]: without squarings, Horner's rule for the Taylor
-    polynomial on the columns, p ← v + (B·δ)·p / j; else the exponential."""
-    if norm * abs(delta) > 1.0:
-        return _apply(_expm([[x * delta for x in row] for row in big], norm * abs(delta)), v, cols)
+def _horner(big: Matrix, delta: float, v: List[float], cols) -> Tuple[List[float], list]:
+    """exp(B·δ)·[v | cols] by Horner's rule for the Taylor polynomial,
+    p ← v + (B·δ)·p / j, accurate where ‖B·δ‖ ≤ 1."""
     a = [[x * delta for x in row] for row in big[:4]]
     # The rotation rows of B·δ: (−ωδ, ωδ) at each (cos, sin) pair i.
     turns = [(i, big[i][i + 1] * delta, big[i + 1][i] * delta) for i in range(4, len(v) - 1, 2)]
@@ -151,6 +151,13 @@ def _flow(big: Matrix, norm: float, delta: float, v: List[float], cols) -> Tuple
         ps = [[(r[0] * q0 + r[1] * q1 + r[2] * q2 + r[3] * q3) / j + x for r, x in zip(a, col)]
               for (q0, q1, q2, q3), col in zip(ps, cols)]
     return p, ps
+
+
+def _flow(big: Matrix, norm: float, delta: float, v: List[float], cols) -> Tuple[List[float], list]:
+    """exp(B·δ)·[v | cols]: :func:`_horner`, or the exponential's blocks."""
+    if norm * abs(delta) > 1.0:
+        return _apply(_expm(big, norm, delta), v, cols)
+    return _horner(big, delta, v, cols)
 
 
 def solve(big: Matrix, t_span: Sequence[float], u0, *, max_step: float,

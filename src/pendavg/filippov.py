@@ -12,8 +12,8 @@ segment and nothing else.  A level that starts on its surface is tested
 as it leaves it (see ``_Integrator._departures``).
 
 With the region signs frozen the field is affine, f = M_σ(τ)·s + c_σ(τ),
-built once per segment as one periodic 4×5 array F_σ = [M_σ | c_σ] over
-(x, y, z, w, 1), the columns of the forcing's table.  Where every
+built once per segment by ``d1_field(...).frozen(σ)`` in one pass over
+the forcing's table, as a periodic 4×5 array F_σ = [M_σ | c_σ].  Where every
 τ-dependent term of F_σ is a cosine or a sine in column 4, as on every
 builtin, the segment follows its exact flow (:mod:`pendavg.expflow`) in
 steps of ``max_step``, the cap every run gives.  Every other field runs
@@ -168,34 +168,6 @@ class PeriodicArray(NamedTuple):
         return out
 
 
-def linearization_matrix(r: ReducedParams) -> Matrix:
-    """State matrix of the reduced linear system in the physical frame."""
-    return (
-        (0.0, 1.0, 0.0, 0.0),
-        (-r.a, 0.0, 1.0, 0.0),
-        (0.0, 0.0, 0.0, 1.0),
-        (r.b, 0.0, -r.b, 0.0),
-    )
-
-
-def _frozen_forcing(spec: PerturbationSpec, signs: Tuple[float, float]) -> PeriodicArray:
-    """The forcing for frozen signs σ, affine: (f_y, f_w) = [R | k](τ)·(s, 1).
-
-    P[:, 0] + σ·P[:, 1] of the spec's table as one 2×5 array over
-    (x, y, z, w, 1): the table's terms in its order, each scaled by σ on
-    a signed row and skipped where σ = 0.
-    """
-    constant = [[0.0] * 5 for _ in range(2)]
-    terms = []
-    for (i, part, j), value, scalar in spec.table:
-        factor = value * signs[i] if part else value
-        if scalar is None:
-            constant[i][j] += factor
-        elif factor != 0.0:
-            terms.append(((i, j), factor, scalar))
-    return PeriodicArray(tuple(map(tuple, constant)), tuple(terms))
-
-
 FieldWithSigns = Callable[[float, Sequence[float], Tuple[float, float]], Sequence[float]]
 
 
@@ -206,16 +178,19 @@ def d1_field(spec: PerturbationSpec, reduced: ReducedParams, eps: float) -> Fiel
     z' = w,   w' = b x - b z + ε f_w(τ, state; sgn)
 
     Calling it evaluates the forcing for any signs (contacts, the
-    regularized run).  ``field.frozen(signs)`` is its affine form for
-    frozen signs, f = M_σ(τ)·s + c_σ(τ), as one periodic 4×5 array
-    F_σ = [M_σ | c_σ] = [A | 0] + ε·[R_σ | k_σ] on rows 1 and 3 (see
-    :func:`_frozen_forcing`), on which segments and the monodromy run.
+    regularized run).  ``field.frozen(signs)``, on which segments and the
+    monodromy run, is its affine form for frozen signs σ, one periodic 4×5
+    array F_σ = [M_σ | c_σ] over (x, y, z, w, 1) built in one pass over the
+    spec's table P: rows 0 and 2 are A's with c = 0, and rows 1 and 3 are
+    A + ε·(P[i, 0] + σ_i·P[i, 1]), each constant summed in table order
+    from 0.0 and each τ-term with the factor ε·(value·σ_i) on a signed
+    row, skipped where σ_i = 0.
     ``field.knots(t0, t1)`` gives the knots of the forcing's tables
     between t0 and t1, at which segments end.
     """
     a = reduced.a
     b = reduced.b
-    base = [(*row, 0.0) for row in linearization_matrix(reduced)]
+    base = ((0.0, 1.0, 0.0, 0.0, 0.0), (-a, 0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0, 0.0), (b, 0.0, -b, 0.0, 0.0))
 
     def field(t: float, state: Sequence[float], signs: Tuple[float, float]) -> Tuple[float, ...]:
         x, y, z, w = state
@@ -225,12 +200,17 @@ def d1_field(spec: PerturbationSpec, reduced: ReducedParams, eps: float) -> Fiel
         return (y, dy, w, dw)
 
     def frozen(signs: Tuple[float, float]) -> PeriodicArray:
-        forcing = _frozen_forcing(spec, (float(signs[0]), float(signs[1])))
-        constant = list(base)
-        for row, own in zip((1, 3), forcing.constant):
-            constant[row] = tuple(x + eps * c for x, c in zip(base[row], own))
-        return PeriodicArray(tuple(constant), tuple(((2 * i + 1, j), eps * factor, scalar)
-                                                    for (i, j), factor, scalar in forcing.terms))
+        sums = ([0.0] * 5, [0.0] * 5)
+        terms = []
+        for (i, part, j), value, scalar in spec.table:
+            factor = value * float(signs[i]) if part else value
+            if scalar is None:
+                sums[i][j] += factor
+            elif factor != 0.0:
+                terms.append(((2 * i + 1, j), eps * factor, scalar))
+        constant = (base[0], tuple(x + eps * c for x, c in zip(base[1], sums[0])),
+                    base[2], tuple(x + eps * c for x, c in zip(base[3], sums[1])))
+        return PeriodicArray(constant, tuple(terms))
 
     field.frozen = frozen
     field.knots = spec.table_knots
@@ -523,17 +503,15 @@ class _Integrator:
         else:
             run = _dop853(rhs, (self.t, t_end), u, max_step=self.max_step, events=[0, 2], n_tested=4,
                           departures=departures)
-        if run.status == -1 and len(run.ts or ()) < 2:
-            raise self._stall(f"the segment solver failed: {run.message}")
-        states = run.ys
-        if phi is not None:
-            last = states[-1]
-            self.phi = tuple(tuple(last[4 + 4 * j + i] for j in range(4)) for i in range(4))
-            states = [row[:4] for row in states]
-        state_e = list(states[-1])
-        self.segments.append(Segment(ts=run.ts, states=states, signs=signs))
-        self.t = run.ts[-1]
-        self.state = state_e
+        if run.status != -1 or len(run.ts or ()) > 1:
+            states = run.ys
+            if phi is not None:
+                last = states[-1]
+                self.phi = tuple(tuple(last[4 + 4 * j + i] for j in range(4)) for i in range(4))
+                states = [row[:4] for row in states]
+            self.segments.append(Segment(ts=run.ts, states=states, signs=signs))
+            self.t = run.ts[-1]
+            self.state = list(states[-1])
         if run.status == -1:
             raise self._stall(f"the segment solver failed: {run.message}")
         if run.status == 0:
@@ -542,9 +520,9 @@ class _Integrator:
 
         # Only the earliest event of a step is reported; the other level
         # counts as touched when the state sits on it.
-        touched = [j for j in range(2) if run.event == j or abs(state_e[2 * j]) <= EVENT_STATE_TOL]
+        touched = [j for j in range(2) if run.event == j or abs(self.state[2 * j]) <= EVENT_STATE_TOL]
         for j in touched:
-            state_e[2 * j] = 0.0
+            self.state[2 * j] = 0.0
         self._resolve_contacts(touched)
 
     # -- main loop -----------------------------------------------------------

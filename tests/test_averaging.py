@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 import pendavg.averaging as averaging_module
 from pendavg.averaging import (
+    MAX_SCAN_PANELS,
     BifurcationSystem,
     annulus_search,
     bifurcation_values,
+    check_search,
 )
 from pendavg.errors import DomainError, NumericalError, ResonanceError
 from pendavg.model import (
@@ -481,6 +483,19 @@ def test_annulus_search_validates_arguments(bench):
         annulus_search(sys, 0.5, 0.2, 12)
     with pytest.raises(DomainError):
         annulus_search(sys, 0.05, 2.0, 4)
+
+
+def test_check_search_bounds_the_scan_work():
+    # 4·grid rays of 2p + 1 panels each; no scan is started here
+    assert MAX_SCAN_PANELS == 1_000_000
+    assert check_search(0.05, 2.0, 83333, 1) is None  # 999996 panels
+    assert check_search(0.05, 2.0, 8, 15624) is None  # 999968 panels
+    for grid, p, panels in [(83334, 1, 1000008), (8, 15625, 1000032), (10**8, 1, 1200000000),
+                            (8, 10**9, 64000000032)]:
+        with pytest.raises(DomainError) as info:
+            check_search(0.05, 2.0, grid, p)
+        assert str(info.value) == (f"grid = {grid} and [model] p = {p} ask for a scan of {panels} panels, "
+                                   "more than 1000000")
 
 
 def random_bracketed_functions(rng, count):

@@ -578,8 +578,10 @@ def test_verify_persistent_tangency_exits_5(tmp_path, monkeypatch, capsys):
     assert payload["any_crossing_violation"] is True and payload["any_validated"] is False
     violations = json.loads((out / "crossing_violations.json").read_text())
     assert violations and violations == [entry["sweep"]["events_summary"] for entry in payload["sweeps"]]
+    # the error line ends with the first flagged rung and its message
     assert capsys.readouterr().err == ("error: the crossing hypothesis failed during verification; "
-                                       "see crossing_violations.json\n")
+                                       "see crossing_violations.json: zero 0, eps 0.01: "
+                                       "persistent tangency on x = 0\n")
 
 
 def test_compare_conventions_reads_the_perturbation_file_once(tmp_path, monkeypatch):
@@ -618,7 +620,8 @@ def test_verify_stall_exits_6_without_crossing_file(tmp_path, monkeypatch, capsy
     assert payload["sweeps"] and all(entry["sweep"]["limit_gap_reason"] == ["prediction run flagged"] * 4
                                      for entry in payload["sweeps"])
     assert not (out / "crossing_violations.json").exists()
-    assert capsys.readouterr().err == "error: verification integrations stalled\n"
+    assert capsys.readouterr().err == ("error: verification integrations stalled: zero 0, eps 0.01: "
+                                       "event budget exhausted\n")
 
 
 ESCAPEMENT = {"builtin": "damped_forced_escapement", "gamma": GAMMA, "kappa": 0.05}
@@ -659,6 +662,27 @@ def test_bad_search_bounds_exit_1_naming_the_section(tmp_path, capsys, search):
     # params and simulate never read [search]
     for command in ("params", "simulate"):
         assert cli.main([command, "--config", str(ini)]) == 0, (command, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("grid, p", [(10**8, 1), (8, 10**9)])
+def test_a_scan_past_its_bound_exits_1_naming_both_keys(tmp_path, monkeypatch, capsys, grid, p):
+    # the check refuses the scan before the model is built; a search that
+    # started anyway fails the test instead of filling memory
+    def no_scan(*args):
+        raise AssertionError("the scan must not start")
+
+    monkeypatch.setattr(cli, "annulus_search", no_scan)
+    out = tmp_path / "out"
+    sections = bench_sections(out)
+    sections["search"]["grid"] = grid
+    sections["model"]["p"] = p
+    ini = write_ini(tmp_path / "scan.ini", sections)
+    panels = 4 * grid * (2 * p + 1)
+    for command in ("zeros", "verify"):
+        assert cli.main([command, "--config", str(ini)]) == 1, command
+        assert capsys.readouterr().err == (f"error: [search] grid = {grid} and [model] p = {p} ask for a scan "
+                                           f"of {panels} panels, more than 1000000\n"), command
+        assert not out.exists(), command
 
 
 # -- simulate ----------------------------------------------------------------
@@ -1347,6 +1371,37 @@ def test_pair_bench_no_regression_verdict(monkeypatch, parent, change, verdict):
     from pair_bench import no_regression_verdict
 
     assert no_regression_verdict(parent, change, 0.25) == verdict
+
+
+@pytest.mark.parametrize("left, right, line", [
+    ("zeros: 1\n", "zeros: 1\n", "output identical"),
+    ("a\nb\n", "a\nc\n", "output differs at line 2: parent 'b\\n', change 'c\\n'"),
+    ("a\n", "a\nerror: x\n", "output differs at line 2: parent '', change 'error: x\\n'"),
+    ("a\nb", "a\nb\n", "output differs at line 2: parent 'b', change 'b\\n'"),
+], ids=["identical", "changed-line", "extra-line", "final-newline"])
+def test_pair_bench_output_difference(monkeypatch, left, right, line):
+    # the two sides' combined stdout and stderr, compared line by line
+    monkeypatch.syspath_prepend(str(REPO / "scripts"))
+    from pair_bench import output_difference
+
+    assert output_difference(left, right) == line
+
+
+@pytest.mark.parametrize("pairs, order", [(2, [0, 1, 1, 0]), (3, [0, 1, 1, 0, 0, 1])], ids=["two", "three"])
+def test_pair_bench_alternates_the_side_that_goes_first(monkeypatch, pairs, order):
+    # set-up probes and CLI runs alike: each side's results in its order
+    monkeypatch.syspath_prepend(str(REPO / "scripts"))
+    from pair_bench import alternate
+
+    calls = []
+
+    def measure(side):
+        calls.append(side)
+        return len(calls)
+
+    runs = alternate(pairs, measure)
+    assert calls == order
+    assert runs == tuple([i + 1 for i, side in enumerate(order) if side == s] for s in (0, 1))
 
 
 def test_derive_oracles_check_runs():

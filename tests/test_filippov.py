@@ -23,18 +23,16 @@ from pendavg.errors import CrossingViolationError, DomainError, IntegrationStall
 from pendavg.filippov import (
     PeriodicArray,
     _affine_rhs,
-    _frozen_forcing,
     d1_field,
     integrate,
     integrate_field,
     integrate_regularized,
-    linearization_matrix,
 )
 from pendavg.model import PhysicalParams, reduce_params, spectral_data
 from pendavg.perturbation import PeriodicScalar, PerturbationSpec, builtin, smooth_sign
 from pendavg.verify import orbit_from_amplitude
 
-from .oracles import field_term_scale, flow_states, per_call_field
+from .oracles import field_term_scale, flow_states, linear_matrix, per_call_field
 from .test_averaging import random_spec
 from .test_perturbation import _random_scalar
 
@@ -140,7 +138,6 @@ def test_frozen_sign_segment_field_matches_per_call_field(bench):
         reference = per_call_field(spec, reduced, eps)
         form = field.frozen(signs)
         rhs = _affine_rhs(form)
-        forcing = _frozen_forcing(spec, tuple(map(float, signs)))
         for tau in rng.uniform(-3.0, 10.0, size=3):
             state = rng.normal(size=4)
             phi = rng.normal(size=(4, 4))
@@ -149,21 +146,22 @@ def test_frozen_sign_segment_field_matches_per_call_field(bench):
             assert np.all(np.abs(np.asarray(rhs(tau, state)) - expect) <= bound), (i, tau)
             du = np.asarray(rhs(tau, np.concatenate((state, phi.T.ravel()))))
             assert np.all(np.abs(du[:4] - expect) <= bound), (i, tau)
-            # F_σ = [M_σ | c_σ]: rows 0 and 2 are A's with c = 0, rows 1
-            # and 3 are A + ε·[R | k], rounded as above entry by entry
+            # column j of M_σ is f(e_j) − f(0) and c_σ is f(0), each side
+            # rounded as above: F_σ and that reference differ by at most
+            # 64 ulp of the two sides' scales summed, entry by entry
             at_zero = reference(tau, np.zeros(4), signs)
             zero_scale = field_term_scale(spec, reduced, eps, tau, np.zeros(4), signs)
-            entry_scale = np.stack(
-                [*(field_term_scale(spec, reduced, eps, tau, e, signs) for e in np.eye(4)), zero_scale], axis=1
-            )
-            got = np.asarray(form(tau))
-            base = np.hstack((linearization_matrix(reduced), np.zeros((4, 1))))
-            assert np.array_equal(got[[0, 2]], base[[0, 2]]), (i, tau)
-            affine = base[[1, 3]] + eps * np.asarray(forcing(tau))
-            assert np.all(np.abs(got[[1, 3]] - affine) <= 32 * ulp * entry_scale[[1, 3]]), (i, tau)
-            # column j of M_σ is f(e_j) − f(0), each side rounded as above
+            entry_scale = np.stack([field_term_scale(spec, reduced, eps, tau, e, signs) for e in np.eye(4)], axis=1)
             matrix = np.stack([reference(tau, e, signs) - at_zero for e in np.eye(4)], axis=1)
-            column_scale = entry_scale[:, :4] + zero_scale[:, None]
+            column_scale = entry_scale + zero_scale[:, None]
+            # F_σ = [M_σ | c_σ]: rows 0 and 2 are A's with c = 0, rows 1
+            # and 3 the reference's to the bound above
+            got = np.asarray(form(tau))
+            base = np.hstack((linear_matrix(reduced.a, reduced.b), np.zeros((4, 1))))
+            assert np.array_equal(got[[0, 2]], base[[0, 2]]), (i, tau)
+            expect_form = np.hstack((matrix, at_zero[:, None]))
+            form_scale = np.hstack((column_scale, zero_scale[:, None]))
+            assert np.all(np.abs(got[[1, 3]] - expect_form[[1, 3]]) <= 64 * ulp * form_scale[[1, 3]]), (i, tau)
             phi_dot = du[4:].reshape(4, 4).T
             assert np.all(np.abs(phi_dot - matrix @ phi) <= 64 * ulp * (column_scale @ np.abs(phi))), (i, tau)
 
@@ -692,14 +690,15 @@ def test_dop853_matches_solve_ivp_bit_for_bit(bench):
     assert run.ts.tobytes() == ref.t.tobytes() and run.ys.tobytes() == ref.y.T.tobytes()
 
 
-@pytest.mark.parametrize("eps, gamma", [(1e-2, 0.5), (5.0, 1e300), (1e4, 0.5)],
-                         ids=["small", "huge-forcing", "stiff"])
+@pytest.mark.parametrize("eps, gamma", [(1e-2, 0.5), (5.0, 1e300), (1e2, 0.5), (1e4, 0.5)],
+                         ids=["small", "huge-forcing", "damped", "stiff"])
 def test_exact_flow_matches_scipy_expm(bench, eps, gamma):
     """The exact segment flow, marched in steps of the step cap from
     t0 = 0.7, against SciPy's expm over the whole span: with a small
-    forcing, with one that takes the state near 1e300 and with a damping
-    far too stiff for an explicit solver at that step.  The forcing
-    columns of B are scaled by λ before expm, as D·B′·D⁻¹ with
+    forcing, with one that takes the state near 1e300, with a strong
+    damping and with one far too stiff for an explicit solver at that
+    step; a full step's exponential takes 0, 1, 5 and 12 squarings.  The
+    forcing columns of B are scaled by λ before expm, as D·B′·D⁻¹ with
     D = diag(1, 1, 1, 1, 1/λ, …), so SciPy's scaling sees only M.  Both
     exponentials are accurate to about u·‖M‖₁·span (Higham 2005)."""
     from scipy.linalg import expm

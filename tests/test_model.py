@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from pendavg.errors import DomainError, ResonanceError
-from pendavg.filippov import linearization_matrix
 from pendavg.model import (
     PhysicalParams,
     jordan_transform,
@@ -89,15 +88,10 @@ def test_bench_spectrum_frozen_values():
     assert s.period(2) == pytest.approx(3.4004353847414768, rel=0, abs=1e-12)
 
 
-def test_linearization_matrix_structure():
-    reduced, _ = bench_spectral()
-    assert np.array_equal(linearization_matrix(reduced), linear_matrix(2.0, 2.0))
-
-
 def test_jordan_transform_block_diagonalizes():
     reduced, s = bench_spectral()
     t = jordan_transform(reduced, s)
-    gen = t.forward @ np.asarray(linearization_matrix(reduced)) @ t.inverse
+    gen = t.forward @ linear_matrix(reduced.a, reduced.b) @ t.inverse
     expected = np.zeros((4, 4))
     expected[0, 1], expected[1, 0] = s.omega1, -s.omega1
     expected[2, 3], expected[3, 2] = s.omega2, -s.omega2
@@ -110,7 +104,7 @@ def test_jordan_transform_block_diagonalizes():
 def test_fundamental_matrix_is_normal_form_flow(tau):
     reduced, s = bench_spectral()
     t = jordan_transform(reduced, s)
-    gen = t.forward @ np.asarray(linearization_matrix(reduced)) @ t.inverse
+    gen = t.forward @ linear_matrix(reduced.a, reduced.b) @ t.inverse
     from scipy.linalg import expm
 
     assert np.allclose(fundamental_matrix(s, tau), expm(gen * tau), atol=1e-10)
@@ -185,7 +179,7 @@ def test_unperturbed_orbit_periodicity(u0, v0, tau, family):
 def test_unperturbed_orbit_solves_normal_form():
     reduced, s = bench_spectral()
     t = jordan_transform(reduced, s)
-    gen = t.forward @ np.asarray(linearization_matrix(reduced)) @ t.inverse
+    gen = t.forward @ linear_matrix(reduced.a, reduced.b) @ t.inverse
     taus = np.linspace(0.0, 5.0, 7)
     h = 1e-6
     for tau in taus:

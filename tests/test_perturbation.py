@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pendavg.errors import DomainError
-from pendavg.filippov import _frozen_forcing
+from pendavg.filippov import d1_field
 from pendavg.model import PhysicalParams, reduce_params, spectral_data
 from pendavg.perturbation import (
     BUILTINS,
@@ -17,7 +17,7 @@ from pendavg.perturbation import (
     smooth_sign,
 )
 
-from .oracles import linear_form_value, ramp_values, scalar_values, unfolded_forcing
+from .oracles import linear_form_value, linear_matrix, ramp_values, scalar_values, unfolded_forcing
 
 BENCH = PhysicalParams(1.0, 1.0, 1.0, 1.0, 9.8)
 
@@ -233,8 +233,11 @@ def test_compiled_forcing_matches_unfolded_sum():
 
 def test_forcing_jacobian_matches_unfolded_differences():
     # for frozen signs the forcing is affine in the state, so column j of R
-    # is f(e_j) - f(0); every other spec has constant coefficients only,
-    # whose R is one precomputed array
+    # is f(e_j) - f(0), and rows 1 and 3 of the segment's M_σ at ε = 1 are
+    # A's plus R's; every other spec has constant coefficients only, whose
+    # R is one precomputed array
+    reduced = reduce_params(BENCH)
+    base = linear_matrix(reduced.a, reduced.b)[[1, 3]]
     rng = np.random.default_rng(11)
     window = 2.7
 
@@ -249,13 +252,14 @@ def test_forcing_jacobian_matches_unfolded_differences():
         )
         tau = rng.uniform(-3, 10)
         signs = rng.choice([-1.0, 0.0, 1.0], size=2)
-        rows = tuple(row[:4] for row in _frozen_forcing(spec, tuple(signs))(tau))
+        form = d1_field(spec, reduced, 1.0).frozen(tuple(signs))(tau)
+        rows = (form[1][:4], form[3][:4])
         at_zero = unfolded_forcing(spec, tau, np.zeros(4), *signs)
         for j in range(4):
             at_axis = unfolded_forcing(spec, tau, np.eye(4)[j], *signs)
-            for row, f1, f0 in zip(rows, at_axis, at_zero):
+            for row, a, f1, f0 in zip(rows, base, at_axis, at_zero):
                 assert np.asarray(row).shape == (4,)
-                assert row[j] == pytest.approx(f1 - f0, rel=1e-12, abs=1e-12)
+                assert row[j] == pytest.approx(a[j] + (f1 - f0), rel=1e-12, abs=1e-12)
 
 
 def test_all_zero_spec_forcing_is_shaped_like_tau():
@@ -347,7 +351,8 @@ def test_builtin_specs():
 def test_builtins_are_their_file_entries(tmp_path):
     # a perturbation file of a builtin's entries gives the builtin's spec,
     # bit for bit, and the entries carry the parameters exactly
-    s = bench_spectral()
+    reduced = reduce_params(BENCH)
+    s = spectral_data(reduced)
     params = {
         "damped_forced": {"gamma": 0.1 + 0.2},
         "damped_forced_escapement": {"gamma": 0.5, "kappa": 1.0 / 3.0},
@@ -371,7 +376,7 @@ def test_builtins_are_their_file_entries(tmp_path):
                 assert (np.array([eval_order1_with_signs(got, *column) for column in columns]).tobytes()
                         == np.array([eval_order1_with_signs(expect, *column) for column in columns]).tobytes())
                 for frozen in ((-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)):
-                    g, e = _frozen_forcing(got, frozen), _frozen_forcing(expect, frozen)
+                    g, e = (d1_field(spec, reduced, 1.0).frozen(frozen) for spec in (got, expect))
                     assert all(np.asarray(g(t)).tobytes() == np.asarray(e(t)).tobytes() for t in taus)
     esc = builtin("damped_forced_escapement", params["damped_forced_escapement"], s, family=2)
     assert esc.K[0].value == 0.5 and esc.K[0].omega == s.omega2
