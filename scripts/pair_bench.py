@@ -6,20 +6,21 @@ Usage:
 
 PARENT_SRC and CHANGE_SRC are ``src/`` directories, each holding a
 ``pendavg`` package.  First the script prints each tree's source lines,
-the newlines of its ``pendavg/*.py`` files as ``wc -l`` counts them, and
-the change's net lines against the parent.  For every workload of
-``perfbench/workloads.py`` (all three by default) the script copies each
-tree's ``pendavg`` package to ``<tmp>/parent/src`` and
+the newlines of its ``pendavg/*.py`` files as ``wc -l`` counts them, each
+beside the milliseconds this interpreter takes to ``compile()`` them all
+(median of 15 rounds), and the change's net lines against the parent. For
+every workload of ``perfbench/workloads.py`` (all three by default) the
+script copies each tree's ``pendavg`` package to ``<tmp>/parent/src`` and
 ``<tmp>/change/src``, two paths of equal length, so that the two sides
 differ in their code alone.  It then writes the workload's INI file once,
 with ``[model] seed = 0`` (the key has no effect, so no seed is taken),
 and runs N pairs, N at least 2.  A pair is one CLI invocation on each
 copy, each in a fresh interpreter (``python -m pendavg`` with
 ``PYTHONPATH`` set to the copy), as the benchmark times ``run_s``; the
-tree that goes first alternates from pair to pair.  Every invocation
-must end with the workload's expected exit code.  Before the CLI pairs it
-runs N pairs of the benchmark's set-up probe, ``perfbench/setup_probe.py``,
-in the same alternation, each timed by ``probe_setup`` of
+tree that goes first alternates from pair to pair.  Every invocation must
+end with the workload's expected exit code.  Before the CLI pairs it runs
+N pairs of the benchmark's set-up probe, ``perfbench/setup_probe.py``, in
+the same alternation, each timed by ``probe_setup`` of
 ``perfbench/run.py`` as the benchmark times ``setup_s``: from the spawn of
 a fresh interpreter to the end of the workload's set-up.
 
@@ -63,6 +64,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import timeit
 from pathlib import Path
 from typing import Dict, List, Tuple
 
@@ -148,6 +150,15 @@ def output_difference(left: str, right: str) -> str:
 def source_lines(src: Path) -> int:
     """Newlines in the ``pendavg/*.py`` files under ``src``, as ``wc -l``."""
     return sum(path.read_bytes().count(b"\n") for path in (src / "pendavg").glob("*.py"))
+
+
+def compile_ms(src: Path, rounds: int = 15) -> float:
+    """Median milliseconds, over ``rounds`` rounds, to ``compile()`` every
+    ``pendavg/*.py`` file under ``src`` in this process."""
+    sources = [(path.read_bytes(), str(path)) for path in (src / "pendavg").glob("*.py")]
+    times = timeit.repeat(lambda: [compile(text, name, "exec", dont_inherit=True) for text, name in sources],
+                          number=1, repeat=rounds)
+    return 1000.0 * statistics.median(times)
 
 
 def differing_files(left: Path, right: Path) -> list:
@@ -279,7 +290,9 @@ def main(argv=None) -> int:
     benchmark = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
     bounds = {entry["name"]: entry["bound"] for entry in benchmark["end_to_end"]}
     lines = [source_lines(src) for src in trees]
-    print(f"source lines: parent {lines[0]}, change {lines[1]}, net {lines[1] - lines[0]:+d}")
+    ms = [compile_ms(src) for src in trees]
+    print(f"source lines: parent {lines[0]} (compile {ms[0]:.1f} ms), change {lines[1]} (compile {ms[1]:.1f} ms), "
+          f"net {lines[1] - lines[0]:+d}")
     for name in args.workload or sorted(WORKLOADS):
         workload = WORKLOADS[name]
         with tempfile.TemporaryDirectory(prefix="pair_bench_") as tmp:

@@ -318,17 +318,19 @@ def _certificate(sys: BifurcationSystem, theta: float, r1: float, r2: float,
     )
 
 
-def check_search(r1: float, r2: float, grid: int, p: int) -> None:
+def check_search(r1: float, r2: float, grid: int, p: int, knots: int = 0) -> None:
     """DomainError unless 0 < r1 < r2, ``grid`` is at least 8 and the scan's
-    4·grid rays of 2p + 1 sign panels are at most ``MAX_SCAN_PANELS``."""
+    4·grid rays, each of 2p + 1 sign panels split further at the window's
+    ``knots`` table knots, are at most ``MAX_SCAN_PANELS`` panels."""
     if not (0.0 < r1 < r2):
         raise DomainError(f"need 0 < r1 < r2, got r1={r1!r}, r2={r2!r}")
     if grid < 8:
         raise DomainError(f"grid must be at least 8, got {grid!r}")
-    panels = ANGLES_PER_GRID * grid * (2 * p + 1)
+    panels = ANGLES_PER_GRID * grid * (2 * p + 1 + knots)
     if panels > MAX_SCAN_PANELS:
-        raise DomainError(f"grid = {grid} and [model] p = {p} ask for a scan of {panels} panels, "
-                          f"more than {MAX_SCAN_PANELS}")
+        keys = (f"grid = {grid}, [model] p = {p} and {knots} table knots" if knots
+                else f"grid = {grid} and [model] p = {p}")
+        raise DomainError(f"{keys} ask for a scan of {panels} panels, more than {MAX_SCAN_PANELS}")
 
 
 def annulus_search(sys: BifurcationSystem, r1: float, r2: float, grid: int) -> list:
@@ -340,10 +342,10 @@ def annulus_search(sys: BifurcationSystem, r1: float, r2: float, grid: int) -> l
     sign change is refined by Brent's method.  A zero is simple when ‖G‖
     there is at most ``SIMPLICITY_RTOL`` times the largest ‖G‖ on the outer
     circle and |det J| is above ``SIMPLICITY_RTOL`` times that scale
-    squared over r*².  Bounds that `check_search` refuses raise its
-    DomainError.
+    squared over r*².  Bounds that `check_search` refuses, the window's
+    table knots counted, raise its DomainError before any ray is taken.
     """
-    check_search(r1, r2, grid, sys.spec.p)
+    check_search(r1, r2, grid, sys.spec.p, len(sys.table_knots))
     n = ANGLES_PER_GRID * grid
     thetas = [2.0 * math.pi * i / n for i in range(n + 1)]
     pairs = _ray_pairs(sys, thetas[:-1])

@@ -24,12 +24,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .averaging import (
-    BifurcationSystem,
-    ZeroCertificate,
-    annulus_search,
-    check_search,
-)
+from .averaging import BifurcationSystem, annulus_search, check_search
 from .errors import (
     DEFAULT_MAX_EVENTS,
     CrossingViolationError,
@@ -252,11 +247,11 @@ def build_perturbation(config: ExperimentConfig, spectral) -> PerturbationSpec:
 # -- subcommands ----------------------------------------------------------
 
 
-def _check_keyed(prefix: str, check, *values) -> None:
-    """``check(*values)``, its DomainError re-raised behind ``prefix``,
-    the section (and key) the values come from."""
+def _check_keyed(prefix: str, check, *values):
+    """The value of ``check(*values)``, its DomainError re-raised behind
+    ``prefix``, the section (and key) the values come from."""
     try:
-        check(*values)
+        return check(*values)
     except DomainError as exc:
         raise DomainError(f"{prefix} {exc}") from None
 
@@ -273,47 +268,23 @@ def _model(config: ExperimentConfig):
 
 def cmd_params(config: ExperimentConfig) -> int:
     reduced, s, det = _model(config)
-    text = dumps_deterministic({
-        "a": reduced.a,
-        "b": reduced.b,
-        "alpha": reduced.alpha,
-        "delta": s.delta,
-        "omega1": s.omega1,
-        "omega2": s.omega2,
-        "period1": s.period1,
-        "period2": s.period2,
-        "family": config.family,
-        "p": config.p,
-        "monodromy_det": det,
-    })
+    text = dumps_deterministic({**reduced._asdict(), **s._asdict(),
+                                "family": config.family, "p": config.p, "monodromy_det": det})
     print(text)
     _write_text(config.output_dir / "params.json", text)
     return 0
-
-
-def _certificates_payload(certs: Sequence[ZeroCertificate]) -> list:
-    return [
-        {
-            "point": list(c.point),
-            "value_norm": c.value_norm,
-            "det": c.det,
-            "index": c.index,
-            "simple": c.simple,
-        }
-        for c in certs
-    ]
 
 
 def cmd_zeros(config: ExperimentConfig) -> int:
     _check_keyed("[search]", check_search, config.r1, config.r2, config.grid, config.p)
     reduced, s, _ = _model(config)
     system = BifurcationSystem(config.family, build_perturbation(config, s), reduced, s, config.convention)
-    certs = annulus_search(system, config.r1, config.r2, config.grid)
+    certs = _check_keyed("[search]", annulus_search, system, config.r1, config.r2, config.grid)
     payload = {
         "convention": config.convention,
         "family": config.family,
         "p": config.p,
-        "zeros": _certificates_payload(certs),
+        "zeros": [c._asdict() for c in certs],
     }
     text = dumps_deterministic(payload)
     print(text)
@@ -329,7 +300,7 @@ def _verify_convention(config: ExperimentConfig, system: BifurcationSystem, tag:
     first rung flagged with it, as ": zero i, eps ε: <its flag>"."""
     from .verify import epsilon_sweep, predicted_initial_state
 
-    certs = annulus_search(system, config.r1, config.r2, config.grid)
+    certs = _check_keyed("[search]", annulus_search, system, config.r1, config.r2, config.grid)
     simple_certs = [c for c in certs if c.simple][:MAX_ZEROS_SWEPT]
     entries = []
     reports = []
@@ -345,7 +316,7 @@ def _verify_convention(config: ExperimentConfig, system: BifurcationSystem, tag:
                 _export_csvs(sample.trajectory, base.with_suffix(".trajectory.csv"),
                              base.with_suffix(".events.csv"))
         entry = {
-            "zero": {"point": list(cert.point), "det": cert.det, "simple": cert.simple},
+            "zero": {"point": cert.point, "det": cert.det, "simple": cert.simple},
             "sweep": report.to_json_dict(),
             "validated": report.validated,
         }
@@ -354,7 +325,7 @@ def _verify_convention(config: ExperimentConfig, system: BifurcationSystem, tag:
     return {
         "convention": system.sgn_convention,
         "n_zeros": len(simple_certs),
-        "zeros": _certificates_payload(simple_certs),
+        "zeros": [c._asdict() for c in simple_certs],
         "sweeps": entries,
         "any_validated": any(r.validated for r in reports),
         "any_crossing_violation": any(r.crossing_violation for r in reports),
@@ -429,9 +400,9 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     _export_csvs(traj, out / "trajectory.csv", out / "events.csv")
     summary = {
         "epsilon": config.sim_eps,
-        "t_span": list(traj.t_span),
-        "initial_state": list(traj.initial_state),
-        "final_state": list(traj.final_state),
+        "t_span": traj.t_span,
+        "initial_state": traj.initial_state,
+        "final_state": traj.final_state,
         "n_segments": len(traj.segments),
         "n_events": len(traj.events),
         "event_kinds": sorted({ev.kind for ev in traj.events}),
@@ -444,7 +415,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     offenders = [traj.events[i] for i in traj.offenders]
     if config.sim_require_crossing and offenders:
         _write_text(out / "crossing_violations.json", dumps_deterministic([
-            {"time": ev.time, "surface": ev.surface, "kind": ev.kind, "state": list(ev.state)}
+            {"time": ev.time, "surface": ev.surface, "kind": ev.kind, "state": ev.state}
             for ev in offenders
         ]))
         raise CrossingViolationError(

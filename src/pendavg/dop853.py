@@ -317,22 +317,14 @@ class _StepInterpolant:
         F[3:] = h * D.dot(K_extended)
         self.F = F
 
-    def __call__(self, t) -> np.ndarray:
-        x = (t - self.t_old) / self.h
-        return _horner(self.F, x, np.zeros_like(self.y_old)) + self.y_old
-
     def component(self, t, k: int) -> float:
-        """``self(t)[k]``, by the same operations on Python floats."""
+        """Component k of the dense output at t."""
         x = (t - self.t_old) / self.h
-        return _horner(self.F[:, k].tolist(), x, 0.0) + float(self.y_old[k])
-
-
-def _horner(F, x, y):
-    """The dense output's polynomial less y_old, accumulated onto the zero ``y``."""
-    for i, f in enumerate(reversed(F)):
-        y += f
-        y *= x if i % 2 == 0 else 1 - x
-    return y
+        y = 0.0
+        for i, f in enumerate(reversed(self.F[:, k].tolist())):
+            y += f
+            y *= x if i % 2 == 0 else 1 - x
+        return y + float(self.y_old[k])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -457,7 +449,7 @@ def solve(
                     first = np.argsort(roots if t > t_old else -roots)[0]
                     fired = active[first]
                     t = roots[first]
-                    y = step(t)
+                    y = np.array([step.component(t, k) for k in range(y.size)])
                     status = 1
                 g = g_new
 

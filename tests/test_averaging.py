@@ -486,10 +486,15 @@ def test_annulus_search_validates_arguments(bench):
 
 
 def test_check_search_bounds_the_scan_work():
-    # 4·grid rays of 2p + 1 panels each; no scan is started here
+    # 4·grid rays of 2p + 1 panels each, plus one per table knot; no scan is started here
     assert MAX_SCAN_PANELS == 1_000_000
     assert check_search(0.05, 2.0, 83333, 1) is None  # 999996 panels
     assert check_search(0.05, 2.0, 8, 15624) is None  # 999968 panels
+    assert check_search(0.05, 2.0, 968, 1, 255) is None  # 998976 panels
+    with pytest.raises(DomainError) as info:
+        check_search(0.05, 2.0, 969, 1, 255)
+    assert str(info.value) == ("grid = 969, [model] p = 1 and 255 table knots ask for a scan of 1000008 panels, "
+                               "more than 1000000")
     for grid, p, panels in [(83334, 1, 1000008), (8, 15625, 1000032), (10**8, 1, 1200000000),
                             (8, 10**9, 64000000032)]:
         with pytest.raises(DomainError) as info:

@@ -25,11 +25,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from pendavg import cli
+from pendavg import averaging, cli
 from pendavg.errors import IntegrationStallError, PendavgError
 from pendavg.filippov import MAX_STEPS
-from pendavg.averaging import BifurcationSystem
-from pendavg.model import PhysicalParams, reduce_params, spectral_data
+from pendavg.averaging import BifurcationSystem, ZeroCertificate
+from pendavg.model import PhysicalParams, ReducedParams, SpectralData, reduce_params, spectral_data
 from pendavg.perturbation import BUILTIN_PARAMS, BUILTINS, builtin, parse_keyed
 from pendavg.verify import orbit_from_amplitude
 
@@ -360,6 +360,8 @@ def test_params_command_writes_frozen_constants(bench_ini, capsys):
     assert payload["omega1"] == pytest.approx(0.7653668647301795, rel=1e-15)
     assert payload["omega2"] == pytest.approx(1.8477590650225735, rel=1e-15)
     assert payload["monodromy_det"] == pytest.approx(3.7164323713376364, abs=1e-9)
+    # the records' fields in their order, then the run's
+    assert tuple(payload) == ReducedParams._fields + SpectralData._fields + ("family", "p", "monodromy_det")
     printed = capsys.readouterr().out
     assert json.loads(printed) == payload
 
@@ -401,6 +403,7 @@ def test_zeros_command_matches_closed_form(bench_ini):
     expect = np.array([0.0, reduced.b * GAMMA / math.sqrt(s.delta)])
     assert np.allclose(zeros[0]["point"], expect, atol=1e-8)
     assert zeros[0]["det"] == pytest.approx(-s.delta * s.period(1) ** 2, rel=1e-6)
+    assert all(tuple(zero) == ZeroCertificate._fields for zero in zeros)
 
 
 def test_zeros_without_zero_exits_3(tmp_path, capsys):
@@ -683,6 +686,28 @@ def test_a_scan_past_its_bound_exits_1_naming_both_keys(tmp_path, monkeypatch, c
         assert capsys.readouterr().err == (f"error: [search] grid = {grid} and [model] p = {p} ask for a scan "
                                            f"of {panels} panels, more than 1000000\n"), command
         assert not out.exists(), command
+
+
+@pytest.mark.parametrize("command", ["zeros", "verify"])
+def test_a_scan_past_its_bound_counts_table_knots(tmp_path, monkeypatch, capsys, command):
+    # K1's table puts 255 knots inside the window, so each of the 4000 rays
+    # of grid 1000 has up to 3 + 255 panels; a ray integrated anyway fails
+    # the test instead of running a hundred times longer than the bound allows
+    def no_rays(*args):
+        raise AssertionError("no ray may be integrated")
+
+    monkeypatch.setattr(averaging, "_ray_pairs", no_rays)
+    ini = table_ini(tmp_path)
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(ini, encoding="utf-8")
+    parser["search"]["grid"] = "1000"
+    with open(ini, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(ini), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: [search] grid = 1000, [model] p = 1 and 255 table knots ask for "
+                                       "a scan of 1032000 panels, more than 1000000\n")
+    assert not out.exists()
 
 
 # -- simulate ----------------------------------------------------------------
@@ -1385,6 +1410,29 @@ def test_pair_bench_output_difference(monkeypatch, left, right, line):
     from pair_bench import output_difference
 
     assert output_difference(left, right) == line
+
+
+def test_pair_bench_compile_ms(monkeypatch, tmp_path):
+    # every pendavg/*.py file, and nothing else, compiled once a round in each of 15 rounds
+    monkeypatch.syspath_prepend(str(REPO / "scripts"))
+    import pair_bench
+
+    package = tmp_path / "pendavg"
+    package.mkdir()
+    (package / "a.py").write_text("x = 1\n", encoding="utf-8")
+    (package / "b.py").write_text("def f():\n    return 2\n", encoding="utf-8")
+    (package / "notes.txt").write_text("not python", encoding="utf-8")
+    compiled = []
+
+    def counted_compile(source, name, mode, **flags):
+        compiled.append((Path(name).name, mode, flags))
+        return compile(source, name, mode, **flags)
+
+    monkeypatch.setattr(pair_bench, "compile", counted_compile, raising=False)
+    ms = pair_bench.compile_ms(tmp_path)
+    assert sorted(compiled) == sorted([("a.py", "exec", {"dont_inherit": True}),
+                                       ("b.py", "exec", {"dont_inherit": True})] * 15)
+    assert 0.0 < ms < 1000.0
 
 
 @pytest.mark.parametrize("pairs, order", [(2, [0, 1, 1, 0]), (3, [0, 1, 1, 0, 0, 1])], ids=["two", "three"])
