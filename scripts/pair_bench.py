@@ -8,7 +8,8 @@ PARENT_SRC and CHANGE_SRC are ``src/`` directories, each holding a
 ``pendavg`` package.  First the script prints each tree's source lines,
 the newlines of its ``pendavg/*.py`` files as ``wc -l`` counts them, each
 beside the milliseconds this interpreter takes to ``compile()`` them all
-(median of 15 rounds), and the change's net lines against the parent. For
+(median of 15 rounds), and the change's net lines against the parent,
+then each module whose line count changed, as "verify 523 → 473".  For
 every workload of ``perfbench/workloads.py`` (all three by default) the
 script copies each tree's ``pendavg`` package to ``<tmp>/parent/src`` and
 ``<tmp>/change/src``, two paths of equal length, so that the two sides
@@ -147,9 +148,17 @@ def output_difference(left: str, right: str) -> str:
     return f"output differs at line {n + 1}: parent {parent!r}, change {change!r}"
 
 
-def source_lines(src: Path) -> int:
-    """Newlines in the ``pendavg/*.py`` files under ``src``, as ``wc -l``."""
-    return sum(path.read_bytes().count(b"\n") for path in (src / "pendavg").glob("*.py"))
+def source_lines(src: Path) -> Dict[str, int]:
+    """Newlines in each ``pendavg/*.py`` file under ``src``, as ``wc -l``
+    counts them, by module name."""
+    return {path.stem: path.read_bytes().count(b"\n") for path in (src / "pendavg").glob("*.py")}
+
+
+def changed_modules(parent: Dict[str, int], change: Dict[str, int]) -> str:
+    """Each module whose line count differs between two trees, by name, as
+    "verify 523 → 473"; a module that one tree lacks has 0 lines there."""
+    return ", ".join(f"{name} {parent.get(name, 0)} → {change.get(name, 0)}"
+                     for name in sorted(parent.keys() | change.keys()) if parent.get(name) != change.get(name))
 
 
 def compile_ms(src: Path, rounds: int = 15) -> float:
@@ -289,10 +298,12 @@ def main(argv=None) -> int:
             parser.error(f"no pendavg package under {src}")
     benchmark = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
     bounds = {entry["name"]: entry["bound"] for entry in benchmark["end_to_end"]}
-    lines = [source_lines(src) for src in trees]
+    modules = [source_lines(src) for src in trees]
+    lines = [sum(counts.values()) for counts in modules]
     ms = [compile_ms(src) for src in trees]
     print(f"source lines: parent {lines[0]} (compile {ms[0]:.1f} ms), change {lines[1]} (compile {ms[1]:.1f} ms), "
           f"net {lines[1] - lines[0]:+d}")
+    print(f"modules changed: {changed_modules(*modules) or 'none'}")
     for name in args.workload or sorted(WORKLOADS):
         workload = WORKLOADS[name]
         with tempfile.TemporaryDirectory(prefix="pair_bench_") as tmp:

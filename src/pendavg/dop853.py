@@ -20,6 +20,8 @@ addition to SciPy: the error test and the initial step may be restricted
 to the leading components of the state, as CVODES lets sensitivities be
 left out of the local error test (Serban & Hindmarsh, ACM TOMS 31, 2005),
 so variational equations carried along do not change the step sequence.
+The leading components' stage sums are then taken on their own columns
+(`_combine`), so those components are a plain run's, bit for bit.
 
 A run returns the states at its accepted steps, the solver's own y_new
 as in ``solve_ivp(...).y``, and keeps no dense output.  A step's
@@ -275,6 +277,17 @@ def _initial_step(fun, t0, y0, t_bound, max_step, f0, direction, rtol, atol, n):
     return min(100 * h0, h1, interval_length, max_step)
 
 
+def _combine(rows: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """SciPy's stage sum rows.T·weights.  When columns beyond the first n
+    ride along, those n are taken on a contiguous copy of their own, so
+    they round as in a run of them alone: numpy's product over a wider
+    array rounds differently."""
+    out = rows.T.dot(weights)
+    if n < rows.shape[1]:
+        out[:n] = np.ascontiguousarray(rows[:, :n]).T.dot(weights)
+    return out
+
+
 def _error_norm(K: np.ndarray, h, scale: np.ndarray):
     """DOP853's error norm: the 5th-order estimate damped by the 3rd-order one."""
     err5 = K.T.dot(E5) / scale
@@ -291,19 +304,20 @@ class _StepInterpolant:
     """7th-order dense output over one step [t_old, t_old + h].
 
     Built (DOP853._dense_output_impl) from the step's 13 stages ``K`` and
-    three extra stages only for a step in which an event changes sign.
+    three extra stages only for a step in which an event changes sign; the
+    first ``n`` components round as in a run of them alone (`_combine`).
     """
 
     __slots__ = ("t_old", "h", "y_old", "F")
 
-    def __init__(self, fun, t_old, h, y_old, y_new, K):
+    def __init__(self, fun, t_old, h, y_old, y_new, K, n):
         self.t_old = t_old
         self.h = h
         self.y_old = y_old
         K_extended = np.empty((N_STAGES_EXTENDED, y_old.size))
         K_extended[: N_STAGES + 1] = K
         for s, a, c in _EXTRA_STAGES:
-            dy = K_extended[:s].T.dot(a)
+            dy = _combine(K_extended[:s], a, n)
             dy *= h
             dy += y_old
             K_extended[s] = fun(t_old + c * h, dy)
@@ -315,6 +329,8 @@ class _StepInterpolant:
         F[1] = h * f_old - delta_y
         F[2] = 2 * delta_y - h * (f_new + f_old)
         F[3:] = h * D.dot(K_extended)
+        if n < y_old.size:
+            F[3:, :n] = h * D.dot(np.ascontiguousarray(K_extended[:, :n]))
         self.F = F
 
     def component(self, t, k: int) -> float:
@@ -376,10 +392,9 @@ def solve(
         if t0 == t_bound:
             return Solution(status=0, ts=np.array([t0, t0]), ys=np.array([y, y]))
         h_abs = _initial_step(fun, t0, y, t_bound, max_step, f, direction, rtol, atol, n_tested)
+        # Products are taken by ndarray.dot: np.dot's own routine, without
+        # its dispatch.
         K = np.empty((N_STAGES + 1, n))
-        # KT[s] is SciPy's K[:s].T, a view of the first s stages.  Products
-        # are taken by ndarray.dot: np.dot's own routine, without its dispatch.
-        KT = [K[:s].T for s in range(N_STAGES + 1)]
 
         t = t0
         departures = departures or [None] * len(events)
@@ -409,11 +424,11 @@ def solve(
 
                 K[0] = f
                 for s, a, c in _STAGES:
-                    dy = KT[s].dot(a)
+                    dy = _combine(K[:s], a, n_tested)
                     dy *= h
                     dy += y
                     K[s] = fun(t + c * h, dy)
-                y_new = y + h * K[:-1].T.dot(B)
+                y_new = y + h * _combine(K[:-1], B, n_tested)
                 f_new = fun(t + h, y_new)
                 K[-1] = f_new
 
@@ -443,7 +458,7 @@ def solve(
                 g_new = [y[k] for k in events]
                 active = sign_changes(g, g_new)
                 if active:
-                    step = _StepInterpolant(fun, t_old, t - t_old, y_old, y, K)
+                    step = _StepInterpolant(fun, t_old, t - t_old, y_old, y, K, n_tested)
                     roots = np.asarray([_event_root(events[i], step, t_old, t,
                                                     departures[i] if len(ts) == 1 else None) for i in active])
                     first = np.argsort(roots if t > t_old else -roots)[0]

@@ -2,8 +2,9 @@
 
 Physical constants, the small-angle reduction to dimensionless constants
 (a, b) and time scale α, spectral data of the linearization, the real
-block-rotation normal form, the two unperturbed periodic-orbit families,
-and the full nonlinear accelerations.
+block-rotation normal form and the two unperturbed periodic-orbit
+families.  The package models the pendulum through this reduction alone:
+the system it checks is truncated at order ε.
 
 States are length-4 sequences of floats.  Two frames are used throughout:
 
@@ -177,33 +178,3 @@ def monodromy_lower_block(s: SpectralData, p: int, family: int = 1):
             f"4·sin²(p·π·{ratio:.6g}) = {det:.3e} below tolerance {RESONANCE_TOL:g}"
         )
     return block, det
-
-
-def nonlinear_accelerations(p: PhysicalParams, phi1, dphi1, phi2, dphi2):
-    """Angular accelerations of the full nonlinear pendulum.
-
-    Solves the 2×2 linear system in (φ̈₁, φ̈₂):
-
-        (m₁+m₂)l₁φ̈₁ + m₂l₂φ̈₂cos(φ₁−φ₂) + (m₁+m₂)g sin φ₁
-                     + m₂l₂φ̇₂² sin(φ₁−φ₂) = 0,
-        m₂l₁φ̈₁cos(φ₁−φ₂) + m₂l₂φ̈₂ + m₂g sin φ₂
-                     − m₂l₁φ̇₁² sin(φ₁−φ₂) = 0.
-
-    These are the Euler–Lagrange equations of the point-mass double
-    pendulum divided by l₁ and l₂, so the motion conserves the energy
-    ½(m₁+m₂)l₁²φ̇₁² + ½m₂l₂²φ̇₂² + m₂l₁l₂φ̇₁φ̇₂cos(φ₁−φ₂)
-    − (m₁+m₂)gl₁cos φ₁ − m₂gl₂cos φ₂.  The mass matrix has determinant
-    m₂l₁l₂(m₁ + m₂sin²(φ₁−φ₂)) > 0, so the system is always solvable.
-    """
-    c = math.cos(phi1 - phi2)
-    sn = math.sin(phi1 - phi2)
-    m11 = (p.m1 + p.m2) * p.l1
-    m12 = p.m2 * p.l2 * c
-    m21 = p.m2 * p.l1 * c
-    m22 = p.m2 * p.l2
-    r1 = -(p.m1 + p.m2) * p.g * math.sin(phi1) - p.m2 * p.l2 * dphi2 * dphi2 * sn
-    r2 = -p.m2 * p.g * math.sin(phi2) + p.m2 * p.l1 * dphi1 * dphi1 * sn
-    det = m11 * m22 - m12 * m21
-    dd1 = (r1 * m22 - m12 * r2) / det
-    dd2 = (m11 * r2 - r1 * m21) / det
-    return dd1, dd2

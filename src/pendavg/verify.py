@@ -2,11 +2,10 @@
 
 An amplitude certified as a simple zero of the averaged pair is mapped
 to a reduced-frame initial condition, a `PredictedOrbit` that carries
-the `BifurcationSystem` it was predicted from, so every check reads the
-perturbation, constants and spectrum from the orbit.  Two checks
-integrate it over the resonant window in the reduced frame: the system
-truncated at order ε (`poincare_residual`) and the full nonlinear
-pendulum (`full_nonlinear_check`).  Both are judged by the return-map
+the `BifurcationSystem` it was predicted from, so the check reads the
+perturbation, constants and spectrum from the orbit.  The check,
+`poincare_residual`, integrates the system truncated at order ε over the
+resonant window in the reduced frame.  It is judged by the return-map
 gap of the corresponding orbit in the original frame
 (`to_physical_frame`, the one frame map: amplitude ε times the reduced
 state), which shrinks like ε² at a correct prediction.  The
@@ -30,9 +29,7 @@ from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .averaging import BifurcationSystem, ZeroCertificate
 from .errors import CrossingViolationError, DomainError, IntegrationStallError, PendavgError
-from .filippov import Trajectory, integrate, integrate_field, step_cap
-from .model import PhysicalParams, nonlinear_accelerations, reduce_params
-from .perturbation import eval_order1_with_signs
+from .filippov import Trajectory, integrate
 
 SWEEP_MIN_SAMPLES = 4
 SWEEP_MIN_RATIO = 8.0
@@ -339,26 +336,6 @@ def predicted_initial_state(system: BifurcationSystem, cert: ZeroCertificate) ->
     return orbit_from_amplitude(system, cert.point)
 
 
-def _package_result(eps: float, orbit: PredictedOrbit, traj: Trajectory) -> PoincareResult:
-    """Result of a completed reduced-frame run of ``orbit``: the norms of
-    its gap in the original frame (the residual) and the reduced one, and
-    of the gap's normal-form image in the orbit's family plane."""
-    system = orbit.system
-    gap = _difference(traj.final_state, traj.initial_state)
-    k = 0 if system.family == 1 else 2
-    return PoincareResult(
-        epsilon=eps,
-        trajectory=traj,
-        residual=math.hypot(*to_physical_frame(gap, eps, system.reduced.alpha)),
-        residual_full=math.hypot(*gap),
-        residual_family=math.hypot(*_matvec(system.transform.forward, gap)[k:k + 2]),
-    )
-
-
-def _flagged_result(eps: float, exc: PendavgError) -> PoincareResult:
-    return PoincareResult(eps, exc.trajectory, flag=str(exc), flag_code=exc.exit_code)
-
-
 def poincare_residual(orbit: PredictedOrbit, eps: float) -> PoincareResult:
     """Return-map gap of the reduced system over the resonant window.
 
@@ -373,8 +350,16 @@ def poincare_residual(orbit: PredictedOrbit, eps: float) -> PoincareResult:
         traj = integrate(system.spec, system.reduced, system.spectral, eps, orbit.initial_state,
                          (0.0, orbit.period_tau), monodromy=True)
     except PendavgError as exc:
-        return _flagged_result(eps, exc)
-    return _package_result(eps, orbit, traj)
+        return PoincareResult(eps, exc.trajectory, flag=str(exc), flag_code=exc.exit_code)
+    gap = _difference(traj.final_state, traj.initial_state)
+    k = 0 if system.family == 1 else 2
+    return PoincareResult(
+        epsilon=eps,
+        trajectory=traj,
+        residual=math.hypot(*to_physical_frame(gap, eps, system.reduced.alpha)),
+        residual_full=math.hypot(*gap),
+        residual_family=math.hypot(*_matvec(system.transform.forward, gap)[k:k + 2]),
+    )
 
 
 def refine_periodic(orbit: PredictedOrbit, prediction: PoincareResult) -> RefinementResult:
@@ -479,45 +464,3 @@ def epsilon_sweep(orbit: PredictedOrbit, eps_list: Sequence[float]) -> SweepRepo
                    for r in refined],
         limit_gap_reason=[r.reason for r in refined],
     )
-
-
-def full_nonlinear_check(orbit: PredictedOrbit, phys: PhysicalParams, eps: float) -> PoincareResult:
-    """Return-map gap of the full nonlinear pendulum, run in the reduced frame.
-
-    The pendulum's state is φ = ε·θ with t = α·τ, so in the reduced
-    frame its accelerations read
-
-        y′ = (α²/ε)·acc₁(to_physical_frame(s, ε, α)) + ε·f_y(τ, s, σ),
-
-    and w′ the same with acc₂ and f_w: the order-ε forcing at the
-    reduced state, as the truncated system sees it, while the first term
-    tends to the truncated system's linear part as ε → 0.  The run
-    starts at ``orbit.initial_state``, spans ``orbit.period_tau``, ends
-    its segments at the spec's table knots and caps its steps as
-    `poincare_residual`'s run does, so the two checks differ only in the
-    field; the residual is likewise the original-frame gap norm.  A
-    ``phys`` that does not reduce to the orbit's constants, or an ε that
-    is not finite and positive (the reduced frame does not exist at
-    ε = 0), raises DomainError; a failed integration returns a flagged
-    result.
-    """
-    system = orbit.system
-    if reduce_params(phys) != system.reduced:
-        raise DomainError("the physical parameters do not reduce to the orbit's constants")
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise DomainError(f"eps must be finite and positive, got {eps}")
-    spec, alpha = system.spec, system.reduced.alpha
-    scale = alpha * alpha / eps
-
-    def field(tau: float, s: Sequence[float], signs: Tuple[float, float]) -> State:
-        dd1, dd2 = nonlinear_accelerations(phys, *to_physical_frame(s, eps, alpha))
-        f_y, f_w = eval_order1_with_signs(spec, tau, s, signs[0], signs[1])
-        return (s[1], scale * dd1 + eps * f_y, s[3], scale * dd2 + eps * f_w)
-
-    field.knots = spec.table_knots
-    try:
-        traj = integrate_field(field, orbit.initial_state, (0.0, orbit.period_tau),
-                               max_step=step_cap(system.spectral))
-    except PendavgError as exc:
-        return _flagged_result(eps, exc)
-    return _package_result(eps, orbit, traj)

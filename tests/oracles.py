@@ -13,8 +13,11 @@ scan-and-bisect search for the sgn breakpoints, the generic
 fundamental-matrix average, a Cartesian finite-difference Jacobian of the
 averaged pair instead of the angular derivative along a ray, a
 finite-difference monodromy of the return map instead of variational
-equations with saltation matrices, and SciPy's ``expm`` on a fixed scan
-with ``brentq`` roots for the exact return map.
+equations with saltation matrices, SciPy's ``expm`` on a fixed scan
+with ``brentq`` roots for the exact return map, and the nonlinear
+pendulum, which the package does not model, from its Euler–Lagrange
+equations by ``np.linalg.solve``, integrated in its physical frame by
+SciPy's ``solve_ivp`` with terminal events on its switching surfaces.
 Tests compare package output against these values; the frozen literals in
 the suite come from ``scripts/derive_oracles.py``.
 """
@@ -24,10 +27,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from pendavg.errors import DomainError
-from pendavg.model import monodromy_lower_block
+from pendavg.model import monodromy_lower_block, reduce_params
 from pendavg.perturbation import PerturbationSpec, PeriodicScalar
 
 GAUSS_ORDER = 16
@@ -598,3 +602,118 @@ def shooting_matrices(rng, n_random: int = 200):
         zero_column[:, 2] = 0.0
         yield "singular", repeated
         yield "singular", zero_column
+
+
+def nonlinear_accelerations(p, phi1, dphi1, phi2, dphi2):
+    """(φ̈₁, φ̈₂) of the point-mass double pendulum ``p``, from its
+    Euler–Lagrange equations M(φ)·φ̈ = Q(φ, φ̇), solved by ``np.linalg.solve``:
+
+        M = [[(m₁+m₂)l₁², m₂l₁l₂cos(φ₁−φ₂)], [m₂l₁l₂cos(φ₁−φ₂), m₂l₂²]],
+        Q = (−m₂l₁l₂φ̇₂² sin(φ₁−φ₂) − (m₁+m₂)gl₁ sin φ₁,
+             m₂l₁l₂φ̇₁² sin(φ₁−φ₂) − m₂gl₂ sin φ₂).
+
+    det M = m₂l₁²l₂²(m₁ + m₂sin²(φ₁−φ₂)) > 0.  The motion conserves the
+    energy ½(m₁+m₂)l₁²φ̇₁² + ½m₂l₂²φ̇₂² + m₂l₁l₂φ̇₁φ̇₂cos(φ₁−φ₂)
+    − (m₁+m₂)gl₁cos φ₁ − m₂gl₂cos φ₂.
+    """
+    c, sn = math.cos(phi1 - phi2), math.sin(phi1 - phi2)
+    coupling = p.m2 * p.l1 * p.l2
+    mass = np.array([[(p.m1 + p.m2) * p.l1 ** 2, coupling * c], [coupling * c, p.m2 * p.l2 ** 2]])
+    force = np.array([-coupling * dphi2 ** 2 * sn - (p.m1 + p.m2) * p.g * p.l1 * math.sin(phi1),
+                      coupling * dphi1 ** 2 * sn - p.m2 * p.g * p.l2 * math.sin(phi2)])
+    dd1, dd2 = np.linalg.solve(mass, force)
+    return float(dd1), float(dd2)
+
+
+def nonlinear_return_gap(orbit, phys, eps) -> np.ndarray:
+    """Return gap φ(α·pT) − φ(0) of the nonlinear pendulum ``phys``, in its
+    own frame, from the physical image of ``orbit.initial_state`` at ``eps``.
+
+    The pendulum runs in the time t = α·τ:
+    φ̈ = acc(φ, φ̇) + (ε²/α²)·f(t/α, s, σ), with acc the
+    :func:`nonlinear_accelerations`, s = (φ₁/ε, αφ̇₁/ε, φ₂/ε, αφ̇₂/ε) the
+    reduced state and f the :func:`unfolded_forcing` in the region signs
+    σ = (sgn φ₁, sgn φ₂).  ``solve_ivp`` runs DOP853 at rtol 1e-12 and atol
+    1e-14·ε (the package's tolerances, scaled to this frame), with a
+    terminal event on each surface φ₁ = 0 and φ₂ = 0.  An event's direction
+    is −σ of its surface, so a run restarted on the surface does not stop
+    there again.  At a crossing, and at a start on a surface, the surface's
+    sign is the side its velocity points to.
+    """
+    system = orbit.system
+    assert reduce_params(phys) == system.reduced, "the pendulum does not reduce to the orbit's constants"
+    alpha = system.reduced.alpha
+    scale = np.array([eps, eps / alpha, eps, eps / alpha])
+    start = scale * np.asarray(orbit.initial_state, dtype=float)
+    t_end = alpha * orbit.period_tau
+    weight = eps * eps / (alpha * alpha)
+
+    def rhs(t, phi, signs):
+        f_y, f_w = unfolded_forcing(system.spec, t / alpha, phi / scale, *signs)
+        dd1, dd2 = nonlinear_accelerations(phys, *phi)
+        return [phi[1], dd1 + weight * f_y, phi[3], dd2 + weight * f_w]
+
+    def surface(k, sign):
+        def level(t, phi, signs):
+            return phi[k]
+
+        level.terminal = True
+        level.direction = -sign
+        return level
+
+    signs = [math.copysign(1.0, start[k] if start[k] != 0.0 else start[k + 1]) for k in (0, 2)]
+    t, phi = 0.0, start
+    while True:
+        sol = solve_ivp(rhs, (t, t_end), phi, method="DOP853", rtol=1e-12, atol=1e-14 * eps,
+                        events=[surface(0, signs[0]), surface(2, signs[1])], args=(tuple(signs),))
+        assert sol.status >= 0, sol.message
+        if sol.status == 0:
+            return sol.y[:, -1] - start
+        i = 0 if sol.t_events[0].size else 1
+        t, phi = float(sol.t_events[i][0]), sol.y_events[i][0]
+        signs[i] = math.copysign(1.0, phi[2 * i + 1])
+
+
+def first_order_displacement(orbit, epsilons=(1e-3, 5e-4)) -> np.ndarray:
+    """D = lim T·gap/ε as ε → 0: the normal-form image T·gap of the
+    truncated system's return gap from ``orbit.initial_state``, over ε.
+    ``filippov.integrate`` runs the window at the two ``epsilons``, and
+    their T·gap/ε = D + O(ε) are extrapolated linearly to ε = 0
+    (Richardson).  From the family orbit of an amplitude z, D's family
+    half is the averaged system's displacement at z."""
+    from pendavg.filippov import integrate
+
+    system = orbit.system
+    start = np.asarray(orbit.initial_state, dtype=float)
+
+    def scaled(eps):
+        run = integrate(system.spec, system.reduced, system.spectral, eps, orbit.initial_state,
+                        (0.0, orbit.period_tau))
+        return np.asarray(system.transform.forward) @ (np.asarray(run.final_state) - start) / eps
+
+    e1, e2 = epsilons
+    return (e1 * scaled(e2) - e2 * scaled(e1)) / (e1 - e2)
+
+
+def transverse_offset(orbit, epsilons=(1e-4, 5e-5)) -> np.ndarray:
+    """ζ, the transverse half of the first-order start of the orbit of a
+    zero z*: from (z*, ε·ζ) the transverse gap (R − I)·ε·ζ + ε·D⊥ + O(ε²)
+    vanishes at first order, so ζ = −(R − I)⁻¹·D⊥.  D⊥ is the transverse
+    half of :func:`first_order_displacement` from the orbit of z*, and R
+    the unperturbed rotation of the transverse plane over the window, by
+    the other family's frequency times p·T."""
+    system = orbit.system
+    k = 2 if system.family == 1 else 0
+    d_perp = first_order_displacement(orbit, epsilons)[k:k + 2]
+    angle = system.spectral.omega(3 - system.family) * orbit.period_tau
+    c, sn = math.cos(angle), math.sin(angle)
+    return -np.linalg.solve(np.array([[c - 1.0, sn], [-sn, c - 1.0]]), d_perp)
+
+
+def corrected_orbit(orbit, zeta, eps):
+    """``orbit`` started at T⁻¹·(z*, ε·ζ) (family 1; the halves swap on
+    family 2): its family half the zero, its transverse half ε·ζ."""
+    system = orbit.system
+    halves = (orbit.amplitude, eps * np.asarray(zeta))
+    point = np.concatenate(halves if system.family == 1 else halves[::-1])
+    return orbit._replace(initial_state=tuple(map(float, np.asarray(system.transform.inverse) @ point)))

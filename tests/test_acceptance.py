@@ -1,6 +1,6 @@
 """Package acceptance gate.
 
-Ten end-to-end checks at fixed tolerances, one test each.  Every test
+Eleven end-to-end checks at fixed tolerances, one test each.  Every test
 prints a single ``[ACCEPT-n] PASS/FAIL`` line (shown with ``-s`` or on
 failure) before asserting, so a full run yields a readable scoreboard.
 Reference values come through independent routes in ``tests.oracles``;
@@ -32,7 +32,7 @@ from pendavg.perturbation import builtin
 from pendavg.verify import (
     convention_verdict,
     epsilon_sweep,
-    full_nonlinear_check,
+    fit_exponent,
     orbit_from_amplitude,
     poincare_residual,
     predicted_initial_state,
@@ -41,8 +41,11 @@ from pendavg.verify import (
 
 from .oracles import (
     corollary_radius,
+    corrected_orbit,
     eig_frequencies,
     linear_periodic_state,
+    nonlinear_return_gap,
+    transverse_offset,
     trapezoid_bifurcation,
 )
 from .test_averaging import random_spec
@@ -350,6 +353,8 @@ def test_accept_8_regularization_convergence(bench):
 
 
 def test_accept_9_full_nonlinear_consistency(bench):
+    # the nonlinear pendulum is the oracle's (tests/oracles.py), run in its
+    # own frame; the package models only the truncated system
     reduced, s = bench
     spec = builtin("damped_forced", {"gamma": GAMMA}, s, family=1, p=1)
     system = BifurcationSystem(1, spec, reduced, s, "A")
@@ -357,10 +362,10 @@ def test_accept_9_full_nonlinear_consistency(bench):
     orbit = predicted_initial_state(system, zeros[0])
     eps = 1e-3
     truncated = poincare_residual(orbit, eps)
-    full = full_nonlinear_check(orbit, BENCH, eps)
-    half = full_nonlinear_check(orbit, BENCH, eps / 2.0)
-    factor = full.residual / truncated.residual
-    halving = full.residual / half.residual
+    full = np.linalg.norm(nonlinear_return_gap(orbit, BENCH, eps))
+    half = np.linalg.norm(nonlinear_return_gap(orbit, BENCH, eps / 2.0))
+    factor = full / truncated.residual
+    halving = full / half
     ok = abs(factor - 1.0) <= 1e-3 and 3.5 <= halving <= 4.5
     report(
         9,
@@ -406,4 +411,47 @@ def test_accept_10_headline_verdicts(bench):
     }
     ok = verdicts == expected and all(others.values())
     report(10, ok, f"verdicts {verdicts}; README escapement validated on {others}")
+    assert ok
+
+
+def test_accept_11_orbits_close_on_the_nonlinear_pendulum(bench):
+    # The paper's claim is about the nonlinear pendulum.  From the corrected
+    # start z* + eps*zeta (zeta: tests/oracles.transverse_offset) the return
+    # gap of a right zero's orbit shrinks like eps^3, on the truncated system
+    # and on the nonlinear pendulum alike, and a wrong zero's stays at eps^2.
+    # From the prediction (zeta = 0) every gap shrinks like eps^2.
+    reduced, s = bench
+    ladder = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
+    escapement = builtin("damped_forced_escapement", {"gamma": GAMMA, "kappa": KAPPA}, s, family=1, p=1)
+    damped = builtin("damped_forced", {"gamma": GAMMA}, s, family=1, p=1)
+    corollary = builtin("corollary_escapement", {"sigma_d": 1.0, "sigma_e": 1.0}, s, family=1, p=1)
+    radius = corollary_radius(reduced.a, reduced.b)
+    # name: (spec, convention, search annulus, the zero, corrected exponent)
+    cases = {
+        "escapement A": (escapement, "A", (0.05, 2.0), None, 3.0),
+        "damped_forced A": (damped, "A", (0.05, 2.0), None, 3.0),
+        "escapement B": (escapement, "B", (0.05, 2.0), (0.0, 0.4304), 2.0),
+        "corollary B": (corollary, "B", (0.2, 3.0), (-radius, 0.0), 2.0),
+    }
+    ok = True
+    details = []
+    for name, (spec, convention, (r1, r2), near, expected) in cases.items():
+        system = BifurcationSystem(1, spec, reduced, s, convention)
+        zeros = annulus_search(system, r1, r2, 8)
+        cert = zeros[0] if near is None else min(zeros, key=lambda c: math.dist(c.point, near))
+        assert near is None or math.dist(cert.point, near) < 1e-4
+        orbit = predicted_initial_state(system, cert)
+        zeta = transverse_offset(orbit)
+        exponents = {}
+        for start, orbit_at in (("prediction", lambda eps: orbit),
+                                ("corrected", lambda eps: corrected_orbit(orbit, zeta, eps))):
+            runs = [orbit_at(eps) for eps in ladder]
+            truncated = [poincare_residual(o, eps).residual for o, eps in zip(runs, ladder)]
+            nonlinear = [np.linalg.norm(nonlinear_return_gap(o, BENCH, eps)) for o, eps in zip(runs, ladder)]
+            exponents[start] = (fit_exponent(ladder, truncated), fit_exponent(ladder, nonlinear))
+        ok &= all(1.9 <= e <= 2.1 for e in exponents["prediction"])
+        ok &= all(abs(e - expected) <= 0.05 for e in exponents["corrected"])
+        details.append(f"{name} " + " -> ".join("/".join(f"{e:.3f}" for e in exponents[start])
+                                                 for start in ("prediction", "corrected")))
+    report(11, ok, "exponents truncated/nonlinear, prediction -> z* + eps*zeta: " + "; ".join(details))
     assert ok

@@ -24,9 +24,11 @@ from pendavg.perturbation import (
     PerturbationSpec,
     builtin,
 )
+from pendavg.verify import orbit_from_amplitude
 
 from .oracles import (
     escapement_closed_pair,
+    first_order_displacement,
     fundamental_matrix,
     gauss_ray_pair,
     jacobian,
@@ -267,6 +269,42 @@ def test_bifurcation_values_match_malkin_average_both_families(bench):
             ref = 2.0 * math.sqrt(s.delta) * window * np.array([-avg[0], avg[1]])
             val = bifurcation_values(sys, amp)
             assert np.allclose(val, ref, rtol=1e-8, atol=1e-8), (family, p, val, ref)
+
+
+def test_first_order_displacement_is_the_averaged_pair_at_every_amplitude(bench):
+    # The integrator's first-order displacement in the family plane is
+    # diag(-1, 1)*G(z)/(2*sqrt(Delta)) at every amplitude z under convention
+    # A, not only at the zeros: first-order averaging itself.  Under B it
+    # misses by at least 1e-2 wherever the spec has sgn terms.  Six amplitudes
+    # off the zeros per builtin and family, 0.2 <= |z| <= 1.5, p = 1.  The miss
+    # under A is the displacement's Richardson remainder, O(eps^2): at most
+    # 5.8e-5, on the corollary.  72 integrations, about 0.2 s.
+    reduced, s = bench
+    rng = np.random.default_rng(5)
+    scale = np.array([-1.0, 1.0]) / (2.0 * math.sqrt(s.delta))
+    for name, params in BUILTINS:
+        for family in (1, 2):
+            spec = builtin(name, params, s, family=family, p=1)
+            systems = {c: BifurcationSystem(family, spec, reduced, s, c) for c in "AB"}
+            zeros = [cert.point for system in systems.values() for cert in annulus_search(system, 0.05, 2.0, 8)]
+            sgn_terms = any(d.kind != "const" or d.value != 0.0
+                            for d in (spec.K[1], spec.K[3], *spec.F[1], *spec.F[3]))
+            amplitudes = []
+            while len(amplitudes) < 6:
+                r, theta = rng.uniform(0.2, 1.5), rng.uniform(0.0, 2.0 * math.pi)
+                z = (r * math.cos(theta), r * math.sin(theta))
+                if all(math.dist(z, q) > 0.1 for q in zeros):
+                    amplitudes.append(z)
+            k = 0 if family == 1 else 2
+            for z in amplitudes:
+                displacement = first_order_displacement(orbit_from_amplitude(systems["A"], z))[k:k + 2]
+                for convention, system in systems.items():
+                    averaged = scale * np.asarray(bifurcation_values(system, z))
+                    miss = np.linalg.norm(displacement - averaged) / np.linalg.norm(averaged)
+                    if convention == "A":
+                        assert miss <= 1e-4, (name, family, z, miss)
+                    elif sgn_terms:
+                        assert miss >= 1e-2, (name, family, z, miss)
 
 
 def test_sgn_convention_changes_values(bench):

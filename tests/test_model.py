@@ -10,7 +10,6 @@ from pendavg.model import (
     PhysicalParams,
     jordan_transform,
     monodromy_lower_block,
-    nonlinear_accelerations,
     reduce_params,
     spectral_data,
 )
@@ -20,6 +19,7 @@ from .oracles import (
     expm_monodromy_det,
     fundamental_matrix,
     linear_matrix,
+    nonlinear_accelerations,
     resonant_b,
     unperturbed_orbit,
 )
@@ -189,6 +189,10 @@ def test_unperturbed_orbit_solves_normal_form():
             - unperturbed_orbit(1, (0.7, -0.4), tau - h, s)
         ) / (2 * h)
         assert np.allclose(fd, gen @ state, atol=1e-7)
+
+
+# The nonlinear pendulum is the suite's reference (tests/oracles.py): the
+# package models only its reduction.  These check the reference itself.
 
 
 def test_nonlinear_accelerations_linearize_to_reduced_system():

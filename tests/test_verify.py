@@ -17,13 +17,12 @@ import pendavg.filippov as filippov_module
 import pendavg.verify as verify_module
 from pendavg.averaging import BifurcationSystem, annulus_search
 from pendavg.errors import DomainError
-from pendavg.filippov import integrate, integrate_field
+from pendavg.filippov import integrate
 from pendavg.model import PhysicalParams, jordan_transform, reduce_params, spectral_data
 from pendavg.perturbation import PeriodicScalar, PerturbationSpec, builtin
 from pendavg.verify import (
     epsilon_sweep,
     fit_exponent,
-    full_nonlinear_check,
     orbit_from_amplitude,
     poincare_residual,
     predicted_initial_state,
@@ -41,6 +40,7 @@ from .oracles import (
     polyfit_slope,
     shooting_matrices,
     svd_smallest,
+    transverse_offset,
 )
 
 BENCH = PhysicalParams(1.0, 1.0, 1.0, 1.0, 9.8)
@@ -108,10 +108,8 @@ def test_frame_round_trip(s, eps, alpha):
     assert np.allclose(back, s, rtol=1e-12, atol=1e-12)
 
 
-def test_reduced_frame_undefined_at_eps_zero(damped):
+def test_reduced_frame_undefined_at_eps_zero():
     assert np.array_equal(to_physical_frame((1.0, 2.0, 3.0, 4.0), 0.0, 0.5), np.zeros(4))
-    with pytest.raises(DomainError):
-        full_nonlinear_check(damped[2], BENCH, 0.0)
 
 
 # -- predicted orbits --------------------------------------------------------
@@ -641,55 +639,21 @@ def test_fit_exponent_recovers_power_law():
     assert fit_exponent([1e-1, 1e-2, 1e-3], [1e-2, 0.0, 1e-6]) == pytest.approx(2.0, rel=1e-12)
 
 
-# -- full nonlinear cross-check ------------------------------------------------
+# -- the transverse offset ----------------------------------------------------
 
 
-def test_full_nonlinear_check_returns_finite_gap(damped):
-    _, _, orbit = damped
-    res = full_nonlinear_check(orbit, BENCH, 1e-3)
-    assert res.flag is None
-    assert math.isfinite(res.residual)
-    assert res.events_ok
-    # the original-frame gap carries the eps amplitude scaling
-    assert res.residual < 1e-4
-
-
-@pytest.mark.parametrize("phys, eps", [
-    (PhysicalParams(1.0, 1.0, 1.0, 1.0, 9.81), 1e-3),
-    (BENCH, 0.0),
-    (BENCH, -1e-3),
-    (BENCH, math.nan),
-])
-def test_full_nonlinear_check_guards(damped, phys, eps, monkeypatch):
-    # a pendulum of other constants, or an eps with no reduced frame, is
-    # refused before any integration
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a refused check must not integrate")
-
-    monkeypatch.setattr(verify_module, "integrate_field", forbidden)
-    with pytest.raises(DomainError):
-        full_nonlinear_check(damped[2], phys, eps)
-
-
-def test_full_nonlinear_check_flags_integration_failure(damped, monkeypatch):
-    def stalling(*args, **kwargs):
-        return integrate_field(*args, **dict(kwargs, max_events=1))
-
-    monkeypatch.setattr(verify_module, "integrate_field", stalling)
-    res = full_nonlinear_check(damped[2], BENCH, 1e-3)
-    assert res.flag is not None and res.flag_code == 6
-    assert math.isnan(res.residual)
-    assert not res.events_ok
-    assert res.trajectory is not None
-
-
-def test_full_nonlinear_check_ends_segments_at_table_knots(table_escapement):
-    # the pendulum runs in the reduced frame's time τ, so its segments end
-    # at the table knots and no step spans an interpolation kink
-    spec, orbit = table_escapement
-    res = full_nonlinear_check(orbit, BENCH, 1e-2)
-    assert res.flag is None
-    knots = spec.table_knots(0.0, orbit.period_tau)
-    assert len(knots) >= 255 and 0.0 < knots[0] and knots[-1] < orbit.period_tau
-    ends = {float(seg.ts[-1]) for seg in res.trajectory.segments}
-    assert all(knot in ends for knot in knots)
+def test_transverse_offset_against_the_exact_periodic_orbit(bench, damped):
+    # damped_forced is linear, so linear_periodic_state is the exact start of
+    # its periodic orbit: in the normal form its family half is the zero, and
+    # its transverse half over eps tends to the first-order offset zeta like eps
+    reduced, _, transform = bench
+    _, cert, orbit = damped
+    zeta = transverse_offset(orbit)
+    ladder = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
+    misses = []
+    for eps in ladder:
+        normal = np.asarray(transform.forward) @ linear_periodic_state(reduced.a, reduced.b, eps, GAMMA)
+        assert np.abs(normal[:2] - cert.point).max() <= 1e-12
+        misses.append(float(np.linalg.norm(normal[2:] / eps - zeta)))
+    assert polyfit_slope(ladder, misses) == pytest.approx(1.0, abs=0.01)
+    assert all(miss <= 0.03 * eps for miss, eps in zip(misses, ladder))
