@@ -26,34 +26,36 @@ the regularized run included, takes one accuracy, ``RTOL`` = 1e-12 and
 same whichever command asked for it.  Either solver stops at the first
 root of the level x (state index 0) or z (index 2).
 
-The event loop, the saltation matrices and every trajectory work on
-Python floats: states are tuples or lists, matrices tuples of rows.  Only
+The event loop, the monodromy and every trajectory work on Python
+floats: states are tuples or lists, matrices tuples of rows.  Only
 DOP853 computes on numpy arrays; it is imported, and numpy with it, when
 the first segment needs it, and its times and states become lists where
 :func:`_dop853` returns them.
 
-Every surface contact goes through one resolver.  The pendulum's sgn
-terms enter only the accelerations, so the rate of each level, x′ = y on
-x = 0 and z′ = w on z = 0, does not depend on the surface's own sign: it
-is one number on both sides, and every contact is a crossing or a
-tangency, the crossing region of Filippov's classification.  The
-resolver reads that rate once; a nonzero rate is a crossing and switches
-the region sign to the side it points to, and a vanishing one is a
-tangency, resolved through the curvature of the level.
+Every field is second order, as the pendulum is: components 0 and 2
+are the velocities y and w, and the acceleration, component 2k + 1,
+depends on the sign σ_k of surface k + 1 alone.  So the rate of level k,
+x′ = y on x = 0 or z′ = w on z = 0, is read from the state and is one
+number on both sides: every contact is a crossing or a tangency, the
+crossing region of Filippov's classification.  A nonzero rate is a
+crossing and switches the region sign to the side it points to; a
+vanishing one is a tangency, resolved by the level's curvature, the
+acceleration of the in-surface field (σ_k = 0).
 
 On request the run also carries the monodromy Φ = ∂s(t)/∂s(t₀), the
 derivative of the flow map that shooting needs, by Φ′ = M_σ·Φ: the exact
 flow moves it by exp(M_σ·h), and DOP853 carries it along with the state,
 one matrix product per stage, outside its local error test, so the steps
-stay those of the plain run.  At each transversal crossing of surface
-k + 1, Φ is multiplied by the saltation matrix
-S = I + (f⁺ − f⁻)·e_{2k}ᵀ / f⁻[2k], with f⁻ and f⁺ the fields before and
-after the crossing (di Bernardo, Budd, Champneys & Kowalczyk,
-*Piecewise-smooth Dynamical Systems*, 2008, ch. 2).  Crossing both
-surfaces at once applies both matrices, provided the two crossing orders
-agree.  A tangent contact, or a corner where the orders disagree,
-leaves the flow map without a derivative to carry: Φ is dropped there,
-the run goes on, and the trajectory says why it carries no monodromy.
+stay those of the plain run.  At a crossing of surface k + 1 the
+saltation matrix S = I + (f⁺ − f⁻)·e_{2k}ᵀ / f⁻[2k], with f⁻ and f⁺ the
+fields before and after it (di Bernardo, Budd, Champneys & Kowalczyk,
+*Piecewise-smooth Dynamical Systems*, 2008, ch. 2), has one off-diagonal
+entry, the acceleration jump over the velocity: Φ's row 2k + 1 gains
+that jump times its row 2k (Leine & Nijmeijer, 2004).  At a corner the
+two crossings update two different rows, in either order alike.  A
+tangent contact leaves the flow map without a derivative to carry: Φ is
+dropped there, the run goes on, and the trajectory says why it carries
+no monodromy.
 
 The module writes no files: :mod:`pendavg.cli` formats and writes a
 run's trajectory and event CSVs.
@@ -62,12 +64,11 @@ run's trajectory and event CSVs.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import expflow
 from .errors import DEFAULT_MAX_EVENTS, CrossingViolationError, DomainError, IntegrationStallError
-from .expflow import MAX_STEPS, Matrix, Solution, _matmul
+from .expflow import MAX_STEPS, Matrix, Solution
 from .model import ReducedParams, SpectralData
 from .perturbation import PerturbationSpec, PeriodicScalar, eval_order1_with_signs, smooth_sign
 
@@ -76,8 +77,6 @@ EVENT_TIME_TOL = 1e-12
 EVENT_STATE_TOL = 1e-11
 LIE_TOL = 1e-10
 EQUILIBRIUM_FIELD_TOL = 1e-12
-# Largest relative difference of the two crossing orders at a corner.
-CORNER_SALTATION_RTOL = 1e-10
 STALL_DT = 1e-12
 STALL_RUN = 50
 # The one accuracy of every DOP853 run the package starts.
@@ -239,10 +238,6 @@ def _sign(x: float) -> float:
     return 1.0 if x > 0.0 else -1.0 if x < 0.0 else x - x
 
 
-def _point_signs(state: Sequence[float]) -> Tuple[float, float]:
-    return (_sign(state[0]), _sign(state[2]))
-
-
 class _Integrator:
     """Mutable state of one event-driven integration run."""
 
@@ -272,7 +267,7 @@ class _Integrator:
         self.t = self.t0
         self.segments: List[Segment] = []
         self.events: List[EventRecord] = []
-        self.signs = list(_point_signs(self.state))
+        self.signs = [_sign(self.state[0]), _sign(self.state[2])]
         # Table knots inside the span still ahead of the run, the next last.
         knots = getattr(field, "knots", None)
         self.knots = sorted(knots(self.t0, self.t1) if knots else (), reverse=self.direction > 0)
@@ -338,21 +333,18 @@ class _Integrator:
     def _resolve_contacts(self, ks: Sequence[int]):
         """Read each touched surface's rate and act on it.
 
-        The rate of surface k + 1 is component 2k of the field at the
-        point signs, where σ_k = 0; by the contract of
-        :func:`integrate_field` it is the rate on both sides.  Outside the
-        band ``LIE_TOL`` the contact is a crossing: the region sign
-        switches to the side the rate points to, and the monodromy goes
-        through the saltation matrix.  Inside it the contact is a
-        tangency, resolved by the curvature of the level, and the
-        monodromy is dropped.
+        By the contract of :func:`integrate_field` the rate of surface
+        k + 1 is the velocity, state index 2k + 1, on both sides.  Outside
+        the band ``LIE_TOL`` the contact is a crossing: the region sign
+        switches to the side the rate points to, and the monodromy crosses
+        with it.  Inside it the contact is a tangency, resolved by the
+        curvature of the level, and the monodromy is dropped.
         """
         corner = len(ks) > 1
-        rates = self.field(self.t, self.state, _point_signs(self.state))
         for k in ks:
             if self.finished:
                 break
-            rate = float(rates[2 * k])
+            rate = self.state[2 * k + 1]
             if abs(rate) <= LIE_TOL:
                 self._record(k, "tangent", rate, corner)
                 self._drop_monodromy(f"tangent contact with surface {k + 1}")
@@ -365,59 +357,46 @@ class _Integrator:
         if self.phi is not None:
             self._cross_monodromy(ks)
 
-    def _saltation(self, ks: Sequence[int]) -> Matrix:
-        """Saltation matrix of crossing the surfaces ``ks`` in that order.
+    def _cross_monodromy(self, ks: Sequence[int]):
+        """Carry the monodromy through the crossings of the surfaces ``ks``.
 
-        Crossing surface k + 1 from field f⁻ to field f⁺ maps Φ to
-        S·Φ with S = I + (f⁺ − f⁻)·e_{2k}ᵀ / f⁻[2k].  The crossings start
-        from the region signs before the contact and end on the new ones.
+        Crossing surface k + 1 from field f⁻ to field f⁺ changes only the
+        acceleration 2k + 1, so its saltation matrix is I plus the entry
+        jump = (f⁺[2k + 1] − f⁻[2k + 1]) / f⁻[2k] at row 2k + 1, column 2k:
+        it adds jump times row 2k of Φ to row 2k + 1.  The crossings start
+        from the region signs before the contact and end on the new ones;
+        at a corner each touches its own row, so their order does not
+        matter.
         """
         signs = list(self.signs)
         for k in ks:
             signs[k] = -signs[k]
         f_in = self.field(self.t, self.state, tuple(signs))
-        saltation = _eye(4)
+        phi = list(self.phi)
         for k in ks:
             signs[k] = self.signs[k]
             f_out = self.field(self.t, self.state, tuple(signs))
-            jump = [(after - before) / f_in[2 * k] for after, before in zip(f_out, f_in)]
-            step = [[e + jump[i] if j == 2 * k else e for j, e in enumerate(row)]
-                    for i, row in enumerate(_eye(4))]
-            saltation = _matmul(step, saltation)
+            jump = (f_out[2 * k + 1] - f_in[2 * k + 1]) / f_in[2 * k]
+            phi[2 * k + 1] = tuple(jump * q + p for p, q in zip(phi[2 * k + 1], phi[2 * k]))
             f_in = f_out
-        return saltation
-
-    def _cross_monodromy(self, ks: Sequence[int]):
-        """Carry the monodromy through transversal crossings of ``ks``.
-
-        At a corner the flow map is differentiable only if crossing the
-        two surfaces in either order gives the same saltation matrix (as
-        on the pendulum fields, where neither level derivative depends
-        on a sign); otherwise the monodromy is dropped.
-        """
-        saltation = self._saltation(ks)
-        if len(ks) > 1:
-            other = self._saltation(ks[::-1])
-            difference = (a - b for row, row_other in zip(saltation, other) for a, b in zip(row, row_other))
-            if math.hypot(*difference) > CORNER_SALTATION_RTOL * math.hypot(*chain.from_iterable(saltation)):
-                self._drop_monodromy("corner contact with both surfaces")
-                return
-        self.phi = tuple(map(tuple, _matmul(saltation, self.phi)))
+        self.phi = tuple(phi)
 
     def _resolve_tangency(self, k: int):
         """Decide the outgoing side at a tangential contact.
 
-        The level behaves like ½·g″·Δt² around the contact, so the sign
-        of g″, measured on the in-surface field (sgn = 0), fixes the
-        side on which the trajectory continues.  A persistent tangency
-        with a nonzero field cannot be continued: the run stops with
-        CrossingViolationError, its steps and the tangent contact attached.
-        A vanishing field is an equilibrium and the trajectory stays put.
+        The level behaves like ½·g″·Δt² around the contact, and g″ is the
+        acceleration, component 2k + 1 of the in-surface field (σ_k = 0):
+        its sign fixes the side on which the trajectory continues.  A
+        persistent tangency with a nonzero field cannot be continued: the
+        run stops with CrossingViolationError, its steps and the tangent
+        contact attached.  A vanishing field is an equilibrium and the
+        trajectory stays put.
         """
         signs0 = list(self.signs)
         signs0[k] = 0.0
-        f0, dlie = self._curvature(lambda t, state: self.field(t, state, tuple(signs0)), k)
-        if abs(dlie) <= LIE_TOL:
+        f0 = self.field(self.t, self.state, tuple(signs0))
+        curvature = float(f0[2 * k + 1])
+        if abs(curvature) <= LIE_TOL:
             if math.hypot(*f0) <= EQUILIBRIUM_FIELD_TOL:
                 self.signs[k] = 0.0
                 self._settle_constant()
@@ -427,32 +406,27 @@ class _Integrator:
                 "the contact neither crosses nor resolves",
                 trajectory=self._trajectory(),
             )
-        self.signs[k] = _sign(dlie)
-
-    def _curvature(self, rhs, k: int) -> Tuple[Sequence[float], float]:
-        """``rhs(t, state)`` at the contact, and level k's curvature there by
-        a forward difference of its rate along ``rhs``."""
-        f0 = rhs(self.t, self.state)
-        h = 1e-6 * self.direction * max(1.0, abs(self.t))
-        f1 = rhs(self.t + h, [s + h * f for s, f in zip(self.state, f0)])
-        return f0, (float(f1[2 * k]) - float(f0[2 * k])) / h
+        self.signs[k] = _sign(curvature)
 
     def _departures(self, rhs) -> List[Optional[Tuple[int, float]]]:
         """Per level, (order, q0) when the state sits on its surface, else None.
 
-        The level leaves the contact as q0·δ^order along ``rhs``, the coming
-        segment's right-hand side, δ the time since the contact: order 1
-        and q0 its rate after a crossing, order 2 and q0 half its curvature
-        after a tangency.  A level that would not leave for the side the
-        contact selected, sign(q0)·direction^order, stalls the run.
+        The level leaves the contact as q0·δ^order, δ the time since the
+        contact: order 1 and q0 its velocity after a crossing, order 2 and
+        q0 half its acceleration along ``rhs``, the coming segment's
+        right-hand side, after a tangency.  A crossing leaves for the side
+        its velocity selected; a tangent level whose acceleration would not
+        take it to the side the contact selected stalls the run.
         """
         departures = [None, None]
         for k, order in enumerate(self.orders):
-            if order:
-                q0 = float(rhs(self.t, self.state)[2 * k]) if order == 1 else 0.5 * self._curvature(rhs, k)[1]
-                if _sign(q0) * self.direction ** order != self.signs[k]:
+            if order == 1:
+                departures[k] = (1, self.state[2 * k + 1])
+            elif order == 2:
+                q0 = 0.5 * float(rhs(self.t, self.state)[2 * k + 1])
+                if _sign(q0) != self.signs[k]:
                     raise self._stall("unable to leave the switching surface after an event")
-                departures[k] = (order, q0)
+                departures[k] = (2, q0)
         return departures
 
     def _settle_constant(self):
@@ -563,19 +537,22 @@ def integrate_field(
 ) -> Trajectory:
     """Integrate a field with explicit region signs through the surfaces.
 
-    ``field(t, state, (sgn_x, sgn_z))`` must be smooth for frozen signs,
-    and component 2k of the field, the rate of surface k + 1, must not
-    depend on σ_k, the surface's own sign.  Every field the package
-    builds meets this, because each has x′ = y and z′ = w.  A field that
-    does not is not detected at the contact; where its flow cannot leave
-    the surface the run stops with IntegrationStallError or, at a
-    persistent tangency, CrossingViolationError.  Either error, and every
-    stall after the first step, carries the steps taken in its
-    ``trajectory``.  Events on ``x = 0`` and ``z = 0`` are located to a
-    time tolerance below 1e-12, and each is a crossing or a tangency by
-    its rate (see ``_Integrator._resolve_contacts``); the trajectory's
-    ``offenders`` and ``margin`` judge the log.  Initial states on
-    a surface are resolved before the first segment.  A field with an
+    ``field(t, state, (sgn_x, sgn_z))`` must be smooth for frozen signs
+    and second order, as every field the package builds is: components 0
+    and 2 are the velocities y and w, state indices 1 and 3, and
+    component 2k + 1, an acceleration, depends on σ_k alone.  So the rate
+    of surface k + 1 is the velocity, whatever its own sign, and a
+    crossing changes one acceleration.  A field that is not second order
+    is not detected; the contacts read it as if it were.  Where a flow
+    cannot leave the surface after a tangency the run stops with
+    IntegrationStallError or, at a persistent tangency,
+    CrossingViolationError.  Either error, and every stall after the
+    first step, carries the steps taken in its ``trajectory``.  Events
+    on ``x = 0`` and ``z = 0`` are located to a time tolerance below
+    1e-12, and each is a crossing or a tangency by its rate (see
+    ``_Integrator._resolve_contacts``); the trajectory's ``offenders``
+    and ``margin`` judge the log.  Initial states on a surface are
+    resolved before the first segment.  A field with an
     affine form ``field.frozen(signs)``, the :class:`PeriodicArray`
     [M_σ | c_σ] (as from :func:`d1_field`), runs each segment on it: its
     exact flow when that qualifies (see the module docstring), else

@@ -303,12 +303,14 @@ def test_accept_7_filippov_semantics(bench):
         st = np.array([x if abs(x) > 0.1 else 1.0, y2, 0.0, w2])
         rates_exact &= all(d1(tau, st, (float(np.sign(st[0])), own))[2] == w2 for own in (-1.0, 0.0, 1.0))
 
-    # a constructed field that slides on x = 0 cannot leave it and stops
+    # a constructed second-order field at rest on x = 0, whose one-sided
+    # accelerations -sgn(x) + 0.25 cos t both push back onto the surface,
+    # cannot leave it and stops
     def field(t, state, signs):
-        return np.array([-signs[0] + 0.25 * math.cos(t), 0.0, 0.0, 0.0])
+        return np.array([state[1], -signs[0] + 0.25 * math.cos(t), state[3], 0.0])
 
     try:
-        integrate_field(field, (0.5, 0.0, 1.0, 0.0), (0.0, 6.0), max_step=0.25)
+        integrate_field(field, (0.0, 0.0, 1.0, 0.0), (0.0, 6.0), max_step=0.25)
         stopped = False
     except IntegrationStallError:
         stopped = True
@@ -320,7 +322,7 @@ def test_accept_7_filippov_semantics(bench):
     report(
         7,
         ok,
-        f"level rates exact: {rates_exact}, sliding field stopped: {stopped}, "
+        f"level rates exact: {rates_exact}, sticking field stopped: {stopped}, "
         f"crossing margin {run.margin:.3f} over {len(run.events)} events",
     )
     assert ok

@@ -275,36 +275,40 @@ def test_first_order_displacement_is_the_averaged_pair_at_every_amplitude(bench)
     # The integrator's first-order displacement in the family plane is
     # diag(-1, 1)*G(z)/(2*sqrt(Delta)) at every amplitude z under convention
     # A, not only at the zeros: first-order averaging itself.  Under B it
-    # misses by at least 1e-2 wherever the spec has sgn terms.  Six amplitudes
-    # off the zeros per builtin and family, 0.2 <= |z| <= 1.5, p = 1.  The miss
-    # under A is the displacement's Richardson remainder, O(eps^2): at most
-    # 5.8e-5, on the corollary.  72 integrations, about 0.2 s.
+    # misses by at least 1e-2 wherever G_B differs from G_A by 1e-2 of |G_A|
+    # (random spec #4, family 1 and p = 2, has G_B = G_A).  Six amplitudes
+    # off the zeros, 0.2 <= |z| <= 1.5, per builtin, family and p in {1, 2},
+    # and per random spec.  The miss under A is the displacement's
+    # Richardson remainder, O(eps^2), here from eps = 5e-4 and 2.5e-4: at
+    # most 6.9e-5, on the corollary in family 1 at p = 2 (2.75e-4 from the
+    # default 1e-3 and 5e-4).  216 integrations, about 1.4 s.
     reduced, s = bench
     rng = np.random.default_rng(5)
     scale = np.array([-1.0, 1.0]) / (2.0 * math.sqrt(s.delta))
-    for name, params in BUILTINS:
-        for family in (1, 2):
-            spec = builtin(name, params, s, family=family, p=1)
-            systems = {c: BifurcationSystem(family, spec, reduced, s, c) for c in "AB"}
-            zeros = [cert.point for system in systems.values() for cert in annulus_search(system, 0.05, 2.0, 8)]
-            sgn_terms = any(d.kind != "const" or d.value != 0.0
-                            for d in (spec.K[1], spec.K[3], *spec.F[1], *spec.F[3]))
-            amplitudes = []
-            while len(amplitudes) < 6:
-                r, theta = rng.uniform(0.2, 1.5), rng.uniform(0.0, 2.0 * math.pi)
-                z = (r * math.cos(theta), r * math.sin(theta))
-                if all(math.dist(z, q) > 0.1 for q in zeros):
-                    amplitudes.append(z)
-            k = 0 if family == 1 else 2
-            for z in amplitudes:
-                displacement = first_order_displacement(orbit_from_amplitude(systems["A"], z))[k:k + 2]
-                for convention, system in systems.items():
-                    averaged = scale * np.asarray(bifurcation_values(system, z))
-                    miss = np.linalg.norm(displacement - averaged) / np.linalg.norm(averaged)
-                    if convention == "A":
-                        assert miss <= 1e-4, (name, family, z, miss)
-                    elif sgn_terms:
-                        assert miss >= 1e-2, (name, family, z, miss)
+    cases = [(name, family, p, builtin(name, params, s, family=family, p=p))
+             for p in (1, 2) for name, params in BUILTINS for family in (1, 2)]
+    spec_rng = np.random.default_rng(11)
+    for i in range(6):
+        family, p = int(spec_rng.integers(1, 3)), int(spec_rng.integers(1, 3))
+        cases.append((f"random #{i}", family, p, random_spec(spec_rng, s, family, p)))
+    for name, family, p, spec in cases:
+        systems = {c: BifurcationSystem(family, spec, reduced, s, c) for c in "AB"}
+        zeros = [cert.point for system in systems.values() for cert in annulus_search(system, 0.05, 2.0, 8)]
+        amplitudes = []
+        while len(amplitudes) < 6:
+            r, theta = rng.uniform(0.2, 1.5), rng.uniform(0.0, 2.0 * math.pi)
+            z = (r * math.cos(theta), r * math.sin(theta))
+            if all(math.dist(z, q) > 0.1 for q in zeros):
+                amplitudes.append(z)
+        k = 0 if family == 1 else 2
+        for z in amplitudes:
+            orbit = orbit_from_amplitude(systems["A"], z)
+            displacement = first_order_displacement(orbit, (5e-4, 2.5e-4))[k:k + 2]
+            g_a, g_b = (np.asarray(bifurcation_values(systems[c], z)) for c in "AB")
+            assert np.linalg.norm(displacement - scale * g_a) <= 1e-4 * np.linalg.norm(scale * g_a), (name, p, z)
+            if np.linalg.norm(g_a - g_b) >= 1e-2 * np.linalg.norm(g_a):
+                miss = np.linalg.norm(displacement - scale * g_b) / np.linalg.norm(scale * g_b)
+                assert miss >= 1e-2, (name, family, p, z, miss)
 
 
 def test_sgn_convention_changes_values(bench):

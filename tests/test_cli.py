@@ -1132,6 +1132,21 @@ def test_no_module_imports_dataclasses():
     assert not [(name, line) for name, line, top in package_imports() if top == "dataclasses"]
 
 
+def test_every_imported_name_is_used():
+    # a name a module imports and never reads is dead code; the package
+    # root's imports are its re-exports, and ``annotations`` is a switch
+    imported, used = {}, set()
+    for module, node in package_nodes():
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[module, (alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add((module, node.id))
+    assert len({module for module, _ in imported}) >= 9
+    assert not [(module, name, line) for (module, name), line in imported.items()
+                if (module, name) not in used and module != "__init__" and name != "annotations"]
+
+
 def file_writes():
     """(module, line) of every call in the package that writes or creates a
     file: ``open`` with a mode holding w, a, x or + (or a mode not spelled

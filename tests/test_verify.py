@@ -185,9 +185,9 @@ def test_poincare_residual_internal_relations(bench, damped):
 
 
 def test_poincare_run_evaluates_the_general_forcing_at_contacts_only(escapement, monkeypatch):
-    # segments run on their frozen-sign compile [M_σ | c_σ]; only contacts
-    # evaluate the forcing for general signs: one call for the rate and two
-    # for the saltation matrix of each single crossing
+    # segments run on their frozen-sign compile [M_σ | c_σ], and a contact
+    # reads its rate from the state; only the saltation of each single
+    # crossing evaluates the forcing for general signs, once on each side
     _, _, orbit = escapement
     general = filippov_module.eval_order1_with_signs
     calls = []
@@ -201,7 +201,7 @@ def test_poincare_run_evaluates_the_general_forcing_at_contacts_only(escapement,
     assert res.flag is None and res.trajectory.monodromy is not None
     events = res.trajectory.events
     assert events and all(ev.kind == "crossing" and not ev.corner for ev in events)
-    assert len(calls) == 3 * len(events)
+    assert len(calls) == 2 * len(events)
 
 
 def test_poincare_residual_flags_integration_failure(damped, monkeypatch):
