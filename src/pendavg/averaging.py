@@ -43,9 +43,15 @@ by their Taylor series where |x| < 1.  This is Filon's rule (Proc. R.
 Soc. Edinburgh 49, 1928) without a remainder, the other factor being of
 degree at most one.  The zeros of G are therefore the roots of the
 scalar h(θ) = det[L(θ), C(θ)], each at radius r* = −⟨L, C⟩/‖L‖².  The
-annulus search scans h on an angle grid, refines each sign change by
-Brent's method, and certifies a zero by det J = h′(θ*)/r*; the sign of
-h′ is the zero's Brouwer index.
+annulus search scans h on an angle grid and refines each sign change by
+Brent's method.  L′ and C′ are exact sums too, by Leibniz's rule: with
+ζ = e^{−iθ} the ray coefficient ζa + ζ̄b has derivative i(ζ̄b − ζa), and
+the breakpoints move at the rate ±1/ω (+ under A), so an edge τ where
+the sign turns from σ₋ to σ₊ adds (σ₋ − σ₊)·(±1/ω)·P(τ)·e^{iλτ} times a
+signed mode's ray coefficients (before τ = 0 the sign is the last
+panel's: the window is a period of every mode).  At a zero, J's columns
+are L and (r*·L′ + C′)/r*, so det J = h′(θ*)/r* on the zero's own ray,
+with h′ = det[L′, C] + det[L, C′], whose sign is its Brouwer index.
 """
 
 from __future__ import annotations
@@ -61,7 +67,6 @@ from .perturbation import PerturbationSpec
 
 SIMPLICITY_RTOL = 1e-8
 ANGLES_PER_GRID = 4
-ANGLE_STEP = 1e-6
 BRENT_XTOL = 2e-12
 BRENT_RTOL = 4.0 * float_info.epsilon
 BRENT_MAXITER = 100
@@ -189,36 +194,44 @@ def _moments(x: float) -> Tuple[float, float]:
 
 
 def _ray_pairs(sys: BifurcationSystem, thetas) -> list:
-    """(L, C) with G(r·e_θ) = r·L + C for every r > 0, for each angle θ:
+    """(L, C, L′, C′) for each angle θ: G(r·e_θ) = r·L + C for every r > 0,
     the modes of :attr:`BifurcationSystem.modes` integrated exactly on
-    each panel."""
-    pairs = []
+    each panel, and the θ-derivatives of L and C by Leibniz's rule."""
+    rate = (1.0 if sys.sgn_convention == "A" else -1.0) / sys.omega
+    rays = []
     for theta in thetas:
         unit = (math.cos(theta), math.sin(theta))
         zeta = complex(unit[0], -unit[1])
-        modes = [(lam, part, table, zeta * a + zeta.conjugate() * b, c)
+        modes = [(lam, part, table, zeta * a + zeta.conjugate() * b, 1j * (zeta.conjugate() * b - zeta * a), c)
                  for lam, part, table, a, b, c in sys.modes]
         c0, c1 = _sgn_coefficients(unit, sys.sgn_convention)
         edges = _panel_edges(sys, unit)
-        lin = const = 0j
-        for lo, hi in zip(edges, edges[1:]):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            u = c0 * math.cos(sys.omega * mid) + c1 * math.sin(sys.omega * mid)
-            sign = (u > 0.0) - (u < 0.0)
-            for lam, part, table, k_lin, k_const in modes:
+        panels = [(0.5 * (lo + hi), 0.5 * (hi - lo), lo) for lo, hi in zip(edges, edges[1:])]
+        u = [c0 * math.cos(sys.omega * mid) + c1 * math.sin(sys.omega * mid) for mid, _, _ in panels]
+        signs = [(x > 0.0) - (x < 0.0) for x in u]
+        lin = const = slope_lin = slope_const = 0j
+        for (mid, half, lo), before, sign in zip(panels, signs[-1:] + signs, signs):
+            turn = (before - sign) * rate
+            for lam, part, table, k_lin, k_turn, k_const in modes:
                 s0, s1 = _moments(lam * half)
                 if table is None:
-                    integral = complex(2.0 * half * s0)
+                    integral, start = complex(2.0 * half * s0), 1.0
                 else:
                     alpha, beta = table.piece(mid)
                     integral = complex(2.0 * half * alpha * s0, 2.0 * half * half * beta * s1)
+                    start = alpha - beta * half
                 integral *= complex(math.cos(lam * mid), math.sin(lam * mid))
                 if part:
                     integral *= sign
+                if part and turn:  # the sign turns at lo, which moves with θ
+                    edge = turn * start * complex(math.cos(lam * lo), math.sin(lam * lo))
+                    slope_lin += k_lin * edge
+                    slope_const += k_const * edge
                 lin += k_lin * integral
                 const += k_const * integral
-        pairs.append(((lin.imag, lin.real), (const.imag, const.real)))
-    return pairs
+                slope_lin += k_turn * integral
+        rays.append(tuple((z.imag, z.real) for z in (lin, const, slope_lin, slope_const)))
+    return rays
 
 
 def bifurcation_values(sys: BifurcationSystem, amp) -> Tuple[float, float]:
@@ -228,7 +241,7 @@ def bifurcation_values(sys: BifurcationSystem, amp) -> Tuple[float, float]:
     radius = math.hypot(u0, v0)
     if radius == 0.0:
         raise DomainError("degenerate amplitude (0, 0) has no sign structure")
-    ((lin, const),) = _ray_pairs(sys, [math.atan2(v0, u0)])
+    ((lin, const, _, _),) = _ray_pairs(sys, [math.atan2(v0, u0)])
     return (radius * lin[0] + const[0], radius * lin[1] + const[1])
 
 
@@ -290,32 +303,23 @@ def _brent(f: Callable[[float], float], a: float, b: float, fa: float, fb: float
     )
 
 
-def _certificate(sys: BifurcationSystem, theta: float, r1: float, r2: float,
-                 scale: float) -> Optional[ZeroCertificate]:
+def _certificate(sys: BifurcationSystem, theta: float, r1: float, r2: float) -> Optional[ZeroCertificate]:
     """Certificate of the zero on the ray θ, a root of h, if it lies in (r1, r2)."""
-    (lin, const), above, below = _ray_pairs(sys, [theta, theta + ANGLE_STEP, theta - ANGLE_STEP])
+    ((lin, const, slope_lin, slope_const),) = _ray_pairs(sys, [theta])
     norm2 = lin[0] * lin[0] + lin[1] * lin[1]
     if norm2 == 0.0:
         return None
     radius = -(lin[0] * const[0] + lin[1] * const[1]) / norm2
     if not r1 < radius < r2:
         return None
-    point = (radius * math.cos(theta), radius * math.sin(theta))
-    value_norm = math.hypot(*bifurcation_values(sys, point))
-    slope = (_det(*above) - _det(*below)) / (2.0 * ANGLE_STEP)
-    # At a zero h'(θ) = det[L, r·L' + C'] = r·det J.
+    value_norm = math.hypot(radius * lin[0] + const[0], radius * lin[1] + const[1])
+    # At a zero h'(θ) = det[L', C] + det[L, C'] = det[L, r·L' + C'] = r·det J.
+    slope = _det(slope_lin, const) + _det(lin, slope_const)
     det = slope / radius
-    simple = (
-        value_norm <= SIMPLICITY_RTOL * scale
-        and abs(det) > SIMPLICITY_RTOL * scale * scale / (radius * radius)
-    )
-    return ZeroCertificate(
-        point=point,
-        value_norm=value_norm,
-        det=det,
-        index=(slope > 0.0) - (slope < 0.0),
-        simple=simple,
-    )
+    simple = value_norm <= SIMPLICITY_RTOL * math.hypot(*const) and abs(det) > SIMPLICITY_RTOL * norm2
+    point = (radius * math.cos(theta), radius * math.sin(theta))
+    return ZeroCertificate(point=point, value_norm=value_norm, det=det,
+                           index=(slope > 0.0) - (slope < 0.0), simple=simple)
 
 
 def check_search(r1: float, r2: float, grid: int, p: int, knots: int = 0) -> None:
@@ -339,30 +343,26 @@ def annulus_search(sys: BifurcationSystem, r1: float, r2: float, grid: int) -> l
     G is affine along every ray, so a ray θ carries a zero exactly where
     h(θ) = det[L(θ), C(θ)] vanishes, at radius r* = −⟨L, C⟩/‖L‖².  h is
     sampled on ``ANGLES_PER_GRID``·``grid`` equally spaced angles and each
-    sign change is refined by Brent's method.  A zero is simple when ‖G‖
-    there is at most ``SIMPLICITY_RTOL`` times the largest ‖G‖ on the outer
-    circle and |det J| is above ``SIMPLICITY_RTOL`` times that scale
-    squared over r*².  Bounds that `check_search` refuses, the window's
-    table knots counted, raise its DomainError before any ray is taken.
+    sign change is refined by Brent's method.  A zero is simple when ‖G‖ on
+    its ray is at most ``SIMPLICITY_RTOL``·‖C‖ and |det J| is above
+    ``SIMPLICITY_RTOL``·‖L‖²: both sides scale as G², and neither reads r1
+    or r2.  Bounds that `check_search` refuses, the window's table knots
+    counted, raise its DomainError before any ray is taken.
     """
     check_search(r1, r2, grid, sys.spec.p, len(sys.table_knots))
     n = ANGLES_PER_GRID * grid
     thetas = [2.0 * math.pi * i / n for i in range(n + 1)]
-    pairs = _ray_pairs(sys, thetas[:-1])
-    scale = max(math.hypot(r2 * lin[0] + const[0], r2 * lin[1] + const[1]) for lin, const in pairs)
-    if scale <= 0.0:
-        return []
-    h = [_det(lin, const) for lin, const in pairs]
+    h = [_det(lin, const) for lin, const, _, _ in _ray_pairs(sys, thetas[:-1])]
     h.append(h[0])
     certificates = []
     for i in range(n):
         if h[i] == 0.0:
             theta = thetas[i]
         elif h[i] * h[i + 1] < 0.0:
-            theta = _brent(lambda t: _det(*_ray_pairs(sys, [t])[0]), thetas[i], thetas[i + 1], h[i], h[i + 1])
+            theta = _brent(lambda t: _det(*_ray_pairs(sys, [t])[0][:2]), thetas[i], thetas[i + 1], h[i], h[i + 1])
         else:
             continue
-        cert = _certificate(sys, theta, r1, r2, scale)
+        cert = _certificate(sys, theta, r1, r2)
         if cert is not None:
             certificates.append(cert)
     certificates.sort(key=lambda c: (c.point[0], c.point[1]))

@@ -178,13 +178,13 @@ class PerturbationSpec:
         return tuple(sorted(t for t in knots if lo + margin < t < hi - margin))
 
     def validate_against(self, spectral: SpectralData) -> None:
-        """Check every component period divides p·T_family; the error names
-        the component by its key in ``ENTRY_KEYS``."""
+        """Check every component period divides p·T_family at least once; the
+        error names the component by its key in ``ENTRY_KEYS``."""
         window = self.p * spectral.period(self.family)
         coefficients = (c for form in self.F for c in form)
         for key, scalar in zip(ENTRY_KEYS, (*self.K, *coefficients)):
             ratio = window / scalar.period
-            if abs(ratio - round(ratio)) > PERIOD_DIVISIBILITY_TOL * max(1.0, abs(ratio)):
+            if round(ratio) < 1 or abs(ratio - round(ratio)) > PERIOD_DIVISIBILITY_TOL * max(1.0, abs(ratio)):
                 raise DomainError(
                     f"perturbation key {key}: component period {scalar.period!r} does not divide "
                     f"the averaging window p·T = {window!r} (ratio {ratio!r})"

@@ -387,9 +387,10 @@ def test_averaged_pair_is_affine_along_rays(bench):
 
 def test_ray_batch_equals_its_rows(bench):
     # The scan's one call over all its angles gives every ray the bits of
-    # Brent's one-angle call, on rays of every panel count: θ = π/2, 3π/2
-    # put a sgn breakpoint on τ = 0 and the table knots add panels.  (L, C)
-    # is the averaged pair's affine form: G(r·e_θ) = r·L + C at r = 1 and 2.
+    # Brent's one-angle call, slopes (L′, C′) included, on rays of every
+    # panel count: θ = π/2, 3π/2 put a sgn breakpoint on τ = 0 and the table
+    # knots add panels.  (L, C) is the averaged pair's affine form:
+    # G(r·e_θ) = r·L + C at r = 1 and 2.
     reduced, s = bench
     esc = builtin("damped_forced_escapement", {"gamma": GAMMA, "kappa": KAPPA}, s)
     taus = np.arange(256) * (s.period1 / 256)
@@ -405,8 +406,9 @@ def test_ray_batch_equals_its_rows(bench):
             units = [np.array([math.cos(t), math.sin(t)]) for t in thetas]
             assert len({len(averaging_module._panel_edges(sys, unit)) for unit in units}) > 1
             batch = averaging_module._ray_pairs(sys, thetas)
-            for theta, unit, (lin, const) in zip(thetas, units, batch):
-                assert averaging_module._ray_pairs(sys, [theta]) == [(lin, const)], (family, conv, theta)
+            for theta, unit, (lin, const, slope_lin, slope_const) in zip(thetas, units, batch):
+                row = [(lin, const, slope_lin, slope_const)]
+                assert averaging_module._ray_pairs(sys, [theta]) == row, (family, conv, theta)
                 lin, const = np.array(lin), np.array(const)
                 for r in (1.0, 2.0):
                     val = np.array(bifurcation_values(sys, r * unit))
@@ -414,13 +416,9 @@ def test_ray_batch_equals_its_rows(bench):
                     assert np.linalg.norm(val - (r * lin + const)) <= 1e-12 * size, (family, conv, theta, r)
 
 
-def test_closed_form_ray_pairs_match_gauss_reference(bench):
-    # (L, C) from the closed-form panel integrals against composite Gauss
-    # on the same panels, at 24 angles (π/2 and 3π/2 among them): the 3
-    # builtins × families 1, 2 × conventions A, B × p = 1, 2, 40 random
-    # specs and the 256-knot table spec, relative to the larger of 1 and
-    # ‖(L, C)‖ (a random spec without a resonant term has G ≡ 0)
-    reduced, s = bench
+def reference_systems(reduced, s):
+    """The 3 builtins × families 1, 2 × conventions A, B × p = 1, 2, then 40
+    random specs (rng 11) and the 256-knot table spec under A and B."""
     rng = np.random.default_rng(11)
     builtins = [BifurcationSystem(family, builtin(name, params, s, family=family, p=p), reduced, s, conv)
                 for name, params in BUILTINS for family in (1, 2) for conv in ("A", "B") for p in (1, 2)]
@@ -434,10 +432,21 @@ def test_closed_form_ray_pairs_match_gauss_reference(bench):
     table = PeriodicScalar.from_table(taus, GAMMA * np.cos(s.omega1 * taus))
     others += [BifurcationSystem(1, PerturbationSpec(K=(table, *esc.K[1:]), F=esc.F), reduced, s, conv)
                for conv in ("A", "B")]
-    thetas = (2.0 * math.pi * np.arange(24) / 24).tolist()
+    return builtins, others
+
+
+REFERENCE_THETAS = (2.0 * math.pi * np.arange(24) / 24).tolist()
+
+
+def test_closed_form_ray_pairs_match_gauss_reference(bench):
+    # (L, C) from the closed-form panel integrals against composite Gauss
+    # on the same panels, at 24 angles (π/2 and 3π/2 among them), on the
+    # reference systems, relative to the larger of 1 and ‖(L, C)‖ (a
+    # random spec without a resonant term has G ≡ 0)
+    builtins, others = reference_systems(*bench)
     for systems, bound in ((builtins, 1e-14), (others, 1e-13)):
         for sys in systems:
-            for theta, (lin, const) in zip(thetas, averaging_module._ray_pairs(sys, thetas)):
+            for theta, (lin, const, _, _) in zip(REFERENCE_THETAS, averaging_module._ray_pairs(sys, REFERENCE_THETAS)):
                 ref = np.concatenate(gauss_ray_pair(sys, theta))
                 gap = np.linalg.norm(np.concatenate((lin, const)) - ref)
                 assert gap <= bound * max(1.0, np.linalg.norm(ref)), (sys.spec, theta, gap)
@@ -456,6 +465,75 @@ def test_closed_form_matches_the_escapement_closed_pair(bench):
         assert gap <= 1e-13 * max(1.0, np.linalg.norm(ref)), amp
     (cert,) = [c for c in annulus_search(sys, 0.05, 2.0, 24) if c.simple]
     assert np.linalg.norm(np.subtract(cert.point, point)) <= 1e-11
+
+
+def test_ray_slopes_match_a_richardson_difference(bench):
+    # (L′, C′) in closed form against the Richardson extrapolation of central
+    # differences of (L, C) at steps 1e-4 and 5e-5, on the reference systems
+    # at the same 24 angles: θ = π/2, 3π/2 move a breakpoint through τ = 0
+    # under A, θ = 0, π under B, and the table's breakpoints cross knots.
+    # Relative to the largest of ‖L‖, ‖C‖, ‖L′‖ and ‖C′‖, since a ray where
+    # G nearly vanishes can have slopes 500 times its values; rays where
+    # G ≡ 0 up to rounding are skipped.
+    builtins, others = reference_systems(*bench)
+
+    def pair(sys, theta):
+        return np.concatenate(averaging_module._ray_pairs(sys, [theta])[0][:2])
+
+    def central(sys, theta, step):
+        return (pair(sys, theta + step) - pair(sys, theta - step)) / (2.0 * step)
+
+    rays = 0
+    for sys in builtins + others:
+        for theta, ray in zip(REFERENCE_THETAS, averaging_module._ray_pairs(sys, REFERENCE_THETAS)):
+            lin, const, slope_lin, slope_const = (np.array(part) for part in ray)
+            if max(np.linalg.norm(lin), np.linalg.norm(const)) < 1e-8:
+                continue
+            ref = (4.0 * central(sys, theta, 5e-5) - central(sys, theta, 1e-4)) / 3.0
+            scale = max(np.linalg.norm(part) for part in (lin, const, slope_lin, slope_const))
+            gap = np.linalg.norm(np.concatenate((slope_lin, slope_const)) - ref)
+            assert gap <= 1e-9 * scale, (sys.spec, sys.sgn_convention, theta, gap / scale)
+            rays += 1
+    assert rays > 1000
+
+
+def test_damped_forced_det_is_exact(bench):
+    # G(z) = √Δ·T·diag(1, −1)·z + const in both families, so det J = −Δ·T²
+    reduced, s = bench
+    for family in (1, 2):
+        spec = builtin("damped_forced", {"gamma": GAMMA}, s, family=family, p=1)
+        (cert,) = annulus_search(BifurcationSystem(family, spec, reduced, s, "A"), 0.05, 2.0, 12)
+        assert cert.simple and cert.index == -1
+        assert cert.det == pytest.approx(-s.delta * s.period(family) ** 2, rel=1e-12, abs=0.0), family
+
+
+def test_simplicity_reads_neither_radius(bench):
+    # the escapement's zero at radius 0.0736 (‖G‖ 2.3e-13, det −539) is
+    # simple whatever the outer radius of the annulus around it
+    reduced, s = bench
+    sys = system_for("damped_forced_escapement", {"gamma": 0.5, "kappa": 0.225}, reduced, s)
+    certs = [annulus_search(sys, 1e-3, r2, 24) for r2 in (0.5, 2.0, 10.0, 1e3)]
+    assert all(found == certs[0] for found in certs)
+    (cert,) = certs[0]
+    assert cert.simple and cert.index == -1
+    assert math.hypot(*cert.point) == pytest.approx(0.0736, abs=1e-4)
+
+
+def test_a_vanishing_pair_has_no_simple_zero(bench):
+    # Spec 46 of a 200-spec draw (rng 11: family, p, random_spec, then the
+    # convention) has no resonant term, so L and C are rounding noise and h
+    # changes sign all round the circle.  Its rays carry noise zeros, and
+    # ‖G‖ there is never small against ‖C‖, so none of them is simple.
+    reduced, s = bench
+    rng = np.random.default_rng(11)
+    for _ in range(47):
+        family, p = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        spec = random_spec(rng, s, family, p)
+        conv = "AB"[rng.integers(0, 2)]
+    sys = BifurcationSystem(family, spec, reduced, s, conv)
+    for r2 in (2.0, 1e3):
+        certs = annulus_search(sys, 0.05, r2, 8)
+        assert certs and not any(cert.simple for cert in certs), r2
 
 
 def test_annulus_search_det_matches_oracle_jacobian(bench):

@@ -111,6 +111,9 @@ def test_load_config_rejects_bad_input(tmp_path, capsys):
     assert cli.main(["zeros", "--config", str(typo), "--out", str(tmp_path / "o")]) == 1
     pert = tmp_path / "pert.ini"
     pert.write_text("[perturbation]\nfamily = 1\np = 1\nk1 = cos:0.5,1\nf1.d2 = const:-1\n")
+    # a period 1e11 windows long: the window over the period rounds to 0 periods
+    slow = tmp_path / "slow.ini"
+    slow.write_text("[perturbation]\nfamily = 1\np = 1\nk1 = cos:0.5,1e-11\nf1.d2 = const:-1\n")
     bad_inputs = {
         "nan_gamma": {"perturbation": {"builtin": "damped_forced", "gamma": "abc"}},
         "bad_grid": {"perturbation": {"builtin": "damped_forced", "gamma": 0.5},
@@ -125,6 +128,7 @@ def test_load_config_rejects_bad_input(tmp_path, capsys):
                                           "file": pert.name}},
         "file_p": {"model": {"p": 2}, "perturbation": {"file": pert.name}},
         "file_family": {"model": {"family": 2}, "perturbation": {"file": pert.name}},
+        "slow_period": {"perturbation": {"file": slow.name}},
         "nan_gamma_value": {"perturbation": {"builtin": "damped_forced", "gamma": "nan"}},
         "inf_kappa": {"perturbation": {"builtin": "damped_forced_escapement", "gamma": 0.5,
                                        "kappa": "inf"}},
@@ -152,6 +156,8 @@ def test_load_config_rejects_bad_input(tmp_path, capsys):
     for name, sections in bad_inputs.items():
         ini = write_ini(tmp_path / f"{name}.ini", sections)
         assert cli.main(["zeros", "--config", str(ini), "--out", str(tmp_path / "o")]) == 1, name
+        if name == "slow_period":
+            assert "error: perturbation key k1: " in capsys.readouterr().err
     for name, where in (("nan_gamma", r"\[perturbation\] gamma"),
                         ("nan_gamma_value", r"\[perturbation\] gamma"),
                         ("inf_kappa", r"\[perturbation\] kappa"),
@@ -442,7 +448,7 @@ def test_fast_harmonic_averages_out_and_exits_3(tmp_path, capsys):
         s = spectral_data(reduce_params(config.phys))
         system = BifurcationSystem(1, cli.build_perturbation(config, s), reduce_params(config.phys), s)
         pairs.append(_ray_pairs(system, [2.0 * math.pi * i / 8 for i in range(8)]))
-    for (lin, const), (tame_lin, tame_const) in zip(*pairs):
+    for (lin, const, _, _), (tame_lin, tame_const, _, _) in zip(*pairs):
         scale = max(1.0, math.hypot(*tame_lin))
         assert math.dist(lin, tame_lin) <= 1e-12 * scale and math.dist(const, tame_const) <= 1e-12 * scale
     assert cli.main(["zeros", "--config", str(tmp_path / "wild_exp.ini")]) == 3
