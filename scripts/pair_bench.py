@@ -2,7 +2,7 @@
 
 Usage:
     python scripts/pair_bench.py PARENT_SRC CHANGE_SRC [--workload NAME ...]
-                                 [--pairs N]
+                                 [--pairs N] [--config PATH --command CMD]
 
 PARENT_SRC and CHANGE_SRC are ``src/`` directories, each holding a
 ``pendavg`` package.  First the script prints each tree's source lines,
@@ -51,6 +51,14 @@ it, and lists every other difference: strings, integers, booleans,
 nulls, key sets, list lengths and row counts.  Last, it compares the two
 sides' last ``stdout.log``, each the CLI's stdout and stderr joined, and
 prints "output identical" or the first line that differs.
+
+With ``--config PATH --command zeros|verify`` it runs one more pair loop,
+after the workloads, on that experiment file (a table config, say, which
+no workload has): each side runs ``python -m pendavg CMD --config PATH
+--out out`` in its own directory, both sides must end with the parent's
+first exit code, and the same wall, RSS, artifact and output lines are
+printed.  The set-up probe reads only the workloads, so this loop has
+none.
 """
 
 from __future__ import annotations
@@ -109,10 +117,27 @@ def setup_seconds(src: Path, ini: Path, run_dir: Path) -> float:
         raise SystemExit(f"set-up probe on {src}: {exc}") from None
 
 
+class ConfigRun:
+    """One CLI invocation on a given experiment file, shaped as a workload:
+    its output goes to ``out`` in the run's directory, and its expected
+    exit code is that of its first run, the parent's."""
+
+    def __init__(self, config: Path, command: str):
+        self.name = f"{command} {config.name}"
+        self.config, self.command, self.expected_exit = config, command, None
+
+    def write_ini(self, path: Path, seed: int) -> Path:
+        return self.config
+
+    def cli_args(self, ini: Path) -> Tuple[str, ...]:
+        return (self.command, "--config", str(self.config), "--out", "out")
+
+
 def timed_run(src: Path, workload, ini: Path, run_dir: Path) -> Tuple[float, float]:
     """Wall seconds and peak RSS in MB of one fresh-interpreter CLI
     invocation on ``src``, forked, timed and read by ``TIMER``, its output
-    written to ``run_dir/stdout.log``."""
+    written to ``run_dir/stdout.log``.  A workload without an expected
+    exit code takes this run's."""
     shutil.rmtree(run_dir / "out", ignore_errors=True)
     cmd = [sys.executable, "-c", TIMER, sys.executable, "-m", "pendavg", *workload.cli_args(Path(ini.name))]
     # The child writes to a file, as the benchmark's runs do: its peak RSS
@@ -121,6 +146,8 @@ def timed_run(src: Path, workload, ini: Path, run_dir: Path) -> Tuple[float, flo
         timer = subprocess.run(cmd, cwd=run_dir, env=child_env(src), stdout=log, stderr=subprocess.PIPE,
                                text=True, check=True)
     wall, code, peak = timer.stderr.split()
+    if workload.expected_exit is None:
+        workload.expected_exit = int(code)
     if int(code) != workload.expected_exit:
         raise SystemExit(f"{workload.name} on {src}: exit {code}, expected {workload.expected_exit}")
     return float(wall), int(peak) / 1024.0
@@ -289,9 +316,15 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="the change's src/ directory")
     parser.add_argument("--workload", action="append", choices=sorted(WORKLOADS))
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--config", type=Path, help="an experiment file for one more pair loop")
+    parser.add_argument("--command", choices=("zeros", "verify"), help="the subcommand run on --config")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error(f"--pairs must be at least 2, got {args.pairs}: the quartiles need two runs a side")
+    if (args.config is None) != (args.command is None):
+        parser.error("--config and --command go together")
+    if args.config is not None and not args.config.is_file():
+        parser.error(f"no experiment file {args.config}")
     trees = [args.parent.resolve(), args.change.resolve()]
     for src in trees:
         if not (src / "pendavg" / "cli.py").is_file():
@@ -304,8 +337,11 @@ def main(argv=None) -> int:
     print(f"source lines: parent {lines[0]} (compile {ms[0]:.1f} ms), change {lines[1]} (compile {ms[1]:.1f} ms), "
           f"net {lines[1] - lines[0]:+d}")
     print(f"modules changed: {changed_modules(*modules) or 'none'}")
-    for name in args.workload or sorted(WORKLOADS):
-        workload = WORKLOADS[name]
+    workloads = [WORKLOADS[name] for name in args.workload or sorted(WORKLOADS)]
+    if args.config is not None:
+        workloads.append(ConfigRun(args.config.resolve(), args.command))
+    for workload in workloads:
+        name = workload.name
         with tempfile.TemporaryDirectory(prefix="pair_bench_") as tmp:
             run_dirs = [Path(tmp) / "parent", Path(tmp) / "change"]
             inis = []
@@ -313,8 +349,10 @@ def main(argv=None) -> int:
                 shutil.copytree(src / "pendavg", run_dir / "src" / "pendavg",
                                 ignore=shutil.ignore_patterns("__pycache__"))
                 inis.append(workload.write_ini(run_dir / "workload.ini", seed=0))
-            setups = alternate(args.pairs, lambda side: setup_seconds(
-                run_dirs[side] / "src", inis[side], run_dirs[side]))
+            setups = None
+            if not isinstance(workload, ConfigRun):
+                setups = alternate(args.pairs, lambda side: setup_seconds(
+                    run_dirs[side] / "src", inis[side], run_dirs[side]))
             runs = alternate(args.pairs, lambda side: timed_run(
                 run_dirs[side] / "src", workload, inis[side], run_dirs[side]))
             walls = [[wall for wall, _ in side] for side in runs]
@@ -334,10 +372,11 @@ def main(argv=None) -> int:
                           zip(("parent", "change"), (statistics.quantiles(r, n=4) for r in rss)))
         print(f"{name}: peak RSS {peaks}; "
               f"peak_rss_mb {no_regression_verdict(*rss, bounds['peak_rss_mb'])} (bound {bounds['peak_rss_mb']:g})")
-        setup = ", ".join(f"{side} {q[1]:.4f} s [{q[0]:.4f}, {q[2]:.4f}]" for side, q in
-                          zip(("parent", "change"), (statistics.quantiles(r, n=4) for r in setups)))
-        print(f"{name}: set-up {setup}; "
-              f"setup_s {no_regression_verdict(*setups, bounds['setup_s'])} (bound {bounds['setup_s']:g})")
+        if setups is not None:
+            setup = ", ".join(f"{side} {q[1]:.4f} s [{q[0]:.4f}, {q[2]:.4f}]" for side, q in
+                              zip(("parent", "change"), (statistics.quantiles(r, n=4) for r in setups)))
+            print(f"{name}: set-up {setup}; "
+                  f"setup_s {no_regression_verdict(*setups, bounds['setup_s'])} (bound {bounds['setup_s']:g})")
         print(f"{name}: " + (f"artifacts differ: {', '.join(differ)}" if differ else "artifacts identical"))
         for line in drift:
             print(line)

@@ -27,21 +27,24 @@ its direction, so G is affine along every ray: G(r·e_θ) = r·L(θ) + C(θ),
 with L(θ) the averaged response of the state columns of the spec's
 forcing table (:attr:`~pendavg.perturbation.PerturbationSpec.table`)
 along the unit orbit e_θ and C(θ) that of its constant column.  Both are
-exact sums.  The window splits into panels at the sgn breakpoints and at
-the knots of table scalars, where linear interpolation has a kink.
+exact sums.  The window splits into panels at the sgn breakpoints.
 Writing the sgn argument as c₀·cos(ωτ) + c₁·sin(ωτ), the breakpoints are
 τ_k = (atan2(c₁, c₀) + π/2 + kπ)/ω, clipped to the window.  On a panel
-the sign is fixed, and the integrand is a finite sum of
-(α + β·(τ − m))·e^{iλτ}: the orbit's cos and sin ωτ, the trig weight and
-every scalar (const, cos, sin or a table's linear piece) are such terms.
-With m the panel's midpoint, h its half-width and x = λh,
+the sign is fixed, and the integrand is a finite sum of P(τ)·e^{iλτ}:
+the orbit's cos and sin ωτ, the trig weight and every scalar are such
+terms, with P = 1 but for a table, whose P is α + β·(τ − m) between two
+knots.  Where P is linear, with m the midpoint, h the half-width and x = λh,
 
     ∫ e^{iλτ} dτ = e^{iλm}·2h·sin(x)/x,
     ∫ (τ − m)·e^{iλτ} dτ = e^{iλm}·2i·h²·(sin x − x·cos x)/x²,
 
 by their Taylor series where |x| < 1.  This is Filon's rule (Proc. R.
 Soc. Edinburgh 49, 1928) without a remainder, the other factor being of
-degree at most one.  The zeros of G are therefore the roots of the
+degree at most one.  A table term over a panel [lo, hi] is F(hi) − F(lo),
+F(t) = ∫₀ᵗ P(τ)·e^{iλτ} dτ: the running sum of the knot intervals up to
+the last knot before t, built once per system since it does not depend
+on θ, plus the interval from there to t.  So a ray costs its sign panels
+whatever the knot count.  The zeros of G are therefore the roots of the
 scalar h(θ) = det[L(θ), C(θ)], each at radius r* = −⟨L, C⟩/‖L‖².  The
 annulus search scans h on an angle grid and refines each sign change by
 Brent's method.  L′ and C′ are exact sums too, by Leibniz's rule: with
@@ -57,13 +60,14 @@ with h′ = det[L′, C] + det[L, C′], whose sign is its Brouwer index.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import cached_property
 from sys import float_info
 from typing import Callable, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, NumericalError
 from .model import JordanTransform, ReducedParams, SpectralData, jordan_transform
-from .perturbation import PerturbationSpec
+from .perturbation import PeriodicScalar, PerturbationSpec
 
 SIMPLICITY_RTOL = 1e-8
 ANGLES_PER_GRID = 4
@@ -95,12 +99,6 @@ class BifurcationSystem:
     @cached_property
     def transform(self) -> JordanTransform:
         return jordan_transform(self.reduced, self.spectral)
-
-    @cached_property
-    def table_knots(self) -> Tuple[float, ...]:
-        """The knots of the spec's tables inside the resonance window: linear
-        interpolation has a kink at each."""
-        return self.spec.table_knots(0.0, self.spec.p * self.spectral.period(self.family))
 
     @cached_property
     def modes(self) -> Tuple[tuple, ...]:
@@ -143,6 +141,22 @@ class BifurcationSystem:
                     add(lam + self.omega, part, table, c=coefficient)
         return tuple((*key, *coefficients) for key, coefficients in modes.items())
 
+    @cached_property
+    def primitives(self) -> dict:
+        """For each table mode's (λ, table): the spec's table knots in the
+        window, 0 and the window end included, and F = ∫₀^{knot} P(τ)·e^{iλτ} dτ
+        at each, the running sums of one Filon interval per knot interval."""
+        window = self.spec.p * self.spectral.period(self.family)
+        knots = (0.0, *self.spec.table_knots(0.0, window), window)
+        primitives = {}
+        for lam, _, table, _, _, _ in self.modes:
+            if table is not None and (lam, table) not in primitives:
+                sums = [0j]
+                for lo, hi in zip(knots, knots[1:]):
+                    sums.append(sums[-1] + _filon(table, lam, lo, hi))
+                primitives[lam, table] = (knots, sums)
+        return primitives
+
 
 class ZeroCertificate(NamedTuple):
     """A located zero with its Jacobian determinant and Brouwer index."""
@@ -161,7 +175,7 @@ def _sgn_coefficients(amp, convention: str):
 
 def _panel_edges(sys: BifurcationSystem, amp) -> Tuple[float, ...]:
     """Panel edges for ``amp``, ascending: 0, the sgn breakpoints τ_k of
-    its orbit clipped to the window, the table knots and the window end."""
+    its orbit clipped to the window and the window end."""
     omega = sys.omega
     window = sys.spec.p * sys.spectral.period(sys.family)
     c0, c1 = _sgn_coefficients(amp, sys.sgn_convention)
@@ -172,7 +186,7 @@ def _panel_edges(sys: BifurcationSystem, amp) -> Tuple[float, ...]:
         mid = 0.5 * (lo + hi)
         if c0 * math.cos(omega * mid) + c1 * math.sin(omega * mid) == 0.0:
             raise NumericalError("sign-change partition has a zero at a panel midpoint")
-    return tuple(sorted({*edges, *sys.table_knots}))
+    return tuple(edges)
 
 
 def _moments(x: float) -> Tuple[float, float]:
@@ -193,10 +207,28 @@ def _moments(x: float) -> Tuple[float, float]:
     return s0, s1
 
 
+def _filon(table: PeriodicScalar, lam: float, lo: float, hi: float) -> complex:
+    """∫ P(τ)·e^{iλτ} dτ over [lo, hi], where the table's P is linear."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    s0, s1 = _moments(lam * half)
+    alpha, beta = table.piece(mid)
+    return complex(2.0 * half * alpha * s0, 2.0 * half * half * beta * s1) * complex(math.cos(lam * mid),
+                                                                                   math.sin(lam * mid))
+
+
+def _primitive(sys: BifurcationSystem, lam: float, table: PeriodicScalar, t: float) -> complex:
+    """F(t) = ∫₀ᵗ P(τ)·e^{iλτ} dτ for 0 ≤ t ≤ the window end: the running
+    sum at the last knot before t plus the interval from it to t."""
+    knots, sums = sys.primitives[lam, table]
+    j = bisect_right(knots, t) - 1
+    return sums[j] if knots[j] == t else sums[j] + _filon(table, lam, knots[j], t)
+
+
 def _ray_pairs(sys: BifurcationSystem, thetas) -> list:
     """(L, C, L′, C′) for each angle θ: G(r·e_θ) = r·L + C for every r > 0,
     the modes of :attr:`BifurcationSystem.modes` integrated exactly on
-    each panel, and the θ-derivatives of L and C by Leibniz's rule."""
+    each sign panel (a table mode as a difference of its primitive), and
+    the θ-derivatives of L and C by Leibniz's rule."""
     rate = (1.0 if sys.sgn_convention == "A" else -1.0) / sys.omega
     rays = []
     for theta in thetas:
@@ -209,21 +241,20 @@ def _ray_pairs(sys: BifurcationSystem, thetas) -> list:
         panels = [(0.5 * (lo + hi), 0.5 * (hi - lo), lo) for lo, hi in zip(edges, edges[1:])]
         u = [c0 * math.cos(sys.omega * mid) + c1 * math.sin(sys.omega * mid) for mid, _, _ in panels]
         signs = [(x > 0.0) - (x < 0.0) for x in u]
+        primitives = {key: [_primitive(sys, *key, t) for t in edges] for key in sys.primitives}
         lin = const = slope_lin = slope_const = 0j
-        for (mid, half, lo), before, sign in zip(panels, signs[-1:] + signs, signs):
+        for i, ((mid, half, lo), before, sign) in enumerate(zip(panels, signs[-1:] + signs, signs)):
             turn = (before - sign) * rate
             for lam, part, table, k_lin, k_turn, k_const in modes:
-                s0, s1 = _moments(lam * half)
                 if table is None:
-                    integral, start = complex(2.0 * half * s0), 1.0
+                    s0, _ = _moments(lam * half)
+                    integral = complex(2.0 * half * s0) * complex(math.cos(lam * mid), math.sin(lam * mid))
                 else:
-                    alpha, beta = table.piece(mid)
-                    integral = complex(2.0 * half * alpha * s0, 2.0 * half * half * beta * s1)
-                    start = alpha - beta * half
-                integral *= complex(math.cos(lam * mid), math.sin(lam * mid))
+                    integral = primitives[lam, table][i + 1] - primitives[lam, table][i]
                 if part:
                     integral *= sign
                 if part and turn:  # the sign turns at lo, which moves with θ
+                    start = 1.0 if table is None else table(lo)
                     edge = turn * start * complex(math.cos(lam * lo), math.sin(lam * lo))
                     slope_lin += k_lin * edge
                     slope_const += k_const * edge
@@ -322,19 +353,19 @@ def _certificate(sys: BifurcationSystem, theta: float, r1: float, r2: float) -> 
                            index=(slope > 0.0) - (slope < 0.0), simple=simple)
 
 
-def check_search(r1: float, r2: float, grid: int, p: int, knots: int = 0) -> None:
+def check_search(r1: float, r2: float, grid: int, p: int) -> None:
     """DomainError unless 0 < r1 < r2, ``grid`` is at least 8 and the scan's
-    4·grid rays, each of 2p + 1 sign panels split further at the window's
-    ``knots`` table knots, are at most ``MAX_SCAN_PANELS`` panels."""
+    4·grid rays, each of at most 2p + 1 sign panels, are at most
+    ``MAX_SCAN_PANELS`` panels.  A table adds no panel: its terms are
+    differences of primitives built once per system."""
     if not (0.0 < r1 < r2):
         raise DomainError(f"need 0 < r1 < r2, got r1={r1!r}, r2={r2!r}")
     if grid < 8:
         raise DomainError(f"grid must be at least 8, got {grid!r}")
-    panels = ANGLES_PER_GRID * grid * (2 * p + 1 + knots)
+    panels = ANGLES_PER_GRID * grid * (2 * p + 1)
     if panels > MAX_SCAN_PANELS:
-        keys = (f"grid = {grid}, [model] p = {p} and {knots} table knots" if knots
-                else f"grid = {grid} and [model] p = {p}")
-        raise DomainError(f"{keys} ask for a scan of {panels} panels, more than {MAX_SCAN_PANELS}")
+        raise DomainError(f"grid = {grid} and [model] p = {p} ask for a scan of {panels} panels, "
+                          f"more than {MAX_SCAN_PANELS}")
 
 
 def annulus_search(sys: BifurcationSystem, r1: float, r2: float, grid: int) -> list:
@@ -346,10 +377,10 @@ def annulus_search(sys: BifurcationSystem, r1: float, r2: float, grid: int) -> l
     sign change is refined by Brent's method.  A zero is simple when ‖G‖ on
     its ray is at most ``SIMPLICITY_RTOL``·‖C‖ and |det J| is above
     ``SIMPLICITY_RTOL``·‖L‖²: both sides scale as G², and neither reads r1
-    or r2.  Bounds that `check_search` refuses, the window's table knots
-    counted, raise its DomainError before any ray is taken.
+    or r2.  Bounds that `check_search` refuses raise its DomainError
+    before any ray is taken.
     """
-    check_search(r1, r2, grid, sys.spec.p, len(sys.table_knots))
+    check_search(r1, r2, grid, sys.spec.p)
     n = ANGLES_PER_GRID * grid
     thetas = [2.0 * math.pi * i / n for i in range(n + 1)]
     h = [_det(lin, const) for lin, const, _, _ in _ray_pairs(sys, thetas[:-1])]

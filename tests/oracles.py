@@ -179,15 +179,16 @@ def gauss_quadrature(f, edges) -> np.ndarray:
 
 def gauss_ray_pair(system, theta):
     """(L, C) on the ray θ by :func:`gauss_quadrature` on the package's
-    panels: L is the averaged pair of the spec without K along the unit
-    orbit, C that of the spec without F."""
+    sign panels, split again at the spec's table knots, where the
+    integrand has a kink: L is the averaged pair of the spec without K
+    along the unit orbit, C that of the spec without F."""
     from pendavg.averaging import BifurcationSystem, _panel_edges
 
     spec = system.spec
     window = spec.p * system.spectral.period(system.family)
     zero = PeriodicScalar.constant(0.0, window)
     unit = np.array([math.cos(theta), math.sin(theta)])
-    edges = _panel_edges(system, unit)
+    edges = sorted({*_panel_edges(system, unit), *spec.table_knots(0.0, window)})
     pair = []
     for part in (PerturbationSpec(K=(zero,) * 4, F=spec.F, family=spec.family, p=spec.p),
                  PerturbationSpec(K=spec.K, F=((zero,) * 4,) * 4, family=spec.family, p=spec.p)):

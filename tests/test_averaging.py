@@ -79,6 +79,15 @@ def sgn_system(family, conv, p, reduced, s):
                              reduced, s, conv)
 
 
+def table_spec(s, knots=256, p=1):
+    """The README escapement with K₁ = 0.5·cos(ω₁τ) as a table of ``knots``
+    knots over T₁, the spec of `table_ini` in ``tests/test_cli.py``."""
+    esc = builtin("damped_forced_escapement", {"gamma": GAMMA, "kappa": KAPPA}, s, family=1, p=p)
+    taus = np.arange(knots) * (s.period1 / knots)
+    table = PeriodicScalar.from_table(taus, GAMMA * np.cos(s.omega1 * taus))
+    return PerturbationSpec(K=(table, *esc.K[1:]), F=esc.F, p=p)
+
+
 @given(
     u0=st.floats(-2, 2),
     v0=st.floats(-2, 2),
@@ -226,13 +235,12 @@ def test_quadrature_against_trapezoid_oracle(bench):
 
 
 def test_table_forcing_against_trapezoid_oracle(bench):
-    # linear interpolation kinks at every knot, so the panels split there
-    # too; K₁ is the escapement's forcing tabulated at the fewest samples
+    # linear interpolation kinks at every knot, which the table's primitive
+    # integrates knot interval by knot interval; K₁ is the escapement's
+    # forcing tabulated at the fewest samples
     reduced, s = bench
     esc = builtin("damped_forced_escapement", {"gamma": GAMMA, "kappa": KAPPA}, s)
-    taus = np.arange(256) * (s.period1 / 256)
-    table = PeriodicScalar.from_table(taus, GAMMA * np.cos(s.omega1 * taus))
-    spec = PerturbationSpec(K=(table, *esc.K[1:]), F=esc.F)
+    spec = table_spec(s)
     for conv, amp in (("A", (-0.075, 0.34)), ("B", (0.9, -0.4))):
         sys = BifurcationSystem(1, spec, reduced, s, conv)
         val = bifurcation_values(sys, np.array(amp))
@@ -388,14 +396,11 @@ def test_averaged_pair_is_affine_along_rays(bench):
 def test_ray_batch_equals_its_rows(bench):
     # The scan's one call over all its angles gives every ray the bits of
     # Brent's one-angle call, slopes (L′, C′) included, on rays of every
-    # panel count: θ = π/2, 3π/2 put a sgn breakpoint on τ = 0 and the table
-    # knots add panels.  (L, C) is the averaged pair's affine form:
+    # panel count: θ = π/2, 3π/2 put a sgn breakpoint on τ = 0.  (L, C) is
+    # the averaged pair's affine form:
     # G(r·e_θ) = r·L + C at r = 1 and 2.
     reduced, s = bench
-    esc = builtin("damped_forced_escapement", {"gamma": GAMMA, "kappa": KAPPA}, s)
-    taus = np.arange(256) * (s.period1 / 256)
-    table = PeriodicScalar.from_table(taus, GAMMA * np.cos(s.omega1 * taus))
-    specs = [(PerturbationSpec(K=(table, *esc.K[1:]), F=esc.F), 1)]
+    specs = [(table_spec(s), 1)]
     specs += [(builtin(name, params, s, family=family, p=1), family)
               for name, params in BUILTINS for family in (1, 2)]
     n = 4 * 9
@@ -427,15 +432,21 @@ def reference_systems(reduced, s):
         family, p = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         conv = "A" if rng.uniform() < 0.5 else "B"
         others.append(BifurcationSystem(family, random_spec(rng, s, family, p), reduced, s, conv))
-    esc = builtin("damped_forced_escapement", {"gamma": GAMMA, "kappa": KAPPA}, s)
-    taus = np.arange(256) * (s.period1 / 256)
-    table = PeriodicScalar.from_table(taus, GAMMA * np.cos(s.omega1 * taus))
-    others += [BifurcationSystem(1, PerturbationSpec(K=(table, *esc.K[1:]), F=esc.F), reduced, s, conv)
-               for conv in ("A", "B")]
+    others += [BifurcationSystem(1, table_spec(s), reduced, s, conv) for conv in ("A", "B")]
     return builtins, others
 
 
 REFERENCE_THETAS = (2.0 * math.pi * np.arange(24) / 24).tolist()
+
+
+def richardson_slopes(sys, theta):
+    """(L′, C′) on the ray θ by the Richardson extrapolation of central
+    differences of (L, C) at steps 1e-4 and 5e-5."""
+    def central(step):
+        pairs = [np.concatenate(ray[:2]) for ray in averaging_module._ray_pairs(sys, [theta + step, theta - step])]
+        return (pairs[0] - pairs[1]) / (2.0 * step)
+
+    return (4.0 * central(5e-5) - central(1e-4)) / 3.0
 
 
 def test_closed_form_ray_pairs_match_gauss_reference(bench):
@@ -476,25 +487,73 @@ def test_ray_slopes_match_a_richardson_difference(bench):
     # G nearly vanishes can have slopes 500 times its values; rays where
     # G ≡ 0 up to rounding are skipped.
     builtins, others = reference_systems(*bench)
-
-    def pair(sys, theta):
-        return np.concatenate(averaging_module._ray_pairs(sys, [theta])[0][:2])
-
-    def central(sys, theta, step):
-        return (pair(sys, theta + step) - pair(sys, theta - step)) / (2.0 * step)
-
     rays = 0
     for sys in builtins + others:
         for theta, ray in zip(REFERENCE_THETAS, averaging_module._ray_pairs(sys, REFERENCE_THETAS)):
             lin, const, slope_lin, slope_const = (np.array(part) for part in ray)
             if max(np.linalg.norm(lin), np.linalg.norm(const)) < 1e-8:
                 continue
-            ref = (4.0 * central(sys, theta, 5e-5) - central(sys, theta, 1e-4)) / 3.0
             scale = max(np.linalg.norm(part) for part in (lin, const, slope_lin, slope_const))
-            gap = np.linalg.norm(np.concatenate((slope_lin, slope_const)) - ref)
+            gap = np.linalg.norm(np.concatenate((slope_lin, slope_const)) - richardson_slopes(sys, theta))
             assert gap <= 1e-9 * scale, (sys.spec, sys.sgn_convention, theta, gap / scale)
             rays += 1
     assert rays > 1000
+
+
+def test_a_breakpoint_on_a_knot_matches_the_references(bench):
+    # θ puts a sgn breakpoint of the ray on knot j of the 256-knot table, or
+    # within 1 ulp of it, under A and B: the table's primitive is read at
+    # the knot itself.  (L, C) against composite Gauss split at the knots
+    # and (L′, C′) against the Richardson difference, at the bounds of the
+    # two reference tests.
+    reduced, s = bench
+    spec = table_spec(s)
+    knots = spec.K[0].knots[0]
+    for conv in ("A", "B"):
+        sys = BifurcationSystem(1, spec, reduced, s, conv)
+        for j in (37, 100, 201):
+            turn = j * 2.0 * math.pi / 256
+            theta = turn - 0.5 * math.pi if conv == "A" else math.pi - turn
+            edges = averaging_module._panel_edges(sys, (math.cos(theta), math.sin(theta)))
+            assert min(abs(edge - knots[j]) for edge in edges) <= math.ulp(knots[j]), (conv, j)
+            ((lin, const, slope_lin, slope_const),) = averaging_module._ray_pairs(sys, [theta])
+            ref = np.concatenate(gauss_ray_pair(sys, theta))
+            gap = np.linalg.norm(np.concatenate((lin, const)) - ref)
+            assert gap <= 1e-13 * max(1.0, np.linalg.norm(ref)), (conv, j, gap)
+            scale = max(np.linalg.norm(part) for part in (lin, const, slope_lin, slope_const))
+            gap = np.linalg.norm(np.concatenate((slope_lin, slope_const)) - richardson_slopes(sys, theta))
+            assert gap <= 1e-9 * scale, (conv, j, gap / scale)
+
+
+def test_a_ray_reads_its_tables_a_fixed_number_of_times(bench, monkeypatch):
+    # A ray integrates its 2p + 1 sign panels, each table term as a
+    # difference of a primitive built once per system: its table reads do
+    # not grow with the knot count, and a table mode costs at most three
+    # per sign panel (a partial knot interval at each end and P at a
+    # breakpoint).  K₁ and the signed K₂ are tables here.
+    reduced, s = bench
+    calls = []
+    piece = PeriodicScalar.piece
+    monkeypatch.setattr(PeriodicScalar, "piece", lambda self, tau: calls.append(tau) or piece(self, tau))
+
+    def reads(sys, theta):
+        calls.clear()
+        averaging_module._ray_pairs(sys, [theta])
+        return len(calls)
+
+    for p in (1, 2):
+        for conv in ("A", "B"):
+            counts = []
+            for knots in (256, 4096):
+                spec = table_spec(s, knots, p)
+                spec = PerturbationSpec(K=(spec.K[0], spec.K[0], *spec.K[2:]), F=spec.F, p=p)
+                sys = BifurcationSystem(1, spec, reduced, s, conv)
+                averaging_module._ray_pairs(sys, [0.0])
+                modes = sum(table is not None for _, _, table, _, _, _ in sys.modes)
+                counts.append([reads(sys, theta) for theta in (0.3, 0.3, 2.0)])
+                assert counts[-1][0] == counts[-1][1], (p, conv, knots)
+                assert 0 < max(counts[-1]) <= 3 * (2 * p + 1) * modes, (p, conv, knots, modes)
+            assert counts[0] == counts[1], (p, conv)
 
 
 def test_damped_forced_det_is_exact(bench):
@@ -606,15 +665,10 @@ def test_annulus_search_validates_arguments(bench):
 
 
 def test_check_search_bounds_the_scan_work():
-    # 4·grid rays of 2p + 1 panels each, plus one per table knot; no scan is started here
+    # 4·grid rays of 2p + 1 panels each, tables or not; no scan is started here
     assert MAX_SCAN_PANELS == 1_000_000
     assert check_search(0.05, 2.0, 83333, 1) is None  # 999996 panels
     assert check_search(0.05, 2.0, 8, 15624) is None  # 999968 panels
-    assert check_search(0.05, 2.0, 968, 1, 255) is None  # 998976 panels
-    with pytest.raises(DomainError) as info:
-        check_search(0.05, 2.0, 969, 1, 255)
-    assert str(info.value) == ("grid = 969, [model] p = 1 and 255 table knots ask for a scan of 1000008 panels, "
-                               "more than 1000000")
     for grid, p, panels in [(83334, 1, 1000008), (8, 15625, 1000032), (10**8, 1, 1200000000),
                             (8, 10**9, 64000000032)]:
         with pytest.raises(DomainError) as info:

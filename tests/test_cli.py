@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from pendavg import averaging, cli
+from pendavg import cli
 from pendavg.errors import IntegrationStallError, PendavgError
 from pendavg.filippov import MAX_STEPS
 from pendavg.averaging import BifurcationSystem, ZeroCertificate
@@ -695,25 +695,23 @@ def test_a_scan_past_its_bound_exits_1_naming_both_keys(tmp_path, monkeypatch, c
 
 
 @pytest.mark.parametrize("command", ["zeros", "verify"])
-def test_a_scan_past_its_bound_counts_table_knots(tmp_path, monkeypatch, capsys, command):
-    # K1's table puts 255 knots inside the window, so each of the 4000 rays
-    # of grid 1000 has up to 3 + 255 panels; a ray integrated anyway fails
-    # the test instead of running a hundred times longer than the bound allows
-    def no_rays(*args):
-        raise AssertionError("no ray may be integrated")
-
-    monkeypatch.setattr(averaging, "_ray_pairs", no_rays)
+def test_a_table_scan_costs_its_sign_panels_not_its_knots(tmp_path, command):
+    # K1's table puts 255 knots inside the window, and grid 1000 takes 4000
+    # rays of 3 sign panels each, within the bound: the run finds grid 8's
+    # one simple zero
     ini = table_ini(tmp_path)
     parser = configparser.ConfigParser(interpolation=None)
     parser.read(ini, encoding="utf-8")
     parser["search"]["grid"] = "1000"
-    with open(ini, "w", encoding="utf-8") as fh:
+    with open(tmp_path / "grid1000.ini", "w", encoding="utf-8") as fh:
         parser.write(fh)
-    out = tmp_path / "out"
-    assert cli.main([command, "--config", str(ini), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == ("error: [search] grid = 1000, [model] p = 1 and 255 table knots ask for "
-                                       "a scan of 1032000 panels, more than 1000000\n")
-    assert not out.exists()
+    zeros = []
+    for config, out in ((ini, tmp_path / "grid8"), (tmp_path / "grid1000.ini", tmp_path / "grid1000")):
+        assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
+        zeros.append(json.loads((out / f"{command}.json").read_text())["zeros"])
+    coarse, fine = zeros
+    assert len(fine) == 1 and fine[0]["simple"] and fine[0]["index"] == -1
+    assert np.linalg.norm(np.subtract(fine[0]["point"], coarse[0]["point"])) <= 1e-12
 
 
 # -- simulate ----------------------------------------------------------------
@@ -1392,6 +1390,28 @@ def test_pair_bench_refuses_fewer_than_two_pairs(tmp_path):
     assert proc.stderr.startswith("usage: pair_bench.py")
     assert "--pairs must be at least 2" in proc.stderr
     assert "Traceback" not in proc.stderr + proc.stdout
+    assert not marker.exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (("--config", "{ini}"), "--config and --command go together"),
+    (("--command", "zeros"), "--config and --command go together"),
+    (("--config", "{missing}", "--command", "zeros"), "no experiment file"),
+])
+def test_pair_bench_refuses_a_config_loop_it_cannot_run(tmp_path, extra, message):
+    # the same marking tree: each refusal comes before any run
+    marker = tmp_path / "spawned"
+    package = tmp_path / "src" / "pendavg"
+    package.mkdir(parents=True)
+    (package / "cli.py").write_text("", encoding="utf-8")
+    (package / "__main__.py").write_text(f"open({str(marker)!r}, 'w').close()\n", encoding="utf-8")
+    (tmp_path / "exp.ini").write_text("", encoding="utf-8")
+    extra = [arg.format(ini=tmp_path / "exp.ini", missing=tmp_path / "missing.ini") for arg in extra]
+    src = str(tmp_path / "src")
+    proc = run_child(str(REPO / "scripts" / "pair_bench.py"), src, src, *extra)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: pair_bench.py")
+    assert message in proc.stderr
     assert not marker.exists()
 
 
