@@ -52,9 +52,10 @@ nulls, key sets, list lengths and row counts.  Last, it compares the two
 sides' last ``stdout.log``, each the CLI's stdout and stderr joined, and
 prints "output identical" or the first line that differs.
 
-With ``--config PATH --command zeros|verify`` it runs one more pair loop,
-after the workloads, on that experiment file (a table config, say, which
-no workload has): each side runs ``python -m pendavg CMD --config PATH
+With ``--config PATH --command zeros|verify|simulate`` it runs one more
+pair loop, after the workloads, on that experiment file (a table config,
+or a ``simulate`` config with ``[integrate] delta``, say, which no
+workload has): each side runs ``python -m pendavg CMD --config PATH
 --out out`` in its own directory, both sides must end with the parent's
 first exit code, and the same wall, RSS, artifact and output lines are
 printed.  The set-up probe reads only the workloads, so this loop has
@@ -317,7 +318,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", choices=sorted(WORKLOADS))
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--config", type=Path, help="an experiment file for one more pair loop")
-    parser.add_argument("--command", choices=("zeros", "verify"), help="the subcommand run on --config")
+    parser.add_argument("--command", choices=("zeros", "verify", "simulate"), help="the subcommand run on --config")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error(f"--pairs must be at least 2, got {args.pairs}: the quartiles need two runs a side")

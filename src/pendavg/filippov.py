@@ -11,20 +11,21 @@ the forcing, where linear interpolation has a kink; a knot ends the
 segment and nothing else.  A level that starts on its surface is tested
 as it leaves it (see ``_Integrator._departures``).
 
-With the region signs frozen the field is affine, f = M_σ(τ)·s + c_σ(τ),
-built once per segment by ``d1_field(...).frozen(σ)`` in one pass over
-the forcing's table, as a periodic 4×5 array F_σ = [M_σ | c_σ].  Where every
-τ-dependent term of F_σ is a cosine or a sine in column 4, as on every
-builtin, the segment follows its exact flow (:mod:`pendavg.expflow`) in
-steps of ``max_step``, the cap every run gives.  Every other field runs
-on DOP853 under that cap, the adaptive 8(5,3) Dormand–Prince pair
-(Hairer, Nørsett & Wanner, *Solving Ordinary Differential Equations I*,
-§II.10), in the in-package port :mod:`pendavg.dop853` of SciPy's
-``solve_ivp(method="DOP853")``.  Every DOP853 run the package starts,
-the regularized run included, takes one accuracy, ``RTOL`` = 1e-12 and
-``ATOL`` = 1e-14, and no caller passes another, so a trajectory is the
-same whichever command asked for it.  Either solver stops at the first
-root of the level x (state index 0) or z (index 2).
+With the region signs frozen the field is affine, f = M_σ(τ)·s + c_σ(τ):
+a periodic 4×5 array F_σ = [M_σ | c_σ], the one thing the event loop
+reads of a field.  Segments integrate it and contacts read its rows.
+Where every τ-dependent term of F_σ is a cosine or a sine in column 4,
+as on every builtin, the segment follows its exact flow
+(:mod:`pendavg.expflow`) in steps of ``max_step``, the cap every run
+gives.  Every other form runs on DOP853 under that cap, the adaptive
+8(5,3) Dormand–Prince pair (Hairer, Nørsett & Wanner, *Solving Ordinary
+Differential Equations I*, §II.10), in the in-package port
+:mod:`pendavg.dop853` of SciPy's ``solve_ivp(method="DOP853")``.  Every
+DOP853 run the package starts, the regularized run included, takes one
+accuracy, ``RTOL`` = 1e-12 and ``ATOL`` = 1e-14, and no caller passes
+another, so a trajectory is the same whichever command asked for it.
+Either solver stops at the first root of the level x (state index 0) or
+z (index 2).
 
 The event loop, the monodromy and every trajectory work on Python
 floats: states are tuples or lists, matrices tuples of rows.  Only
@@ -32,15 +33,15 @@ DOP853 computes on numpy arrays; it is imported, and numpy with it, when
 the first segment needs it, and its times and states become lists where
 :func:`_dop853` returns them.
 
-Every field is second order, as the pendulum is: components 0 and 2
-are the velocities y and w, and the acceleration, component 2k + 1,
-depends on the sign σ_k of surface k + 1 alone.  So the rate of level k,
-x′ = y on x = 0 or z′ = w on z = 0, is read from the state and is one
-number on both sides: every contact is a crossing or a tangency, the
-crossing region of Filippov's classification.  A nonzero rate is a
-crossing and switches the region sign to the side it points to; a
-vanishing one is a tangency, resolved by the level's curvature, the
-acceleration of the in-surface field (σ_k = 0).
+Every field is second order, as the pendulum is, and the run checks it:
+rows 0 and 2 of F_σ give the velocities y and w, and the acceleration,
+row 2k + 1, depends on the sign σ_k of surface k + 1 alone.  So the rate
+of level k, x′ = y on x = 0 or z′ = w on z = 0, is read from the state
+and is one number on both sides: every contact is a crossing or a
+tangency, the crossing region of Filippov's classification.  A nonzero
+rate is a crossing and switches the region sign to the side it points
+to; a vanishing one is a tangency, resolved by the level's curvature,
+the acceleration of the in-surface field (σ_k = 0).
 
 On request the run also carries the monodromy Φ = ∂s(t)/∂s(t₀), the
 derivative of the flow map that shooting needs, by Φ′ = M_σ·Φ: the exact
@@ -64,6 +65,7 @@ run's trajectory and event CSVs.
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import expflow
@@ -167,38 +169,27 @@ class PeriodicArray(NamedTuple):
         return out
 
 
-FieldWithSigns = Callable[[float, Sequence[float], Tuple[float, float]], Sequence[float]]
+Field = Callable[[Tuple[float, float]], PeriodicArray]
 
 
-def d1_field(spec: PerturbationSpec, reduced: ReducedParams, eps: float) -> FieldWithSigns:
-    """Right-hand side of the reduced system with explicit region signs.
+def d1_field(spec: PerturbationSpec, reduced: ReducedParams, eps: float) -> Field:
+    """The reduced system
 
-    x' = y,   y' = -a x + z + ε f_y(τ, state; sgn)
-    z' = w,   w' = b x - b z + ε f_w(τ, state; sgn)
+    x' = y,   y' = -a x + z + ε f_y(τ, state; σ)
+    z' = w,   w' = b x - b z + ε f_w(τ, state; σ)
 
-    Calling it evaluates the forcing for any signs (contacts, the
-    regularized run).  ``field.frozen(signs)``, on which segments and the
-    monodromy run, is its affine form for frozen signs σ, one periodic 4×5
-    array F_σ = [M_σ | c_σ] over (x, y, z, w, 1) built in one pass over the
-    spec's table P: rows 0 and 2 are A's with c = 0, and rows 1 and 3 are
+    as the field :func:`integrate_field` takes: σ ↦ F_σ = [M_σ | c_σ], one
+    periodic 4×5 array over (x, y, z, w, 1) built in one pass over the
+    spec's table P.  Rows 0 and 2 are A's with c = 0, and rows 1 and 3 are
     A + ε·(P[i, 0] + σ_i·P[i, 1]), each constant summed in table order
     from 0.0 and each τ-term with the factor ε·(value·σ_i) on a signed
-    row, skipped where σ_i = 0.
-    ``field.knots(t0, t1)`` gives the knots of the forcing's tables
-    between t0 and t1, at which segments end.
+    row, skipped where σ_i = 0.  Each σ's array is built once and kept.
     """
-    a = reduced.a
-    b = reduced.b
+    a, b = reduced.a, reduced.b
     base = ((0.0, 1.0, 0.0, 0.0, 0.0), (-a, 0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0, 0.0), (b, 0.0, -b, 0.0, 0.0))
 
-    def field(t: float, state: Sequence[float], signs: Tuple[float, float]) -> Tuple[float, ...]:
-        x, y, z, w = state
-        f_y, f_w = eval_order1_with_signs(spec, t, state, signs[0], signs[1])
-        dy = -a * x + z + eps * f_y
-        dw = b * x - b * z + eps * f_w
-        return (y, dy, w, dw)
-
-    def frozen(signs: Tuple[float, float]) -> PeriodicArray:
+    @cache
+    def field(signs: Tuple[float, float]) -> PeriodicArray:
         sums = ([0.0] * 5, [0.0] * 5)
         terms = []
         for (i, part, j), value, scalar in spec.table:
@@ -211,8 +202,6 @@ def d1_field(spec: PerturbationSpec, reduced: ReducedParams, eps: float) -> Fiel
                     base[2], tuple(x + eps * c for x, c in zip(base[3], sums[1])))
         return PeriodicArray(constant, tuple(terms))
 
-    field.frozen = frozen
-    field.knots = spec.table_knots
     return field
 
 
@@ -243,10 +232,11 @@ class _Integrator:
 
     def __init__(
         self,
-        field: FieldWithSigns,
+        field: Field,
         s0,
         t_span: Tuple[float, float],
         *,
+        knots: Sequence[float],
         max_events: int,
         max_step: float,
         monodromy: bool = False,
@@ -269,8 +259,7 @@ class _Integrator:
         self.events: List[EventRecord] = []
         self.signs = [_sign(self.state[0]), _sign(self.state[2])]
         # Table knots inside the span still ahead of the run, the next last.
-        knots = getattr(field, "knots", None)
-        self.knots = sorted(knots(self.t0, self.t1) if knots else (), reverse=self.direction > 0)
+        self.knots = sorted(knots, reverse=self.direction > 0)
         # The monodromy so far; None when not requested or dropped.
         self.phi = _eye(4) if monodromy else None
         self.monodromy_reason: Optional[str] = None
@@ -338,7 +327,8 @@ class _Integrator:
         the band ``LIE_TOL`` the contact is a crossing: the region sign
         switches to the side the rate points to, and the monodromy crosses
         with it.  Inside it the contact is a tangency, resolved by the
-        curvature of the level, and the monodromy is dropped.
+        curvature of the level, and the monodromy is dropped.  Both read
+        the rows of F_σ, the segments' own, at the contact.
         """
         corner = len(ks) > 1
         for k in ks:
@@ -357,25 +347,29 @@ class _Integrator:
         if self.phi is not None:
             self._cross_monodromy(ks)
 
+    def _rates(self, signs: Sequence[float]) -> List[float]:
+        """The field F_σ of the signs ``signs`` at the run's time and state."""
+        return _affine_rhs(self.field(tuple(signs)))(self.t, self.state)
+
     def _cross_monodromy(self, ks: Sequence[int]):
         """Carry the monodromy through the crossings of the surfaces ``ks``.
 
-        Crossing surface k + 1 from field f⁻ to field f⁺ changes only the
-        acceleration 2k + 1, so its saltation matrix is I plus the entry
-        jump = (f⁺[2k + 1] − f⁻[2k + 1]) / f⁻[2k] at row 2k + 1, column 2k:
-        it adds jump times row 2k of Φ to row 2k + 1.  The crossings start
-        from the region signs before the contact and end on the new ones;
-        at a corner each touches its own row, so their order does not
-        matter.
+        Crossing surface k + 1 from f⁻ to f⁺, the rows of F_σ before and
+        after it, changes only the acceleration 2k + 1, so its saltation
+        matrix is I plus the entry jump = (f⁺[2k + 1] − f⁻[2k + 1]) / f⁻[2k]
+        at row 2k + 1, column 2k: it adds jump times row 2k of Φ to row
+        2k + 1.  The crossings start from the region signs before the
+        contact and end on the new ones; at a corner each touches its own
+        row, so their order does not matter.
         """
         signs = list(self.signs)
         for k in ks:
             signs[k] = -signs[k]
-        f_in = self.field(self.t, self.state, tuple(signs))
+        f_in = self._rates(signs)
         phi = list(self.phi)
         for k in ks:
             signs[k] = self.signs[k]
-            f_out = self.field(self.t, self.state, tuple(signs))
+            f_out = self._rates(signs)
             jump = (f_out[2 * k + 1] - f_in[2 * k + 1]) / f_in[2 * k]
             phi[2 * k + 1] = tuple(jump * q + p for p, q in zip(phi[2 * k + 1], phi[2 * k]))
             f_in = f_out
@@ -394,8 +388,8 @@ class _Integrator:
         """
         signs0 = list(self.signs)
         signs0[k] = 0.0
-        f0 = self.field(self.t, self.state, tuple(signs0))
-        curvature = float(f0[2 * k + 1])
+        f0 = self._rates(signs0)
+        curvature = f0[2 * k + 1]
         if abs(curvature) <= LIE_TOL:
             if math.hypot(*f0) <= EQUILIBRIUM_FIELD_TOL:
                 self.signs[k] = 0.0
@@ -441,11 +435,10 @@ class _Integrator:
     def _advance(self):
         """Integrate one segment up to its first terminal event.
 
-        The field runs from the last contact with frozen region signs, on
-        its affine form when it has one, and stops where either level
-        crosses zero, or at the next table knot, where the segment ends
-        with no event.  A carried monodromy rides along as components 4
-        to 19, left out of the error test.  A solver that fails stalls the
+        F_σ of the frozen region signs runs from the last contact and
+        stops where either level crosses zero, or at the next table knot,
+        where the segment ends with no event.  A carried monodromy rides
+        along as components 4 to 19, left out of the error test.  A solver that fails stalls the
         run; the steps it accepted past the start, if any, stay as the
         run's last segment.
         """
@@ -454,17 +447,9 @@ class _Integrator:
         u = list(self.state)
         if phi is not None:
             u += [x for column in zip(*phi) for x in column]
-        frozen = getattr(self.field, "frozen", None)
-        big = None
-        if frozen is not None:
-            form = frozen(signs)
-            rhs = _affine_rhs(form)
-            big = expflow.generator(form)
-        elif phi is not None:
-            raise DomainError("a monodromy needs the field's affine form field.frozen(signs)")
-        else:
-            def rhs(t, u):
-                return self.field(t, u, signs)
+        form = self.field(signs)
+        rhs = _affine_rhs(form)
+        big = expflow.generator(form)
         departures = self._departures(rhs)
         self.orders = [None, None]
         knots = self.knots
@@ -527,49 +512,62 @@ def _dop853(rhs, t_span: Tuple[float, float], u0, **options) -> Solution:
 
 
 def integrate_field(
-    field: FieldWithSigns,
+    field: Field,
     s0,
     t_span: Tuple[float, float],
     *,
+    knots: Sequence[float] = (),
     max_events: int = DEFAULT_MAX_EVENTS,
     max_step: float,
     monodromy: bool = False,
 ) -> Trajectory:
-    """Integrate a field with explicit region signs through the surfaces.
+    """Integrate a piecewise-affine field through the surfaces.
 
-    ``field(t, state, (sgn_x, sgn_z))`` must be smooth for frozen signs
-    and second order, as every field the package builds is: components 0
-    and 2 are the velocities y and w, state indices 1 and 3, and
-    component 2k + 1, an acceleration, depends on σ_k alone.  So the rate
-    of surface k + 1 is the velocity, whatever its own sign, and a
-    crossing changes one acceleration.  A field that is not second order
-    is not detected; the contacts read it as if it were.  Where a flow
-    cannot leave the surface after a tangency the run stops with
-    IntegrationStallError or, at a persistent tangency,
-    CrossingViolationError.  Either error, and every stall after the
-    first step, carries the steps taken in its ``trajectory``.  Events
-    on ``x = 0`` and ``z = 0`` are located to a time tolerance below
-    1e-12, and each is a crossing or a tangency by its rate (see
-    ``_Integrator._resolve_contacts``); the trajectory's ``offenders``
-    and ``margin`` judge the log.  Initial states on a surface are
-    resolved before the first segment.  A field with an
-    affine form ``field.frozen(signs)``, the :class:`PeriodicArray`
-    [M_σ | c_σ] (as from :func:`d1_field`), runs each segment on it: its
-    exact flow when that qualifies (see the module docstring), else
-    DOP853 on :func:`_affine_rhs`.  Any other field runs on DOP853 as
-    ``field(t, state, signs)``.  DOP853 runs at ``RTOL`` and ``ATOL``;
-    the call takes no tolerance.  Segments end at the knots
-    ``field.knots(t0, t1)`` when the field has them.  With ``monodromy``
+    ``field(σ)`` is the field's affine form for the frozen region signs
+    σ = (sgn_x, sgn_z), the :class:`PeriodicArray` F_σ = [M_σ | c_σ] (as
+    from :func:`d1_field`).  Each segment runs on F_σ: its exact flow when
+    that qualifies (see the module docstring), else DOP853 on
+    :func:`_affine_rhs` at ``RTOL`` and ``ATOL``; the call takes no
+    tolerance.  Segments also end at ``knots``, where F_σ has a kink.  The
+    field must be second order: rows 0 and 2 of F_σ are the velocities y
+    and w with no τ-term, and row 2k + 1 depends on σ_k alone.  The run
+    checks that on σ = (1, 1), (−1, 1) and (1, −1) before its first step,
+    and DomainError names the row that fails.  Where a flow cannot leave
+    the surface after a tangency the run stops with IntegrationStallError
+    or, at a persistent tangency, CrossingViolationError.  Either error,
+    and every stall after the first step, carries the steps taken in its
+    ``trajectory``.  Events on ``x = 0`` and ``z = 0`` are located to a
+    time tolerance below 1e-12, and each is a crossing or a tangency by
+    its rate (see ``_Integrator._resolve_contacts``); the trajectory's
+    ``offenders`` and ``margin`` judge the log.  Initial states on a
+    surface are resolved before the first segment.  With ``monodromy``
     the run also carries the monodromy (see the module docstring) into
-    ``Trajectory.monodromy``; that needs ``field.frozen``, and a field
-    without it raises DomainError.  Every step is at most ``max_step``: a
-    cap that is not finite and positive raises DomainError, and a span
-    longer than ``MAX_STEPS`` steps of it raises IntegrationStallError.
+    ``Trajectory.monodromy``.  Every step is at most ``max_step``: a cap
+    that is not finite and positive raises DomainError, and a span longer
+    than ``MAX_STEPS`` steps of it raises IntegrationStallError.
     """
     if not 0.0 < max_step < math.inf:
         raise DomainError(f"max_step must be finite and positive, got {max_step!r}")
+    _check_second_order(field)
     _check_step_budget(t_span, max_step)
-    return _Integrator(field, s0, t_span, max_events=max_events, max_step=max_step, monodromy=monodromy).run()
+    return _Integrator(field, s0, t_span, knots=knots, max_events=max_events, max_step=max_step,
+                       monodromy=monodromy).run()
+
+
+def _check_second_order(field: Field) -> None:
+    """DomainError naming the first row of F_σ that breaks the contract of
+    :func:`integrate_field`, judged on σ = (1, 1), (−1, 1) and (1, −1)."""
+    forms = {signs: field(signs) for signs in ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0))}
+
+    def row(signs, i: int):
+        return tuple(forms[signs].constant[i]), tuple(term for term in forms[signs].terms if term[0][0] == i)
+
+    for i, unit in ((0, (0.0, 1.0, 0.0, 0.0, 0.0)), (2, (0.0, 0.0, 0.0, 1.0, 0.0))):
+        if any(row(signs, i) != (unit, ()) for signs in forms):
+            raise DomainError(f"the field is not second order: row {i} of F_σ must be {unit} with no τ-term")
+    for i, other, name in ((1, (1.0, -1.0), "σ_z"), (3, (-1.0, 1.0), "σ_x")):
+        if row((1.0, 1.0), i) != row(other, i):
+            raise DomainError(f"the field is not second order: row {i} of F_σ changes with {name}")
 
 
 def _check_step_budget(t_span: Tuple[float, float], max_step: float) -> None:
@@ -604,14 +602,8 @@ def integrate(
     flow run on DOP853 at ``RTOL`` and ``ATOL``.  With ``monodromy`` the
     run carries the monodromy of the flow map.
     """
-    return integrate_field(
-        d1_field(spec, reduced, eps),
-        s0,
-        t_span,
-        max_events=max_events,
-        max_step=step_cap(spectral),
-        monodromy=monodromy,
-    )
+    return integrate_field(d1_field(spec, reduced, eps), s0, t_span, knots=spec.table_knots(*t_span),
+                           max_events=max_events, max_step=step_cap(spectral), monodromy=monodromy)
 
 
 def integrate_regularized(
@@ -626,11 +618,13 @@ def integrate_regularized(
     """Single smooth DOP853 integration, at ``RTOL`` and ``ATOL``, with sgn
     replaced by its C¹ spline.
 
-    No events are generated; the result carries one segment covering the
-    whole span.  The run stops once two field evaluations at distinct
-    times lie closer than 10 ulps of the span: SciPy's minimum step taken
-    at the span instead of at τ, which near τ = 0 would let a stiff run
-    crawl through its whole step budget.  A stiff run's error norm may
+    Its signs are never frozen, so each call sums the forcing with
+    :func:`~pendavg.perturbation.eval_order1_with_signs`.  No events are
+    generated; the result carries one segment covering the whole span.
+    The run stops once two field evaluations at distinct times lie closer
+    than 10 ulps of the span: SciPy's minimum step taken at the span
+    instead of at τ, which near τ = 0 would let a stiff run crawl through
+    its whole step budget.  A stiff run's error norm may
     overflow; the step it rejects reports that.  That floor and every
     DOP853 failure raise one IntegrationStallError, "regularized
     integration stalled: " and the reason, with the steps accepted so
@@ -638,7 +632,7 @@ def integrate_regularized(
     """
     if delta <= 0.0:
         raise DomainError(f"regularization width must be positive, got {delta}")
-    field = d1_field(spec, reduced, eps)
+    a, b = reduced.a, reduced.b
     t0, t1 = float(t_span[0]), float(t_span[1])
     floor = 10.0 * math.ulp(abs(t1 - t0))
     last = [t0]
@@ -647,7 +641,9 @@ def integrate_regularized(
         if 0.0 < abs(t - last[0]) < floor:
             raise IntegrationStallError(f"its steps fell below {floor:.3g} near tau = {t:.6g}")
         last[0] = t
-        return field(t, state, (smooth_sign(state[0], delta), smooth_sign(state[2], delta)))
+        x, y, z, w = state
+        f_y, f_w = eval_order1_with_signs(spec, t, state, smooth_sign(x, delta), smooth_sign(z, delta))
+        return (y, -a * x + z + eps * f_y, w, b * x - b * z + eps * f_w)
 
     max_step = step_cap(spectral)
     _check_step_budget(t_span, max_step)

@@ -23,10 +23,10 @@ entries by one function.
 
 The forcing is affine in the state and in the signs, so each spec states
 it once, as one table P (:attr:`PerturbationSpec.table`), and every
-reader reads P: :func:`eval_order1_with_signs` for any signs, the
-averaged pair's closed form (:mod:`pendavg.averaging`) and the
-integrator's affine form (f_y, f_w) = R(τ)·s + k(τ) for frozen signs
-(:mod:`pendavg.filippov`).
+reader reads P: the averaged pair's closed form (:mod:`pendavg.averaging`),
+the event loop's affine form F_σ for frozen signs, read by its segments
+and contacts (:func:`pendavg.filippov.d1_field`), and, for the regularized
+run alone, :func:`eval_order1_with_signs` at a point for any signs.
 """
 
 from __future__ import annotations

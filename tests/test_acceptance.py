@@ -17,6 +17,8 @@ from pendavg import cli
 from pendavg.averaging import BifurcationSystem, annulus_search, bifurcation_values
 from pendavg.errors import IntegrationStallError
 from pendavg.filippov import (
+    PeriodicArray,
+    _affine_rhs,
     d1_field,
     integrate,
     integrate_field,
@@ -28,7 +30,7 @@ from pendavg.model import (
     reduce_params,
     spectral_data,
 )
-from pendavg.perturbation import builtin
+from pendavg.perturbation import PeriodicScalar, builtin
 from pendavg.verify import (
     convention_verdict,
     epsilon_sweep,
@@ -298,16 +300,19 @@ def test_accept_7_filippov_semantics(bench):
         y, z, w = rng.uniform(-2, 2, size=3)
         tau = float(rng.uniform(0, 20))
         st = np.array([0.0, y, z if abs(z) > 0.1 else 1.0, w])
-        rates_exact &= all(d1(tau, st, (own, float(np.sign(st[2]))))[0] == y for own in (-1.0, 0.0, 1.0))
+        rates_exact &= all(_affine_rhs(d1((own, float(np.sign(st[2])))))(tau, st)[0] == y for own in (-1.0, 0.0, 1.0))
         x, y2, w2 = rng.uniform(-2, 2, size=3)
         st = np.array([x if abs(x) > 0.1 else 1.0, y2, 0.0, w2])
-        rates_exact &= all(d1(tau, st, (float(np.sign(st[0])), own))[2] == w2 for own in (-1.0, 0.0, 1.0))
+        rates_exact &= all(_affine_rhs(d1((float(np.sign(st[0])), own)))(tau, st)[2] == w2 for own in (-1.0, 0.0, 1.0))
 
     # a constructed second-order field at rest on x = 0, whose one-sided
     # accelerations -sgn(x) + 0.25 cos t both push back onto the surface,
     # cannot leave it and stops
-    def field(t, state, signs):
-        return np.array([state[1], -signs[0] + 0.25 * math.cos(t), state[3], 0.0])
+    drive = ((1, 4), 1.0, PeriodicScalar.harmonic("cos", 0.25, 1.0))
+
+    def field(signs):
+        return PeriodicArray(((0.0, 1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, -signs[0]),
+                              (0.0, 0.0, 0.0, 1.0, 0.0), (0.0,) * 5), (drive,))
 
     try:
         integrate_field(field, (0.0, 0.0, 1.0, 0.0), (0.0, 6.0), max_step=0.25)

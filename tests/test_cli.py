@@ -1397,9 +1397,12 @@ def test_pair_bench_refuses_fewer_than_two_pairs(tmp_path):
     (("--config", "{ini}"), "--config and --command go together"),
     (("--command", "zeros"), "--config and --command go together"),
     (("--config", "{missing}", "--command", "zeros"), "no experiment file"),
+    (("--command", "simulate"), "--config and --command go together"),
+    (("--config", "{ini}", "--command", "params"), "argument --command: invalid choice: 'params'"),
 ])
 def test_pair_bench_refuses_a_config_loop_it_cannot_run(tmp_path, extra, message):
-    # the same marking tree: each refusal comes before any run
+    # the same marking tree: each refusal comes before any run; `simulate`
+    # is a command the loop takes, `params` is not
     marker = tmp_path / "spawned"
     package = tmp_path / "src" / "pendavg"
     package.mkdir(parents=True)

@@ -252,7 +252,7 @@ def test_forcing_jacobian_matches_unfolded_differences():
         )
         tau = rng.uniform(-3, 10)
         signs = rng.choice([-1.0, 0.0, 1.0], size=2)
-        form = d1_field(spec, reduced, 1.0).frozen(tuple(signs))(tau)
+        form = d1_field(spec, reduced, 1.0)(tuple(signs))(tau)
         rows = (form[1][:4], form[3][:4])
         at_zero = unfolded_forcing(spec, tau, np.zeros(4), *signs)
         for j in range(4):
@@ -376,7 +376,7 @@ def test_builtins_are_their_file_entries(tmp_path):
                 assert (np.array([eval_order1_with_signs(got, *column) for column in columns]).tobytes()
                         == np.array([eval_order1_with_signs(expect, *column) for column in columns]).tobytes())
                 for frozen in ((-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)):
-                    g, e = (d1_field(spec, reduced, 1.0).frozen(frozen) for spec in (got, expect))
+                    g, e = (d1_field(spec, reduced, 1.0)(frozen) for spec in (got, expect))
                     assert all(np.asarray(g(t)).tobytes() == np.asarray(e(t)).tobytes() for t in taus)
     esc = builtin("damped_forced_escapement", params["damped_forced_escapement"], s, family=2)
     assert esc.K[0].value == 0.5 and esc.K[0].omega == s.omega2

@@ -184,24 +184,34 @@ def test_poincare_residual_internal_relations(bench, damped):
     assert res.residual_family < 1e-10
 
 
-def test_poincare_run_evaluates_the_general_forcing_at_contacts_only(escapement, monkeypatch):
-    # segments run on their frozen-sign compile [M_σ | c_σ], and a contact
-    # reads its rate from the state; only the saltation of each single
-    # crossing evaluates the forcing for general signs, once on each side
+def test_poincare_run_reads_one_form_per_segment_and_two_per_crossing(escapement, monkeypatch):
+    # every segment, contact and saltation reads the one field F_σ: the
+    # form function is called three times by the second-order check, once
+    # per segment and, to carry the monodromy, once on each side of every
+    # single crossing; the point evaluator of the forcing is never called
     _, _, orbit = escapement
-    general = filippov_module.eval_order1_with_signs
+    build = filippov_module.d1_field
     calls = []
 
     def counted(*args):
-        calls.append(args[1])
-        return general(*args)
+        field = build(*args)
 
-    monkeypatch.setattr(filippov_module, "eval_order1_with_signs", counted)
+        def form(signs):
+            calls.append(signs)
+            return field(signs)
+
+        return form
+
+    def refused(*args):
+        raise AssertionError("the event loop evaluated the forcing at a point")
+
+    monkeypatch.setattr(filippov_module, "d1_field", counted)
+    monkeypatch.setattr(filippov_module, "eval_order1_with_signs", refused)
     res = poincare_residual(orbit, 1e-2)
     assert res.flag is None and res.trajectory.monodromy is not None
     events = res.trajectory.events
     assert events and all(ev.kind == "crossing" and not ev.corner for ev in events)
-    assert len(calls) == 2 * len(events)
+    assert len(calls) == 3 + len(res.trajectory.segments) + 2 * len(events)
 
 
 def test_poincare_residual_flags_integration_failure(damped, monkeypatch):
