@@ -201,6 +201,30 @@ def main() -> int:
             best = min(best, math.hypot(g1, g2))
     print(f"convention A: min |G| over polar grid = {best!r} (bounded away from 0)")
 
+    section("damped_forced_escapement existence threshold, convention A")
+    # Along the family-f orbit of amplitude r the averaged pair balances
+    # three terms.  The damping gives 2 sqrt(D) r.  The forcing gamma cos
+    # enters the y-row only, with weight 2b.  The escapement kappa sgn
+    # enters both rows with one sign along the orbit (sgn x = -sgn z on
+    # family 2), with weight 2b + (a - b + sqrt(D)) on family 1 and
+    # 2b + (-a + b + sqrt(D)) on family 2, times sgn's first harmonic 4/pi.
+    # As in the polar reduction above (cos chi = -k/g), a zero exists
+    # exactly when the escapement's share is below the forcing's:
+    #   kappa/gamma < c = 2b / ((4/pi) * weight_kappa).
+    u = np.linspace(0.0, 2 * math.pi, 2_000_001)
+    integrand = np.sign(np.cos(u)) * np.cos(u)
+    harmonic = float(np.sum((integrand[1:] + integrand[:-1]) * 0.5 * np.diff(u))) / math.pi
+    print(f"sgn first harmonic by trapezoid = {harmonic!r}, 4/pi = {4 / math.pi!r}")
+    thresholds = {}
+    for pendulum in ((1.0, 1.0, 1.0, 1.0), (2.0, 1.0, 1.0, 0.5)):
+        _, pa, pb = reduced_constants(*pendulum)
+        psd = math.sqrt((pa - pb) ** 2 + 4 * pb)
+        for family, weight in ((1, 2 * pb + (pa - pb + psd)), (2, 2 * pb + (-pa + pb + psd))):
+            thresholds[pendulum, family] = 2 * pb / (4 / math.pi * weight)
+            print(f"(m1, m2, l1, l2) = {pendulum}, family {family}: c = {thresholds[pendulum, family]!r}"
+                  f"  (trapezoid harmonic: {2 * pb / (harmonic * weight)!r})")
+    print(f"unit pendulum: (pi/4)(2 - sqrt 2) = {math.pi / 4 * (2 - math.sqrt(2))!r}")
+
     section("tangency set in reduced coordinates")
     print("surface x = 0 is tangent exactly where y = 0; surface z = 0 exactly")
     print("where w = 0 (the x and z rows of the field are y and w; the")
@@ -238,6 +262,12 @@ def main() -> int:
         system_esc = BifurcationSystem(1, pert_esc, red, spec_data, "A")
         (zero_esc,) = annulus_search(system_esc, 0.05, 2.0, 12)
         print(f"package escapement zero = {zero_esc.point!r}")
+        for factor in (1 - 1e-3, 1 + 1e-3):
+            pert_edge = builtin("damped_forced_escapement",
+                                {"gamma": gamma, "kappa": factor * thresholds[(1.0,) * 4, 1] * gamma},
+                                spec_data, family=1, p=1)
+            zeros = annulus_search(BifurcationSystem(1, pert_edge, red, spec_data, "A"), 1e-4, 1e3, 24)
+            print(f"package zeros at kappa/gamma = c * {factor!r}: {len(zeros)}")
     return 0
 
 

@@ -2,7 +2,7 @@
 
 Usage:
     python scripts/pair_bench.py PARENT_SRC CHANGE_SRC [--workload NAME ...]
-                                 [--pairs N] [--config PATH --command CMD]
+                                 [--pairs N] [--config PATH --command CMD ...]
 
 PARENT_SRC and CHANGE_SRC are ``src/`` directories, each holding a
 ``pendavg`` package.  First the script prints each tree's source lines,
@@ -59,7 +59,9 @@ workload has): each side runs ``python -m pendavg CMD --config PATH
 --out out`` in its own directory, both sides must end with the parent's
 first exit code, and the same wall, RSS, artifact and output lines are
 printed.  The set-up probe reads only the workloads, so this loop has
-none.
+none.  Both flags repeat: the i-th ``--config`` runs the i-th
+``--command``, one loop each, in the order given, and the two counts
+must match.
 """
 
 from __future__ import annotations
@@ -317,15 +319,18 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="the change's src/ directory")
     parser.add_argument("--workload", action="append", choices=sorted(WORKLOADS))
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--config", type=Path, help="an experiment file for one more pair loop")
-    parser.add_argument("--command", choices=("zeros", "verify", "simulate"), help="the subcommand run on --config")
+    parser.add_argument("--config", action="append", type=Path, default=[],
+                        help="an experiment file for one more pair loop; repeats")
+    parser.add_argument("--command", action="append", choices=("zeros", "verify", "simulate"), default=[],
+                        help="the subcommand run on the --config of the same place; repeats")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error(f"--pairs must be at least 2, got {args.pairs}: the quartiles need two runs a side")
-    if (args.config is None) != (args.command is None):
-        parser.error("--config and --command go together")
-    if args.config is not None and not args.config.is_file():
-        parser.error(f"no experiment file {args.config}")
+    if len(args.config) != len(args.command):
+        parser.error("--config and --command go together, one --command per --config")
+    for config in args.config:
+        if not config.is_file():
+            parser.error(f"no experiment file {config}")
     trees = [args.parent.resolve(), args.change.resolve()]
     for src in trees:
         if not (src / "pendavg" / "cli.py").is_file():
@@ -339,8 +344,7 @@ def main(argv=None) -> int:
           f"net {lines[1] - lines[0]:+d}")
     print(f"modules changed: {changed_modules(*modules) or 'none'}")
     workloads = [WORKLOADS[name] for name in args.workload or sorted(WORKLOADS)]
-    if args.config is not None:
-        workloads.append(ConfigRun(args.config.resolve(), args.command))
+    workloads += [ConfigRun(config.resolve(), command) for config, command in zip(args.config, args.command)]
     for workload in workloads:
         name = workload.name
         with tempfile.TemporaryDirectory(prefix="pair_bench_") as tmp:

@@ -67,7 +67,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, NumericalError
 from .model import JordanTransform, ReducedParams, SpectralData, jordan_transform
-from .perturbation import PeriodicScalar, PerturbationSpec
+from .perturbation import PeriodicScalar, PerturbationSpec, table_knots
 
 SIMPLICITY_RTOL = 1e-8
 ANGLES_PER_GRID = 4
@@ -147,7 +147,7 @@ class BifurcationSystem:
         window, 0 and the window end included, and F = ∫₀^{knot} P(τ)·e^{iλτ} dτ
         at each, the running sums of one Filon interval per knot interval."""
         window = self.spec.p * self.spectral.period(self.family)
-        knots = (0.0, *self.spec.table_knots(0.0, window), window)
+        knots = (0.0, *table_knots((d for _, _, d in self.spec.table), 0.0, window), window)
         primitives = {}
         for lam, _, table, _, _, _ in self.modes:
             if table is not None and (lam, table) not in primitives:

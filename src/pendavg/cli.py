@@ -279,7 +279,7 @@ def cmd_zeros(config: ExperimentConfig) -> int:
     _check_keyed("[search]", check_search, config.r1, config.r2, config.grid, config.p)
     reduced, s, _ = _model(config)
     system = BifurcationSystem(config.family, build_perturbation(config, s), reduced, s, config.convention)
-    certs = _check_keyed("[search]", annulus_search, system, config.r1, config.r2, config.grid)
+    certs = annulus_search(system, config.r1, config.r2, config.grid)
     payload = {
         "convention": config.convention,
         "family": config.family,
@@ -300,7 +300,7 @@ def _verify_convention(config: ExperimentConfig, system: BifurcationSystem, tag:
     first rung flagged with it, as ": zero i, eps ε: <its flag>"."""
     from .verify import epsilon_sweep, predicted_initial_state
 
-    certs = _check_keyed("[search]", annulus_search, system, config.r1, config.r2, config.grid)
+    certs = annulus_search(system, config.r1, config.r2, config.grid)
     simple_certs = [c for c in certs if c.simple][:MAX_ZEROS_SWEPT]
     entries = []
     reports = []

@@ -7,9 +7,9 @@ is a chain of segments, each integrated by the same step: start at the
 contact the last event ended on, integrate to the next terminal event,
 append the segment.  A segment follows the field with frozen region
 signs until a level crosses zero, or until the next knot of a table in
-the forcing, where linear interpolation has a kink; a knot ends the
-segment and nothing else.  A level that starts on its surface is tested
-as it leaves it (see ``_Integrator._departures``).
+F_σ, where linear interpolation has a kink; a knot ends the segment and
+nothing else.  A level that starts on its surface is tested as it leaves
+it (see ``_Integrator._departures``).
 
 With the region signs frozen the field is affine, f = M_σ(τ)·s + c_σ(τ):
 a periodic 4×5 array F_σ = [M_σ | c_σ], the one thing the event loop
@@ -55,8 +55,8 @@ entry, the acceleration jump over the velocity: Φ's row 2k + 1 gains
 that jump times its row 2k (Leine & Nijmeijer, 2004).  At a corner the
 two crossings update two different rows, in either order alike.  A
 tangent contact leaves the flow map without a derivative to carry: Φ is
-dropped there, the run goes on, and the trajectory says why it carries
-no monodromy.
+dropped there, the run goes on, and the contact stays in the event log,
+the first of the trajectory's ``offenders``.
 
 The module writes no files: :mod:`pendavg.cli` formats and writes a
 run's trajectory and event CSVs.
@@ -72,7 +72,7 @@ from . import expflow
 from .errors import DEFAULT_MAX_EVENTS, CrossingViolationError, DomainError, IntegrationStallError
 from .expflow import MAX_STEPS, Matrix, Solution
 from .model import ReducedParams, SpectralData
-from .perturbation import PerturbationSpec, PeriodicScalar, eval_order1_with_signs, smooth_sign
+from .perturbation import PerturbationSpec, PeriodicScalar, eval_order1_with_signs, smooth_sign, table_knots
 
 # Tolerances of the event machinery.
 EVENT_TIME_TOL = 1e-12
@@ -121,8 +121,8 @@ class Trajectory(NamedTuple):
     crossings, and ``margin`` is the closest approach to the tangency
     set.  ``monodromy`` is ∂(final state)/∂(initial state) when the run
     was asked for it and met only transversal crossings; otherwise it is
-    None and, where a contact ended the request, ``monodromy_reason``
-    names it.
+    None, and the tangent contact that ended the request is the first of
+    the ``offenders``.
     """
 
     segments: List[Segment]
@@ -130,7 +130,6 @@ class Trajectory(NamedTuple):
     t_span: Tuple[float, float]
     initial_state: Tuple[float, ...]
     monodromy: Optional[Matrix] = None
-    monodromy_reason: Optional[str] = None
 
     @property
     def final_state(self) -> Tuple[float, ...]:
@@ -262,7 +261,6 @@ class _Integrator:
         self.knots = sorted(knots, reverse=self.direction > 0)
         # The monodromy so far; None when not requested or dropped.
         self.phi = _eye(4) if monodromy else None
-        self.monodromy_reason: Optional[str] = None
         # Per level, the order of the contact the state sits on, else None.
         self.orders: List[Optional[int]] = [None, None]
         self.finished = False
@@ -303,19 +301,12 @@ class _Integrator:
             t_span=(self.t0, self.t1),
             initial_state=self.s_initial,
             monodromy=self.phi,
-            monodromy_reason=self.monodromy_reason,
         )
 
     def _stall(self, reason: str) -> IntegrationStallError:
         """The error that stops the run here, with its steps so far."""
         return IntegrationStallError(f"integration stalled at t = {self.t:.6g}: {reason}",
                                      trajectory=self._trajectory())
-
-    def _drop_monodromy(self, reason: str):
-        """End the monodromy request at a contact it cannot pass."""
-        if self.phi is not None:
-            self.phi = None
-            self.monodromy_reason = f"{reason} at t = {self.t:.6g}"
 
     # -- event resolution --------------------------------------------------
 
@@ -337,7 +328,7 @@ class _Integrator:
             rate = self.state[2 * k + 1]
             if abs(rate) <= LIE_TOL:
                 self._record(k, "tangent", rate, corner)
-                self._drop_monodromy(f"tangent contact with surface {k + 1}")
+                self.phi = None
                 self.orders[k] = 2
                 self._resolve_tangency(k)
             else:
@@ -516,7 +507,6 @@ def integrate_field(
     s0,
     t_span: Tuple[float, float],
     *,
-    knots: Sequence[float] = (),
     max_events: int = DEFAULT_MAX_EVENTS,
     max_step: float,
     monodromy: bool = False,
@@ -528,11 +518,15 @@ def integrate_field(
     from :func:`d1_field`).  Each segment runs on F_σ: its exact flow when
     that qualifies (see the module docstring), else DOP853 on
     :func:`_affine_rhs` at ``RTOL`` and ``ATOL``; the call takes no
-    tolerance.  Segments also end at ``knots``, where F_σ has a kink.  The
-    field must be second order: rows 0 and 2 of F_σ are the velocities y
-    and w with no τ-term, and row 2k + 1 depends on σ_k alone.  The run
-    checks that on σ = (1, 1), (−1, 1) and (1, −1) before its first step,
-    and DomainError names the row that fails.  Where a flow cannot leave
+    tolerance.  The field must be second order: rows 0 and 2 of F_σ are
+    the velocities y and w with no τ-term, and row 2k + 1 depends on σ_k
+    alone.  The run checks that on σ = (1, 1), (−1, 1) and (1, −1) before
+    its first step, and DomainError names the row that fails.  Those
+    three forms hold every τ-term a segment integrates: row 1 reads σ_x
+    alone and row 3 σ_z alone, and a segment runs on σ ∈ {±1}², since
+    σ_k = 0 marks only an equilibrium at rest.  So segments also end at
+    the knots of their tables inside the span, where F_σ has a kink (see
+    :func:`~pendavg.perturbation.table_knots`).  Where a flow cannot leave
     the surface after a tangency the run stops with IntegrationStallError
     or, at a persistent tangency, CrossingViolationError.  Either error,
     and every stall after the first step, carries the steps taken in its
@@ -548,15 +542,17 @@ def integrate_field(
     """
     if not 0.0 < max_step < math.inf:
         raise DomainError(f"max_step must be finite and positive, got {max_step!r}")
-    _check_second_order(field)
+    forms = _check_second_order(field)
     _check_step_budget(t_span, max_step)
+    knots = table_knots((scalar for form in forms for _, _, scalar in form.terms), *t_span)
     return _Integrator(field, s0, t_span, knots=knots, max_events=max_events, max_step=max_step,
                        monodromy=monodromy).run()
 
 
-def _check_second_order(field: Field) -> None:
-    """DomainError naming the first row of F_σ that breaks the contract of
-    :func:`integrate_field`, judged on σ = (1, 1), (−1, 1) and (1, −1)."""
+def _check_second_order(field: Field) -> Tuple[PeriodicArray, ...]:
+    """The forms F_σ of σ = (1, 1), (−1, 1) and (1, −1), once they keep
+    the contract of :func:`integrate_field`; else DomainError naming the
+    first row that breaks it."""
     forms = {signs: field(signs) for signs in ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0))}
 
     def row(signs, i: int):
@@ -568,6 +564,7 @@ def _check_second_order(field: Field) -> None:
     for i, other, name in ((1, (1.0, -1.0), "σ_z"), (3, (-1.0, 1.0), "σ_x")):
         if row((1.0, 1.0), i) != row(other, i):
             raise DomainError(f"the field is not second order: row {i} of F_σ changes with {name}")
+    return tuple(forms.values())
 
 
 def _check_step_budget(t_span: Tuple[float, float], max_step: float) -> None:
@@ -602,8 +599,8 @@ def integrate(
     flow run on DOP853 at ``RTOL`` and ``ATOL``.  With ``monodromy`` the
     run carries the monodromy of the flow map.
     """
-    return integrate_field(d1_field(spec, reduced, eps), s0, t_span, knots=spec.table_knots(*t_span),
-                           max_events=max_events, max_step=step_cap(spectral), monodromy=monodromy)
+    return integrate_field(d1_field(spec, reduced, eps), s0, t_span, max_events=max_events,
+                           max_step=step_cap(spectral), monodromy=monodromy)
 
 
 def integrate_regularized(

@@ -166,17 +166,6 @@ class PerturbationSpec:
                         entries.append(((i, part, j), scalar.value, None))
         self.table = tuple(entries)
 
-    def table_knots(self, t0: float, t1: float) -> Tuple[float, ...]:
-        """The knots of the spec's tables between t0 and t1, ascending:
-        linear interpolation has a kink at each.  A knot within the
-        period-divisibility tolerance of an end counts as that end."""
-        lo, hi = min(t0, t1), max(t0, t1)
-        margin = PERIOD_DIVISIBILITY_TOL * (hi - lo)
-        knots = {t + k * d.period for _, _, d in self.table if d is not None and d.kind == "table"
-                 for k in range(math.floor(lo / d.period), math.ceil(hi / d.period))
-                 for t in d.knots[0][:-1]}
-        return tuple(sorted(t for t in knots if lo + margin < t < hi - margin))
-
     def validate_against(self, spectral: SpectralData) -> None:
         """Check every component period divides p·T_family at least once; the
         error names the component by its key in ``ENTRY_KEYS``."""
@@ -189,6 +178,19 @@ class PerturbationSpec:
                     f"perturbation key {key}: component period {scalar.period!r} does not divide "
                     f"the averaging window p·T = {window!r} (ratio {ratio!r})"
                 )
+
+
+def table_knots(scalars, t0: float, t1: float) -> Tuple[float, ...]:
+    """The knots between t0 and t1, ascending, of the tables among
+    ``scalars``, where linear interpolation has a kink; other scalars and
+    None are skipped.  A knot within the period-divisibility tolerance of
+    an end counts as that end."""
+    lo, hi = min(t0, t1), max(t0, t1)
+    margin = PERIOD_DIVISIBILITY_TOL * (hi - lo)
+    knots = {t + k * d.period for d in scalars if d is not None and d.kind == "table"
+             for k in range(math.floor(lo / d.period), math.ceil(hi / d.period))
+             for t in d.knots[0][:-1]}
+    return tuple(sorted(t for t in knots if lo + margin < t < hi - margin))
 
 
 def eval_order1_with_signs(spec: PerturbationSpec, tau: float, state, sgn_x: float, sgn_z: float):

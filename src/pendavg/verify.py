@@ -78,8 +78,8 @@ class PoincareResult(NamedTuple):
     end states give the gap the residuals measure.  The monodromy of the
     return map at the initial state is the trajectory's
     (`poincare_residual` asks for it, `refine_periodic` reads it):
-    ``trajectory.monodromy``, or None with ``trajectory.monodromy_reason``
-    naming the contact that ended the request (see :mod:`pendavg.filippov`).
+    ``trajectory.monodromy``, or None when a tangent contact, the first of
+    ``trajectory.offenders``, ended the request (see :mod:`pendavg.filippov`).
 
     ``residual`` is the return-map gap norm of the orbit in the
     original (pendulum) frame, which carries one power of ε from the

@@ -32,7 +32,7 @@ from scipy.linalg import expm
 
 from pendavg.errors import DomainError
 from pendavg.model import monodromy_lower_block, reduce_params
-from pendavg.perturbation import PerturbationSpec, PeriodicScalar
+from pendavg.perturbation import PerturbationSpec, PeriodicScalar, table_knots
 
 GAUSS_ORDER = 16
 MAX_REFINE_LEVELS = 12
@@ -188,7 +188,7 @@ def gauss_ray_pair(system, theta):
     window = spec.p * system.spectral.period(system.family)
     zero = PeriodicScalar.constant(0.0, window)
     unit = np.array([math.cos(theta), math.sin(theta)])
-    edges = sorted({*_panel_edges(system, unit), *spec.table_knots(0.0, window)})
+    edges = sorted({*_panel_edges(system, unit), *table_knots((d for _, _, d in spec.table), 0.0, window)})
     pair = []
     for part in (PerturbationSpec(K=(zero,) * 4, F=spec.F, family=spec.family, p=spec.p),
                  PerturbationSpec(K=spec.K, F=((zero,) * 4,) * 4, family=spec.family, p=spec.p)):

@@ -648,6 +648,33 @@ def test_annulus_search_corollary_zero_sets(bench):
     assert annulus_search(sys_a, 0.2, 3.0, 12) == []
 
 
+# κ/γ thresholds of the escapement's existence condition under convention A,
+# c = (π/4)·2b/(a + b + √Δ) on family 1 and (π/4)·2b/(3b − a + √Δ) on
+# family 2, from scripts/derive_oracles.py, per (m1, m2, l1, l2) and family.
+ESCAPEMENT_THRESHOLDS = {
+    ((1.0, 1.0, 1.0, 1.0), 1): 0.46007559225530503,
+    ((1.0, 1.0, 1.0, 1.0), 2): 0.46007559225530503,
+    ((2.0, 1.0, 1.0, 0.5), 1): 0.6392036296161204,
+    ((2.0, 1.0, 1.0, 0.5), 2): 0.45432521867807324,
+}
+
+
+@pytest.mark.parametrize("pendulum, family", list(ESCAPEMENT_THRESHOLDS))
+def test_escapement_has_a_zero_exactly_below_its_threshold(pendulum, family):
+    # the escapement kicks κ·sgn work against the forcing γ·cos: one
+    # simple zero just below κ/γ = c, for every p and γ, and none above
+    reduced = reduce_params(PhysicalParams(*pendulum, 9.8))
+    s = spectral_data(reduced)
+    threshold = ESCAPEMENT_THRESHOLDS[pendulum, family]
+    for p in (1, 2):
+        for gamma in (0.1, 0.5, 2.0):
+            for factor, count in ((1.0 - 1e-3, 1), (1.0 + 1e-3, 0)):
+                params = {"gamma": gamma, "kappa": factor * threshold * gamma}
+                spec = builtin("damped_forced_escapement", params, s, family=family, p=p)
+                zeros = annulus_search(BifurcationSystem(family, spec, reduced, s, "A"), 1e-4, 1e3, 24)
+                assert [zero.simple for zero in zeros] == [True] * count, (p, gamma, factor)
+
+
 def test_annulus_search_deterministic(bench):
     reduced, s = bench
     sys = system_for("damped_forced", {"gamma": GAMMA}, reduced, s)

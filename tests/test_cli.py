@@ -1399,10 +1399,15 @@ def test_pair_bench_refuses_fewer_than_two_pairs(tmp_path):
     (("--config", "{missing}", "--command", "zeros"), "no experiment file"),
     (("--command", "simulate"), "--config and --command go together"),
     (("--config", "{ini}", "--command", "params"), "argument --command: invalid choice: 'params'"),
+    (("--config", "{ini}", "--command", "zeros", "--config", "{ini}"), "--config and --command go together"),
+    (("--config", "{ini}", "--command", "zeros", "--command", "verify"), "--config and --command go together"),
+    (("--config", "{ini}", "--command", "zeros", "--config", "{missing}", "--command", "verify"),
+     "no experiment file"),
 ])
 def test_pair_bench_refuses_a_config_loop_it_cannot_run(tmp_path, extra, message):
     # the same marking tree: each refusal comes before any run; `simulate`
-    # is a command the loop takes, `params` is not
+    # is a command the loop takes, `params` is not, and the flags repeat
+    # in pairs, each experiment file present
     marker = tmp_path / "spawned"
     package = tmp_path / "src" / "pendavg"
     package.mkdir(parents=True)

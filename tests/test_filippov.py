@@ -38,7 +38,7 @@ from pendavg.perturbation import PeriodicScalar, PerturbationSpec, builtin, smoo
 from pendavg.verify import orbit_from_amplitude
 
 from .oracles import field_term_scale, flow_states, linear_matrix, per_call_field
-from .test_averaging import random_spec
+from .test_averaging import random_spec, table_spec
 from .test_perturbation import _random_scalar
 
 
@@ -401,6 +401,37 @@ def test_dop853_finds_a_return_inside_its_first_step(solver, direction):
         assert abs(traj.events[1].time - t_return * direction) <= 1e-12
 
 
+# -- table knots -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1.0])
+def test_a_bare_field_run_ends_its_segments_at_the_table_knots(bench, eps):
+    # the knots are read from the field's own forms, so a run given only
+    # the field is the pendulum run, segment for segment and bit for bit,
+    # and every knot of the 256-knot table inside (0, T₁) ends a segment
+    reduced, s = bench
+    spec = table_spec(s)
+    s0, t_span = (0.3, -0.2, 0.5, 0.1), (0.0, s.period1)
+    bare = integrate_field(d1_field(spec, reduced, eps), s0, t_span, max_step=filippov.step_cap(s))
+    assert bare == integrate(spec, reduced, s, eps, s0, t_span)
+    assert set(spec.K[0].knots[0][1:-1]) <= {segment.ts[-1] for segment in bare.segments}
+
+
+def test_a_table_read_on_one_side_ends_segments_at_its_knots():
+    # x″ = 0.1·P(τ) on x < 0 alone, P a 256-knot table of period 1: of the
+    # three forms the second-order check reads, only F_(−1, 1) holds P,
+    # and the run on x < 0 ends a segment at each knot k/256 up to t = 0.5
+    taus = np.arange(256) / 256.0
+    table = PeriodicScalar.from_table(taus, np.cos(2.0 * math.pi * taus))
+
+    def form(signs):
+        return _second_order((0.0,) * 5, (0.0,) * 5, *([((1, 4), 0.1, table)] if signs[0] < 0.0 else []))
+
+    traj = integrate_field(form, (-1.0, 0.0, 1.0, 0.0), (0.0, 0.5), max_step=0.25)
+    assert not traj.events
+    assert [segment.ts[-1] for segment in traj.segments] == [k / 256.0 for k in range(1, 129)]
+
+
 # -- monodromy ---------------------------------------------------------------
 
 
@@ -417,7 +448,7 @@ def test_saltation_matches_the_exact_flow_map():
     # derivative in (x0, y0) is [[2, 2.5], [2, 3]]; z moves freely
     traj = integrate_field(_landing_form, (-1.0, 1.0, 1.0, 0.0), (0.0, 1.5), monodromy=True, max_step=0.25)
     assert [ev.kind for ev in traj.events] == ["crossing"]
-    assert traj.monodromy_reason is None
+    assert not traj.offenders
     expect = [[2.0, 2.5, 0.0, 0.0], [2.0, 3.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.5], [0.0, 0.0, 0.0, 1.0]]
     assert np.allclose(traj.monodromy, expect, rtol=0.0, atol=1e-12)
 
@@ -448,7 +479,7 @@ def test_corner_crossing_carries_the_monodromy(solver):
     flow_map = np.stack([(np.subtract(run(s0 + h * e).final_state, run(s0 - h * e).final_state)) / (2.0 * h)
                          for e in np.eye(4)], axis=1)
     carried = run(s0, monodromy=True)
-    assert carried.monodromy_reason is None
+    assert not carried.offenders
     assert np.allclose(carried.monodromy, flow_map, rtol=0.0, atol=1e-8)
 
 
@@ -468,7 +499,8 @@ def test_monodromy_request_ends_at_a_tangency(bench):
     traj = integrate(damped_spec(s), reduced, s, 0.0, (0.0, 0.0, 1.0, 0.3), (0.0, 2.0), monodromy=True)
     assert traj.events[0].kind == "tangent"
     assert traj.monodromy is None
-    assert traj.monodromy_reason == "tangent contact with surface 1 at t = 0"
+    first = traj.events[traj.offenders[0]]
+    assert (first.kind, first.surface, first.time) == ("tangent", 1, 0.0)
 
 
 # -- tangency resolution -----------------------------------------------------

@@ -434,7 +434,8 @@ def test_tangent_prediction_run_carries_no_monodromy(damped):
     prediction = poincare_residual(tangent, 1e-3)
     assert prediction.flag is None and not prediction.events_ok
     assert prediction.trajectory.monodromy is None
-    assert prediction.trajectory.monodromy_reason == "tangent contact with surface 1 at t = 0"
+    first = prediction.trajectory.events[prediction.trajectory.offenders[0]]
+    assert (first.kind, first.surface, first.time) == ("tangent", 1, 0.0)
     result = refine_periodic(tangent, prediction)
     assert not result.converged and result.iterations == 0
     assert result.reason == verify_module.NO_MONODROMY
@@ -592,7 +593,8 @@ def test_sweep_rung_without_monodromy_gives_its_reason(damped, monkeypatch):
     for sample in report.samples:
         assert sample.flag is None and not sample.events_ok
         assert sample.trajectory.monodromy is None
-        assert sample.trajectory.monodromy_reason == "tangent contact with surface 1 at t = 0"
+        first = sample.trajectory.events[sample.trajectory.offenders[0]]
+        assert (first.kind, first.surface, first.time) == ("tangent", 1, 0.0)
     assert all(math.isnan(g) for g in report.limit_gap)
     assert report.limit_gap_reason == ["no monodromy: non-crossing contact"] * len(LADDER)
 
