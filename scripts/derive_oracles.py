@@ -225,6 +225,44 @@ def main() -> int:
                   f"  (trapezoid harmonic: {2 * pb / (harmonic * weight)!r})")
     print(f"unit pendulum: (pi/4)(2 - sqrt 2) = {math.pi / 4 * (2 - math.sqrt(2))!r}")
 
+    section("damped_forced_escapement zero as a function of kappa, convention A")
+    # Along the family-f orbit (U, V) of amplitude (u0, v0), with (x, z) =
+    # (inverse[0][k], inverse[2][k])*U and (y, w) the same in V, the pair
+    # over the window pT is a sum of three parts (2sqrt(D) r the weights
+    # above, and r times the orbit's velocity column is 1):
+    #   damping -(y, w):     -2sqrt(D) * int trig V     = sqrt(D) pT (u0, -v0);
+    #   forcing gamma cos:   r_y gamma * int trig cos   = (0, s bgamma pT),
+    #                        s = +1 on family 1 and -1 on family 2 (r_y = -2b);
+    #   kicks kappa sgn:     kappa W (2pT/pi) (v0, u0)/A, A = |(u0, v0)|, from
+    #                        sgn's first harmonic (4/pi)cos(omega tau - chi), with
+    #                        W = pi b/(2c) the weight of the threshold section.
+    # Divided by sqrt(D) pT, with K = 2 kappa W/(pi sqrt(D)) and the
+    # damped_forced zero z0 = i*s*b*gamma/sqrt(D) as a complex number
+    # u0 + i v0, the pair is zero exactly when z = z0 + i K e^{i chi}, z =
+    # A e^{i chi}: then e^{i chi}(A - iK) = z0, so A = sqrt(|z0|^2 - K^2)
+    # and, with sin phi = K/|z0| = kappa/(c gamma),
+    #   z* = z0 cos(phi) e^{+i phi}
+    # on both families and every p: the zero runs along the circle whose
+    # diameter is [0, z0] and leaves through the origin at kappa = c gamma.
+    # Checked here by the pair's residual at z* in the same closed form.
+    esc_gamma = 0.5
+    for pendulum in ((1.0, 1.0, 1.0, 1.0), (2.0, 1.0, 1.0, 0.5)):
+        _, pa, pb = reduced_constants(*pendulum)
+        psd = math.sqrt((pa - pb) ** 2 + 4 * pb)
+        for family, weight in ((1, 2 * pb + (pa - pb + psd)), (2, 2 * pb + (-pa + pb + psd))):
+            sign = 1.0 if family == 1 else -1.0
+            z0 = 1j * sign * pb * esc_gamma / psd
+            for q in (0.2, 0.7, 0.99):
+                kappa_q = q * thresholds[pendulum, family] * esc_gamma
+                cos_phi = math.sqrt((1 - q) * (1 + q))  # sin phi = q, cos phi without asin's rounding
+                zstar = z0 * cos_phi * complex(cos_phi, q)
+                k_esc = 2 * kappa_q * weight / (math.pi * psd)
+                amp = abs(zstar)
+                residual = abs(complex(zstar.real + k_esc * zstar.imag / amp,
+                                       -zstar.imag + sign * pb * esc_gamma / psd + k_esc * zstar.real / amp))
+                print(f"(m1, m2, l1, l2) = {pendulum}, family {family}, q = {q}: "
+                      f"z* = ({zstar.real!r}, {zstar.imag!r})  residual {residual:.1e}")
+
     section("tangency set in reduced coordinates")
     print("surface x = 0 is tangent exactly where y = 0; surface z = 0 exactly")
     print("where w = 0 (the x and z rows of the field are y and w; the")

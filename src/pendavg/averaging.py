@@ -8,8 +8,8 @@ over the resonance window [0, p·T_family]:
 
 with trig = sin for the first component and cos for the second, r the
 family's velocity row of the normal-form transform (row Y for family 1,
-row W for family 2), and (f_y, f_w) the order-ε forcing of
-:func:`~pendavg.perturbation.eval_order1_with_signs` evaluated on the
+row W for family 2), and (f_y, f_w) the order-ε forcing of the spec's
+table P (:attr:`~pendavg.perturbation.PerturbationSpec.table`) on the
 orbit mapped back to the physical frame.  Written out, 2√Δ·r is
 (0, 2b, 0, a−b+√Δ) for family 1 and (0, −2b, 0, −a+b+√Δ) for family 2.
 The sgn terms see sgn(x) = sgn(z) = sgn(u(τ)) on family 1 and

@@ -240,6 +240,7 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 10
 ERROR_EXPONENT = -1 / (7 + 1)  # the error estimator has order 7
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+NAN_STEP = "The step size is NaN: the field is NaN at the start."
 
 # Per stage s: s, the row A[s, :s] and the node C[s].
 _STAGES = [(s, A[s, :s], float(C[s])) for s in range(1, N_STAGES)]
@@ -370,10 +371,12 @@ def solve(
     them by default, as in SciPy); the others ride along on the steps the
     leading ones choose.  A run that needs more than ``MAX_STEPS`` steps
     ends with status −1, as Hairer's DOP853 does past NMAX; SciPy has no
-    such bound.  So does a run whose ``fun`` raises IntegrationStallError,
-    with the error's text as its message; SciPy lets any error escape.  A
-    failed run returns the steps it accepted, as SciPy's does.  A step
-    whose error norm overflows is rejected, with no numpy warning.
+    such bound.  So does a run whose step size is NaN (a field NaN at the
+    start), where SciPy loops for ever, and a run whose ``fun`` raises
+    IntegrationStallError, with the error's text as its message; SciPy
+    lets any error escape.  A failed run returns the steps it accepted, as
+    SciPy's does.  A step whose error norm overflows is rejected, with no
+    numpy warning.
     """
     def fun(t, y, fun=fun):
         return np.asarray(fun(t, y), dtype=float)
@@ -413,8 +416,9 @@ def solve(
                 h_abs = min_step
             step_rejected = False
             while True:
-                if h_abs < min_step:
-                    return Solution(status=-1, ts=np.array(ts), ys=np.array(ys), message=TOO_SMALL_STEP)
+                if not h_abs >= min_step:  # a NaN step is never accepted nor too small
+                    return Solution(status=-1, ts=np.array(ts), ys=np.array(ys),
+                                    message=TOO_SMALL_STEP if h_abs < min_step else NAN_STEP)
                 h = h_abs * direction
                 t_new = t + h
                 if direction * (t_new - t_bound) > 0:

@@ -25,7 +25,9 @@ DOP853 run the package starts, the regularized run included, takes one
 accuracy, ``RTOL`` = 1e-12 and ``ATOL`` = 1e-14, and no caller passes
 another, so a trajectory is the same whichever command asked for it.
 Either solver stops at the first root of the level x (state index 0) or
-z (index 2).
+z (index 2).  The regularized run never freezes its signs, but the
+forcing is affine in σ: it reads one array of plain and signed rows from
+the pass that builds F_σ, and it too restarts DOP853 at the table knots.
 
 The event loop, the monodromy and every trajectory work on Python
 floats: states are tuples or lists, matrices tuples of rows.  Only
@@ -72,7 +74,7 @@ from . import expflow
 from .errors import DEFAULT_MAX_EVENTS, CrossingViolationError, DomainError, IntegrationStallError
 from .expflow import MAX_STEPS, Matrix, Solution
 from .model import ReducedParams, SpectralData
-from .perturbation import PerturbationSpec, PeriodicScalar, eval_order1_with_signs, smooth_sign, table_knots
+from .perturbation import PerturbationSpec, PeriodicScalar, smooth_sign, table_knots
 
 # Tolerances of the event machinery.
 EVENT_TIME_TOL = 1e-12
@@ -178,30 +180,40 @@ def d1_field(spec: PerturbationSpec, reduced: ReducedParams, eps: float) -> Fiel
     z' = w,   w' = b x - b z + ε f_w(τ, state; σ)
 
     as the field :func:`integrate_field` takes: σ ↦ F_σ = [M_σ | c_σ], one
-    periodic 4×5 array over (x, y, z, w, 1) built in one pass over the
-    spec's table P.  Rows 0 and 2 are A's with c = 0, and rows 1 and 3 are
-    A + ε·(P[i, 0] + σ_i·P[i, 1]), each constant summed in table order
-    from 0.0 and each τ-term with the factor ε·(value·σ_i) on a signed
-    row, skipped where σ_i = 0.  Each σ's array is built once and kept.
+    periodic 4×5 array over (x, y, z, w, 1) built by :func:`_table_array`
+    in one pass over the spec's table P.  Rows 0 and 2 are A's with c = 0,
+    and rows 1 and 3 are A + ε·(P[i, 0] + σ_i·P[i, 1]), each τ-term skipped
+    where σ_i = 0.  Each σ's array is built once and kept.
     """
-    a, b = reduced.a, reduced.b
-    base = ((0.0, 1.0, 0.0, 0.0, 0.0), (-a, 0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0, 0.0), (b, 0.0, -b, 0.0, 0.0))
-
     @cache
     def field(signs: Tuple[float, float]) -> PeriodicArray:
-        sums = ([0.0] * 5, [0.0] * 5)
-        terms = []
-        for (i, part, j), value, scalar in spec.table:
-            factor = value * float(signs[i]) if part else value
-            if scalar is None:
-                sums[i][j] += factor
-            elif factor != 0.0:
-                terms.append(((2 * i + 1, j), eps * factor, scalar))
-        constant = (base[0], tuple(x + eps * c for x, c in zip(base[1], sums[0])),
-                    base[2], tuple(x + eps * c for x, c in zip(base[3], sums[1])))
-        return PeriodicArray(constant, tuple(terms))
+        return _table_array(spec, reduced, eps, ((1, 1.0), (1, float(signs[0])), (3, 1.0), (3, float(signs[1]))))
 
     return field
+
+
+def _table_array(spec: PerturbationSpec, reduced: ReducedParams, eps: float, places) -> PeriodicArray:
+    """The pendulum's rows [A | 0] over (x, y, z, w, 1), stated here alone,
+    and zero rows up to the last row in ``places``, plus ε times the table
+    P: entry ((i, part, j), value, scalar) adds value·weight at row r,
+    column j, for (r, weight) = ``places[2i + part]``.  Constants are summed
+    in table order from 0.0, then scaled by ε; a τ-term whose value·weight
+    is 0 is skipped."""
+    a, b = reduced.a, reduced.b
+    rows = [(0.0, 1.0, 0.0, 0.0, 0.0), (-a, 0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0, 0.0), (b, 0.0, -b, 0.0, 0.0)]
+    rows += [(0.0,) * 5] * (max(r for r, _ in places) - 3)
+    sums = {r: [0.0] * 5 for r, _ in places}
+    terms = []
+    for (i, part, j), value, scalar in spec.table:
+        r, weight = places[2 * i + part]
+        factor = value * weight
+        if scalar is None:
+            sums[r][j] += factor
+        elif factor != 0.0:
+            terms.append(((r, j), eps * factor, scalar))
+    constant = tuple(tuple(x + eps * c for x, c in zip(row, sums[r])) if r in sums else row
+                     for r, row in enumerate(rows))
+    return PeriodicArray(constant, tuple(terms))
 
 
 def _affine_rhs(form: PeriodicArray) -> Callable[[float, Sequence[float]], List[float]]:
@@ -612,42 +624,47 @@ def integrate_regularized(
     s0,
     t_span: Tuple[float, float],
 ) -> Trajectory:
-    """Single smooth DOP853 integration, at ``RTOL`` and ``ATOL``, with sgn
-    replaced by its C¹ spline.
+    """Smooth DOP853 integration, at ``RTOL`` and ``ATOL``, with sgn
+    replaced by its C¹ ramp s_δ.
 
-    Its signs are never frozen, so each call sums the forcing with
-    :func:`~pendavg.perturbation.eval_order1_with_signs`.  No events are
-    generated; the result carries one segment covering the whole span.
-    The run stops once two field evaluations at distinct times lie closer
-    than 10 ulps of the span: SciPy's minimum step taken at the span
-    instead of at τ, which near τ = 0 would let a stiff run crawl through
-    its whole step budget.  A stiff run's error norm may
-    overflow; the step it rejects reports that.  That floor and every
-    DOP853 failure raise one IntegrationStallError, "regularized
-    integration stalled: " and the reason, with the steps accepted so
-    far as its one-segment ``trajectory``.
+    The run reads one six-row array: F_σ at σ = (0, 0), then the signed
+    rows ε·P[0, 1] and ε·P[1, 1], to which rows 1 and 3 add s_δ(x) and
+    s_δ(z) times.  No events are generated.  DOP853 restarts at every
+    table knot in the span, so the trajectory has one segment, signs
+    (nan, nan), per knot interval.  The run stops once two field
+    evaluations at distinct times lie closer than 10 ulps of the span:
+    SciPy's minimum step taken at the span instead of at τ, which near
+    τ = 0 would let a stiff run crawl through its whole step budget.
+    That floor and every DOP853 failure raise one IntegrationStallError,
+    "regularized integration stalled: " and the reason, whose
+    ``trajectory`` keeps the steps taken.
     """
     if delta <= 0.0:
         raise DomainError(f"regularization width must be positive, got {delta}")
-    a, b = reduced.a, reduced.b
     t0, t1 = float(t_span[0]), float(t_span[1])
     floor = 10.0 * math.ulp(abs(t1 - t0))
     last = [t0]
+    form = _table_array(spec, reduced, eps, ((1, 1.0), (4, 1.0), (3, 1.0), (5, 1.0)))
+    affine = _affine_rhs(form)
 
     def rhs(t, state):
         if 0.0 < abs(t - last[0]) < floor:
             raise IntegrationStallError(f"its steps fell below {floor:.3g} near tau = {t:.6g}")
         last[0] = t
-        x, y, z, w = state
-        f_y, f_w = eval_order1_with_signs(spec, t, state, smooth_sign(x, delta), smooth_sign(z, delta))
-        return (y, -a * x + z + eps * f_y, w, b * x - b * z + eps * f_w)
+        f = affine(t, state)
+        return [f[0], f[1] + smooth_sign(state[0], delta) * f[4], f[2], f[3] + smooth_sign(state[2], delta) * f[5]]
 
     max_step = step_cap(spectral)
     _check_step_budget(t_span, max_step)
     s0 = tuple(float(v) for v in s0)
-    run = _dop853(rhs, (t0, t1), s0, max_step=max_step)
-    traj = Trajectory(segments=[Segment(ts=run.ts, states=run.ys, signs=(math.nan, math.nan))],
-                      events=[], t_span=(t0, t1), initial_state=s0)
-    if run.status != 0:
-        raise IntegrationStallError(f"regularized integration stalled: {run.message}", trajectory=traj)
+    knots = table_knots((scalar for _, _, scalar in form.terms), t0, t1)
+    traj = Trajectory(segments=[], events=[], t_span=(t0, t1), initial_state=s0)
+    start, state = t0, s0
+    for end in (*(knots if t1 >= t0 else knots[::-1]), t1):
+        run = _dop853(rhs, (start, end), state, max_step=max_step)
+        if run.status == 0 or len(run.ts) > 1:
+            traj.segments.append(Segment(ts=run.ts, states=run.ys, signs=(math.nan, math.nan)))
+        if run.status != 0:
+            raise IntegrationStallError(f"regularized integration stalled: {run.message}", trajectory=traj)
+        start, state = end, run.ys[-1]
     return traj

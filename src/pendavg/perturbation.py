@@ -22,11 +22,10 @@ parameters in braces, and every spec, builtin or file, is built from its
 entries by one function.
 
 The forcing is affine in the state and in the signs, so each spec states
-it once, as one table P (:attr:`PerturbationSpec.table`), and every
-reader reads P: the averaged pair's closed form (:mod:`pendavg.averaging`),
-the event loop's affine form F_σ for frozen signs, read by its segments
-and contacts (:func:`pendavg.filippov.d1_field`), and, for the regularized
-run alone, :func:`eval_order1_with_signs` at a point for any signs.
+it once, as one table P (:attr:`PerturbationSpec.table`), read by one
+function per half of the program: the averaged pair's closed form
+(:mod:`pendavg.averaging`), and ``pendavg.filippov._table_array``, which
+builds the frozen-sign forms F_σ and the regularized run's array.
 """
 
 from __future__ import annotations
@@ -191,30 +190,6 @@ def table_knots(scalars, t0: float, t1: float) -> Tuple[float, ...]:
              for k in range(math.floor(lo / d.period), math.ceil(hi / d.period))
              for t in d.knots[0][:-1]}
     return tuple(sorted(t for t in knots if lo + margin < t < hi - margin))
-
-
-def eval_order1_with_signs(spec: PerturbationSpec, tau: float, state, sgn_x: float, sgn_z: float):
-    """Order-ε forcing (f_y, f_w) of the y′ and w′ equations at the float
-    τ and the state (x, y, z, w): for each component i,
-    Σ_j P[i,0,j]·s_j + σ_i·Σ_j P[i,1,j]·s_j over the spec's table, with
-    s₅ = 1.
-
-    ``sgn_x`` and ``sgn_z`` stand in for sgn(x) and sgn(z); the caller
-    resolves them.  Each term is evaluated once and each sum runs in
-    column order, so the sums keep the association
-    (d₁x + d₂y + d₃z + d₄w) + K, then (…)·σ, and the values equal the
-    term-by-term sum except possibly for the sign of a zero.  An
-    exact-zero constant adds nothing, so it never meets an infinite state.
-    """
-    sums = [0.0, None, 0.0, None]  # sums[2i + part]: the row of F₁..F₄, K₁..K₄
-    for (i, part, j), value, scalar in spec.table:
-        coefficient = value if scalar is None else value * scalar(tau)
-        term = coefficient * state[j] if j < 4 else coefficient
-        k = 2 * i + part
-        sums[k] = term if sums[k] is None else sums[k] + term
-    y, y_signed, w, w_signed = sums
-    return (y if y_signed is None else y + y_signed * sgn_x,
-            w if w_signed is None else w + w_signed * sgn_z)
 
 
 def smooth_sign(x: float, delta: float) -> float:

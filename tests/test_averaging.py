@@ -675,6 +675,38 @@ def test_escapement_has_a_zero_exactly_below_its_threshold(pendulum, family):
                 assert [zero.simple for zero in zeros] == [True] * count, (p, gamma, factor)
 
 
+# The escapement's zero z* = z₀·cos φ·e^{iφ}, sin φ = κ/(cγ), at γ = 0.5 and
+# κ = q·c·γ, from scripts/derive_oracles.py: on the circle whose diameter
+# runs from 0 to damped_forced's zero z₀, the same turn on both families.
+ESCAPEMENT_ZEROS = {
+    ((1.0, 1.0, 1.0, 1.0), 1): {0.2: (-0.06928203230275508, 0.3394112549695427),
+                                0.7: (-0.17674133642133633, 0.1803122292025696),
+                                0.99: (-0.04937609492456853, 0.007035712472806153)},
+    ((1.0, 1.0, 1.0, 1.0), 2): {0.2: (0.06928203230275508, -0.3394112549695427),
+                                0.7: (0.17674133642133633, -0.1803122292025696),
+                                0.99: (0.04937609492456853, -0.007035712472806153)},
+    ((2.0, 1.0, 1.0, 0.5), 1): {0.2: (-0.10233634385069301, 0.5013436491524098),
+                                0.7: (-0.2610642554133856, 0.2663388136122177),
+                                0.99: (-0.07293332571602644, 0.01039243606055517)},
+    ((2.0, 1.0, 1.0, 0.5), 2): {0.2: (0.10233634385069301, -0.5013436491524098),
+                                0.7: (0.2610642554133856, -0.2663388136122177),
+                                0.99: (0.07293332571602644, -0.01039243606055517)},
+}
+
+
+@pytest.mark.parametrize("pendulum, family", list(ESCAPEMENT_ZEROS))
+def test_escapement_zero_lies_on_its_circle(pendulum, family):
+    # below the threshold the search finds exactly the closed-form zero, for p 1 and 2
+    reduced = reduce_params(PhysicalParams(*pendulum, 9.8))
+    s = spectral_data(reduced)
+    for p in (1, 2):
+        for q, point in ESCAPEMENT_ZEROS[pendulum, family].items():
+            params = {"gamma": 0.5, "kappa": q * ESCAPEMENT_THRESHOLDS[pendulum, family] * 0.5}
+            spec = builtin("damped_forced_escapement", params, s, family=family, p=p)
+            (zero,) = annulus_search(BifurcationSystem(family, spec, reduced, s, "A"), 1e-6, 1e3, 24)
+            assert math.dist(zero.point, point) <= 1e-14 * math.hypot(*point), (p, q)
+
+
 def test_annulus_search_deterministic(bench):
     reduced, s = bench
     sys = system_for("damped_forced", {"gamma": GAMMA}, reduced, s)

@@ -950,15 +950,27 @@ def fuzz_configs(draw):
 @example(case=("simulate", {"physical": {"m2": "1e-100"},
                             "perturbation": {"builtin": "damped_forced", "gamma": "0.5"},
                             "integrate": {"eps": "0", "s0": "0.3 -0.2 0.5 0.1", "t_span": "0 0.5"}}))
+@example(case=("simulate", {"perturbation": {"builtin": "damped_forced_escapement", "gamma": "1e300",
+                                             "kappa": "1e300"},
+                            "integrate": {"eps": "1e300", "s0": "0 0 1 0.3", "t_span": "0 0.5", "delta": "1e-3"}}))
+@example(case=("simulate", {"perturbation": {"file": "forcing.ini"},
+                            "forcing": {"k1": "const:1e308", "f1.d1": "const:1e308", "k2": "const:-1e308",
+                                        "f2.d1": "const:-1e308"},
+                            "integrate": {"eps": "1e-2", "s0": "1 0 0.5 0", "t_span": "0 1", "delta": "1e-3"}}))
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_main_ends_with_a_documented_exit_code(case):
     """`cli.main` on extreme or invalid configs returns a code of the
     README's table and raises nothing, on `params`, `zeros` and short
-    `simulate` spans, and a trajectory it writes holds finite numbers."""
+    `simulate` spans, and a trajectory it writes holds finite numbers.  A
+    ``forcing`` section is written as the perturbation file
+    ``forcing.ini`` beside the config."""
     command, sections = case
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         out = Path(tmp) / "out"
+        sections = dict(sections)
+        if "forcing" in sections:
+            write_ini(Path(tmp) / "forcing.ini", {"perturbation": sections.pop("forcing")})
         ini = write_ini(Path(tmp) / "fuzz.ini", {**sections, "output": {"dir": str(out)}})
         # A span of thousands of step caps is long work, not a failure; one
         # beyond the integrator's budget ends at once with exit 6.

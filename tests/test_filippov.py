@@ -16,7 +16,11 @@ exact flow runs on DOP853 too under the ``solver`` fixture.
 """
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -688,6 +692,110 @@ def test_regularized_matches_linear_flow(bench):
         integrate_regularized(spec, reduced, s, 0.0, 0.0, s0, (0.0, 1.0))
 
 
+def regularized_rhs(spec, reduced, s, eps, delta):
+    """The right-hand side `integrate_regularized` hands DOP853, caught on
+    an empty span, whose 10-ulp floor is subnormal."""
+    caught = []
+    solve = filippov._dop853
+
+    def catching(rhs, *args, **options):
+        caught.append(rhs)
+        return solve(rhs, *args, **options)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(filippov, "_dop853", catching)
+        integrate_regularized(spec, reduced, s, eps, delta, (0.0, 0.0, 0.0, 0.0), (0.0, 0.0))
+    (rhs,) = caught
+    return rhs
+
+
+def test_regularized_rhs_matches_per_call_field(bench):
+    # the regularized right-hand side, one array of plain and signed rows at
+    # the ramp's σ in [−1, 1], against the field summed whole on every
+    # call: within 1e-15 of the terms' absolute sum
+    reduced, s = bench
+    rng = np.random.default_rng(5)
+    window = 2.7
+    delta = 1e-3
+    worst = 0.0
+    for _ in range(200):
+        spec = PerturbationSpec(
+            K=tuple(_random_scalar(rng, window) for _ in range(4)),
+            F=tuple(tuple(_random_scalar(rng, window) for _ in range(4)) for _ in range(4)),
+        )
+        eps = 10.0 ** rng.uniform(-3.0, 0.0)
+        rhs = regularized_rhs(spec, reduced, s, eps, delta)
+        reference = per_call_field(spec, reduced, eps)
+        for tau in rng.uniform(-3.0, 10.0, size=3):
+            state = rng.normal(size=4)
+            state[[0, 2]] = delta * rng.uniform(-1.0, 1.0, size=2)
+            signs = (smooth_sign(state[0], delta), smooth_sign(state[2], delta))
+            scale = field_term_scale(spec, reduced, eps, tau, state, signs)
+            error = np.abs(np.asarray(rhs(tau, state.tolist())) - reference(tau, state, signs)) / scale
+            worst = max(worst, float(np.max(error)))
+    assert worst <= 1e-15
+
+
+def test_regularized_run_reads_one_array_per_call(bench, monkeypatch):
+    # the run builds its one array once, calls no frozen-sign form (so
+    # d1_field's cache cannot grow with the steps) and evaluates the array
+    # once per right-hand-side call
+    reduced, s = bench
+    built, rhs_calls, array_calls = [], [0], [0]
+    build, solve, evaluate = filippov._table_array, filippov._dop853, PeriodicArray.__call__
+
+    def counted_solve(rhs, *args, **options):
+        def counted(t, u):
+            rhs_calls[0] += 1
+            return rhs(t, u)
+
+        return solve(counted, *args, **options)
+
+    def counted_array(self, tau):
+        array_calls[0] += 1
+        return evaluate(self, tau)
+
+    def refused(*args):
+        raise AssertionError("the regularized run built a frozen-sign field")
+
+    monkeypatch.setattr(filippov, "_table_array", lambda *args: built.append(args) or build(*args))
+    monkeypatch.setattr(filippov, "_dop853", counted_solve)
+    monkeypatch.setattr(PeriodicArray, "__call__", counted_array)
+    monkeypatch.setattr(filippov, "d1_field", refused)
+    for spec in (builtin("damped_forced_escapement", {"gamma": GAMMA, "kappa": 0.05}, s), table_spec(s)):
+        built.clear()
+        rhs_calls[0] = array_calls[0] = 0
+        integrate_regularized(spec, reduced, s, 1e-2, 1e-3, (0.3, -0.2, 0.5, 0.1), (0.0, 3.0))
+        assert len(built) == 1 and rhs_calls[0] > 100 and array_calls[0] == rhs_calls[0]
+
+
+def test_regularized_run_ends_its_steps_at_table_knots(bench):
+    # the table_ini run of tests/test_cli.py: DOP853 restarts at every knot
+    # of the 256-knot table, one segment per knot interval, and the run ends
+    # within 5e-11 of SciPy's DOP853 at rtol 1e-13 restarted at the same
+    # knots (a run whose steps cross the knots ends 5.7e-10 away)
+    from scipy.integrate import solve_ivp
+
+    reduced, s = bench
+    spec = table_spec(s)
+    eps, delta, s0, span = 1e-2, 1e-3, (0.3, -0.2, 0.5, 0.1), (0.0, 8.2)
+    traj = integrate_regularized(spec, reduced, s, eps, delta, s0, span)
+    edges = [0.0, *(t for t in spec.K[0].knots[0] if 0.0 < t < 8.2), 8.2]
+    assert len(edges) == 257 and len(traj.segments) == 256 and traj.events == []
+    for segment, start, end in zip(traj.segments, edges, edges[1:]):
+        assert (segment.ts[0], segment.ts[-1]) == pytest.approx((start, end), abs=1e-12)
+        assert all(math.isnan(sign) for sign in segment.signs)
+    field = per_call_field(spec, reduced, eps)
+
+    def rhs(t, u):
+        return field(t, u, (smooth_sign(u[0], delta), smooth_sign(u[2], delta)))
+
+    state = np.array(s0)
+    for start, end in zip(edges, edges[1:]):
+        state = solve_ivp(rhs, (start, end), state, method="DOP853", rtol=1e-13, atol=1e-16).y[:, -1]
+    assert np.linalg.norm(np.subtract(traj.final_state, state)) <= 5e-11
+
+
 # -- the DOP853 port -----------------------------------------------------------
 
 
@@ -782,6 +890,21 @@ def test_dop853_matches_solve_ivp_bit_for_bit(bench):
         run = dop853.solve(rhs, (0.0, 1e-3), y0, rtol=1e-10, atol=1e-12, max_step=max_step)
     assert run.status == ref.status == 0 and np.isfinite(run.ys).all()
     assert run.ts.tobytes() == ref.t.tobytes() and run.ys.tobytes() == ref.y.T.tobytes()
+
+
+def test_dop853_ends_a_run_whose_step_size_is_nan():
+    # a field that is NaN at the start makes the initial step NaN, which is
+    # neither accepted nor below the minimum step; SciPy loops there for
+    # ever, so the run is made in a child that a timeout fails
+    code = ("import math; from pendavg import dop853; "
+            "run = dop853.solve(lambda t, u: [math.nan] * 4, (0, 1), [0.1, 0.2, 0.3, 0.4], "
+            "rtol=1e-12, atol=1e-14, max_step=0.1); print(run.status, run.ts.tolist()); print(run.message)")
+    src = str(Path(dop853.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["-1 [0.0]", dop853.NAN_STEP]
 
 
 @pytest.mark.parametrize("eps, gamma", [(1e-2, 0.5), (5.0, 1e300), (1e2, 0.5), (1e4, 0.5)],

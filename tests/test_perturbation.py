@@ -12,7 +12,6 @@ from pendavg.perturbation import (
     PeriodicScalar,
     PerturbationSpec,
     builtin,
-    eval_order1_with_signs,
     perturbation_from_file,
     smooth_sign,
 )
@@ -153,26 +152,18 @@ def test_validate_against_window():
 )
 @settings(max_examples=60, deadline=None)
 def test_eval_order1_matches_manual_formula(tau, x, y, z, w):
-    s = bench_spectral()
+    # the order-1 forcing as the frozen-sign form F_σ reads it at ε = 1:
+    # rows 1 and 3 of F_σ·(s, 1) less A's are (f_y, f_w)
+    reduced = reduce_params(BENCH)
+    s = spectral_data(reduced)
     spec = builtin("damped_forced_escapement", {"gamma": 0.5, "kappa": 0.05}, s)
     state = np.array([x, y, z, w])
-    f_y, f_w = eval_order1_with_signs(spec, tau, state, np.sign(x), np.sign(z))
+    rows = np.asarray(d1_field(spec, reduced, 1.0)((float(np.sign(x)), float(np.sign(z))))(tau))
+    _, f_y, _, f_w = (rows[:, :4] - linear_matrix(reduced.a, reduced.b)) @ state + rows[:, 4]
     expect_y = 0.5 * math.cos(s.omega1 * tau) - y + 0.05 * np.sign(x)
     expect_w = -w + 0.05 * np.sign(z)
     assert f_y == pytest.approx(expect_y, rel=1e-12, abs=1e-12)
     assert f_w == pytest.approx(expect_w, rel=1e-12, abs=1e-12)
-
-
-def test_eval_order1_with_signs_agrees_on_interior_states():
-    s = bench_spectral()
-    spec = builtin("damped_forced_escapement", {"gamma": 0.5, "kappa": 0.05}, s)
-    states = np.array([[0.4, -0.1, -0.7, 0.2], [-0.3, 0.5, 0.6, -0.1]]).T
-    taus = np.array([1.0, 2.5])
-    sgn_x, sgn_z = np.sign(states[0]), np.sign(states[2])
-    f_y, f_w = unfolded_forcing(spec, taus, states, sgn_x, sgn_z)
-    for i in range(2):
-        got = eval_order1_with_signs(spec, taus[i], states[:, i], sgn_x[i], sgn_z[i])
-        assert got == pytest.approx((f_y[i], f_w[i]), rel=1e-14, abs=1e-15)
 
 
 def test_scalars_match_the_array_reference_bit_for_bit():
@@ -208,29 +199,6 @@ def _random_scalar(rng, window):
     return PeriodicScalar.harmonic(kind, rng.uniform(-2, 2), omega)
 
 
-def test_compiled_forcing_matches_unfolded_sum():
-    rng = np.random.default_rng(5)
-    window = 2.7
-    for _ in range(200):
-        spec = PerturbationSpec(
-            K=tuple(_random_scalar(rng, window) for _ in range(4)),
-            F=tuple(tuple(_random_scalar(rng, window) for _ in range(4)) for _ in range(4)),
-        )
-        tau = rng.uniform(-3, 10)
-        state = rng.normal(size=4)
-        signs = rng.choice([-1.0, 0.0, 1.0], size=2)
-        got = eval_order1_with_signs(spec, tau, state, *signs)
-        expect = unfolded_forcing(spec, tau, state, *signs)
-        for g, e in zip(got, expect):
-            assert np.shape(g) == () and g == e
-        taus = rng.uniform(-3, 10, size=7)
-        states = rng.normal(size=(4, 7))
-        sgn_x, sgn_z = rng.choice([-1.0, 0.0, 1.0], size=(2, 7))
-        got = np.array([eval_order1_with_signs(spec, taus[n], states[:, n], sgn_x[n], sgn_z[n])
-                        for n in range(7)]).T
-        assert np.array_equal(got, unfolded_forcing(spec, taus, states, sgn_x, sgn_z))
-
-
 def test_forcing_jacobian_matches_unfolded_differences():
     # for frozen signs the forcing is affine in the state, so column j of R
     # is f(e_j) - f(0), and rows 1 and 3 of the segment's M_σ at ε = 1 are
@@ -263,26 +231,19 @@ def test_forcing_jacobian_matches_unfolded_differences():
 
 
 def test_all_zero_spec_forcing_is_shaped_like_tau():
+    # a spec without forcing leaves F_σ the pendulum's rows with no τ-term,
+    # and a constant one adds its constants at every τ
+    reduced = reduce_params(BENCH)
+    base = np.hstack((linear_matrix(reduced.a, reduced.b), np.zeros((4, 1))))
     z = PeriodicScalar.constant(0.0, 1.0)
     spec = PerturbationSpec(K=(z, z, z, z), F=((z,) * 4,) * 4)
-    assert eval_order1_with_signs(spec, 0.5, np.ones(4), 1.0, -1.0) == (0.0, 0.0)
+    form = d1_field(spec, reduced, 1.0)((1.0, -1.0))
+    assert form.terms == () and np.array_equal(form(0.5), base)
     constant = PeriodicScalar.constant(0.25, 1.0)
     spec = PerturbationSpec(K=(constant, z, z, constant), F=((z,) * 4,) * 4)
+    form = d1_field(spec, reduced, 1.0)((1.0, -1.0))
     for tau in (0.0, 1.0, 2.0):
-        assert eval_order1_with_signs(spec, tau, np.ones(4), 1.0, -1.0) == (0.25, -0.25)
-
-
-def test_exact_zero_coefficient_contributes_nothing():
-    # an exact-zero coefficient is left out of the sums, not multiplied by
-    # the state, so an infinite x or z meets no 0·inf
-    s = bench_spectral()
-    spec = builtin("damped_forced", {"gamma": 0.5}, s)
-    state = np.array([np.inf, 0.0, -np.inf, 0.0])
-    for tau in (0.3, 1.1):
-        f_y, f_w = eval_order1_with_signs(spec, tau, state, 1.0, -1.0)
-        assert math.isfinite(f_y) and math.isfinite(f_w)
-        # the sign of a zero may differ from the term-by-term sum
-        assert f_y == 0.5 * math.cos(s.omega1 * tau) and f_w == 0.0
+        assert np.array_equal(np.asarray(form(tau))[:, 4], [0.0, 0.25, 0.0, -0.25])
 
 
 @given(x=st.floats(-2, 2), delta=st.floats(1e-4, 0.5))
@@ -320,13 +281,10 @@ def test_smooth_sign_scalar_matches_array_bit_for_bit():
 
 
 def test_eval_order1_regularized_matches_exact_outside_delta():
-    s = bench_spectral()
-    spec = builtin("damped_forced_escapement", {"gamma": 0.5, "kappa": 0.05}, s)
+    # outside the band δ the ramp is the exact sign, so the regularized run
+    # reads the forcing of the frozen signs there
     state = np.array([0.4, -0.1, -0.7, 0.2])
-    ramp = smooth_sign(state[0], 0.1), smooth_sign(state[2], 0.1)
-    assert eval_order1_with_signs(spec, 1.0, state, *ramp) == eval_order1_with_signs(
-        spec, 1.0, state, 1.0, -1.0
-    )
+    assert (smooth_sign(state[0], 0.1), smooth_sign(state[2], 0.1)) == (1.0, -1.0)
     with pytest.raises(DomainError):
         smooth_sign(state[0], 0.0)
 
@@ -373,8 +331,8 @@ def test_builtins_are_their_file_entries(tmp_path):
                 states = rng.normal(size=(4, 9))
                 signs = rng.choice([-1.0, 0.0, 1.0], size=(2, 9))
                 columns = [(taus[n], states[:, n], *signs[:, n]) for n in range(9)]
-                assert (np.array([eval_order1_with_signs(got, *column) for column in columns]).tobytes()
-                        == np.array([eval_order1_with_signs(expect, *column) for column in columns]).tobytes())
+                assert (np.array([unfolded_forcing(got, *column) for column in columns]).tobytes()
+                        == np.array([unfolded_forcing(expect, *column) for column in columns]).tobytes())
                 for frozen in ((-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)):
                     g, e = (d1_field(spec, reduced, 1.0)(frozen) for spec in (got, expect))
                     assert all(np.asarray(g(t)).tobytes() == np.asarray(e(t)).tobytes() for t in taus)
@@ -404,7 +362,7 @@ def test_perturbation_from_file(tmp_path):
     )
     spec = perturbation_from_file(str(ini), s)
     state = np.array([0.3, -0.2, 0.1, 0.4])
-    f_y, f_w = eval_order1_with_signs(spec, 1.2, state, np.sign(state[0]), np.sign(state[2]))
+    f_y, f_w = unfolded_forcing(spec, 1.2, state, np.sign(state[0]), np.sign(state[2]))
     assert f_y == pytest.approx(0.5 * math.cos(s.omega1 * 1.2) + 0.2 + 0.05, abs=1e-9)
     assert f_w == pytest.approx(-0.4, abs=1e-12)
 

